@@ -33,7 +33,7 @@ from .network import (
 )
 from .ofdm import build_pilot_book, synth_pilot_observations, time_domain_oracle
 from .phase_noise import (
-    CorrelationTable,
+    KernelGrid,
     KernelParams,
     PhaseNoiseTrace,
     PnParams,

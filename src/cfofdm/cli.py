@@ -29,7 +29,8 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="override master_seed")
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p.add_argument("--deterministic", action="store_true",
-                   help="sequential execution with fixed merge order")
+                   help="no-op, kept for compatibility: output is byte-identical "
+                        "for every --threads value")
     p.add_argument("--threads", type=int, default=1,
                    help="worker threads for Monte Carlo trials")
 
@@ -78,8 +79,7 @@ def main(argv=None) -> int:
             if args.seed is not None:
                 cfg = replace(cfg, master_seed=args.seed)
             cfg.validate()
-            records = run_experiment(cfg, threads=args.threads,
-                                     deterministic=args.deterministic, progress=True)
+            records = run_experiment(cfg, threads=args.threads, progress=True)
             _emit(records_to_csv(records), args.out)
             return EXIT_OK
 
@@ -92,8 +92,7 @@ def main(argv=None) -> int:
             if args.seed is not None:
                 cfg = replace(cfg, master_seed=args.seed)
             runner = run_fig2 if args.command == "fig2" else run_fig3
-            records = runner(cfg, threads=args.threads,
-                             deterministic=args.deterministic, progress=True)
+            records = runner(cfg, threads=args.threads, progress=True)
             _emit(records_to_csv(records), args.out)
             return EXIT_OK
 

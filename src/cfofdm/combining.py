@@ -41,25 +41,6 @@ def combine_lp_mmse(est: EstimateSet, network: NetworkRealization,
     return complex(lp_mmse_vectors(est, network, tau)[k, l])
 
 
-def _masked_mmse(est, network, k, tau, members) -> np.ndarray:
-    """Regularized MMSE solve restricted to the support of D_k."""
-    support = np.flatnonzero(network.D[k])
-    h = est.h_hat[members][:, support, tau - 1]  # (|members|, |support|)
-    c = est.err_var[members][:, support, tau - 1]
-    p = network.p[members]
-    a = (h.T * p) @ h.conj()
-    a[np.diag_indices_from(a)] += (p[:, None] * c).sum(axis=0) + network.sigma2
-    rhs = est.h_hat[k, support, tau - 1]
-    try:
-        sol = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError:
-        log.warning("singular reduced combiner system for UE %d; using pseudo-inverse", k)
-        sol = np.linalg.pinv(a) @ rhs
-    v = np.zeros(network.D.shape[1], dtype=complex)
-    v[support] = network.p[k] * sol
-    return v
-
-
 def partial_cluster(network: NetworkRealization, k: int) -> np.ndarray:
     """UEs sharing at least one serving AP with UE k (includes k)."""
     return np.flatnonzero((network.D & network.D[k][None, :]).any(axis=1))
@@ -67,16 +48,17 @@ def partial_cluster(network: NetworkRealization, k: int) -> np.ndarray:
 
 def combine_p_mmse(est: EstimateSet, network: NetworkRealization, k: int, tau: int) -> np.ndarray:
     """Partial MMSE combiner over the UEs whose clusters overlap UE k's."""
-    return _masked_mmse(est, network, k, tau, partial_cluster(network, k))
+    return combiner_matrix("p_mmse", est, network, tau)[k]
 
 
 def combine_mmse(est: EstimateSet, network: NetworkRealization, k: int, tau: int) -> np.ndarray:
     """Centralized MMSE combiner over all UEs, masked to UE k's cluster."""
-    return _masked_mmse(est, network, k, tau, np.arange(network.D.shape[0]))
+    return combiner_matrix("mmse", est, network, tau)[k]
 
 
 def _masked_mmse_group(est, network, ks, tau, members) -> np.ndarray:
-    """One factorization for UEs sharing a cluster support; returns (len(ks), L)."""
+    """Regularized MMSE solve over ``members``, restricted to the cluster support
+    shared by the UEs ``ks``: one factorization, returns (len(ks), L)."""
     support = np.flatnonzero(network.D[ks[0]])
     h = est.h_hat[members][:, support, tau - 1]
     c = est.err_var[members][:, support, tau - 1]

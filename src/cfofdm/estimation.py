@@ -4,14 +4,14 @@ two single-carrier-style baseline estimators."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.signal import fftconvolve
 
 from .network import NetworkRealization, SimulationLayout
-from .phase_noise import CorrelationTable, KernelParams, PnParams, _b_fast_core
+from .phase_noise import KernelGrid, KernelParams, PnParams, correlation_b_fast
 
 ESTIMATOR_KINDS = ("pna_ofdm", "pna_sc", "unaware")
 ICI_MODES = ("as_printed", "independent_data")
@@ -25,24 +25,16 @@ def _slot_geometry(layout: SimulationLayout, eval_block: int = 1):
     return subs, syms
 
 
-def required_kernel_indices(layout: SimulationLayout, eval_block: int = 1) -> Set[Tuple[int, int, int]]:
-    """Kernel index tuples consumed by the estimator for this pilot placement.
+def kernel_offsets(layout: SimulationLayout, eval_block: int = 1) -> np.ndarray:
+    """Subcarrier offsets at which the estimator reads the drift kernel.
 
-    Covers the CPE diagonal B_{0,0}^{(dtau)} for |dtau| < tau_c and every
-    (subcarrier-offset pair, symbol lag) reached by the pilot-pair double sum
-    of the ICI covariance.
+    0 for the CPE diagonal, plus n - j for every pilot-slot subcarrier n and
+    every other pilot subcarrier j, as reached by the pilot-pair double sum of
+    the ICI covariance.
     """
-    needed = {(0, 0, dt) for dt in range(-(layout.block_symbols - 1), layout.block_symbols)}
-    subs, syms = _slot_geometry(layout, eval_block)
-    pilot_cols = layout.pilot_subcarriers_absolute()
-    for n1, t1 in set(zip(subs.tolist(), syms.tolist())):
-        off1 = n1 - pilot_cols[pilot_cols != n1]
-        for n2, t2 in set(zip(subs.tolist(), syms.tolist())):
-            off2 = n2 - pilot_cols[pilot_cols != n2]
-            dt = t1 - t2
-            o1, o2 = np.meshgrid(off1, off2, indexing="ij")
-            needed.update(zip(o1.ravel().tolist(), o2.ravel().tolist(), [dt] * o1.size))
-    return needed
+    subs, _ = _slot_geometry(layout, eval_block)
+    cols = layout.pilot_subcarriers_absolute()
+    return np.union1d((subs[:, None] - cols[None, :]).ravel(), [0])
 
 
 def _data_sum_as_printed(n1, n2, dt, params: KernelParams, data_ind: np.ndarray) -> complex:
@@ -72,7 +64,7 @@ def _data_sum_independent(n1, n2, dt, params: KernelParams, data_ind: np.ndarray
     n = params.n
     g = n * np.fft.ifft(data_ind)
     d = np.arange(-(n - 1), n)
-    return _b_fast_core(int(n1), int(n2), dt, params, weights=g[d % n])
+    return correlation_b_fast(int(n1), int(n2), dt, params, weights=g[d % n])
 
 
 @dataclass
@@ -91,7 +83,7 @@ class IciBase:
 
 def build_ici_base(
     layout: SimulationLayout,
-    table: CorrelationTable,
+    table: KernelGrid,
     book: np.ndarray,
     mode: str = "as_printed",
     eval_block: int = 1,
@@ -105,24 +97,21 @@ def build_ici_base(
     slot_of = {slot: i for i, slot in enumerate(layout.pilot_slots)}
     nc = layout.block_subcarriers
 
+    # other pilot subcarriers seen from each slot, and the slots transmitting them
+    others = [pilot_cols[pilot_cols != n] for n in subs]
+    rows = [np.array([slot_of[(j % nc, t)] for j in js], dtype=int)
+            for js, t in zip(others, syms)]
     pilot_terms = np.zeros((tau_p, tau_p, tau_p), dtype=complex)
     for i1 in range(tau_p):
-        j1s = pilot_cols[pilot_cols != subs[i1]]
-        rows1 = np.array([slot_of[(j % nc, syms[i1])] for j in j1s])
         for i2 in range(tau_p):
-            j2s = pilot_cols[pilot_cols != subs[i2]]
-            if j1s.size == 0 or j2s.size == 0:
+            if others[i1].size == 0 or others[i2].size == 0:
                 continue
-            rows2 = np.array([slot_of[(j % nc, syms[i2])] for j in j2s])
-            dt = int(syms[i1] - syms[i2])
-            bsub = np.array(
-                [[table.get(int(subs[i1] - j1), int(subs[i2] - j2), dt) for j2 in j2s]
-                 for j1 in j1s]
-            )
-            # w1/w2 pick the pilot samples transmitted on those subcarriers
-            w1 = book[rows1, :]  # (|j1s|, tau_p) columns indexed by pilot t
-            w2 = book[rows2, :]
-            pilot_terms[:, i1, i2] = np.einsum("at,ab,bt->t", w1, bsub, np.conj(w2))
+            bsub = table.block(subs[i1] - others[i1], subs[i2] - others[i2],
+                               int(syms[i1] - syms[i2]))
+            # book rows pick the pilot samples transmitted on those subcarriers:
+            # sum_ab w1[a, t] bsub[a, b] conj(w2[b, t]) for every pilot t
+            w1, w2 = book[rows[i1]], book[rows[i2]]
+            pilot_terms[:, i1, i2] = ((w1.T @ bsub) * np.conj(w2.T)).sum(axis=1)
 
     data_ind = np.ones(layout.n_subcarriers)
     data_ind[pilot_cols] = 0.0
@@ -142,7 +131,7 @@ def build_ici_base(
 def build_z_ici(
     network: NetworkRealization,
     layout: SimulationLayout,
-    table: CorrelationTable,
+    table: KernelGrid,
     mode: str = "as_printed",
     book: Optional[np.ndarray] = None,
     eval_block: int = 1,
@@ -173,23 +162,24 @@ def build_z_ici(
     return z
 
 
-def cpe_kernel_value(kind: str, dtau: int, table: Optional[CorrelationTable],
-                     pn: Optional[PnParams], layout: SimulationLayout) -> float:
-    """Symbol-lag CPE correlation assumed by each estimator kind."""
+def cpe_kernel_value(kind: str, dtau, table: Optional[KernelGrid],
+                     pn: Optional[PnParams], layout: SimulationLayout):
+    """Symbol-lag CPE correlation assumed by each estimator kind, at one lag
+    or at every entry of an integer lag array."""
     if kind == "pna_ofdm":
         return table.cpe(dtau)
     if kind == "pna_sc":
         # One drift sample per OFDM symbol, N sample periods apart.
-        return float(np.exp(-pn.sigma2_tot * layout.n_subcarriers * abs(dtau) / 2.0))
+        return np.exp(-pn.sigma2_tot * layout.n_subcarriers * np.abs(dtau) / 2.0)
     if kind == "unaware":
-        return 1.0
+        return np.ones(np.shape(dtau)) if np.ndim(dtau) else 1.0
     raise ValueError("unknown estimator kind: %r" % (kind,))
 
 
 def build_psi(
     network: NetworkRealization,
     layout: SimulationLayout,
-    table: Optional[CorrelationTable],
+    table: Optional[KernelGrid],
     z_ici: Optional[np.ndarray],
     kind: str = "pna_ofdm",
     pn: Optional[PnParams] = None,
@@ -207,10 +197,7 @@ def build_psi(
         book = build_pilot_book(layout.tau_p)
     tau_p = layout.tau_p
     _, syms = _slot_geometry(layout)
-    kmat = np.array(
-        [[cpe_kernel_value(kind, int(t1 - t2), table, pn, layout) for t2 in syms]
-         for t1 in syms]
-    )
+    kmat = cpe_kernel_value(kind, syms[:, None] - syms[None, :], table, pn, layout)
     pb = network.p[:, None] * network.beta
     psi = np.zeros((layout.n_aps, tau_p, tau_p), dtype=complex)
     for t in np.unique(network.pilot_index):
@@ -250,7 +237,7 @@ class EstimatorContext:
 def build_context(
     network: NetworkRealization,
     layout: SimulationLayout,
-    table: Optional[CorrelationTable],
+    table: Optional[KernelGrid],
     kind: str = "pna_ofdm",
     ici_mode: str = "as_printed",
     pn: Optional[PnParams] = None,
@@ -277,10 +264,8 @@ def build_context(
 
     _, syms = _slot_geometry(layout)
     tau_c, tau_p = layout.block_symbols, layout.tau_p
-    b_weights = np.array(
-        [[cpe_kernel_value(kind, int(tau - t_i), table, pn, layout) for t_i in syms]
-         for tau in range(1, tau_c + 1)]
-    )
+    b_weights = cpe_kernel_value(kind, np.arange(1, tau_c + 1)[:, None] - syms[None, :],
+                                 table, pn, layout)
 
     K, L = network.beta.shape
     coef = np.zeros((L, K, tau_c, tau_p), dtype=complex)
@@ -329,17 +314,3 @@ def estimation_stats(ctx: EstimatorContext, k: int, l: int, tau: int):
     """(estimate variance, error variance) for UE k, AP l, 1-based symbol tau."""
     e = float(ctx.eps[k, l, tau - 1])
     return e, float(ctx.beta[k, l] - e)
-
-
-def baseline_unaware_estimate(ctx: EstimatorContext, y_l, k: int, l: int, tau: int) -> complex:
-    """Phase-noise-unaware MMSE baseline (unit CPE weights, no ICI term)."""
-    if ctx.kind != "unaware":
-        raise ValueError("context was built for kind %r" % (ctx.kind,))
-    return lmmse_estimate(ctx, y_l, k, l, tau)
-
-
-def baseline_sc_estimate(ctx: EstimatorContext, y_l, k: int, l: int, tau: int) -> complex:
-    """Single-carrier phase-noise-aware LMMSE baseline (per-symbol drift kernel)."""
-    if ctx.kind != "pna_sc":
-        raise ValueError("context was built for kind %r" % (ctx.kind,))
-    return lmmse_estimate(ctx, y_l, k, l, tau)

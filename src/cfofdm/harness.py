@@ -15,7 +15,7 @@ from . import combining, estimation, ofdm, se
 from .config import ExperimentConfig, effective_config_text
 from .network import NetworkRealization, SimulationLayout, gen_channel, generate_network
 from .phase_noise import (
-    CorrelationTable,
+    KernelGrid,
     KernelParams,
     PnParams,
     build_correlation_table,
@@ -71,17 +71,20 @@ class ResultRecord:
         )
 
 
-def build_kernel_table(cfg: ExperimentConfig) -> CorrelationTable:
-    """Kernel table covering the estimator's needs for this configuration."""
+def build_kernel_table(cfg: ExperimentConfig) -> KernelGrid:
+    """Kernel grid covering the estimators' needs for this configuration.
+
+    Every lag within the coherence block; the pilot offsets only when the
+    phase-noise-aware OFDM estimator needs the ICI covariance.
+    """
     layout = cfg.layout()
     params = KernelParams.from_layout(layout, cfg.pn_params(),
                                       cp_consistent=cfg.cp_consistent_correlation)
+    offsets = [0]
     if "pna_ofdm" in cfg.estimators:
-        needed = estimation.required_kernel_indices(layout, cfg.eval_block)
-    else:
-        needed = {(0, 0, dt) for dt in range(-(layout.block_symbols - 1),
-                                             layout.block_symbols)}
-    return build_correlation_table(params, needed)
+        offsets = estimation.kernel_offsets(layout, cfg.eval_block)
+    lags = range(-(layout.block_symbols - 1), layout.block_symbols)
+    return build_correlation_table(params, offsets, lags)
 
 
 def run_trial(
@@ -137,6 +140,10 @@ class GeometryResult:
 
 
 def _summaries(acc: se.SinrAccumulator, network, layout, scheme_idx):
+    """SINR records (K, tau_c) with the UE-averaged SE curve and block SE.
+
+    Invalid (NaN) records are left out of the averages; the caller counts them.
+    """
     sinr = np.array(
         [
             [se.finalize_sinr(acc, network, scheme_idx, k, tau)
@@ -144,17 +151,18 @@ def _summaries(acc: se.SinrAccumulator, network, layout, scheme_idx):
             for k in range(layout.n_ues)
         ]
     )  # (K, tau_c)
-    curve = np.mean(
-        np.stack([se.se_per_channel_use(sinr[k], layout) for k in range(layout.n_ues)]),
-        axis=0,
-    )
-    block = float(np.mean([se.se_per_block(sinr[k]) for k in range(layout.n_ues)]))
+    valid = ~np.isnan(sinr)
+    rate = np.log2(1.0 + np.where(valid, sinr, 0.0))
+    # channel use c rides on symbol ceil(c / N_c)
+    curve = np.repeat(rate.sum(axis=0) / valid.sum(axis=0), layout.block_subcarriers)
+    per_ue = rate.sum(axis=1) / valid.sum(axis=1)
+    block = float(np.mean(per_ue[valid.any(axis=1)]))
     return sinr, curve, block
 
 
 def run_geometry(
     cfg: ExperimentConfig,
-    table: CorrelationTable,
+    table: KernelGrid,
     ici_base: Optional[estimation.IciBase],
     geometry_index: int,
     threads: int = 1,
@@ -241,17 +249,16 @@ def run_geometry(
 def run_experiment(
     cfg: ExperimentConfig,
     threads: int = 1,
-    deterministic: bool = False,
     progress: bool = False,
     estimator_label: Optional[Dict[str, str]] = None,
 ) -> List[ResultRecord]:
     """Run the full experiment and aggregate records across geometries.
 
-    Raises RuntimeError if more than 1% of SINR records are invalid.
+    The records are a pure function of the configuration: byte-identical for
+    every ``threads`` value.  Raises RuntimeError if more than 1% of SINR
+    records are invalid.
     """
     cfg.validate()
-    if deterministic:
-        threads = 1
     layout = cfg.layout()
     t0 = time.perf_counter()
     if progress:
@@ -318,6 +325,8 @@ def run_experiment(
                         total_trials, float(curve_se[c - 1]), cfg.master_seed,
                     )
                 )
+    if not np.isfinite([(r.se_per_ue, r.standard_error) for r in records]).all():
+        raise RuntimeError("Monte Carlo underflow: a result has no valid SINR record")
     if progress:
         print("experiment %s finished in %.1f s"
               % (cfg.name, time.perf_counter() - t0), file=sys.stderr)
@@ -339,15 +348,13 @@ def no_pn_variant(cfg: ExperimentConfig) -> ExperimentConfig:
 
 
 def run_fig2(cfg: Optional[ExperimentConfig] = None, threads: int = 1,
-             deterministic: bool = False, progress: bool = False) -> List[ResultRecord]:
+             progress: bool = False) -> List[ResultRecord]:
     """SE per UE versus channel use, all estimators plus no-phase-noise references."""
     from .config import fig2_config
 
     cfg = cfg if cfg is not None else fig2_config()
-    records = run_experiment(cfg, threads=threads, deterministic=deterministic,
-                             progress=progress)
-    ref = run_experiment(no_pn_variant(cfg), threads=threads,
-                         deterministic=deterministic, progress=progress,
+    records = run_experiment(cfg, threads=threads, progress=progress)
+    ref = run_experiment(no_pn_variant(cfg), threads=threads, progress=progress,
                          estimator_label={"pna_ofdm": "no_pn"})
     return records + ref
 
@@ -357,7 +364,7 @@ FIG3_CHANNEL_USE = 60
 
 
 def run_fig3(base: Optional[ExperimentConfig] = None, threads: int = 1,
-             deterministic: bool = False, progress: bool = False,
+             progress: bool = False,
              ue_counts: Sequence[int] = FIG3_UE_COUNTS) -> List[ResultRecord]:
     """SE per UE at channel use 60 versus the number of UEs."""
     from .config import fig3_config
@@ -367,10 +374,8 @@ def run_fig3(base: Optional[ExperimentConfig] = None, threads: int = 1,
         cfg = fig3_config(K)
         if base is not None:
             cfg = replace(base, n_ues=K, name="%s_K%d" % (base.name, K))
-        recs = run_experiment(cfg, threads=threads, deterministic=deterministic,
-                              progress=progress)
-        recs += run_experiment(no_pn_variant(cfg), threads=threads,
-                               deterministic=deterministic, progress=progress,
+        recs = run_experiment(cfg, threads=threads, progress=progress)
+        recs += run_experiment(no_pn_variant(cfg), threads=threads, progress=progress,
                                estimator_label={"pna_ofdm": "no_pn"})
         out.extend(r for r in recs if r.channel_use == FIG3_CHANNEL_USE)
     return out

@@ -4,7 +4,7 @@ spectra, and the second-order drift correlation kernel."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple
+from typing import Iterable
 
 import numpy as np
 
@@ -147,90 +147,112 @@ def correlation_b_oracle(i1: int, i2: int, dtau: int, params: KernelParams) -> c
     return complex((damp * phase).sum() / n**2)
 
 
-def _b_fast_core(i1, i2, dtau, params, weights=None):
-    # Substitute d = n1 - n2; the inner sum over n2 is geometric with ratio
-    # exp(-2j*pi*(i1-i2)/N) over N - |d| terms starting at max(0, -d).
-    n = params.n
+def _kernel_factors(n: int, offsets, deltas):
+    """Factors of the kernel reduction over the lag axis d = n1 - n2 in -(N-1)..N-1.
+
+    Returns the phase rows exp(-2j*pi*d*i1/N), one per row offset i1, and the
+    inner rows, one per offset difference delta = (i1 - i2) mod N: the inner
+    sum over n2 is geometric with ratio exp(-2j*pi*delta/N) over N - |d| terms
+    starting at max(0, -d).
+    """
     d = np.arange(-(n - 1), n)
+    phase = np.exp(-2j * np.pi * d[None, :] * np.asarray(offsets)[:, None] / n)
+    count = n - np.abs(d)
+    inner = np.empty((len(deltas), d.size), dtype=complex)
+    for r, delta in enumerate(deltas):
+        if delta == 0:
+            inner[r] = count
+        else:
+            q = np.exp(-2j * np.pi * delta / n)
+            inner[r] = q ** np.maximum(0, -d) * (1.0 - q**count) / (1.0 - q)
+    return phase, inner
+
+
+def _kernel_rows(params: KernelParams, dtau: int, phase: np.ndarray,
+                 inner: np.ndarray, weights=None) -> np.ndarray:
+    """Kernel at lag dtau for every (phase row offset, inner row difference) pair.
+
+    ``weights``, if given, multiplies the damping factor along the lag axis.
+    """
+    d = np.arange(-(params.n - 1), params.n)
     damp = np.exp(-params.sigma2_tot / 2.0 * np.abs(dtau * params.stride + d))
     if weights is not None:
         damp = damp * weights
-    phase = np.exp(-2j * np.pi * d * i1 / n)
-    count = n - np.abs(d)
-    delta = (i1 - i2) % n
-    if delta == 0:
-        inner = count.astype(complex)
-    else:
-        q = np.exp(-2j * np.pi * delta / n)
-        inner = q ** np.maximum(0, -d) * (1.0 - q**count) / (1.0 - q)
-    return complex((damp * phase * inner).sum() / n**2)
+    return (phase * damp) @ inner.T / params.n**2
 
 
-def correlation_b_fast(i1: int, i2: int, dtau: int, params: KernelParams) -> complex:
-    """O(N) evaluation of the kernel, equal to the literal double sum."""
-    return _b_fast_core(i1, i2, dtau, params)
+def correlation_b_fast(i1: int, i2: int, dtau: int, params: KernelParams,
+                       weights=None) -> complex:
+    """O(N) evaluation of the kernel, equal to the literal double sum; the
+    scalar view of :class:`KernelGrid`."""
+    factors = _kernel_factors(params.n, [i1], [(i1 - i2) % params.n])
+    return complex(_kernel_rows(params, dtau, *factors, weights)[0, 0])
 
 
-class CorrelationTable:
-    """Cache of kernel values over a fixed index set; lookups are exact-hit only."""
+def _lookup(keys: np.ndarray, grid: np.ndarray, what: str) -> np.ndarray:
+    """Positions of ``keys`` in the sorted ``grid``; LookupError for any miss."""
+    pos = np.minimum(np.searchsorted(grid, keys), grid.size - 1)
+    miss = grid[pos] != keys
+    if miss.any():
+        raise LookupError("kernel grid miss at %s=%d: grid was built for a different "
+                          "index set" % (what, keys[miss][0]))
+    return pos
 
-    def __init__(self, params: KernelParams, values: Dict[Tuple[int, int, int], complex]):
-        self.params = params
-        self._values = dict(values)
+
+@dataclass
+class KernelGrid:
+    """Kernel values B_{i1,i2}^{(dtau)} for every i1, i2 in ``offsets`` and dtau in ``lags``.
+
+    ``values[a, r, b]`` is the kernel at lag ``lags[a]``, row offset
+    ``offsets[r]`` and offset difference ``deltas[b]`` = (i1 - i2) mod N.
+    Requests outside the grid raise LookupError.
+    """
+
+    params: KernelParams
+    offsets: np.ndarray  # sorted distinct subcarrier offsets
+    lags: np.ndarray     # sorted distinct symbol lags
+    deltas: np.ndarray   # sorted distinct (i1 - i2) mod N over the offsets
+    values: np.ndarray   # (lags, offsets, deltas) complex
+
+    def block(self, o1s, o2s, dtau: int) -> np.ndarray:
+        """Kernel block (len(o1s), len(o2s)) at lag dtau."""
+        o1s = np.asarray(o1s, dtype=int)
+        o2s = np.asarray(o2s, dtype=int)
+        lag = _lookup(np.array([dtau]), self.lags, "dtau")[0]
+        rows = _lookup(o1s, self.offsets, "i1")
+        _lookup(o2s, self.offsets, "i2")
+        cols = np.searchsorted(self.deltas, (o1s[:, None] - o2s[None, :]) % self.params.n)
+        return self.values[lag, rows[:, None], cols]
 
     def get(self, i1: int, i2: int, dtau: int) -> complex:
-        try:
-            return self._values[(i1, i2, dtau)]
-        except KeyError:
-            raise LookupError(
-                "correlation table miss at (i1=%d, i2=%d, dtau=%d): "
-                "table was built for a different index set" % (i1, i2, dtau)
-            ) from None
+        return complex(self.block([i1], [i2], dtau)[0, 0])
 
-    def cpe(self, dtau: int) -> float:
-        """Diagonal CPE entry B_{0,0}^{(dtau)} (real by construction)."""
-        return self.get(0, 0, dtau).real
+    def cpe(self, dtau):
+        """Diagonal CPE entries B_{0,0}^{(dtau)} (real by construction), at one
+        lag or at every entry of an integer lag array."""
+        lags = np.asarray(dtau)
+        pos = _lookup(lags.ravel(), self.lags, "dtau").reshape(lags.shape)
+        row = _lookup(np.array([0]), self.offsets, "i1")[0]
+        out = self.values[pos, row, np.searchsorted(self.deltas, 0)].real
+        return float(out) if out.ndim == 0 else out
 
     def __len__(self) -> int:
-        return len(self._values)
-
-    def __contains__(self, key) -> bool:
-        return key in self._values
+        return self.values.size
 
 
-def build_correlation_table(
-    params: KernelParams, needed: Iterable[Tuple[int, int, int]]
-) -> CorrelationTable:
-    """Evaluate the fast kernel over exactly the requested (i1, i2, dtau) tuples.
+def build_correlation_table(params: KernelParams, offsets: Iterable[int],
+                            lags: Iterable[int]) -> KernelGrid:
+    """Evaluate the kernel over every offset pair of ``offsets`` at every lag.
 
-    Tuples sharing a lag, a row offset, or an offset difference reuse the
-    corresponding factor of the reduction, which keeps large pilot-pair index
-    sets affordable.
+    The offset difference enters only through the inner factor, so each lag is
+    one matrix product of the phase rows with the inner rows of the distinct
+    differences.  Evaluating one lag at a time bounds the temporaries.
     """
-    n = params.n
-    d = np.arange(-(n - 1), n)
-    count = n - np.abs(d)
-    damp_cache: Dict[int, np.ndarray] = {}
-    phase_cache: Dict[int, np.ndarray] = {}
-    inner_cache: Dict[int, np.ndarray] = {}
-    values = {}
-    for key in sorted(set(needed)):
-        i1, i2, dtau = key
-        damp = damp_cache.get(dtau)
-        if damp is None:
-            damp = damp_cache[dtau] = np.exp(
-                -params.sigma2_tot / 2.0 * np.abs(dtau * params.stride + d))
-        phase = phase_cache.get(i1)
-        if phase is None:
-            phase = phase_cache[i1] = np.exp(-2j * np.pi * d * i1 / n)
-        delta = (i1 - i2) % n
-        inner = inner_cache.get(delta)
-        if inner is None:
-            if delta == 0:
-                inner = count.astype(complex)
-            else:
-                q = np.exp(-2j * np.pi * delta / n)
-                inner = q ** np.maximum(0, -d) * (1.0 - q**count) / (1.0 - q)
-            inner_cache[delta] = inner
-        values[key] = complex((damp * phase * inner).sum() / n**2)
-    return CorrelationTable(params, values)
+    offsets = np.unique(np.fromiter(offsets, dtype=int))
+    lags = np.unique(np.fromiter(lags, dtype=int))
+    deltas = np.unique((offsets[:, None] - offsets[None, :]) % params.n)
+    factors = _kernel_factors(params.n, offsets, deltas)
+    values = np.empty((lags.size, offsets.size, deltas.size), dtype=complex)
+    for a, dtau in enumerate(lags):
+        values[a] = _kernel_rows(params, int(dtau), *factors)
+    return KernelGrid(params, offsets, lags, deltas, values)

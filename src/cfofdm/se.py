@@ -8,10 +8,10 @@ from typing import Sequence
 import numpy as np
 
 from .network import NetworkRealization, SimulationLayout
-from .phase_noise import CorrelationTable
+from .phase_noise import KernelGrid
 
 
-def lambda_ici(network: NetworkRealization, table: CorrelationTable) -> np.ndarray:
+def lambda_ici(network: NetworkRealization, table: KernelGrid) -> np.ndarray:
     """Per-(UE, AP) ICI power lambda_{i,l} = p_i beta_{i,l} (1 - B_{0,0}^{(0)}).
 
     Independent of subcarrier and OFDM symbol; zero without phase noise.
@@ -94,17 +94,6 @@ def finalize_sinr(acc: SinrAccumulator, network: NetworkRealization,
     if den <= 0.0:
         return float("nan")
     return float(num / den)
-
-
-def finalize_all(acc: SinrAccumulator, network: NetworkRealization) -> np.ndarray:
-    """SINR array (n_schemes, K, tau_c); invalid records are NaN."""
-    s, k_n, t_n = acc.gain.shape
-    out = np.empty((s, k_n, t_n))
-    for si in range(s):
-        for k in range(k_n):
-            for t in range(t_n):
-                out[si, k, t] = finalize_sinr(acc, network, si, k, t + 1)
-    return out
 
 
 def se_per_block(sinr_over_tau: np.ndarray) -> float:

@@ -280,8 +280,8 @@ def test_criterion_6_no_pn_pipeline_equivalence():
 def test_criterion_9_deterministic_csv():
     cfg = replace(ci_config(), n_aps=8, n_ues=3, n_geometries=2, n_trials=6,
                   estimators=("pna_ofdm", "unaware"), schemes=("mr", "mmse"))
-    a = records_to_csv(run_experiment(cfg, deterministic=True))
-    b = records_to_csv(run_experiment(cfg, deterministic=True))
+    a = records_to_csv(run_experiment(cfg))
+    b = records_to_csv(run_experiment(cfg))
     assert _report(9, "deterministic byte-identical CSV", a == b,
                    "%d bytes each" % len(a.encode()))
 

@@ -13,8 +13,8 @@ from cfofdm.estimation import (
     build_z_ici,
     estimate_all,
     estimation_stats,
+    kernel_offsets,
     lmmse_estimate,
-    required_kernel_indices,
 )
 from cfofdm.network import NetworkRealization, SimulationLayout, gen_channel
 from cfofdm.ofdm import build_pilot_book, build_transmit_grids, synth_pilot_observations
@@ -22,6 +22,7 @@ from cfofdm.phase_noise import (
     KernelParams,
     PnParams,
     build_correlation_table,
+    correlation_b_fast,
     correlation_b_oracle,
     gen_pn_trace,
 )
@@ -39,10 +40,45 @@ def toy_layout(**kw):
     return SimulationLayout(**base)
 
 
-def make_table(layout, sigma2_tot, stride=None):
+def make_table(layout, sigma2_tot, stride=None, eval_block=1):
     params = KernelParams(n=layout.n_subcarriers, sigma2_tot=sigma2_tot,
                           stride=stride or layout.n_subcarriers)
-    return build_correlation_table(params, required_kernel_indices(layout))
+    lags = range(-(layout.block_symbols - 1), layout.block_symbols)
+    return build_correlation_table(params, kernel_offsets(layout, eval_block), lags)
+
+
+def ici_base_per_entry(layout, params, book, mode, eval_block=1):
+    """Pilot-pair and data-pair ICI sums with one scalar kernel call per entry."""
+    from cfofdm.estimation import _data_sum_as_printed, _data_sum_independent
+
+    tau_p, nc = layout.tau_p, layout.block_subcarriers
+    lo = (eval_block - 1) * nc
+    subs = np.array([lo + nu for nu, _ in layout.pilot_slots])
+    syms = np.array([t for _, t in layout.pilot_slots])
+    pilot_cols = layout.pilot_subcarriers_absolute()
+    slot_of = {slot: i for i, slot in enumerate(layout.pilot_slots)}
+    pilot_terms = np.zeros((tau_p, tau_p, tau_p), dtype=complex)
+    for i1 in range(tau_p):
+        j1s = pilot_cols[pilot_cols != subs[i1]]
+        rows1 = np.array([slot_of[(j % nc, syms[i1])] for j in j1s])
+        for i2 in range(tau_p):
+            j2s = pilot_cols[pilot_cols != subs[i2]]
+            if j1s.size == 0 or j2s.size == 0:
+                continue
+            rows2 = np.array([slot_of[(j % nc, syms[i2])] for j in j2s])
+            dt = int(syms[i1] - syms[i2])
+            bsub = np.array(
+                [[correlation_b_fast(int(subs[i1] - j1), int(subs[i2] - j2), dt, params)
+                  for j2 in j2s] for j1 in j1s])
+            w1, w2 = book[rows1, :], book[rows2, :]
+            pilot_terms[:, i1, i2] = np.einsum("at,ab,bt->t", w1, bsub, np.conj(w2))
+    data_ind = np.ones(layout.n_subcarriers)
+    data_ind[pilot_cols] = 0.0
+    data_sum = _data_sum_as_printed if mode == "as_printed" else _data_sum_independent
+    data_term = np.array([[data_sum(int(subs[i1]), int(subs[i2]), int(syms[i1] - syms[i2]),
+                                    params, data_ind) for i2 in range(tau_p)]
+                          for i1 in range(tau_p)])
+    return pilot_terms, data_term
 
 
 def bruteforce_z_entry(layout, table, book, t, i1, i2, mode, eval_block=1):
@@ -106,10 +142,7 @@ class TestZIci:
 
     def test_eval_block_offset_matches_bruteforce(self):
         layout = toy_layout()
-        table_idx = required_kernel_indices(layout, eval_block=2)
-        params = KernelParams(n=layout.n_subcarriers, sigma2_tot=5e-3,
-                              stride=layout.n_subcarriers)
-        table = build_correlation_table(params, table_idx)
+        table = make_table(layout, 5e-3, eval_block=2)
         book = build_pilot_book(layout.tau_p)
         beta = np.array([[0.5, 0.3]])
         network = make_network(layout, beta, [0], p=0.4)
@@ -120,6 +153,19 @@ class TestZIci:
                 expect = 0.4 * beta[0, 0] * bruteforce_z_entry(
                     layout, table, book, 0, i1, i2, "independent_data", eval_block=2)
                 assert z[0, i1, i2] == pytest.approx(expect, rel=1e-10, abs=1e-16)
+
+    @pytest.mark.parametrize("mode", ["as_printed", "independent_data"])
+    @pytest.mark.parametrize("eval_block", [1, 2])
+    def test_ici_base_matches_per_entry_loop(self, mode, eval_block):
+        layout = toy_layout(n_subcarriers=48, block_subcarriers=12, block_symbols=4,
+                            pilot_subcarriers=(0, 5), pilot_symbols=(1, 2, 3))
+        table = make_table(layout, 5e-3, eval_block=eval_block)
+        book = build_pilot_book(layout.tau_p)
+        base = build_ici_base(layout, table, book, mode=mode, eval_block=eval_block)
+        pilot_terms, data_term = ici_base_per_entry(layout, table.params, book, mode,
+                                                    eval_block)
+        assert base.pilot_terms == pytest.approx(pilot_terms, rel=1e-10)
+        assert base.data_term == pytest.approx(data_term, rel=1e-10)
 
     def test_zero_phase_noise_gives_zero(self):
         layout = toy_layout()
@@ -292,8 +338,7 @@ class TestBaselines:
         )
         pn_big = PnParams(2e9, 4e-17, 4e-17, big.sample_time)
         params = KernelParams(1200, pn_big.sigma2_tot, 1200)
-        table = build_correlation_table(
-            params, [(0, 0, dt) for dt in range(-14, 15)])
+        table = build_correlation_table(params, [0], range(-14, 15))
         # at zero lag the single-carrier kernel misses the in-symbol averaging
         # loss entirely (gap 1 - B00 ~ 0.127); at nonzero lags the OFDM kernel
         # slightly exceeds it (Jensen), so the two models genuinely differ

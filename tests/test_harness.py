@@ -1,5 +1,6 @@
 """Configuration parsing, experiment orchestration, CSV output, and the CLI."""
 
+import copy
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cfofdm import estimation
 from cfofdm.cli import main as cli_main
 from cfofdm.config import (
     ConfigError,
@@ -23,6 +25,7 @@ from cfofdm.harness import (
     records_to_csv,
     run_experiment,
 )
+from cfofdm.ofdm import build_pilot_book
 
 
 def small_cfg(**kw):
@@ -92,14 +95,22 @@ class TestConfigParsing:
 class TestRunExperiment:
     def test_deterministic_csv(self):
         cfg = small_cfg(n_trials=6, n_geometries=1)
-        a = records_to_csv(run_experiment(cfg, deterministic=True))
-        b = records_to_csv(run_experiment(cfg, deterministic=True))
+        a = records_to_csv(run_experiment(cfg))
+        b = records_to_csv(run_experiment(cfg))
         assert a == b
 
     def test_threaded_matches_sequential(self):
         cfg = small_cfg(n_trials=8, n_geometries=1)
         a = records_to_csv(run_experiment(cfg, threads=1))
         b = records_to_csv(run_experiment(cfg, threads=3))
+        assert a == b
+
+    def test_thread_count_invariance_all_estimators_and_schemes(self):
+        cfg = replace(ci_config(), n_geometries=2, n_trials=10,
+                      estimators=("pna_ofdm", "pna_sc", "unaware"),
+                      schemes=("mr", "lp_mmse", "p_mmse", "mmse"))
+        a = records_to_csv(run_experiment(cfg, threads=1))
+        b = records_to_csv(run_experiment(cfg, threads=2))
         assert a == b
 
     def test_scheme_rows_present(self):
@@ -220,11 +231,11 @@ class TestValidateSuite:
     def test_detects_injected_kernel_bug(self, monkeypatch):
         """A stride-off-by-one fast kernel must fail the oracle-equivalence check."""
         from cfofdm import validate as val
-        from cfofdm.phase_noise import KernelParams, _b_fast_core
+        from cfofdm.phase_noise import KernelParams, correlation_b_fast
 
         def broken_fast(i1, i2, dtau, params):
             shifted = KernelParams(params.n, params.sigma2_tot, params.stride + 1)
-            return _b_fast_core(i1, i2, dtau, shifted)
+            return correlation_b_fast(i1, i2, dtau, shifted)
 
         monkeypatch.setattr(val, "correlation_b_fast", broken_fast)
         rep = val.Report()
@@ -266,4 +277,52 @@ class TestInvalidRecordGuard:
 
         monkeypatch.setattr(harness, "_summaries", broken_summaries)
         with pytest.raises(RuntimeError, match="invalid"):
+            run_experiment(cfg)
+
+    def test_single_invalid_record_is_left_out(self, monkeypatch):
+        """One negative UatF denominator: counted, averaged over, never NaN."""
+        from cfofdm import harness, se
+
+        cfg = small_cfg(n_trials=2, n_geometries=2, n_ues=5,
+                        estimators=("pna_ofdm", "pna_sc", "unaware"))
+        real_finalize = se.finalize_sinr
+        calls = []
+
+        def finalize_one_negative(acc, network, scheme_idx, k, tau):
+            calls.append((scheme_idx, k, tau))
+            if len(calls) == 1:
+                acc = copy.deepcopy(acc)
+                acc.ici[scheme_idx, k, tau - 1] -= 1e6 * acc.count
+            return real_finalize(acc, network, scheme_idx, k, tau)
+
+        monkeypatch.setattr(se, "finalize_sinr", finalize_one_negative)
+        table = harness.build_kernel_table(cfg)
+        base = estimation.build_ici_base(cfg.layout(), table,
+                                         build_pilot_book(cfg.layout().tau_p))
+        geom = harness.run_geometry(cfg, table, base, 0)
+        assert geom.n_invalid == 1
+        assert all(np.isfinite(c).all() for c in geom.curves.values())
+        calls.clear()
+        text = records_to_csv(run_experiment(cfg))
+        values = [float(v) for line in text.splitlines()[1:]
+                  for v in (line.split(",")[7], line.split(",")[9])]
+        assert np.isfinite(values).all()
+
+    def test_result_without_valid_record_raises(self, monkeypatch):
+        """Under 1% invalid overall, but no valid record behind one curve point."""
+        from cfofdm import se
+
+        cfg = small_cfg(n_trials=1, n_geometries=4, n_ues=5,
+                        estimators=("pna_ofdm", "pna_sc", "unaware"))
+        real_finalize = se.finalize_sinr
+        first = []  # holds the first accumulator seen, so its identity stays unique
+
+        def finalize_tau1_invalid(acc, network, scheme_idx, k, tau):
+            first[:] = first or [acc, scheme_idx]
+            if acc is first[0] and scheme_idx == first[1] and tau == 1:
+                return float("nan")
+            return real_finalize(acc, network, scheme_idx, k, tau)
+
+        monkeypatch.setattr(se, "finalize_sinr", finalize_tau1_invalid)
+        with pytest.raises(RuntimeError, match="no valid SINR record"):
             run_experiment(cfg)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cfofdm.phase_noise import (
-    CorrelationTable,
     KernelParams,
     PnParams,
     build_correlation_table,
@@ -152,35 +151,77 @@ class TestCorrelationTable:
         while len(needed) < 100:
             needed.add((int(rng.integers(-8, 9)), int(rng.integers(-8, 9)),
                         int(rng.integers(-3, 4))))
-        table = build_correlation_table(kernel_params_64, needed)
+        table = build_correlation_table(kernel_params_64, range(-8, 9), range(-3, 4))
         for key in needed:
             assert table.get(*key) == pytest.approx(
                 correlation_b_oracle(*key, kernel_params_64), abs=1e-10)
 
+    @pytest.mark.parametrize("cp", [0, 4])
+    @pytest.mark.parametrize("eval_block", [1, 2])
+    def test_full_grid_matches_oracle(self, cp, eval_block):
+        from cfofdm.estimation import kernel_offsets
+        from cfofdm.network import SimulationLayout
+
+        layout = SimulationLayout(
+            n_subcarriers=32, cp_len=cp, subcarrier_spacing=15e3, block_subcarriers=8,
+            block_symbols=3, pilot_subcarriers=(0, 3), pilot_symbols=(1, 2),
+            n_aps=1, n_ues=1, area_side=100.0,
+        )
+        params = KernelParams(n=32, sigma2_tot=5e-3, stride=32 + cp)
+        offsets = kernel_offsets(layout, eval_block)
+        if eval_block == 2:
+            assert offsets.min() < 0 < offsets.max()
+        table = build_correlation_table(params, offsets, range(-2, 3))
+        for dt in range(-2, 3):
+            block = table.block(offsets, offsets, dt)
+            for r, i1 in enumerate(offsets):
+                for c, i2 in enumerate(offsets):
+                    assert block[r, c] == pytest.approx(
+                        correlation_b_oracle(int(i1), int(i2), dt, params), abs=1e-10)
+
+    def test_block_equals_elementwise_get(self, kernel_params_64):
+        offsets = [-12, -5, 0, 3, 7]
+        table = build_correlation_table(kernel_params_64, offsets, [-1, 0, 2])
+        o1s, o2s = [7, -12, 0], [3, 3, -5, 0]
+        for dt in (-1, 0, 2):
+            block = table.block(o1s, o2s, dt)
+            assert block.shape == (3, 4)
+            for r, i1 in enumerate(o1s):
+                for c, i2 in enumerate(o2s):
+                    assert block[r, c] == table.get(i1, i2, dt)
+        lags = np.array([[-1, 0], [2, -1]])
+        assert np.array_equal(table.cpe(lags),
+                              [[table.get(0, 0, int(dt)).real for dt in row] for row in lags])
+
     def test_miss_is_logic_error(self, kernel_params_64):
-        table = build_correlation_table(kernel_params_64, [(0, 0, 0)])
+        table = build_correlation_table(kernel_params_64, [0], [0])
         with pytest.raises(LookupError):
             table.get(1, 0, 0)
+        with pytest.raises(LookupError):
+            table.get(0, 1, 0)
+        with pytest.raises(LookupError):
+            table.get(0, 0, 1)
+        with pytest.raises(LookupError):
+            table.block([0, 0], [0, 5], 0)
+        with pytest.raises(LookupError):
+            table.cpe(np.array([0, 1]))
 
     def test_zero_noise_table_all_ones(self):
         params = KernelParams(n=32, sigma2_tot=0.0, stride=32)
-        needed = [(0, 0, dt) for dt in range(-14, 15)]
-        table = build_correlation_table(params, needed)
+        table = build_correlation_table(params, [0], range(-14, 15))
         for dt in range(-14, 15):
             assert table.cpe(dt) == pytest.approx(1.0, abs=1e-12)
 
     def test_default_layout_cpe_span(self):
-        from cfofdm.estimation import required_kernel_indices
-        from cfofdm.network import SimulationLayout
+        from cfofdm.config import fig2_config
+        from cfofdm.estimation import kernel_offsets
+        from cfofdm.harness import build_kernel_table
 
-        layout = SimulationLayout(
-            n_subcarriers=1200, cp_len=84, subcarrier_spacing=15e3,
-            block_subcarriers=12, block_symbols=15, pilot_subcarriers=(0,),
-            pilot_symbols=tuple(range(1, 13)), n_aps=2, n_ues=2, area_side=1000.0,
-        )
-        needed = required_kernel_indices(layout)
+        cfg = fig2_config()
+        assert 0 in kernel_offsets(cfg.layout())
+        table = build_kernel_table(cfg)
         for dt in range(-14, 15):
-            assert (0, 0, dt) in needed
+            assert 0.0 < table.cpe(dt) <= 1.0
 
 
 class TestMonteCarloConsistency:

@@ -22,8 +22,7 @@ from test_ofdm import make_network
 
 def cpe_table(n=64, sigma2=7e-4, stride=None):
     params = KernelParams(n=n, sigma2_tot=sigma2, stride=stride or n)
-    return build_correlation_table(params, [(0, 0, dt) for dt in range(-5, 6)]
-                                   + [(i, i, 0) for i in range(-n // 2, n // 2)])
+    return build_correlation_table(params, range(-n // 2, n // 2), range(-5, 6))
 
 
 class TestLambdaIci:
