@@ -44,6 +44,6 @@ from .phase_noise import (
     phase_drift,
     pn_increment_variance,
 )
-from .se import SinrAccumulator, finalize_sinr, lambda_ici, se_per_block
+from .se import SinrAccumulator, finalize_sinr, lambda_ici, se_from_sinr
 
 __version__ = "0.1.0"

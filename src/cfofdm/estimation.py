@@ -8,7 +8,6 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.signal import fftconvolve
 
 from .network import NetworkRealization, SimulationLayout
 from .phase_noise import KernelGrid, KernelParams, PnParams, correlation_b_fast
@@ -49,7 +48,8 @@ def _data_sum_as_printed(n1, n2, dt, params: KernelParams, data_ind: np.ndarray)
     u = n * np.fft.ifft(data_ind)  # U[m] = sum_{j in D} exp(+2j pi m j / N)
     f1 = np.exp(-2j * np.pi * m * n1 / n) * u
     f2 = np.exp(2j * np.pi * m * n2 / n) * np.conj(u)
-    conv = fftconvolve(f1, f2[::-1])  # conv[N-1+d] = sum_m f1[m+d] f2[m]
+    # linear convolution by zero-padded FFTs: conv[N-1+d] = sum_m f1[m+d] f2[m]
+    conv = np.fft.ifft(np.fft.fft(f1, 2 * n) * np.fft.fft(f2[::-1], 2 * n))
     d = np.arange(-(n - 1), n)
     damp = np.exp(-params.sigma2_tot / 2.0 * np.abs(dt * params.stride + d))
     return complex((damp * conv[n - 1 + d]).sum() / n**2)

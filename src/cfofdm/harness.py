@@ -107,7 +107,7 @@ def run_trial(
     grids = ofdm.build_transmit_grids(layout, book, network.pilot_index, rng,
                                       data_kind=cfg.data_symbols)
     cpe = cpe_per_symbol(trace)  # (K, L, tau_c)
-    obs = ofdm.synth_pilot_observations(
+    y = ofdm.synth_pilot_observations(
         channel.h, grids, trace, network, layout, rng,
         eval_block=cfg.eval_block, gaussian_ici=cfg.gaussian_ici,
         ici_power=ici_power, cpe=cpe,
@@ -116,7 +116,7 @@ def run_trial(
 
     out: Dict[str, se.SinrAccumulator] = {}
     for kind, ctx in contexts.items():
-        est = estimation.estimate_all(ctx, obs.y)
+        est = estimation.estimate_all(ctx, y)
         acc = se.SinrAccumulator(len(cfg.schemes), layout.n_ues, layout.block_symbols)
         for s_idx, scheme in enumerate(cfg.schemes):
             for tau in range(1, layout.block_symbols + 1):
@@ -137,27 +137,6 @@ class GeometryResult:
     batch_blocks: Dict[Tuple[str, str], np.ndarray]  # (n_batches,)
     n_invalid: int
     n_records: int
-
-
-def _summaries(acc: se.SinrAccumulator, network, layout, scheme_idx):
-    """SINR records (K, tau_c) with the UE-averaged SE curve and block SE.
-
-    Invalid (NaN) records are left out of the averages; the caller counts them.
-    """
-    sinr = np.array(
-        [
-            [se.finalize_sinr(acc, network, scheme_idx, k, tau)
-             for tau in range(1, layout.block_symbols + 1)]
-            for k in range(layout.n_ues)
-        ]
-    )  # (K, tau_c)
-    valid = ~np.isnan(sinr)
-    rate = np.log2(1.0 + np.where(valid, sinr, 0.0))
-    # channel use c rides on symbol ceil(c / N_c)
-    curve = np.repeat(rate.sum(axis=0) / valid.sum(axis=0), layout.block_subcarriers)
-    per_ue = rate.sum(axis=1) / valid.sum(axis=1)
-    block = float(np.mean(per_ue[valid.any(axis=1)]))
-    return sinr, curve, block
 
 
 def run_geometry(
@@ -224,7 +203,8 @@ def run_geometry(
         for b in batches[kind]:
             total.merge(b)
         for s_idx, scheme in enumerate(cfg.schemes):
-            sinr, curve, block = _summaries(total, network, layout, s_idx)
+            sinr = se.finalize_sinr(total, network, s_idx)
+            curve, block = se.se_from_sinr(sinr, layout)
             n_invalid += int(np.isnan(sinr).sum())
             n_records += sinr.size
             curves[(kind, scheme)] = curve
@@ -233,7 +213,7 @@ def run_geometry(
                 bc = []
                 bb = []
                 for b in batches[kind]:
-                    _, c, bl = _summaries(b, network, layout, s_idx)
+                    c, bl = se.se_from_sinr(se.finalize_sinr(b, network, s_idx), layout)
                     bc.append(c)
                     bb.append(bl)
                 bcurves[(kind, scheme)] = np.stack(bc)

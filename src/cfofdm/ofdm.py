@@ -3,7 +3,6 @@ inter-carrier interference, and the time-domain validation oracle."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -69,17 +68,6 @@ def build_transmit_grids(
     return grids
 
 
-@dataclass
-class PilotObservation:
-    """Stacked pilot-position observations per AP, with the exact decomposition
-    y = sum_k (effective-channel term + ICI term) + noise."""
-
-    y: np.ndarray          # (L, tau_p)
-    effective: np.ndarray  # (K, L, tau_p) sqrt(p_k) s J_0 h contributions
-    ici: np.ndarray        # (K, L, tau_p) zeta contributions
-    noise: np.ndarray      # (L, tau_p)
-
-
 def expand_blocks(h: np.ndarray, layout: SimulationLayout) -> np.ndarray:
     """Expand per-block channels (..., R) to per-subcarrier channels (..., N)."""
     full = np.repeat(h, layout.block_subcarriers, axis=-1)
@@ -97,14 +85,14 @@ def synth_pilot_observations(
     gaussian_ici: bool = False,
     ici_power: Optional[np.ndarray] = None,
     cpe: Optional[np.ndarray] = None,
-) -> PilotObservation:
-    """Received pilot observations with exact phase-noise ICI.
+) -> np.ndarray:
+    """Received pilot observations y (L, tau_p) with exact phase-noise ICI.
 
     For every pilot slot (n, tau) and AP l the received sample is
-    sum_k sqrt(p_k) * (J_{k,l} conv (h_{k,l} .* s_k))[n] + noise, split into
-    the J_0 (effective channel) part and the remaining ICI part.  With
-    ``gaussian_ici`` the exact ICI draw is replaced by a circularly-symmetric
-    Gaussian of matched power ``ici_power`` (K, L) per pilot sample.
+    sum_k sqrt(p_k) * (J_{k,l} conv (h_{k,l} .* s_k))[n] + noise.  With
+    ``gaussian_ici`` the ICI part (everything but the J_0 term) is replaced by
+    a circularly-symmetric Gaussian of matched power ``ici_power`` (K, L) per
+    pilot sample.  The noise is drawn last, after any Gaussian ICI.
 
     Parameters
     ----------
@@ -114,60 +102,58 @@ def synth_pilot_observations(
     K, L, _ = h.shape
     n = layout.n_subcarriers
     tau_p = layout.tau_p
+    if gaussian_ici and ici_power is None:
+        raise ValueError("ici_power required in gaussian_ici mode")
     sqrt_p = np.sqrt(network.p)
     h_full = expand_blocks(h, layout)  # (K, L, N)
-    if cpe is None:
-        cpe = cpe_per_symbol(trace)    # (K, L, tau_c)
 
     block_lo = (eval_block - 1) * layout.block_subcarriers
     slots = layout.pilot_slots
     slot_sub = np.array([block_lo + nu for nu, _ in slots])
     slot_sym = np.array([t for _, t in slots])  # 1-based
 
-    effective = np.zeros((K, L, tau_p), dtype=complex)
-    ici = np.zeros((K, L, tau_p), dtype=complex)
-
+    y = np.empty((L, tau_p), dtype=complex)
     # fft(J_{k,l}) equals the time-domain phasor exp(j*theta) reversed mod N,
     # so the circular convolution never needs an explicit J vector.
     rev = (-np.arange(n)) % n
-    # bound the (k, l, n) work arrays to ~32M complex entries per chunk
-    k_chunk = max(1, min(K, int(3.2e7 // max(L * n, 1))))
+    g = np.empty((L, n), dtype=complex)
+    fx = np.empty((L, n), dtype=complex)
     for si, t_sym in enumerate(layout.pilot_symbols):
         in_slot = np.flatnonzero(slot_sym == t_sym)
         subs = slot_sub[in_slot]
-        j0 = cpe[:, :, t_sym - 1]  # (K, L)
-        s_at = grids[:, si, :][:, subs]  # (K, n_slots)
-        h_at = h_full[:, :, subs]        # (K, L, n_slots)
-        effective[:, :, in_slot] = (
-            sqrt_p[:, None, None] * s_at[:, None, :] * j0[:, :, None] * h_at
-        )
-        if gaussian_ici:
-            if ici_power is None:
-                raise ValueError("ici_power required in gaussian_ici mode")
-            z = (
-                rng.standard_normal((K, L, len(in_slot)))
-                + 1j * rng.standard_normal((K, L, len(in_slot)))
-            ) / np.sqrt(2.0)
-            ici[:, :, in_slot] = z * np.sqrt(ici_power)[:, :, None]
+        ue_phase = trace.ue_phase[:, t_sym - 1, :]
+        ap_phase = trace.ap_phase[:, t_sym - 1, :]
+        # a phase constant over the symbol makes J a delta: no ICI at all
+        flat = (ue_phase == ue_phase[:, :1]).all() and (ap_phase == ap_phase[:, :1]).all()
+        if gaussian_ici or flat:
+            if cpe is None:
+                cpe = cpe_per_symbol(trace)  # (K, L, tau_c)
+            terms = (sqrt_p[:, None, None] * grids[:, si, subs][:, None, :]
+                     * cpe[:, :, t_sym - 1, None] * h_full[:, :, subs])
+            if gaussian_ici:
+                z = (
+                    rng.standard_normal((K, L, len(in_slot)))
+                    + 1j * rng.standard_normal((K, L, len(in_slot)))
+                ) / np.sqrt(2.0)
+                terms += z * np.sqrt(ici_power)[:, :, None]
+            y[:, in_slot] = terms.sum(axis=0)
             continue
-        e_ue = np.exp(1j * trace.ue_phase[:, t_sym - 1, :][:, rev])  # (K, N)
-        e_ap = np.exp(1j * trace.ap_phase[:, t_sym - 1, :][:, rev])  # (L, N)
+        # g[l, m] = sum_k sqrt(p_k) e_ue[k, m] fft(h_{k,l} .* s_k)[m], one k at a time
+        w_ue = sqrt_p[:, None] * np.exp(1j * ue_phase[:, rev])  # (K, N)
+        g.fill(0.0)
+        for k in range(K):
+            np.multiply(h_full[k], grids[k, si], out=fx)
+            np.fft.fft(fx, axis=-1, out=fx)
+            np.multiply(fx, w_ue[k], out=fx)
+            np.add(g, fx, out=g)
+        g *= np.exp(1j * ap_phase[:, rev])
         phases = np.exp(2j * np.pi * np.outer(subs, np.arange(n)) / n)
-        for lo in range(0, K, k_chunk):
-            hi = min(K, lo + k_chunk)
-            fx = np.fft.fft(grids[lo:hi, si, None, :] * h_full[lo:hi], axis=-1)
-            fx *= e_ue[lo:hi, None, :]
-            conv_at = np.einsum("klm,lm,sm->kls", fx, e_ap, phases,
-                                optimize=True) / n
-            ici[lo:hi, :, :][:, :, in_slot] = (
-                sqrt_p[lo:hi, None, None] * conv_at - effective[lo:hi, :, :][:, :, in_slot]
-            )
+        y[:, in_slot] = g @ phases.T / n
 
-    noise = np.sqrt(network.sigma2 / 2.0) * (
+    y += np.sqrt(network.sigma2 / 2.0) * (
         rng.standard_normal((L, tau_p)) + 1j * rng.standard_normal((L, tau_p))
     )
-    y = (effective + ici).sum(axis=0) + noise
-    return PilotObservation(y=y, effective=effective, ici=ici, noise=noise)
+    return y
 
 
 def time_domain_oracle(

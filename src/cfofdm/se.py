@@ -3,7 +3,7 @@ including the deterministic inter-carrier-interference power term."""
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Tuple
 
 import numpy as np
 
@@ -60,45 +60,46 @@ class SinrAccumulator:
         self.vnorm += other.vnorm
 
 
-def accumulate_trial(acc: SinrAccumulator, scheme_idx: int,
-                     combiners: Sequence[np.ndarray], h_eff: np.ndarray,
-                     lam: np.ndarray, D: np.ndarray) -> None:
-    """Add one trial's combiners for one scheme across all symbols.
-
-    ``combiners[t]`` is the (K, L) combining matrix for symbol t+1 and
-    ``h_eff`` the (K, L, tau_c) effective channels of the same trial.
-    """
-    for t, v in enumerate(combiners):
-        acc.add_symbol(scheme_idx, t + 1, v, h_eff[:, :, t], lam, D)
-
-
 def finalize_sinr(acc: SinrAccumulator, network: NetworkRealization,
-                  scheme_idx: int, k: int, tau: int) -> float:
-    """Effective UatF SINR for UE k at 1-based symbol tau.
+                  scheme_idx: int) -> np.ndarray:
+    """Effective UatF SINR of one scheme for every UE and symbol: (K, tau_c).
 
-    Returns NaN (an invalid record) if Monte Carlo noise drives the variance
-    term negative; zero-combiner records finalize to SINR 0.
+    A record is NaN (invalid) where Monte Carlo noise drives the variance term
+    to zero or below; zero-combiner records finalize to SINR 0.
     """
     n = acc.count
-    t = tau - 1
-    g = acc.gain[scheme_idx, k, t] / n
-    num = network.p[k] * np.abs(g) ** 2
-    if num == 0.0:
-        return 0.0
+    p = network.p
+    num = p[:, None] * np.abs(acc.gain[scheme_idx] / n) ** 2
     den = (
-        (network.p * acc.cross[scheme_idx, k, t] / n).sum()
+        (p * acc.cross[scheme_idx] / n).sum(axis=-1)
         - num
-        + (acc.ici[scheme_idx, k, t] / n).sum()
-        + network.sigma2 * acc.vnorm[scheme_idx, k, t] / n
+        + (acc.ici[scheme_idx] / n).sum(axis=-1)
+        + network.sigma2 * acc.vnorm[scheme_idx] / n
     )
-    if den <= 0.0:
-        return float("nan")
-    return float(num / den)
+    sinr = np.divide(num, den, out=np.full_like(num, np.nan), where=den > 0.0)
+    sinr[num == 0.0] = 0.0
+    return sinr
 
 
-def se_per_block(sinr_over_tau: np.ndarray) -> float:
-    """Per-block spectral efficiency (1/tau_c) sum_tau log2(1 + SINR^(tau))."""
-    return float(np.mean(np.log2(1.0 + np.asarray(sinr_over_tau))))
+def se_from_sinr(sinr: np.ndarray, layout: SimulationLayout) -> Tuple[np.ndarray, float]:
+    """UE-averaged per-channel-use SE curve and per-block SE from SINR records.
+
+    ``sinr`` is (K, tau_c); channel use c rides on symbol ceil(c / N_c), so the
+    curve is (N_c * tau_c,).  Invalid (NaN) records are left out of every
+    average; a curve point or block with no valid record behind it is NaN.
+    """
+    valid = ~np.isnan(sinr)
+    rate = np.log2(1.0 + np.where(valid, sinr, 0.0))
+    per_tau = _mean_of_valid(rate.sum(axis=0), valid.sum(axis=0))
+    per_ue = _mean_of_valid(rate.sum(axis=1), valid.sum(axis=1))
+    has_valid = valid.any(axis=1)
+    block = float(np.mean(per_ue[has_valid])) if has_valid.any() else float("nan")
+    return np.repeat(per_tau, layout.block_subcarriers), block
+
+
+def _mean_of_valid(total: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """total / count, NaN where count is 0 (without computing 0/0)."""
+    return np.divide(total, count, out=np.full(total.shape, np.nan), where=count > 0)
 
 
 def symbol_of_channel_use(c: int, layout: SimulationLayout) -> int:
@@ -107,10 +108,3 @@ def symbol_of_channel_use(c: int, layout: SimulationLayout) -> int:
     if not 1 <= c <= layout.block_subcarriers * layout.block_symbols:
         raise ValueError("channel use %d outside the coherence block" % c)
     return -(-c // layout.block_subcarriers)
-
-
-def se_per_channel_use(sinr_over_tau: np.ndarray, layout: SimulationLayout) -> np.ndarray:
-    """Per-channel-use SE log2(1 + SINR^(tau(c))) for c = 1..N_c*tau_c."""
-    n_uses = layout.block_subcarriers * layout.block_symbols
-    taus = np.array([symbol_of_channel_use(c, layout) for c in range(1, n_uses + 1)])
-    return np.log2(1.0 + np.asarray(sinr_over_tau)[taus - 1])

@@ -185,12 +185,12 @@ def _check_orthogonality(rep: Report) -> None:
         trace = gen_pn_trace(pn, layout, trng)
         grids = ofdm.build_transmit_grids(layout, book, network.pilot_index, trng,
                                           shared_data=True)
-        obs = ofdm.synth_pilot_observations(channel.h, grids, trace, network, layout,
-                                            trng, eval_block=cfg.eval_block)
+        y = ofdm.synth_pilot_observations(channel.h, grids, trace, network, layout,
+                                          trng, eval_block=cfg.eval_block)
         j0 = np.exp(1j * trace.combined(k, l)[tau - 1]).mean()
         h_eff = j0 * channel.h[k, l, cfg.eval_block - 1]
-        h_hat = estimation.lmmse_estimate(ctx, obs.y[l], k, l, tau)
-        prods.append((h_eff - h_hat) * np.conj(obs.y[l]))
+        h_hat = estimation.lmmse_estimate(ctx, y[l], k, l, tau)
+        prods.append((h_eff - h_hat) * np.conj(y[l]))
     prods = np.array(prods)
     dev = max(
         float(np.max(np.abs(prods.real.mean(0))

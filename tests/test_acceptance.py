@@ -8,6 +8,7 @@ FULL_SCALE_TRIALS, FULL_SCALE_THREADS to trade precision for time).
 Each criterion prints one PASS/FAIL line (visible with pytest -s).
 """
 
+import copy
 import os
 from dataclasses import replace
 
@@ -43,6 +44,7 @@ from cfofdm.phase_noise import (
 from cfofdm.se import SinrAccumulator, finalize_sinr, lambda_ici
 
 import no_pn_reference
+from pilot_oracle import decomposed_pilot_observations
 
 
 def _report(num: int, name: str, passed: bool, detail: str) -> bool:
@@ -186,12 +188,12 @@ def test_criterion_5_estimator_correctness():
         trace = gen_pn_trace(pn, layout, rng)
         grids = build_transmit_grids(layout, book, network.pilot_index, rng,
                                      shared_data=True)
-        obs = synth_pilot_observations(channel.h, grids, trace, network, layout, rng)
+        y = synth_pilot_observations(channel.h, grids, trace, network, layout, rng)
         j0 = np.exp(1j * trace.combined(k, l)[tau - 1]).mean()
         h_eff_arr[t] = j0 * channel.h[k, l, 0]
-        est = estimate_all(ctx, obs.y)
+        est = estimate_all(ctx, y)
         h_hat_arr[t] = est.h_hat[k, l, tau - 1]
-        y_arr[t] = obs.y[l]
+        y_arr[t] = y[l]
 
     prods = (h_eff_arr - h_hat_arr)[:, None] * np.conj(y_arr)
     dev_re = np.abs(prods.real.mean(axis=0)) / (
@@ -241,12 +243,16 @@ def test_criterion_6_no_pn_pipeline_equivalence():
         channel = gen_channel(network.beta, layout, rng)
         trace = gen_pn_trace(pn, layout, rng)
         grids = build_transmit_grids(layout, book, network.pilot_index, rng)
-        obs = synth_pilot_observations(channel.h, grids, trace, network, layout, rng)
+        # the oracle draws as the pipeline does: on a copy of the generator it
+        # returns the noise inside the pipeline's y
+        noise = decomposed_pilot_observations(channel.h, grids, trace, network, layout,
+                                              copy.deepcopy(rng)).noise
+        y = synth_pilot_observations(channel.h, grids, trace, network, layout, rng)
         cpe0 = np.exp(1j * (trace.ue_phase[:, 0, :][:, None, :]
                             + trace.ap_phase[:, 0, :][None, :, :])).mean(axis=2)
         h_world = cpe0 * channel.h[:, :, 0]  # sigma=0: constant over symbols
-        shared_draws.append((h_world, obs.noise))
-        est = estimate_all(ctx, obs.y)
+        shared_draws.append((h_world, noise))
+        est = estimate_all(ctx, y)
         acc = batch_accs[t % n_batches]
         for s_idx, scheme in enumerate(schemes):
             for tau in range(1, layout.block_symbols + 1):
@@ -264,9 +270,9 @@ def test_criterion_6_no_pn_pipeline_equivalence():
     worst = 0.0
     for s_idx, scheme in enumerate(schemes):
         for k in range(layout.n_ues):
-            pipe = np.log2(1 + finalize_sinr(total, network, s_idx, k, 1))
+            pipe = np.log2(1 + finalize_sinr(total, network, s_idx)[k, 0])
             batch_vals = np.array([
-                np.log2(1 + finalize_sinr(b, network, s_idx, k, 1))
+                np.log2(1 + finalize_sinr(b, network, s_idx)[k, 0])
                 for b in batch_accs
             ])
             se_mc = batch_vals.std(ddof=1) / np.sqrt(n_batches)

@@ -365,13 +365,13 @@ class TestBaselines:
             channel = gen_channel(beta, layout, rng)
             trace = gen_pn_trace(pn, layout, rng)
             grids = build_transmit_grids(layout, book, network.pilot_index, rng)
-            obs = synth_pilot_observations(channel.h, grids, trace, network, layout, rng)
+            y = synth_pilot_observations(channel.h, grids, trace, network, layout, rng)
             tau = 2
             j0 = np.exp(1j * (trace.ue_phase[:, tau - 1][:, None, :]
                               + trace.ap_phase[:, tau - 1][None, :, :])).mean(axis=2)
             h_eff = j0 * channel.h[:, :, 0]
-            e_pna = estimate_all(ctx_pna, obs.y).h_hat[:, :, tau - 1]
-            e_un = estimate_all(ctx_un, obs.y).h_hat[:, :, tau - 1]
+            e_pna = estimate_all(ctx_pna, y).h_hat[:, :, tau - 1]
+            e_un = estimate_all(ctx_un, y).h_hat[:, :, tau - 1]
             err_pna.append(np.abs(h_eff - e_pna) ** 2)
             err_un.append(np.abs(h_eff - e_un) ** 2)
         assert np.mean(err_un) >= np.mean(err_pna)
@@ -397,13 +397,13 @@ class TestStatisticalConsistency:
             trace = gen_pn_trace(pn, layout, rng)
             grids = build_transmit_grids(layout, book, network.pilot_index, rng,
                                          shared_data=True)
-            obs = synth_pilot_observations(channel.h, grids, trace, network, layout, rng)
-            est = estimate_all(ctx, obs.y)
+            y = synth_pilot_observations(channel.h, grids, trace, network, layout, rng)
+            est = estimate_all(ctx, y)
             tau = 3
             j0 = np.exp(1j * (trace.ue_phase[:, tau - 1][:, None, :]
                               + trace.ap_phase[:, tau - 1][None, :, :])).mean(axis=2)
             h_eff = j0 * channel.h[:, :, 0]
-            rows.append((h_eff, est.h_hat[:, :, tau - 1], obs.y))
+            rows.append((h_eff, est.h_hat[:, :, tau - 1], y))
         return layout, network, ctx, table, rows, tau
 
     def test_orthogonality_and_variances(self):

@@ -227,6 +227,18 @@ class TestCli:
         assert a.read_text() != b.read_text()
 
 
+class TestImport:
+    def test_cli_import_leaves_out_scipy_signal(self):
+        """scipy.signal is most of a cold package import, and nothing needs it."""
+        import cfofdm
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cfofdm.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import cfofdm.cli, sys; assert 'scipy.signal' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                       check=True, timeout=120)
+
+
 class TestValidateSuite:
     def test_detects_injected_kernel_bug(self, monkeypatch):
         """A stride-off-by-one fast kernel must fail the oracle-equivalence check."""
@@ -268,14 +280,12 @@ class TestSinrSymbolDependence:
 class TestInvalidRecordGuard:
     def test_excess_invalid_fraction_raises(self, monkeypatch):
         cfg = small_cfg(n_trials=2, n_geometries=1)
-        from cfofdm import harness
+        from cfofdm import se
 
-        def broken_summaries(acc, network, layout, scheme_idx):
-            sinr = np.full((layout.n_ues, layout.block_symbols), np.nan)
-            curve = np.full(layout.block_subcarriers * layout.block_symbols, np.nan)
-            return sinr, curve, float("nan")
+        def broken_finalize(acc, network, scheme_idx):
+            return np.full(acc.gain[scheme_idx].shape, np.nan)
 
-        monkeypatch.setattr(harness, "_summaries", broken_summaries)
+        monkeypatch.setattr(se, "finalize_sinr", broken_finalize)
         with pytest.raises(RuntimeError, match="invalid"):
             run_experiment(cfg)
 
@@ -288,12 +298,12 @@ class TestInvalidRecordGuard:
         real_finalize = se.finalize_sinr
         calls = []
 
-        def finalize_one_negative(acc, network, scheme_idx, k, tau):
-            calls.append((scheme_idx, k, tau))
+        def finalize_one_negative(acc, network, scheme_idx):
+            calls.append(scheme_idx)
             if len(calls) == 1:
                 acc = copy.deepcopy(acc)
-                acc.ici[scheme_idx, k, tau - 1] -= 1e6 * acc.count
-            return real_finalize(acc, network, scheme_idx, k, tau)
+                acc.ici[scheme_idx, 0, 0] -= 1e6 * acc.count
+            return real_finalize(acc, network, scheme_idx)
 
         monkeypatch.setattr(se, "finalize_sinr", finalize_one_negative)
         table = harness.build_kernel_table(cfg)
@@ -308,6 +318,7 @@ class TestInvalidRecordGuard:
                   for v in (line.split(",")[7], line.split(",")[9])]
         assert np.isfinite(values).all()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_result_without_valid_record_raises(self, monkeypatch):
         """Under 1% invalid overall, but no valid record behind one curve point."""
         from cfofdm import se
@@ -317,11 +328,12 @@ class TestInvalidRecordGuard:
         real_finalize = se.finalize_sinr
         first = []  # holds the first accumulator seen, so its identity stays unique
 
-        def finalize_tau1_invalid(acc, network, scheme_idx, k, tau):
+        def finalize_tau1_invalid(acc, network, scheme_idx):
             first[:] = first or [acc, scheme_idx]
-            if acc is first[0] and scheme_idx == first[1] and tau == 1:
-                return float("nan")
-            return real_finalize(acc, network, scheme_idx, k, tau)
+            sinr = real_finalize(acc, network, scheme_idx)
+            if acc is first[0] and scheme_idx == first[1]:
+                sinr[:, 0] = np.nan
+            return sinr
 
         monkeypatch.setattr(se, "finalize_sinr", finalize_tau1_invalid)
         with pytest.raises(RuntimeError, match="no valid SINR record"):

@@ -1,5 +1,6 @@
 """Pilot book, transmit grids, pilot observation synthesis, time-domain oracle."""
 
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,8 @@ from cfofdm.ofdm import (
     time_domain_oracle,
 )
 from cfofdm.phase_noise import KernelParams, PhaseNoiseTrace, PnParams, correlation_b_fast, gen_pn_trace, phase_drift
+
+from pilot_oracle import decomposed_pilot_observations
 
 
 def make_network(layout, beta, pilot_index, p=0.1, sigma2=1e-13):
@@ -88,15 +91,16 @@ class TestSynthObservations:
         book = build_pilot_book(layout.tau_p)
         grids = build_transmit_grids(layout, book, network.pilot_index, rng)
         trace = constant_trace(layout, value=0.0)
-        obs = synth_pilot_observations(h, grids, trace, network, layout, rng)
+        y = synth_pilot_observations(h, grids, trace, network, layout, rng)
         # J collapses to a delta: y = sqrt(p) s h exactly, zero ICI
+        obs = decomposed_pilot_observations(h, grids, trace, network, layout, rng)
         assert np.abs(obs.ici).max() < 1e-12
         h_full = expand_blocks(h, layout)
         for i, (nu, sym) in enumerate(layout.pilot_slots):
             si = layout.pilot_symbols.index(sym)
             for l in range(2):
                 expect = np.sqrt(0.09) * grids[0, si, nu] * h_full[0, l, nu]
-                assert obs.y[l, i] == pytest.approx(expect, rel=1e-12)
+                assert y[l, i] == pytest.approx(expect, rel=1e-12)
 
     def test_decomposition_sums_exactly(self, small_layout):
         layout = small_layout
@@ -109,7 +113,7 @@ class TestSynthObservations:
         grids = build_transmit_grids(layout, book, network.pilot_index, rng)
         pn = PnParams(2e9, 4e-17, 4e-17, layout.sample_time)
         trace = gen_pn_trace(pn, layout, rng)
-        obs = synth_pilot_observations(h, grids, trace, network, layout, rng)
+        obs = decomposed_pilot_observations(h, grids, trace, network, layout, rng)
         resum = (obs.effective + obs.ici).sum(axis=0) + obs.noise
         assert np.abs(resum - obs.y).max() < 1e-12
 
@@ -125,7 +129,7 @@ class TestSynthObservations:
         grids = build_transmit_grids(layout, book, network.pilot_index, rng)
         pn = PnParams(2e9, 4e-16, 4e-16, layout.sample_time)
         trace = gen_pn_trace(pn, layout, rng)
-        obs = synth_pilot_observations(h, grids, trace, network, layout, rng)
+        obs = decomposed_pilot_observations(h, grids, trace, network, layout, rng)
         h_full = expand_blocks(h, layout)
         n = layout.n_subcarriers
         for i, (nu, sym) in enumerate(layout.pilot_slots):
@@ -155,7 +159,7 @@ class TestSynthObservations:
         grids[:, :, ~mask] = 0.0
         pn = PnParams(2e9, 4e-16, 4e-16, layout.sample_time)
         trace = gen_pn_trace(pn, layout, rng)
-        obs = synth_pilot_observations(h, grids, trace, network, layout, rng)
+        obs = decomposed_pilot_observations(h, grids, trace, network, layout, rng)
         n = layout.n_subcarriers
         for i, (nu, sym) in enumerate(layout.pilot_slots):
             si = layout.pilot_symbols.index(sym)
@@ -179,8 +183,8 @@ class TestSynthObservations:
             h = np.ones((1, 2, layout.n_blocks), dtype=complex)
             grids = build_transmit_grids(layout, book, network.pilot_index, rng)
             trace = constant_trace(layout, 0.0)
-            obs = synth_pilot_observations(h, grids, trace, network, layout, rng,
-                                           gaussian_ici=True, ici_power=power)
+            obs = decomposed_pilot_observations(h, grids, trace, network, layout, rng,
+                                                gaussian_ici=True, ici_power=power)
             vals.append(np.abs(obs.ici[0]) ** 2)
         vals = np.asarray(vals)
         mean = vals.mean(axis=0)
@@ -215,7 +219,7 @@ class TestSynthObservations:
                  * np.sqrt(beta[0, 0] / 2))
             grids = build_transmit_grids(layout, book, network.pilot_index, rng)
             trace = gen_pn_trace(pn, layout, rng)
-            obs = synth_pilot_observations(h, grids, trace, network, layout, rng)
+            obs = decomposed_pilot_observations(h, grids, trace, network, layout, rng)
             draws.append(obs.ici[0, 0, :])
         draws = np.asarray(draws).ravel()
         # zero mean
@@ -227,6 +231,37 @@ class TestSynthObservations:
         expect = 0.2 * 0.8 * (1 - correlation_b_fast(0, 0, 0, params).real)
         se = power.std(ddof=1) / np.sqrt(power.size)
         assert abs(power.mean() - expect) <= 3 * se
+
+    @pytest.mark.parametrize("case", ["pn", "no_pn", "gaussian_ici", "eval_block_2",
+                                      "shared_data", "two_pilot_columns"])
+    def test_matches_decomposed_oracle(self, ci_layout, case):
+        """The y-only synthesis gives the decomposed oracle's y and leaves the
+        generator in the same state."""
+        layout = ci_layout
+        if case == "two_pilot_columns":
+            layout = replace(layout, pilot_subcarriers=(0, 5))
+        K, L = layout.n_ues, layout.n_aps
+        rng = np.random.default_rng(12)
+        beta = rng.uniform(0.1, 1.0, (K, L))
+        network = make_network(layout, beta, np.arange(K) % layout.tau_p, p=0.2,
+                               sigma2=1e-3)
+        h = rng.standard_normal((K, L, layout.n_blocks)) + 1j * rng.standard_normal(
+            (K, L, layout.n_blocks))
+        book = build_pilot_book(layout.tau_p)
+        grids = build_transmit_grids(layout, book, network.pilot_index, rng,
+                                     shared_data=case == "shared_data")
+        gamma = 0.0 if case == "no_pn" else 4e-16
+        trace = gen_pn_trace(PnParams(2e9, gamma, gamma, layout.sample_time), layout, rng)
+        kw = {"eval_block": 2 if case == "eval_block_2" else 1}
+        if case == "gaussian_ici":
+            kw.update(gaussian_ici=True, ici_power=0.01 * beta)
+        oracle_rng = copy.deepcopy(rng)
+        y = synth_pilot_observations(h, grids, trace, network, layout, rng, **kw)
+        ref = decomposed_pilot_observations(h, grids, trace, network, layout, oracle_rng,
+                                            **kw)
+        assert y.shape == (L, layout.tau_p)
+        assert np.abs(y - ref.y).max() <= 1e-12 * np.abs(ref.y).max()
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TestTimeDomainOracle:
@@ -305,6 +340,6 @@ class TestTimeDomainOracle:
         mask[pilot_cols] = True
         grids[:, :, ~mask] = 0.0  # isolate the pilots
         trace = constant_trace(layout, 0.0)
-        obs = synth_pilot_observations(h, grids, trace, network, layout, rng)
+        y = synth_pilot_observations(h, grids, trace, network, layout, rng)
         other = book[:, 1]
-        assert abs(other.conj() @ obs.y[0]) < 1e-10
+        assert abs(other.conj() @ y[0]) < 1e-10

@@ -1,5 +1,6 @@
 """UatF SINR accumulation, ICI power term, and spectral-efficiency assembly."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,11 +10,9 @@ from cfofdm.network import NetworkRealization, SimulationLayout
 from cfofdm.phase_noise import KernelParams, build_correlation_table, correlation_b_fast
 from cfofdm.se import (
     SinrAccumulator,
-    accumulate_trial,
     finalize_sinr,
     lambda_ici,
-    se_per_block,
-    se_per_channel_use,
+    se_from_sinr,
     symbol_of_channel_use,
 )
 
@@ -87,8 +86,8 @@ class TestAccumulator:
         for _ in range(7):
             many.add_symbol(0, 1, v, h, lam, network.D)
             many.bump()
-        s1 = finalize_sinr(one, network, 0, 0, 1)
-        s7 = finalize_sinr(many, network, 0, 0, 1)
+        s1 = finalize_sinr(one, network, 0)[0, 0]
+        s7 = finalize_sinr(many, network, 0)[0, 0]
         assert s1 == pytest.approx(s7, rel=1e-12)
 
     def test_accumulate_trial_covers_all_symbols(self, rng):
@@ -97,7 +96,8 @@ class TestAccumulator:
         acc = SinrAccumulator(1, 2, 3)
         h_eff = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
         combiners = [h_eff[:, :, t] for t in range(3)]
-        accumulate_trial(acc, 0, combiners, h_eff, np.zeros((2, 3)), network.D)
+        for t, v in enumerate(combiners):
+            acc.add_symbol(0, t + 1, v, h_eff[:, :, t], np.zeros((2, 3)), network.D)
         acc.bump()
         for t in range(3):
             ref = SinrAccumulator(1, 2, 1)
@@ -139,7 +139,7 @@ class TestFinalize:
         acc.add_symbol(0, 1, np.zeros((1, 2), dtype=complex),
                        np.ones((1, 2), dtype=complex), np.zeros((1, 2)), network.D)
         acc.bump()
-        assert finalize_sinr(acc, network, 0, 0, 1) == 0.0
+        assert finalize_sinr(acc, network, 0)[0, 0] == 0.0
 
     def test_single_ap_mr_closed_form(self):
         """Independent UatF oracle on single-AP Rayleigh: SINR = p eps / (p beta + s2).
@@ -162,7 +162,7 @@ class TestFinalize:
             acc.add_symbol(0, 1, np.array([[hh[i]]]), np.array([[hh[i] + e[i]]]),
                            np.zeros((1, 1)), network.D)
         acc.count = n
-        sinr = finalize_sinr(acc, network, 0, 0, 1)
+        sinr = finalize_sinr(acc, network, 0)[0, 0]
         assert sinr == pytest.approx(p * eps / (p * beta + s2), rel=0.02)
 
     def test_negative_denominator_flagged(self):
@@ -174,7 +174,7 @@ class TestFinalize:
         acc.count = 1
         acc.gain[0, 0, 0] = 2.0
         acc.cross[0, 0, 0, 0] = 1.0
-        assert np.isnan(finalize_sinr(acc, network, 0, 0, 1))
+        assert np.isnan(finalize_sinr(acc, network, 0)[0, 0])
 
     def test_extra_interferer_never_raises_sinr(self, rng):
         layout = SimulationLayout(16, 2, 15e3, 8, 2, (0,), (1,), 3, 2, 100.0)
@@ -186,10 +186,10 @@ class TestFinalize:
             v[0] = h[0]
             acc.add_symbol(0, 1, v, h, np.zeros((2, 3)), net2.D)
             acc.bump()
-        with_interf = finalize_sinr(acc, net2, 0, 0, 1)
+        with_interf = finalize_sinr(acc, net2, 0)[0, 0]
         # removing UE 1's cross term can only increase the SINR
         acc.cross[0, 0, 0, 1] = 0.0
-        without = finalize_sinr(acc, net2, 0, 0, 1)
+        without = finalize_sinr(acc, net2, 0)[0, 0]
         assert without >= with_interf
 
     def test_scale_invariance(self, rng):
@@ -209,20 +209,59 @@ class TestFinalize:
             a1.bump()
             a2.add_symbol(0, 1, alpha * v, h, lam, network.D)
             a2.bump()
-        s1 = finalize_sinr(a1, network, 0, 0, 1)
-        s2 = finalize_sinr(a2, network, 0, 0, 1)
+        s1 = finalize_sinr(a1, network, 0)[0, 0]
+        s2 = finalize_sinr(a2, network, 0)[0, 0]
         assert s1 == pytest.approx(s2, rel=1e-9)
+
+    def test_grid_equals_per_record_formula(self, rng):
+        """Every record of the grid equals the per-record UatF formula exactly,
+        zero-combiner (0) and non-positive-denominator (NaN) records included."""
+        layout = SimulationLayout(16, 2, 15e3, 8, 4, (0,), (1,), 3, 3, 100.0)
+        network = make_network(layout, np.ones((3, 3)), [0, 1, 2], sigma2=1e-3)
+        network.p = np.array([0.1, 0.2, 0.3])
+        acc = SinrAccumulator(2, 3, 4)
+        lam = np.abs(rng.standard_normal((3, 3))) * 0.01
+        for _ in range(20):
+            for s in range(2):
+                for tau in range(1, 5):
+                    h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+                    v = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+                    acc.add_symbol(s, tau, v, h, lam, network.D)
+            acc.bump()
+        acc.gain[1, 0, 2] = 0.0        # zero numerator
+        acc.ici[1, 2, 3, :] = -1e6     # negative denominator
+
+        def per_record(s, k, t):
+            n = acc.count
+            num = network.p[k] * np.abs(acc.gain[s, k, t] / n) ** 2
+            if num == 0.0:
+                return 0.0
+            den = ((network.p * acc.cross[s, k, t] / n).sum() - num
+                   + (acc.ici[s, k, t] / n).sum() + network.sigma2 * acc.vnorm[s, k, t] / n)
+            return float("nan") if den <= 0.0 else float(num / den)
+
+        for s in range(2):
+            expect = np.array([[per_record(s, k, t) for t in range(4)] for k in range(3)])
+            assert np.array_equal(finalize_sinr(acc, network, s), expect, equal_nan=True)
+        assert finalize_sinr(acc, network, 1)[0, 2] == 0.0
+        assert np.isnan(finalize_sinr(acc, network, 1)[2, 3])
 
 
 class TestSeAssembly:
+    layout = SimulationLayout(16, 2, 15e3, 8, 2, (0,), (1,), 2, 2, 100.0)
+
     def test_equal_sinrs(self):
-        assert se_per_block(np.full(5, 3.0)) == pytest.approx(2.0)
+        curve, block = se_from_sinr(np.full((2, 5), 3.0), self.layout)
+        assert block == pytest.approx(2.0)
+        assert np.allclose(curve, 2.0)
 
     def test_zero_sinr(self):
-        assert se_per_block(np.zeros(4)) == 0.0
+        curve, block = se_from_sinr(np.zeros((2, 4)), self.layout)
+        assert block == 0.0
+        assert np.all(curve == 0.0)
 
     def test_two_symbol_hand_value(self):
-        assert se_per_block(np.array([1.0, 3.0])) == pytest.approx(1.5)
+        assert se_from_sinr(np.array([[1.0, 3.0]]), self.layout)[1] == pytest.approx(1.5)
 
     def test_channel_use_mapping(self):
         layout = SimulationLayout(1200, 84, 15e3, 12, 15, (0,), tuple(range(1, 13)),
@@ -237,12 +276,23 @@ class TestSeAssembly:
             symbol_of_channel_use(181, layout)
 
     def test_per_channel_use_expansion(self):
-        layout = SimulationLayout(16, 2, 15e3, 8, 2, (0,), (1,), 2, 2, 100.0)
-        sinr = np.array([1.0, 3.0])
-        curve = se_per_channel_use(sinr, layout)
+        sinr = np.array([[1.0, 3.0]])
+        curve, _ = se_from_sinr(sinr, self.layout)
         assert curve.shape == (16,)
         assert np.allclose(curve[:8], 1.0)
         assert np.allclose(curve[8:], 2.0)
 
     def test_invalid_sinr_propagates(self):
-        assert np.isnan(se_per_block(np.array([1.0, np.nan])))
+        """NaN records are averaged out; NaN reaches only a curve point or block
+        with no valid record behind it, and without a 0/0 warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve, block = se_from_sinr(np.array([[1.0, np.nan], [3.0, np.nan]]),
+                                        self.layout)
+            assert np.allclose(curve[:8], 1.5) and np.isnan(curve[8:]).all()
+            assert block == pytest.approx(1.5)
+            _, block = se_from_sinr(np.array([[1.0, np.nan], [np.nan, np.nan]]),
+                                    self.layout)
+            assert block == pytest.approx(1.0)
+            curve, block = se_from_sinr(np.full((2, 2), np.nan), self.layout)
+            assert np.isnan(curve).all() and np.isnan(block)
