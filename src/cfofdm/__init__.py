@@ -1,13 +1,7 @@
 """Monte Carlo link-level simulator for the uplink of cell-free massive MIMO
 OFDM networks with Wiener oscillator phase noise."""
 
-from .combining import (
-    combine_lp_mmse,
-    combine_mmse,
-    combine_mr,
-    combine_p_mmse,
-    combiner_matrix,
-)
+from .combining import combiner_matrix
 from .config import ExperimentConfig, ci_config, fig2_config, fig3_config, load_config
 from .estimation import (
     EstimateSet,

@@ -119,9 +119,8 @@ def run_trial(
         est = estimation.estimate_all(ctx, y)
         acc = se.SinrAccumulator(len(cfg.schemes), layout.n_ues, layout.block_symbols)
         for s_idx, scheme in enumerate(cfg.schemes):
-            for tau in range(1, layout.block_symbols + 1):
-                v = combining.combiner_matrix(scheme, est, network, tau)
-                acc.add_symbol(s_idx, tau, v, h_eff[:, :, tau - 1], lam, network.D)
+            v = combining.combiner_matrix(scheme, est, network)
+            acc.add_symbol(s_idx, v, h_eff, lam, network.D)
         acc.bump()
         out[kind] = acc
     return out

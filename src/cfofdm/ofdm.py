@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 
 from .network import NetworkRealization, SimulationLayout
-from .phase_noise import PhaseNoiseTrace, cpe_per_symbol
+from .phase_noise import PhaseNoiseTrace, cpe_per_symbol, phasor
 
 
 def build_pilot_book(tau_p: int) -> np.ndarray:
@@ -139,14 +139,14 @@ def synth_pilot_observations(
             y[:, in_slot] = terms.sum(axis=0)
             continue
         # g[l, m] = sum_k sqrt(p_k) e_ue[k, m] fft(h_{k,l} .* s_k)[m], one k at a time
-        w_ue = sqrt_p[:, None] * np.exp(1j * ue_phase[:, rev])  # (K, N)
+        w_ue = sqrt_p[:, None] * phasor(ue_phase[:, rev])  # (K, N)
         g.fill(0.0)
         for k in range(K):
             np.multiply(h_full[k], grids[k, si], out=fx)
             np.fft.fft(fx, axis=-1, out=fx)
             np.multiply(fx, w_ue[k], out=fx)
             np.add(g, fx, out=g)
-        g *= np.exp(1j * ap_phase[:, rev])
+        g *= phasor(ap_phase[:, rev])
         phases = np.exp(2j * np.pi * np.outer(subs, np.arange(n)) / n)
         y[:, in_slot] = g @ phases.T / n
 

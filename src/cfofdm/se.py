@@ -33,20 +33,20 @@ class SinrAccumulator:
         self.ici = np.zeros((n_schemes, n_ues, n_symbols, n_ues))
         self.vnorm = np.zeros((n_schemes, n_ues, n_symbols))
 
-    def add_symbol(self, scheme_idx: int, tau: int, v: np.ndarray,
-                   h_eff: np.ndarray, lam: np.ndarray, D: np.ndarray) -> None:
-        """Accumulate one trial's terms for all UEs at 1-based symbol tau.
+    def add_symbol(self, scheme_idx: int, v: np.ndarray, h_eff: np.ndarray,
+                   lam: np.ndarray, D: np.ndarray) -> None:
+        """Accumulate one trial's terms for all UEs and symbols of one scheme.
 
-        v and h_eff are (K, L): combining vectors and effective channels.
+        v is (tau_c, K, L), the combining vectors of every symbol; h_eff is
+        (K, L, tau_c), the effective channels.
         """
-        t = tau - 1
         vm = np.conj(v) * D
-        m = vm @ h_eff.T  # m[k, i] = v_k^H D_k h_i
-        self.gain[scheme_idx, :, t] += np.diagonal(m)
-        self.cross[scheme_idx, :, t, :] += np.abs(m) ** 2
-        w = np.abs(vm) ** 2  # |D_k v_k|^2 per AP
-        self.ici[scheme_idx, :, t, :] += w @ lam.T
-        self.vnorm[scheme_idx, :, t] += w.sum(axis=1)
+        m = vm @ np.transpose(h_eff, (2, 1, 0))  # m[t, k, i] = v_tk^H D_k h_i(t)
+        self.gain[scheme_idx] += np.diagonal(m, axis1=1, axis2=2).T
+        self.cross[scheme_idx] += np.swapaxes(np.abs(m) ** 2, 0, 1)
+        w = np.abs(vm) ** 2  # |D_k v_tk|^2 per AP
+        self.ici[scheme_idx] += np.swapaxes(w @ lam.T, 0, 1)
+        self.vnorm[scheme_idx] += w.sum(axis=2).T
 
     def bump(self) -> None:
         """Mark one full trial as accumulated."""

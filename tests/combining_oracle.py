@@ -1,0 +1,57 @@
+"""Per-symbol reference implementations of combining and SINR accumulation.
+
+``combiner_matrix_at`` builds the combiners of one 1-based symbol tau with one
+small solve per cluster group, and ``add_symbol_at`` accumulates the UatF
+terms of one symbol; the package does both for every symbol in one call.
+"""
+
+import numpy as np
+
+from cfofdm.combining import partial_cluster
+
+
+def combiner_matrix_at(scheme, est, network, tau):
+    """Length-L combining vectors for every UE at 1-based symbol tau: (K, L)."""
+    h = est.h_hat[:, :, tau - 1]
+    c = est.err_var[:, :, tau - 1]
+    D = network.D
+    K = D.shape[0]
+    if scheme == "mr":
+        return D * h
+    if scheme == "lp_mmse":
+        served = D.astype(float)
+        den = (served * network.p[:, None] * (np.abs(h) ** 2 + c)).sum(axis=0) + network.sigma2
+        return served * network.p[:, None] * h / den[None, :]
+    groups = {}
+    for k in range(K):
+        groups.setdefault(D[k].tobytes(), []).append(k)
+    v = np.zeros((K, D.shape[1]), dtype=complex)
+    for ks in groups.values():
+        members = np.arange(K) if scheme == "mmse" else partial_cluster(network, ks[0])
+        support = np.flatnonzero(D[ks[0]])
+        hm = h[members][:, support]
+        p = network.p[members]
+        a = (hm.T * p) @ hm.conj()
+        a[np.diag_indices_from(a)] += ((p[:, None] * c[members][:, support]).sum(axis=0)
+                                       + network.sigma2)
+        try:
+            sol = np.linalg.solve(a, h[ks][:, support].T)
+        except np.linalg.LinAlgError:
+            sol = np.linalg.pinv(a) @ h[ks][:, support].T
+        v[np.ix_(ks, support)] = network.p[ks][:, None] * sol.T
+    return v
+
+
+def add_symbol_at(acc, scheme_idx, tau, v, h_eff, lam, D):
+    """Accumulate one trial's terms for all UEs at 1-based symbol tau.
+
+    v and h_eff are (K, L): combining vectors and effective channels.
+    """
+    t = tau - 1
+    vm = np.conj(v) * D
+    m = vm @ h_eff.T  # m[k, i] = v_k^H D_k h_i
+    acc.gain[scheme_idx, :, t] += np.diagonal(m)
+    acc.cross[scheme_idx, :, t, :] += np.abs(m) ** 2
+    w = np.abs(vm) ** 2
+    acc.ici[scheme_idx, :, t, :] += w @ lam.T
+    acc.vnorm[scheme_idx, :, t] += w.sum(axis=1)

@@ -254,10 +254,10 @@ def test_criterion_6_no_pn_pipeline_equivalence():
         shared_draws.append((h_world, noise))
         est = estimate_all(ctx, y)
         acc = batch_accs[t % n_batches]
+        h_symbols = np.repeat(h_world[:, :, None], layout.block_symbols, axis=2)
         for s_idx, scheme in enumerate(schemes):
-            for tau in range(1, layout.block_symbols + 1):
-                v = combiner_matrix(scheme, est, network, tau)
-                acc.add_symbol(s_idx, tau, v, h_world, lam, network.D)
+            acc.add_symbol(s_idx, combiner_matrix(scheme, est, network), h_symbols, lam,
+                           network.D)
         acc.bump()
 
     total = SinrAccumulator(len(schemes), layout.n_ues, layout.block_symbols)

@@ -1,19 +1,17 @@
 """The four receive combiners and their structural properties."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from cfofdm.combining import (
-    combine_lp_mmse,
-    combine_mmse,
-    combine_mr,
-    combine_p_mmse,
-    combiner_matrix,
-    lp_mmse_vectors,
-    partial_cluster,
-)
+from cfofdm.combining import SCHEMES, combiner_matrix, partial_cluster
+from cfofdm.config import ci_config
 from cfofdm.estimation import EstimateSet
-from cfofdm.network import NetworkRealization
+from cfofdm.harness import derived_rng
+from cfofdm.network import NetworkRealization, generate_network
+
+from combining_oracle import combiner_matrix_at
 
 
 def make_setup(h_hat, err_var, D, p=0.2, sigma2=1e-3):
@@ -32,14 +30,14 @@ class TestMr:
         h = np.zeros((1, 3, 1), dtype=complex)
         h[0, 0, 0] = 1.0
         est, network = make_setup(h, np.zeros((1, 3, 1)), np.ones((1, 3)))
-        v = combine_mr(est, network, 0, 1)
+        v = combiner_matrix("mr", est, network)[0, 0]
         assert np.array_equal(v, h[0, :, 0])
 
     def test_masked_outside_cluster(self, rng):
         h = rng.standard_normal((2, 4, 1)) + 1j * rng.standard_normal((2, 4, 1))
         D = np.array([[1, 0, 1, 0], [0, 1, 1, 1]])
         est, network = make_setup(h, np.zeros((2, 4, 1)), D)
-        v = combine_mr(est, network, 0, 1)
+        v = combiner_matrix("mr", est, network)[0, 0]
         assert v[1] == 0 and v[3] == 0
 
     def test_random_elementwise(self, rng):
@@ -47,10 +45,10 @@ class TestMr:
         D = (rng.uniform(size=(3, 5)) > 0.4).astype(int)
         D[:, 0] = 1
         est, network = make_setup(h, np.zeros((3, 5, 2)), D)
+        v = combiner_matrix("mr", est, network)
         for k in range(3):
             for tau in (1, 2):
-                assert np.allclose(combine_mr(est, network, k, tau),
-                                   D[k] * h[k, :, tau - 1])
+                assert np.allclose(v[tau - 1, k], D[k] * h[k, :, tau - 1])
 
 
 class TestLpMmse:
@@ -58,31 +56,28 @@ class TestLpMmse:
         h = np.array([[[0.8 + 0.1j]]])
         c = np.array([[[0.0]]])
         est, network = make_setup(h, c, np.ones((1, 1)), p=0.5, sigma2=1e-2)
-        v = combine_lp_mmse(est, network, 0, 0, 1)
+        v = combiner_matrix("lp_mmse", est, network)[0, 0, 0]
         expect = 0.5 * h[0, 0, 0] / (0.5 * np.abs(h[0, 0, 0]) ** 2 + 1e-2)
         assert v == pytest.approx(expect, rel=1e-12)
 
     def test_zero_estimate(self):
         h = np.zeros((1, 2, 1), dtype=complex)
         est, network = make_setup(h, np.zeros((1, 2, 1)), np.ones((1, 2)))
-        assert combine_lp_mmse(est, network, 0, 0, 1) == 0
+        assert combiner_matrix("lp_mmse", est, network)[0, 0, 0] == 0
 
     def test_two_ue_hand_denominator(self, rng):
         h = rng.standard_normal((2, 1, 1)) + 1j * rng.standard_normal((2, 1, 1))
         c = np.abs(rng.standard_normal((2, 1, 1))) * 0.1
         est, network = make_setup(h, c, np.ones((2, 1)), p=0.3, sigma2=2e-3)
-        v = combine_lp_mmse(est, network, 0, 0, 1)
+        v = combiner_matrix("lp_mmse", est, network)[0, 0, 0]
         den = sum(0.3 * (np.abs(h[i, 0, 0]) ** 2 + c[i, 0, 0]) for i in range(2)) + 2e-3
         assert v == pytest.approx(0.3 * h[0, 0, 0] / den, rel=1e-12)
 
-    def test_unserved_rejected(self):
+    def test_unserved_entries_are_zero(self):
         h = np.ones((2, 2, 1), dtype=complex)
         D = np.array([[1, 0], [0, 1]])
         est, network = make_setup(h, np.zeros((2, 2, 1)), D)
-        with pytest.raises(ValueError):
-            combine_lp_mmse(est, network, 0, 1, 1)
-        # vector assembly keeps the off-cluster entries at zero
-        v = lp_mmse_vectors(est, network, 1)
+        v = combiner_matrix("lp_mmse", est, network)[0]
         assert v[0, 1] == 0 and v[1, 0] == 0
 
 
@@ -92,7 +87,7 @@ class TestPMmse:
         h = rng.standard_normal((1, 3, 1)) + 1j * rng.standard_normal((1, 3, 1))
         c = np.full((1, 3, 1), 0.05)
         est, network = make_setup(h, c, np.ones((1, 3)), p=0.4, sigma2=1e-3)
-        v = combine_p_mmse(est, network, 0, 1)
+        v = combiner_matrix("p_mmse", est, network)[0, 0]
         hv = h[0, :, 0]
         a = 0.4 * 0.05 + 1e-3  # constant per-AP error variance keeps the diag scalar
         expect = 0.4 * hv / (a + 0.4 * np.vdot(hv, hv).real)
@@ -109,7 +104,7 @@ class TestPMmse:
         h = rng.standard_normal((3, 5, 1)) + 1j * rng.standard_normal((3, 5, 1))
         D = np.array([[1, 0, 1, 0, 1], [1, 1, 0, 0, 0], [0, 0, 0, 1, 1]])
         est, network = make_setup(h, np.full((3, 5, 1), 0.01), D)
-        v = combine_p_mmse(est, network, 0, 1)
+        v = combiner_matrix("p_mmse", est, network)[0, 0]
         assert np.all(v[network.D[0] == 0] == 0)
 
 
@@ -117,15 +112,17 @@ class TestMmse:
     def test_single_ue_equals_p_mmse(self, rng):
         h = rng.standard_normal((1, 4, 1)) + 1j * rng.standard_normal((1, 4, 1))
         est, network = make_setup(h, np.full((1, 4, 1), 0.02), np.ones((1, 4)))
-        assert np.allclose(combine_mmse(est, network, 0, 1),
-                           combine_p_mmse(est, network, 0, 1), rtol=1e-12)
+        assert np.allclose(combiner_matrix("mmse", est, network)[0, 0],
+                           combiner_matrix("p_mmse", est, network)[0, 0], rtol=1e-12)
 
     def test_equals_p_mmse_when_all_shared(self, rng):
         h = rng.standard_normal((3, 4, 1)) + 1j * rng.standard_normal((3, 4, 1))
         est, network = make_setup(h, np.full((3, 4, 1), 0.02), np.ones((3, 4)))
+        mmse = combiner_matrix("mmse", est, network)
+        p_mmse = combiner_matrix("p_mmse", est, network)
         for k in range(3):
-            a = combine_mmse(est, network, k, 1)
-            b = combine_p_mmse(est, network, k, 1)
+            a = mmse[0, k]
+            b = p_mmse[0, k]
             assert np.abs(a - b).max() <= 1e-9
 
     def test_matches_canonical_reference(self, rng):
@@ -143,11 +140,88 @@ class TestMmse:
             a += 0.25 * np.diag(c[i, :, 0])
         a += 3e-3 * np.eye(L)
         expect = 0.25 * np.linalg.solve(a, h[k, :, 0])
-        assert np.allclose(combine_mmse(est, network, k, 1), expect, rtol=1e-10)
+        assert np.allclose(combiner_matrix("mmse", est, network)[0, k], expect,
+                           rtol=1e-10)
 
     def test_finite_outputs(self, rng):
         h = 1e3 * (rng.standard_normal((2, 3, 1)) + 1j * rng.standard_normal((2, 3, 1)))
         est, network = make_setup(h, np.zeros((2, 3, 1)), np.ones((2, 3)), sigma2=1e-9)
         for scheme in ("mr", "lp_mmse", "p_mmse", "mmse"):
-            v = combiner_matrix(scheme, est, network, 1)
+            v = combiner_matrix(scheme, est, network)
             assert np.isfinite(v).all()
+
+
+def ci_estimates(seed):
+    """A ci geometry with random estimates of the channels' scale on every
+    symbol of the block."""
+    layout = ci_config().layout()
+    network = generate_network(layout, derived_rng(seed, 0, 0))
+    rng = np.random.default_rng(seed)
+    shape = (layout.n_ues, layout.n_aps, layout.block_symbols)
+    beta = network.beta[:, :, None]
+    h = np.sqrt(beta / 2) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    c = 0.1 * beta * rng.uniform(size=shape)
+    return EstimateSet(h_hat=h, eps=np.zeros_like(c), err_var=c), network
+
+
+class TestStackedMatchesPerSymbolOracle:
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("clusters", ("ci", "all_ones"))
+    def test_matches_per_symbol_oracle(self, scheme, clusters):
+        est, network = ci_estimates(3)
+        if clusters == "ci":
+            assert len({row.tobytes() for row in network.D}) >= 2  # several groups
+        else:
+            # fig2 pilot layout: K <= tau_p, every AP serves every UE
+            K = 4
+            network = replace(network, D=np.ones((K, network.D.shape[1]), dtype=np.int8),
+                              p=network.p[:K], beta=network.beta[:K])
+            est = EstimateSet(h_hat=est.h_hat[:K], eps=est.eps[:K],
+                              err_var=est.err_var[:K])
+        v = combiner_matrix(scheme, est, network)
+        assert v.shape == (est.h_hat.shape[2],) + network.D.shape
+        for tau in range(1, v.shape[0] + 1):
+            ref = combiner_matrix_at(scheme, est, network, tau)
+            np.testing.assert_allclose(v[tau - 1], ref, rtol=1e-12, atol=0)
+
+
+class TestPinvFallback:
+    @pytest.mark.parametrize("scheme", ("p_mmse", "mmse"))
+    def test_one_warning_per_singular_group_and_symbol(self, scheme, monkeypatch, caplog):
+        h = np.ones((3, 4, 4), dtype=complex) * (1 + 0.5j)
+        h += 0.1 * np.arange(48).reshape(3, 4, 4)
+        c = np.full((3, 4, 4), 0.01)
+        D = np.array([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1]])
+        # (group, tau) systems that reduce to sigma2 * I are declared singular:
+        # group {0, 1} (support {0, 1}) at tau 2, group {2} (support {2, 3})
+        # at taus 1 and 3
+        singular = [((0, 1), 2), ((2, 3), 1), ((2, 3), 3)]
+        for support, tau in singular:
+            h[:, support, tau - 1] = 0.0
+            c[:, support, tau - 1] = 0.0
+        est, network = make_setup(h, c, D)
+        normal = combiner_matrix(scheme, est, network)
+
+        real_solve = np.linalg.solve
+
+        def solve(a, b):
+            eye = network.sigma2 * np.eye(a.shape[-1])
+            if (a == eye).all(axis=(-2, -1)).any():
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        with caplog.at_level("WARNING", logger="cfofdm.combining"):
+            v = combiner_matrix(scheme, est, network)
+        warnings = [r for r in caplog.records if r.name == "cfofdm.combining"]
+        assert len(warnings) == len(singular)
+        assert np.isfinite(v).all()
+        for support, tau in singular:
+            ks = np.flatnonzero(D[:, support[0]])
+            assert np.all(v[tau - 1][np.ix_(ks, support)] == 0)  # pinv of sigma2*I, zero rhs
+        bad = {(tuple(np.flatnonzero(D[:, s[0]])), t) for s, t in singular}
+        for t in range(4):
+            for k in range(3):
+                group = tuple(np.flatnonzero((D == D[k]).all(axis=1)))
+                if (group, t + 1) not in bad:
+                    assert np.array_equal(v[t, k], normal[t, k])

@@ -338,3 +338,50 @@ class TestInvalidRecordGuard:
         monkeypatch.setattr(se, "finalize_sinr", finalize_tau1_invalid)
         with pytest.raises(RuntimeError, match="no valid SINR record"):
             run_experiment(cfg)
+
+
+class TestStackedTrial:
+    def test_run_trial_matches_per_symbol_loop(self):
+        """One trial's accumulators equal those of the per-symbol combine-and-
+        accumulate loop on the same draws."""
+        from cfofdm import se
+        from cfofdm.combining import SCHEMES
+        from cfofdm.harness import build_kernel_table, derived_rng, run_trial
+        from cfofdm.network import gen_channel, generate_network
+        from cfofdm.ofdm import build_transmit_grids, synth_pilot_observations
+        from cfofdm.phase_noise import cpe_per_symbol, gen_pn_trace
+
+        from combining_oracle import add_symbol_at, combiner_matrix_at
+
+        cfg = replace(ci_config(), schemes=SCHEMES,
+                      estimators=("pna_ofdm", "pna_sc", "unaware"))
+        layout, pn = cfg.layout(), cfg.pn_params()
+        table = build_kernel_table(cfg)
+        network = generate_network(layout, derived_rng(cfg.master_seed, 0, 0))
+        assert len({row.tobytes() for row in network.D}) >= 2
+        book = build_pilot_book(layout.tau_p)
+        contexts = {kind: estimation.build_context(network, layout, table, kind=kind,
+                                                   ici_mode=cfg.ici_mode, pn=pn, book=book)
+                    for kind in cfg.estimators}
+        lam = se.lambda_ici(network, table)
+        rng = derived_rng(cfg.master_seed, 1, 0, 0)
+        out = run_trial(cfg, layout, pn, network, book, contexts, lam, lam,
+                        copy.deepcopy(rng))
+
+        channel = gen_channel(network.beta, layout, rng)
+        trace = gen_pn_trace(pn, layout, rng)
+        grids = build_transmit_grids(layout, book, network.pilot_index, rng)
+        cpe = cpe_per_symbol(trace)
+        y = synth_pilot_observations(channel.h, grids, trace, network, layout, rng, cpe=cpe)
+        h_eff = cpe * channel.h[:, :, 0][:, :, None]
+        for kind, ctx in contexts.items():
+            est = estimation.estimate_all(ctx, y)
+            ref = se.SinrAccumulator(len(cfg.schemes), layout.n_ues, layout.block_symbols)
+            for s_idx, scheme in enumerate(cfg.schemes):
+                for tau in range(1, layout.block_symbols + 1):
+                    v = combiner_matrix_at(scheme, est, network, tau)
+                    add_symbol_at(ref, s_idx, tau, v, h_eff[:, :, tau - 1], lam, network.D)
+            for name in ("gain", "cross", "ici", "vnorm"):
+                np.testing.assert_allclose(getattr(out[kind], name), getattr(ref, name),
+                                           rtol=1e-12, atol=0)
+            assert out[kind].count == 1

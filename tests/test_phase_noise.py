@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cfofdm.config import ci_config
 from cfofdm.phase_noise import (
     KernelParams,
     PnParams,
@@ -11,6 +12,7 @@ from cfofdm.phase_noise import (
     correlation_b_oracle,
     gen_pn_trace,
     phase_drift,
+    phasor,
     pn_increment_variance,
     wiener_walks,
 )
@@ -68,6 +70,21 @@ class TestTraces:
         diff1 = trace.combined(1, 1) - trace.ue_phase[1]
         assert np.allclose(diff0, diff1, atol=1e-9)
         assert np.allclose(diff0, trace.ap_phase[1], atol=1e-9)
+
+
+class TestPhasor:
+    def test_bitwise_equal_to_complex_exp(self):
+        """cos + j*sin matches np.exp(1j*theta) bit for bit on generated traces."""
+        layout = ci_config().layout()
+        pn = PnParams(carrier_hz=2e9, gamma_ap=4e-15, gamma_ue=4e-15,
+                      sample_time=layout.sample_time)
+        trace = gen_pn_trace(pn, layout, np.random.default_rng(5))
+        for theta in (trace.ap_phase, trace.ue_phase, trace.ap_phase[:, 2, ::-1],
+                      -trace.ue_phase[:, 0, :]):
+            expect = np.exp(1j * theta)
+            got = phasor(theta)
+            assert got.shape == expect.shape
+            assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
 
 
 class TestPhaseDrift:

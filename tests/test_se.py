@@ -55,7 +55,7 @@ class TestAccumulator:
         h = np.array([[1 + 1j, 2 - 1j]])
         v = h.copy()  # MR with D = I
         lam = np.zeros((1, 2))
-        acc.add_symbol(0, 1, v, h, lam, network.D)
+        acc.add_symbol(0, v[None], h[:, :, None], lam, network.D)
         acc.bump()
         norm2 = np.sum(np.abs(h) ** 2)
         assert acc.gain[0, 0, 0] == pytest.approx(norm2)
@@ -68,7 +68,7 @@ class TestAccumulator:
             np.ones((2, 2)), [0, 1])
         acc = SinrAccumulator(1, 2, 1)
         v = np.ones((2, 2), dtype=complex)
-        acc.add_symbol(0, 1, v, np.zeros((2, 2), dtype=complex),
+        acc.add_symbol(0, v[None], np.zeros((2, 2, 1), dtype=complex),
                        np.zeros((2, 2)), network.D)
         assert np.all(acc.gain == 0) and np.all(acc.cross == 0)
 
@@ -80,11 +80,11 @@ class TestAccumulator:
         v = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
         lam = np.abs(rng.standard_normal((2, 3)))
         one = SinrAccumulator(1, 2, 1)
-        one.add_symbol(0, 1, v, h, lam, network.D)
+        one.add_symbol(0, v[None], h[:, :, None], lam, network.D)
         one.bump()
         many = SinrAccumulator(1, 2, 1)
         for _ in range(7):
-            many.add_symbol(0, 1, v, h, lam, network.D)
+            many.add_symbol(0, v[None], h[:, :, None], lam, network.D)
             many.bump()
         s1 = finalize_sinr(one, network, 0)[0, 0]
         s7 = finalize_sinr(many, network, 0)[0, 0]
@@ -95,13 +95,12 @@ class TestAccumulator:
         network = make_network(layout, np.ones((2, 3)), [0, 1])
         acc = SinrAccumulator(1, 2, 3)
         h_eff = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
-        combiners = [h_eff[:, :, t] for t in range(3)]
-        for t, v in enumerate(combiners):
-            acc.add_symbol(0, t + 1, v, h_eff[:, :, t], np.zeros((2, 3)), network.D)
+        combiners = np.moveaxis(h_eff, -1, 0)  # (tau_c, K, L)
+        acc.add_symbol(0, combiners, h_eff, np.zeros((2, 3)), network.D)
         acc.bump()
         for t in range(3):
             ref = SinrAccumulator(1, 2, 1)
-            ref.add_symbol(0, 1, combiners[t], h_eff[:, :, t], np.zeros((2, 3)),
+            ref.add_symbol(0, combiners[t][None], h_eff[:, :, t, None], np.zeros((2, 3)),
                            network.D)
             assert np.allclose(acc.gain[0, :, t], ref.gain[0, :, 0])
             assert np.allclose(acc.cross[0, :, t], ref.cross[0, :, 0])
@@ -118,9 +117,9 @@ class TestAccumulator:
         parts = [SinrAccumulator(1, 2, 1) for _ in range(3)]
         trials = [trial() for _ in range(9)]
         for i, (v, h) in enumerate(trials):
-            seq.add_symbol(0, 1, v, h, np.zeros((2, 3)), network.D)
+            seq.add_symbol(0, v[None], h[:, :, None], np.zeros((2, 3)), network.D)
             seq.bump()
-            parts[i % 3].add_symbol(0, 1, v, h, np.zeros((2, 3)), network.D)
+            parts[i % 3].add_symbol(0, v[None], h[:, :, None], np.zeros((2, 3)), network.D)
             parts[i % 3].bump()
         merged = SinrAccumulator(1, 2, 1)
         for p in parts:
@@ -136,8 +135,8 @@ class TestFinalize:
             SimulationLayout(16, 2, 15e3, 8, 2, (0,), (1,), 2, 1, 100.0),
             np.ones((1, 2)), [0])
         acc = SinrAccumulator(1, 1, 1)
-        acc.add_symbol(0, 1, np.zeros((1, 2), dtype=complex),
-                       np.ones((1, 2), dtype=complex), np.zeros((1, 2)), network.D)
+        acc.add_symbol(0, np.zeros((1, 1, 2), dtype=complex),
+                       np.ones((1, 2, 1), dtype=complex), np.zeros((1, 2)), network.D)
         acc.bump()
         assert finalize_sinr(acc, network, 0)[0, 0] == 0.0
 
@@ -159,7 +158,7 @@ class TestFinalize:
         hh = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(eps / 2)
         e = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(c / 2)
         for i in range(n):
-            acc.add_symbol(0, 1, np.array([[hh[i]]]), np.array([[hh[i] + e[i]]]),
+            acc.add_symbol(0, np.array([[[hh[i]]]]), np.array([[[hh[i] + e[i]]]]),
                            np.zeros((1, 1)), network.D)
         acc.count = n
         sinr = finalize_sinr(acc, network, 0)[0, 0]
@@ -184,7 +183,7 @@ class TestFinalize:
             h = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
             v = np.zeros_like(h)
             v[0] = h[0]
-            acc.add_symbol(0, 1, v, h, np.zeros((2, 3)), net2.D)
+            acc.add_symbol(0, v[None], h[:, :, None], np.zeros((2, 3)), net2.D)
             acc.bump()
         with_interf = finalize_sinr(acc, net2, 0)[0, 0]
         # removing UE 1's cross term can only increase the SINR
@@ -205,9 +204,9 @@ class TestFinalize:
         a2 = SinrAccumulator(1, 2, 1)
         alpha = 3.7 - 1.2j
         for v, h in trials:
-            a1.add_symbol(0, 1, v, h, lam, network.D)
+            a1.add_symbol(0, v[None], h[:, :, None], lam, network.D)
             a1.bump()
-            a2.add_symbol(0, 1, alpha * v, h, lam, network.D)
+            a2.add_symbol(0, alpha * v[None], h[:, :, None], lam, network.D)
             a2.bump()
         s1 = finalize_sinr(a1, network, 0)[0, 0]
         s2 = finalize_sinr(a2, network, 0)[0, 0]
@@ -223,10 +222,11 @@ class TestFinalize:
         lam = np.abs(rng.standard_normal((3, 3))) * 0.01
         for _ in range(20):
             for s in range(2):
+                hs, vs = [], []
                 for tau in range(1, 5):
-                    h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-                    v = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-                    acc.add_symbol(s, tau, v, h, lam, network.D)
+                    hs.append(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+                    vs.append(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+                acc.add_symbol(s, np.stack(vs), np.stack(hs, axis=-1), lam, network.D)
             acc.bump()
         acc.gain[1, 0, 2] = 0.0        # zero numerator
         acc.ici[1, 2, 3, :] = -1e6     # negative denominator
