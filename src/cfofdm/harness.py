@@ -1,5 +1,5 @@
 """Experiment orchestration: deterministic seeded Monte Carlo execution,
-result aggregation, CSV persistence, and the validation suite."""
+result aggregation, and CSV persistence."""
 
 from __future__ import annotations
 
@@ -30,6 +30,7 @@ CSV_HEADER = (
 
 _STREAM_GEOMETRY = 0
 _STREAM_TRIAL = 1
+_N_BATCHES = 8  # trial batches behind single-geometry standard errors
 
 
 def derived_rng(master_seed: int, *key: int) -> np.random.Generator:
@@ -87,6 +88,16 @@ def build_kernel_table(cfg: ExperimentConfig) -> KernelGrid:
     return build_correlation_table(params, offsets, lags)
 
 
+def _geometry(cfg: ExperimentConfig, geometry_index: int) -> NetworkRealization:
+    """The network realization of one geometry, drawn from its own stream."""
+    return generate_network(
+        cfg.layout(), derived_rng(cfg.master_seed, _STREAM_GEOMETRY, geometry_index),
+        tx_power_w=cfg.tx_power_w, noise_figure_db=cfg.noise_figure_db,
+        shadow_sigma_db=cfg.shadow_sigma_db, wraparound=cfg.wraparound,
+        pilot_policy=cfg.pilot_policy, ap_height_m=cfg.ap_height_m,
+    )
+
+
 def run_trial(
     cfg: ExperimentConfig,
     layout: SimulationLayout,
@@ -95,12 +106,13 @@ def run_trial(
     book: np.ndarray,
     contexts: Dict[str, estimation.EstimatorContext],
     lam: np.ndarray,
-    ici_power: Optional[np.ndarray],
     rng: np.random.Generator,
 ) -> Dict[str, se.SinrAccumulator]:
     """One Monte Carlo trial: draw, synthesize, estimate, combine, accumulate.
 
-    Returns one single-trial accumulator per estimator kind.
+    ``lam`` is the per-(UE, AP) ICI power, also the matched power of the
+    ``gaussian_ici`` option. Returns one single-trial accumulator per
+    estimator kind.
     """
     channel = gen_channel(network.beta, layout, rng)
     trace = gen_pn_trace(pn, layout, rng)
@@ -110,7 +122,7 @@ def run_trial(
     y = ofdm.synth_pilot_observations(
         channel.h, grids, trace, network, layout, rng,
         eval_block=cfg.eval_block, gaussian_ici=cfg.gaussian_ici,
-        ici_power=ici_power, cpe=cpe,
+        ici_power=lam, cpe=cpe,
     )
     h_eff = cpe * channel.h[:, :, cfg.eval_block - 1][:, :, None]
 
@@ -144,18 +156,11 @@ def run_geometry(
     ici_base: Optional[estimation.IciBase],
     geometry_index: int,
     threads: int = 1,
-    n_batches: int = 8,
 ) -> GeometryResult:
     """All Monte Carlo trials for one network geometry."""
     layout = cfg.layout()
     pn = cfg.pn_params()
-    g_rng = derived_rng(cfg.master_seed, _STREAM_GEOMETRY, geometry_index)
-    network = generate_network(
-        layout, g_rng,
-        tx_power_w=cfg.tx_power_w, noise_figure_db=cfg.noise_figure_db,
-        shadow_sigma_db=cfg.shadow_sigma_db, wraparound=cfg.wraparound,
-        pilot_policy=cfg.pilot_policy, ap_height_m=cfg.ap_height_m,
-    )
+    network = _geometry(cfg, geometry_index)
     book = ofdm.build_pilot_book(layout.tau_p)
     contexts = {
         kind: estimation.build_context(
@@ -165,10 +170,8 @@ def run_geometry(
         for kind in cfg.estimators
     }
     lam = se.lambda_ici(network, table)
-    # matched per-sample ICI power for the gaussian_ici speed option
-    ici_power = lam
 
-    n_batches = max(1, min(n_batches, cfg.n_trials))
+    n_batches = max(1, min(_N_BATCHES, cfg.n_trials))
     batches: Dict[str, List[se.SinrAccumulator]] = {
         kind: [se.SinrAccumulator(len(cfg.schemes), layout.n_ues, layout.block_symbols)
                for _ in range(n_batches)]
@@ -177,7 +180,7 @@ def run_geometry(
 
     def one(t: int):
         rng = derived_rng(cfg.master_seed, _STREAM_TRIAL, geometry_index, t)
-        return run_trial(cfg, layout, pn, network, book, contexts, lam, ici_power, rng)
+        return run_trial(cfg, layout, pn, network, book, contexts, lam, rng)
 
     trial_ids = list(range(cfg.n_trials))
     if threads <= 1:
@@ -362,14 +365,7 @@ def run_fig3(base: Optional[ExperimentConfig] = None, threads: int = 1,
 
 def dump_geometry_csv(cfg: ExperimentConfig) -> str:
     """Node coordinates of geometry 0 as CSV (node_type, index, x_m, y_m)."""
-    layout = cfg.layout()
-    rng = derived_rng(cfg.master_seed, _STREAM_GEOMETRY, 0)
-    network = generate_network(
-        layout, rng,
-        tx_power_w=cfg.tx_power_w, noise_figure_db=cfg.noise_figure_db,
-        shadow_sigma_db=cfg.shadow_sigma_db, wraparound=cfg.wraparound,
-        pilot_policy=cfg.pilot_policy, ap_height_m=cfg.ap_height_m,
-    )
+    network = _geometry(cfg, 0)
     lines = ["node_type,index,x_m,y_m"]
     for i, (x, y) in enumerate(network.ap_positions):
         lines.append("ap,%d,%s,%s" % (i, repr(float(x)), repr(float(y))))

@@ -1,15 +1,21 @@
-"""Self-contained validation suite: kernel identities, model equivalences, and
-no-phase-noise reductions at reduced problem sizes."""
+"""Model self-checks: kernel identities, model equivalences, the no-phase-noise
+reduction and the moments of the LMMSE estimate.
+
+Each check is one function of its input size (and seed, or the configuration
+of the world it runs in) returning a ``Check``. ``run_validation`` runs them at
+desk size for ``sim validate``; the acceptance suite runs the same functions at
+larger sizes.
+"""
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
-from . import estimation, ofdm, se
-from .config import ci_config
+from . import estimation, ofdm
+from .config import ExperimentConfig, ci_config
 from .harness import build_kernel_table, derived_rng
 from .network import gen_channel, gen_fir_taps, generate_network
 from .phase_noise import (
@@ -21,73 +27,80 @@ from .phase_noise import (
     wiener_walks,
 )
 
-
-class Report:
-    def __init__(self):
-        self.lines: List[str] = []
-        self.ok = True
-
-    def check(self, name: str, passed: bool, detail: str) -> None:
-        self.ok &= bool(passed)
-        self.lines.append("%s %s: %s" % ("PASS" if passed else "FAIL", name, detail))
+_SIGMA2 = 7e-4  # total phase-increment variance of the kernel checks
 
 
-def _check_kernel_oracle(rep: Report, n: int) -> None:
-    params = KernelParams(n=n, sigma2_tot=7e-4 * 64 / n, stride=n)
+class Check(NamedTuple):
+    """Outcome of one self-check: its name, pass flag and detail line."""
+
+    name: str
+    ok: bool
+    detail: str
+
+
+def _std_errors(x: np.ndarray, target) -> np.ndarray:
+    """|mean - target| in standard errors of the mean, over axis 0."""
+    return np.abs(x.mean(axis=0) - target) / (x.std(axis=0, ddof=1) / np.sqrt(len(x)))
+
+
+def kernel_oracle(n: int) -> Check:
+    """Fast kernel against the literal double-sum oracle, |i| <= 8, |dtau| <= 3."""
+    params = KernelParams(n=n, sigma2_tot=_SIGMA2, stride=n)
+    worst = max(
+        abs(correlation_b_fast(i1, i2, dt, params) - correlation_b_oracle(i1, i2, dt, params))
+        for i1 in range(-8, 9) for i2 in range(-8, 9) for dt in range(-3, 4)
+    )
+    return Check("kernel_oracle_equivalence", worst <= 1e-10,
+                 "max |fast - oracle| = %.3e at N=%d, |i|<=8, |dt|<=3 (tol 1e-10)"
+                 % (worst, n))
+
+
+def parseval(n: int, n_draws: int, seed: int) -> Check:
+    """sum |J_i|^2 = 1 for the drift spectra of random Wiener phases."""
+    rng = np.random.default_rng(seed)
     worst = 0.0
-    for i1 in range(-4, 5, 2):
-        for i2 in range(-4, 5, 2):
-            for dt in (-2, 0, 1):
-                err = abs(correlation_b_fast(i1, i2, dt, params)
-                          - correlation_b_oracle(i1, i2, dt, params))
-                worst = max(worst, err)
-    rep.check("kernel_oracle_equivalence", worst <= 1e-10,
-              "max |fast - oracle| = %.3e at N=%d (tol 1e-10)" % (worst, n))
-
-
-def _check_parseval(rep: Report, n: int) -> None:
-    rng = np.random.default_rng(11)
-    worst = 0.0
-    for _ in range(100):
-        theta = np.cumsum(rng.normal(0, 0.03, n))
-        j = phase_drift(theta)
+    for _ in range(n_draws):
+        j = phase_drift(np.cumsum(rng.normal(0, 0.05, n)))
         worst = max(worst, abs(np.sum(np.abs(j) ** 2) - 1.0))
-    rep.check("parseval", worst <= 1e-12,
-              "max |sum|J|^2 - 1| = %.3e (tol 1e-12)" % worst)
+    return Check("parseval", worst <= 1e-12,
+                 "max |sum|J|^2 - 1| = %.3e over %d draws at N=%d (tol 1e-12)"
+                 % (worst, n_draws, n))
 
 
-def _check_trace_sum(rep: Report, n: int) -> None:
-    params = KernelParams(n=n, sigma2_tot=7e-4, stride=n)
-    diag = [correlation_b_fast(i, i, 0, params).real for i in range(-n // 2, n // 2)]
-    err1 = abs(sum(diag) - 1.0)
-    b00 = correlation_b_fast(0, 0, 0, params).real
-    err2 = abs((1.0 - b00) - (sum(diag) - b00))
-    rep.check("kernel_trace_sum", err1 <= 1e-10 and err2 <= 1e-10,
-              "|sum B_ii - 1| = %.3e, |(1-B00) - sum_{i!=0}| = %.3e (tol 1e-10)"
-              % (err1, err2))
+def trace_sum(n: int) -> Check:
+    """sum_i B_ii = 1, and the ICI power sum_{i!=0} B_ii = 1 - B_00."""
+    params = KernelParams(n=n, sigma2_tot=_SIGMA2, stride=n)
+    idx = np.arange(-n // 2, n // 2)
+    diag = np.array([correlation_b_fast(i, i, 0, params).real for i in idx])
+    err_sum = abs(diag.sum() - 1.0)
+    err_split = abs(diag[idx != 0].sum() - (1.0 - diag[idx == 0][0]))
+    return Check("kernel_trace_sum", err_sum <= 1e-10 and err_split <= 1e-10,
+                 "|sum B_ii - 1| = %.3e, |sum_{i!=0} B_ii - (1 - B00)| = %.3e at N=%d "
+                 "(tol 1e-10)" % (err_sum, err_split, n))
 
 
-def _check_mc_consistency(rep: Report, n: int) -> None:
-    rng = np.random.default_rng(5)
+def mc_kernel(n: int, n_traces: int, seed: int) -> Check:
+    """E{J_0(tau) J_0(0)*} over generated traces against B_00(tau), tau = 0..3.
+
+    Traces carry the cyclic-prefix jump, so the kernel uses stride N + N_cp.
+    """
     cp = round(0.07 * n)
-    sig2 = 7e-4
-    n_traces = 10000
-    theta = (wiener_walks(n_traces, 3, n, sig2 / 2, cp, rng)
-             + wiener_walks(n_traces, 3, n, sig2 / 2, cp, rng))
+    rng = np.random.default_rng(seed)
+    theta = (wiener_walks(n_traces, 4, n, _SIGMA2 / 2, cp, rng)
+             + wiener_walks(n_traces, 4, n, _SIGMA2 / 2, cp, rng))
     j0 = np.exp(1j * theta).mean(axis=2)
-    params = KernelParams(n=n, sigma2_tot=sig2, stride=n + cp)
-    worst = 0.0
-    for dt in (0, 1, 2):
-        prod = j0[:, dt] * np.conj(j0[:, 0])
-        b = correlation_b_fast(0, 0, dt, params).real
-        dev = abs(prod.real.mean() - b) / (prod.real.std(ddof=1) / np.sqrt(n_traces))
-        worst = max(worst, dev)
-    rep.check("mc_kernel_consistency", worst <= 3.0,
-              "max |mean - B| = %.2f standard errors over %d traces (tol 3)"
-              % (worst, n_traces))
+    prod = j0 * np.conj(j0[:, :1])  # (n_traces, dtau)
+    params = KernelParams(n=n, sigma2_tot=_SIGMA2, stride=n + cp)
+    b = np.array([correlation_b_fast(0, 0, dt, params).real for dt in range(4)])
+    # at dtau = 0 the product is |J_0|^2, real by construction
+    worst = max(_std_errors(prod.real, b).max(), _std_errors(prod.imag[:, 1:], 0.0).max())
+    return Check("mc_kernel_consistency", worst <= 3.0,
+                 "max |mean - B| = %.2f standard errors over %d traces, dt 0..3, "
+                 "N=%d (tol 3)" % (worst, n_traces, n))
 
 
-def _check_domain_equivalence(rep: Report, n: int) -> None:
+def domain_equivalence(n: int, n_draws: int, seed: int) -> Check:
+    """DFT of the time-domain model against the frequency-domain model (symbol 1)."""
     cfg = replace(
         ci_config(), n_subcarriers=n, block_subcarriers=max(2, n // 8),
         block_symbols=3, pilot_symbols=(1, 2), pilot_subcarriers=(0,),
@@ -95,135 +108,129 @@ def _check_domain_equivalence(rep: Report, n: int) -> None:
     )
     layout = cfg.layout()
     pn = cfg.pn_params()
+    book = ofdm.build_pilot_book(layout.tau_p)
     worst = 0.0
-    for seed in range(20):
-        rng = np.random.default_rng(100 + seed)
+    for draw in range(n_draws):
+        rng = np.random.default_rng(seed + draw)
         network = generate_network(layout, rng, shadow_sigma_db=0.0)
-        book = ofdm.build_pilot_book(layout.tau_p)
-        taps = gen_fir_taps(network.beta, rng, n_taps=4)
+        taps = gen_fir_taps(network.beta, rng, n_taps=5)
         grids = ofdm.build_transmit_grids(layout, book, network.pilot_index, rng)
         trace = gen_pn_trace(pn, layout, rng)
-        sym = 1
         noise_t = np.sqrt(network.sigma2 / 2) * (
             rng.standard_normal((layout.n_aps, n)) + 1j * rng.standard_normal((layout.n_aps, n))
         )
-        _, y_freq = ofdm.time_domain_oracle(taps, grids, trace, network, layout, sym,
+        _, y_freq = ofdm.time_domain_oracle(taps, grids, trace, network, layout, 1,
                                             noise_time=noise_t)
-        # frequency-domain model on the same draws
         h_freq = np.fft.fft(taps, n=n, axis=-1)  # (K, L, N)
-        noise_f = np.fft.fft(noise_t, axis=-1) / np.sqrt(n)
-        y_ref = np.array(noise_f)
+        y_ref = np.fft.fft(noise_t, axis=-1) / np.sqrt(n)
         for l in range(layout.n_aps):
             for k in range(layout.n_ues):
-                j = phase_drift(trace.combined(k, l)[sym - 1])
-                x = grids[k, sym - 1] * h_freq[k, l]
+                j = phase_drift(trace.combined(k, l)[0])
+                x = grids[k, 0] * h_freq[k, l]
                 y_ref[l] += np.sqrt(network.p[k]) * np.fft.ifft(np.fft.fft(j) * np.fft.fft(x))
-        rel = np.linalg.norm(y_freq - y_ref) / np.linalg.norm(y_ref)
-        worst = max(worst, rel)
-    rep.check("domain_equivalence", worst <= 1e-9,
-              "max relative |DFT(time model) - freq model| = %.3e at N=%d (tol 1e-9)"
-              % (worst, n))
+        worst = max(worst, np.linalg.norm(y_freq - y_ref) / np.linalg.norm(y_ref))
+    return Check("domain_equivalence", worst <= 1e-9,
+                 "max relative |DFT(time model) - freq model| = %.3e over %d draws at N=%d "
+                 "(tol 1e-9)" % (worst, n_draws, n))
 
 
-def _check_no_pn_reduction(rep: Report) -> None:
-    cfg = replace(ci_config(), gamma_ap=0.0, gamma_ue=0.0, n_aps=4, n_ues=3)
+def no_pn_reduction(cfg: ExperimentConfig) -> Check:
+    """Without phase noise the three estimators coincide and meet the closed form.
+
+    Runs on the network of ``cfg`` with ideal oscillators. The closed form is
+    the pilot-contamination MMSE eps_kl = p_k beta_kl^2 tau_p /
+    (tau_p sum_{i shares k's pilot} p_i beta_il + sigma^2), error variance
+    beta_kl - eps_kl, at every UE, AP and symbol.
+    """
+    cfg = replace(cfg, gamma_ap=0.0, gamma_ue=0.0)
     layout = cfg.layout()
-    pn = cfg.pn_params()
     table = build_kernel_table(cfg)
-    rng = np.random.default_rng(3)
-    network = generate_network(layout, rng, shadow_sigma_db=0.0)
+    network = generate_network(layout, derived_rng(cfg.master_seed, 0, 0),
+                               shadow_sigma_db=0.0)
     book = ofdm.build_pilot_book(layout.tau_p)
-    ctxs = {
-        kind: estimation.build_context(network, layout, table, kind=kind,
-                                       ici_mode=cfg.ici_mode, pn=pn, book=book)
-        for kind in ("pna_ofdm", "pna_sc", "unaware")
-    }
-    y = rng.standard_normal(layout.tau_p) + 1j * rng.standard_normal(layout.tau_p)
-    outs = [
-        np.array([estimation.lmmse_estimate(ctxs[kind], y, 0, 0, tau)
-                  for tau in range(1, layout.block_symbols + 1)])
-        for kind in ctxs
-    ]
-    worst = max(np.abs(outs[0] - outs[1]).max(), np.abs(outs[0] - outs[2]).max())
+    ctxs = [estimation.build_context(network, layout, table, kind=kind, ici_mode=cfg.ici_mode,
+                                     pn=cfg.pn_params(), book=book)
+            for kind in ("pna_ofdm", "pna_sc", "unaware")]
+    rng = derived_rng(cfg.master_seed, 1, 0, 0)
+    y = (rng.standard_normal((layout.n_aps, layout.tau_p))
+         + 1j * rng.standard_normal((layout.n_aps, layout.tau_p)))
+    h_hats = [estimation.estimate_all(ctx, y).h_hat for ctx in ctxs]
+    spread = max(np.abs(h - h_hats[0]).max() for h in h_hats[1:])
 
-    single = replace(cfg, n_ues=1)
-    net1 = generate_network(single.layout(), np.random.default_rng(4), shadow_sigma_db=0.0)
-    ctx1 = estimation.build_context(net1, single.layout(), build_kernel_table(single),
-                                    kind="pna_ofdm", pn=single.pn_params())
-    p, beta = net1.p[0], net1.beta[0, 0]
-    eps_expected = p * beta**2 * single.layout().tau_p / (
-        p * beta * single.layout().tau_p + net1.sigma2
-    )
-    eps_err = abs(estimation.estimation_stats(ctx1, 0, 0, 1)[0] - eps_expected)
-    rep.check(
-        "no_pn_reduction",
-        worst <= 1e-10 and eps_err <= 1e-10 * eps_expected,
-        "estimator spread %.3e (tol 1e-10); single-UE closed-form rel err %.3e"
-        % (worst, eps_err / eps_expected),
-    )
+    p, beta, tau_p = network.p, network.beta, layout.tau_p
+    shares = network.pilot_index[:, None] == network.pilot_index[None, :]
+    expect = (p[:, None] * beta**2 * tau_p
+              / (tau_p * shares @ (p[:, None] * beta) + network.sigma2))[:, :, None]
+    ctx = ctxs[0]
+    abs_err = max(np.abs(ctx.eps - expect).max(),
+                  np.abs(ctx.err_var - (beta[:, :, None] - expect)).max())
+    rel_err = (np.abs(ctx.eps - expect) / expect).max()
+    ok = spread <= 1e-10 and abs_err <= 1e-10 and rel_err <= 1e-10
+    return Check("no_pn_reduction", ok,
+                 "estimator spread %.3e (tol 1e-10); closed form at %d UEs x %d APs: "
+                 "abs err %.3e, eps rel err %.3e (tol 1e-10)"
+                 % (spread, layout.n_ues, layout.n_aps, abs_err, rel_err))
 
 
-def _check_orthogonality(rep: Report) -> None:
-    # runs in the world where the assumed pilot covariance is exact:
-    # generation-consistent kernel stride, equal-index data terms, and one
-    # data draw shared across the pilot symbols
-    cfg = replace(ci_config(), n_aps=3, n_ues=2, n_trials=3000,
-                  ici_mode="independent_data", cp_consistent_correlation=True)
+def lmmse_moments(cfg: ExperimentConfig) -> Check:
+    """Moments of the PN-aware LMMSE estimate of UE 0 at AP 0 over cfg.n_trials trials.
+
+    At every symbol of the block: the orthogonality principle
+    E{(h_eff - h_hat) y*} = 0, the variance decomposition
+    E|h_hat|^2 + E|h_eff - h_hat|^2 = B_00 beta, and E|h_hat|^2 = eps. It runs
+    in the world where the estimator's assumed pilot covariance is exact: the
+    kernel stride that trace generation uses, equal-index data terms only, and
+    one data draw shared across the pilot symbols (the assumed ICI covariance
+    correlates data interference across OFDM symbols).
+    """
+    cfg = replace(cfg, ici_mode="independent_data", cp_consistent_correlation=True)
     layout = cfg.layout()
     pn = cfg.pn_params()
     table = build_kernel_table(cfg)
-    rng = np.random.default_rng(8)
-    network = generate_network(layout, rng, shadow_sigma_db=0.0)
+    network = generate_network(layout, derived_rng(cfg.master_seed, 0, 0),
+                               shadow_sigma_db=0.0)
     book = ofdm.build_pilot_book(layout.tau_p)
     ctx = estimation.build_context(network, layout, table, kind="pna_ofdm",
-                                   ici_mode=cfg.ici_mode, pn=pn, book=book)
-    k, l, tau = 0, 0, 2
-    prods = []
+                                   ici_mode=cfg.ici_mode, pn=pn, book=book,
+                                   eval_block=cfg.eval_block)
+    k, l = 0, 0
+    h_eff = np.empty((cfg.n_trials, layout.block_symbols), dtype=complex)
+    h_hat = np.empty_like(h_eff)
+    y_l = np.empty((cfg.n_trials, layout.tau_p), dtype=complex)
     for t in range(cfg.n_trials):
-        trng = derived_rng(cfg.master_seed, 1, 0, t)
-        channel = gen_channel(network.beta, layout, trng)
-        trace = gen_pn_trace(pn, layout, trng)
-        grids = ofdm.build_transmit_grids(layout, book, network.pilot_index, trng,
+        rng = derived_rng(cfg.master_seed, 1, 0, t)
+        channel = gen_channel(network.beta, layout, rng)
+        trace = gen_pn_trace(pn, layout, rng)
+        grids = ofdm.build_transmit_grids(layout, book, network.pilot_index, rng,
                                           shared_data=True)
-        y = ofdm.synth_pilot_observations(channel.h, grids, trace, network, layout,
-                                          trng, eval_block=cfg.eval_block)
-        j0 = np.exp(1j * trace.combined(k, l)[tau - 1]).mean()
-        h_eff = j0 * channel.h[k, l, cfg.eval_block - 1]
-        h_hat = estimation.lmmse_estimate(ctx, y[l], k, l, tau)
-        prods.append((h_eff - h_hat) * np.conj(y[l]))
-    prods = np.array(prods)
-    dev = max(
-        float(np.max(np.abs(prods.real.mean(0))
-                     / (prods.real.std(0, ddof=1) / np.sqrt(len(prods))))),
-        float(np.max(np.abs(prods.imag.mean(0))
-                     / (prods.imag.std(0, ddof=1) / np.sqrt(len(prods))))),
-    )
-    rep.check("orthogonality_principle", dev <= 3.0,
-              "max |E{(h - h_hat) y*}| = %.2f standard errors over %d trials (tol 3)"
-              % (dev, cfg.n_trials))
+        y = ofdm.synth_pilot_observations(channel.h, grids, trace, network, layout, rng,
+                                          eval_block=cfg.eval_block)
+        j0 = np.exp(1j * trace.combined(k, l)).mean(axis=1)  # (tau_c,)
+        h_eff[t] = j0 * channel.h[k, l, cfg.eval_block - 1]
+        h_hat[t] = estimation.estimate_all(ctx, y).h_hat[k, l]
+        y_l[t] = y[l]
 
-
-def _check_lambda_trace(rep: Report, n: int) -> None:
-    params = KernelParams(n=n, sigma2_tot=7e-4, stride=n)
-    b00 = correlation_b_fast(0, 0, 0, params).real
-    off = sum(correlation_b_fast(i, i, 0, params).real
-              for i in range(-n // 2, n // 2) if i != 0)
-    err = abs((1.0 - b00) - off)
-    rep.check("lambda_trace_sum", err <= 1e-10,
-              "|(1 - B00) - sum_{i!=0} B_ii| = %.3e (tol 1e-10)" % err)
+    prods = (h_eff - h_hat)[:, :, None] * np.conj(y_l)[:, None, :]
+    orth = max(_std_errors(prods.real, 0.0).max(), _std_errors(prods.imag, 0.0).max())
+    power = np.abs(h_hat) ** 2
+    total = power + np.abs(h_eff - h_hat) ** 2
+    var_dev = _std_errors(total, table.cpe(0) * network.beta[k, l]).max()
+    eps_dev = _std_errors(power, ctx.eps[k, l]).max()
+    ok = orth <= 3.0 and var_dev <= 3.0 and eps_dev <= 3.0
+    return Check("lmmse_moments", ok,
+                 "orthogonality %.2f, variance decomposition %.2f, E|h_hat|^2 vs eps %.2f "
+                 "standard errors over %d trials and %d symbols (tol 3)"
+                 % (orth, var_dev, eps_dev, cfg.n_trials, layout.block_symbols))
 
 
 def run_validation(n: int = 64) -> Tuple[bool, List[str]]:
-    """Run every validation check at transform size n; returns (ok, report lines)."""
-    rep = Report()
-    _check_kernel_oracle(rep, min(n, 64))
-    _check_kernel_oracle(rep, n)
-    _check_parseval(rep, n)
-    _check_trace_sum(rep, n)
-    _check_mc_consistency(rep, n)
-    _check_domain_equivalence(rep, 16)
-    _check_domain_equivalence(rep, min(n, 64))
-    _check_no_pn_reduction(rep)
-    _check_orthogonality(rep)
-    _check_lambda_trace(rep, n)
-    return rep.ok, rep.lines
+    """Run every self-check at desk size, transform size n; returns (ok, report lines)."""
+    checks = [kernel_oracle(m) for m in sorted({min(n, 64), n})]
+    checks += [parseval(n, 100, 11), trace_sum(n), mc_kernel(n, 10000, 5)]
+    checks += [domain_equivalence(m, 20, 100) for m in sorted({16, min(n, 64)})]
+    checks += [
+        no_pn_reduction(replace(ci_config(), n_aps=4, n_ues=3, master_seed=3)),
+        lmmse_moments(replace(ci_config(), n_aps=3, n_ues=2, n_trials=3000)),
+    ]
+    lines = ["%s %s: %s" % ("PASS" if c.ok else "FAIL", c.name, c.detail) for c in checks]
+    return all(c.ok for c in checks), lines

@@ -15,8 +15,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cfofdm import validate
 from cfofdm.config import ci_config, fig2_config
-from cfofdm.estimation import build_context, estimate_all, estimation_stats
+from cfofdm.estimation import build_context, estimate_all
 from cfofdm.harness import (
     build_kernel_table,
     derived_rng,
@@ -25,22 +26,9 @@ from cfofdm.harness import (
     run_fig2,
     run_fig3,
 )
-from cfofdm.network import gen_channel, gen_fir_taps, generate_network
-from cfofdm.ofdm import (
-    build_pilot_book,
-    build_transmit_grids,
-    synth_pilot_observations,
-    time_domain_oracle,
-)
-from cfofdm.phase_noise import (
-    KernelParams,
-    build_correlation_table,
-    correlation_b_fast,
-    correlation_b_oracle,
-    gen_pn_trace,
-    phase_drift,
-    wiener_walks,
-)
+from cfofdm.network import gen_channel, generate_network
+from cfofdm.ofdm import build_pilot_book, build_transmit_grids, synth_pilot_observations
+from cfofdm.phase_noise import gen_pn_trace
 from cfofdm.se import SinrAccumulator, finalize_sinr, lambda_ici
 
 import no_pn_reference
@@ -52,169 +40,43 @@ def _report(num: int, name: str, passed: bool, detail: str) -> bool:
     return passed
 
 
+def _joined(checks):
+    """(all passed, details joined) of several validate.Check results."""
+    return all(c.ok for c in checks), "; ".join(c.detail for c in checks)
+
+
 def test_criterion_1_kernel_oracle_equivalence():
-    worst = 0.0
-    for n in (16, 64, 256):
-        params = KernelParams(n=n, sigma2_tot=7e-4, stride=n)
-        for i1 in range(-8, 9):
-            for i2 in range(-8, 9):
-                for dt in range(-3, 4):
-                    err = abs(correlation_b_fast(i1, i2, dt, params)
-                              - correlation_b_oracle(i1, i2, dt, params))
-                    worst = max(worst, err)
-    assert _report(1, "kernel oracle equivalence", worst <= 1e-10,
-                   "max |fast - oracle| = %.3e over N in {16,64,256}, |i|<=8, |dt|<=3"
-                   % worst)
+    checks = [validate.kernel_oracle(n) for n in (16, 64, 256)]
+    assert _report(1, "kernel oracle equivalence", *_joined(checks))
 
 
 def test_criterion_2_parseval_and_trace_sum():
-    rng = np.random.default_rng(21)
-    worst_parseval = 0.0
-    for _ in range(100):
-        theta = np.cumsum(rng.normal(0, 0.05, 256))
-        j = phase_drift(theta)
-        worst_parseval = max(worst_parseval, abs(np.sum(np.abs(j) ** 2) - 1.0))
-    params = KernelParams(n=256, sigma2_tot=7e-4, stride=256)
-    diag = np.array([correlation_b_fast(i, i, 0, params).real
-                     for i in range(-128, 128)])
-    b00 = correlation_b_fast(0, 0, 0, params).real
-    err_trace = abs(diag.sum() - 1.0)
-    err_split = abs((1.0 - b00) - (diag.sum() - b00))
-    ok = worst_parseval <= 1e-12 and err_trace <= 1e-10 and err_split <= 1e-10
-    assert _report(2, "Parseval and trace-sum identities", ok,
-                   "parseval %.2e (tol 1e-12), trace %.2e, ICI-power split %.2e (tol 1e-10)"
-                   % (worst_parseval, err_trace, err_split))
+    checks = [validate.parseval(256, 100, 21), validate.trace_sum(256)]
+    assert _report(2, "Parseval and trace-sum identities", *_joined(checks))
 
 
 def test_criterion_3_domain_equivalence():
-    worst = 0.0
-    for n in (16, 64):
-        cfg = replace(
-            ci_config(), n_subcarriers=n, block_subcarriers=max(2, n // 8),
-            block_symbols=3, pilot_symbols=(1, 2), pilot_subcarriers=(0,),
-            n_aps=2, n_ues=2, shadow_sigma_db=0.0,
-        )
-        layout = cfg.layout()
-        pn = cfg.pn_params()
-        for seed in range(100):
-            rng = np.random.default_rng(3000 + seed)
-            network = generate_network(layout, rng, shadow_sigma_db=0.0)
-            book = build_pilot_book(layout.tau_p)
-            taps = gen_fir_taps(network.beta, rng, n_taps=5)
-            grids = build_transmit_grids(layout, book, network.pilot_index, rng)
-            trace = gen_pn_trace(pn, layout, rng)
-            noise_t = np.sqrt(network.sigma2 / 2) * (
-                rng.standard_normal((layout.n_aps, n))
-                + 1j * rng.standard_normal((layout.n_aps, n)))
-            _, y_freq = time_domain_oracle(taps, grids, trace, network, layout, 1,
-                                           noise_time=noise_t)
-            h_freq = np.fft.fft(taps, n=n, axis=-1)
-            y_ref = np.fft.fft(noise_t, axis=-1) / np.sqrt(n)
-            for l in range(layout.n_aps):
-                for k in range(layout.n_ues):
-                    j = phase_drift(trace.combined(k, l)[0])
-                    x = grids[k, 0] * h_freq[k, l]
-                    y_ref[l] += np.sqrt(network.p[k]) * np.fft.ifft(
-                        np.fft.fft(j) * np.fft.fft(x))
-            worst = max(worst, np.linalg.norm(y_freq - y_ref) / np.linalg.norm(y_ref))
-    assert _report(3, "time/frequency domain equivalence", worst <= 1e-9,
-                   "max relative error %.3e over 100 draws at N=16 and N=64" % worst)
+    checks = [validate.domain_equivalence(n, 100, 3000) for n in (16, 64)]
+    assert _report(3, "time/frequency domain equivalence", *_joined(checks))
 
 
 def test_criterion_4_mc_kernel_consistency():
-    n, cp, sig2 = 64, 4, 7e-4
-    n_traces = 20000
-    rng = np.random.default_rng(44)
-    theta = (wiener_walks(n_traces, 4, n, sig2 / 2, cp, rng)
-             + wiener_walks(n_traces, 4, n, sig2 / 2, cp, rng))
-    j0 = np.exp(1j * theta).mean(axis=2)
-    params_gen = KernelParams(n=n, sigma2_tot=sig2, stride=n + cp)
-    params_lit = KernelParams(n=n, sigma2_tot=sig2, stride=n)
-    worst = 0.0
-    for dt in (0, 1, 2, 3):
-        prod = j0[:, dt] * np.conj(j0[:, 0])
-        params = params_gen if dt != 0 else params_lit  # dt=0 is stride-free
-        b = correlation_b_fast(0, 0, dt, params).real
-        se_re = prod.real.std(ddof=1) / np.sqrt(n_traces)
-        se_im = prod.imag.std(ddof=1) / np.sqrt(n_traces)
-        worst = max(worst, abs(prod.real.mean() - b) / se_re,
-                    abs(prod.imag.mean()) / se_im)
-    assert _report(4, "Monte Carlo kernel consistency", worst <= 3.0,
-                   "max deviation %.2f standard errors over %d traces" % (worst, n_traces))
+    checks = [validate.mc_kernel(64, 20000, 44)]
+    assert _report(4, "Monte Carlo kernel consistency", *_joined(checks))
 
 
 def test_criterion_5_estimator_correctness():
     """Closed-form no-PN reduction, orthogonality, and variance decomposition.
 
-    The statistical checks run in the world where the estimator's assumed
-    second-order model is exact: kernel stride matching trace generation,
-    equal-index data terms only, and one data draw shared across the pilot
-    symbols (the assumed ICI covariance correlates data interference across
-    OFDM symbols, so an exact LMMSE check must synthesize it that way).
+    The moment checks run at CI scale over 1e4 trials, in the world where the
+    estimator's assumed second-order model is exact (see
+    ``validate.lmmse_moments``).
     """
-    # (i) no-PN reduction against the closed-form single-UE MMSE
-    cfg0 = replace(ci_config(), gamma_ap=0.0, gamma_ue=0.0, n_ues=1, n_aps=3)
-    layout0 = cfg0.layout()
-    net0 = generate_network(layout0, derived_rng(7, 0, 0), shadow_sigma_db=0.0)
-    ctx0 = build_context(net0, layout0, build_kernel_table(cfg0), kind="pna_ofdm",
-                         pn=cfg0.pn_params())
-    closed_err = 0.0
-    for l in range(layout0.n_aps):
-        p, beta = net0.p[0], net0.beta[0, l]
-        expect = p * beta**2 * layout0.tau_p / (p * beta * layout0.tau_p + net0.sigma2)
-        eps, c = estimation_stats(ctx0, 0, l, 1)
-        closed_err = max(closed_err, abs(eps - expect), abs(c - (beta - expect)))
-
-    # (ii) orthogonality principle and variance decomposition with phase noise,
-    # at CI scale over 1e4 trials
-    n_trials = 10000
-    cfg = replace(ci_config(), n_trials=n_trials, ici_mode="independent_data",
-                  cp_consistent_correlation=True, master_seed=55)
-    layout = cfg.layout()
-    pn = cfg.pn_params()
-    table = build_kernel_table(cfg)
-    network = generate_network(layout, derived_rng(cfg.master_seed, 0, 0),
-                               shadow_sigma_db=0.0)
-    book = build_pilot_book(layout.tau_p)
-    ctx = build_context(network, layout, table, kind="pna_ofdm",
-                        ici_mode=cfg.ici_mode, pn=pn, book=book)
-    k, l, tau = 0, 0, 3
-    h_eff_arr = np.empty(n_trials, dtype=complex)
-    h_hat_arr = np.empty(n_trials, dtype=complex)
-    y_arr = np.empty((n_trials, layout.tau_p), dtype=complex)
-    for t in range(n_trials):
-        rng = derived_rng(cfg.master_seed, 1, 0, t)
-        channel = gen_channel(network.beta, layout, rng)
-        trace = gen_pn_trace(pn, layout, rng)
-        grids = build_transmit_grids(layout, book, network.pilot_index, rng,
-                                     shared_data=True)
-        y = synth_pilot_observations(channel.h, grids, trace, network, layout, rng)
-        j0 = np.exp(1j * trace.combined(k, l)[tau - 1]).mean()
-        h_eff_arr[t] = j0 * channel.h[k, l, 0]
-        est = estimate_all(ctx, y)
-        h_hat_arr[t] = est.h_hat[k, l, tau - 1]
-        y_arr[t] = y[l]
-
-    prods = (h_eff_arr - h_hat_arr)[:, None] * np.conj(y_arr)
-    dev_re = np.abs(prods.real.mean(axis=0)) / (
-        prods.real.std(axis=0, ddof=1) / np.sqrt(n_trials))
-    dev_im = np.abs(prods.imag.mean(axis=0)) / (
-        prods.imag.std(axis=0, ddof=1) / np.sqrt(n_trials))
-    orth_dev = float(max(dev_re.max(), dev_im.max()))
-
-    # variance decomposition: var(h_hat) + var(h_eff - h_hat) equals the
-    # effective-channel power B00 * beta (reduces to beta when PN vanishes)
-    b00 = table.cpe(0)
-    total = np.abs(h_hat_arr) ** 2 + np.abs(h_eff_arr - h_hat_arr) ** 2
-    expect_total = b00 * network.beta[k, l]
-    var_dev = abs(total.mean() - expect_total) / (total.std(ddof=1) / np.sqrt(n_trials))
-
-    ok = closed_err <= 1e-10 and orth_dev <= 3.0 and var_dev <= 3.0
-    assert _report(
-        5, "estimator correctness", ok,
-        "closed-form err %.2e (tol 1e-10); orthogonality %.2f se; "
-        "variance decomposition %.2f se over %d trials" % (closed_err, orth_dev,
-                                                           var_dev, n_trials))
+    checks = [
+        validate.no_pn_reduction(replace(ci_config(), n_ues=1, n_aps=3, master_seed=7)),
+        validate.lmmse_moments(replace(ci_config(), n_trials=10000, master_seed=55)),
+    ]
+    assert _report(5, "estimator correctness", *_joined(checks))
 
 
 def test_criterion_6_no_pn_pipeline_equivalence():

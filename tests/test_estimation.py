@@ -422,7 +422,6 @@ class TestStatisticalConsistency:
         # empirical estimate variance matches the model value
         eps_model = ctx.eps[k, l, tau - 1]
         var_hat = np.mean(np.abs(h_hat) ** 2)
-        se = np.abs(h_hat).std(ddof=1) ** 2 / np.sqrt(n) * 2  # loose delta bound
         assert abs(var_hat - eps_model) <= 3 * np.std(np.abs(h_hat) ** 2) / np.sqrt(n)
 
         # variance decomposition against the effective-channel power:

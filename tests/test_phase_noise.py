@@ -99,12 +99,6 @@ class TestPhaseDrift:
         assert j[0] == pytest.approx(np.exp(1j * c))
         assert np.abs(j[1:]).max() < 1e-14
 
-    def test_parseval(self, rng):
-        for _ in range(50):
-            theta = np.cumsum(rng.normal(0, 0.02, 64))
-            j = phase_drift(theta)
-            assert abs(np.sum(np.abs(j) ** 2) - 1.0) < 1e-12
-
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             phase_drift(np.zeros(0))
@@ -125,16 +119,6 @@ class TestKernelOracle:
 
 
 class TestKernelFast:
-    def test_matches_oracle_on_grid(self, kernel_params_64):
-        worst = 0.0
-        for i1 in range(-8, 9, 3):
-            for i2 in range(-8, 9, 3):
-                for dt in (-3, -1, 0, 2):
-                    worst = max(worst, abs(
-                        correlation_b_fast(i1, i2, dt, kernel_params_64)
-                        - correlation_b_oracle(i1, i2, dt, kernel_params_64)))
-        assert worst <= 1e-10
-
     def test_equal_offsets_counting_identity(self, kernel_params_64):
         # i1 == i2 keeps exactly N - |d| terms per lag: check against a direct sum
         n = kernel_params_64.n
@@ -152,15 +136,6 @@ class TestKernelFast:
             a = correlation_b_fast(i1, i2, dt, kernel_params_64)
             b = correlation_b_fast(i2, i1, -dt, kernel_params_64)
             assert a == pytest.approx(np.conj(b), abs=1e-14)
-
-    def test_trace_sum_rule(self, kernel_params_64):
-        n = kernel_params_64.n
-        diag = [correlation_b_fast(i, i, 0, kernel_params_64).real
-                for i in range(-n // 2, n // 2)]
-        assert sum(diag) == pytest.approx(1.0, abs=1e-10)
-        b00 = correlation_b_fast(0, 0, 0, kernel_params_64).real
-        assert 1 - b00 == pytest.approx(sum(diag) - b00, abs=1e-10)
-
 
 class TestCorrelationTable:
     def test_cached_entries_match_oracle(self, kernel_params_64, rng):
@@ -240,32 +215,3 @@ class TestCorrelationTable:
         for dt in range(-14, 15):
             assert 0.0 < table.cpe(dt) <= 1.0
 
-
-class TestMonteCarloConsistency:
-    @pytest.mark.parametrize("cp_consistent", [False, True])
-    def test_same_symbol_lag(self, cp_consistent):
-        n, cp, sig2 = 64, 4, 7e-4
-        rng = np.random.default_rng(11)
-        theta = (wiener_walks(20000, 1, n, sig2 / 2, cp, rng)
-                 + wiener_walks(20000, 1, n, sig2 / 2, cp, rng))
-        j0 = np.exp(1j * theta[:, 0]).mean(axis=1)
-        prod = np.abs(j0) ** 2
-        stride = n + cp if cp_consistent else n
-        b = correlation_b_fast(0, 0, 0, KernelParams(n, sig2, stride)).real
-        se = prod.std(ddof=1) / np.sqrt(prod.size)
-        assert abs(prod.mean() - b) <= 3 * se
-
-    def test_cross_symbol_lag_generation_consistent(self):
-        n, cp, sig2 = 64, 4, 7e-4
-        rng = np.random.default_rng(12)
-        theta = (wiener_walks(20000, 4, n, sig2 / 2, cp, rng)
-                 + wiener_walks(20000, 4, n, sig2 / 2, cp, rng))
-        j0 = np.exp(1j * theta).mean(axis=2)
-        params = KernelParams(n, sig2, stride=n + cp)
-        for dt in (1, 2, 3):
-            prod = j0[:, dt] * np.conj(j0[:, 0])
-            b = correlation_b_fast(0, 0, dt, params).real
-            se_re = prod.real.std(ddof=1) / np.sqrt(prod.size)
-            se_im = prod.imag.std(ddof=1) / np.sqrt(prod.size)
-            assert abs(prod.real.mean() - b) <= 3 * se_re, "dtau=%d" % dt
-            assert abs(prod.imag.mean()) <= 3 * se_im, "dtau=%d" % dt

@@ -153,13 +153,16 @@ class TestFinalize:
             SimulationLayout(16, 2, 15e3, 8, 2, (0,), (1,), 1, 1, 100.0),
             np.array([[beta]]), [0], p=p, sigma2=s2)
         rng = np.random.default_rng(3)
-        acc = SinrAccumulator(1, 1, 1)
         n = 400000
         hh = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(eps / 2)
         e = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(c / 2)
-        for i in range(n):
-            acc.add_symbol(0, np.array([[[hh[i]]]]), np.array([[[hh[i] + e[i]]]]),
-                           np.zeros((1, 1)), network.D)
+        # one stacked call with the draws on the symbol axis, summed into one symbol
+        draws = SinrAccumulator(1, 1, n)
+        draws.add_symbol(0, hh[:, None, None], (hh + e)[None, None, :],
+                         np.zeros((1, 1)), network.D)
+        acc = SinrAccumulator(1, 1, 1)
+        for name in ("gain", "cross", "ici", "vnorm"):
+            getattr(acc, name)[:] = getattr(draws, name).sum(axis=2, keepdims=True)
         acc.count = n
         sinr = finalize_sinr(acc, network, 0)[0, 0]
         assert sinr == pytest.approx(p * eps / (p * beta + s2), rel=0.02)
