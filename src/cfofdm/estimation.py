@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .network import NetworkRealization, SimulationLayout
 from .phase_noise import KernelGrid, KernelParams, PnParams, correlation_b_fast
@@ -185,11 +184,12 @@ def build_psi(
     pn: Optional[PnParams] = None,
     book: Optional[np.ndarray] = None,
 ):
-    """Pilot observation covariance Psi_l per AP, with Cholesky factorizations.
+    """Pilot observation covariance Psi_l per AP: (L, tau_p, tau_p) Hermitian.
 
     Psi_l = sum_k p_k beta_{k,l} Phi_{t_k} + Z_l + sigma^2 I, where
     [Phi_t]_{i1,i2} = s_t[i1] s_t[i2]^* k(sym_{i1} - sym_{i2}) under the
-    estimator kind's CPE kernel k.
+    estimator kind's CPE kernel k.  Raises RuntimeError unless every Psi_l is
+    positive definite.
     """
     if book is None:
         from .ofdm import build_pilot_book
@@ -210,10 +210,10 @@ def build_psi(
     psi += network.sigma2 * np.eye(tau_p)[None, :, :]
     psi = 0.5 * (psi + np.conj(np.swapaxes(psi, 1, 2)))
     try:
-        factors = [cho_factor(psi[l]) for l in range(layout.n_aps)]
+        np.linalg.cholesky(psi)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError("pilot covariance factorization failed: %s" % exc) from exc
-    return psi, factors
+    return psi
 
 
 @dataclass
@@ -260,7 +260,7 @@ def build_context(
     if kind == "pna_ofdm":
         z = build_z_ici(network, layout, table, mode=ici_mode, book=book,
                         eval_block=eval_block, base=ici_base)
-    psi, factors = build_psi(network, layout, table, z, kind=kind, pn=pn, book=book)
+    psi = build_psi(network, layout, table, z, kind=kind, pn=pn, book=book)
 
     _, syms = _slot_geometry(layout)
     tau_c, tau_p = layout.block_symbols, layout.tau_p
@@ -268,17 +268,15 @@ def build_context(
                                  table, pn, layout)
 
     K, L = network.beta.shape
-    coef = np.zeros((L, K, tau_c, tau_p), dtype=complex)
-    eps = np.zeros((K, L, tau_c))
     s_all = book[:, network.pilot_index]  # (tau_p, K)
     # rhs columns: B^(tau)H s_{t_k} for every (k, tau) pair
     rhs = (np.conj(b_weights).T[:, None, :] * s_all[:, :, None]).reshape(tau_p, -1)
-    for l in range(L):
-        sol = cho_solve(factors[l], rhs)  # Psi_l^{-1} rhs
-        quad = np.real(np.sum(np.conj(rhs) * sol, axis=0)).reshape(K, tau_c)
-        scale = np.sqrt(network.p) * network.beta[:, l]  # (K,)
-        coef[l] = np.conj(sol.reshape(tau_p, K, tau_c)).transpose(1, 2, 0) * scale[:, None, None]
-        eps[:, l, :] = network.p[:, None] * network.beta[:, l, None] ** 2 * quad
+    sol = np.linalg.solve(psi, rhs)  # (L, tau_p, K * tau_c): Psi_l^{-1} rhs
+    quad = np.real(np.sum(np.conj(rhs) * sol, axis=1)).reshape(L, K, tau_c)
+    scale = np.sqrt(network.p)[None, :] * network.beta.T  # (L, K)
+    coef = (np.conj(sol.reshape(L, tau_p, K, tau_c)).transpose(0, 2, 3, 1)
+            * scale[:, :, None, None])
+    eps = network.p[:, None, None] * network.beta[:, :, None] ** 2 * quad.transpose(1, 0, 2)
     err_var = network.beta[:, :, None] - eps
     return EstimatorContext(
         kind=kind, layout=layout, book=book, pilot_index=network.pilot_index,

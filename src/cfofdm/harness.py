@@ -19,7 +19,7 @@ from .phase_noise import (
     KernelParams,
     PnParams,
     build_correlation_table,
-    cpe_per_symbol,
+    cpe_per_symbol,  # unused here; perfbench/probe.py wraps this name (ROADMAP item 2)
     gen_pn_trace,
 )
 
@@ -118,11 +118,9 @@ def run_trial(
     trace = gen_pn_trace(pn, layout, rng)
     grids = ofdm.build_transmit_grids(layout, book, network.pilot_index, rng,
                                       data_kind=cfg.data_symbols)
-    cpe = cpe_per_symbol(trace)  # (K, L, tau_c)
-    y = ofdm.synth_pilot_observations(
+    y, cpe = ofdm.synth_pilot_observations(
         channel.h, grids, trace, network, layout, rng,
-        eval_block=cfg.eval_block, gaussian_ici=cfg.gaussian_ici,
-        ici_power=lam, cpe=cpe,
+        eval_block=cfg.eval_block, gaussian_ici=cfg.gaussian_ici, ici_power=lam,
     )
     h_eff = cpe * channel.h[:, :, cfg.eval_block - 1][:, :, None]
 
@@ -317,11 +315,6 @@ def run_experiment(
 
 def records_to_csv(records: Sequence[ResultRecord]) -> str:
     return "\n".join([CSV_HEADER] + [r.csv_row() for r in records]) + "\n"
-
-
-def write_csv(records: Sequence[ResultRecord], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(records_to_csv(records))
 
 
 def no_pn_variant(cfg: ExperimentConfig) -> ExperimentConfig:

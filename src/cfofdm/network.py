@@ -111,11 +111,6 @@ class SimulationLayout:
             (n, t) for t in self.pilot_symbols for n in self.pilot_subcarriers
         )
 
-    def block_subcarrier_range(self, block: int) -> np.ndarray:
-        """Absolute subcarrier indices of 1-based coherence block ``block``."""
-        lo = (block - 1) * self.block_subcarriers
-        return np.arange(lo, min(lo + self.block_subcarriers, self.n_subcarriers))
-
     def pilot_subcarriers_absolute(self) -> np.ndarray:
         """Absolute subcarrier indices that carry pilots, across all blocks."""
         offs = np.arange(self.n_blocks) * self.block_subcarriers

@@ -3,12 +3,12 @@ inter-carrier interference, and the time-domain validation oracle."""
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .network import NetworkRealization, SimulationLayout
-from .phase_noise import PhaseNoiseTrace, cpe_per_symbol, phasor
+from .phase_noise import PhaseNoiseTrace, phasor
 
 
 def build_pilot_book(tau_p: int) -> np.ndarray:
@@ -68,12 +68,6 @@ def build_transmit_grids(
     return grids
 
 
-def expand_blocks(h: np.ndarray, layout: SimulationLayout) -> np.ndarray:
-    """Expand per-block channels (..., R) to per-subcarrier channels (..., N)."""
-    full = np.repeat(h, layout.block_subcarriers, axis=-1)
-    return full[..., : layout.n_subcarriers]
-
-
 def synth_pilot_observations(
     h: np.ndarray,
     grids: np.ndarray,
@@ -84,52 +78,69 @@ def synth_pilot_observations(
     eval_block: int = 1,
     gaussian_ici: bool = False,
     ici_power: Optional[np.ndarray] = None,
-    cpe: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Received pilot observations y (L, tau_p) with exact phase-noise ICI.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Received pilot observations with exact phase-noise ICI, and the common
+    phase errors of every symbol of the block.
 
     For every pilot slot (n, tau) and AP l the received sample is
     sum_k sqrt(p_k) * (J_{k,l} conv (h_{k,l} .* s_k))[n] + noise.  With
     ``gaussian_ici`` the ICI part (everything but the J_0 term) is replaced by
     a circularly-symmetric Gaussian of matched power ``ici_power`` (K, L) per
-    pilot sample.  The noise is drawn last, after any Gaussian ICI.
+    pilot sample, drawn in pilot-symbol order.  The noise is drawn last.
 
     Parameters
     ----------
     h : (K, L, R) per-block channel draws for this trial.
     grids : (K, |T_p|, N) transmit grids for the pilot-bearing symbols.
+
+    Returns
+    -------
+    y : (L, tau_p) stacked pilot observations per AP.
+    cpe : (K, L, tau_c) common phase errors J_{k,l,0}^{(tau)}, equal to
+        ``phase_noise.cpe_per_symbol(trace)``.
     """
     K, L, _ = h.shape
     n = layout.n_subcarriers
+    nc = layout.block_subcarriers
+    r_whole = n // nc  # whole coherence blocks; a partial one may follow
+    n_sym = layout.block_symbols
     tau_p = layout.tau_p
     if gaussian_ici and ici_power is None:
         raise ValueError("ici_power required in gaussian_ici mode")
     sqrt_p = np.sqrt(network.p)
-    h_full = expand_blocks(h, layout)  # (K, L, N)
 
-    block_lo = (eval_block - 1) * layout.block_subcarriers
+    block_lo = (eval_block - 1) * nc
     slots = layout.pilot_slots
     slot_sub = np.array([block_lo + nu for nu, _ in slots])
     slot_sym = np.array([t for _, t in slots])  # 1-based
 
     y = np.empty((L, tau_p), dtype=complex)
+    cpe = np.empty((K, L, n_sym), dtype=complex)
     # fft(J_{k,l}) equals the time-domain phasor exp(j*theta) reversed mod N,
     # so the circular convolution never needs an explicit J vector.
     rev = (-np.arange(n)) % n
     g = np.empty((L, n), dtype=complex)
     fx = np.empty((L, n), dtype=complex)
-    for si, t_sym in enumerate(layout.pilot_symbols):
-        in_slot = np.flatnonzero(slot_sym == t_sym)
-        subs = slot_sub[in_slot]
+    fx_blocks = fx[:, : r_whole * nc].reshape(L, r_whole, nc)  # a view of fx
+    pilot_si = {t: si for si, t in enumerate(layout.pilot_symbols)}
+    # pilot symbols first, in layout order, which is the order of the ICI draws
+    order = list(layout.pilot_symbols) + [t for t in range(1, n_sym + 1) if t not in pilot_si]
+    for t_sym in order:
         ue_phase = trace.ue_phase[:, t_sym - 1, :]
         ap_phase = trace.ap_phase[:, t_sym - 1, :]
+        e_ue = phasor(ue_phase)  # (K, N)
+        e_ap = phasor(ap_phase)  # (L, N)
+        cpe[:, :, t_sym - 1] = e_ue @ e_ap.T / n
+        if t_sym not in pilot_si:
+            continue
+        si = pilot_si[t_sym]
+        in_slot = np.flatnonzero(slot_sym == t_sym)
+        subs = slot_sub[in_slot]
         # a phase constant over the symbol makes J a delta: no ICI at all
         flat = (ue_phase == ue_phase[:, :1]).all() and (ap_phase == ap_phase[:, :1]).all()
         if gaussian_ici or flat:
-            if cpe is None:
-                cpe = cpe_per_symbol(trace)  # (K, L, tau_c)
             terms = (sqrt_p[:, None, None] * grids[:, si, subs][:, None, :]
-                     * cpe[:, :, t_sym - 1, None] * h_full[:, :, subs])
+                     * cpe[:, :, t_sym - 1, None] * h[:, :, subs // nc])
             if gaussian_ici:
                 z = (
                     rng.standard_normal((K, L, len(in_slot)))
@@ -138,22 +149,25 @@ def synth_pilot_observations(
                 terms += z * np.sqrt(ici_power)[:, :, None]
             y[:, in_slot] = terms.sum(axis=0)
             continue
-        # g[l, m] = sum_k sqrt(p_k) e_ue[k, m] fft(h_{k,l} .* s_k)[m], one k at a time
-        w_ue = sqrt_p[:, None] * phasor(ue_phase[:, rev])  # (K, N)
+        # g[l, m] = sum_k sqrt(p_k) e_ue[k, m] fft(h_{k,l} .* s_k)[m], one k at a
+        # time; h_{k,l} is constant over each block, the last one maybe partial
+        w_ue = sqrt_p[:, None] * e_ue[:, rev]  # (K, N)
         g.fill(0.0)
         for k in range(K):
-            np.multiply(h_full[k], grids[k, si], out=fx)
+            fx_blocks[...] = h[k, :, :r_whole, None]
+            fx[:, r_whole * nc :] = h[k, :, r_whole:]
+            np.multiply(fx, grids[k, si], out=fx)
             np.fft.fft(fx, axis=-1, out=fx)
             np.multiply(fx, w_ue[k], out=fx)
             np.add(g, fx, out=g)
-        g *= phasor(ap_phase[:, rev])
+        g *= e_ap[:, rev]
         phases = np.exp(2j * np.pi * np.outer(subs, np.arange(n)) / n)
         y[:, in_slot] = g @ phases.T / n
 
     y += np.sqrt(network.sigma2 / 2.0) * (
         rng.standard_normal((L, tau_p)) + 1j * rng.standard_normal((L, tau_p))
     )
-    return y
+    return y, cpe
 
 
 def time_domain_oracle(

@@ -138,6 +138,13 @@ class KernelParams:
     sigma2_tot: float
     stride: int
 
+    def __post_init__(self):
+        # build_correlation_table relies on it: every sample lag of a nonzero
+        # symbol lag then has that symbol lag's sign
+        if self.stride < self.n - 1:
+            raise ValueError("kernel stride %d is below N - 1 = %d"
+                             % (self.stride, self.n - 1))
+
     @classmethod
     def from_layout(cls, layout: SimulationLayout, pn: PnParams,
                     cp_consistent: bool = False) -> "KernelParams":
@@ -160,19 +167,22 @@ def _kernel_factors(n: int, offsets, deltas):
 
     Returns the phase rows exp(-2j*pi*d*i1/N), one per row offset i1, and the
     inner rows, one per offset difference delta = (i1 - i2) mod N: the inner
-    sum over n2 is geometric with ratio exp(-2j*pi*delta/N) over N - |d| terms
-    starting at max(0, -d).
+    sum over n2 is geometric with ratio q = exp(-2j*pi*delta/N) over N - |d|
+    terms starting at max(0, -d).  Every power of q is a phasor of an exponent
+    reduced mod N.
     """
     d = np.arange(-(n - 1), n)
-    phase = np.exp(-2j * np.pi * d[None, :] * np.asarray(offsets)[:, None] / n)
     count = n - np.abs(d)
-    inner = np.empty((len(deltas), d.size), dtype=complex)
-    for r, delta in enumerate(deltas):
-        if delta == 0:
-            inner[r] = count
-        else:
-            q = np.exp(-2j * np.pi * delta / n)
-            inner[r] = q ** np.maximum(0, -d) * (1.0 - q**count) / (1.0 - q)
+
+    def root(m):  # exp(-2j*pi*m/N) for integer m
+        return phasor(-2.0 * np.pi / n * (m % n))
+
+    phase = root(d[None, :] * np.asarray(offsets)[:, None])
+    deltas = np.asarray(deltas)
+    inner = np.empty((deltas.size, d.size), dtype=complex)
+    inner[deltas == 0] = count
+    q = deltas[deltas != 0, None]
+    inner[deltas != 0] = root(q * np.maximum(0, -d)) * (1.0 - root(q * count)) / (1.0 - root(q))
     return phase, inner
 
 
@@ -252,15 +262,21 @@ def build_correlation_table(params: KernelParams, offsets: Iterable[int],
                             lags: Iterable[int]) -> KernelGrid:
     """Evaluate the kernel over every offset pair of ``offsets`` at every lag.
 
-    The offset difference enters only through the inner factor, so each lag is
+    The offset difference enters only through the inner factor, so a lag is
     one matrix product of the phase rows with the inner rows of the distinct
-    differences.  Evaluating one lag at a time bounds the temporaries.
+    differences.  Only lags -1, 0 and 1 need one: for |dtau| >= 1 every
+    sample lag dtau*stride + d has the sign of dtau (stride >= N - 1), so the
+    damping factorizes and B^(dtau) = exp(-sigma2/2 (|dtau| - 1) stride)
+    B^(sign dtau).
     """
     offsets = np.unique(np.fromiter(offsets, dtype=int))
     lags = np.unique(np.fromiter(lags, dtype=int))
     deltas = np.unique((offsets[:, None] - offsets[None, :]) % params.n)
     factors = _kernel_factors(params.n, offsets, deltas)
+    signs = np.sign(lags)
+    base = {int(s): _kernel_rows(params, int(s), *factors) for s in np.unique(signs)}
+    decay = np.exp(-params.sigma2_tot / 2.0 * np.maximum(np.abs(lags) - 1, 0) * params.stride)
     values = np.empty((lags.size, offsets.size, deltas.size), dtype=complex)
-    for a, dtau in enumerate(lags):
-        values[a] = _kernel_rows(params, int(dtau), *factors)
+    for a, s in enumerate(signs):
+        np.multiply(base[int(s)], decay[a], out=values[a])
     return KernelGrid(params, offsets, lags, deltas, values)

@@ -203,10 +203,9 @@ def lmmse_moments(cfg: ExperimentConfig) -> Check:
         trace = gen_pn_trace(pn, layout, rng)
         grids = ofdm.build_transmit_grids(layout, book, network.pilot_index, rng,
                                           shared_data=True)
-        y = ofdm.synth_pilot_observations(channel.h, grids, trace, network, layout, rng,
-                                          eval_block=cfg.eval_block)
-        j0 = np.exp(1j * trace.combined(k, l)).mean(axis=1)  # (tau_c,)
-        h_eff[t] = j0 * channel.h[k, l, cfg.eval_block - 1]
+        y, cpe = ofdm.synth_pilot_observations(channel.h, grids, trace, network, layout,
+                                               rng, eval_block=cfg.eval_block)
+        h_eff[t] = cpe[k, l] * channel.h[k, l, cfg.eval_block - 1]
         h_hat[t] = estimation.estimate_all(ctx, y).h_hat[k, l]
         y_l[t] = y[l]
 

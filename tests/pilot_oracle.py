@@ -12,8 +12,13 @@ from typing import Optional
 
 import numpy as np
 
-from cfofdm.ofdm import expand_blocks
 from cfofdm.phase_noise import cpe_per_symbol
+
+
+def expand_blocks(h: np.ndarray, layout) -> np.ndarray:
+    """Expand per-block channels (..., R) to per-subcarrier channels (..., N)."""
+    full = np.repeat(h, layout.block_subcarriers, axis=-1)
+    return full[..., : layout.n_subcarriers]
 
 
 @dataclass

@@ -109,7 +109,7 @@ def test_criterion_6_no_pn_pipeline_equivalence():
         # returns the noise inside the pipeline's y
         noise = decomposed_pilot_observations(channel.h, grids, trace, network, layout,
                                               copy.deepcopy(rng)).noise
-        y = synth_pilot_observations(channel.h, grids, trace, network, layout, rng)
+        y, _ = synth_pilot_observations(channel.h, grids, trace, network, layout, rng)
         cpe0 = np.exp(1j * (trace.ue_phase[:, 0, :][:, None, :]
                             + trace.ap_phase[:, 0, :][None, :, :])).mean(axis=2)
         h_world = cpe0 * channel.h[:, :, 0]  # sigma=0: constant over symbols

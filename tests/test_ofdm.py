@@ -11,13 +11,12 @@ from cfofdm.ofdm import (
     build_pilot_book,
     build_transmit_grids,
     draw_data_symbols,
-    expand_blocks,
     synth_pilot_observations,
     time_domain_oracle,
 )
-from cfofdm.phase_noise import KernelParams, PhaseNoiseTrace, PnParams, correlation_b_fast, gen_pn_trace, phase_drift
+from cfofdm.phase_noise import KernelParams, PhaseNoiseTrace, PnParams, correlation_b_fast, cpe_per_symbol, gen_pn_trace, phase_drift
 
-from pilot_oracle import decomposed_pilot_observations
+from pilot_oracle import decomposed_pilot_observations, expand_blocks
 
 
 def make_network(layout, beta, pilot_index, p=0.1, sigma2=1e-13):
@@ -91,7 +90,7 @@ class TestSynthObservations:
         book = build_pilot_book(layout.tau_p)
         grids = build_transmit_grids(layout, book, network.pilot_index, rng)
         trace = constant_trace(layout, value=0.0)
-        y = synth_pilot_observations(h, grids, trace, network, layout, rng)
+        y, _ = synth_pilot_observations(h, grids, trace, network, layout, rng)
         # J collapses to a delta: y = sqrt(p) s h exactly, zero ICI
         obs = decomposed_pilot_observations(h, grids, trace, network, layout, rng)
         assert np.abs(obs.ici).max() < 1e-12
@@ -233,13 +232,20 @@ class TestSynthObservations:
         assert abs(power.mean() - expect) <= 3 * se
 
     @pytest.mark.parametrize("case", ["pn", "no_pn", "gaussian_ici", "eval_block_2",
-                                      "shared_data", "two_pilot_columns"])
+                                      "shared_data", "two_pilot_columns", "partial_block",
+                                      "partial_block_no_pn", "partial_block_gaussian_ici"])
     def test_matches_decomposed_oracle(self, ci_layout, case):
-        """The y-only synthesis gives the decomposed oracle's y and leaves the
-        generator in the same state."""
+        """The synthesis gives the decomposed oracle's y, returns the CPE of
+        every symbol bitwise as cpe_per_symbol does, and leaves the generator in
+        the same state."""
         layout = ci_layout
         if case == "two_pilot_columns":
             layout = replace(layout, pilot_subcarriers=(0, 5))
+        if case.startswith("partial_block"):
+            # N = 120 is 10 whole blocks of 11 subcarriers and a partial one of 10
+            layout = replace(layout, block_subcarriers=11)
+            assert layout.n_subcarriers % layout.block_subcarriers != 0
+            case = case[len("partial_block_"):] or "pn"
         K, L = layout.n_ues, layout.n_aps
         rng = np.random.default_rng(12)
         beta = rng.uniform(0.1, 1.0, (K, L))
@@ -256,12 +262,13 @@ class TestSynthObservations:
         if case == "gaussian_ici":
             kw.update(gaussian_ici=True, ici_power=0.01 * beta)
         oracle_rng = copy.deepcopy(rng)
-        y = synth_pilot_observations(h, grids, trace, network, layout, rng, **kw)
+        y, cpe = synth_pilot_observations(h, grids, trace, network, layout, rng, **kw)
         ref = decomposed_pilot_observations(h, grids, trace, network, layout, oracle_rng,
                                             **kw)
         assert y.shape == (L, layout.tau_p)
         assert np.abs(y - ref.y).max() <= 1e-12 * np.abs(ref.y).max()
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert np.array_equal(cpe, cpe_per_symbol(trace))
 
 
 class TestTimeDomainOracle:
@@ -340,6 +347,6 @@ class TestTimeDomainOracle:
         mask[pilot_cols] = True
         grids[:, :, ~mask] = 0.0  # isolate the pilots
         trace = constant_trace(layout, 0.0)
-        y = synth_pilot_observations(h, grids, trace, network, layout, rng)
+        y, _ = synth_pilot_observations(h, grids, trace, network, layout, rng)
         other = book[:, 1]
         assert abs(other.conj() @ y[0]) < 1e-10

@@ -130,6 +130,9 @@ class TestKernelFast:
     def test_large_noise_limit(self):
         params = KernelParams(n=64, sigma2_tot=1e8, stride=64)
         assert correlation_b_fast(0, 0, 0, params).real == pytest.approx(1 / 64, rel=1e-10)
+        table = build_correlation_table(params, [-1, 0, 1], range(-3, 4))
+        assert np.isfinite(table.values).all()
+        assert table.cpe(0) == pytest.approx(1 / 64, rel=1e-10)
 
     def test_hermitian_symmetry(self, kernel_params_64):
         for (i1, i2, dt) in [(3, -5, 2), (0, 4, -1), (-7, -7, 3)]:
@@ -156,15 +159,17 @@ class TestCorrelationTable:
 
         layout = SimulationLayout(
             n_subcarriers=32, cp_len=cp, subcarrier_spacing=15e3, block_subcarriers=8,
-            block_symbols=3, pilot_subcarriers=(0, 3), pilot_symbols=(1, 2),
+            block_symbols=5, pilot_subcarriers=(0, 3), pilot_symbols=(1, 2),
             n_aps=1, n_ues=1, area_side=100.0,
         )
         params = KernelParams(n=32, sigma2_tot=5e-3, stride=32 + cp)
         offsets = kernel_offsets(layout, eval_block)
         if eval_block == 2:
             assert offsets.min() < 0 < offsets.max()
-        table = build_correlation_table(params, offsets, range(-2, 3))
-        for dt in range(-2, 3):
+        # every lag of the block, most of them scaled from lag +-1
+        lags = range(-(layout.block_symbols - 1), layout.block_symbols)
+        table = build_correlation_table(params, offsets, lags)
+        for dt in lags:
             block = table.block(offsets, offsets, dt)
             for r, i1 in enumerate(offsets):
                 for c, i2 in enumerate(offsets):
@@ -203,6 +208,12 @@ class TestCorrelationTable:
         table = build_correlation_table(params, [0], range(-14, 15))
         for dt in range(-14, 15):
             assert table.cpe(dt) == pytest.approx(1.0, abs=1e-12)
+        assert all(np.array_equal(v, table.values[0]) for v in table.values)
+
+    def test_stride_below_n_minus_1_rejected(self):
+        KernelParams(n=32, sigma2_tot=1e-3, stride=31)
+        with pytest.raises(ValueError):
+            KernelParams(n=32, sigma2_tot=1e-3, stride=30)
 
     def test_default_layout_cpe_span(self):
         from cfofdm.config import fig2_config
