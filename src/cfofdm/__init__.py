@@ -3,19 +3,9 @@ OFDM networks with Wiener oscillator phase noise."""
 
 from .combining import combiner_matrix
 from .config import ExperimentConfig, ci_config, fig2_config, fig3_config, load_config
-from .estimation import (
-    EstimateSet,
-    EstimatorContext,
-    build_context,
-    build_psi,
-    build_z_ici,
-    estimate_all,
-    estimation_stats,
-    lmmse_estimate,
-)
+from .estimation import EstimatorContext, build_context, build_psi, build_z_ici, estimate_all
 from .harness import run_experiment, run_fig2, run_fig3
 from .network import (
-    ChannelRealization,
     NetworkRealization,
     SimulationLayout,
     assign_pilots,

@@ -78,7 +78,6 @@ def main(argv=None) -> int:
             cfg = load_config(args.config)
             if args.seed is not None:
                 cfg = replace(cfg, master_seed=args.seed)
-            cfg.validate()
             records = run_experiment(cfg, threads=args.threads, progress=True)
             _emit(records_to_csv(records), args.out)
             return EXIT_OK

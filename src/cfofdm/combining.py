@@ -6,7 +6,6 @@ import logging
 
 import numpy as np
 
-from .estimation import EstimateSet
 from .network import NetworkRealization
 
 log = logging.getLogger(__name__)
@@ -48,18 +47,20 @@ def _masked_mmse_group(v, h_hat, err_var, network, ks, members) -> None:
     v[:, ks[:, None], support] = network.p[ks][:, None] * np.swapaxes(sol, 1, 2)
 
 
-def combiner_matrix(scheme: str, est: EstimateSet, network: NetworkRealization) -> np.ndarray:
-    """Length-L combining vectors for every symbol and UE: (tau_c, K, L).
+def combiner_matrix(scheme: str, h_hat: np.ndarray, err_var: np.ndarray,
+                    network: NetworkRealization) -> np.ndarray:
+    """Length-L combining vectors for every symbol and UE: (tau_c, K, L), from
+    the (K, L, tau_c) estimates and their error variances.
 
     Entries off a UE's serving cluster are zero.  UEs with identical cluster
     supports share one stacked solve over all symbols for the MMSE variants.
     """
     D = network.D
     K = D.shape[0]
-    h_hat = np.moveaxis(est.h_hat, -1, 0)  # (tau_c, K, L)
+    h_hat = np.moveaxis(h_hat, -1, 0)  # (tau_c, K, L)
     if scheme == "mr":
         return D * h_hat
-    err_var = np.moveaxis(est.err_var, -1, 0)
+    err_var = np.moveaxis(err_var, -1, 0)
     if scheme == "lp_mmse":
         # each AP weighs its own estimate by the inverse of the locally served
         # signal-plus-interference power

@@ -8,6 +8,8 @@ from typing import List, Tuple
 
 import numpy as np
 
+from .combining import SCHEMES
+from .estimation import ESTIMATOR_KINDS, ICI_MODES
 from .network import SimulationLayout, noise_power_w
 from .phase_noise import PnParams
 
@@ -116,6 +118,14 @@ class ExperimentConfig:
         )
 
     def validate(self) -> None:
+        if self.master_seed < 0:
+            raise ConfigError("master_seed must be >= 0")
+        if min(self.gamma_ap, self.gamma_ue, self.carrier_hz) < 0:
+            raise ConfigError("gamma_ap, gamma_ue and carrier_hz must be >= 0")
+        if self.subcarrier_spacing_hz <= 0 or self.tx_power_w <= 0:
+            raise ConfigError("subcarrier_spacing_hz and tx_power_w must be > 0")
+        if self.shadow_sigma_db < 0:
+            raise ConfigError("shadow_sigma_db must be >= 0")
         try:
             layout = self.layout()
         except ValueError as exc:
@@ -126,21 +136,16 @@ class ExperimentConfig:
             raise ConfigError("eval_block must lie in [1, %d]" % layout.n_blocks)
         if self.pilot_policy not in ("round_robin", "greedy"):
             raise ConfigError("unknown pilot_policy %r" % self.pilot_policy)
-        if self.ici_mode not in ("as_printed", "independent_data"):
+        if self.ici_mode not in ICI_MODES:
             raise ConfigError("unknown ici_mode %r" % self.ici_mode)
         if self.data_symbols not in ("gaussian", "qpsk"):
             raise ConfigError("unknown data_symbols %r" % self.data_symbols)
         for e in self.estimators:
-            if e not in ("pna_ofdm", "pna_sc", "unaware"):
+            if e not in ESTIMATOR_KINDS:
                 raise ConfigError("unknown estimator %r" % e)
         for s in self.schemes:
-            if s not in ("mr", "lp_mmse", "p_mmse", "mmse"):
+            if s not in SCHEMES:
                 raise ConfigError("unknown scheme %r" % s)
-        # ensure pilot placement consistency, with the explicit constraint message
-        if layout.tau_p > layout.block_subcarriers * layout.block_symbols:
-            raise ConfigError(
-                "tau_p exceeds coherence block size N_c * tau_c"
-            )
         if self.n_ues > self.n_aps * layout.tau_p:
             raise ConfigError(
                 "n_ues = %d exceeds serving capacity n_aps * tau_p = %d"
@@ -148,38 +153,16 @@ class ExperimentConfig:
             )
 
 
-_PARSERS = {
-    "name": str,
-    "n_subcarriers": int,
-    "cp_len": int,
-    "subcarrier_spacing_hz": float,
-    "block_subcarriers": int,
-    "block_symbols": int,
-    "pilot_subcarriers": _parse_int_list,
-    "pilot_symbols": _parse_int_list,
-    "eval_block": int,
-    "n_aps": int,
-    "n_ues": int,
-    "area_side_m": float,
-    "ap_height_m": float,
-    "tx_power_w": float,
-    "noise_figure_db": float,
-    "shadow_sigma_db": float,
-    "wraparound": _parse_bool,
-    "pilot_policy": str,
-    "carrier_hz": float,
-    "gamma_ap": float,
-    "gamma_ue": float,
-    "estimators": _parse_str_list,
-    "schemes": _parse_str_list,
-    "ici_mode": str,
-    "cp_consistent_correlation": _parse_bool,
-    "data_symbols": str,
-    "gaussian_ici": _parse_bool,
-    "n_geometries": int,
-    "n_trials": int,
-    "master_seed": int,
+# value parser of every key, by its field annotation
+_PARSE_TYPE = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "bool": _parse_bool,
+    "Tuple[int, ...]": _parse_int_list,
+    "Tuple[str, ...]": _parse_str_list,
 }
+_PARSERS = {f.name: _PARSE_TYPE[f.type] for f in fields(ExperimentConfig)}
 
 
 def parse_config(text: str, base: ExperimentConfig = None) -> ExperimentConfig:

@@ -74,8 +74,6 @@ class IciBase:
     ``data_term`` the shared data-subcarrier sum, both (tau_p, tau_p).
     """
 
-    mode: str
-    eval_block: int
     pilot_terms: np.ndarray  # (tau_p, tau_p, tau_p)
     data_term: np.ndarray    # (tau_p, tau_p)
 
@@ -123,37 +121,19 @@ def build_ici_base(
             if key not in cache:
                 cache[key] = data_sum(key[0], key[1], key[2], table.params, data_ind)
             data_term[i1, i2] = cache[key]
-    return IciBase(mode=mode, eval_block=eval_block,
-                   pilot_terms=pilot_terms, data_term=data_term)
+    return IciBase(pilot_terms=pilot_terms, data_term=data_term)
 
 
-def build_z_ici(
-    network: NetworkRealization,
-    layout: SimulationLayout,
-    table: KernelGrid,
-    mode: str = "as_printed",
-    book: Optional[np.ndarray] = None,
-    eval_block: int = 1,
-    base: Optional[IciBase] = None,
-) -> np.ndarray:
+def build_z_ici(network: NetworkRealization, base: IciBase) -> np.ndarray:
     """Per-AP ICI covariance of the stacked pilot observation: (L, tau_p, tau_p).
 
-    ``as_printed`` evaluates the pilot-pair double sum with pilot-sample
-    weights plus the unweighted double sum over all data-subcarrier pairs of
-    the full symbol; ``independent_data`` keeps only equal-index data pairs,
-    as implied by i.i.d. zero-mean data symbols.
+    ``base`` fixes the ICI mode: ``as_printed`` evaluates the pilot-pair double
+    sum with pilot-sample weights plus the unweighted double sum over all
+    data-subcarrier pairs of the full symbol; ``independent_data`` keeps only
+    equal-index data pairs, as implied by i.i.d. zero-mean data symbols.
     """
-    if base is None:
-        if book is None:
-            from .ofdm import build_pilot_book
-
-            book = build_pilot_book(layout.tau_p)
-        base = build_ici_base(layout, table, book, mode=mode, eval_block=eval_block)
-    elif base.mode != mode or base.eval_block != eval_block:
-        raise ValueError("precomputed ICI base was built for mode=%r, eval_block=%d"
-                         % (base.mode, base.eval_block))
     pb = network.p[:, None] * network.beta  # (K, L)
-    z = np.zeros((layout.n_aps, layout.tau_p, layout.tau_p), dtype=complex)
+    z = np.zeros((pb.shape[1],) + base.data_term.shape, dtype=complex)
     for t in np.unique(network.pilot_index):
         coeff = pb[network.pilot_index == t].sum(axis=0)  # (L,)
         z += coeff[:, None, None] * base.pilot_terms[int(t)][None, :, :]
@@ -179,10 +159,10 @@ def build_psi(
     network: NetworkRealization,
     layout: SimulationLayout,
     table: Optional[KernelGrid],
+    book: np.ndarray,
     z_ici: Optional[np.ndarray],
     kind: str = "pna_ofdm",
     pn: Optional[PnParams] = None,
-    book: Optional[np.ndarray] = None,
 ):
     """Pilot observation covariance Psi_l per AP: (L, tau_p, tau_p) Hermitian.
 
@@ -191,10 +171,6 @@ def build_psi(
     estimator kind's CPE kernel k.  Raises RuntimeError unless every Psi_l is
     positive definite.
     """
-    if book is None:
-        from .ofdm import build_pilot_book
-
-        book = build_pilot_book(layout.tau_p)
     tau_p = layout.tau_p
     _, syms = _slot_geometry(layout)
     kmat = cpe_kernel_value(kind, syms[:, None] - syms[None, :], table, pn, layout)
@@ -220,47 +196,33 @@ def build_psi(
 class EstimatorContext:
     """Statistics-only estimator state, reusable across all Monte Carlo trials."""
 
-    kind: str
-    layout: SimulationLayout
-    book: np.ndarray
-    pilot_index: np.ndarray
-    p: np.ndarray
-    beta: np.ndarray
-    sigma2: float
-    psi: np.ndarray        # (L, tau_p, tau_p)
-    b_weights: np.ndarray  # (tau_c, tau_p) CPE kernel k(tau - sym_i)
-    coef: np.ndarray       # (L, K, tau_c, tau_p); h_hat = coef . y_l
-    eps: np.ndarray        # (K, L, tau_c) estimate variances
-    err_var: np.ndarray    # (K, L, tau_c) error variances beta - eps
+    coef: np.ndarray     # (L, K, tau_c, tau_p); h_hat = coef . y_l
+    eps: np.ndarray      # (K, L, tau_c) estimate variances
+    err_var: np.ndarray  # (K, L, tau_c) error variances beta - eps
 
 
 def build_context(
     network: NetworkRealization,
     layout: SimulationLayout,
     table: Optional[KernelGrid],
+    book: np.ndarray,
     kind: str = "pna_ofdm",
-    ici_mode: str = "as_printed",
     pn: Optional[PnParams] = None,
-    book: Optional[np.ndarray] = None,
-    eval_block: int = 1,
     ici_base: Optional[IciBase] = None,
 ) -> EstimatorContext:
     """Assemble the per-geometry estimator state for one estimator kind.
 
-    Only the phase-noise-aware OFDM estimator carries an ICI covariance; the
-    single-carrier and unaware baselines assume none.
+    Only the phase-noise-aware OFDM estimator carries an ICI covariance, built
+    from ``ici_base``; the single-carrier and unaware baselines assume none.
     """
     if kind not in ESTIMATOR_KINDS:
         raise ValueError("unknown estimator kind: %r" % (kind,))
-    if book is None:
-        from .ofdm import build_pilot_book
-
-        book = build_pilot_book(layout.tau_p)
     z = None
     if kind == "pna_ofdm":
-        z = build_z_ici(network, layout, table, mode=ici_mode, book=book,
-                        eval_block=eval_block, base=ici_base)
-    psi = build_psi(network, layout, table, z, kind=kind, pn=pn, book=book)
+        if ici_base is None:
+            raise ValueError("the pna_ofdm estimator needs an ICI base")
+        z = build_z_ici(network, ici_base)
+    psi = build_psi(network, layout, table, book, z, kind=kind, pn=pn)
 
     _, syms = _slot_geometry(layout)
     tau_c, tau_p = layout.block_symbols, layout.tau_p
@@ -277,38 +239,11 @@ def build_context(
     coef = (np.conj(sol.reshape(L, tau_p, K, tau_c)).transpose(0, 2, 3, 1)
             * scale[:, :, None, None])
     eps = network.p[:, None, None] * network.beta[:, :, None] ** 2 * quad.transpose(1, 0, 2)
-    err_var = network.beta[:, :, None] - eps
-    return EstimatorContext(
-        kind=kind, layout=layout, book=book, pilot_index=network.pilot_index,
-        p=network.p, beta=network.beta, sigma2=network.sigma2, psi=psi,
-        b_weights=b_weights, coef=coef, eps=eps, err_var=err_var,
-    )
+    return EstimatorContext(coef=coef, eps=eps, err_var=network.beta[:, :, None] - eps)
 
 
-@dataclass
-class EstimateSet:
-    """Per-trial effective-channel estimates with their model variances."""
-
-    h_hat: np.ndarray    # (K, L, tau_c)
-    eps: np.ndarray      # (K, L, tau_c)
-    err_var: np.ndarray  # (K, L, tau_c)
-
-
-def estimate_all(ctx: EstimatorContext, y: np.ndarray) -> EstimateSet:
-    """Estimates for every (UE, AP, symbol) from stacked pilot observations (L, tau_p)."""
-    h_hat = np.einsum("lktp,lp->klt", ctx.coef, y)
-    return EstimateSet(h_hat=h_hat, eps=ctx.eps, err_var=ctx.err_var)
-
-
-def lmmse_estimate(ctx: EstimatorContext, y_l: np.ndarray, k: int, l: int, tau: int) -> complex:
-    """Single effective-channel estimate for UE k at AP l and 1-based symbol tau.
-
-    The estimate is reused for every subcarrier of the coherence block.
-    """
-    return complex(ctx.coef[l, k, tau - 1] @ y_l)
-
-
-def estimation_stats(ctx: EstimatorContext, k: int, l: int, tau: int):
-    """(estimate variance, error variance) for UE k, AP l, 1-based symbol tau."""
-    e = float(ctx.eps[k, l, tau - 1])
-    return e, float(ctx.beta[k, l] - e)
+def estimate_all(ctx: EstimatorContext, y: np.ndarray) -> np.ndarray:
+    """Estimates h_hat (K, L, tau_c) for every (UE, AP, symbol) from stacked
+    pilot observations (L, tau_p); each is reused on every subcarrier of the
+    coherence block."""
+    return np.einsum("lktp,lp->klt", ctx.coef, y)

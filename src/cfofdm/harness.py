@@ -98,39 +98,74 @@ def _geometry(cfg: ExperimentConfig, geometry_index: int) -> NetworkRealization:
     )
 
 
-def run_trial(
-    cfg: ExperimentConfig,
-    layout: SimulationLayout,
-    pn: PnParams,
-    network: NetworkRealization,
-    book: np.ndarray,
-    contexts: Dict[str, estimation.EstimatorContext],
-    lam: np.ndarray,
-    rng: np.random.Generator,
-) -> Dict[str, se.SinrAccumulator]:
+@dataclass
+class Setup:
+    """Per-configuration state, shared by every geometry."""
+
+    layout: SimulationLayout
+    pn: PnParams
+    table: KernelGrid
+    book: np.ndarray                         # (tau_p, tau_p) pilot book
+    ici_base: Optional[estimation.IciBase]   # None without pna_ofdm
+
+
+@dataclass
+class Geometry:
+    """Per-geometry state, shared by every Monte Carlo trial."""
+
+    network: NetworkRealization
+    contexts: Dict[str, estimation.EstimatorContext]
+    lam: np.ndarray  # (K, L) ICI power, also the gaussian_ici matched power
+
+
+def build_setup(cfg: ExperimentConfig) -> Setup:
+    """Layout, phase-noise parameters, kernel grid, pilot book and ICI base of
+    one configuration."""
+    layout = cfg.layout()
+    table = build_kernel_table(cfg)
+    book = ofdm.build_pilot_book(layout.tau_p)
+    ici_base = None
+    if "pna_ofdm" in cfg.estimators:
+        ici_base = estimation.build_ici_base(layout, table, book, mode=cfg.ici_mode,
+                                             eval_block=cfg.eval_block)
+    return Setup(layout, cfg.pn_params(), table, book, ici_base)
+
+
+def build_geometry(cfg: ExperimentConfig, setup: Setup, geometry_index: int) -> Geometry:
+    """Network, estimator contexts and ICI power of one geometry."""
+    network = _geometry(cfg, geometry_index)
+    contexts = {
+        kind: estimation.build_context(network, setup.layout, setup.table, setup.book,
+                                       kind=kind, pn=setup.pn, ici_base=setup.ici_base)
+        for kind in cfg.estimators
+    }
+    return Geometry(network, contexts, se.lambda_ici(network, setup.table))
+
+
+def run_trial(cfg: ExperimentConfig, setup: Setup, geom: Geometry,
+              rng: np.random.Generator) -> Dict[str, se.SinrAccumulator]:
     """One Monte Carlo trial: draw, synthesize, estimate, combine, accumulate.
 
-    ``lam`` is the per-(UE, AP) ICI power, also the matched power of the
-    ``gaussian_ici`` option. Returns one single-trial accumulator per
-    estimator kind.
+    Returns one single-trial accumulator per estimator kind.
     """
-    channel = gen_channel(network.beta, layout, rng)
-    trace = gen_pn_trace(pn, layout, rng)
-    grids = ofdm.build_transmit_grids(layout, book, network.pilot_index, rng,
+    layout, network = setup.layout, geom.network
+    h = gen_channel(network.beta, layout, rng)
+    trace = gen_pn_trace(setup.pn, layout, rng)
+    grids = ofdm.build_transmit_grids(layout, setup.book, network.pilot_index, rng,
                                       data_kind=cfg.data_symbols)
     y, cpe = ofdm.synth_pilot_observations(
-        channel.h, grids, trace, network, layout, rng,
-        eval_block=cfg.eval_block, gaussian_ici=cfg.gaussian_ici, ici_power=lam,
+        h, grids, trace, network, layout, rng,
+        eval_block=cfg.eval_block, gaussian_ici=cfg.gaussian_ici, ici_power=geom.lam,
     )
-    h_eff = cpe * channel.h[:, :, cfg.eval_block - 1][:, :, None]
+    h_eff = cpe * h[:, :, cfg.eval_block - 1][:, :, None]
 
     out: Dict[str, se.SinrAccumulator] = {}
-    for kind, ctx in contexts.items():
-        est = estimation.estimate_all(ctx, y)
+    for kind, ctx in geom.contexts.items():
+        h_hat = estimation.estimate_all(ctx, y)
         acc = se.SinrAccumulator(len(cfg.schemes), layout.n_ues, layout.block_symbols)
         for s_idx, scheme in enumerate(cfg.schemes):
-            v = combining.combiner_matrix(scheme, est, network)
-            acc.add_symbol(s_idx, v, h_eff, lam, network.D)
+            v = combining.combiner_matrix(scheme, h_hat, ctx.err_var, network)
+            acc.add_symbol(s_idx, v, h_eff, geom.lam, network.D)
         acc.bump()
         out[kind] = acc
     return out
@@ -150,24 +185,14 @@ class GeometryResult:
 
 def run_geometry(
     cfg: ExperimentConfig,
-    table: KernelGrid,
-    ici_base: Optional[estimation.IciBase],
+    setup: Setup,
     geometry_index: int,
     threads: int = 1,
 ) -> GeometryResult:
     """All Monte Carlo trials for one network geometry."""
-    layout = cfg.layout()
-    pn = cfg.pn_params()
-    network = _geometry(cfg, geometry_index)
-    book = ofdm.build_pilot_book(layout.tau_p)
-    contexts = {
-        kind: estimation.build_context(
-            network, layout, table, kind=kind, ici_mode=cfg.ici_mode, pn=pn,
-            book=book, eval_block=cfg.eval_block, ici_base=ici_base,
-        )
-        for kind in cfg.estimators
-    }
-    lam = se.lambda_ici(network, table)
+    layout = setup.layout
+    geom = build_geometry(cfg, setup, geometry_index)
+    network = geom.network
 
     n_batches = max(1, min(_N_BATCHES, cfg.n_trials))
     batches: Dict[str, List[se.SinrAccumulator]] = {
@@ -178,7 +203,7 @@ def run_geometry(
 
     def one(t: int):
         rng = derived_rng(cfg.master_seed, _STREAM_TRIAL, geometry_index, t)
-        return run_trial(cfg, layout, pn, network, book, contexts, lam, rng)
+        return run_trial(cfg, setup, geom, rng)
 
     trial_ids = list(range(cfg.n_trials))
     if threads <= 1:
@@ -243,15 +268,10 @@ def run_experiment(
     t0 = time.perf_counter()
     if progress:
         print(effective_config_text(cfg), file=sys.stderr, end="")
-    table = build_kernel_table(cfg)
-    ici_base = None
-    if "pna_ofdm" in cfg.estimators:
-        book = ofdm.build_pilot_book(layout.tau_p)
-        ici_base = estimation.build_ici_base(layout, table, book, mode=cfg.ici_mode,
-                                             eval_block=cfg.eval_block)
+    setup = build_setup(cfg)
     geoms: List[GeometryResult] = []
     for g in range(cfg.n_geometries):
-        geoms.append(run_geometry(cfg, table, ici_base, g, threads=threads))
+        geoms.append(run_geometry(cfg, setup, g, threads=threads))
         if progress:
             print(
                 "geometry %d/%d done (%.1f s elapsed)"
@@ -358,6 +378,7 @@ def run_fig3(base: Optional[ExperimentConfig] = None, threads: int = 1,
 
 def dump_geometry_csv(cfg: ExperimentConfig) -> str:
     """Node coordinates of geometry 0 as CSV (node_type, index, x_m, y_m)."""
+    cfg.validate()
     network = _geometry(cfg, 0)
     lines = ["node_type,index,x_m,y_m"]
     for i, (x, y) in enumerate(network.ap_positions):

@@ -232,21 +232,13 @@ def form_dcc(beta: np.ndarray, pilot_index: np.ndarray, tau_p: int) -> np.ndarra
     return D
 
 
-@dataclass
-class ChannelRealization:
-    """Per-block frequency-domain channels, plus optional FIR taps for the oracle."""
-
-    h: np.ndarray                      # (K, L, R) complex, CN(0, beta) per entry
-    fir_taps: Optional[np.ndarray] = None  # (K, L, Q) complex
-
-
 def gen_channel(beta: np.ndarray, layout: SimulationLayout,
-                rng: np.random.Generator) -> ChannelRealization:
-    """Independent CN(0, beta_{k,l}) channel per (UE, AP, coherence block)."""
+                rng: np.random.Generator) -> np.ndarray:
+    """Independent CN(0, beta_{k,l}) channel per (UE, AP, coherence block): (K, L, R)."""
     K, L = beta.shape
     shape = (K, L, layout.n_blocks)
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return ChannelRealization(h=z * np.sqrt(beta[:, :, None] / 2.0))
+    return z * np.sqrt(beta[:, :, None] / 2.0)
 
 
 def gen_fir_taps(beta: np.ndarray, rng: np.random.Generator, n_taps: int = 8) -> np.ndarray:

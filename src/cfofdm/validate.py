@@ -16,7 +16,7 @@ import numpy as np
 
 from . import estimation, ofdm
 from .config import ExperimentConfig, ci_config
-from .harness import build_kernel_table, derived_rng
+from .harness import build_geometry, build_setup, derived_rng
 from .network import gen_channel, gen_fir_taps, generate_network
 from .phase_noise import (
     KernelParams,
@@ -100,7 +100,8 @@ def mc_kernel(n: int, n_traces: int, seed: int) -> Check:
 
 
 def domain_equivalence(n: int, n_draws: int, seed: int) -> Check:
-    """DFT of the time-domain model against the frequency-domain model (symbol 1)."""
+    """DFT of the time-domain model against the frequency-domain model, at
+    both pilot symbols."""
     cfg = replace(
         ci_config(), n_subcarriers=n, block_subcarriers=max(2, n // 8),
         block_symbols=3, pilot_symbols=(1, 2), pilot_subcarriers=(0,),
@@ -119,19 +120,21 @@ def domain_equivalence(n: int, n_draws: int, seed: int) -> Check:
         noise_t = np.sqrt(network.sigma2 / 2) * (
             rng.standard_normal((layout.n_aps, n)) + 1j * rng.standard_normal((layout.n_aps, n))
         )
-        _, y_freq = ofdm.time_domain_oracle(taps, grids, trace, network, layout, 1,
-                                            noise_time=noise_t)
         h_freq = np.fft.fft(taps, n=n, axis=-1)  # (K, L, N)
-        y_ref = np.fft.fft(noise_t, axis=-1) / np.sqrt(n)
-        for l in range(layout.n_aps):
-            for k in range(layout.n_ues):
-                j = phase_drift(trace.combined(k, l)[0])
-                x = grids[k, 0] * h_freq[k, l]
-                y_ref[l] += np.sqrt(network.p[k]) * np.fft.ifft(np.fft.fft(j) * np.fft.fft(x))
-        worst = max(worst, np.linalg.norm(y_freq - y_ref) / np.linalg.norm(y_ref))
+        for symbol in layout.pilot_symbols:
+            _, y_freq = ofdm.time_domain_oracle(taps, grids, trace, network, layout, symbol,
+                                                noise_time=noise_t)
+            y_ref = np.fft.fft(noise_t, axis=-1) / np.sqrt(n)
+            for l in range(layout.n_aps):
+                for k in range(layout.n_ues):
+                    j = phase_drift(trace.combined(k, l)[symbol - 1])
+                    x = grids[k, symbol - 1] * h_freq[k, l]
+                    y_ref[l] += np.sqrt(network.p[k]) * np.fft.ifft(np.fft.fft(j) * np.fft.fft(x))
+            worst = max(worst, np.linalg.norm(y_freq - y_ref) / np.linalg.norm(y_ref))
     return Check("domain_equivalence", worst <= 1e-9,
-                 "max relative |DFT(time model) - freq model| = %.3e over %d draws at N=%d "
-                 "(tol 1e-9)" % (worst, n_draws, n))
+                 "max relative |DFT(time model) - freq model| = %.3e over %d draws and "
+                 "symbols %s at N=%d (tol 1e-9)"
+                 % (worst, n_draws, ", ".join(map(str, layout.pilot_symbols)), n))
 
 
 def no_pn_reduction(cfg: ExperimentConfig) -> Check:
@@ -142,26 +145,22 @@ def no_pn_reduction(cfg: ExperimentConfig) -> Check:
     (tau_p sum_{i shares k's pilot} p_i beta_il + sigma^2), error variance
     beta_kl - eps_kl, at every UE, AP and symbol.
     """
-    cfg = replace(cfg, gamma_ap=0.0, gamma_ue=0.0)
-    layout = cfg.layout()
-    table = build_kernel_table(cfg)
-    network = generate_network(layout, derived_rng(cfg.master_seed, 0, 0),
-                               shadow_sigma_db=0.0)
-    book = ofdm.build_pilot_book(layout.tau_p)
-    ctxs = [estimation.build_context(network, layout, table, kind=kind, ici_mode=cfg.ici_mode,
-                                     pn=cfg.pn_params(), book=book)
-            for kind in ("pna_ofdm", "pna_sc", "unaware")]
+    cfg = replace(cfg, gamma_ap=0.0, gamma_ue=0.0, estimators=estimation.ESTIMATOR_KINDS)
+    setup = build_setup(cfg)
+    layout = setup.layout
+    geom = build_geometry(cfg, setup, 0)
+    network = geom.network
     rng = derived_rng(cfg.master_seed, 1, 0, 0)
     y = (rng.standard_normal((layout.n_aps, layout.tau_p))
          + 1j * rng.standard_normal((layout.n_aps, layout.tau_p)))
-    h_hats = [estimation.estimate_all(ctx, y).h_hat for ctx in ctxs]
+    h_hats = [estimation.estimate_all(ctx, y) for ctx in geom.contexts.values()]
     spread = max(np.abs(h - h_hats[0]).max() for h in h_hats[1:])
 
     p, beta, tau_p = network.p, network.beta, layout.tau_p
     shares = network.pilot_index[:, None] == network.pilot_index[None, :]
     expect = (p[:, None] * beta**2 * tau_p
               / (tau_p * shares @ (p[:, None] * beta) + network.sigma2))[:, :, None]
-    ctx = ctxs[0]
+    ctx = geom.contexts["pna_ofdm"]
     abs_err = max(np.abs(ctx.eps - expect).max(),
                   np.abs(ctx.err_var - (beta[:, :, None] - expect)).max())
     rel_err = (np.abs(ctx.eps - expect) / expect).max()
@@ -183,37 +182,33 @@ def lmmse_moments(cfg: ExperimentConfig) -> Check:
     one data draw shared across the pilot symbols (the assumed ICI covariance
     correlates data interference across OFDM symbols).
     """
-    cfg = replace(cfg, ici_mode="independent_data", cp_consistent_correlation=True)
-    layout = cfg.layout()
-    pn = cfg.pn_params()
-    table = build_kernel_table(cfg)
-    network = generate_network(layout, derived_rng(cfg.master_seed, 0, 0),
-                               shadow_sigma_db=0.0)
-    book = ofdm.build_pilot_book(layout.tau_p)
-    ctx = estimation.build_context(network, layout, table, kind="pna_ofdm",
-                                   ici_mode=cfg.ici_mode, pn=pn, book=book,
-                                   eval_block=cfg.eval_block)
+    cfg = replace(cfg, ici_mode="independent_data", cp_consistent_correlation=True,
+                  estimators=("pna_ofdm",))
+    setup = build_setup(cfg)
+    layout, pn = setup.layout, setup.pn
+    geom = build_geometry(cfg, setup, 0)
+    network, ctx = geom.network, geom.contexts["pna_ofdm"]
     k, l = 0, 0
     h_eff = np.empty((cfg.n_trials, layout.block_symbols), dtype=complex)
     h_hat = np.empty_like(h_eff)
     y_l = np.empty((cfg.n_trials, layout.tau_p), dtype=complex)
     for t in range(cfg.n_trials):
         rng = derived_rng(cfg.master_seed, 1, 0, t)
-        channel = gen_channel(network.beta, layout, rng)
+        h = gen_channel(network.beta, layout, rng)
         trace = gen_pn_trace(pn, layout, rng)
-        grids = ofdm.build_transmit_grids(layout, book, network.pilot_index, rng,
+        grids = ofdm.build_transmit_grids(layout, setup.book, network.pilot_index, rng,
                                           shared_data=True)
-        y, cpe = ofdm.synth_pilot_observations(channel.h, grids, trace, network, layout,
+        y, cpe = ofdm.synth_pilot_observations(h, grids, trace, network, layout,
                                                rng, eval_block=cfg.eval_block)
-        h_eff[t] = cpe[k, l] * channel.h[k, l, cfg.eval_block - 1]
-        h_hat[t] = estimation.estimate_all(ctx, y).h_hat[k, l]
+        h_eff[t] = cpe[k, l] * h[k, l, cfg.eval_block - 1]
+        h_hat[t] = estimation.estimate_all(ctx, y)[k, l]
         y_l[t] = y[l]
 
     prods = (h_eff - h_hat)[:, :, None] * np.conj(y_l)[:, None, :]
     orth = max(_std_errors(prods.real, 0.0).max(), _std_errors(prods.imag, 0.0).max())
     power = np.abs(h_hat) ** 2
     total = power + np.abs(h_eff - h_hat) ** 2
-    var_dev = _std_errors(total, table.cpe(0) * network.beta[k, l]).max()
+    var_dev = _std_errors(total, setup.table.cpe(0) * network.beta[k, l]).max()
     eps_dev = _std_errors(power, ctx.eps[k, l]).max()
     ok = orth <= 3.0 and var_dev <= 3.0 and eps_dev <= 3.0
     return Check("lmmse_moments", ok,

@@ -10,10 +10,11 @@ import numpy as np
 from cfofdm.combining import partial_cluster
 
 
-def combiner_matrix_at(scheme, est, network, tau):
-    """Length-L combining vectors for every UE at 1-based symbol tau: (K, L)."""
-    h = est.h_hat[:, :, tau - 1]
-    c = est.err_var[:, :, tau - 1]
+def combiner_matrix_at(scheme, h_hat, err_var, network, tau):
+    """Length-L combining vectors for every UE at 1-based symbol tau: (K, L),
+    from the (K, L, tau_c) estimates and their error variances."""
+    h = h_hat[:, :, tau - 1]
+    c = err_var[:, :, tau - 1]
     D = network.D
     K = D.shape[0]
     if scheme == "mr":

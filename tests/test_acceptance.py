@@ -17,19 +17,21 @@ import pytest
 
 from cfofdm import validate
 from cfofdm.config import ci_config, fig2_config
-from cfofdm.estimation import build_context, estimate_all
+from cfofdm.combining import combiner_matrix
+from cfofdm.estimation import estimate_all
 from cfofdm.harness import (
-    build_kernel_table,
+    build_geometry,
+    build_setup,
     derived_rng,
     records_to_csv,
     run_experiment,
     run_fig2,
     run_fig3,
 )
-from cfofdm.network import gen_channel, generate_network
-from cfofdm.ofdm import build_pilot_book, build_transmit_grids, synth_pilot_observations
+from cfofdm.network import gen_channel
+from cfofdm.ofdm import build_transmit_grids, synth_pilot_observations
 from cfofdm.phase_noise import gen_pn_trace
-from cfofdm.se import SinrAccumulator, finalize_sinr, lambda_ici
+from cfofdm.se import SinrAccumulator, finalize_sinr
 
 import no_pn_reference
 from pilot_oracle import decomposed_pilot_observations
@@ -84,17 +86,10 @@ def test_criterion_6_no_pn_pipeline_equivalence():
     schemes = ("mr", "lp_mmse", "p_mmse", "mmse")
     cfg = replace(ci_config(), gamma_ap=0.0, gamma_ue=0.0, n_trials=n_trials,
                   schemes=schemes, estimators=("pna_ofdm",), master_seed=66)
-    layout = cfg.layout()
-    pn = cfg.pn_params()
-    table = build_kernel_table(cfg)
-    network = generate_network(layout, derived_rng(cfg.master_seed, 0, 0),
-                               shadow_sigma_db=0.0)
-    book = build_pilot_book(layout.tau_p)
-    ctx = build_context(network, layout, table, kind="pna_ofdm",
-                        ici_mode=cfg.ici_mode, pn=pn, book=book)
-    lam = lambda_ici(network, table)
-
-    from cfofdm.combining import combiner_matrix
+    setup = build_setup(cfg)
+    layout, pn, book = setup.layout, setup.pn, setup.book
+    geom = build_geometry(cfg, setup, 0)
+    network, ctx, lam = geom.network, geom.contexts["pna_ofdm"], geom.lam
 
     n_batches = 8
     batch_accs = [SinrAccumulator(len(schemes), layout.n_ues, layout.block_symbols)
@@ -102,24 +97,24 @@ def test_criterion_6_no_pn_pipeline_equivalence():
     shared_draws = []
     for t in range(n_trials):
         rng = derived_rng(cfg.master_seed, 1, 0, t)
-        channel = gen_channel(network.beta, layout, rng)
+        h = gen_channel(network.beta, layout, rng)
         trace = gen_pn_trace(pn, layout, rng)
         grids = build_transmit_grids(layout, book, network.pilot_index, rng)
         # the oracle draws as the pipeline does: on a copy of the generator it
         # returns the noise inside the pipeline's y
-        noise = decomposed_pilot_observations(channel.h, grids, trace, network, layout,
+        noise = decomposed_pilot_observations(h, grids, trace, network, layout,
                                               copy.deepcopy(rng)).noise
-        y, _ = synth_pilot_observations(channel.h, grids, trace, network, layout, rng)
+        y, _ = synth_pilot_observations(h, grids, trace, network, layout, rng)
         cpe0 = np.exp(1j * (trace.ue_phase[:, 0, :][:, None, :]
                             + trace.ap_phase[:, 0, :][None, :, :])).mean(axis=2)
-        h_world = cpe0 * channel.h[:, :, 0]  # sigma=0: constant over symbols
+        h_world = cpe0 * h[:, :, 0]  # sigma=0: constant over symbols
         shared_draws.append((h_world, noise))
-        est = estimate_all(ctx, y)
+        h_hat = estimate_all(ctx, y)
         acc = batch_accs[t % n_batches]
         h_symbols = np.repeat(h_world[:, :, None], layout.block_symbols, axis=2)
         for s_idx, scheme in enumerate(schemes):
-            acc.add_symbol(s_idx, combiner_matrix(scheme, est, network), h_symbols, lam,
-                           network.D)
+            acc.add_symbol(s_idx, combiner_matrix(scheme, h_hat, ctx.err_var, network),
+                           h_symbols, lam, network.D)
         acc.bump()
 
     total = SinrAccumulator(len(schemes), layout.n_ues, layout.block_symbols)

@@ -7,7 +7,6 @@ import pytest
 
 from cfofdm.combining import SCHEMES, combiner_matrix, partial_cluster
 from cfofdm.config import ci_config
-from cfofdm.estimation import EstimateSet
 from cfofdm.harness import derived_rng
 from cfofdm.network import NetworkRealization, generate_network
 
@@ -21,8 +20,7 @@ def make_setup(h_hat, err_var, D, p=0.2, sigma2=1e-3):
         beta=np.abs(h_hat[:, :, 0]) + err_var[:, :, 0], D=np.asarray(D, dtype=np.int8),
         pilot_index=np.arange(K) % max(K, 1), p=np.full(K, p), sigma2=sigma2,
     )
-    est = EstimateSet(h_hat=h_hat, eps=np.zeros_like(err_var), err_var=err_var)
-    return est, network
+    return (h_hat, err_var), network
 
 
 class TestMr:
@@ -30,14 +28,14 @@ class TestMr:
         h = np.zeros((1, 3, 1), dtype=complex)
         h[0, 0, 0] = 1.0
         est, network = make_setup(h, np.zeros((1, 3, 1)), np.ones((1, 3)))
-        v = combiner_matrix("mr", est, network)[0, 0]
+        v = combiner_matrix("mr", *est, network)[0, 0]
         assert np.array_equal(v, h[0, :, 0])
 
     def test_masked_outside_cluster(self, rng):
         h = rng.standard_normal((2, 4, 1)) + 1j * rng.standard_normal((2, 4, 1))
         D = np.array([[1, 0, 1, 0], [0, 1, 1, 1]])
         est, network = make_setup(h, np.zeros((2, 4, 1)), D)
-        v = combiner_matrix("mr", est, network)[0, 0]
+        v = combiner_matrix("mr", *est, network)[0, 0]
         assert v[1] == 0 and v[3] == 0
 
     def test_random_elementwise(self, rng):
@@ -45,7 +43,7 @@ class TestMr:
         D = (rng.uniform(size=(3, 5)) > 0.4).astype(int)
         D[:, 0] = 1
         est, network = make_setup(h, np.zeros((3, 5, 2)), D)
-        v = combiner_matrix("mr", est, network)
+        v = combiner_matrix("mr", *est, network)
         for k in range(3):
             for tau in (1, 2):
                 assert np.allclose(v[tau - 1, k], D[k] * h[k, :, tau - 1])
@@ -56,20 +54,20 @@ class TestLpMmse:
         h = np.array([[[0.8 + 0.1j]]])
         c = np.array([[[0.0]]])
         est, network = make_setup(h, c, np.ones((1, 1)), p=0.5, sigma2=1e-2)
-        v = combiner_matrix("lp_mmse", est, network)[0, 0, 0]
+        v = combiner_matrix("lp_mmse", *est, network)[0, 0, 0]
         expect = 0.5 * h[0, 0, 0] / (0.5 * np.abs(h[0, 0, 0]) ** 2 + 1e-2)
         assert v == pytest.approx(expect, rel=1e-12)
 
     def test_zero_estimate(self):
         h = np.zeros((1, 2, 1), dtype=complex)
         est, network = make_setup(h, np.zeros((1, 2, 1)), np.ones((1, 2)))
-        assert combiner_matrix("lp_mmse", est, network)[0, 0, 0] == 0
+        assert combiner_matrix("lp_mmse", *est, network)[0, 0, 0] == 0
 
     def test_two_ue_hand_denominator(self, rng):
         h = rng.standard_normal((2, 1, 1)) + 1j * rng.standard_normal((2, 1, 1))
         c = np.abs(rng.standard_normal((2, 1, 1))) * 0.1
         est, network = make_setup(h, c, np.ones((2, 1)), p=0.3, sigma2=2e-3)
-        v = combiner_matrix("lp_mmse", est, network)[0, 0, 0]
+        v = combiner_matrix("lp_mmse", *est, network)[0, 0, 0]
         den = sum(0.3 * (np.abs(h[i, 0, 0]) ** 2 + c[i, 0, 0]) for i in range(2)) + 2e-3
         assert v == pytest.approx(0.3 * h[0, 0, 0] / den, rel=1e-12)
 
@@ -77,7 +75,7 @@ class TestLpMmse:
         h = np.ones((2, 2, 1), dtype=complex)
         D = np.array([[1, 0], [0, 1]])
         est, network = make_setup(h, np.zeros((2, 2, 1)), D)
-        v = combiner_matrix("lp_mmse", est, network)[0]
+        v = combiner_matrix("lp_mmse", *est, network)[0]
         assert v[0, 1] == 0 and v[1, 0] == 0
 
 
@@ -87,7 +85,7 @@ class TestPMmse:
         h = rng.standard_normal((1, 3, 1)) + 1j * rng.standard_normal((1, 3, 1))
         c = np.full((1, 3, 1), 0.05)
         est, network = make_setup(h, c, np.ones((1, 3)), p=0.4, sigma2=1e-3)
-        v = combiner_matrix("p_mmse", est, network)[0, 0]
+        v = combiner_matrix("p_mmse", *est, network)[0, 0]
         hv = h[0, :, 0]
         a = 0.4 * 0.05 + 1e-3  # constant per-AP error variance keeps the diag scalar
         expect = 0.4 * hv / (a + 0.4 * np.vdot(hv, hv).real)
@@ -104,7 +102,7 @@ class TestPMmse:
         h = rng.standard_normal((3, 5, 1)) + 1j * rng.standard_normal((3, 5, 1))
         D = np.array([[1, 0, 1, 0, 1], [1, 1, 0, 0, 0], [0, 0, 0, 1, 1]])
         est, network = make_setup(h, np.full((3, 5, 1), 0.01), D)
-        v = combiner_matrix("p_mmse", est, network)[0, 0]
+        v = combiner_matrix("p_mmse", *est, network)[0, 0]
         assert np.all(v[network.D[0] == 0] == 0)
 
 
@@ -112,14 +110,14 @@ class TestMmse:
     def test_single_ue_equals_p_mmse(self, rng):
         h = rng.standard_normal((1, 4, 1)) + 1j * rng.standard_normal((1, 4, 1))
         est, network = make_setup(h, np.full((1, 4, 1), 0.02), np.ones((1, 4)))
-        assert np.allclose(combiner_matrix("mmse", est, network)[0, 0],
-                           combiner_matrix("p_mmse", est, network)[0, 0], rtol=1e-12)
+        assert np.allclose(combiner_matrix("mmse", *est, network)[0, 0],
+                           combiner_matrix("p_mmse", *est, network)[0, 0], rtol=1e-12)
 
     def test_equals_p_mmse_when_all_shared(self, rng):
         h = rng.standard_normal((3, 4, 1)) + 1j * rng.standard_normal((3, 4, 1))
         est, network = make_setup(h, np.full((3, 4, 1), 0.02), np.ones((3, 4)))
-        mmse = combiner_matrix("mmse", est, network)
-        p_mmse = combiner_matrix("p_mmse", est, network)
+        mmse = combiner_matrix("mmse", *est, network)
+        p_mmse = combiner_matrix("p_mmse", *est, network)
         for k in range(3):
             a = mmse[0, k]
             b = p_mmse[0, k]
@@ -140,14 +138,14 @@ class TestMmse:
             a += 0.25 * np.diag(c[i, :, 0])
         a += 3e-3 * np.eye(L)
         expect = 0.25 * np.linalg.solve(a, h[k, :, 0])
-        assert np.allclose(combiner_matrix("mmse", est, network)[0, k], expect,
+        assert np.allclose(combiner_matrix("mmse", *est, network)[0, k], expect,
                            rtol=1e-10)
 
     def test_finite_outputs(self, rng):
         h = 1e3 * (rng.standard_normal((2, 3, 1)) + 1j * rng.standard_normal((2, 3, 1)))
         est, network = make_setup(h, np.zeros((2, 3, 1)), np.ones((2, 3)), sigma2=1e-9)
         for scheme in ("mr", "lp_mmse", "p_mmse", "mmse"):
-            v = combiner_matrix(scheme, est, network)
+            v = combiner_matrix(scheme, *est, network)
             assert np.isfinite(v).all()
 
 
@@ -161,7 +159,7 @@ def ci_estimates(seed):
     beta = network.beta[:, :, None]
     h = np.sqrt(beta / 2) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     c = 0.1 * beta * rng.uniform(size=shape)
-    return EstimateSet(h_hat=h, eps=np.zeros_like(c), err_var=c), network
+    return (h, c), network
 
 
 class TestStackedMatchesPerSymbolOracle:
@@ -176,12 +174,11 @@ class TestStackedMatchesPerSymbolOracle:
             K = 4
             network = replace(network, D=np.ones((K, network.D.shape[1]), dtype=np.int8),
                               p=network.p[:K], beta=network.beta[:K])
-            est = EstimateSet(h_hat=est.h_hat[:K], eps=est.eps[:K],
-                              err_var=est.err_var[:K])
-        v = combiner_matrix(scheme, est, network)
-        assert v.shape == (est.h_hat.shape[2],) + network.D.shape
+            est = (est[0][:K], est[1][:K])
+        v = combiner_matrix(scheme, *est, network)
+        assert v.shape == (est[0].shape[2],) + network.D.shape
         for tau in range(1, v.shape[0] + 1):
-            ref = combiner_matrix_at(scheme, est, network, tau)
+            ref = combiner_matrix_at(scheme, *est, network, tau)
             np.testing.assert_allclose(v[tau - 1], ref, rtol=1e-12, atol=0)
 
 
@@ -200,7 +197,7 @@ class TestPinvFallback:
             h[:, support, tau - 1] = 0.0
             c[:, support, tau - 1] = 0.0
         est, network = make_setup(h, c, D)
-        normal = combiner_matrix(scheme, est, network)
+        normal = combiner_matrix(scheme, *est, network)
 
         real_solve = np.linalg.solve
 
@@ -212,7 +209,7 @@ class TestPinvFallback:
 
         monkeypatch.setattr(np.linalg, "solve", solve)
         with caplog.at_level("WARNING", logger="cfofdm.combining"):
-            v = combiner_matrix(scheme, est, network)
+            v = combiner_matrix(scheme, *est, network)
         warnings = [r for r in caplog.records if r.name == "cfofdm.combining"]
         assert len(warnings) == len(singular)
         assert np.isfinite(v).all()

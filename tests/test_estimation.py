@@ -11,9 +11,7 @@ from cfofdm.estimation import (
     build_psi,
     build_z_ici,
     estimate_all,
-    estimation_stats,
     kernel_offsets,
-    lmmse_estimate,
 )
 from cfofdm.network import NetworkRealization, SimulationLayout, gen_channel
 from cfofdm.ofdm import build_pilot_book, build_transmit_grids, synth_pilot_observations
@@ -44,6 +42,14 @@ def make_table(layout, sigma2_tot, stride=None, eval_block=1):
                           stride=stride or layout.n_subcarriers)
     lags = range(-(layout.block_symbols - 1), layout.block_symbols)
     return build_correlation_table(params, kernel_offsets(layout, eval_block), lags)
+
+
+def make_context(network, layout, table, kind="pna_ofdm", pn=None,
+                 ici_mode="as_printed"):
+    """Estimator context with the pilot book and ICI base of ``layout``."""
+    book = build_pilot_book(layout.tau_p)
+    base = build_ici_base(layout, table, book, mode=ici_mode)
+    return build_context(network, layout, table, book, kind=kind, pn=pn, ici_base=base)
 
 
 def ici_base_per_entry(layout, params, book, mode, eval_block=1):
@@ -127,7 +133,7 @@ class TestZIci:
         book = build_pilot_book(layout.tau_p)
         beta = np.array([[0.5, 0.3], [0.2, 0.8]])
         network = make_network(layout, beta, [0, 1], p=0.4, sigma2=1e-4)
-        z = build_z_ici(network, layout, table, mode=mode, book=book)
+        z = build_z_ici(network, build_ici_base(layout, table, book, mode=mode))
         for l in range(2):
             for i1 in range(layout.tau_p):
                 for i2 in range(layout.tau_p):
@@ -145,8 +151,8 @@ class TestZIci:
         book = build_pilot_book(layout.tau_p)
         beta = np.array([[0.5, 0.3]])
         network = make_network(layout, beta, [0], p=0.4)
-        z = build_z_ici(network, layout, table, mode="independent_data", book=book,
-                        eval_block=2)
+        z = build_z_ici(network, build_ici_base(layout, table, book, mode="independent_data",
+                                                eval_block=2))
         for i1 in range(layout.tau_p):
             for i2 in range(layout.tau_p):
                 expect = 0.4 * beta[0, 0] * bruteforce_z_entry(
@@ -172,7 +178,7 @@ class TestZIci:
         book = build_pilot_book(layout.tau_p)
         network = make_network(layout, np.ones((2, 2)), [0, 1])
         for mode in ("as_printed", "independent_data"):
-            z = build_z_ici(network, layout, table, mode=mode, book=book)
+            z = build_z_ici(network, build_ici_base(layout, table, book, mode=mode))
             assert np.abs(z).max() < 1e-12
 
     def test_independent_data_diagonal_bounded_by_trace_rule(self):
@@ -193,7 +199,7 @@ class TestZIci:
         book = build_pilot_book(layout.tau_p)
         network = make_network(layout, np.array([[0.5, 0.3], [0.2, 0.8]]), [0, 1])
         for mode in ("as_printed", "independent_data"):
-            z = build_z_ici(network, layout, table, mode=mode, book=book)
+            z = build_z_ici(network, build_ici_base(layout, table, book, mode=mode))
             assert np.abs(z - np.conj(np.swapaxes(z, 1, 2))).max() < 1e-12
 
 
@@ -204,7 +210,7 @@ class TestPsi:
         book = build_pilot_book(layout.tau_p)
         beta = np.array([[0.5, 0.3], [0.2, 0.8]])
         network = make_network(layout, beta, [0, 1], p=0.4, sigma2=1e-3)
-        psi = build_psi(network, layout, table, None, kind="pna_ofdm", book=book)
+        psi = build_psi(network, layout, table, book, None, kind="pna_ofdm")
         for l in range(2):
             expect = sum(
                 0.4 * beta[k, l] * np.outer(book[:, k], np.conj(book[:, k]))
@@ -218,7 +224,7 @@ class TestPsi:
         book = build_pilot_book(layout.tau_p)
         beta = np.array([[0.6, 0.1]])
         network = make_network(layout, beta, [0], p=0.2, sigma2=1e-3)
-        psi = build_psi(network, layout, table, None, book=book)
+        psi = build_psi(network, layout, table, book, None)
         s = book[:, 0]
         for l in range(2):
             val = np.real(s.conj() @ np.linalg.solve(psi[l], s))
@@ -232,8 +238,8 @@ class TestPsi:
         for _ in range(5):
             beta = rng.uniform(0.05, 1.0, (2, 2))
             network = make_network(layout, beta, [0, 1], p=0.3, sigma2=1e-4)
-            z = build_z_ici(network, layout, table, book=book)
-            psi = build_psi(network, layout, table, z, book=book)
+            z = build_z_ici(network, build_ici_base(layout, table, book))
+            psi = build_psi(network, layout, table, book, z)
             assert np.abs(psi - np.conj(np.swapaxes(psi, 1, 2))).max() <= 1e-12
 
 
@@ -243,18 +249,19 @@ class TestLmmseEstimate:
         table = make_table(layout, 3e-3)
         network = make_network(layout, np.ones((2, 2)), [0, 1])
         pn = PnParams(2e9, 4e-16, 4e-16, layout.sample_time)
-        ctx = build_context(network, layout, table, pn=pn)
-        assert lmmse_estimate(ctx, np.zeros(layout.tau_p, dtype=complex), 0, 0, 1) == 0
+        ctx = make_context(network, layout, table, pn=pn)
+        assert estimate_all(ctx, np.zeros((2, layout.tau_p), dtype=complex))[0, 0, 0] == 0
 
     def test_linearity(self, rng):
         layout = toy_layout()
         table = make_table(layout, 3e-3)
         network = make_network(layout, np.ones((2, 2)), [0, 1])
         pn = PnParams(2e9, 4e-16, 4e-16, layout.sample_time)
-        ctx = build_context(network, layout, table, pn=pn)
-        y = rng.standard_normal(layout.tau_p) + 1j * rng.standard_normal(layout.tau_p)
-        a = lmmse_estimate(ctx, 2.5j * y, 1, 1, 2)
-        b = lmmse_estimate(ctx, y, 1, 1, 2)
+        ctx = make_context(network, layout, table, pn=pn)
+        y = np.zeros((2, layout.tau_p), dtype=complex)
+        y[1] = rng.standard_normal(layout.tau_p) + 1j * rng.standard_normal(layout.tau_p)
+        a = estimate_all(ctx, 2.5j * y)[1, 1, 1]
+        b = estimate_all(ctx, y)[1, 1, 1]
         assert a == pytest.approx(2.5j * b, rel=1e-12)
 
     def test_no_pn_single_ue_closed_form(self, rng):
@@ -263,19 +270,18 @@ class TestLmmseEstimate:
         book = build_pilot_book(layout.tau_p)
         beta = np.array([[0.7, 0.2]])
         network = make_network(layout, beta, [0], p=0.3, sigma2=2e-3)
-        ctx = build_context(network, layout, table, book=book)
+        ctx = make_context(network, layout, table)
         y = rng.standard_normal(layout.tau_p) + 1j * rng.standard_normal(layout.tau_p)
+        h_hat = estimate_all(ctx, np.tile(y, (2, 1)))
         for l in range(2):
             expect = (np.sqrt(0.3) * beta[0, l]
                       / (0.3 * beta[0, l] * layout.tau_p + 2e-3)) * (book[:, 0].conj() @ y)
-            got = lmmse_estimate(ctx, y, 0, l, 1)
-            assert got == pytest.approx(expect, rel=1e-10)
+            assert h_hat[0, l, 0] == pytest.approx(expect, rel=1e-10)
             # textbook MMSE estimate variance
-            eps, c = estimation_stats(ctx, 0, l, 1)
             expect_eps = 0.3 * beta[0, l] ** 2 * layout.tau_p / (
                 0.3 * beta[0, l] * layout.tau_p + 2e-3)
-            assert eps == pytest.approx(expect_eps, rel=1e-10)
-            assert c == pytest.approx(beta[0, l] - expect_eps, rel=1e-10)
+            assert ctx.eps[0, l, 0] == pytest.approx(expect_eps, rel=1e-10)
+            assert ctx.err_var[0, l, 0] == pytest.approx(beta[0, l] - expect_eps, rel=1e-10)
 
     def test_zero_beta_zero_stats(self):
         layout = toy_layout()
@@ -283,9 +289,8 @@ class TestLmmseEstimate:
         beta = np.array([[0.5, 0.0], [0.3, 0.4]])
         network = make_network(layout, beta, [0, 1])
         pn = PnParams(2e9, 4e-16, 4e-16, layout.sample_time)
-        ctx = build_context(network, layout, table, pn=pn)
-        eps, c = estimation_stats(ctx, 0, 1, 2)
-        assert eps == 0.0 and c == 0.0
+        ctx = make_context(network, layout, table, pn=pn)
+        assert ctx.eps[0, 1, 1] == 0.0 and ctx.err_var[0, 1, 1] == 0.0
 
     def test_eps_within_bounds(self):
         layout = toy_layout()
@@ -293,10 +298,17 @@ class TestLmmseEstimate:
         network = make_network(layout, np.array([[0.5, 0.3], [0.2, 0.8]]), [0, 1])
         pn = PnParams(2e9, 4e-16, 4e-16, layout.sample_time)
         for kind in ("pna_ofdm", "pna_sc", "unaware"):
-            ctx = build_context(network, layout, table, kind=kind, pn=pn,
-                                ici_mode="independent_data")
+            ctx = make_context(network, layout, table, kind=kind, pn=pn,
+                               ici_mode="independent_data")
             assert (ctx.eps >= 0).all()
             assert (ctx.err_var >= -1e-10).all()
+
+    def test_pna_ofdm_needs_ici_base(self):
+        layout = toy_layout()
+        table = make_table(layout, 3e-3)
+        network = make_network(layout, np.ones((2, 2)), [0, 1])
+        with pytest.raises(ValueError, match="ICI base"):
+            build_context(network, layout, table, build_pilot_book(layout.tau_p))
 
 
 class TestBaselines:
@@ -308,8 +320,8 @@ class TestBaselines:
         y = rng.standard_normal((2, layout.tau_p)) + 1j * rng.standard_normal((2, layout.tau_p))
         outs = []
         for kind in ("pna_ofdm", "pna_sc", "unaware"):
-            ctx = build_context(network, layout, table, kind=kind, pn=pn)
-            outs.append(estimate_all(ctx, y).h_hat)
+            ctx = make_context(network, layout, table, kind=kind, pn=pn)
+            outs.append(estimate_all(ctx, y))
         assert np.abs(outs[0] - outs[1]).max() < 1e-10
         assert np.abs(outs[0] - outs[2]).max() < 1e-10
 
@@ -318,9 +330,9 @@ class TestBaselines:
         table = make_table(layout, 3e-3)
         network = make_network(layout, np.ones((2, 2)), [0, 1])
         pn = PnParams(2e9, 4e-16, 4e-16, layout.sample_time)
-        ctx = build_context(network, layout, table, kind="unaware", pn=pn)
+        ctx = make_context(network, layout, table, kind="unaware", pn=pn)
         y = rng.standard_normal((2, layout.tau_p)) + 1j * rng.standard_normal((2, layout.tau_p))
-        est = estimate_all(ctx, y).h_hat
+        est = estimate_all(ctx, y)
         assert np.abs(est - est[:, :, :1]).max() < 1e-14
 
     def test_sc_kernel_properties(self):
@@ -355,78 +367,23 @@ class TestBaselines:
         beta = np.array([[0.5, 0.3], [0.2, 0.8]])
         network = make_network(layout, beta, [0, 1], p=0.4, sigma2=1e-4)
         book = build_pilot_book(layout.tau_p)
-        ctx_pna = build_context(network, layout, table, kind="pna_ofdm", pn=pn,
-                                ici_mode="independent_data", book=book)
-        ctx_un = build_context(network, layout, table, kind="unaware", pn=pn, book=book)
+        ctx_pna = make_context(network, layout, table, kind="pna_ofdm", pn=pn,
+                               ici_mode="independent_data")
+        ctx_un = make_context(network, layout, table, kind="unaware", pn=pn)
         rng = np.random.default_rng(42)
         err_pna, err_un = [], []
         for _ in range(2000):
-            channel = gen_channel(beta, layout, rng)
+            h = gen_channel(beta, layout, rng)
             trace = gen_pn_trace(pn, layout, rng)
             grids = build_transmit_grids(layout, book, network.pilot_index, rng)
-            y, _ = synth_pilot_observations(channel.h, grids, trace, network, layout, rng)
+            y, _ = synth_pilot_observations(h, grids, trace, network, layout, rng)
             tau = 2
             j0 = np.exp(1j * (trace.ue_phase[:, tau - 1][:, None, :]
                               + trace.ap_phase[:, tau - 1][None, :, :])).mean(axis=2)
-            h_eff = j0 * channel.h[:, :, 0]
-            e_pna = estimate_all(ctx_pna, y).h_hat[:, :, tau - 1]
-            e_un = estimate_all(ctx_un, y).h_hat[:, :, tau - 1]
+            h_eff = j0 * h[:, :, 0]
+            e_pna = estimate_all(ctx_pna, y)[:, :, tau - 1]
+            e_un = estimate_all(ctx_un, y)[:, :, tau - 1]
             err_pna.append(np.abs(h_eff - e_pna) ** 2)
             err_un.append(np.abs(h_eff - e_un) ** 2)
         assert np.mean(err_un) >= np.mean(err_pna)
 
-
-class TestStatisticalConsistency:
-    def _run_trials(self, n_trials, seed=7):
-        # exact-model world: generation-consistent stride, equal-index data
-        # terms, one data draw shared across pilot symbols
-        layout = toy_layout(n_aps=3, n_ues=2, block_symbols=3)
-        pn = PnParams(2e9, 2e-15, 2e-15, layout.sample_time)
-        table = make_table(layout, pn.sigma2_tot,
-                           stride=layout.n_subcarriers + layout.cp_len)
-        beta = np.array([[0.9, 0.4, 0.2], [0.3, 0.7, 0.5]])
-        network = make_network(layout, beta, [0, 1], p=0.5, sigma2=1e-4)
-        book = build_pilot_book(layout.tau_p)
-        ctx = build_context(network, layout, table, kind="pna_ofdm", pn=pn,
-                            ici_mode="independent_data", book=book)
-        rng = np.random.default_rng(seed)
-        rows = []
-        for _ in range(n_trials):
-            channel = gen_channel(beta, layout, rng)
-            trace = gen_pn_trace(pn, layout, rng)
-            grids = build_transmit_grids(layout, book, network.pilot_index, rng,
-                                         shared_data=True)
-            y, _ = synth_pilot_observations(channel.h, grids, trace, network, layout, rng)
-            est = estimate_all(ctx, y)
-            tau = 3
-            j0 = np.exp(1j * (trace.ue_phase[:, tau - 1][:, None, :]
-                              + trace.ap_phase[:, tau - 1][None, :, :])).mean(axis=2)
-            h_eff = j0 * channel.h[:, :, 0]
-            rows.append((h_eff, est.h_hat[:, :, tau - 1], y))
-        return layout, network, ctx, table, rows, tau
-
-    def test_orthogonality_and_variances(self):
-        layout, network, ctx, table, rows, tau = self._run_trials(10000)
-        k, l = 0, 0
-        h_eff = np.array([r[0][k, l] for r in rows])
-        h_hat = np.array([r[1][k, l] for r in rows])
-        y = np.array([r[2][l] for r in rows])
-        n = len(rows)
-
-        # orthogonality principle: E{(h - h_hat) y^H} = 0 entrywise
-        prods = (h_eff - h_hat)[:, None] * np.conj(y)
-        dev = np.abs(prods.mean(axis=0)) / (prods.std(axis=0, ddof=1) / np.sqrt(n))
-        assert dev.max() <= 3.0
-
-        # empirical estimate variance matches the model value
-        eps_model = ctx.eps[k, l, tau - 1]
-        var_hat = np.mean(np.abs(h_hat) ** 2)
-        assert abs(var_hat - eps_model) <= 3 * np.std(np.abs(h_hat) ** 2) / np.sqrt(n)
-
-        # variance decomposition against the effective-channel power:
-        # var(h_hat) + var(h_eff - h_hat) = B00 * beta
-        b00 = table.cpe(0)
-        total = np.abs(h_hat) ** 2 + np.abs(h_eff - h_hat) ** 2
-        expect = b00 * network.beta[k, l]
-        se_tot = total.std(ddof=1) / np.sqrt(n)
-        assert abs(total.mean() - expect) <= 3 * se_tot

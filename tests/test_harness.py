@@ -25,7 +25,6 @@ from cfofdm.harness import (
     records_to_csv,
     run_experiment,
 )
-from cfofdm.ofdm import build_pilot_book
 
 
 def small_cfg(**kw):
@@ -210,6 +209,19 @@ class TestCli:
         cfg_path.write_text("definitely_not_a_key = 1\n")
         assert cli_main(["run", str(cfg_path)]) == 1
 
+    @pytest.mark.parametrize("entry", [
+        "master_seed = -2", "gamma_ap = -1e-17", "gamma_ue = -1e-17", "carrier_hz = -2e9",
+        "subcarrier_spacing_hz = 0", "tx_power_w = -0.1", "shadow_sigma_db = -1",
+    ])
+    def test_out_of_range_value_exit_code(self, tmp_path, capsys, entry):
+        cfg_path = tmp_path / "t.cfg"
+        cfg_path.write_text(
+            "n_subcarriers = 120\nblock_symbols = 5\npilot_symbols = 1:4\n"
+            "n_aps = 5\nn_ues = 2\nn_geometries = 1\nn_trials = 1\n%s\n" % entry
+        )
+        assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 1
+        assert "config error" in capsys.readouterr().err
+
     def test_missing_file_exit_code(self):
         assert cli_main(["run", "/nonexistent/path.cfg"]) == 1
 
@@ -240,6 +252,7 @@ class TestCli:
         out = tmp_path / "geo.csv"
         assert cli_main(["dump-geometry", str(cfg_path), "--out", str(out)]) == 0
         assert out.read_text().startswith("node_type,index")
+        assert cli_main(["dump-geometry", str(cfg_path), "--seed", "-2"]) == 1
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg_path = tmp_path / "t.cfg"
@@ -326,10 +339,7 @@ class TestInvalidRecordGuard:
             return real_finalize(acc, network, scheme_idx)
 
         monkeypatch.setattr(se, "finalize_sinr", finalize_one_negative)
-        table = harness.build_kernel_table(cfg)
-        base = estimation.build_ici_base(cfg.layout(), table,
-                                         build_pilot_book(cfg.layout().tau_p))
-        geom = harness.run_geometry(cfg, table, base, 0)
+        geom = harness.run_geometry(cfg, harness.build_setup(cfg), 0)
         assert geom.n_invalid == 1
         assert all(np.isfinite(c).all() for c in geom.curves.values())
         calls.clear()
@@ -366,38 +376,33 @@ class TestStackedTrial:
         accumulate loop on the same draws."""
         from cfofdm import se
         from cfofdm.combining import SCHEMES
-        from cfofdm.harness import build_kernel_table, derived_rng, run_trial
-        from cfofdm.network import gen_channel, generate_network
+        from cfofdm.harness import build_geometry, build_setup, derived_rng, run_trial
+        from cfofdm.network import gen_channel
         from cfofdm.ofdm import build_transmit_grids, synth_pilot_observations
         from cfofdm.phase_noise import gen_pn_trace
 
         from combining_oracle import add_symbol_at, combiner_matrix_at
 
-        cfg = replace(ci_config(), schemes=SCHEMES,
+        cfg = replace(ci_config(), schemes=SCHEMES, shadow_sigma_db=4.0,
                       estimators=("pna_ofdm", "pna_sc", "unaware"))
-        layout, pn = cfg.layout(), cfg.pn_params()
-        table = build_kernel_table(cfg)
-        network = generate_network(layout, derived_rng(cfg.master_seed, 0, 0))
+        setup = build_setup(cfg)
+        geom = build_geometry(cfg, setup, 0)
+        layout, network, lam = setup.layout, geom.network, geom.lam
         assert len({row.tobytes() for row in network.D}) >= 2
-        book = build_pilot_book(layout.tau_p)
-        contexts = {kind: estimation.build_context(network, layout, table, kind=kind,
-                                                   ici_mode=cfg.ici_mode, pn=pn, book=book)
-                    for kind in cfg.estimators}
-        lam = se.lambda_ici(network, table)
         rng = derived_rng(cfg.master_seed, 1, 0, 0)
-        out = run_trial(cfg, layout, pn, network, book, contexts, lam, copy.deepcopy(rng))
+        out = run_trial(cfg, setup, geom, copy.deepcopy(rng))
 
-        channel = gen_channel(network.beta, layout, rng)
-        trace = gen_pn_trace(pn, layout, rng)
-        grids = build_transmit_grids(layout, book, network.pilot_index, rng)
-        y, cpe = synth_pilot_observations(channel.h, grids, trace, network, layout, rng)
-        h_eff = cpe * channel.h[:, :, 0][:, :, None]
-        for kind, ctx in contexts.items():
-            est = estimation.estimate_all(ctx, y)
+        h = gen_channel(network.beta, layout, rng)
+        trace = gen_pn_trace(setup.pn, layout, rng)
+        grids = build_transmit_grids(layout, setup.book, network.pilot_index, rng)
+        y, cpe = synth_pilot_observations(h, grids, trace, network, layout, rng)
+        h_eff = cpe * h[:, :, 0][:, :, None]
+        for kind, ctx in geom.contexts.items():
+            h_hat = estimation.estimate_all(ctx, y)
             ref = se.SinrAccumulator(len(cfg.schemes), layout.n_ues, layout.block_symbols)
             for s_idx, scheme in enumerate(cfg.schemes):
                 for tau in range(1, layout.block_symbols + 1):
-                    v = combiner_matrix_at(scheme, est, network, tau)
+                    v = combiner_matrix_at(scheme, h_hat, ctx.err_var, network, tau)
                     add_symbol_at(ref, s_idx, tau, v, h_eff[:, :, tau - 1], lam, network.D)
             for name in ("gain", "cross", "ici", "vnorm"):
                 np.testing.assert_allclose(getattr(out[kind], name), getattr(ref, name),

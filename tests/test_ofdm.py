@@ -287,32 +287,6 @@ class TestTimeDomainOracle:
         expect = sum(np.sqrt(n) * np.fft.ifft(grids[k, 0]) for k in range(2))
         assert np.abs(y_time - expect[None, :]).max() < 1e-12
 
-    def test_matches_frequency_model(self, small_layout):
-        """DFT of the time-domain model equals the convolutional frequency model."""
-        layout = small_layout
-        rng = np.random.default_rng(8)
-        beta = rng.uniform(0.2, 1.0, (2, 2))
-        network = make_network(layout, beta, [0, 1], p=0.5, sigma2=1e-2)
-        taps = gen_fir_taps(beta, rng, n_taps=4)
-        book = build_pilot_book(layout.tau_p)
-        grids = build_transmit_grids(layout, book, network.pilot_index, rng)
-        pn = PnParams(2e9, 4e-16, 4e-16, layout.sample_time)
-        trace = gen_pn_trace(pn, layout, rng)
-        n = layout.n_subcarriers
-        noise_t = np.sqrt(network.sigma2 / 2) * (
-            rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n)))
-        _, y_freq = time_domain_oracle(taps, grids, trace, network, layout, 2,
-                                       noise_time=noise_t)
-        h_freq = np.fft.fft(taps, n=n, axis=-1)
-        y_ref = np.fft.fft(noise_t, axis=-1) / np.sqrt(n)
-        for l in range(2):
-            for k in range(2):
-                j_vec = phase_drift(trace.combined(k, l)[1])
-                x = grids[k, 1] * h_freq[k, l]
-                y_ref[l] += np.sqrt(0.5) * np.fft.ifft(np.fft.fft(j_vec) * np.fft.fft(x))
-        rel = np.linalg.norm(y_freq - y_ref) / np.linalg.norm(y_ref)
-        assert rel < 1e-9
-
     def test_single_active_subcarrier_isolates_drift(self, small_layout):
         """One active subcarrier n0: frequency sample at n0+i is sqrt(p) s J_i h."""
         layout = replace(small_layout, n_ues=1, n_aps=1)
