@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 configuration error, 2 validation failure,
+Exit codes: 0 success, 1 configuration or usage error, 2 validation failure,
 3 runtime numerical failure.
 """
 
@@ -25,14 +25,19 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 
+def _thread_count(text: str) -> int:
+    """The --threads value: an integer >= 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError("expected an integer >= 1, got %r" % text)
+    return int(text)
+
+
 def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="override master_seed")
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    p.add_argument("--deterministic", action="store_true",
-                   help="no-op, kept for compatibility: output is byte-identical "
-                        "for every --threads value")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for Monte Carlo trials")
+    p.add_argument("--threads", type=_thread_count, default=1,
+                   help="worker threads for Monte Carlo trials (>= 1); the output "
+                        "is byte-identical for every value")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,7 +77,10 @@ def _emit(text: str, out_path) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         if args.command == "run":
             cfg = load_config(args.config)

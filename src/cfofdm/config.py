@@ -64,7 +64,6 @@ class ExperimentConfig:
     block_symbols: int = 15            # tau_c
     pilot_subcarriers: Tuple[int, ...] = (0,)      # block-local indices
     pilot_symbols: Tuple[int, ...] = tuple(range(1, 13))  # 1-based symbols
-    eval_block: int = 1                # 1-based coherence block under evaluation
     # network
     n_aps: int = 200
     n_ues: int = 10
@@ -84,8 +83,6 @@ class ExperimentConfig:
     schemes: Tuple[str, ...] = ("mmse", "mr")      # mr | lp_mmse | p_mmse | mmse
     ici_mode: str = "as_printed"       # as_printed | independent_data
     cp_consistent_correlation: bool = False  # kernel stride N + N_cp instead of N
-    data_symbols: str = "gaussian"     # gaussian | qpsk
-    gaussian_ici: bool = False         # matched-power Gaussian instead of exact ICI
     # Monte Carlo
     n_geometries: int = 50
     n_trials: int = 200
@@ -132,14 +129,10 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from None
         if self.n_geometries < 1 or self.n_trials < 1:
             raise ConfigError("n_geometries and n_trials must be >= 1")
-        if self.eval_block < 1 or self.eval_block > layout.n_blocks:
-            raise ConfigError("eval_block must lie in [1, %d]" % layout.n_blocks)
         if self.pilot_policy not in ("round_robin", "greedy"):
             raise ConfigError("unknown pilot_policy %r" % self.pilot_policy)
         if self.ici_mode not in ICI_MODES:
             raise ConfigError("unknown ici_mode %r" % self.ici_mode)
-        if self.data_symbols not in ("gaussian", "qpsk"):
-            raise ConfigError("unknown data_symbols %r" % self.data_symbols)
         for e in self.estimators:
             if e not in ESTIMATOR_KINDS:
                 raise ConfigError("unknown estimator %r" % e)

@@ -15,22 +15,14 @@ ESTIMATOR_KINDS = ("pna_ofdm", "pna_sc", "unaware")
 ICI_MODES = ("as_printed", "independent_data")
 
 
-def _slot_geometry(layout: SimulationLayout, eval_block: int = 1):
-    """Absolute subcarrier and 1-based symbol index of every pilot slot."""
-    lo = (eval_block - 1) * layout.block_subcarriers
-    subs = np.array([lo + nu for nu, _ in layout.pilot_slots])
-    syms = np.array([t for _, t in layout.pilot_slots])
-    return subs, syms
-
-
-def kernel_offsets(layout: SimulationLayout, eval_block: int = 1) -> np.ndarray:
+def kernel_offsets(layout: SimulationLayout) -> np.ndarray:
     """Subcarrier offsets at which the estimator reads the drift kernel.
 
     0 for the CPE diagonal, plus n - j for every pilot-slot subcarrier n and
     every other pilot subcarrier j, as reached by the pilot-pair double sum of
     the ICI covariance.
     """
-    subs, _ = _slot_geometry(layout, eval_block)
+    subs, _ = layout.pilot_slot_positions
     cols = layout.pilot_subcarriers_absolute()
     return np.union1d((subs[:, None] - cols[None, :]).ravel(), [0])
 
@@ -83,13 +75,12 @@ def build_ici_base(
     table: KernelGrid,
     book: np.ndarray,
     mode: str = "as_printed",
-    eval_block: int = 1,
 ) -> IciBase:
     """Precompute the pilot-pair and data-pair sums entering the ICI covariance."""
     if mode not in ICI_MODES:
         raise ValueError("unknown ICI mode: %r" % (mode,))
     tau_p = layout.tau_p
-    subs, syms = _slot_geometry(layout, eval_block)
+    subs, syms = layout.pilot_slot_positions
     pilot_cols = layout.pilot_subcarriers_absolute()
     slot_of = {slot: i for i, slot in enumerate(layout.pilot_slots)}
     nc = layout.block_subcarriers
@@ -172,7 +163,7 @@ def build_psi(
     positive definite.
     """
     tau_p = layout.tau_p
-    _, syms = _slot_geometry(layout)
+    _, syms = layout.pilot_slot_positions
     kmat = cpe_kernel_value(kind, syms[:, None] - syms[None, :], table, pn, layout)
     pb = network.p[:, None] * network.beta
     psi = np.zeros((layout.n_aps, tau_p, tau_p), dtype=complex)
@@ -224,7 +215,7 @@ def build_context(
         z = build_z_ici(network, ici_base)
     psi = build_psi(network, layout, table, book, z, kind=kind, pn=pn)
 
-    _, syms = _slot_geometry(layout)
+    _, syms = layout.pilot_slot_positions
     tau_c, tau_p = layout.block_symbols, layout.tau_p
     b_weights = cpe_kernel_value(kind, np.arange(1, tau_c + 1)[:, None] - syms[None, :],
                                  table, pn, layout)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -83,7 +84,7 @@ def build_kernel_table(cfg: ExperimentConfig) -> KernelGrid:
                                       cp_consistent=cfg.cp_consistent_correlation)
     offsets = [0]
     if "pna_ofdm" in cfg.estimators:
-        offsets = estimation.kernel_offsets(layout, cfg.eval_block)
+        offsets = estimation.kernel_offsets(layout)
     lags = range(-(layout.block_symbols - 1), layout.block_symbols)
     return build_correlation_table(params, offsets, lags)
 
@@ -115,7 +116,7 @@ class Geometry:
 
     network: NetworkRealization
     contexts: Dict[str, estimation.EstimatorContext]
-    lam: np.ndarray  # (K, L) ICI power, also the gaussian_ici matched power
+    lam: np.ndarray  # (K, L) ICI power
 
 
 def build_setup(cfg: ExperimentConfig) -> Setup:
@@ -126,8 +127,7 @@ def build_setup(cfg: ExperimentConfig) -> Setup:
     book = ofdm.build_pilot_book(layout.tau_p)
     ici_base = None
     if "pna_ofdm" in cfg.estimators:
-        ici_base = estimation.build_ici_base(layout, table, book, mode=cfg.ici_mode,
-                                             eval_block=cfg.eval_block)
+        ici_base = estimation.build_ici_base(layout, table, book, mode=cfg.ici_mode)
     return Setup(layout, cfg.pn_params(), table, book, ici_base)
 
 
@@ -151,13 +151,9 @@ def run_trial(cfg: ExperimentConfig, setup: Setup, geom: Geometry,
     layout, network = setup.layout, geom.network
     h = gen_channel(network.beta, layout, rng)
     trace = gen_pn_trace(setup.pn, layout, rng)
-    grids = ofdm.build_transmit_grids(layout, setup.book, network.pilot_index, rng,
-                                      data_kind=cfg.data_symbols)
-    y, cpe = ofdm.synth_pilot_observations(
-        h, grids, trace, network, layout, rng,
-        eval_block=cfg.eval_block, gaussian_ici=cfg.gaussian_ici, ici_power=geom.lam,
-    )
-    h_eff = cpe * h[:, :, cfg.eval_block - 1][:, :, None]
+    grids = ofdm.build_transmit_grids(layout, setup.book, network.pilot_index, rng)
+    y, cpe = ofdm.synth_pilot_observations(h, grids, trace, network, layout, rng)
+    h_eff = cpe * h[:, :, 0][:, :, None]
 
     out: Dict[str, se.SinrAccumulator] = {}
     for kind, ctx in geom.contexts.items():
@@ -177,8 +173,10 @@ class GeometryResult:
 
     curves: Dict[Tuple[str, str], np.ndarray]        # per-channel-use SE
     blocks: Dict[Tuple[str, str], float]             # per-block SE
-    batch_curves: Dict[Tuple[str, str], np.ndarray]  # (n_batches, n_uses)
-    batch_blocks: Dict[Tuple[str, str], np.ndarray]  # (n_batches,)
+    # SE per trial batch, (n_batches, n_uses) and (n_batches,); filled only for
+    # a single-geometry run of several batches, where they feed the standard error
+    batch_curves: Dict[Tuple[str, str], np.ndarray]
+    batch_blocks: Dict[Tuple[str, str], np.ndarray]
     n_invalid: int
     n_records: int
 
@@ -189,7 +187,11 @@ def run_geometry(
     geometry_index: int,
     threads: int = 1,
 ) -> GeometryResult:
-    """All Monte Carlo trials for one network geometry."""
+    """All Monte Carlo trials for one network geometry.
+
+    Trial t lands in batch t % n_batches; the batches are merged in order.
+    Trials run in the calling thread at ``threads`` = 1, else on a pool.
+    """
     layout = setup.layout
     geom = build_geometry(cfg, setup, geometry_index)
     network = geom.network
@@ -205,21 +207,16 @@ def run_geometry(
         rng = derived_rng(cfg.master_seed, _STREAM_TRIAL, geometry_index, t)
         return run_trial(cfg, setup, geom, rng)
 
-    trial_ids = list(range(cfg.n_trials))
-    if threads <= 1:
-        for t in trial_ids:
-            partial = one(t)
-            for kind, acc in partial.items():
-                batches[kind][t % n_batches].merge(acc)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunk = 4 * threads
-            for lo in range(0, len(trial_ids), chunk):
-                ids = trial_ids[lo : lo + chunk]
-                for t, partial in zip(ids, pool.map(one, ids)):
-                    for kind, acc in partial.items():
-                        batches[kind][t % n_batches].merge(acc)
+    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+        trial_map = map if pool is None else pool.map
+        chunk = 4 * threads  # trials in flight at once
+        for lo in range(0, cfg.n_trials, chunk):
+            ids = range(lo, min(lo + chunk, cfg.n_trials))
+            for t, partial in zip(ids, trial_map(one, ids)):
+                for kind, acc in partial.items():
+                    batches[kind][t % n_batches].merge(acc)
 
+    finalize_batches = cfg.n_geometries == 1 and n_batches > 1
     curves, blocks, bcurves, bblocks = {}, {}, {}, {}
     n_invalid = 0
     n_records = 0
@@ -228,27 +225,27 @@ def run_geometry(
         for b in batches[kind]:
             total.merge(b)
         for s_idx, scheme in enumerate(cfg.schemes):
+            key = (kind, scheme)
             sinr = se.finalize_sinr(total, network, s_idx)
-            curve, block = se.se_from_sinr(sinr, layout)
+            curves[key], blocks[key] = se.se_from_sinr(sinr, layout)
             n_invalid += int(np.isnan(sinr).sum())
             n_records += sinr.size
-            curves[(kind, scheme)] = curve
-            blocks[(kind, scheme)] = block
-            if n_batches > 1:
-                bc = []
-                bb = []
-                for b in batches[kind]:
-                    c, bl = se.se_from_sinr(se.finalize_sinr(b, network, s_idx), layout)
-                    bc.append(c)
-                    bb.append(bl)
-                bcurves[(kind, scheme)] = np.stack(bc)
-                bblocks[(kind, scheme)] = np.array(bb)
-            else:
-                bcurves[(kind, scheme)] = curve[None, :]
-                bblocks[(kind, scheme)] = np.array([block])
+            if finalize_batches:
+                per_batch = [se.se_from_sinr(se.finalize_sinr(b, network, s_idx), layout)
+                             for b in batches[kind]]
+                bcurves[key] = np.stack([c for c, _ in per_batch])
+                bblocks[key] = np.array([bl for _, bl in per_batch])
     return GeometryResult(curves=curves, blocks=blocks, batch_curves=bcurves,
                           batch_blocks=bblocks, n_invalid=n_invalid,
                           n_records=n_records)
+
+
+def _standard_error(rows) -> np.ndarray:
+    """Standard error of the mean over the rows (axis 0); zero for one row."""
+    rows = np.asarray(rows)
+    if len(rows) == 1:
+        return np.zeros(rows.shape[1:])
+    return np.std(rows, axis=0, ddof=1) / np.sqrt(len(rows))
 
 
 def run_experiment(
@@ -260,10 +257,13 @@ def run_experiment(
     """Run the full experiment and aggregate records across geometries.
 
     The records are a pure function of the configuration: byte-identical for
-    every ``threads`` value.  Raises RuntimeError if more than 1% of SINR
-    records are invalid.
+    every ``threads`` value (>= 1).  The standard error spreads over the
+    geometries, or over the trial batches of a single-geometry run.  Raises
+    RuntimeError if more than 1% of SINR records are invalid.
     """
     cfg.validate()
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     layout = cfg.layout()
     t0 = time.perf_counter()
     if progress:
@@ -293,26 +293,15 @@ def run_experiment(
         label = (estimator_label or {}).get(kind, kind)
         for scheme in cfg.schemes:
             key = (kind, scheme)
-            curve = np.mean([g.curves[key] for g in geoms], axis=0)
-            block = float(np.mean([g.blocks[key] for g in geoms]))
-            if cfg.n_geometries > 1:
-                curve_se = np.std([g.curves[key] for g in geoms], axis=0, ddof=1) / np.sqrt(
-                    cfg.n_geometries
-                )
-                block_se = float(
-                    np.std([g.blocks[key] for g in geoms], ddof=1) / np.sqrt(cfg.n_geometries)
-                )
-            else:
-                bc = geoms[0].batch_curves[key]
-                nb = bc.shape[0]
-                if nb > 1:
-                    curve_se = np.std(bc, axis=0, ddof=1) / np.sqrt(nb)
-                    block_se = float(
-                        np.std(geoms[0].batch_blocks[key], ddof=1) / np.sqrt(nb)
-                    )
-                else:
-                    curve_se = np.zeros(n_uses)
-                    block_se = 0.0
+            curve_rows = [g.curves[key] for g in geoms]
+            block_rows = [g.blocks[key] for g in geoms]
+            curve = np.mean(curve_rows, axis=0)
+            block = float(np.mean(block_rows))
+            if geoms[0].batch_curves:  # one geometry: spread over its trial batches
+                curve_rows = geoms[0].batch_curves[key]
+                block_rows = geoms[0].batch_blocks[key]
+            curve_se = _standard_error(curve_rows)
+            block_se = float(_standard_error(block_rows))
             records.append(
                 ResultRecord(cfg.name, scheme, label, layout.n_ues, layout.n_aps,
                              0, 0, block, total_trials, block_se, cfg.master_seed)

@@ -111,6 +111,14 @@ class SimulationLayout:
             (n, t) for t in self.pilot_symbols for n in self.pilot_subcarriers
         )
 
+    @property
+    def pilot_slot_positions(self) -> tuple:
+        """Absolute subcarrier and 1-based symbol index of every pilot slot of
+        the first coherence block, the one under evaluation: two integer
+        arrays in ``pilot_slots`` order."""
+        subs, syms = zip(*self.pilot_slots)
+        return np.array(subs), np.array(syms)
+
     def pilot_subcarriers_absolute(self) -> np.ndarray:
         """Absolute subcarrier indices that carry pilots, across all blocks."""
         offs = np.arange(self.n_blocks) * self.block_subcarriers

@@ -23,41 +23,29 @@ def build_pilot_book(tau_p: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(m, m) / tau_p)
 
 
-def draw_data_symbols(shape, rng: np.random.Generator, kind: str = "gaussian") -> np.ndarray:
-    """Unit-power zero-mean data symbols: circularly-symmetric Gaussian or QPSK."""
-    if kind == "gaussian":
-        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-    if kind == "qpsk":
-        quad = rng.integers(0, 4, size=shape)
-        return np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * quad))
-    raise ValueError("unknown data symbol kind: %r" % (kind,))
-
-
 def build_transmit_grids(
     layout: SimulationLayout,
     book: np.ndarray,
     pilot_index: np.ndarray,
     rng: np.random.Generator,
-    data_kind: str = "gaussian",
     shared_data: bool = False,
 ) -> np.ndarray:
     """Per-UE frequency grids for the pilot-bearing OFDM symbols.
 
     Returns (K, |T_p|, N): for every pilot symbol, each UE transmits its pilot
     sample on the pilot subcarriers of every coherence block and fresh
-    unit-power data symbols elsewhere.  With ``shared_data`` one data draw is
-    repeated across the pilot symbols; the self-checks use this world because
-    there the estimator's assumed pilot covariance is exact.
+    unit-power circularly-symmetric Gaussian data symbols elsewhere.  With
+    ``shared_data`` one data draw is repeated across the pilot symbols; the
+    self-checks use this world because there the estimator's assumed pilot
+    covariance is exact.
     """
     K = len(pilot_index)
     n = layout.n_subcarriers
     n_psym = len(layout.pilot_symbols)
+    shape = (K, 1 if shared_data else n_psym, n)
+    grids = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
     if shared_data:
-        grids = np.broadcast_to(
-            draw_data_symbols((K, 1, n), rng, data_kind), (K, n_psym, n)
-        ).copy()
-    else:
-        grids = draw_data_symbols((K, n_psym, n), rng, data_kind)
+        grids = np.repeat(grids, n_psym, axis=1)
     pilot_cols = layout.pilot_subcarriers_absolute()
     slot_of = {slot: i for i, slot in enumerate(layout.pilot_slots)}
     for si, t_sym in enumerate(layout.pilot_symbols):
@@ -75,18 +63,13 @@ def synth_pilot_observations(
     network: NetworkRealization,
     layout: SimulationLayout,
     rng: np.random.Generator,
-    eval_block: int = 1,
-    gaussian_ici: bool = False,
-    ici_power: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Received pilot observations with exact phase-noise ICI, and the common
     phase errors of every symbol of the block.
 
     For every pilot slot (n, tau) and AP l the received sample is
-    sum_k sqrt(p_k) * (J_{k,l} conv (h_{k,l} .* s_k))[n] + noise.  With
-    ``gaussian_ici`` the ICI part (everything but the J_0 term) is replaced by
-    a circularly-symmetric Gaussian of matched power ``ici_power`` (K, L) per
-    pilot sample, drawn in pilot-symbol order.  The noise is drawn last.
+    sum_k sqrt(p_k) * (J_{k,l} conv (h_{k,l} .* s_k))[n] + noise, with the
+    noise drawn from ``rng``.
 
     Parameters
     ----------
@@ -105,14 +88,8 @@ def synth_pilot_observations(
     r_whole = n // nc  # whole coherence blocks; a partial one may follow
     n_sym = layout.block_symbols
     tau_p = layout.tau_p
-    if gaussian_ici and ici_power is None:
-        raise ValueError("ici_power required in gaussian_ici mode")
     sqrt_p = np.sqrt(network.p)
-
-    block_lo = (eval_block - 1) * nc
-    slots = layout.pilot_slots
-    slot_sub = np.array([block_lo + nu for nu, _ in slots])
-    slot_sym = np.array([t for _, t in slots])  # 1-based
+    slot_sub, slot_sym = layout.pilot_slot_positions
 
     y = np.empty((L, tau_p), dtype=complex)
     cpe = np.empty((K, L, n_sym), dtype=complex)
@@ -123,9 +100,7 @@ def synth_pilot_observations(
     fx = np.empty((L, n), dtype=complex)
     fx_blocks = fx[:, : r_whole * nc].reshape(L, r_whole, nc)  # a view of fx
     pilot_si = {t: si for si, t in enumerate(layout.pilot_symbols)}
-    # pilot symbols first, in layout order, which is the order of the ICI draws
-    order = list(layout.pilot_symbols) + [t for t in range(1, n_sym + 1) if t not in pilot_si]
-    for t_sym in order:
+    for t_sym in range(1, n_sym + 1):
         ue_phase = trace.ue_phase[:, t_sym - 1, :]
         ap_phase = trace.ap_phase[:, t_sym - 1, :]
         e_ue = phasor(ue_phase)  # (K, N)
@@ -137,16 +112,9 @@ def synth_pilot_observations(
         in_slot = np.flatnonzero(slot_sym == t_sym)
         subs = slot_sub[in_slot]
         # a phase constant over the symbol makes J a delta: no ICI at all
-        flat = (ue_phase == ue_phase[:, :1]).all() and (ap_phase == ap_phase[:, :1]).all()
-        if gaussian_ici or flat:
+        if (ue_phase == ue_phase[:, :1]).all() and (ap_phase == ap_phase[:, :1]).all():
             terms = (sqrt_p[:, None, None] * grids[:, si, subs][:, None, :]
-                     * cpe[:, :, t_sym - 1, None] * h[:, :, subs // nc])
-            if gaussian_ici:
-                z = (
-                    rng.standard_normal((K, L, len(in_slot)))
-                    + 1j * rng.standard_normal((K, L, len(in_slot)))
-                ) / np.sqrt(2.0)
-                terms += z * np.sqrt(ici_power)[:, :, None]
+                     * cpe[:, :, t_sym - 1, None] * h[:, :, :1])  # slots of block 1
             y[:, in_slot] = terms.sum(axis=0)
             continue
         # g[l, m] = sum_k sqrt(p_k) e_ue[k, m] fft(h_{k,l} .* s_k)[m], one k at a

@@ -198,9 +198,8 @@ def lmmse_moments(cfg: ExperimentConfig) -> Check:
         trace = gen_pn_trace(pn, layout, rng)
         grids = ofdm.build_transmit_grids(layout, setup.book, network.pilot_index, rng,
                                           shared_data=True)
-        y, cpe = ofdm.synth_pilot_observations(h, grids, trace, network, layout,
-                                               rng, eval_block=cfg.eval_block)
-        h_eff[t] = cpe[k, l] * h[k, l, cfg.eval_block - 1]
+        y, cpe = ofdm.synth_pilot_observations(h, grids, trace, network, layout, rng)
+        h_eff[t] = cpe[k, l] * h[k, l, 0]
         h_hat[t] = estimation.estimate_all(ctx, y)[k, l]
         y_l[t] = y[l]
 

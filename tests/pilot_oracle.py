@@ -4,11 +4,10 @@
 effective-channel (J_0) term and the ICI term separately, and the noise, with
 y = sum_k (effective + ici) + noise.  It draws from the generator exactly as
 ``cfofdm.ofdm.synth_pilot_observations`` does, so both give the same noise
-and Gaussian ICI draws from equal generator states.
+draws from equal generator states.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -32,29 +31,23 @@ class PilotObservation:
     noise: np.ndarray      # (L, tau_p)
 
 
-def decomposed_pilot_observations(h, grids, trace, network, layout, rng,
-                                  eval_block: int = 1, gaussian_ici: bool = False,
-                                  ici_power: Optional[np.ndarray] = None,
-                                  cpe: Optional[np.ndarray] = None) -> PilotObservation:
+def decomposed_pilot_observations(h, grids, trace, network, layout, rng) -> PilotObservation:
     """Received pilot observations with exact phase-noise ICI, decomposed.
 
-    For every pilot slot (n, tau) and AP l the received sample is
-    sum_k sqrt(p_k) * (J_{k,l} conv (h_{k,l} .* s_k))[n] + noise, split into
-    the J_0 (effective channel) part and the remaining ICI part.  With
-    ``gaussian_ici`` the exact ICI draw is replaced by a circularly-symmetric
-    Gaussian of matched power ``ici_power`` (K, L) per pilot sample.
+    For every pilot slot (n, tau) of the first coherence block and AP l the
+    received sample is sum_k sqrt(p_k) * (J_{k,l} conv (h_{k,l} .* s_k))[n] +
+    noise, split into the J_0 (effective channel) part and the remaining ICI
+    part.
     """
     K, L, _ = h.shape
     n = layout.n_subcarriers
     tau_p = layout.tau_p
     sqrt_p = np.sqrt(network.p)
     h_full = expand_blocks(h, layout)  # (K, L, N)
-    if cpe is None:
-        cpe = cpe_per_symbol(trace)    # (K, L, tau_c)
+    cpe = cpe_per_symbol(trace)    # (K, L, tau_c)
 
-    block_lo = (eval_block - 1) * layout.block_subcarriers
     slots = layout.pilot_slots
-    slot_sub = np.array([block_lo + nu for nu, _ in slots])
+    slot_sub = np.array([nu for nu, _ in slots])
     slot_sym = np.array([t for _, t in slots])  # 1-based
 
     effective = np.zeros((K, L, tau_p), dtype=complex)
@@ -72,15 +65,6 @@ def decomposed_pilot_observations(h, grids, trace, network, layout, rng,
         effective[:, :, in_slot] = (
             sqrt_p[:, None, None] * s_at[:, None, :] * j0[:, :, None] * h_at
         )
-        if gaussian_ici:
-            if ici_power is None:
-                raise ValueError("ici_power required in gaussian_ici mode")
-            z = (
-                rng.standard_normal((K, L, len(in_slot)))
-                + 1j * rng.standard_normal((K, L, len(in_slot)))
-            ) / np.sqrt(2.0)
-            ici[:, :, in_slot] = z * np.sqrt(ici_power)[:, :, None]
-            continue
         e_ue = np.exp(1j * trace.ue_phase[:, t_sym - 1, :][:, rev])  # (K, N)
         e_ap = np.exp(1j * trace.ap_phase[:, t_sym - 1, :][:, rev])  # (L, N)
         phases = np.exp(2j * np.pi * np.outer(subs, np.arange(n)) / n)

@@ -37,11 +37,11 @@ def toy_layout(**kw):
     return SimulationLayout(**base)
 
 
-def make_table(layout, sigma2_tot, stride=None, eval_block=1):
+def make_table(layout, sigma2_tot, stride=None):
     params = KernelParams(n=layout.n_subcarriers, sigma2_tot=sigma2_tot,
                           stride=stride or layout.n_subcarriers)
     lags = range(-(layout.block_symbols - 1), layout.block_symbols)
-    return build_correlation_table(params, kernel_offsets(layout, eval_block), lags)
+    return build_correlation_table(params, kernel_offsets(layout), lags)
 
 
 def make_context(network, layout, table, kind="pna_ofdm", pn=None,
@@ -52,13 +52,12 @@ def make_context(network, layout, table, kind="pna_ofdm", pn=None,
     return build_context(network, layout, table, book, kind=kind, pn=pn, ici_base=base)
 
 
-def ici_base_per_entry(layout, params, book, mode, eval_block=1):
+def ici_base_per_entry(layout, params, book, mode):
     """Pilot-pair and data-pair ICI sums with one scalar kernel call per entry."""
     from cfofdm.estimation import _data_sum_as_printed, _data_sum_independent
 
     tau_p, nc = layout.tau_p, layout.block_subcarriers
-    lo = (eval_block - 1) * nc
-    subs = np.array([lo + nu for nu, _ in layout.pilot_slots])
+    subs = np.array([nu for nu, _ in layout.pilot_slots])
     syms = np.array([t for _, t in layout.pilot_slots])
     pilot_cols = layout.pilot_subcarriers_absolute()
     slot_of = {slot: i for i, slot in enumerate(layout.pilot_slots)}
@@ -86,13 +85,12 @@ def ici_base_per_entry(layout, params, book, mode, eval_block=1):
     return pilot_terms, data_term
 
 
-def bruteforce_z_entry(layout, table, book, t, i1, i2, mode, eval_block=1):
+def bruteforce_z_entry(layout, table, book, t, i1, i2, mode):
     """Literal double-loop over the ICI covariance entry for pilot sequence t."""
     n = layout.n_subcarriers
-    lo = (eval_block - 1) * layout.block_subcarriers
     slots = layout.pilot_slots
-    n1, t1 = lo + slots[i1][0], slots[i1][1]
-    n2, t2 = lo + slots[i2][0], slots[i2][1]
+    n1, t1 = slots[i1]
+    n2, t2 = slots[i2]
     pilot_cols = set(layout.pilot_subcarriers_absolute().tolist())
     slot_of = {s: i for i, s in enumerate(slots)}
     params = table.params
@@ -145,30 +143,14 @@ class TestZIci:
                     )
                     assert z[l, i1, i2] == pytest.approx(expect, rel=1e-10, abs=1e-16)
 
-    def test_eval_block_offset_matches_bruteforce(self):
-        layout = toy_layout()
-        table = make_table(layout, 5e-3, eval_block=2)
-        book = build_pilot_book(layout.tau_p)
-        beta = np.array([[0.5, 0.3]])
-        network = make_network(layout, beta, [0], p=0.4)
-        z = build_z_ici(network, build_ici_base(layout, table, book, mode="independent_data",
-                                                eval_block=2))
-        for i1 in range(layout.tau_p):
-            for i2 in range(layout.tau_p):
-                expect = 0.4 * beta[0, 0] * bruteforce_z_entry(
-                    layout, table, book, 0, i1, i2, "independent_data", eval_block=2)
-                assert z[0, i1, i2] == pytest.approx(expect, rel=1e-10, abs=1e-16)
-
     @pytest.mark.parametrize("mode", ["as_printed", "independent_data"])
-    @pytest.mark.parametrize("eval_block", [1, 2])
-    def test_ici_base_matches_per_entry_loop(self, mode, eval_block):
+    def test_ici_base_matches_per_entry_loop(self, mode):
         layout = toy_layout(n_subcarriers=48, block_subcarriers=12, block_symbols=4,
                             pilot_subcarriers=(0, 5), pilot_symbols=(1, 2, 3))
-        table = make_table(layout, 5e-3, eval_block=eval_block)
+        table = make_table(layout, 5e-3)
         book = build_pilot_book(layout.tau_p)
-        base = build_ici_base(layout, table, book, mode=mode, eval_block=eval_block)
-        pilot_terms, data_term = ici_base_per_entry(layout, table.params, book, mode,
-                                                    eval_block)
+        base = build_ici_base(layout, table, book, mode=mode)
+        pilot_terms, data_term = ici_base_per_entry(layout, table.params, book, mode)
         assert base.pilot_terms == pytest.approx(pilot_terms, rel=1e-10)
         assert base.data_term == pytest.approx(data_term, rel=1e-10)
 

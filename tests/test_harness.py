@@ -61,8 +61,11 @@ class TestConfigParsing:
         assert cfg == ExperimentConfig()
 
     def test_unknown_key_rejected_with_line(self):
-        with pytest.raises(ConfigError, match="line 3"):
-            parse_config("n_aps = 4\nn_ues = 2\nbogus_key = 1\n")
+        # the last three keys were switches of earlier versions
+        for entry in ("bogus_key = 1", "eval_block = 1", "gaussian_ici = false",
+                      "data_symbols = gaussian"):
+            with pytest.raises(ConfigError, match="line 3"):
+                parse_config("n_aps = 4\nn_ues = 2\n%s\n" % entry)
 
     def test_invalid_value_rejected_with_line(self):
         with pytest.raises(ConfigError, match="line 1"):
@@ -117,6 +120,11 @@ class TestRunExperiment:
         b = records_to_csv(run_experiment(cfg, threads=2))
         assert a == b
 
+    def test_threads_below_one_rejected(self):
+        for threads in (0, -3):
+            with pytest.raises(ValueError, match="threads"):
+                run_experiment(small_cfg(), threads=threads)
+
     def test_scheme_rows_present(self):
         cfg = small_cfg(n_trials=4, n_geometries=1)
         records = run_experiment(cfg)
@@ -140,12 +148,6 @@ class TestRunExperiment:
         ])
         ratio = se_big / se_small
         assert ratio == pytest.approx(1 / np.sqrt(2), rel=0.2)
-
-    def test_qpsk_and_gaussian_ici_options(self):
-        cfg = small_cfg(n_trials=4, n_geometries=1, data_symbols="qpsk",
-                        gaussian_ici=True)
-        records = run_experiment(cfg)
-        assert all(np.isfinite(r.se_per_ue) for r in records)
 
     def test_greedy_pilot_policy_runs(self):
         cfg = small_cfg(n_trials=3, n_geometries=1, pilot_policy="greedy")
@@ -184,30 +186,60 @@ class TestCli:
             "shadow_sigma_db = 0\nname = clitest\n"
         )
         out = tmp_path / "out.csv"
-        rc = cli_main(["run", str(cfg_path), "--out", str(out), "--deterministic"])
+        rc = cli_main(["run", str(cfg_path), "--out", str(out)])
         assert rc == 0
         text = out.read_text()
         assert text.startswith(CSV_HEADER)
         assert "clitest" in text
 
-    def test_deterministic_flag_byte_identical(self, tmp_path):
+    def test_cli_output_byte_identical(self, tmp_path):
         cfg_path = tmp_path / "t.cfg"
         cfg_path.write_text(
             "n_subcarriers = 120\nblock_symbols = 5\npilot_symbols = 1:4\n"
             "n_aps = 5\nn_ues = 2\nn_geometries = 1\nn_trials = 4\n"
         )
         outs = []
-        for name in ("a.csv", "b.csv"):
+        for name, threads in (("a.csv", "1"), ("b.csv", "2")):
             out = tmp_path / name
             assert cli_main(["run", str(cfg_path), "--out", str(out),
-                             "--deterministic"]) == 0
+                             "--threads", threads]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_config_error_exit_code(self, tmp_path):
-        cfg_path = tmp_path / "bad.cfg"
-        cfg_path.write_text("definitely_not_a_key = 1\n")
-        assert cli_main(["run", str(cfg_path)]) == 1
+    def test_config_error_exit_code(self, tmp_path, capsys):
+        # the last three keys were switches of earlier versions
+        for entry in ("definitely_not_a_key = 1", "eval_block = 1", "gaussian_ici = false",
+                      "data_symbols = gaussian"):
+            cfg_path = tmp_path / "bad.cfg"
+            cfg_path.write_text(
+                "n_subcarriers = 120\nblock_symbols = 5\npilot_symbols = 1:4\n"
+                "n_aps = 5\nn_ues = 2\nn_geometries = 1\nn_trials = 1\n%s\n" % entry
+            )
+            assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 1
+            assert "line 8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, code", [
+        pytest.param("run t.cfg --bogus", 1, id="unknown_option"),
+        pytest.param("run t.cfg --deterministic", 1, id="removed_option"),
+        pytest.param("run t.cfg --threads 0", 1, id="zero_threads"),
+        pytest.param("run t.cfg --threads -3", 1, id="negative_threads"),
+        pytest.param("run t.cfg --threads two", 1, id="non_integer_threads"),
+        pytest.param("", 1, id="no_command"),
+        pytest.param("--help", 0, id="help"),
+        pytest.param("run --help", 0, id="run_help"),
+    ])
+    def test_usage_exit_code(self, tmp_path, capsys, args, code):
+        """Usage errors are config errors (exit 1); --help exits 0."""
+        cfg_path = tmp_path / "t.cfg"
+        cfg_path.write_text(
+            "n_subcarriers = 120\nblock_symbols = 5\npilot_symbols = 1:4\n"
+            "n_aps = 5\nn_ues = 2\nn_geometries = 1\nn_trials = 1\n"
+        )
+        argv = [str(cfg_path) if a == "t.cfg" else a for a in args.split()]
+        argv += ["--out", str(tmp_path / "o.csv")] if "t.cfg" in args else []
+        assert cli_main(argv) == code
+        if code:
+            assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("entry", [
         "master_seed = -2", "gamma_ap = -1e-17", "gamma_ue = -1e-17", "carrier_hz = -2e9",

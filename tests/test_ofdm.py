@@ -10,7 +10,6 @@ from cfofdm.network import NetworkRealization, SimulationLayout, gen_fir_taps
 from cfofdm.ofdm import (
     build_pilot_book,
     build_transmit_grids,
-    draw_data_symbols,
     synth_pilot_observations,
     time_domain_oracle,
 )
@@ -72,11 +71,6 @@ class TestTransmitGrids:
         data = np.concatenate(samples)
         assert abs(data.mean()) < 4 / np.sqrt(data.size)
         assert np.mean(np.abs(data) ** 2) == pytest.approx(1.0, rel=0.02)
-
-    def test_qpsk_symbols(self, rng):
-        s = draw_data_symbols((1000,), rng, kind="qpsk")
-        assert np.abs(np.abs(s) - 1.0).max() < 1e-12
-        assert len(np.unique(np.round(np.angle(s), 6))) == 4
 
 
 class TestSynthObservations:
@@ -169,33 +163,6 @@ class TestSynthObservations:
             )
             assert obs.ici[0, 0, i] == pytest.approx(expect, rel=1e-10)
 
-    def test_gaussian_ici_matches_power(self, small_layout):
-        """The speed option replaces exact ICI by Gaussian draws of matched power."""
-        layout = replace(small_layout, n_ues=1)
-        beta = np.array([[0.5, 0.4]])
-        network = make_network(layout, beta, [0], p=0.2, sigma2=0.0)
-        rng = np.random.default_rng(11)
-        book = build_pilot_book(layout.tau_p)
-        power = 0.2 * beta * 0.13  # stand-in for p*beta*(1 - B00)
-        vals = []
-        for _ in range(3000):
-            h = np.ones((1, 2, layout.n_blocks), dtype=complex)
-            grids = build_transmit_grids(layout, book, network.pilot_index, rng)
-            trace = constant_trace(layout, 0.0)
-            obs = decomposed_pilot_observations(h, grids, trace, network, layout, rng,
-                                                gaussian_ici=True, ici_power=power)
-            vals.append(np.abs(obs.ici[0]) ** 2)
-        vals = np.asarray(vals)
-        mean = vals.mean(axis=0)
-        se = vals.std(axis=0, ddof=1) / np.sqrt(len(vals))
-        assert np.all(np.abs(mean - power[0][:, None]) <= 3 * se)
-        with pytest.raises(ValueError):
-            synth_pilot_observations(np.ones((1, 2, layout.n_blocks), dtype=complex),
-                                     build_transmit_grids(layout, book,
-                                                          network.pilot_index, rng),
-                                     constant_trace(layout, 0.0), network, layout,
-                                     rng, gaussian_ici=True)
-
     def test_ici_variance_matches_lambda(self, ci_layout):
         """Empirical E|zeta|^2 matches p beta (1 - B00) for a one-pilot-column layout."""
         layout = ci_layout
@@ -231,9 +198,8 @@ class TestSynthObservations:
         se = power.std(ddof=1) / np.sqrt(power.size)
         assert abs(power.mean() - expect) <= 3 * se
 
-    @pytest.mark.parametrize("case", ["pn", "no_pn", "gaussian_ici", "eval_block_2",
-                                      "shared_data", "two_pilot_columns", "partial_block",
-                                      "partial_block_no_pn", "partial_block_gaussian_ici"])
+    @pytest.mark.parametrize("case", ["pn", "no_pn", "shared_data", "two_pilot_columns",
+                                      "partial_block", "partial_block_no_pn"])
     def test_matches_decomposed_oracle(self, ci_layout, case):
         """The synthesis gives the decomposed oracle's y, returns the CPE of
         every symbol bitwise as cpe_per_symbol does, and leaves the generator in
@@ -258,13 +224,9 @@ class TestSynthObservations:
                                      shared_data=case == "shared_data")
         gamma = 0.0 if case == "no_pn" else 4e-16
         trace = gen_pn_trace(PnParams(2e9, gamma, gamma, layout.sample_time), layout, rng)
-        kw = {"eval_block": 2 if case == "eval_block_2" else 1}
-        if case == "gaussian_ici":
-            kw.update(gaussian_ici=True, ici_power=0.01 * beta)
         oracle_rng = copy.deepcopy(rng)
-        y, cpe = synth_pilot_observations(h, grids, trace, network, layout, rng, **kw)
-        ref = decomposed_pilot_observations(h, grids, trace, network, layout, oracle_rng,
-                                            **kw)
+        y, cpe = synth_pilot_observations(h, grids, trace, network, layout, rng)
+        ref = decomposed_pilot_observations(h, grids, trace, network, layout, oracle_rng)
         assert y.shape == (L, layout.tau_p)
         assert np.abs(y - ref.y).max() <= 1e-12 * np.abs(ref.y).max()
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
