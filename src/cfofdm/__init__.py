@@ -2,7 +2,7 @@
 OFDM networks with Wiener oscillator phase noise."""
 
 from .combining import combiner_matrix
-from .config import ExperimentConfig, ci_config, fig2_config, fig3_config, load_config
+from .config import ExperimentConfig, ci_config, fig2_config, load_config
 from .estimation import EstimatorContext, build_context, build_psi, build_z_ici, estimate_all
 from .harness import run_experiment, run_fig2, run_fig3
 from .network import (

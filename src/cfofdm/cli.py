@@ -10,7 +10,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import ConfigError, apply_overrides, load_config
+from .config import ConfigError, apply_overrides, fig2_config, load_config
 from .harness import (
     dump_geometry_csv,
     records_to_csv,
@@ -81,28 +81,9 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
+    # built per call, so a wrapper set on this module's names is the one called
+    runners = {"run": run_experiment, "fig2": run_fig2, "fig3": run_fig3}
     try:
-        if args.command == "run":
-            cfg = load_config(args.config)
-            if args.seed is not None:
-                cfg = replace(cfg, master_seed=args.seed)
-            records = run_experiment(cfg, threads=args.threads, progress=True)
-            _emit(records_to_csv(records), args.out)
-            return EXIT_OK
-
-        if args.command in ("fig2", "fig3"):
-            from .config import fig2_config, fig3_config
-
-            base = fig2_config() if args.command == "fig2" else replace(
-                fig3_config(10), name="fig3")
-            cfg = apply_overrides(base, args.overrides)
-            if args.seed is not None:
-                cfg = replace(cfg, master_seed=args.seed)
-            runner = run_fig2 if args.command == "fig2" else run_fig3
-            records = runner(cfg, threads=args.threads, progress=True)
-            _emit(records_to_csv(records), args.out)
-            return EXIT_OK
-
         if args.command == "validate":
             from .validate import run_validation
 
@@ -111,13 +92,21 @@ def main(argv=None) -> int:
                 print(line)
             return EXIT_OK if ok else EXIT_VALIDATION
 
-        if args.command == "dump-geometry":
+        if args.command in ("fig2", "fig3"):
+            if args.command == "fig3" and any(
+                    o.split("=", 1)[0].strip() == "n_ues" for o in args.overrides):
+                raise ConfigError("fig3 sets n_ues itself")
+            cfg = apply_overrides(replace(fig2_config(), name=args.command), args.overrides)
+        else:
             cfg = load_config(args.config)
-            if args.seed is not None:
-                cfg = replace(cfg, master_seed=args.seed)
-            _emit(dump_geometry_csv(cfg), args.out)
-            return EXIT_OK
-
+        if args.seed is not None:
+            cfg = replace(cfg, master_seed=args.seed)
+        if args.command == "dump-geometry":
+            text = dump_geometry_csv(cfg)
+        else:
+            records = runners[args.command](cfg, threads=args.threads, progress=True)
+            text = records_to_csv(records)
+        _emit(text, args.out)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG

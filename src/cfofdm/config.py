@@ -237,16 +237,6 @@ def fig2_config() -> ExperimentConfig:
     )
 
 
-def fig3_config(n_ues: int) -> ExperimentConfig:
-    """Full-scale preset at one channel use, swept over the UE count."""
-    return ExperimentConfig(
-        name="fig3_K%d" % n_ues,
-        n_ues=n_ues,
-        estimators=("unaware", "pna_sc", "pna_ofdm"),
-        schemes=("mmse", "mr"),
-    )
-
-
 def ci_config() -> ExperimentConfig:
     """Reduced-scale configuration exercising every code path in well under a minute."""
     return ExperimentConfig(

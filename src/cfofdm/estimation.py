@@ -9,7 +9,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .network import NetworkRealization, SimulationLayout
-from .phase_noise import KernelGrid, KernelParams, PnParams, correlation_b_fast
+from .phase_noise import KernelGrid, KernelParams, correlation_b_fast
 
 ESTIMATOR_KINDS = ("pna_ofdm", "pna_sc", "unaware")
 ICI_MODES = ("as_printed", "independent_data")
@@ -132,15 +132,15 @@ def build_z_ici(network: NetworkRealization, base: IciBase) -> np.ndarray:
     return z
 
 
-def cpe_kernel_value(kind: str, dtau, table: Optional[KernelGrid],
-                     pn: Optional[PnParams], layout: SimulationLayout):
+def cpe_kernel_value(kind: str, dtau, table: KernelGrid):
     """Symbol-lag CPE correlation assumed by each estimator kind, at one lag
     or at every entry of an integer lag array."""
     if kind == "pna_ofdm":
         return table.cpe(dtau)
     if kind == "pna_sc":
         # One drift sample per OFDM symbol, N sample periods apart.
-        return np.exp(-pn.sigma2_tot * layout.n_subcarriers * np.abs(dtau) / 2.0)
+        params = table.params
+        return np.exp(-params.sigma2_tot * params.n * np.abs(dtau) / 2.0)
     if kind == "unaware":
         return np.ones(np.shape(dtau)) if np.ndim(dtau) else 1.0
     raise ValueError("unknown estimator kind: %r" % (kind,))
@@ -149,11 +149,10 @@ def cpe_kernel_value(kind: str, dtau, table: Optional[KernelGrid],
 def build_psi(
     network: NetworkRealization,
     layout: SimulationLayout,
-    table: Optional[KernelGrid],
+    table: KernelGrid,
     book: np.ndarray,
     z_ici: Optional[np.ndarray],
     kind: str = "pna_ofdm",
-    pn: Optional[PnParams] = None,
 ):
     """Pilot observation covariance Psi_l per AP: (L, tau_p, tau_p) Hermitian.
 
@@ -164,7 +163,7 @@ def build_psi(
     """
     tau_p = layout.tau_p
     _, syms = layout.pilot_slot_positions
-    kmat = cpe_kernel_value(kind, syms[:, None] - syms[None, :], table, pn, layout)
+    kmat = cpe_kernel_value(kind, syms[:, None] - syms[None, :], table)
     pb = network.p[:, None] * network.beta
     psi = np.zeros((layout.n_aps, tau_p, tau_p), dtype=complex)
     for t in np.unique(network.pilot_index):
@@ -195,10 +194,9 @@ class EstimatorContext:
 def build_context(
     network: NetworkRealization,
     layout: SimulationLayout,
-    table: Optional[KernelGrid],
+    table: KernelGrid,
     book: np.ndarray,
     kind: str = "pna_ofdm",
-    pn: Optional[PnParams] = None,
     ici_base: Optional[IciBase] = None,
 ) -> EstimatorContext:
     """Assemble the per-geometry estimator state for one estimator kind.
@@ -213,12 +211,12 @@ def build_context(
         if ici_base is None:
             raise ValueError("the pna_ofdm estimator needs an ICI base")
         z = build_z_ici(network, ici_base)
-    psi = build_psi(network, layout, table, book, z, kind=kind, pn=pn)
+    psi = build_psi(network, layout, table, book, z, kind=kind)
 
     _, syms = layout.pilot_slot_positions
     tau_c, tau_p = layout.block_symbols, layout.tau_p
     b_weights = cpe_kernel_value(kind, np.arange(1, tau_c + 1)[:, None] - syms[None, :],
-                                 table, pn, layout)
+                                 table)
 
     K, L = network.beta.shape
     s_all = book[:, network.pilot_index]  # (tau_p, K)

@@ -136,7 +136,7 @@ def build_geometry(cfg: ExperimentConfig, setup: Setup, geometry_index: int) -> 
     network = _geometry(cfg, geometry_index)
     contexts = {
         kind: estimation.build_context(network, setup.layout, setup.table, setup.book,
-                                       kind=kind, pn=setup.pn, ici_base=setup.ici_base)
+                                       kind=kind, ici_base=setup.ici_base)
         for kind in cfg.estimators
     }
     return Geometry(network, contexts, se.lambda_ici(network, setup.table))
@@ -171,9 +171,9 @@ def run_trial(cfg: ExperimentConfig, setup: Setup, geom: Geometry,
 class GeometryResult:
     """Per-geometry SE summaries keyed by (estimator kind, scheme)."""
 
-    curves: Dict[Tuple[str, str], np.ndarray]        # per-channel-use SE
+    curves: Dict[Tuple[str, str], np.ndarray]        # per-symbol SE, (tau_c,)
     blocks: Dict[Tuple[str, str], float]             # per-block SE
-    # SE per trial batch, (n_batches, n_uses) and (n_batches,); filled only for
+    # SE per trial batch, (n_batches, tau_c) and (n_batches,); filled only for
     # a single-geometry run of several batches, where they feed the standard error
     batch_curves: Dict[Tuple[str, str], np.ndarray]
     batch_blocks: Dict[Tuple[str, str], np.ndarray]
@@ -227,11 +227,11 @@ def run_geometry(
         for s_idx, scheme in enumerate(cfg.schemes):
             key = (kind, scheme)
             sinr = se.finalize_sinr(total, network, s_idx)
-            curves[key], blocks[key] = se.se_from_sinr(sinr, layout)
+            curves[key], blocks[key] = se.se_from_sinr(sinr)
             n_invalid += int(np.isnan(sinr).sum())
             n_records += sinr.size
             if finalize_batches:
-                per_batch = [se.se_from_sinr(se.finalize_sinr(b, network, s_idx), layout)
+                per_batch = [se.se_from_sinr(se.finalize_sinr(b, network, s_idx))
                              for b in batches[kind]]
                 bcurves[key] = np.stack([c for c, _ in per_batch])
                 bblocks[key] = np.array([bl for _, bl in per_batch])
@@ -252,14 +252,15 @@ def run_experiment(
     cfg: ExperimentConfig,
     threads: int = 1,
     progress: bool = False,
-    estimator_label: Optional[Dict[str, str]] = None,
 ) -> List[ResultRecord]:
     """Run the full experiment and aggregate records across geometries.
 
     The records are a pure function of the configuration: byte-identical for
     every ``threads`` value (>= 1).  The standard error spreads over the
-    geometries, or over the trial batches of a single-geometry run.  Raises
-    RuntimeError if more than 1% of SINR records are invalid.
+    geometries, or over the trial batches of a single-geometry run.  Curves
+    stay per symbol until the rows are written: channel use c gets the value of
+    symbol ceil(c / N_c).  Raises RuntimeError if more than 1% of SINR records
+    are invalid.
     """
     cfg.validate()
     if threads < 1:
@@ -290,7 +291,6 @@ def run_experiment(
     total_trials = cfg.n_geometries * cfg.n_trials
     records: List[ResultRecord] = []
     for kind in cfg.estimators:
-        label = (estimator_label or {}).get(kind, kind)
         for scheme in cfg.schemes:
             key = (kind, scheme)
             curve_rows = [g.curves[key] for g in geoms]
@@ -303,15 +303,16 @@ def run_experiment(
             curve_se = _standard_error(curve_rows)
             block_se = float(_standard_error(block_rows))
             records.append(
-                ResultRecord(cfg.name, scheme, label, layout.n_ues, layout.n_aps,
+                ResultRecord(cfg.name, scheme, kind, layout.n_ues, layout.n_aps,
                              0, 0, block, total_trials, block_se, cfg.master_seed)
             )
             for c in range(1, n_uses + 1):
+                tau = se.symbol_of_channel_use(c, layout)
                 records.append(
                     ResultRecord(
-                        cfg.name, scheme, label, layout.n_ues, layout.n_aps,
-                        c, se.symbol_of_channel_use(c, layout), float(curve[c - 1]),
-                        total_trials, float(curve_se[c - 1]), cfg.master_seed,
+                        cfg.name, scheme, kind, layout.n_ues, layout.n_aps,
+                        c, tau, float(curve[tau - 1]),
+                        total_trials, float(curve_se[tau - 1]), cfg.master_seed,
                     )
                 )
     if not np.isfinite([(r.se_per_ue, r.standard_error) for r in records]).all():
@@ -326,43 +327,33 @@ def records_to_csv(records: Sequence[ResultRecord]) -> str:
     return "\n".join([CSV_HEADER] + [r.csv_row() for r in records]) + "\n"
 
 
-def no_pn_variant(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Same scenario with ideal oscillators; all estimators coincide."""
-    return replace(cfg, gamma_ap=0.0, gamma_ue=0.0, estimators=("pna_ofdm",))
-
-
-def run_fig2(cfg: Optional[ExperimentConfig] = None, threads: int = 1,
+def run_fig2(cfg: ExperimentConfig, threads: int = 1,
              progress: bool = False) -> List[ResultRecord]:
-    """SE per UE versus channel use, all estimators plus no-phase-noise references."""
-    from .config import fig2_config
-
-    cfg = cfg if cfg is not None else fig2_config()
+    """SE per UE versus channel use: every estimator of ``cfg``, then the
+    same scenario with ideal oscillators (where all estimators coincide),
+    labelled ``no_pn``."""
     records = run_experiment(cfg, threads=threads, progress=progress)
-    ref = run_experiment(no_pn_variant(cfg), threads=threads, progress=progress,
-                         estimator_label={"pna_ofdm": "no_pn"})
-    return records + ref
+    no_pn = replace(cfg, gamma_ap=0.0, gamma_ue=0.0, estimators=("pna_ofdm",))
+    ref = run_experiment(no_pn, threads=threads, progress=progress)
+    return records + [replace(r, estimator="no_pn") for r in ref]
 
 
 FIG3_UE_COUNTS = (1, 6, 10, 20, 100)
 FIG3_CHANNEL_USE = 60
 
 
-def run_fig3(base: Optional[ExperimentConfig] = None, threads: int = 1,
-             progress: bool = False,
-             ue_counts: Sequence[int] = FIG3_UE_COUNTS) -> List[ResultRecord]:
-    """SE per UE at channel use 60 versus the number of UEs."""
-    from .config import fig3_config
+def run_fig3(base: ExperimentConfig, threads: int = 1,
+             progress: bool = False) -> List[ResultRecord]:
+    """SE per UE at channel use 60 versus the number of UEs: ``run_fig2`` of
+    ``base`` at every count of FIG3_UE_COUNTS, experiment ``<name>_K<count>``.
 
-    out: List[ResultRecord] = []
-    for K in ue_counts:
-        cfg = fig3_config(K)
-        if base is not None:
-            cfg = replace(base, n_ues=K, name="%s_K%d" % (base.name, K))
-        recs = run_experiment(cfg, threads=threads, progress=progress)
-        recs += run_experiment(no_pn_variant(cfg), threads=threads, progress=progress,
-                               estimator_label={"pna_ofdm": "no_pn"})
-        out.extend(r for r in recs if r.channel_use == FIG3_CHANNEL_USE)
-    return out
+    Every count's configuration is validated before the first one runs.
+    """
+    cfgs = [replace(base, n_ues=K, name="%s_K%d" % (base.name, K)) for K in FIG3_UE_COUNTS]
+    for cfg in cfgs:
+        cfg.validate()
+    return [r for cfg in cfgs for r in run_fig2(cfg, threads=threads, progress=progress)
+            if r.channel_use == FIG3_CHANNEL_USE]
 
 
 def dump_geometry_csv(cfg: ExperimentConfig) -> str:

@@ -33,7 +33,7 @@ class SimulationLayout:
     block_symbols : int
         OFDM symbols per coherence block (tau_c).
     pilot_subcarriers : tuple[int, ...]
-        Block-local subcarrier indices carrying pilots, each in [0, N_c).
+        Block-local subcarrier indices carrying pilots, each in [0, min(N_c, N)).
     pilot_symbols : tuple[int, ...]
         1-based OFDM symbol indices carrying pilots, each in [1, tau_c].
     n_aps, n_ues : int
@@ -68,6 +68,8 @@ class SimulationLayout:
             raise ValueError("pilot placement must be non-empty")
         if any(not 0 <= n < self.block_subcarriers for n in self.pilot_subcarriers):
             raise ValueError("pilot subcarriers must lie in [0, block_subcarriers)")
+        if max(self.pilot_subcarriers) >= self.n_subcarriers:
+            raise ValueError("pilot subcarriers must lie below n_subcarriers")
         if any(not 1 <= t <= self.block_symbols for t in self.pilot_symbols):
             raise ValueError("pilot symbols must lie in [1, block_symbols]")
         if len(set(self.pilot_subcarriers)) != len(self.pilot_subcarriers):

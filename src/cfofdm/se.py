@@ -81,12 +81,12 @@ def finalize_sinr(acc: SinrAccumulator, network: NetworkRealization,
     return sinr
 
 
-def se_from_sinr(sinr: np.ndarray, layout: SimulationLayout) -> Tuple[np.ndarray, float]:
-    """UE-averaged per-channel-use SE curve and per-block SE from SINR records.
+def se_from_sinr(sinr: np.ndarray) -> Tuple[np.ndarray, float]:
+    """UE-averaged per-symbol SE curve and per-block SE from SINR records.
 
-    ``sinr`` is (K, tau_c); channel use c rides on symbol ceil(c / N_c), so the
-    curve is (N_c * tau_c,).  Invalid (NaN) records are left out of every
-    average; a curve point or block with no valid record behind it is NaN.
+    ``sinr`` is (K, tau_c) and the curve (tau_c,).  Invalid (NaN) records are
+    left out of every average; a curve point or block with no valid record
+    behind it is NaN.
     """
     valid = ~np.isnan(sinr)
     rate = np.log2(1.0 + np.where(valid, sinr, 0.0))
@@ -94,7 +94,7 @@ def se_from_sinr(sinr: np.ndarray, layout: SimulationLayout) -> Tuple[np.ndarray
     per_ue = _mean_of_valid(rate.sum(axis=1), valid.sum(axis=1))
     has_valid = valid.any(axis=1)
     block = float(np.mean(per_ue[has_valid])) if has_valid.any() else float("nan")
-    return np.repeat(per_tau, layout.block_subcarriers), block
+    return per_tau, block
 
 
 def _mean_of_valid(total: np.ndarray, count: np.ndarray) -> np.ndarray:

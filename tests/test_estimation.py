@@ -44,12 +44,11 @@ def make_table(layout, sigma2_tot, stride=None):
     return build_correlation_table(params, kernel_offsets(layout), lags)
 
 
-def make_context(network, layout, table, kind="pna_ofdm", pn=None,
-                 ici_mode="as_printed"):
+def make_context(network, layout, table, kind="pna_ofdm", ici_mode="as_printed"):
     """Estimator context with the pilot book and ICI base of ``layout``."""
     book = build_pilot_book(layout.tau_p)
     base = build_ici_base(layout, table, book, mode=ici_mode)
-    return build_context(network, layout, table, book, kind=kind, pn=pn, ici_base=base)
+    return build_context(network, layout, table, book, kind=kind, ici_base=base)
 
 
 def ici_base_per_entry(layout, params, book, mode):
@@ -230,16 +229,14 @@ class TestLmmseEstimate:
         layout = toy_layout()
         table = make_table(layout, 3e-3)
         network = make_network(layout, np.ones((2, 2)), [0, 1])
-        pn = PnParams(2e9, 4e-16, 4e-16, layout.sample_time)
-        ctx = make_context(network, layout, table, pn=pn)
+        ctx = make_context(network, layout, table)
         assert estimate_all(ctx, np.zeros((2, layout.tau_p), dtype=complex))[0, 0, 0] == 0
 
     def test_linearity(self, rng):
         layout = toy_layout()
         table = make_table(layout, 3e-3)
         network = make_network(layout, np.ones((2, 2)), [0, 1])
-        pn = PnParams(2e9, 4e-16, 4e-16, layout.sample_time)
-        ctx = make_context(network, layout, table, pn=pn)
+        ctx = make_context(network, layout, table)
         y = np.zeros((2, layout.tau_p), dtype=complex)
         y[1] = rng.standard_normal(layout.tau_p) + 1j * rng.standard_normal(layout.tau_p)
         a = estimate_all(ctx, 2.5j * y)[1, 1, 1]
@@ -270,17 +267,15 @@ class TestLmmseEstimate:
         table = make_table(layout, 3e-3)
         beta = np.array([[0.5, 0.0], [0.3, 0.4]])
         network = make_network(layout, beta, [0, 1])
-        pn = PnParams(2e9, 4e-16, 4e-16, layout.sample_time)
-        ctx = make_context(network, layout, table, pn=pn)
+        ctx = make_context(network, layout, table)
         assert ctx.eps[0, 1, 1] == 0.0 and ctx.err_var[0, 1, 1] == 0.0
 
     def test_eps_within_bounds(self):
         layout = toy_layout()
         table = make_table(layout, 3e-3)
         network = make_network(layout, np.array([[0.5, 0.3], [0.2, 0.8]]), [0, 1])
-        pn = PnParams(2e9, 4e-16, 4e-16, layout.sample_time)
         for kind in ("pna_ofdm", "pna_sc", "unaware"):
-            ctx = make_context(network, layout, table, kind=kind, pn=pn,
+            ctx = make_context(network, layout, table, kind=kind,
                                ici_mode="independent_data")
             assert (ctx.eps >= 0).all()
             assert (ctx.err_var >= -1e-10).all()
@@ -298,11 +293,10 @@ class TestBaselines:
         layout = toy_layout()
         table = make_table(layout, 0.0)
         network = make_network(layout, np.array([[0.5, 0.3], [0.2, 0.8]]), [0, 1])
-        pn = PnParams(0.0, 0.0, 0.0, layout.sample_time)
         y = rng.standard_normal((2, layout.tau_p)) + 1j * rng.standard_normal((2, layout.tau_p))
         outs = []
         for kind in ("pna_ofdm", "pna_sc", "unaware"):
-            ctx = make_context(network, layout, table, kind=kind, pn=pn)
+            ctx = make_context(network, layout, table, kind=kind)
             outs.append(estimate_all(ctx, y))
         assert np.abs(outs[0] - outs[1]).max() < 1e-10
         assert np.abs(outs[0] - outs[2]).max() < 1e-10
@@ -311,8 +305,7 @@ class TestBaselines:
         layout = toy_layout()
         table = make_table(layout, 3e-3)
         network = make_network(layout, np.ones((2, 2)), [0, 1])
-        pn = PnParams(2e9, 4e-16, 4e-16, layout.sample_time)
-        ctx = make_context(network, layout, table, kind="unaware", pn=pn)
+        ctx = make_context(network, layout, table, kind="unaware")
         y = rng.standard_normal((2, layout.tau_p)) + 1j * rng.standard_normal((2, layout.tau_p))
         est = estimate_all(ctx, y)
         assert np.abs(est - est[:, :, :1]).max() < 1e-14
@@ -322,7 +315,9 @@ class TestBaselines:
         pn = PnParams(2e9, 4e-17, 4e-17, layout.sample_time)
         from cfofdm.estimation import cpe_kernel_value
 
-        assert cpe_kernel_value("pna_sc", 0, None, pn, layout) == 1.0
+        n = layout.n_subcarriers
+        small = build_correlation_table(KernelParams(n, pn.sigma2_tot, n), [0], [0])
+        assert cpe_kernel_value("pna_sc", 0, small) == 1.0
         # full-scale check of the gap between the two kernels
         big = SimulationLayout(
             n_subcarriers=1200, cp_len=84, subcarrier_spacing=15e3,
@@ -335,9 +330,9 @@ class TestBaselines:
         # at zero lag the single-carrier kernel misses the in-symbol averaging
         # loss entirely (gap 1 - B00 ~ 0.127); at nonzero lags the OFDM kernel
         # slightly exceeds it (Jensen), so the two models genuinely differ
-        assert cpe_kernel_value("pna_sc", 0, None, pn_big, big) - table.cpe(0) > 0.1
+        assert cpe_kernel_value("pna_sc", 0, table) - table.cpe(0) > 0.1
         for dt in range(1, 15):
-            sc = cpe_kernel_value("pna_sc", dt, None, pn_big, big)
+            sc = cpe_kernel_value("pna_sc", dt, table)
             ofdm_k = table.cpe(dt)
             assert sc <= ofdm_k
             assert abs(sc - ofdm_k) < 0.011
@@ -349,9 +344,9 @@ class TestBaselines:
         beta = np.array([[0.5, 0.3], [0.2, 0.8]])
         network = make_network(layout, beta, [0, 1], p=0.4, sigma2=1e-4)
         book = build_pilot_book(layout.tau_p)
-        ctx_pna = make_context(network, layout, table, kind="pna_ofdm", pn=pn,
+        ctx_pna = make_context(network, layout, table, kind="pna_ofdm",
                                ici_mode="independent_data")
-        ctx_un = make_context(network, layout, table, kind="unaware", pn=pn)
+        ctx_un = make_context(network, layout, table, kind="unaware")
         rng = np.random.default_rng(42)
         err_pna, err_un = [], []
         for _ in range(2000):

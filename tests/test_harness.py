@@ -1,6 +1,7 @@
 """Configuration parsing, experiment orchestration, CSV output, and the CLI."""
 
 import copy
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from cfofdm.cli import main as cli_main
 from cfofdm.config import (
     ConfigError,
     ExperimentConfig,
+    apply_overrides,
     ci_config,
     effective_config_text,
     fig2_config,
@@ -21,10 +23,16 @@ from cfofdm.config import (
 )
 from cfofdm.harness import (
     CSV_HEADER,
+    FIG3_UE_COUNTS,
     dump_geometry_csv,
     records_to_csv,
     run_experiment,
+    run_fig2,
 )
+
+# the ci layout as `sim fig2` / `sim fig3` overrides, less n_ues (fig3 sets it)
+CI_FIG = ["n_subcarriers=120", "block_symbols=5", "pilot_symbols=1:4", "n_aps=30",
+          "shadow_sigma_db=0"]
 
 
 def small_cfg(**kw):
@@ -134,6 +142,13 @@ class TestRunExperiment:
             rows = [r for r in records if r.scheme == scheme]
             assert len(rows) == n_uses + 1  # per channel use plus block row
             assert {r.channel_use for r in rows} == set(range(n_uses + 1))
+            per_tau = {}
+            for r in rows[1:]:
+                assert r.tau == math.ceil(r.channel_use / layout.block_subcarriers)
+                per_tau.setdefault(r.tau, set()).add((r.se_per_ue, r.standard_error))
+            # every channel use of a symbol carries that symbol's SE and error
+            assert sorted(per_tau) == list(range(1, layout.block_symbols + 1))
+            assert all(len(v) == 1 for v in per_tau.values())
 
     def test_standard_error_scaling(self):
         """Doubling trials shrinks the trial-level standard error by ~1/sqrt(2)."""
@@ -244,6 +259,7 @@ class TestCli:
     @pytest.mark.parametrize("entry", [
         "master_seed = -2", "gamma_ap = -1e-17", "gamma_ue = -1e-17", "carrier_hz = -2e9",
         "subcarrier_spacing_hz = 0", "tx_power_w = -0.1", "shadow_sigma_db = -1",
+        "n_subcarriers = 8\npilot_subcarriers = 10",
     ])
     def test_out_of_range_value_exit_code(self, tmp_path, capsys, entry):
         cfg_path = tmp_path / "t.cfg"
@@ -285,6 +301,50 @@ class TestCli:
         assert cli_main(["dump-geometry", str(cfg_path), "--out", str(out)]) == 0
         assert out.read_text().startswith("node_type,index")
         assert cli_main(["dump-geometry", str(cfg_path), "--seed", "-2"]) == 1
+
+    def test_fig3_rows(self, tmp_path):
+        """fig3 is the channel-use-60 rows of fig2 at every UE count."""
+        counts = ["n_geometries=1", "n_trials=2"]
+        out = tmp_path / "fig3.csv"
+        assert cli_main(["fig3", *CI_FIG, *counts, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == CSV_HEADER
+        rows = lines[1:]
+        assert len(rows) == 40
+        fields = [r.split(",") for r in rows]
+        assert {f[0] for f in fields} == {"fig3_K%d" % K for K in FIG3_UE_COUNTS}
+        assert {(f[2], f[1]) for f in fields} == {
+            (e, s) for e in ("unaware", "pna_sc", "pna_ofdm", "no_pn") for s in ("mmse", "mr")}
+        assert {f[5] for f in fields} == {"60"}
+        base = apply_overrides(replace(fig2_config(), name="fig3"), CI_FIG + counts)
+        for K in FIG3_UE_COUNTS:
+            cfg = replace(base, n_ues=K, name="fig3_K%d" % K)
+            expect = [r.csv_row() for r in run_fig2(cfg) if r.channel_use == 60]
+            assert [r for r, f in zip(rows, fields) if f[0] == cfg.name] == expect
+
+    def test_fig3_validates_every_count_first(self, monkeypatch, capsys):
+        """K = 100 exceeds the capacity of 8 APs: nothing runs before the error."""
+        from cfofdm import harness
+
+        calls = []
+        real_run = harness.run_experiment
+
+        def counting_run(*args, **kwargs):
+            calls.append(args[0].name)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_experiment", counting_run)
+        argv = ["fig3", *CI_FIG, "n_aps=8", "n_geometries=1", "n_trials=1"]
+        assert cli_main(argv) == 1
+        assert calls == []
+        assert "serving capacity" in capsys.readouterr().err
+
+    def test_fig3_rejects_n_ues_override(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        argv = ["fig3", *CI_FIG, "n_ues=5", "n_geometries=1", "n_trials=1", "--out", str(out)]
+        assert cli_main(argv) == 1
+        assert "fig3 sets n_ues itself" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg_path = tmp_path / "t.cfg"

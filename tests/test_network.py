@@ -51,6 +51,8 @@ class TestLayout:
             make_layout(pilot_subcarriers=(12,))
         with pytest.raises(ValueError):
             make_layout(pilot_symbols=(0,))
+        with pytest.raises(ValueError, match="n_subcarriers"):
+            make_layout(n_subcarriers=8, pilot_subcarriers=(10,))
 
 
 class TestPlacement:

@@ -251,20 +251,21 @@ class TestFinalize:
 
 
 class TestSeAssembly:
-    layout = SimulationLayout(16, 2, 15e3, 8, 2, (0,), (1,), 2, 2, 100.0)
-
     def test_equal_sinrs(self):
-        curve, block = se_from_sinr(np.full((2, 5), 3.0), self.layout)
+        curve, block = se_from_sinr(np.full((2, 5), 3.0))
         assert block == pytest.approx(2.0)
+        assert curve.shape == (5,)
         assert np.allclose(curve, 2.0)
 
     def test_zero_sinr(self):
-        curve, block = se_from_sinr(np.zeros((2, 4)), self.layout)
+        curve, block = se_from_sinr(np.zeros((2, 4)))
         assert block == 0.0
         assert np.all(curve == 0.0)
 
     def test_two_symbol_hand_value(self):
-        assert se_from_sinr(np.array([[1.0, 3.0]]), self.layout)[1] == pytest.approx(1.5)
+        curve, block = se_from_sinr(np.array([[1.0, 3.0]]))
+        assert block == pytest.approx(1.5)
+        assert np.allclose(curve, [1.0, 2.0])
 
     def test_channel_use_mapping(self):
         layout = SimulationLayout(1200, 84, 15e3, 12, 15, (0,), tuple(range(1, 13)),
@@ -278,24 +279,15 @@ class TestSeAssembly:
         with pytest.raises(ValueError):
             symbol_of_channel_use(181, layout)
 
-    def test_per_channel_use_expansion(self):
-        sinr = np.array([[1.0, 3.0]])
-        curve, _ = se_from_sinr(sinr, self.layout)
-        assert curve.shape == (16,)
-        assert np.allclose(curve[:8], 1.0)
-        assert np.allclose(curve[8:], 2.0)
-
     def test_invalid_sinr_propagates(self):
         """NaN records are averaged out; NaN reaches only a curve point or block
         with no valid record behind it, and without a 0/0 warning."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            curve, block = se_from_sinr(np.array([[1.0, np.nan], [3.0, np.nan]]),
-                                        self.layout)
-            assert np.allclose(curve[:8], 1.5) and np.isnan(curve[8:]).all()
+            curve, block = se_from_sinr(np.array([[1.0, np.nan], [3.0, np.nan]]))
+            assert np.allclose(curve[0], 1.5) and np.isnan(curve[1])
             assert block == pytest.approx(1.5)
-            _, block = se_from_sinr(np.array([[1.0, np.nan], [np.nan, np.nan]]),
-                                    self.layout)
+            _, block = se_from_sinr(np.array([[1.0, np.nan], [np.nan, np.nan]]))
             assert block == pytest.approx(1.0)
-            curve, block = se_from_sinr(np.full((2, 2), np.nan), self.layout)
+            curve, block = se_from_sinr(np.full((2, 2), np.nan))
             assert np.isnan(curve).all() and np.isnan(block)
