@@ -279,6 +279,17 @@ class TestSeAssembly:
         with pytest.raises(ValueError):
             symbol_of_channel_use(181, layout)
 
+    def test_per_channel_use_expansion(self):
+        """Every channel use of the block reads the curve point of its symbol."""
+        layout = SimulationLayout(16, 2, 15e3, 8, 2, (0,), (1,), 2, 2, 100.0)
+        curve, _ = se_from_sinr(np.array([[1.0, 3.0]]))
+        n_uses = layout.block_subcarriers * layout.block_symbols
+        expanded = np.array([curve[symbol_of_channel_use(c, layout) - 1]
+                             for c in range(1, n_uses + 1)])
+        assert expanded.shape == (16,)
+        assert np.allclose(expanded[:8], 1.0)
+        assert np.allclose(expanded[8:], 2.0)
+
     def test_invalid_sinr_propagates(self):
         """NaN records are averaged out; NaN reaches only a curve point or block
         with no valid record behind it, and without a 0/0 warning."""
