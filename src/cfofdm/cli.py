@@ -25,17 +25,19 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 
-def _thread_count(text: str) -> int:
-    """The --threads value: an integer >= 1."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError("expected an integer >= 1, got %r" % text)
-    return int(text)
+def _int_at_least(lo: int):
+    """Argparse type for an integer option whose value must be >= ``lo``."""
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < lo:
+            raise argparse.ArgumentTypeError("expected an integer >= %d, got %r" % (lo, text))
+        return int(text)
+    return parse
 
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="override master_seed")
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    p.add_argument("--threads", type=_thread_count, default=1,
+    p.add_argument("--threads", type=_int_at_least(1), default=1,
                    help="worker threads for Monte Carlo trials (>= 1); the output "
                         "is byte-identical for every value")
 
@@ -58,7 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
         _add_run_options(p_fig)
 
     p_val = sub.add_parser("validate", help="run the model validation suite")
-    p_val.add_argument("--n", type=int, default=64, help="transform size for checks")
+    # the domain check's channel has 5 taps, so a smaller transform truncates it
+    p_val.add_argument("--n", type=_int_at_least(5), default=64,
+                       help="transform size for checks (>= 5)")
 
     p_dump = sub.add_parser("dump-geometry", help="write node coordinates as CSV")
     p_dump.add_argument("config", help="configuration file")

@@ -115,6 +115,9 @@ class ExperimentConfig:
         )
 
     def validate(self) -> None:
+        for f in fields(self):
+            if f.type == "float" and not np.isfinite(getattr(self, f.name)):
+                raise ConfigError("%s must be finite" % f.name)
         if self.master_seed < 0:
             raise ConfigError("master_seed must be >= 0")
         if min(self.gamma_ap, self.gamma_ue, self.carrier_hz) < 0:
@@ -139,6 +142,9 @@ class ExperimentConfig:
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ConfigError("unknown scheme %r" % s)
+        for key in ("estimators", "schemes"):
+            if len(set(getattr(self, key))) < len(getattr(self, key)):
+                raise ConfigError("%s lists an entry more than once" % key)
         if self.n_ues > self.n_aps * layout.tau_p:
             raise ConfigError(
                 "n_ues = %d exceeds serving capacity n_aps * tau_p = %d"

@@ -4,58 +4,15 @@ two single-carrier-style baseline estimators."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from .network import NetworkRealization, SimulationLayout
-from .phase_noise import KernelGrid, KernelParams, correlation_b_fast
+from .phase_noise import KernelGrid, lag_spectra, offset_spectra
 
 ESTIMATOR_KINDS = ("pna_ofdm", "pna_sc", "unaware")
 ICI_MODES = ("as_printed", "independent_data")
-
-
-def kernel_offsets(layout: SimulationLayout) -> np.ndarray:
-    """Subcarrier offsets at which the estimator reads the drift kernel.
-
-    0 for the CPE diagonal, plus n - j for every pilot-slot subcarrier n and
-    every other pilot subcarrier j, as reached by the pilot-pair double sum of
-    the ICI covariance.
-    """
-    subs, _ = layout.pilot_slot_positions
-    cols = layout.pilot_subcarriers_absolute()
-    return np.union1d((subs[:, None] - cols[None, :]).ravel(), [0])
-
-
-def _data_sum_as_printed(n1, n2, dt, params: KernelParams, data_ind: np.ndarray) -> complex:
-    """Full double sum of bare kernel values over data-subcarrier pairs.
-
-    Reduces sum_{j1,j2 in D} B_{n1-j1,n2-j2}^{(dt)} to a lag-domain correlation
-    computable in O(N log N): expanding B over its defining sample pairs
-    (m1, m2) factorizes the j sums into DFTs of the data-set indicator.
-    """
-    n = params.n
-    m = np.arange(n)
-    u = n * np.fft.ifft(data_ind)  # U[m] = sum_{j in D} exp(+2j pi m j / N)
-    f1 = np.exp(-2j * np.pi * m * n1 / n) * u
-    f2 = np.exp(2j * np.pi * m * n2 / n) * np.conj(u)
-    # linear convolution by zero-padded FFTs: conv[N-1+d] = sum_m f1[m+d] f2[m]
-    conv = np.fft.ifft(np.fft.fft(f1, 2 * n) * np.fft.fft(f2[::-1], 2 * n))
-    d = np.arange(-(n - 1), n)
-    damp = np.exp(-params.sigma2_tot / 2.0 * np.abs(dt * params.stride + d))
-    return complex((damp * conv[n - 1 + d]).sum() / n**2)
-
-
-def _data_sum_independent(n1, n2, dt, params: KernelParams, data_ind: np.ndarray) -> complex:
-    """Diagonal-only data sum sum_{j in D} B_{n1-j,n2-j}^{(dt)}.
-
-    The common shift j turns the sum into a per-lag weight G(d) = sum_{j in D}
-    exp(2j pi j d / N) on the kernel's geometric reduction.
-    """
-    n = params.n
-    g = n * np.fft.ifft(data_ind)
-    d = np.arange(-(n - 1), n)
-    return correlation_b_fast(int(n1), int(n2), dt, params, weights=g[d % n])
 
 
 @dataclass
@@ -76,42 +33,45 @@ def build_ici_base(
     book: np.ndarray,
     mode: str = "as_printed",
 ) -> IciBase:
-    """Precompute the pilot-pair and data-pair sums entering the ICI covariance."""
+    """Precompute the pilot-pair and data-pair sums entering the ICI covariance.
+
+    Each is a kernel pair sum over offset weights seen from a pilot slot at
+    subcarrier n: the pilot term weights offset n - j by the pilot sample of
+    sequence t sent on the other pilot subcarrier j; the data term weights
+    every data subcarrier's offset by 1 (``as_printed``), or keeps only
+    equal-index data pairs through a lag weight (``independent_data``).
+    """
     if mode not in ICI_MODES:
         raise ValueError("unknown ICI mode: %r" % (mode,))
-    tau_p = layout.tau_p
+    params, n, tau_p = table.params, layout.n_subcarriers, layout.tau_p
     subs, syms = layout.pilot_slot_positions
     pilot_cols = layout.pilot_subcarriers_absolute()
     slot_of = {slot: i for i, slot in enumerate(layout.pilot_slots)}
     nc = layout.block_subcarriers
 
-    # other pilot subcarriers seen from each slot, and the slots transmitting them
-    others = [pilot_cols[pilot_cols != n] for n in subs]
-    rows = [np.array([slot_of[(j % nc, t)] for j in js], dtype=int)
-            for js, t in zip(others, syms)]
-    pilot_terms = np.zeros((tau_p, tau_p, tau_p), dtype=complex)
-    for i1 in range(tau_p):
-        for i2 in range(tau_p):
-            if others[i1].size == 0 or others[i2].size == 0:
-                continue
-            bsub = table.block(subs[i1] - others[i1], subs[i2] - others[i2],
-                               int(syms[i1] - syms[i2]))
-            # book rows pick the pilot samples transmitted on those subcarriers:
-            # sum_ab w1[a, t] bsub[a, b] conj(w2[b, t]) for every pilot t
-            w1, w2 = book[rows[i1]], book[rows[i2]]
-            pilot_terms[:, i1, i2] = ((w1.T @ bsub) * np.conj(w2.T)).sum(axis=1)
+    # y[t, i, (n_i - j) % N]: sample of pilot t sent on subcarrier j != n_i in slot i's symbol
+    y = np.zeros((tau_p, tau_p, n), dtype=complex)
+    for i, (sub, sym) in enumerate(zip(subs, syms)):
+        js = pilot_cols[pilot_cols != sub]
+        y[:, i, (sub - js) % n] = book[[slot_of[(j % nc, sym)] for j in js]].T
+    lags, lag_of = np.unique(syms[:, None] - syms[None, :], return_inverse=True)
+    lag_of = lag_of.reshape(tau_p, tau_p)
+    w = lag_spectra(params, lags)[lag_of]  # (tau_p, tau_p, 2N), per slot pair
+    a = offset_spectra(y)
+    pilot_terms = np.einsum("tif,ijf,tjf->tij", a, w, np.conj(a))
 
-    data_ind = np.ones(layout.n_subcarriers)
+    data_ind = np.ones(n)
     data_ind[pilot_cols] = 0.0
-    data_sum = _data_sum_as_printed if mode == "as_printed" else _data_sum_independent
-    cache: Dict[Tuple[int, int, int], complex] = {}
-    data_term = np.zeros((tau_p, tau_p), dtype=complex)
-    for i1 in range(tau_p):
-        for i2 in range(tau_p):
-            key = (int(subs[i1]), int(subs[i2]), int(syms[i1] - syms[i2]))
-            if key not in cache:
-                cache[key] = data_sum(key[0], key[1], key[2], table.params, data_ind)
-            data_term[i1, i2] = cache[key]
+    if mode == "as_printed":
+        y_data = data_ind[(subs[:, None] - np.arange(n)) % n]
+    else:
+        # sum_{j in D} B_{n1-j,n2-j} = unit weights on n1 and n2 at the lag weight
+        # G(d) = sum_{j in D} exp(2j pi j d / N)
+        y_data = np.zeros((tau_p, n))
+        y_data[np.arange(tau_p), subs % n] = 1.0
+        w = lag_spectra(params, lags, n * np.fft.ifft(data_ind))[lag_of]
+    a = offset_spectra(y_data)
+    data_term = np.einsum("if,ijf,jf->ij", a, w, np.conj(a))
     return IciBase(pilot_terms=pilot_terms, data_term=data_term)
 
 

@@ -74,19 +74,12 @@ class ResultRecord:
 
 
 def build_kernel_table(cfg: ExperimentConfig) -> KernelGrid:
-    """Kernel grid covering the estimators' needs for this configuration.
-
-    Every lag within the coherence block; the pilot offsets only when the
-    phase-noise-aware OFDM estimator needs the ICI covariance.
-    """
+    """CPE kernel at every symbol lag within the coherence block."""
     layout = cfg.layout()
     params = KernelParams.from_layout(layout, cfg.pn_params(),
                                       cp_consistent=cfg.cp_consistent_correlation)
-    offsets = [0]
-    if "pna_ofdm" in cfg.estimators:
-        offsets = estimation.kernel_offsets(layout)
-    lags = range(-(layout.block_symbols - 1), layout.block_symbols)
-    return build_correlation_table(params, offsets, lags)
+    return build_correlation_table(
+        params, range(-(layout.block_symbols - 1), layout.block_symbols))
 
 
 def _geometry(cfg: ExperimentConfig, geometry_index: int) -> NetworkRealization:

@@ -138,13 +138,6 @@ class KernelParams:
     sigma2_tot: float
     stride: int
 
-    def __post_init__(self):
-        # build_correlation_table relies on it: every sample lag of a nonzero
-        # symbol lag then has that symbol lag's sign
-        if self.stride < self.n - 1:
-            raise ValueError("kernel stride %d is below N - 1 = %d"
-                             % (self.stride, self.n - 1))
-
     @classmethod
     def from_layout(cls, layout: SimulationLayout, pn: PnParams,
                     cp_consistent: bool = False) -> "KernelParams":
@@ -162,121 +155,85 @@ def correlation_b_oracle(i1: int, i2: int, dtau: int, params: KernelParams) -> c
     return complex((damp * phase).sum() / n**2)
 
 
-def _kernel_factors(n: int, offsets, deltas):
-    """Factors of the kernel reduction over the lag axis d = n1 - n2 in -(N-1)..N-1.
+# The kernel pair-sum evaluator.  A weighted double sum of the kernel over
+# offset pairs factorizes over the defining sample pairs (n1, n2):
+#
+#   sum_{i1,i2} y1[i1] y2[i2]* B_{i1,i2}^{(dtau)}
+#       = (1/N^2) sum_{n1,n2} w(n1 - n2) a1[n1] a2[n2]*,   a = fft(y),
+#
+# with the lag weight w(d) = exp(-sigma2/2 |dtau*stride + d|).  The sum over
+# (n1, n2) is a lag-domain correlation of a1 with a2, which zero-padded
+# length-2N DFTs turn into one product per frequency:
+#
+#   sum_f A1[f] W[f] A2[f]*,   A = offset_spectra(y),  W = the lag_spectra row of dtau.
+#
+# A sum over common offset shifts j, sum_j B_{i1-j,i2-j}, is the unit-weight
+# pair sum at (i1, i2) with w(d) multiplied by G(d) = sum_j exp(2j pi j d / N):
+# the ``lag_weight`` of lag_spectra.
 
-    Returns the phase rows exp(-2j*pi*d*i1/N), one per row offset i1, and the
-    inner rows, one per offset difference delta = (i1 - i2) mod N: the inner
-    sum over n2 is geometric with ratio q = exp(-2j*pi*delta/N) over N - |d|
-    terms starting at max(0, -d).  Every power of q is a phasor of an exponent
-    reduced mod N.
+def offset_spectra(y: np.ndarray) -> np.ndarray:
+    """Spectra (..., 2N) of offset-weight vectors ``y`` (..., N), whose entry
+    ``y[i % N]`` weights the kernel offset i: the zero-padded length-2N DFT of
+    a = fft(y)."""
+    n = y.shape[-1]
+    return np.fft.fft(np.fft.fft(y, axis=-1), 2 * n, axis=-1)
+
+
+def lag_spectra(params: KernelParams, lags, lag_weight=None) -> np.ndarray:
+    """Spectra (len(lags), 2N) of the damped lag weight, one per symbol lag,
+    including the 1/N^2 of the kernel.
+
+    ``lag_weight``, if given, is an (N,) array whose entry ``d % N`` multiplies
+    the damping at sample lag d.
     """
+    n = params.n
     d = np.arange(-(n - 1), n)
-    count = n - np.abs(d)
-
-    def root(m):  # exp(-2j*pi*m/N) for integer m
-        return phasor(-2.0 * np.pi / n * (m % n))
-
-    phase = root(d[None, :] * np.asarray(offsets)[:, None])
-    deltas = np.asarray(deltas)
-    inner = np.empty((deltas.size, d.size), dtype=complex)
-    inner[deltas == 0] = count
-    q = deltas[deltas != 0, None]
-    inner[deltas != 0] = root(q * np.maximum(0, -d)) * (1.0 - root(q * count)) / (1.0 - root(q))
-    return phase, inner
+    w = np.zeros((len(lags), 2 * n), dtype=complex)  # circular lag layout: w[d % 2N]
+    w[:, d] = np.exp(-params.sigma2_tot / 2.0
+                     * np.abs(np.asarray(lags)[:, None] * params.stride + d))
+    if lag_weight is not None:
+        w[:, d] *= lag_weight[d % n]
+    return np.fft.ifft(w, axis=-1) / n**2
 
 
-def _kernel_rows(params: KernelParams, dtau: int, phase: np.ndarray,
-                 inner: np.ndarray, weights=None) -> np.ndarray:
-    """Kernel at lag dtau for every (phase row offset, inner row difference) pair.
-
-    ``weights``, if given, multiplies the damping factor along the lag axis.
-    """
-    d = np.arange(-(params.n - 1), params.n)
-    damp = np.exp(-params.sigma2_tot / 2.0 * np.abs(dtau * params.stride + d))
-    if weights is not None:
-        damp = damp * weights
-    return (phase * damp) @ inner.T / params.n**2
-
-
-def correlation_b_fast(i1: int, i2: int, dtau: int, params: KernelParams,
-                       weights=None) -> complex:
-    """O(N) evaluation of the kernel, equal to the literal double sum; the
-    scalar view of :class:`KernelGrid`."""
-    factors = _kernel_factors(params.n, [i1], [(i1 - i2) % params.n])
-    return complex(_kernel_rows(params, dtau, *factors, weights)[0, 0])
-
-
-def _lookup(keys: np.ndarray, grid: np.ndarray, what: str) -> np.ndarray:
-    """Positions of ``keys`` in the sorted ``grid``; LookupError for any miss."""
-    pos = np.minimum(np.searchsorted(grid, keys), grid.size - 1)
-    miss = grid[pos] != keys
-    if miss.any():
-        raise LookupError("kernel grid miss at %s=%d: grid was built for a different "
-                          "index set" % (what, keys[miss][0]))
-    return pos
+def correlation_b_fast(i1: int, i2: int, dtau: int, params: KernelParams) -> complex:
+    """Kernel B_{i1,i2}^{(dtau)}: the scalar view of the pair-sum evaluator,
+    with unit weight on one offset per side."""
+    y = np.zeros((2, params.n))
+    y[0, i1 % params.n] = y[1, i2 % params.n] = 1.0
+    a1, a2 = offset_spectra(y)
+    return complex(np.sum(a1 * lag_spectra(params, [dtau])[0] * np.conj(a2)))
 
 
 @dataclass
 class KernelGrid:
-    """Kernel values B_{i1,i2}^{(dtau)} for every i1, i2 in ``offsets`` and dtau in ``lags``.
+    """CPE kernel values B_{0,0}^{(dtau)} at every symbol lag in ``lags``.
 
-    ``values[a, r, b]`` is the kernel at lag ``lags[a]``, row offset
-    ``offsets[r]`` and offset difference ``deltas[b]`` = (i1 - i2) mod N.
-    Requests outside the grid raise LookupError.
+    Requests for any other lag raise LookupError.
     """
 
     params: KernelParams
-    offsets: np.ndarray  # sorted distinct subcarrier offsets
-    lags: np.ndarray     # sorted distinct symbol lags
-    deltas: np.ndarray   # sorted distinct (i1 - i2) mod N over the offsets
-    values: np.ndarray   # (lags, offsets, deltas) complex
-
-    def block(self, o1s, o2s, dtau: int) -> np.ndarray:
-        """Kernel block (len(o1s), len(o2s)) at lag dtau."""
-        o1s = np.asarray(o1s, dtype=int)
-        o2s = np.asarray(o2s, dtype=int)
-        lag = _lookup(np.array([dtau]), self.lags, "dtau")[0]
-        rows = _lookup(o1s, self.offsets, "i1")
-        _lookup(o2s, self.offsets, "i2")
-        cols = np.searchsorted(self.deltas, (o1s[:, None] - o2s[None, :]) % self.params.n)
-        return self.values[lag, rows[:, None], cols]
-
-    def get(self, i1: int, i2: int, dtau: int) -> complex:
-        return complex(self.block([i1], [i2], dtau)[0, 0])
+    lags: np.ndarray    # sorted distinct symbol lags
+    values: np.ndarray  # (lags,) real
 
     def cpe(self, dtau):
-        """Diagonal CPE entries B_{0,0}^{(dtau)} (real by construction), at one
-        lag or at every entry of an integer lag array."""
+        """CPE kernel at one lag or at every entry of an integer lag array."""
         lags = np.asarray(dtau)
-        pos = _lookup(lags.ravel(), self.lags, "dtau").reshape(lags.shape)
-        row = _lookup(np.array([0]), self.offsets, "i1")[0]
-        out = self.values[pos, row, np.searchsorted(self.deltas, 0)].real
+        pos = np.minimum(np.searchsorted(self.lags, lags), self.lags.size - 1)
+        miss = self.lags[pos] != lags
+        if miss.any():
+            raise LookupError("kernel grid miss at dtau=%d: grid was built for a "
+                              "different lag set" % lags[miss].flat[0])
+        out = self.values[pos]
         return float(out) if out.ndim == 0 else out
 
     def __len__(self) -> int:
         return self.values.size
 
 
-def build_correlation_table(params: KernelParams, offsets: Iterable[int],
-                            lags: Iterable[int]) -> KernelGrid:
-    """Evaluate the kernel over every offset pair of ``offsets`` at every lag.
-
-    The offset difference enters only through the inner factor, so a lag is
-    one matrix product of the phase rows with the inner rows of the distinct
-    differences.  Only lags -1, 0 and 1 need one: for |dtau| >= 1 every
-    sample lag dtau*stride + d has the sign of dtau (stride >= N - 1), so the
-    damping factorizes and B^(dtau) = exp(-sigma2/2 (|dtau| - 1) stride)
-    B^(sign dtau).
-    """
-    offsets = np.unique(np.fromiter(offsets, dtype=int))
+def build_correlation_table(params: KernelParams, lags: Iterable[int]) -> KernelGrid:
+    """Evaluate the CPE kernel B_{0,0} at every lag of ``lags``."""
     lags = np.unique(np.fromiter(lags, dtype=int))
-    deltas = np.unique((offsets[:, None] - offsets[None, :]) % params.n)
-    factors = _kernel_factors(params.n, offsets, deltas)
-    signs = np.sign(lags)
-    base = {int(s): _kernel_rows(params, int(s), *factors) for s in np.unique(signs)}
-    decay = np.exp(-params.sigma2_tot / 2.0 * np.maximum(np.abs(lags) - 1, 0) * params.stride)
-    values = np.empty((lags.size, offsets.size, deltas.size), dtype=complex)
-    for a, s in enumerate(signs):
-        np.multiply(base[int(s)], decay[a], out=values[a])
-    return KernelGrid(params, offsets, lags, deltas, values)
+    a0 = offset_spectra(np.eye(1, params.n)[0])
+    values = (np.abs(a0) ** 2 * lag_spectra(params, lags)).sum(axis=1).real
+    return KernelGrid(params, lags, values)

@@ -1,5 +1,6 @@
 """LMMSE estimator, ICI covariance construction, and baseline estimators."""
 
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,6 @@ from cfofdm.estimation import (
     build_psi,
     build_z_ici,
     estimate_all,
-    kernel_offsets,
 )
 from cfofdm.network import NetworkRealization, SimulationLayout, gen_channel
 from cfofdm.ofdm import build_pilot_book, build_transmit_grids, synth_pilot_observations
@@ -19,7 +19,6 @@ from cfofdm.phase_noise import (
     KernelParams,
     PnParams,
     build_correlation_table,
-    correlation_b_fast,
     correlation_b_oracle,
     gen_pn_trace,
 )
@@ -41,7 +40,7 @@ def make_table(layout, sigma2_tot, stride=None):
     params = KernelParams(n=layout.n_subcarriers, sigma2_tot=sigma2_tot,
                           stride=stride or layout.n_subcarriers)
     lags = range(-(layout.block_symbols - 1), layout.block_symbols)
-    return build_correlation_table(params, kernel_offsets(layout), lags)
+    return build_correlation_table(params, lags)
 
 
 def make_context(network, layout, table, kind="pna_ofdm", ici_mode="as_printed"):
@@ -52,35 +51,35 @@ def make_context(network, layout, table, kind="pna_ofdm", ici_mode="as_printed")
 
 
 def ici_base_per_entry(layout, params, book, mode):
-    """Pilot-pair and data-pair ICI sums with one scalar kernel call per entry."""
-    from cfofdm.estimation import _data_sum_as_printed, _data_sum_independent
-
+    """Pilot-pair and data-pair ICI sums with one oracle kernel call per entry."""
+    oracle = functools.lru_cache(maxsize=None)(
+        lambda i1, i2, dt: correlation_b_oracle(i1, i2, dt, params))
     tau_p, nc = layout.tau_p, layout.block_subcarriers
     subs = np.array([nu for nu, _ in layout.pilot_slots])
     syms = np.array([t for _, t in layout.pilot_slots])
     pilot_cols = layout.pilot_subcarriers_absolute()
+    data_cols = np.setdiff1d(np.arange(layout.n_subcarriers), pilot_cols)
     slot_of = {slot: i for i, slot in enumerate(layout.pilot_slots)}
     pilot_terms = np.zeros((tau_p, tau_p, tau_p), dtype=complex)
+    data_term = np.zeros((tau_p, tau_p), dtype=complex)
     for i1 in range(tau_p):
         j1s = pilot_cols[pilot_cols != subs[i1]]
         rows1 = np.array([slot_of[(j % nc, syms[i1])] for j in j1s])
         for i2 in range(tau_p):
             j2s = pilot_cols[pilot_cols != subs[i2]]
-            if j1s.size == 0 or j2s.size == 0:
-                continue
-            rows2 = np.array([slot_of[(j % nc, syms[i2])] for j in j2s])
             dt = int(syms[i1] - syms[i2])
-            bsub = np.array(
-                [[correlation_b_fast(int(subs[i1] - j1), int(subs[i2] - j2), dt, params)
-                  for j2 in j2s] for j1 in j1s])
-            w1, w2 = book[rows1, :], book[rows2, :]
-            pilot_terms[:, i1, i2] = np.einsum("at,ab,bt->t", w1, bsub, np.conj(w2))
-    data_ind = np.ones(layout.n_subcarriers)
-    data_ind[pilot_cols] = 0.0
-    data_sum = _data_sum_as_printed if mode == "as_printed" else _data_sum_independent
-    data_term = np.array([[data_sum(int(subs[i1]), int(subs[i2]), int(syms[i1] - syms[i2]),
-                                    params, data_ind) for i2 in range(tau_p)]
-                          for i1 in range(tau_p)])
+            if j1s.size and j2s.size:
+                rows2 = np.array([slot_of[(j % nc, syms[i2])] for j in j2s])
+                bsub = np.array([[oracle(int(subs[i1] - j1), int(subs[i2] - j2), dt)
+                                  for j2 in j2s] for j1 in j1s])
+                w1, w2 = book[rows1, :], book[rows2, :]
+                pilot_terms[:, i1, i2] = np.einsum("at,ab,bt->t", w1, bsub, np.conj(w2))
+            if mode == "as_printed":
+                data_term[i1, i2] = sum(oracle(int(subs[i1] - j1), int(subs[i2] - j2), dt)
+                                        for j1 in data_cols for j2 in data_cols)
+            else:
+                data_term[i1, i2] = sum(oracle(int(subs[i1] - j), int(subs[i2] - j), dt)
+                                        for j in data_cols)
     return pilot_terms, data_term
 
 
@@ -316,7 +315,7 @@ class TestBaselines:
         from cfofdm.estimation import cpe_kernel_value
 
         n = layout.n_subcarriers
-        small = build_correlation_table(KernelParams(n, pn.sigma2_tot, n), [0], [0])
+        small = build_correlation_table(KernelParams(n, pn.sigma2_tot, n), [0])
         assert cpe_kernel_value("pna_sc", 0, small) == 1.0
         # full-scale check of the gap between the two kernels
         big = SimulationLayout(
@@ -326,7 +325,7 @@ class TestBaselines:
         )
         pn_big = PnParams(2e9, 4e-17, 4e-17, big.sample_time)
         params = KernelParams(1200, pn_big.sigma2_tot, 1200)
-        table = build_correlation_table(params, [0], range(-14, 15))
+        table = build_correlation_table(params, range(-14, 15))
         # at zero lag the single-carrier kernel misses the in-symbol averaging
         # loss entirely (gap 1 - B00 ~ 0.127); at nonzero lags the OFDM kernel
         # slightly exceeds it (Jensen), so the two models genuinely differ

@@ -5,7 +5,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -29,6 +29,8 @@ from cfofdm.harness import (
     run_experiment,
     run_fig2,
 )
+
+FLOAT_KEYS = [f.name for f in fields(ExperimentConfig) if f.type == "float"]
 
 # the ci layout as `sim fig2` / `sim fig3` overrides, less n_ues (fig3 sets it)
 CI_FIG = ["n_subcarriers=120", "block_symbols=5", "pilot_symbols=1:4", "n_aps=30",
@@ -100,6 +102,12 @@ class TestConfigParsing:
     def test_bad_enum_rejected(self):
         with pytest.raises(ConfigError, match="estimator"):
             parse_config("estimators = magic")
+
+    @pytest.mark.parametrize("key", ["estimators", "schemes"])
+    def test_duplicate_entries_rejected(self, key):
+        value = {"estimators": "pna_ofdm, unaware, pna_ofdm", "schemes": "mr, mr"}[key]
+        with pytest.raises(ConfigError, match="%s lists an entry more than once" % key):
+            parse_config("%s = %s" % (key, value))
 
     def test_infeasible_serving_capacity_rejected(self):
         with pytest.raises(ConfigError, match="serving capacity"):
@@ -239,6 +247,9 @@ class TestCli:
         pytest.param("run t.cfg --threads 0", 1, id="zero_threads"),
         pytest.param("run t.cfg --threads -3", 1, id="negative_threads"),
         pytest.param("run t.cfg --threads two", 1, id="non_integer_threads"),
+        pytest.param("validate --n 0", 1, id="zero_validate_n"),
+        pytest.param("validate --n 1", 1, id="validate_n_1"),
+        pytest.param("validate --n 4", 1, id="validate_n_below_fir_taps"),
         pytest.param("", 1, id="no_command"),
         pytest.param("--help", 0, id="help"),
         pytest.param("run --help", 0, id="run_help"),
@@ -269,6 +280,17 @@ class TestCli:
         )
         assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_value_exit_code(self, tmp_path, capsys, key, value):
+        cfg_path = tmp_path / "t.cfg"
+        cfg_path.write_text(
+            "n_subcarriers = 120\nblock_symbols = 5\npilot_symbols = 1:4\n"
+            "n_aps = 5\nn_ues = 2\nn_geometries = 1\nn_trials = 1\n%s = %s\n" % (key, value)
+        )
+        assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 1
+        assert "config error: %s must be finite" % key in capsys.readouterr().err
 
     def test_missing_file_exit_code(self):
         assert cli_main(["run", "/nonexistent/path.cfg"]) == 1

@@ -11,6 +11,8 @@ from cfofdm.phase_noise import (
     correlation_b_fast,
     correlation_b_oracle,
     gen_pn_trace,
+    lag_spectra,
+    offset_spectra,
     phase_drift,
     phasor,
     pn_increment_variance,
@@ -130,7 +132,7 @@ class TestKernelFast:
     def test_large_noise_limit(self):
         params = KernelParams(n=64, sigma2_tot=1e8, stride=64)
         assert correlation_b_fast(0, 0, 0, params).real == pytest.approx(1 / 64, rel=1e-10)
-        table = build_correlation_table(params, [-1, 0, 1], range(-3, 4))
+        table = build_correlation_table(params, range(-3, 4))
         assert np.isfinite(table.values).all()
         assert table.cpe(0) == pytest.approx(1 / 64, rel=1e-10)
 
@@ -146,14 +148,18 @@ class TestCorrelationTable:
         while len(needed) < 100:
             needed.add((int(rng.integers(-8, 9)), int(rng.integers(-8, 9)),
                         int(rng.integers(-3, 4))))
-        table = build_correlation_table(kernel_params_64, range(-8, 9), range(-3, 4))
         for key in needed:
-            assert table.get(*key) == pytest.approx(
+            assert correlation_b_fast(*key, kernel_params_64) == pytest.approx(
                 correlation_b_oracle(*key, kernel_params_64), abs=1e-10)
+        # the CPE grid, read at an integer lag array
+        table = build_correlation_table(kernel_params_64, range(-3, 4))
+        lags = np.array([[-1, 0], [2, -1]])
+        assert table.cpe(lags) == pytest.approx(np.array(
+            [[correlation_b_oracle(0, 0, int(dt), kernel_params_64).real for dt in row]
+             for row in lags]), abs=1e-10)
 
     @pytest.mark.parametrize("cp", [0, 4])
     def test_full_grid_matches_oracle(self, cp):
-        from cfofdm.estimation import kernel_offsets
         from cfofdm.network import SimulationLayout
 
         layout = SimulationLayout(
@@ -162,64 +168,49 @@ class TestCorrelationTable:
             n_aps=1, n_ues=1, area_side=100.0,
         )
         params = KernelParams(n=32, sigma2_tot=5e-3, stride=32 + cp)
-        offsets = kernel_offsets(layout)
+        # the offsets of the ICI covariance's pilot-pair sums, and the CPE offset 0
+        subs, _ = layout.pilot_slot_positions
+        cols = layout.pilot_subcarriers_absolute()
+        offsets = np.union1d((subs[:, None] - cols[None, :]).ravel(), [0])
         assert offsets.min() < 0 < offsets.max()
-        # every lag of the block, most of them scaled from lag +-1
         lags = range(-(layout.block_symbols - 1), layout.block_symbols)
-        table = build_correlation_table(params, offsets, lags)
-        for dt in lags:
-            block = table.block(offsets, offsets, dt)
+        oracle = np.array([[[correlation_b_oracle(int(i1), int(i2), dt, params)
+                             for i2 in offsets] for i1 in offsets] for dt in lags])
+        # unit weight on one offset per side
+        for a, dt in enumerate(lags):
             for r, i1 in enumerate(offsets):
                 for c, i2 in enumerate(offsets):
-                    assert block[r, c] == pytest.approx(
-                        correlation_b_oracle(int(i1), int(i2), dt, params), abs=1e-10)
-
-    def test_block_equals_elementwise_get(self, kernel_params_64):
-        offsets = [-12, -5, 0, 3, 7]
-        table = build_correlation_table(kernel_params_64, offsets, [-1, 0, 2])
-        o1s, o2s = [7, -12, 0], [3, 3, -5, 0]
-        for dt in (-1, 0, 2):
-            block = table.block(o1s, o2s, dt)
-            assert block.shape == (3, 4)
-            for r, i1 in enumerate(o1s):
-                for c, i2 in enumerate(o2s):
-                    assert block[r, c] == table.get(i1, i2, dt)
-        lags = np.array([[-1, 0], [2, -1]])
-        assert np.array_equal(table.cpe(lags),
-                              [[table.get(0, 0, int(dt)).real for dt in row] for row in lags])
+                    assert correlation_b_fast(int(i1), int(i2), dt, params) == pytest.approx(
+                        oracle[a, r, c], abs=1e-10)
+        # random complex weights over all offsets at once, every lag in one call
+        rng = np.random.default_rng(cp)
+        y = rng.standard_normal((2, offsets.size)) + 1j * rng.standard_normal((2, offsets.size))
+        dense = np.zeros((2, params.n), dtype=complex)
+        dense[:, offsets % params.n] = y
+        a1, a2 = offset_spectra(dense)
+        got = np.einsum("f,af,f->a", a1, lag_spectra(params, lags), np.conj(a2))
+        expect = np.einsum("r,arc,c->a", y[0], oracle, np.conj(y[1]))
+        assert got == pytest.approx(expect, abs=1e-10)
 
     def test_miss_is_logic_error(self, kernel_params_64):
-        table = build_correlation_table(kernel_params_64, [0], [0])
+        table = build_correlation_table(kernel_params_64, [0])
         with pytest.raises(LookupError):
-            table.get(1, 0, 0)
-        with pytest.raises(LookupError):
-            table.get(0, 1, 0)
-        with pytest.raises(LookupError):
-            table.get(0, 0, 1)
-        with pytest.raises(LookupError):
-            table.block([0, 0], [0, 5], 0)
+            table.cpe(1)
         with pytest.raises(LookupError):
             table.cpe(np.array([0, 1]))
 
     def test_zero_noise_table_all_ones(self):
         params = KernelParams(n=32, sigma2_tot=0.0, stride=32)
-        table = build_correlation_table(params, [0], range(-14, 15))
+        table = build_correlation_table(params, range(-14, 15))
         for dt in range(-14, 15):
             assert table.cpe(dt) == pytest.approx(1.0, abs=1e-12)
         assert all(np.array_equal(v, table.values[0]) for v in table.values)
 
-    def test_stride_below_n_minus_1_rejected(self):
-        KernelParams(n=32, sigma2_tot=1e-3, stride=31)
-        with pytest.raises(ValueError):
-            KernelParams(n=32, sigma2_tot=1e-3, stride=30)
-
     def test_default_layout_cpe_span(self):
         from cfofdm.config import fig2_config
-        from cfofdm.estimation import kernel_offsets
         from cfofdm.harness import build_kernel_table
 
         cfg = fig2_config()
-        assert 0 in kernel_offsets(cfg.layout())
         table = build_kernel_table(cfg)
         for dt in range(-14, 15):
             assert 0.0 < table.cpe(dt) <= 1.0
