@@ -3,7 +3,7 @@ OFDM networks with Wiener oscillator phase noise."""
 
 from .combining import combiner_matrix
 from .config import ExperimentConfig, ci_config, fig2_config, load_config
-from .estimation import EstimatorContext, build_context, build_psi, build_z_ici, estimate_all
+from .estimation import EstimatorContext, build_context, build_models, build_psi, estimate_all
 from .harness import run_experiment, run_fig2, run_fig3
 from .network import (
     NetworkRealization,

@@ -13,19 +13,14 @@ log = logging.getLogger(__name__)
 SCHEMES = ("mr", "lp_mmse", "p_mmse", "mmse")
 
 
-def partial_cluster(network: NetworkRealization, k: int) -> np.ndarray:
-    """UEs sharing at least one serving AP with UE k (includes k)."""
-    return np.flatnonzero((network.D & network.D[k][None, :]).any(axis=1))
-
-
-def _masked_mmse_group(v, h_hat, err_var, network, ks, members) -> None:
+def _masked_mmse_group(v, h_hat, err_var, network, group, members) -> None:
     """Regularized MMSE solves over ``members`` for every symbol, restricted to
-    the cluster support S shared by the UEs ``ks``, written into ``v``.
+    the cluster support S of ``group``, written into its UEs' rows of ``v``.
 
     ``v``, ``h_hat`` and ``err_var`` are (tau_c, K, L); one stacked solve over
     the (tau_c, |S|, |S|) systems, redone symbol by symbol if one is singular.
     """
-    support = np.flatnonzero(network.D[ks[0]])
+    ks, support = group.ues, group.support
     h = h_hat[:, members[:, None], support]  # (tau_c, |members|, |S|)
     c = err_var[:, members[:, None], support]
     p = network.p[members]
@@ -52,11 +47,11 @@ def combiner_matrix(scheme: str, h_hat: np.ndarray, err_var: np.ndarray,
     """Length-L combining vectors for every symbol and UE: (tau_c, K, L), from
     the (K, L, tau_c) estimates and their error variances.
 
-    Entries off a UE's serving cluster are zero.  UEs with identical cluster
-    supports share one stacked solve over all symbols for the MMSE variants.
+    Entries off a UE's serving cluster are zero.  For the MMSE variants, each
+    of ``network.groups`` (UEs with one cluster support) shares one stacked
+    solve over all symbols.
     """
     D = network.D
-    K = D.shape[0]
     h_hat = np.moveaxis(h_hat, -1, 0)  # (tau_c, K, L)
     if scheme == "mr":
         return D * h_hat
@@ -69,11 +64,8 @@ def combiner_matrix(scheme: str, h_hat: np.ndarray, err_var: np.ndarray,
         return served_p * h_hat / den[:, None, :]
     if scheme not in ("p_mmse", "mmse"):
         raise ValueError("unknown combining scheme: %r" % (scheme,))
-    groups = {}
-    for k in range(K):
-        groups.setdefault(D[k].tobytes(), []).append(k)
     v = np.zeros(h_hat.shape, dtype=complex)
-    for ks in groups.values():
-        members = np.arange(K) if scheme == "mmse" else partial_cluster(network, ks[0])
-        _masked_mmse_group(v, h_hat, err_var, network, np.asarray(ks), members)
+    for g in network.groups:
+        members = np.arange(len(D)) if scheme == "mmse" else g.partial
+        _masked_mmse_group(v, h_hat, err_var, network, g, members)
     return v

@@ -4,7 +4,7 @@ two single-carrier-style baseline estimators."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -15,25 +15,14 @@ ESTIMATOR_KINDS = ("pna_ofdm", "pna_sc", "unaware")
 ICI_MODES = ("as_printed", "independent_data")
 
 
-@dataclass
-class IciBase:
-    """Geometry-independent pieces of the ICI covariance for one configuration.
-
-    ``pilot_terms[t]`` is the pilot-pair double sum for pilot sequence t and
-    ``data_term`` the shared data-subcarrier sum, both (tau_p, tau_p).
-    """
-
-    pilot_terms: np.ndarray  # (tau_p, tau_p, tau_p)
-    data_term: np.ndarray    # (tau_p, tau_p)
-
-
 def build_ici_base(
     layout: SimulationLayout,
     table: KernelGrid,
     book: np.ndarray,
     mode: str = "as_printed",
-) -> IciBase:
-    """Precompute the pilot-pair and data-pair sums entering the ICI covariance.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The pilot-pair sums (tau_p, tau_p, tau_p), one (tau_p, tau_p) matrix per
+    pilot sequence, and the data-pair sum (tau_p, tau_p) of the ICI covariance.
 
     Each is a kernel pair sum over offset weights seen from a pilot slot at
     subcarrier n: the pilot term weights offset n - j by the pilot sample of
@@ -72,24 +61,7 @@ def build_ici_base(
         w = lag_spectra(params, lags, n * np.fft.ifft(data_ind))[lag_of]
     a = offset_spectra(y_data)
     data_term = np.einsum("if,ijf,jf->ij", a, w, np.conj(a))
-    return IciBase(pilot_terms=pilot_terms, data_term=data_term)
-
-
-def build_z_ici(network: NetworkRealization, base: IciBase) -> np.ndarray:
-    """Per-AP ICI covariance of the stacked pilot observation: (L, tau_p, tau_p).
-
-    ``base`` fixes the ICI mode: ``as_printed`` evaluates the pilot-pair double
-    sum with pilot-sample weights plus the unweighted double sum over all
-    data-subcarrier pairs of the full symbol; ``independent_data`` keeps only
-    equal-index data pairs, as implied by i.i.d. zero-mean data symbols.
-    """
-    pb = network.p[:, None] * network.beta  # (K, L)
-    z = np.zeros((pb.shape[1],) + base.data_term.shape, dtype=complex)
-    for t in np.unique(network.pilot_index):
-        coeff = pb[network.pilot_index == t].sum(axis=0)  # (L,)
-        z += coeff[:, None, None] * base.pilot_terms[int(t)][None, :, :]
-    z += pb.sum(axis=0)[:, None, None] * base.data_term[None, :, :]
-    return z
+    return pilot_terms, data_term
 
 
 def cpe_kernel_value(kind: str, dtau, table: KernelGrid):
@@ -106,34 +78,64 @@ def cpe_kernel_value(kind: str, dtau, table: KernelGrid):
     raise ValueError("unknown estimator kind: %r" % (kind,))
 
 
-def build_psi(
-    network: NetworkRealization,
+@dataclass
+class EstimatorModel:
+    """What one estimator kind assumes about the pilot observation.
+
+    Fixed per configuration: a UE on pilot sequence t with power p and gain
+    beta at AP l adds p beta (pilot_cov[t] + data_cov) to that AP's pilot
+    covariance, and its channel at symbol tau correlates with the pilot slots
+    through the CPE kernel row b[tau - 1].
+    """
+
+    book: np.ndarray       # (tau_p, tau_p) pilot book, column t is sequence s_t
+    pilot_cov: np.ndarray  # (tau_p, tau_p, tau_p) per sequence t: weighted s_t s_t^H + pilot ICI
+    data_cov: np.ndarray   # (tau_p, tau_p) data ICI, zero for the baselines
+    b: np.ndarray          # (tau_c, tau_p) CPE kernel, block symbol by pilot slot
+
+
+def build_models(
     layout: SimulationLayout,
     table: KernelGrid,
     book: np.ndarray,
-    z_ici: Optional[np.ndarray],
-    kind: str = "pna_ofdm",
-):
+    kinds: Sequence[str],
+    ici_mode: str = "as_printed",
+) -> List[EstimatorModel]:
+    """One estimator model per entry of ``kinds``, in that order.
+
+    [pilot_cov[t]]_{i1,i2} = s_t[i1] s_t[i2]^* k(sym_{i1} - sym_{i2}) under the
+    kind's CPE kernel k.  Only the phase-noise-aware OFDM estimator adds the
+    ICI covariance of ``build_ici_base``; the single-carrier and unaware
+    baselines assume none.
+    """
+    _, syms = layout.pilot_slot_positions
+    tau_c, tau_p = layout.block_symbols, layout.tau_p
+    outer = book.T[:, :, None] * np.conj(book.T)[:, None, :]  # s_t s_t^H per sequence t
+    models = []
+    for kind in kinds:
+        pilot_cov = outer * cpe_kernel_value(kind, syms[:, None] - syms[None, :], table)
+        data_cov = np.zeros((tau_p, tau_p), dtype=complex)
+        if kind == "pna_ofdm":
+            pilot_ici, data_cov = build_ici_base(layout, table, book, mode=ici_mode)
+            pilot_cov = pilot_cov + pilot_ici
+        b = cpe_kernel_value(kind, np.arange(1, tau_c + 1)[:, None] - syms[None, :], table)
+        models.append(EstimatorModel(book, pilot_cov, data_cov, b))
+    return models
+
+
+def build_psi(network: NetworkRealization, model: EstimatorModel) -> np.ndarray:
     """Pilot observation covariance Psi_l per AP: (L, tau_p, tau_p) Hermitian.
 
-    Psi_l = sum_k p_k beta_{k,l} Phi_{t_k} + Z_l + sigma^2 I, where
-    [Phi_t]_{i1,i2} = s_t[i1] s_t[i2]^* k(sym_{i1} - sym_{i2}) under the
-    estimator kind's CPE kernel k.  Raises RuntimeError unless every Psi_l is
-    positive definite.
+    Psi_l = sum_k p_k beta_{k,l} (pilot_cov[t_k] + data_cov) + sigma^2 I.
+    Raises RuntimeError unless every Psi_l is positive definite.
     """
-    tau_p = layout.tau_p
-    _, syms = layout.pilot_slot_positions
-    kmat = cpe_kernel_value(kind, syms[:, None] - syms[None, :], table)
-    pb = network.p[:, None] * network.beta
-    psi = np.zeros((layout.n_aps, tau_p, tau_p), dtype=complex)
+    pb = network.p[:, None] * network.beta  # (K, L)
+    psi = np.zeros((pb.shape[1],) + model.data_cov.shape, dtype=complex)
     for t in np.unique(network.pilot_index):
-        s = book[:, int(t)]
-        phi = np.outer(s, np.conj(s)) * kmat
-        coeff = pb[network.pilot_index == t].sum(axis=0)
-        psi += coeff[:, None, None] * phi[None, :, :]
-    if z_ici is not None:
-        psi += z_ici
-    psi += network.sigma2 * np.eye(tau_p)[None, :, :]
+        coeff = pb[network.pilot_index == t].sum(axis=0)  # (L,)
+        psi += coeff[:, None, None] * model.pilot_cov[int(t)][None, :, :]
+    psi += pb.sum(axis=0)[:, None, None] * model.data_cov[None, :, :]
+    psi += network.sigma2 * np.eye(psi.shape[1])[None, :, :]
     psi = 0.5 * (psi + np.conj(np.swapaxes(psi, 1, 2)))
     try:
         np.linalg.cholesky(psi)
@@ -151,37 +153,14 @@ class EstimatorContext:
     err_var: np.ndarray  # (K, L, tau_c) error variances beta - eps
 
 
-def build_context(
-    network: NetworkRealization,
-    layout: SimulationLayout,
-    table: KernelGrid,
-    book: np.ndarray,
-    kind: str = "pna_ofdm",
-    ici_base: Optional[IciBase] = None,
-) -> EstimatorContext:
-    """Assemble the per-geometry estimator state for one estimator kind.
-
-    Only the phase-noise-aware OFDM estimator carries an ICI covariance, built
-    from ``ici_base``; the single-carrier and unaware baselines assume none.
-    """
-    if kind not in ESTIMATOR_KINDS:
-        raise ValueError("unknown estimator kind: %r" % (kind,))
-    z = None
-    if kind == "pna_ofdm":
-        if ici_base is None:
-            raise ValueError("the pna_ofdm estimator needs an ICI base")
-        z = build_z_ici(network, ici_base)
-    psi = build_psi(network, layout, table, book, z, kind=kind)
-
-    _, syms = layout.pilot_slot_positions
-    tau_c, tau_p = layout.block_symbols, layout.tau_p
-    b_weights = cpe_kernel_value(kind, np.arange(1, tau_c + 1)[:, None] - syms[None, :],
-                                 table)
-
+def build_context(network: NetworkRealization, model: EstimatorModel) -> EstimatorContext:
+    """Assemble the per-geometry estimator state of one estimator model."""
+    psi = build_psi(network, model)
+    tau_c, tau_p = model.b.shape
     K, L = network.beta.shape
-    s_all = book[:, network.pilot_index]  # (tau_p, K)
+    s_all = model.book[:, network.pilot_index]  # (tau_p, K)
     # rhs columns: B^(tau)H s_{t_k} for every (k, tau) pair
-    rhs = (np.conj(b_weights).T[:, None, :] * s_all[:, :, None]).reshape(tau_p, -1)
+    rhs = (np.conj(model.b).T[:, None, :] * s_all[:, :, None]).reshape(tau_p, -1)
     sol = np.linalg.solve(psi, rhs)  # (L, tau_p, K * tau_c): Psi_l^{-1} rhs
     quad = np.real(np.sum(np.conj(rhs) * sol, axis=1)).reshape(L, K, tau_c)
     scale = np.sqrt(network.p)[None, :] * network.beta.T  # (L, K)

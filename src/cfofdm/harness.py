@@ -3,24 +3,25 @@ result aggregation, and CSV persistence."""
 
 from __future__ import annotations
 
+import itertools
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from . import combining, estimation, ofdm, se
-from .config import ExperimentConfig, effective_config_text
+from .config import ConfigError, ExperimentConfig, effective_config_text
 from .network import NetworkRealization, SimulationLayout, gen_channel, generate_network
 from .phase_noise import (
     KernelGrid,
     KernelParams,
     PnParams,
     build_correlation_table,
-    cpe_per_symbol,  # unused here; perfbench/probe.py wraps this name (ROADMAP item 2)
+    cpe_per_symbol,  # unused here; perfbench/probe.py wraps this name (ROADMAP item 4)
     gen_pn_trace,
 )
 
@@ -99,8 +100,8 @@ class Setup:
     layout: SimulationLayout
     pn: PnParams
     table: KernelGrid
-    book: np.ndarray                         # (tau_p, tau_p) pilot book
-    ici_base: Optional[estimation.IciBase]   # None without pna_ofdm
+    book: np.ndarray                          # (tau_p, tau_p) pilot book
+    models: List[estimation.EstimatorModel]   # one per entry of cfg.estimators
 
 
 @dataclass
@@ -108,38 +109,33 @@ class Geometry:
     """Per-geometry state, shared by every Monte Carlo trial."""
 
     network: NetworkRealization
-    contexts: Dict[str, estimation.EstimatorContext]
+    contexts: List[estimation.EstimatorContext]  # one per entry of cfg.estimators
     lam: np.ndarray  # (K, L) ICI power
 
 
 def build_setup(cfg: ExperimentConfig) -> Setup:
-    """Layout, phase-noise parameters, kernel grid, pilot book and ICI base of
-    one configuration."""
+    """Layout, phase-noise parameters, kernel grid, pilot book and estimator
+    models of one configuration."""
     layout = cfg.layout()
     table = build_kernel_table(cfg)
     book = ofdm.build_pilot_book(layout.tau_p)
-    ici_base = None
-    if "pna_ofdm" in cfg.estimators:
-        ici_base = estimation.build_ici_base(layout, table, book, mode=cfg.ici_mode)
-    return Setup(layout, cfg.pn_params(), table, book, ici_base)
+    models = estimation.build_models(layout, table, book, cfg.estimators, cfg.ici_mode)
+    return Setup(layout, cfg.pn_params(), table, book, models)
 
 
 def build_geometry(cfg: ExperimentConfig, setup: Setup, geometry_index: int) -> Geometry:
     """Network, estimator contexts and ICI power of one geometry."""
     network = _geometry(cfg, geometry_index)
-    contexts = {
-        kind: estimation.build_context(network, setup.layout, setup.table, setup.book,
-                                       kind=kind, ici_base=setup.ici_base)
-        for kind in cfg.estimators
-    }
+    contexts = [estimation.build_context(network, model) for model in setup.models]
     return Geometry(network, contexts, se.lambda_ici(network, setup.table))
 
 
 def run_trial(cfg: ExperimentConfig, setup: Setup, geom: Geometry,
-              rng: np.random.Generator) -> Dict[str, se.SinrAccumulator]:
+              rng: np.random.Generator) -> se.SinrAccumulator:
     """One Monte Carlo trial: draw, synthesize, estimate, combine, accumulate.
 
-    Returns one single-trial accumulator per estimator kind.
+    Returns a single-trial accumulator over every result row: row
+    e * len(cfg.schemes) + s holds estimator e with scheme s, in CSV order.
     """
     layout, network = setup.layout, geom.network
     h = gen_channel(network.beta, layout, rng)
@@ -148,28 +144,28 @@ def run_trial(cfg: ExperimentConfig, setup: Setup, geom: Geometry,
     y, cpe = ofdm.synth_pilot_observations(h, grids, trace, network, layout, rng)
     h_eff = cpe * h[:, :, 0][:, :, None]
 
-    out: Dict[str, se.SinrAccumulator] = {}
-    for kind, ctx in geom.contexts.items():
+    n_schemes = len(cfg.schemes)
+    acc = se.SinrAccumulator(len(geom.contexts) * n_schemes, layout.n_ues,
+                             layout.block_symbols)
+    for e, ctx in enumerate(geom.contexts):
         h_hat = estimation.estimate_all(ctx, y)
-        acc = se.SinrAccumulator(len(cfg.schemes), layout.n_ues, layout.block_symbols)
-        for s_idx, scheme in enumerate(cfg.schemes):
+        for s, scheme in enumerate(cfg.schemes):
             v = combining.combiner_matrix(scheme, h_hat, ctx.err_var, network)
-            acc.add_symbol(s_idx, v, h_eff, geom.lam, network.D)
-        acc.bump()
-        out[kind] = acc
-    return out
+            acc.add_symbol(e * n_schemes + s, v, h_eff, geom.lam, network.D)
+    acc.bump()
+    return acc
 
 
 @dataclass
 class GeometryResult:
-    """Per-geometry SE summaries keyed by (estimator kind, scheme)."""
+    """Per-geometry SE summaries of every result row."""
 
-    curves: Dict[Tuple[str, str], np.ndarray]        # per-symbol SE, (tau_c,)
-    blocks: Dict[Tuple[str, str], float]             # per-block SE
-    # SE per trial batch, (n_batches, tau_c) and (n_batches,); filled only for
+    curves: np.ndarray  # (rows, tau_c) per-symbol SE
+    blocks: np.ndarray  # (rows,) per-block SE
+    # SE per trial batch, (n_batches, rows, tau_c) and (n_batches, rows); only for
     # a single-geometry run of several batches, where they feed the standard error
-    batch_curves: Dict[Tuple[str, str], np.ndarray]
-    batch_blocks: Dict[Tuple[str, str], np.ndarray]
+    batch_curves: Optional[np.ndarray]
+    batch_blocks: Optional[np.ndarray]
     n_invalid: int
     n_records: int
 
@@ -189,12 +185,9 @@ def run_geometry(
     geom = build_geometry(cfg, setup, geometry_index)
     network = geom.network
 
+    shape = (len(cfg.estimators) * len(cfg.schemes), layout.n_ues, layout.block_symbols)
     n_batches = max(1, min(_N_BATCHES, cfg.n_trials))
-    batches: Dict[str, List[se.SinrAccumulator]] = {
-        kind: [se.SinrAccumulator(len(cfg.schemes), layout.n_ues, layout.block_symbols)
-               for _ in range(n_batches)]
-        for kind in cfg.estimators
-    }
+    batches = [se.SinrAccumulator(*shape) for _ in range(n_batches)]
 
     def one(t: int):
         rng = derived_rng(cfg.master_seed, _STREAM_TRIAL, geometry_index, t)
@@ -205,32 +198,22 @@ def run_geometry(
         chunk = 4 * threads  # trials in flight at once
         for lo in range(0, cfg.n_trials, chunk):
             ids = range(lo, min(lo + chunk, cfg.n_trials))
-            for t, partial in zip(ids, trial_map(one, ids)):
-                for kind, acc in partial.items():
-                    batches[kind][t % n_batches].merge(acc)
+            for t, acc in zip(ids, trial_map(one, ids)):
+                batches[t % n_batches].merge(acc)
 
-    finalize_batches = cfg.n_geometries == 1 and n_batches > 1
-    curves, blocks, bcurves, bblocks = {}, {}, {}, {}
-    n_invalid = 0
-    n_records = 0
-    for kind in cfg.estimators:
-        total = se.SinrAccumulator(len(cfg.schemes), layout.n_ues, layout.block_symbols)
-        for b in batches[kind]:
-            total.merge(b)
-        for s_idx, scheme in enumerate(cfg.schemes):
-            key = (kind, scheme)
-            sinr = se.finalize_sinr(total, network, s_idx)
-            curves[key], blocks[key] = se.se_from_sinr(sinr)
-            n_invalid += int(np.isnan(sinr).sum())
-            n_records += sinr.size
-            if finalize_batches:
-                per_batch = [se.se_from_sinr(se.finalize_sinr(b, network, s_idx))
-                             for b in batches[kind]]
-                bcurves[key] = np.stack([c for c, _ in per_batch])
-                bblocks[key] = np.array([bl for _, bl in per_batch])
-    return GeometryResult(curves=curves, blocks=blocks, batch_curves=bcurves,
-                          batch_blocks=bblocks, n_invalid=n_invalid,
-                          n_records=n_records)
+    total = se.SinrAccumulator(*shape)
+    for b in batches:
+        total.merge(b)
+    sinr = se.finalize_sinr(total, network)
+    curves, blocks = se.se_from_sinr(sinr)
+    batch_curves = batch_blocks = None
+    if cfg.n_geometries == 1 and n_batches > 1:
+        per_batch = [se.se_from_sinr(se.finalize_sinr(b, network)) for b in batches]
+        batch_curves = np.stack([c for c, _ in per_batch])
+        batch_blocks = np.stack([bl for _, bl in per_batch])
+    return GeometryResult(curves=curves, blocks=blocks, batch_curves=batch_curves,
+                          batch_blocks=batch_blocks, n_invalid=int(np.isnan(sinr).sum()),
+                          n_records=sinr.size)
 
 
 def _standard_error(rows) -> np.ndarray:
@@ -282,32 +265,30 @@ def run_experiment(
 
     n_uses = layout.block_subcarriers * layout.block_symbols
     total_trials = cfg.n_geometries * cfg.n_trials
+    curves = np.stack([g.curves for g in geoms])  # (geometries, rows, tau_c)
+    blocks = np.stack([g.blocks for g in geoms])  # (geometries, rows)
+    spread_curves, spread_blocks = curves, blocks
+    if geoms[0].batch_curves is not None:  # one geometry: spread over its trial batches
+        spread_curves, spread_blocks = geoms[0].batch_curves, geoms[0].batch_blocks
     records: List[ResultRecord] = []
-    for kind in cfg.estimators:
-        for scheme in cfg.schemes:
-            key = (kind, scheme)
-            curve_rows = [g.curves[key] for g in geoms]
-            block_rows = [g.blocks[key] for g in geoms]
-            curve = np.mean(curve_rows, axis=0)
-            block = float(np.mean(block_rows))
-            if geoms[0].batch_curves:  # one geometry: spread over its trial batches
-                curve_rows = geoms[0].batch_curves[key]
-                block_rows = geoms[0].batch_blocks[key]
-            curve_se = _standard_error(curve_rows)
-            block_se = float(_standard_error(block_rows))
+    for r, (kind, scheme) in enumerate(itertools.product(cfg.estimators, cfg.schemes)):
+        curve = np.mean(curves[:, r], axis=0)
+        block = float(np.mean(blocks[:, r]))
+        curve_se = _standard_error(spread_curves[:, r])
+        block_se = float(_standard_error(spread_blocks[:, r]))
+        records.append(
+            ResultRecord(cfg.name, scheme, kind, layout.n_ues, layout.n_aps,
+                         0, 0, block, total_trials, block_se, cfg.master_seed)
+        )
+        for c in range(1, n_uses + 1):
+            tau = se.symbol_of_channel_use(c, layout)
             records.append(
-                ResultRecord(cfg.name, scheme, kind, layout.n_ues, layout.n_aps,
-                             0, 0, block, total_trials, block_se, cfg.master_seed)
-            )
-            for c in range(1, n_uses + 1):
-                tau = se.symbol_of_channel_use(c, layout)
-                records.append(
-                    ResultRecord(
-                        cfg.name, scheme, kind, layout.n_ues, layout.n_aps,
-                        c, tau, float(curve[tau - 1]),
-                        total_trials, float(curve_se[tau - 1]), cfg.master_seed,
-                    )
+                ResultRecord(
+                    cfg.name, scheme, kind, layout.n_ues, layout.n_aps,
+                    c, tau, float(curve[tau - 1]),
+                    total_trials, float(curve_se[tau - 1]), cfg.master_seed,
                 )
+            )
     if not np.isfinite([(r.se_per_ue, r.standard_error) for r in records]).all():
         raise RuntimeError("Monte Carlo underflow: a result has no valid SINR record")
     if progress:
@@ -340,11 +321,16 @@ def run_fig3(base: ExperimentConfig, threads: int = 1,
     """SE per UE at channel use 60 versus the number of UEs: ``run_fig2`` of
     ``base`` at every count of FIG3_UE_COUNTS, experiment ``<name>_K<count>``.
 
-    Every count's configuration is validated before the first one runs.
+    Every count's configuration is validated before the first one runs, and
+    the coherence block must reach channel use 60.
     """
     cfgs = [replace(base, n_ues=K, name="%s_K%d" % (base.name, K)) for K in FIG3_UE_COUNTS]
     for cfg in cfgs:
         cfg.validate()
+    n_uses = base.block_subcarriers * base.block_symbols
+    if n_uses < FIG3_CHANNEL_USE:
+        raise ConfigError("fig3 reads channel use %d, but the coherence block has "
+                          "only %d channel uses" % (FIG3_CHANNEL_USE, n_uses))
     return [r for cfg in cfgs for r in run_fig2(cfg, threads=threads, progress=progress)
             if r.channel_use == FIG3_CHANNEL_USE]
 

@@ -3,8 +3,8 @@ and block-fading channel realizations."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -128,9 +128,22 @@ class SimulationLayout:
         return np.sort(cols[cols < self.n_subcarriers])
 
 
+@dataclass(frozen=True)
+class ClusterGroup:
+    """The UEs served by one and the same set of APs (one distinct row of D)."""
+
+    ues: np.ndarray      # the UEs of the group, ascending
+    support: np.ndarray  # their serving APs
+    partial: np.ndarray  # UEs sharing a serving AP with them, the group included
+
+
 @dataclass
 class NetworkRealization:
-    """One drawn network: geometry, large-scale fading, clusters, pilots, powers."""
+    """One drawn network: geometry, large-scale fading, clusters, pilots, powers.
+
+    ``groups`` is built from D once, at construction, in order of each
+    group's first UE.
+    """
 
     ap_positions: np.ndarray  # (L, 2) meters
     ue_positions: np.ndarray  # (K, 2) meters
@@ -139,6 +152,16 @@ class NetworkRealization:
     pilot_index: np.ndarray   # (K,) 0-based pilot indices in [0, tau_p)
     p: np.ndarray             # (K,) transmit power, W
     sigma2: float             # noise power, W
+    groups: Tuple[ClusterGroup, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        rows = {}
+        for k in range(self.D.shape[0]):
+            rows.setdefault(self.D[k].tobytes(), []).append(k)
+        self.groups = tuple(
+            ClusterGroup(ues=np.asarray(ks), support=np.flatnonzero(self.D[ks[0]]),
+                         partial=np.flatnonzero((self.D & self.D[ks[0]]).any(axis=1)))
+            for ks in rows.values())
 
 
 def place_nodes(layout: SimulationLayout, rng: np.random.Generator):

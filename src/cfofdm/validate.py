@@ -153,14 +153,14 @@ def no_pn_reduction(cfg: ExperimentConfig) -> Check:
     rng = derived_rng(cfg.master_seed, 1, 0, 0)
     y = (rng.standard_normal((layout.n_aps, layout.tau_p))
          + 1j * rng.standard_normal((layout.n_aps, layout.tau_p)))
-    h_hats = [estimation.estimate_all(ctx, y) for ctx in geom.contexts.values()]
+    h_hats = [estimation.estimate_all(ctx, y) for ctx in geom.contexts]
     spread = max(np.abs(h - h_hats[0]).max() for h in h_hats[1:])
 
     p, beta, tau_p = network.p, network.beta, layout.tau_p
     shares = network.pilot_index[:, None] == network.pilot_index[None, :]
     expect = (p[:, None] * beta**2 * tau_p
               / (tau_p * shares @ (p[:, None] * beta) + network.sigma2))[:, :, None]
-    ctx = geom.contexts["pna_ofdm"]
+    ctx = geom.contexts[cfg.estimators.index("pna_ofdm")]
     abs_err = max(np.abs(ctx.eps - expect).max(),
                   np.abs(ctx.err_var - (beta[:, :, None] - expect)).max())
     rel_err = (np.abs(ctx.eps - expect) / expect).max()
@@ -187,7 +187,7 @@ def lmmse_moments(cfg: ExperimentConfig) -> Check:
     setup = build_setup(cfg)
     layout, pn = setup.layout, setup.pn
     geom = build_geometry(cfg, setup, 0)
-    network, ctx = geom.network, geom.contexts["pna_ofdm"]
+    network, ctx = geom.network, geom.contexts[0]  # pna_ofdm, the only estimator
     k, l = 0, 0
     h_eff = np.empty((cfg.n_trials, layout.block_symbols), dtype=complex)
     h_hat = np.empty_like(h_eff)

@@ -7,8 +7,6 @@ terms of one symbol; the package does both for every symbol in one call.
 
 import numpy as np
 
-from cfofdm.combining import partial_cluster
-
 
 def combiner_matrix_at(scheme, h_hat, err_var, network, tau):
     """Length-L combining vectors for every UE at 1-based symbol tau: (K, L),
@@ -28,7 +26,9 @@ def combiner_matrix_at(scheme, h_hat, err_var, network, tau):
         groups.setdefault(D[k].tobytes(), []).append(k)
     v = np.zeros((K, D.shape[1]), dtype=complex)
     for ks in groups.values():
-        members = np.arange(K) if scheme == "mmse" else partial_cluster(network, ks[0])
+        # P-MMSE: the UEs sharing at least one serving AP with the group
+        members = (np.arange(K) if scheme == "mmse"
+                   else np.flatnonzero((D & D[ks[0]][None, :]).any(axis=1)))
         support = np.flatnonzero(D[ks[0]])
         hm = h[members][:, support]
         p = network.p[members]
@@ -43,16 +43,16 @@ def combiner_matrix_at(scheme, h_hat, err_var, network, tau):
     return v
 
 
-def add_symbol_at(acc, scheme_idx, tau, v, h_eff, lam, D):
-    """Accumulate one trial's terms for all UEs at 1-based symbol tau.
+def add_symbol_at(acc, row, tau, v, h_eff, lam, D):
+    """Accumulate one trial's terms of one row for all UEs at 1-based symbol tau.
 
     v and h_eff are (K, L): combining vectors and effective channels.
     """
     t = tau - 1
     vm = np.conj(v) * D
     m = vm @ h_eff.T  # m[k, i] = v_k^H D_k h_i
-    acc.gain[scheme_idx, :, t] += np.diagonal(m)
-    acc.cross[scheme_idx, :, t, :] += np.abs(m) ** 2
+    acc.gain[row, :, t] += np.diagonal(m)
+    acc.cross[row, :, t, :] += np.abs(m) ** 2
     w = np.abs(vm) ** 2
-    acc.ici[scheme_idx, :, t, :] += w @ lam.T
-    acc.vnorm[scheme_idx, :, t] += w.sum(axis=1)
+    acc.ici[row, :, t, :] += w @ lam.T
+    acc.vnorm[row, :, t] += w.sum(axis=1)

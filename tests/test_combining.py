@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cfofdm.combining import SCHEMES, combiner_matrix, partial_cluster
+from cfofdm.combining import SCHEMES, combiner_matrix
 from cfofdm.config import ci_config
 from cfofdm.harness import derived_rng
 from cfofdm.network import NetworkRealization, generate_network
@@ -95,8 +95,9 @@ class TestPMmse:
         h = np.ones((2, 4, 1), dtype=complex)
         D = np.array([[1, 1, 0, 0], [0, 0, 1, 1]])
         est, network = make_setup(h, np.zeros((2, 4, 1)), D)
-        assert partial_cluster(network, 0).tolist() == [0]
-        assert partial_cluster(network, 1).tolist() == [1]
+        groups = [(g.ues.tolist(), g.support.tolist(), g.partial.tolist())
+                  for g in network.groups]
+        assert groups == [([0], [0, 1], [0]), ([1], [2, 3], [1])]
 
     def test_output_in_cluster_span(self, rng):
         h = rng.standard_normal((3, 5, 1)) + 1j * rng.standard_normal((3, 5, 1))

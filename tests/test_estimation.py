@@ -6,11 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cfofdm import estimation
 from cfofdm.estimation import (
     build_context,
     build_ici_base,
+    build_models,
     build_psi,
-    build_z_ici,
     estimate_all,
 )
 from cfofdm.network import NetworkRealization, SimulationLayout, gen_channel
@@ -43,11 +44,14 @@ def make_table(layout, sigma2_tot, stride=None):
     return build_correlation_table(params, lags)
 
 
+def make_model(layout, table, kind="pna_ofdm", ici_mode="as_printed"):
+    """Estimator model of one kind with the pilot book of ``layout``."""
+    (model,) = build_models(layout, table, build_pilot_book(layout.tau_p), [kind], ici_mode)
+    return model
+
+
 def make_context(network, layout, table, kind="pna_ofdm", ici_mode="as_printed"):
-    """Estimator context with the pilot book and ICI base of ``layout``."""
-    book = build_pilot_book(layout.tau_p)
-    base = build_ici_base(layout, table, book, mode=ici_mode)
-    return build_context(network, layout, table, book, kind=kind, ici_base=base)
+    return build_context(network, make_model(layout, table, kind, ici_mode))
 
 
 def ici_base_per_entry(layout, params, book, mode):
@@ -124,22 +128,24 @@ def bruteforce_z_entry(layout, table, book, t, i1, i2, mode):
 class TestZIci:
     @pytest.mark.parametrize("mode", ["as_printed", "independent_data"])
     def test_matches_bruteforce_toy(self, mode):
+        """Psi of the pna_ofdm model: CPE-weighted pilots, brute-force ICI, noise."""
         layout = toy_layout()
         table = make_table(layout, 5e-3)
         book = build_pilot_book(layout.tau_p)
         beta = np.array([[0.5, 0.3], [0.2, 0.8]])
         network = make_network(layout, beta, [0, 1], p=0.4, sigma2=1e-4)
-        z = build_z_ici(network, build_ici_base(layout, table, book, mode=mode))
+        psi = build_psi(network, make_model(layout, table, ici_mode=mode))
+        syms = [sym for _, sym in layout.pilot_slots]
         for l in range(2):
             for i1 in range(layout.tau_p):
                 for i2 in range(layout.tau_p):
-                    expect = sum(
+                    expect = network.sigma2 * (i1 == i2) + sum(
                         network.p[k] * beta[k, l]
-                        * bruteforce_z_entry(layout, table, book,
-                                             int(network.pilot_index[k]), i1, i2, mode)
-                        for k in range(2)
+                        * (book[i1, t] * np.conj(book[i2, t]) * table.cpe(syms[i1] - syms[i2])
+                           + bruteforce_z_entry(layout, table, book, t, i1, i2, mode))
+                        for k, t in enumerate(network.pilot_index)
                     )
-                    assert z[l, i1, i2] == pytest.approx(expect, rel=1e-10, abs=1e-16)
+                    assert psi[l, i1, i2] == pytest.approx(expect, rel=1e-10, abs=1e-16)
 
     @pytest.mark.parametrize("mode", ["as_printed", "independent_data"])
     def test_ici_base_matches_per_entry_loop(self, mode):
@@ -147,40 +153,65 @@ class TestZIci:
                             pilot_subcarriers=(0, 5), pilot_symbols=(1, 2, 3))
         table = make_table(layout, 5e-3)
         book = build_pilot_book(layout.tau_p)
-        base = build_ici_base(layout, table, book, mode=mode)
-        pilot_terms, data_term = ici_base_per_entry(layout, table.params, book, mode)
-        assert base.pilot_terms == pytest.approx(pilot_terms, rel=1e-10)
-        assert base.data_term == pytest.approx(data_term, rel=1e-10)
+        pilot_terms, data_term = build_ici_base(layout, table, book, mode=mode)
+        pilot_ref, data_ref = ici_base_per_entry(layout, table.params, book, mode)
+        assert pilot_terms == pytest.approx(pilot_ref, rel=1e-10)
+        assert data_term == pytest.approx(data_ref, rel=1e-10)
 
     def test_zero_phase_noise_gives_zero(self):
+        """Without phase noise the pna_ofdm model's ICI vanishes: its Psi is the
+        unaware model's."""
         layout = toy_layout()
         table = make_table(layout, 0.0)
-        book = build_pilot_book(layout.tau_p)
         network = make_network(layout, np.ones((2, 2)), [0, 1])
+        unaware = build_psi(network, make_model(layout, table, "unaware"))
         for mode in ("as_printed", "independent_data"):
-            z = build_z_ici(network, build_ici_base(layout, table, book, mode=mode))
-            assert np.abs(z).max() < 1e-12
+            psi = build_psi(network, make_model(layout, table, ici_mode=mode))
+            assert np.abs(psi - unaware).max() < 1e-12
 
     def test_independent_data_diagonal_bounded_by_trace_rule(self):
         layout = toy_layout()
         table = make_table(layout, 5e-3)
-        book = build_pilot_book(layout.tau_p)
-        beta = np.array([[1.0, 1.0]])
-        network = make_network(layout, beta, [0], p=1.0)
-        base = build_ici_base(layout, table, book, mode="independent_data")
+        data_cov = make_model(layout, table, ici_mode="independent_data").data_cov
         b00 = table.cpe(0)
         for i in range(layout.tau_p):
-            assert base.data_term[i, i].real <= (1 - b00) + 1e-12
-            assert base.data_term[i, i].imag == pytest.approx(0.0, abs=1e-12)
+            assert data_cov[i, i].real <= (1 - b00) + 1e-12
+            assert data_cov[i, i].imag == pytest.approx(0.0, abs=1e-12)
 
     def test_hermitian(self):
         layout = toy_layout()
         table = make_table(layout, 5e-3)
-        book = build_pilot_book(layout.tau_p)
-        network = make_network(layout, np.array([[0.5, 0.3], [0.2, 0.8]]), [0, 1])
         for mode in ("as_printed", "independent_data"):
-            z = build_z_ici(network, build_ici_base(layout, table, book, mode=mode))
-            assert np.abs(z - np.conj(np.swapaxes(z, 1, 2))).max() < 1e-12
+            model = make_model(layout, table, ici_mode=mode)
+            for m in (*model.pilot_cov, model.data_cov):
+                assert np.abs(m - np.conj(m.T)).max() < 1e-12
+
+
+class TestModels:
+    def test_ici_base_only_for_pna_ofdm(self, monkeypatch):
+        """The baselines assume no ICI, and the ICI base is built only for pna_ofdm."""
+        layout = toy_layout()
+        table = make_table(layout, 5e-3)
+        book = build_pilot_book(layout.tau_p)
+        calls = []
+        real = estimation.build_ici_base
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(estimation, "build_ici_base", counting)
+        baselines = build_models(layout, table, book, ["unaware", "pna_sc"])
+        assert calls == []
+        assert all(not m.data_cov.any() for m in baselines)
+        (pna,) = build_models(layout, table, book, ["pna_ofdm"])
+        assert len(calls) == 1 and pna.data_cov.any()
+        assert [m.b.shape for m in (*baselines, pna)] == [(3, layout.tau_p)] * 3
+
+    def test_unknown_kind_rejected(self):
+        layout = toy_layout()
+        with pytest.raises(ValueError, match="unknown estimator kind"):
+            make_model(layout, make_table(layout, 5e-3), "magic")
 
 
 class TestPsi:
@@ -190,7 +221,7 @@ class TestPsi:
         book = build_pilot_book(layout.tau_p)
         beta = np.array([[0.5, 0.3], [0.2, 0.8]])
         network = make_network(layout, beta, [0, 1], p=0.4, sigma2=1e-3)
-        psi = build_psi(network, layout, table, book, None, kind="pna_ofdm")
+        psi = build_psi(network, make_model(layout, table))
         for l in range(2):
             expect = sum(
                 0.4 * beta[k, l] * np.outer(book[:, k], np.conj(book[:, k]))
@@ -204,7 +235,7 @@ class TestPsi:
         book = build_pilot_book(layout.tau_p)
         beta = np.array([[0.6, 0.1]])
         network = make_network(layout, beta, [0], p=0.2, sigma2=1e-3)
-        psi = build_psi(network, layout, table, book, None)
+        psi = build_psi(network, make_model(layout, table))
         s = book[:, 0]
         for l in range(2):
             val = np.real(s.conj() @ np.linalg.solve(psi[l], s))
@@ -214,12 +245,10 @@ class TestPsi:
     def test_hermitian_random_configs(self, rng):
         layout = toy_layout()
         table = make_table(layout, 3e-3)
-        book = build_pilot_book(layout.tau_p)
         for _ in range(5):
             beta = rng.uniform(0.05, 1.0, (2, 2))
             network = make_network(layout, beta, [0, 1], p=0.3, sigma2=1e-4)
-            z = build_z_ici(network, build_ici_base(layout, table, book))
-            psi = build_psi(network, layout, table, book, z)
+            psi = build_psi(network, make_model(layout, table))
             assert np.abs(psi - np.conj(np.swapaxes(psi, 1, 2))).max() <= 1e-12
 
 
@@ -278,13 +307,6 @@ class TestLmmseEstimate:
                                ici_mode="independent_data")
             assert (ctx.eps >= 0).all()
             assert (ctx.err_var >= -1e-10).all()
-
-    def test_pna_ofdm_needs_ici_base(self):
-        layout = toy_layout()
-        table = make_table(layout, 3e-3)
-        network = make_network(layout, np.ones((2, 2)), [0, 1])
-        with pytest.raises(ValueError, match="ICI base"):
-            build_context(network, layout, table, build_pilot_book(layout.tau_p))
 
 
 class TestBaselines:

@@ -45,9 +45,24 @@ def small_cfg(**kw):
     return replace(cfg, **kw)
 
 
-def all_invalid_finalize(acc, network, scheme_idx):
+def all_invalid_finalize(acc, network):
     """finalize_sinr stand-in that marks every SINR record invalid."""
-    return np.full(acc.gain[scheme_idx].shape, np.nan)
+    return np.full(acc.gain.shape, np.nan)
+
+
+def counting_runs(monkeypatch):
+    """The names of the experiments harness.run_experiment runs from now on."""
+    from cfofdm import harness
+
+    calls = []
+    real_run = harness.run_experiment
+
+    def counting_run(*args, **kwargs):
+        calls.append(args[0].name)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_experiment", counting_run)
+    return calls
 
 
 class TestConfigParsing:
@@ -250,6 +265,8 @@ class TestCli:
         pytest.param("validate --n 0", 1, id="zero_validate_n"),
         pytest.param("validate --n 1", 1, id="validate_n_1"),
         pytest.param("validate --n 4", 1, id="validate_n_below_fir_taps"),
+        pytest.param("validate --n 257", 1, id="validate_n_above_cap"),
+        pytest.param("validate --n 2048", 1, id="validate_n_2048"),
         pytest.param("", 1, id="no_command"),
         pytest.param("--help", 0, id="help"),
         pytest.param("run --help", 0, id="run_help"),
@@ -346,20 +363,23 @@ class TestCli:
 
     def test_fig3_validates_every_count_first(self, monkeypatch, capsys):
         """K = 100 exceeds the capacity of 8 APs: nothing runs before the error."""
-        from cfofdm import harness
-
-        calls = []
-        real_run = harness.run_experiment
-
-        def counting_run(*args, **kwargs):
-            calls.append(args[0].name)
-            return real_run(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "run_experiment", counting_run)
+        calls = counting_runs(monkeypatch)
         argv = ["fig3", *CI_FIG, "n_aps=8", "n_geometries=1", "n_trials=1"]
         assert cli_main(argv) == 1
         assert calls == []
         assert "serving capacity" in capsys.readouterr().err
+
+    def test_fig3_short_coherence_block(self, tmp_path, monkeypatch, capsys):
+        """N_c * tau_c = 48 channel uses never reach channel use 60: nothing runs."""
+        calls = counting_runs(monkeypatch)
+        out = tmp_path / "o.csv"
+        argv = ["fig3", "name=ci", "n_subcarriers=120", "block_symbols=4", "pilot_symbols=1:3",
+                "n_aps=40", "shadow_sigma_db=0", "n_geometries=1", "n_trials=1",
+                "--seed", "0", "--out", str(out)]
+        assert cli_main(argv) == 1
+        assert calls == []
+        assert "channel use 60" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fig3_rejects_n_ues_override(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
@@ -445,17 +465,17 @@ class TestInvalidRecordGuard:
         real_finalize = se.finalize_sinr
         calls = []
 
-        def finalize_one_negative(acc, network, scheme_idx):
-            calls.append(scheme_idx)
-            if len(calls) == 1:
+        def finalize_one_negative(acc, network):
+            calls.append(acc)
+            if len(calls) == 1:  # row 0, UE 0, symbol 1 of the first accumulator
                 acc = copy.deepcopy(acc)
-                acc.ici[scheme_idx, 0, 0] -= 1e6 * acc.count
-            return real_finalize(acc, network, scheme_idx)
+                acc.ici[0, 0, 0] -= 1e6 * acc.count
+            return real_finalize(acc, network)
 
         monkeypatch.setattr(se, "finalize_sinr", finalize_one_negative)
         geom = harness.run_geometry(cfg, harness.build_setup(cfg), 0)
         assert geom.n_invalid == 1
-        assert all(np.isfinite(c).all() for c in geom.curves.values())
+        assert np.isfinite(geom.curves).all() and np.isfinite(geom.blocks).all()
         calls.clear()
         text = records_to_csv(run_experiment(cfg))
         values = [float(v) for line in text.splitlines()[1:]
@@ -472,11 +492,11 @@ class TestInvalidRecordGuard:
         real_finalize = se.finalize_sinr
         first = []  # holds the first accumulator seen, so its identity stays unique
 
-        def finalize_tau1_invalid(acc, network, scheme_idx):
-            first[:] = first or [acc, scheme_idx]
-            sinr = real_finalize(acc, network, scheme_idx)
-            if acc is first[0] and scheme_idx == first[1]:
-                sinr[:, 0] = np.nan
+        def finalize_tau1_invalid(acc, network):
+            first[:] = first or [acc]
+            sinr = real_finalize(acc, network)
+            if acc is first[0]:
+                sinr[0, :, 0] = np.nan  # row 0 of the first geometry
             return sinr
 
         monkeypatch.setattr(se, "finalize_sinr", finalize_tau1_invalid)
@@ -511,14 +531,17 @@ class TestStackedTrial:
         grids = build_transmit_grids(layout, setup.book, network.pilot_index, rng)
         y, cpe = synth_pilot_observations(h, grids, trace, network, layout, rng)
         h_eff = cpe * h[:, :, 0][:, :, None]
-        for kind, ctx in geom.contexts.items():
+        n_schemes = len(cfg.schemes)
+        ref = se.SinrAccumulator(len(cfg.estimators) * n_schemes, layout.n_ues,
+                                 layout.block_symbols)
+        for e, ctx in enumerate(geom.contexts):
             h_hat = estimation.estimate_all(ctx, y)
-            ref = se.SinrAccumulator(len(cfg.schemes), layout.n_ues, layout.block_symbols)
             for s_idx, scheme in enumerate(cfg.schemes):
                 for tau in range(1, layout.block_symbols + 1):
                     v = combiner_matrix_at(scheme, h_hat, ctx.err_var, network, tau)
-                    add_symbol_at(ref, s_idx, tau, v, h_eff[:, :, tau - 1], lam, network.D)
-            for name in ("gain", "cross", "ici", "vnorm"):
-                np.testing.assert_allclose(getattr(out[kind], name), getattr(ref, name),
-                                           rtol=1e-12, atol=0)
-            assert out[kind].count == 1
+                    add_symbol_at(ref, e * n_schemes + s_idx, tau, v, h_eff[:, :, tau - 1],
+                                  lam, network.D)
+        for name in ("gain", "cross", "ici", "vnorm"):
+            np.testing.assert_allclose(getattr(out, name), getattr(ref, name),
+                                       rtol=1e-12, atol=0)
+        assert out.count == 1

@@ -87,8 +87,8 @@ class TestAccumulator:
         for _ in range(7):
             many.add_symbol(0, v[None], h[:, :, None], lam, network.D)
             many.bump()
-        s1 = finalize_sinr(one, network, 0)[0, 0]
-        s7 = finalize_sinr(many, network, 0)[0, 0]
+        s1 = finalize_sinr(one, network)[0, 0, 0]
+        s7 = finalize_sinr(many, network)[0, 0, 0]
         assert s1 == pytest.approx(s7, rel=1e-12)
 
     def test_accumulate_trial_covers_all_symbols(self, rng):
@@ -139,7 +139,7 @@ class TestFinalize:
         acc.add_symbol(0, np.zeros((1, 1, 2), dtype=complex),
                        np.ones((1, 2, 1), dtype=complex), np.zeros((1, 2)), network.D)
         acc.bump()
-        assert finalize_sinr(acc, network, 0)[0, 0] == 0.0
+        assert finalize_sinr(acc, network)[0, 0, 0] == 0.0
 
     def test_single_ap_mr_closed_form(self):
         """Independent UatF oracle on single-AP Rayleigh: SINR = p eps / (p beta + s2).
@@ -165,7 +165,7 @@ class TestFinalize:
         for name in ("gain", "cross", "ici", "vnorm"):
             getattr(acc, name)[:] = getattr(draws, name).sum(axis=2, keepdims=True)
         acc.count = n
-        sinr = finalize_sinr(acc, network, 0)[0, 0]
+        sinr = finalize_sinr(acc, network)[0, 0, 0]
         assert sinr == pytest.approx(p * eps / (p * beta + s2), rel=0.02)
 
     def test_negative_denominator_flagged(self):
@@ -177,7 +177,7 @@ class TestFinalize:
         acc.count = 1
         acc.gain[0, 0, 0] = 2.0
         acc.cross[0, 0, 0, 0] = 1.0
-        assert np.isnan(finalize_sinr(acc, network, 0)[0, 0])
+        assert np.isnan(finalize_sinr(acc, network)[0, 0, 0])
 
     def test_extra_interferer_never_raises_sinr(self, rng):
         layout = SimulationLayout(16, 2, 15e3, 8, 2, (0,), (1,), 3, 2, 100.0)
@@ -189,10 +189,10 @@ class TestFinalize:
             v[0] = h[0]
             acc.add_symbol(0, v[None], h[:, :, None], np.zeros((2, 3)), net2.D)
             acc.bump()
-        with_interf = finalize_sinr(acc, net2, 0)[0, 0]
+        with_interf = finalize_sinr(acc, net2)[0, 0, 0]
         # removing UE 1's cross term can only increase the SINR
         acc.cross[0, 0, 0, 1] = 0.0
-        without = finalize_sinr(acc, net2, 0)[0, 0]
+        without = finalize_sinr(acc, net2)[0, 0, 0]
         assert without >= with_interf
 
     def test_scale_invariance(self, rng):
@@ -212,8 +212,8 @@ class TestFinalize:
             a1.bump()
             a2.add_symbol(0, alpha * v[None], h[:, :, None], lam, network.D)
             a2.bump()
-        s1 = finalize_sinr(a1, network, 0)[0, 0]
-        s2 = finalize_sinr(a2, network, 0)[0, 0]
+        s1 = finalize_sinr(a1, network)[0, 0, 0]
+        s2 = finalize_sinr(a2, network)[0, 0, 0]
         assert s1 == pytest.approx(s2, rel=1e-9)
 
     def test_grid_equals_per_record_formula(self, rng):
@@ -244,11 +244,12 @@ class TestFinalize:
                    + (acc.ici[s, k, t] / n).sum() + network.sigma2 * acc.vnorm[s, k, t] / n)
             return float("nan") if den <= 0.0 else float(num / den)
 
-        for s in range(2):
-            expect = np.array([[per_record(s, k, t) for t in range(4)] for k in range(3)])
-            assert np.array_equal(finalize_sinr(acc, network, s), expect, equal_nan=True)
-        assert finalize_sinr(acc, network, 1)[0, 2] == 0.0
-        assert np.isnan(finalize_sinr(acc, network, 1)[2, 3])
+        expect = np.array([[[per_record(s, k, t) for t in range(4)] for k in range(3)]
+                           for s in range(2)])
+        sinr = finalize_sinr(acc, network)
+        assert np.array_equal(sinr, expect, equal_nan=True)
+        assert sinr[1, 0, 2] == 0.0
+        assert np.isnan(sinr[1, 2, 3])
 
 
 class TestSeAssembly:
@@ -303,3 +304,23 @@ class TestSeAssembly:
             assert block == pytest.approx(1.0)
             curve, block = se_from_sinr(np.full((2, 2), np.nan))
             assert np.isnan(curve).all() and np.isnan(block)
+
+    def test_rows_equal_per_row_calls(self, rng):
+        """Over leading axes every row equals its own call, and NaN appears only
+        in the row without a valid record."""
+        sinr = rng.uniform(0.1, 10.0, (2, 3, 10, 4))  # (rows..., K, tau_c)
+        sinr[0, 1, 2, :3] = np.nan  # some invalid records
+        sinr[0, 1, 4] = np.nan      # a UE without a valid record
+        sinr[1, 2] = np.nan         # a row without a valid record
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curves, blocks = se_from_sinr(sinr)
+        assert curves.shape == (2, 3, 4) and blocks.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            curve, block = se_from_sinr(sinr[idx])
+            assert np.array_equal(curves[idx], curve, equal_nan=True)
+            assert np.array_equal(blocks[idx], block, equal_nan=True)
+        assert np.isnan(curves[1, 2]).all() and np.isnan(blocks[1, 2])
+        assert np.isnan(curves).sum() == 4 and np.isnan(blocks).sum() == 1
+        per_ue = [np.log2(1 + r[~np.isnan(r)]).mean() for r in sinr[0, 1] if (r == r).any()]
+        assert blocks[0, 1] == pytest.approx(np.mean(per_ue), rel=1e-15)
