@@ -15,7 +15,7 @@ from .network import (
     large_scale_fading,
     place_nodes,
 )
-from .ofdm import build_pilot_book, synth_pilot_observations, time_domain_oracle
+from .ofdm import synth_pilot_observations, time_domain_oracle
 from .phase_noise import (
     KernelGrid,
     KernelParams,

@@ -118,6 +118,10 @@ class ExperimentConfig:
         for f in fields(self):
             if f.type == "float" and not np.isfinite(getattr(self, f.name)):
                 raise ConfigError("%s must be finite" % f.name)
+        if not self.name or any(c in self.name for c in ',"'):
+            raise ConfigError("name must be non-empty, without ',' or '\"'")
+        if self.cp_len < -1:
+            raise ConfigError("cp_len must be >= 0, or -1 for round(0.07 N)")
         if self.master_seed < 0:
             raise ConfigError("master_seed must be >= 0")
         if min(self.gamma_ap, self.gamma_ue, self.carrier_hz) < 0:

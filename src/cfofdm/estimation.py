@@ -18,7 +18,6 @@ ICI_MODES = ("as_printed", "independent_data")
 def build_ici_base(
     layout: SimulationLayout,
     table: KernelGrid,
-    book: np.ndarray,
     mode: str = "as_printed",
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The pilot-pair sums (tau_p, tau_p, tau_p), one (tau_p, tau_p) matrix per
@@ -34,25 +33,21 @@ def build_ici_base(
         raise ValueError("unknown ICI mode: %r" % (mode,))
     params, n, tau_p = table.params, layout.n_subcarriers, layout.tau_p
     subs, syms = layout.pilot_slot_positions
-    pilot_cols = layout.pilot_subcarriers_absolute()
-    slot_of = {slot: i for i, slot in enumerate(layout.pilot_slots)}
-    nc = layout.block_subcarriers
-
-    # y[t, i, (n_i - j) % N]: sample of pilot t sent on subcarrier j != n_i in slot i's symbol
-    y = np.zeros((tau_p, tau_p, n), dtype=complex)
-    for i, (sub, sym) in enumerate(zip(subs, syms)):
-        js = pilot_cols[pilot_cols != sub]
-        y[:, i, (sub - js) % n] = book[[slot_of[(j % nc, sym)] for j in js]].T
+    # y[t, i, d]: sample of pilot t on the subcarrier seen[i, d] = (n_i - d) % N of
+    # slot i's symbol, zeroed at d = 0, the slot's own subcarrier
+    seen = (subs[:, None] - np.arange(n)) % n
+    slot_si = np.arange(tau_p) // len(layout.pilot_subcarriers)  # slots are symbol-major
+    y = np.take(layout.pilot_grid.reshape(tau_p, -1), slot_si[:, None] * n + seen, axis=1)
+    y[:, :, 0] = 0.0
     lags, lag_of = np.unique(syms[:, None] - syms[None, :], return_inverse=True)
     lag_of = lag_of.reshape(tau_p, tau_p)
     w = lag_spectra(params, lags)[lag_of]  # (tau_p, tau_p, 2N), per slot pair
     a = offset_spectra(y)
     pilot_terms = np.einsum("tif,ijf,tjf->tij", a, w, np.conj(a))
 
-    data_ind = np.ones(n)
-    data_ind[pilot_cols] = 0.0
+    data_ind = (layout.pilot_grid[0, 0] == 0).astype(float)
     if mode == "as_printed":
-        y_data = data_ind[(subs[:, None] - np.arange(n)) % n]
+        y_data = data_ind[seen]
     else:
         # sum_{j in D} B_{n1-j,n2-j} = unit weights on n1 and n2 at the lag weight
         # G(d) = sum_{j in D} exp(2j pi j d / N)
@@ -97,7 +92,6 @@ class EstimatorModel:
 def build_models(
     layout: SimulationLayout,
     table: KernelGrid,
-    book: np.ndarray,
     kinds: Sequence[str],
     ici_mode: str = "as_printed",
 ) -> List[EstimatorModel]:
@@ -109,14 +103,14 @@ def build_models(
     baselines assume none.
     """
     _, syms = layout.pilot_slot_positions
-    tau_c, tau_p = layout.block_symbols, layout.tau_p
+    tau_c, tau_p, book = layout.block_symbols, layout.tau_p, layout.pilot_book
     outer = book.T[:, :, None] * np.conj(book.T)[:, None, :]  # s_t s_t^H per sequence t
     models = []
     for kind in kinds:
         pilot_cov = outer * cpe_kernel_value(kind, syms[:, None] - syms[None, :], table)
         data_cov = np.zeros((tau_p, tau_p), dtype=complex)
         if kind == "pna_ofdm":
-            pilot_ici, data_cov = build_ici_base(layout, table, book, mode=ici_mode)
+            pilot_ici, data_cov = build_ici_base(layout, table, mode=ici_mode)
             pilot_cov = pilot_cov + pilot_ici
         b = cpe_kernel_value(kind, np.arange(1, tau_c + 1)[:, None] - syms[None, :], table)
         models.append(EstimatorModel(book, pilot_cov, data_cov, b))

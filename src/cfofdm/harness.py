@@ -100,7 +100,6 @@ class Setup:
     layout: SimulationLayout
     pn: PnParams
     table: KernelGrid
-    book: np.ndarray                          # (tau_p, tau_p) pilot book
     models: List[estimation.EstimatorModel]   # one per entry of cfg.estimators
 
 
@@ -114,13 +113,12 @@ class Geometry:
 
 
 def build_setup(cfg: ExperimentConfig) -> Setup:
-    """Layout, phase-noise parameters, kernel grid, pilot book and estimator
-    models of one configuration."""
+    """Layout, phase-noise parameters, kernel grid and estimator models of one
+    configuration."""
     layout = cfg.layout()
     table = build_kernel_table(cfg)
-    book = ofdm.build_pilot_book(layout.tau_p)
-    models = estimation.build_models(layout, table, book, cfg.estimators, cfg.ici_mode)
-    return Setup(layout, cfg.pn_params(), table, book, models)
+    models = estimation.build_models(layout, table, cfg.estimators, cfg.ici_mode)
+    return Setup(layout, cfg.pn_params(), table, models)
 
 
 def build_geometry(cfg: ExperimentConfig, setup: Setup, geometry_index: int) -> Geometry:
@@ -140,7 +138,7 @@ def run_trial(cfg: ExperimentConfig, setup: Setup, geom: Geometry,
     layout, network = setup.layout, geom.network
     h = gen_channel(network.beta, layout, rng)
     trace = gen_pn_trace(setup.pn, layout, rng)
-    grids = ofdm.build_transmit_grids(layout, setup.book, network.pilot_index, rng)
+    grids = ofdm.build_transmit_grids(layout, network.pilot_index, rng)
     y, cpe = ofdm.synth_pilot_observations(h, grids, trace, network, layout, rng)
     h_eff = cpe * h[:, :, 0][:, :, None]
 

@@ -4,6 +4,7 @@ and block-fading channel realizations."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -33,7 +34,7 @@ class SimulationLayout:
     block_symbols : int
         OFDM symbols per coherence block (tau_c).
     pilot_subcarriers : tuple[int, ...]
-        Block-local subcarrier indices carrying pilots, each in [0, min(N_c, N)).
+        Block-local subcarrier indices carrying pilots, each in [0, N_c).
     pilot_symbols : tuple[int, ...]
         1-based OFDM symbol indices carrying pilots, each in [1, tau_c].
     n_aps, n_ues : int
@@ -56,6 +57,8 @@ class SimulationLayout:
     def __post_init__(self):
         if self.n_subcarriers < 1 or self.block_subcarriers < 1:
             raise ValueError("subcarrier counts must be >= 1")
+        if self.block_subcarriers > self.n_subcarriers:
+            raise ValueError("block_subcarriers must not exceed n_subcarriers")
         if self.cp_len < 0:
             raise ValueError("cp_len must be >= 0")
         if self.block_symbols < 1:
@@ -68,8 +71,6 @@ class SimulationLayout:
             raise ValueError("pilot placement must be non-empty")
         if any(not 0 <= n < self.block_subcarriers for n in self.pilot_subcarriers):
             raise ValueError("pilot subcarriers must lie in [0, block_subcarriers)")
-        if max(self.pilot_subcarriers) >= self.n_subcarriers:
-            raise ValueError("pilot subcarriers must lie below n_subcarriers")
         if any(not 1 <= t <= self.block_symbols for t in self.pilot_symbols):
             raise ValueError("pilot symbols must lie in [1, block_symbols]")
         if len(set(self.pilot_subcarriers)) != len(self.pilot_subcarriers):
@@ -121,11 +122,31 @@ class SimulationLayout:
         subs, syms = zip(*self.pilot_slots)
         return np.array(subs), np.array(syms)
 
-    def pilot_subcarriers_absolute(self) -> np.ndarray:
-        """Absolute subcarrier indices that carry pilots, across all blocks."""
-        offs = np.arange(self.n_blocks) * self.block_subcarriers
-        cols = (offs[:, None] + np.asarray(self.pilot_subcarriers)[None, :]).ravel()
-        return np.sort(cols[cols < self.n_subcarriers])
+    @cached_property
+    def pilot_book(self) -> np.ndarray:
+        """Mutually orthogonal pilot sequences as columns of a (tau_p, tau_p) matrix.
+
+        Columns are exponential-basis (DFT) sequences with unit-modulus entries, so
+        ||s_t||^2 = tau_p exactly and distinct columns are exactly orthogonal.
+        Row i is the sample sent at ``pilot_slots[i]``.
+        """
+        m = np.arange(self.tau_p)
+        book = np.exp(-2j * np.pi * np.outer(m, m) / self.tau_p)
+        book.setflags(write=False)  # one array, shared by every caller
+        return book
+
+    @cached_property
+    def pilot_grid(self) -> np.ndarray:
+        """The pilot pattern over the band, (tau_p, |T_p|, N): entry [t, si, j] is
+        the sample sequence t sends on absolute subcarrier j in pilot symbol
+        ``pilot_symbols[si]``, ``pilot_book[i, t]`` with i the slot of j's
+        block-local subcarrier in that symbol; zero on the data subcarriers."""
+        by_slot = self.pilot_book.T.reshape(self.tau_p, len(self.pilot_symbols), -1)  # [t, si, ni]
+        grid = np.zeros(by_slot.shape[:2] + (self.n_subcarriers,), dtype=complex)
+        for ni, nu in enumerate(self.pilot_subcarriers):
+            grid[:, :, nu::self.block_subcarriers] = by_slot[:, :, ni, None]
+        grid.setflags(write=False)  # one array, shared by every caller
+        return grid
 
 
 @dataclass(frozen=True)

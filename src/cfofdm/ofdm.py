@@ -11,30 +11,17 @@ from .network import NetworkRealization, SimulationLayout
 from .phase_noise import PhaseNoiseTrace, phasor
 
 
-def build_pilot_book(tau_p: int) -> np.ndarray:
-    """Mutually orthogonal pilot sequences as columns of a (tau_p, tau_p) matrix.
-
-    Columns are exponential-basis (DFT) sequences with unit-modulus entries, so
-    ||s_t||^2 = tau_p exactly and distinct columns are exactly orthogonal.
-    """
-    if tau_p < 1:
-        raise ValueError("tau_p must be >= 1")
-    m = np.arange(tau_p)
-    return np.exp(-2j * np.pi * np.outer(m, m) / tau_p)
-
-
 def build_transmit_grids(
     layout: SimulationLayout,
-    book: np.ndarray,
     pilot_index: np.ndarray,
     rng: np.random.Generator,
     shared_data: bool = False,
 ) -> np.ndarray:
     """Per-UE frequency grids for the pilot-bearing OFDM symbols.
 
-    Returns (K, |T_p|, N): for every pilot symbol, each UE transmits its pilot
-    sample on the pilot subcarriers of every coherence block and fresh
-    unit-power circularly-symmetric Gaussian data symbols elsewhere.  With
+    Returns (K, |T_p|, N): for every pilot symbol, each UE transmits its
+    sequence's samples of ``layout.pilot_grid`` on the pilot subcarriers and
+    fresh unit-power circularly-symmetric Gaussian data symbols elsewhere.  With
     ``shared_data`` one data draw is repeated across the pilot symbols; the
     self-checks use this world because there the estimator's assumed pilot
     covariance is exact.
@@ -46,13 +33,8 @@ def build_transmit_grids(
     grids = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
     if shared_data:
         grids = np.repeat(grids, n_psym, axis=1)
-    pilot_cols = layout.pilot_subcarriers_absolute()
-    slot_of = {slot: i for i, slot in enumerate(layout.pilot_slots)}
-    for si, t_sym in enumerate(layout.pilot_symbols):
-        for nu in layout.pilot_subcarriers:
-            sample = book[slot_of[(nu, t_sym)], pilot_index]  # (K,)
-            cols = pilot_cols[(pilot_cols % layout.block_subcarriers) == nu]
-            grids[:, si, cols] = sample[:, None]
+    cols = np.flatnonzero(layout.pilot_grid[0, 0])  # pilot samples have unit modulus
+    grids[:, :, cols] = layout.pilot_grid[:, :, cols][pilot_index]
     return grids
 
 

@@ -109,13 +109,12 @@ def domain_equivalence(n: int, n_draws: int, seed: int) -> Check:
     )
     layout = cfg.layout()
     pn = cfg.pn_params()
-    book = ofdm.build_pilot_book(layout.tau_p)
     worst = 0.0
     for draw in range(n_draws):
         rng = np.random.default_rng(seed + draw)
         network = generate_network(layout, rng, shadow_sigma_db=0.0)
         taps = gen_fir_taps(network.beta, rng, n_taps=5)
-        grids = ofdm.build_transmit_grids(layout, book, network.pilot_index, rng)
+        grids = ofdm.build_transmit_grids(layout, network.pilot_index, rng)
         trace = gen_pn_trace(pn, layout, rng)
         noise_t = np.sqrt(network.sigma2 / 2) * (
             rng.standard_normal((layout.n_aps, n)) + 1j * rng.standard_normal((layout.n_aps, n))
@@ -196,8 +195,7 @@ def lmmse_moments(cfg: ExperimentConfig) -> Check:
         rng = derived_rng(cfg.master_seed, 1, 0, t)
         h = gen_channel(network.beta, layout, rng)
         trace = gen_pn_trace(pn, layout, rng)
-        grids = ofdm.build_transmit_grids(layout, setup.book, network.pilot_index, rng,
-                                          shared_data=True)
+        grids = ofdm.build_transmit_grids(layout, network.pilot_index, rng, shared_data=True)
         y, cpe = ofdm.synth_pilot_observations(h, grids, trace, network, layout, rng)
         h_eff[t] = cpe[k, l] * h[k, l, 0]
         h_hat[t] = estimation.estimate_all(ctx, y)[k, l]

@@ -87,7 +87,7 @@ def test_criterion_6_no_pn_pipeline_equivalence():
     cfg = replace(ci_config(), gamma_ap=0.0, gamma_ue=0.0, n_trials=n_trials,
                   schemes=schemes, estimators=("pna_ofdm",), master_seed=66)
     setup = build_setup(cfg)
-    layout, pn, book = setup.layout, setup.pn, setup.book
+    layout, pn = setup.layout, setup.pn
     geom = build_geometry(cfg, setup, 0)
     network, ctx, lam = geom.network, geom.contexts[0], geom.lam  # rows are the schemes
 
@@ -99,7 +99,7 @@ def test_criterion_6_no_pn_pipeline_equivalence():
         rng = derived_rng(cfg.master_seed, 1, 0, t)
         h = gen_channel(network.beta, layout, rng)
         trace = gen_pn_trace(pn, layout, rng)
-        grids = build_transmit_grids(layout, book, network.pilot_index, rng)
+        grids = build_transmit_grids(layout, network.pilot_index, rng)
         # the oracle draws as the pipeline does: on a copy of the generator it
         # returns the noise inside the pipeline's y
         noise = decomposed_pilot_observations(h, grids, trace, network, layout,
@@ -121,7 +121,7 @@ def test_criterion_6_no_pn_pipeline_equivalence():
     for b in batch_accs:
         total.merge(b)
 
-    ref = no_pn_reference.uatf_se(shared_draws, book, network.pilot_index,
+    ref = no_pn_reference.uatf_se(shared_draws, layout.pilot_book, network.pilot_index,
                                   network.p, network.beta, network.sigma2,
                                   network.D, schemes)
     pipe_all = np.log2(1 + finalize_sinr(total, network)[:, :, 0])  # (rows, K)

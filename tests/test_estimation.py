@@ -15,7 +15,7 @@ from cfofdm.estimation import (
     estimate_all,
 )
 from cfofdm.network import NetworkRealization, SimulationLayout, gen_channel
-from cfofdm.ofdm import build_pilot_book, build_transmit_grids, synth_pilot_observations
+from cfofdm.ofdm import build_transmit_grids, synth_pilot_observations
 from cfofdm.phase_noise import (
     KernelParams,
     PnParams,
@@ -46,7 +46,7 @@ def make_table(layout, sigma2_tot, stride=None):
 
 def make_model(layout, table, kind="pna_ofdm", ici_mode="as_printed"):
     """Estimator model of one kind with the pilot book of ``layout``."""
-    (model,) = build_models(layout, table, build_pilot_book(layout.tau_p), [kind], ici_mode)
+    (model,) = build_models(layout, table, [kind], ici_mode)
     return model
 
 
@@ -61,7 +61,8 @@ def ici_base_per_entry(layout, params, book, mode):
     tau_p, nc = layout.tau_p, layout.block_subcarriers
     subs = np.array([nu for nu, _ in layout.pilot_slots])
     syms = np.array([t for _, t in layout.pilot_slots])
-    pilot_cols = layout.pilot_subcarriers_absolute()
+    pilot_cols = np.flatnonzero(np.isin(np.arange(layout.n_subcarriers) % nc,
+                                        layout.pilot_subcarriers))
     data_cols = np.setdiff1d(np.arange(layout.n_subcarriers), pilot_cols)
     slot_of = {slot: i for i, slot in enumerate(layout.pilot_slots)}
     pilot_terms = np.zeros((tau_p, tau_p, tau_p), dtype=complex)
@@ -93,7 +94,7 @@ def bruteforce_z_entry(layout, table, book, t, i1, i2, mode):
     slots = layout.pilot_slots
     n1, t1 = slots[i1]
     n2, t2 = slots[i2]
-    pilot_cols = set(layout.pilot_subcarriers_absolute().tolist())
+    pilot_cols = {j for j in range(n) if j % layout.block_subcarriers in layout.pilot_subcarriers}
     slot_of = {s: i for i, s in enumerate(slots)}
     params = table.params
 
@@ -131,7 +132,7 @@ class TestZIci:
         """Psi of the pna_ofdm model: CPE-weighted pilots, brute-force ICI, noise."""
         layout = toy_layout()
         table = make_table(layout, 5e-3)
-        book = build_pilot_book(layout.tau_p)
+        book = layout.pilot_book
         beta = np.array([[0.5, 0.3], [0.2, 0.8]])
         network = make_network(layout, beta, [0, 1], p=0.4, sigma2=1e-4)
         psi = build_psi(network, make_model(layout, table, ici_mode=mode))
@@ -152,9 +153,8 @@ class TestZIci:
         layout = toy_layout(n_subcarriers=48, block_subcarriers=12, block_symbols=4,
                             pilot_subcarriers=(0, 5), pilot_symbols=(1, 2, 3))
         table = make_table(layout, 5e-3)
-        book = build_pilot_book(layout.tau_p)
-        pilot_terms, data_term = build_ici_base(layout, table, book, mode=mode)
-        pilot_ref, data_ref = ici_base_per_entry(layout, table.params, book, mode)
+        pilot_terms, data_term = build_ici_base(layout, table, mode=mode)
+        pilot_ref, data_ref = ici_base_per_entry(layout, table.params, layout.pilot_book, mode)
         assert pilot_terms == pytest.approx(pilot_ref, rel=1e-10)
         assert data_term == pytest.approx(data_ref, rel=1e-10)
 
@@ -192,7 +192,6 @@ class TestModels:
         """The baselines assume no ICI, and the ICI base is built only for pna_ofdm."""
         layout = toy_layout()
         table = make_table(layout, 5e-3)
-        book = build_pilot_book(layout.tau_p)
         calls = []
         real = estimation.build_ici_base
 
@@ -201,10 +200,10 @@ class TestModels:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(estimation, "build_ici_base", counting)
-        baselines = build_models(layout, table, book, ["unaware", "pna_sc"])
+        baselines = build_models(layout, table, ["unaware", "pna_sc"])
         assert calls == []
         assert all(not m.data_cov.any() for m in baselines)
-        (pna,) = build_models(layout, table, book, ["pna_ofdm"])
+        (pna,) = build_models(layout, table, ["pna_ofdm"])
         assert len(calls) == 1 and pna.data_cov.any()
         assert [m.b.shape for m in (*baselines, pna)] == [(3, layout.tau_p)] * 3
 
@@ -218,7 +217,7 @@ class TestPsi:
     def test_no_pn_structure(self):
         layout = toy_layout()
         table = make_table(layout, 0.0)
-        book = build_pilot_book(layout.tau_p)
+        book = layout.pilot_book
         beta = np.array([[0.5, 0.3], [0.2, 0.8]])
         network = make_network(layout, beta, [0, 1], p=0.4, sigma2=1e-3)
         psi = build_psi(network, make_model(layout, table))
@@ -232,7 +231,7 @@ class TestPsi:
     def test_single_ue_rank_one_identity(self):
         layout = toy_layout(n_ues=1)
         table = make_table(layout, 0.0)
-        book = build_pilot_book(layout.tau_p)
+        book = layout.pilot_book
         beta = np.array([[0.6, 0.1]])
         network = make_network(layout, beta, [0], p=0.2, sigma2=1e-3)
         psi = build_psi(network, make_model(layout, table))
@@ -274,7 +273,7 @@ class TestLmmseEstimate:
     def test_no_pn_single_ue_closed_form(self, rng):
         layout = toy_layout(n_ues=1)
         table = make_table(layout, 0.0)
-        book = build_pilot_book(layout.tau_p)
+        book = layout.pilot_book
         beta = np.array([[0.7, 0.2]])
         network = make_network(layout, beta, [0], p=0.3, sigma2=2e-3)
         ctx = make_context(network, layout, table)
@@ -364,7 +363,6 @@ class TestBaselines:
         table = make_table(layout, pn.sigma2_tot)
         beta = np.array([[0.5, 0.3], [0.2, 0.8]])
         network = make_network(layout, beta, [0, 1], p=0.4, sigma2=1e-4)
-        book = build_pilot_book(layout.tau_p)
         ctx_pna = make_context(network, layout, table, kind="pna_ofdm",
                                ici_mode="independent_data")
         ctx_un = make_context(network, layout, table, kind="unaware")
@@ -373,7 +371,7 @@ class TestBaselines:
         for _ in range(2000):
             h = gen_channel(beta, layout, rng)
             trace = gen_pn_trace(pn, layout, rng)
-            grids = build_transmit_grids(layout, book, network.pilot_index, rng)
+            grids = build_transmit_grids(layout, network.pilot_index, rng)
             y, _ = synth_pilot_observations(h, grids, trace, network, layout, rng)
             tau = 2
             j0 = np.exp(1j * (trace.ue_phase[:, tau - 1][:, None, :]

@@ -287,7 +287,8 @@ class TestCli:
     @pytest.mark.parametrize("entry", [
         "master_seed = -2", "gamma_ap = -1e-17", "gamma_ue = -1e-17", "carrier_hz = -2e9",
         "subcarrier_spacing_hz = 0", "tx_power_w = -0.1", "shadow_sigma_db = -1",
-        "n_subcarriers = 8\npilot_subcarriers = 10",
+        "n_subcarriers = 8\npilot_subcarriers = 10", "cp_len = -2",
+        "n_subcarriers = 8\nblock_subcarriers = 12",
     ])
     def test_out_of_range_value_exit_code(self, tmp_path, capsys, entry):
         cfg_path = tmp_path / "t.cfg"
@@ -308,6 +309,17 @@ class TestCli:
         )
         assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 1
         assert "config error: %s must be finite" % key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["a,b", 'a"b', ""])
+    def test_name_that_breaks_csv_rows_rejected(self, tmp_path, capsys, name):
+        """The name is the first CSV field: a comma or quote, or no name, would
+        corrupt every row. Nothing runs and no file is written."""
+        out = tmp_path / "o.csv"
+        argv = ["fig2", "name=" + name, *CI_FIG, "n_ues=5", "n_geometries=1", "n_trials=2",
+                "--seed", "0", "--out", str(out)]
+        assert cli_main(argv) == 1
+        assert "config error: name" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file_exit_code(self):
         assert cli_main(["run", "/nonexistent/path.cfg"]) == 1
@@ -528,7 +540,7 @@ class TestStackedTrial:
 
         h = gen_channel(network.beta, layout, rng)
         trace = gen_pn_trace(setup.pn, layout, rng)
-        grids = build_transmit_grids(layout, setup.book, network.pilot_index, rng)
+        grids = build_transmit_grids(layout, network.pilot_index, rng)
         y, cpe = synth_pilot_observations(h, grids, trace, network, layout, rng)
         h_eff = cpe * h[:, :, 0][:, :, None]
         n_schemes = len(cfg.schemes)

@@ -54,6 +54,28 @@ class TestLayout:
         with pytest.raises(ValueError, match="n_subcarriers"):
             make_layout(n_subcarriers=8, pilot_subcarriers=(10,))
 
+    def test_block_wider_than_band_rejected(self):
+        with pytest.raises(ValueError, match="block_subcarriers must not exceed n_subcarriers"):
+            make_layout(n_subcarriers=8, block_subcarriers=12)
+        make_layout(n_subcarriers=12, block_subcarriers=12)
+
+    @pytest.mark.parametrize("kw", [
+        pytest.param({}, id="full_scale"),
+        # N = 120 is 10 whole blocks of 11 subcarriers and a partial one of 10
+        pytest.param(dict(n_subcarriers=120, block_subcarriers=11, block_symbols=5,
+                          pilot_subcarriers=(0, 5), pilot_symbols=(1, 2, 3, 4)),
+                     id="partial_block_two_columns"),
+    ])
+    def test_pilot_grid_places_the_book(self, kw):
+        """pilot_book[i, t] sits at every absolute column of slot i; all else is zero."""
+        layout = make_layout(**kw)
+        expect = np.zeros((layout.tau_p, len(layout.pilot_symbols), layout.n_subcarriers),
+                          dtype=complex)
+        for i, (nu, sym) in enumerate(layout.pilot_slots):
+            cols = np.arange(nu, layout.n_subcarriers, layout.block_subcarriers)
+            expect[:, layout.pilot_symbols.index(sym), cols] = layout.pilot_book[i][:, None]
+        assert np.array_equal(layout.pilot_grid, expect)
+
 
 class TestPlacement:
     def test_counts_and_bounds(self):

@@ -7,12 +7,7 @@ import numpy as np
 import pytest
 
 from cfofdm.network import NetworkRealization, SimulationLayout, gen_fir_taps
-from cfofdm.ofdm import (
-    build_pilot_book,
-    build_transmit_grids,
-    synth_pilot_observations,
-    time_domain_oracle,
-)
+from cfofdm.ofdm import build_transmit_grids, synth_pilot_observations, time_domain_oracle
 from cfofdm.phase_noise import KernelParams, PhaseNoiseTrace, PnParams, correlation_b_fast, cpe_per_symbol, gen_pn_trace, phase_drift
 
 from pilot_oracle import decomposed_pilot_observations, expand_blocks
@@ -34,25 +29,34 @@ def constant_trace(layout, value=0.0):
                            ue_phase=np.full(shape_ue, value / 2))
 
 
+def book_layout(tau_p):
+    """A layout with tau_p pilot symbols on one pilot subcarrier."""
+    return SimulationLayout(
+        n_subcarriers=24, cp_len=2, subcarrier_spacing=15e3, block_subcarriers=12,
+        block_symbols=tau_p, pilot_subcarriers=(0,), pilot_symbols=tuple(range(1, tau_p + 1)),
+        n_aps=1, n_ues=1, area_side=100.0,
+    )
+
+
 class TestPilotBook:
     def test_single_pilot(self):
-        assert np.array_equal(build_pilot_book(1), np.array([[1.0 + 0j]]))
+        assert np.array_equal(book_layout(1).pilot_book, np.array([[1.0 + 0j]]))
 
     def test_orthogonality(self):
-        s = build_pilot_book(12)
+        s = book_layout(12).pilot_book
         gram = s.conj().T @ s
         assert np.abs(gram - 12 * np.eye(12)).max() < 1e-12
 
     def test_unit_modulus(self):
-        s = build_pilot_book(12)
+        s = book_layout(12).pilot_book
         assert np.abs(np.abs(s) - 1.0).max() < 1e-12
 
 
 class TestTransmitGrids:
     def test_pilot_entries_reproduce_book(self, small_layout):
-        book = build_pilot_book(small_layout.tau_p)
+        book = small_layout.pilot_book
         t = np.array([0, 1])
-        grids = build_transmit_grids(small_layout, book, t, np.random.default_rng(0))
+        grids = build_transmit_grids(small_layout, t, np.random.default_rng(0))
         # pilot slots: subcarrier 0 of symbols 1 and 2, repeated per block (N_c=8)
         for k in range(2):
             for i, (nu, sym) in enumerate(small_layout.pilot_slots):
@@ -62,11 +66,10 @@ class TestTransmitGrids:
                     assert grids[k, si, col] == pytest.approx(book[i, t[k]])
 
     def test_data_statistics(self, small_layout):
-        book = build_pilot_book(small_layout.tau_p)
         rng = np.random.default_rng(1)
         samples = []
         for _ in range(200):
-            g = build_transmit_grids(small_layout, book, np.array([0, 1]), rng)
+            g = build_transmit_grids(small_layout, np.array([0, 1]), rng)
             samples.append(g[:, :, 1:].ravel())  # data columns only
         data = np.concatenate(samples)
         assert abs(data.mean()) < 4 / np.sqrt(data.size)
@@ -81,8 +84,7 @@ class TestSynthObservations:
         rng = np.random.default_rng(2)
         h = (rng.standard_normal((1, 2, layout.n_blocks))
              + 1j * rng.standard_normal((1, 2, layout.n_blocks)))
-        book = build_pilot_book(layout.tau_p)
-        grids = build_transmit_grids(layout, book, network.pilot_index, rng)
+        grids = build_transmit_grids(layout, network.pilot_index, rng)
         trace = constant_trace(layout, value=0.0)
         y, _ = synth_pilot_observations(h, grids, trace, network, layout, rng)
         # J collapses to a delta: y = sqrt(p) s h exactly, zero ICI
@@ -102,8 +104,7 @@ class TestSynthObservations:
         rng = np.random.default_rng(3)
         h = (rng.standard_normal((2, 2, layout.n_blocks))
              + 1j * rng.standard_normal((2, 2, layout.n_blocks)))
-        book = build_pilot_book(layout.tau_p)
-        grids = build_transmit_grids(layout, book, network.pilot_index, rng)
+        grids = build_transmit_grids(layout, network.pilot_index, rng)
         pn = PnParams(2e9, 4e-17, 4e-17, layout.sample_time)
         trace = gen_pn_trace(pn, layout, rng)
         obs = decomposed_pilot_observations(h, grids, trace, network, layout, rng)
@@ -118,8 +119,7 @@ class TestSynthObservations:
         rng = np.random.default_rng(4)
         h = (rng.standard_normal((1, 2, layout.n_blocks))
              + 1j * rng.standard_normal((1, 2, layout.n_blocks)))
-        book = build_pilot_book(layout.tau_p)
-        grids = build_transmit_grids(layout, book, network.pilot_index, rng)
+        grids = build_transmit_grids(layout, network.pilot_index, rng)
         pn = PnParams(2e9, 4e-16, 4e-16, layout.sample_time)
         trace = gen_pn_trace(pn, layout, rng)
         obs = decomposed_pilot_observations(h, grids, trace, network, layout, rng)
@@ -144,11 +144,10 @@ class TestSynthObservations:
         network = make_network(layout, beta, [0], p=1.0, sigma2=0.0)
         rng = np.random.default_rng(5)
         h = np.ones((1, 2, layout.n_blocks), dtype=complex)
-        book = build_pilot_book(layout.tau_p)
-        grids = build_transmit_grids(layout, book, network.pilot_index, rng)
-        pilot_cols = layout.pilot_subcarriers_absolute()
-        mask = np.zeros(layout.n_subcarriers, dtype=bool)
-        mask[pilot_cols] = True
+        grids = build_transmit_grids(layout, network.pilot_index, rng)
+        mask = np.isin(np.arange(layout.n_subcarriers) % layout.block_subcarriers,
+                       layout.pilot_subcarriers)
+        pilot_cols = np.flatnonzero(mask)
         grids[:, :, ~mask] = 0.0
         pn = PnParams(2e9, 4e-16, 4e-16, layout.sample_time)
         trace = gen_pn_trace(pn, layout, rng)
@@ -176,14 +175,13 @@ class TestSynthObservations:
         beta = np.array([[0.8]])
         network = make_network(layout, beta, [0], p=0.2, sigma2=0.0)
         pn = PnParams(2e9, 4e-17, 4e-17, layout.sample_time)
-        book = build_pilot_book(layout.tau_p)
         rng = np.random.default_rng(6)
         draws = []
         for _ in range(4000):
             h = ((rng.standard_normal((1, 1, layout.n_blocks))
                   + 1j * rng.standard_normal((1, 1, layout.n_blocks)))
                  * np.sqrt(beta[0, 0] / 2))
-            grids = build_transmit_grids(layout, book, network.pilot_index, rng)
+            grids = build_transmit_grids(layout, network.pilot_index, rng)
             trace = gen_pn_trace(pn, layout, rng)
             obs = decomposed_pilot_observations(h, grids, trace, network, layout, rng)
             draws.append(obs.ici[0, 0, :])
@@ -219,8 +217,7 @@ class TestSynthObservations:
                                sigma2=1e-3)
         h = rng.standard_normal((K, L, layout.n_blocks)) + 1j * rng.standard_normal(
             (K, L, layout.n_blocks))
-        book = build_pilot_book(layout.tau_p)
-        grids = build_transmit_grids(layout, book, network.pilot_index, rng,
+        grids = build_transmit_grids(layout, network.pilot_index, rng,
                                      shared_data=case == "shared_data")
         gamma = 0.0 if case == "no_pn" else 4e-16
         trace = gen_pn_trace(PnParams(2e9, gamma, gamma, layout.sample_time), layout, rng)
@@ -241,8 +238,7 @@ class TestTimeDomainOracle:
         rng = np.random.default_rng(7)
         taps = np.zeros((2, 2, 3), dtype=complex)
         taps[:, :, 0] = 1.0  # identity channel
-        book = build_pilot_book(layout.tau_p)
-        grids = build_transmit_grids(layout, book, network.pilot_index, rng)
+        grids = build_transmit_grids(layout, network.pilot_index, rng)
         trace = constant_trace(layout, 0.0)
         y_time, _ = time_domain_oracle(taps, grids, trace, network, layout, symbol=1)
         n = layout.n_subcarriers
@@ -276,13 +272,11 @@ class TestTimeDomainOracle:
         network = make_network(layout, beta, [0], p=1.0, sigma2=0.0)
         rng = np.random.default_rng(10)
         h = np.ones((1, 1, layout.n_blocks), dtype=complex)
-        book = build_pilot_book(layout.tau_p)
-        grids = build_transmit_grids(layout, book, network.pilot_index, rng)
-        pilot_cols = layout.pilot_subcarriers_absolute()
-        mask = np.zeros(layout.n_subcarriers, dtype=bool)
-        mask[pilot_cols] = True
+        grids = build_transmit_grids(layout, network.pilot_index, rng)
+        mask = np.isin(np.arange(layout.n_subcarriers) % layout.block_subcarriers,
+                       layout.pilot_subcarriers)
         grids[:, :, ~mask] = 0.0  # isolate the pilots
         trace = constant_trace(layout, 0.0)
         y, _ = synth_pilot_observations(h, grids, trace, network, layout, rng)
-        other = book[:, 1]
+        other = layout.pilot_book[:, 1]
         assert abs(other.conj() @ y[0]) < 1e-10

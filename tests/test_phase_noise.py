@@ -170,7 +170,8 @@ class TestCorrelationTable:
         params = KernelParams(n=32, sigma2_tot=5e-3, stride=32 + cp)
         # the offsets of the ICI covariance's pilot-pair sums, and the CPE offset 0
         subs, _ = layout.pilot_slot_positions
-        cols = layout.pilot_subcarriers_absolute()
+        cols = np.flatnonzero(np.isin(np.arange(layout.n_subcarriers) % layout.block_subcarriers,
+                                      layout.pilot_subcarriers))
         offsets = np.union1d((subs[:, None] - cols[None, :]).ravel(), [0])
         assert offsets.min() < 0 < offsets.max()
         lags = range(-(layout.block_symbols - 1), layout.block_symbols)
