@@ -140,9 +140,15 @@ def build_psi(network: NetworkRealization, model: EstimatorModel) -> np.ndarray:
 
 @dataclass
 class EstimatorContext:
-    """Statistics-only estimator state, reusable across all Monte Carlo trials."""
+    """Statistics-only estimator state, reusable across all Monte Carlo trials.
 
-    coef: np.ndarray     # (L, K, tau_c, tau_p); h_hat = coef . y_l
+    The estimate of UE k at AP l and symbol tau is
+    h_hat = scale[l, k] * rhs[:, k * tau_c + tau - 1]^H Psi_l^{-1} y_l.
+    """
+
+    psi: np.ndarray      # (L, tau_p, tau_p) pilot observation covariances Psi_l
+    rhs: np.ndarray      # (tau_p, K * tau_c) columns B^(tau)H s_{t_k}, (k, tau) pairs
+    scale: np.ndarray    # (L, K) sqrt(p_k) beta_kl
     eps: np.ndarray      # (K, L, tau_c) estimate variances
     err_var: np.ndarray  # (K, L, tau_c) error variances beta - eps
 
@@ -153,19 +159,20 @@ def build_context(network: NetworkRealization, model: EstimatorModel) -> Estimat
     tau_c, tau_p = model.b.shape
     K, L = network.beta.shape
     s_all = model.book[:, network.pilot_index]  # (tau_p, K)
-    # rhs columns: B^(tau)H s_{t_k} for every (k, tau) pair
     rhs = (np.conj(model.b).T[:, None, :] * s_all[:, :, None]).reshape(tau_p, -1)
     sol = np.linalg.solve(psi, rhs)  # (L, tau_p, K * tau_c): Psi_l^{-1} rhs
     quad = np.real(np.sum(np.conj(rhs) * sol, axis=1)).reshape(L, K, tau_c)
-    scale = np.sqrt(network.p)[None, :] * network.beta.T  # (L, K)
-    coef = (np.conj(sol.reshape(L, tau_p, K, tau_c)).transpose(0, 2, 3, 1)
-            * scale[:, :, None, None])
+    scale = np.sqrt(network.p)[None, :] * network.beta.T
     eps = network.p[:, None, None] * network.beta[:, :, None] ** 2 * quad.transpose(1, 0, 2)
-    return EstimatorContext(coef=coef, eps=eps, err_var=network.beta[:, :, None] - eps)
+    return EstimatorContext(psi=psi, rhs=rhs, scale=scale, eps=eps,
+                            err_var=network.beta[:, :, None] - eps)
 
 
 def estimate_all(ctx: EstimatorContext, y: np.ndarray) -> np.ndarray:
     """Estimates h_hat (K, L, tau_c) for every (UE, AP, symbol) from stacked
     pilot observations (L, tau_p); each is reused on every subcarrier of the
     coherence block."""
-    return np.einsum("lktp,lp->klt", ctx.coef, y)
+    L, K = ctx.scale.shape
+    z = np.linalg.solve(ctx.psi, y[:, :, None])[:, :, 0]  # (L, tau_p): Psi_l^{-1} y_l
+    h_hat = (z @ np.conj(ctx.rhs)).reshape(L, K, -1) * ctx.scale[:, :, None]
+    return np.ascontiguousarray(h_hat.transpose(1, 0, 2))

@@ -38,6 +38,23 @@ def build_transmit_grids(
     return grids
 
 
+def _constant_symbols(phase: np.ndarray) -> np.ndarray:
+    """(tau_c,) whether every node's phase is constant over each symbol, from
+    (nodes, tau_c, N) phases; only symbols whose ends agree are scanned whole."""
+    const = (phase[:, :, -1] == phase[:, :, 0]).all(axis=0)
+    for t in np.flatnonzero(const):
+        const[t] = (phase[:, t] == phase[:, t, :1]).all()
+    return const
+
+
+def _symbol_phasors(phase: np.ndarray, constant: bool) -> np.ndarray:
+    """exp(j phase) of (nodes, N) phases; where every row is ``constant``, one
+    phasor per node, repeated, which gives the same values."""
+    if constant:
+        return np.repeat(phasor(phase[:, :1]), phase.shape[1], axis=1)
+    return phasor(phase)
+
+
 def synth_pilot_observations(
     h: np.ndarray,
     grids: np.ndarray,
@@ -82,11 +99,10 @@ def synth_pilot_observations(
     fx = np.empty((L, n), dtype=complex)
     fx_blocks = fx[:, : r_whole * nc].reshape(L, r_whole, nc)  # a view of fx
     pilot_si = {t: si for si, t in enumerate(layout.pilot_symbols)}
+    ue_const, ap_const = _constant_symbols(trace.ue_phase), _constant_symbols(trace.ap_phase)
     for t_sym in range(1, n_sym + 1):
-        ue_phase = trace.ue_phase[:, t_sym - 1, :]
-        ap_phase = trace.ap_phase[:, t_sym - 1, :]
-        e_ue = phasor(ue_phase)  # (K, N)
-        e_ap = phasor(ap_phase)  # (L, N)
+        e_ue = _symbol_phasors(trace.ue_phase[:, t_sym - 1], ue_const[t_sym - 1])  # (K, N)
+        e_ap = _symbol_phasors(trace.ap_phase[:, t_sym - 1], ap_const[t_sym - 1])  # (L, N)
         cpe[:, :, t_sym - 1] = e_ue @ e_ap.T / n
         if t_sym not in pilot_si:
             continue
@@ -94,7 +110,7 @@ def synth_pilot_observations(
         in_slot = np.flatnonzero(slot_sym == t_sym)
         subs = slot_sub[in_slot]
         # a phase constant over the symbol makes J a delta: no ICI at all
-        if (ue_phase == ue_phase[:, :1]).all() and (ap_phase == ap_phase[:, :1]).all():
+        if ue_const[t_sym - 1] and ap_const[t_sym - 1]:
             terms = (sqrt_p[:, None, None] * grids[:, si, subs][:, None, :]
                      * cpe[:, :, t_sym - 1, None] * h[:, :, :1])  # slots of block 1
             y[:, in_slot] = terms.sum(axis=0)

@@ -70,13 +70,18 @@ def wiener_walks(
 
     Per-sample increments are N(0, sigma2); the step from the last sample of a
     symbol to the first sample of the next has variance (cp_len + 1) * sigma2.
-    The initial phase is uniform on [0, 2*pi) per node.
+    The initial phase is uniform on [0, 2*pi) per node.  The increments are
+    drawn, scaled and summed in place in one array; the walks and the
+    generator's end state are bit for bit those of ``rng.normal(0, s)``
+    draws, which are 0 + s z.
     """
-    inc = rng.normal(0.0, np.sqrt(sigma2), size=(n_nodes, n_symbols * n_samples))
+    inc = rng.standard_normal((n_nodes, n_symbols * n_samples))
+    inc *= np.sqrt(sigma2)
     inc[:, 0] = rng.uniform(0.0, 2.0 * np.pi, size=n_nodes)
     if n_symbols > 1:
         inc[:, n_samples::n_samples] *= np.sqrt(cp_len + 1.0)
-    return np.cumsum(inc, axis=1).reshape(n_nodes, n_symbols, n_samples)
+    np.cumsum(inc, axis=1, out=inc)
+    return inc.reshape(n_nodes, n_symbols, n_samples)
 
 
 def gen_pn_trace(params: PnParams, layout: SimulationLayout,

@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 
 from cfofdm import estimation
+from cfofdm.config import ci_config, fig2_config
 from cfofdm.estimation import (
+    ESTIMATOR_KINDS,
     build_context,
     build_ici_base,
     build_models,
     build_psi,
     estimate_all,
 )
+from cfofdm.harness import build_geometry, build_setup
 from cfofdm.network import NetworkRealization, SimulationLayout, gen_channel
 from cfofdm.ofdm import build_transmit_grids, synth_pilot_observations
 from cfofdm.phase_noise import (
@@ -52,6 +55,23 @@ def make_model(layout, table, kind="pna_ofdm", ici_mode="as_printed"):
 
 def make_context(network, layout, table, kind="pna_ofdm", ici_mode="as_printed"):
     return build_context(network, make_model(layout, table, kind, ici_mode))
+
+
+def coef_oracle(network, model):
+    """The (L, K, tau_c, tau_p) estimator coefficients, h_hat[k, l, tau] =
+    coef[l, k, tau] . y_l, with the estimate variances eps (K, L, tau_c)."""
+    psi = build_psi(network, model)
+    tau_c, tau_p = model.b.shape
+    K, L = network.beta.shape
+    s_all = model.book[:, network.pilot_index]
+    rhs = (np.conj(model.b).T[:, None, :] * s_all[:, :, None]).reshape(tau_p, -1)
+    sol = np.linalg.solve(psi, rhs)
+    quad = np.real(np.sum(np.conj(rhs) * sol, axis=1)).reshape(L, K, tau_c)
+    scale = np.sqrt(network.p)[None, :] * network.beta.T
+    coef = (np.conj(sol.reshape(L, tau_p, K, tau_c)).transpose(0, 2, 3, 1)
+            * scale[:, :, None, None])
+    eps = network.p[:, None, None] * network.beta[:, :, None] ** 2 * quad.transpose(1, 0, 2)
+    return coef, eps
 
 
 def ici_base_per_entry(layout, params, book, mode):
@@ -306,6 +326,38 @@ class TestLmmseEstimate:
                                ici_mode="independent_data")
             assert (ctx.eps >= 0).all()
             assert (ctx.err_var >= -1e-10).all()
+
+
+class TestContext:
+    @pytest.mark.parametrize("cfg", [replace(ci_config(), estimators=ESTIMATOR_KINDS),
+                                     fig2_config()], ids=["ci", "fig2"])
+    def test_matches_coef_oracle(self, cfg):
+        setup = build_setup(cfg)
+        geom = build_geometry(cfg, setup, 0)
+        network = geom.network
+        rng = np.random.default_rng(5)
+        shape = (cfg.n_aps, setup.layout.tau_p)
+        w = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+        for model, ctx in zip(setup.models, geom.contexts):
+            coef, eps = coef_oracle(network, model)
+            assert ctx.eps.tobytes() == eps.tobytes()
+            assert ctx.err_var.tobytes() == (network.beta[:, :, None] - eps).tobytes()
+            # y_l ~ CN(0, Psi_l); elementwise the two orders of the solve differ by
+            # up to cond(Psi_l) * eps_machine, about 1e-10 for fig2's unaware Psi_l
+            y = (np.linalg.cholesky(ctx.psi) @ w[:, :, None])[:, :, 0]
+            expect = np.einsum("lktp,lp->klt", coef, y)
+            assert np.linalg.norm(estimate_all(ctx, y) - expect) <= 1e-12 * np.linalg.norm(expect)
+
+    def test_smaller_than_one_coefficient_tensor(self, rng):
+        L, K, tau_c, tau_p = 200, 100, 15, 12
+        layout = toy_layout(n_subcarriers=24, block_subcarriers=12, block_symbols=tau_c,
+                            pilot_symbols=tuple(range(1, tau_p + 1)), n_aps=L, n_ues=K)
+        network = make_network(layout, rng.uniform(0.05, 1.0, (K, L)), np.arange(K) % tau_p)
+        table = make_table(layout, 3e-4)
+        for kind in ESTIMATOR_KINDS:
+            ctx = make_context(network, layout, table, kind=kind)
+            held = sum(a.nbytes for a in vars(ctx).values())
+            assert held < L * K * tau_c * tau_p * np.dtype(complex).itemsize
 
 
 class TestBaselines:

@@ -39,7 +39,31 @@ class TestIncrementVariance:
             pn_increment_variance(-1.0, 4e-17, 1e-8)
 
 
+def wiener_walks_oracle(n_nodes, n_symbols, n_samples, sigma2, cp_len, rng):
+    """The walks drawn by ``rng.normal`` and summed out of place."""
+    inc = rng.normal(0.0, np.sqrt(sigma2), size=(n_nodes, n_symbols * n_samples))
+    inc[:, 0] = rng.uniform(0.0, 2.0 * np.pi, size=n_nodes)
+    if n_symbols > 1:
+        inc[:, n_samples::n_samples] *= np.sqrt(cp_len + 1.0)
+    return np.cumsum(inc, axis=1).reshape(n_nodes, n_symbols, n_samples)
+
+
 class TestTraces:
+    @pytest.mark.parametrize("shape, sigma2, cp_len", [
+        ((3, 4, 16), 3e-4, 2),
+        ((5, 3, 10), 0.0, 2),    # ideal oscillators
+        ((4, 1, 12), 1e-2, 6),   # one symbol: no CP jump
+        ((2, 5, 7), 2e-2, 0),    # no cyclic prefix
+        ((200, 2, 1200), 3.5e-4, 84),
+    ])
+    def test_walks_match_oracle_bitwise(self, shape, sigma2, cp_len):
+        rng, rng_ref = np.random.default_rng(7), np.random.default_rng(7)
+        walks = wiener_walks(*shape, sigma2, cp_len, rng)
+        expect = wiener_walks_oracle(*shape, sigma2, cp_len, rng_ref)
+        assert walks.shape == shape
+        assert walks.tobytes() == expect.tobytes()
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
     def test_zero_variance_constant_trace(self, small_layout):
         pn = PnParams(carrier_hz=0.0, gamma_ap=0.0, gamma_ue=0.0, sample_time=1e-7)
         trace = gen_pn_trace(pn, small_layout, np.random.default_rng(0))
