@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -76,10 +77,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(out_path) -> None:
+    """Reject an output path that cannot be written, before anything runs;
+    an existing file is left as it is until the results replace it."""
+    if not out_path:
+        return
+    if os.path.isdir(out_path):
+        raise ConfigError("--out %s is a directory" % out_path)
+    if not os.path.isdir(os.path.dirname(out_path) or "."):
+        raise ConfigError("--out %s: no such directory" % out_path)
+
+
 def _emit(text: str, out_path) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="\n") as f:
+                f.write(text)
+        except OSError as exc:
+            raise ConfigError("cannot write --out %s: %s" % (out_path, exc)) from exc
     else:
         sys.stdout.write(text)
 
@@ -92,6 +107,7 @@ def main(argv=None) -> int:
     # built per call, so a wrapper set on this module's names is the one called
     runners = {"run": run_experiment, "fig2": run_fig2, "fig3": run_fig3}
     try:
+        _check_out(getattr(args, "out", None))
         if args.command == "validate":
             from .validate import run_validation
 

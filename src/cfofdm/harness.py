@@ -109,7 +109,7 @@ class Geometry:
 
     network: NetworkRealization
     contexts: List[estimation.EstimatorContext]  # one per entry of cfg.estimators
-    lam: np.ndarray  # (K, L) ICI power
+    lam: np.ndarray  # (L,) ICI power received at each AP
 
 
 def build_setup(cfg: ExperimentConfig) -> Setup:
@@ -149,7 +149,7 @@ def run_trial(cfg: ExperimentConfig, setup: Setup, geom: Geometry,
         h_hat = estimation.estimate_all(ctx, y)
         for s, scheme in enumerate(cfg.schemes):
             v = combining.combiner_matrix(scheme, h_hat, ctx.err_var, network)
-            acc.add_symbol(e * n_schemes + s, v, h_eff, geom.lam, network.D)
+            acc.add_symbol(e * n_schemes + s, v, h_eff, geom.lam, network)
     acc.bump()
     return acc
 

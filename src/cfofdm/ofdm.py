@@ -157,8 +157,8 @@ def time_domain_oracle(
     fir_taps : (K, L, Q) time-domain channel taps.
     grids : (K, n_symbols, N) transmit grids; ``symbol`` is the 1-based OFDM
         symbol index selecting both the grid column and the trace symbol.
-    noise_time : optional (L, N) time-domain noise; defaults to a fresh draw
-        of CN(0, sigma2) per sample.
+    noise_time : optional (L, N) time-domain noise; defaults to zeros, a
+        noise-free observation.
     """
     K, L, Q = fir_taps.shape
     n = layout.n_subcarriers

@@ -12,41 +12,43 @@ from .phase_noise import KernelGrid
 
 
 def lambda_ici(network: NetworkRealization, table: KernelGrid) -> np.ndarray:
-    """Per-(UE, AP) ICI power lambda_{i,l} = p_i beta_{i,l} (1 - B_{0,0}^{(0)}).
+    """Per-AP ICI power lambda_l = (1 - B_{0,0}^{(0)}) sum_i p_i beta_{i,l}, (L,).
 
     Independent of subcarrier and OFDM symbol; zero without phase noise.
     """
-    return network.p[:, None] * network.beta * (1.0 - table.cpe(0))
+    return (1.0 - table.cpe(0)) * (network.p @ network.beta)
 
 
 class SinrAccumulator:
-    """Running sums of every expectation in the UatF SINR, per (row, UE, symbol).
+    """Running sums of the four UatF SINR terms per (row, UE, symbol).
 
-    A row is one (estimator, scheme) pair of the experiment.  Sums (not means)
-    are stored so that accumulators merge associatively and deterministically;
-    ``finalize_sinr`` divides by the trial count.
+    A row is one (estimator, scheme) pair.  For UE k, ``gain`` sums
+    v_k^H D_k h_k, ``received`` sum_i p_i |v_k^H D_k h_i|^2, ``ici``
+    sum_l |D_k v_k|_l^2 lambda_l and ``vnorm`` ||D_k v_k||^2.  Sums (not means)
+    merge associatively and deterministically; ``finalize_sinr`` divides by
+    the trial count.
     """
 
     def __init__(self, n_rows: int, n_ues: int, n_symbols: int):
         self.count = 0
         self.gain = np.zeros((n_rows, n_ues, n_symbols), dtype=complex)
-        self.cross = np.zeros((n_rows, n_ues, n_symbols, n_ues))
-        self.ici = np.zeros((n_rows, n_ues, n_symbols, n_ues))
+        self.received = np.zeros((n_rows, n_ues, n_symbols))
+        self.ici = np.zeros((n_rows, n_ues, n_symbols))
         self.vnorm = np.zeros((n_rows, n_ues, n_symbols))
 
     def add_symbol(self, row: int, v: np.ndarray, h_eff: np.ndarray,
-                   lam: np.ndarray, D: np.ndarray) -> None:
+                   lam: np.ndarray, network: NetworkRealization) -> None:
         """Accumulate one trial's terms of one row for all UEs and symbols.
 
         v is (tau_c, K, L), the combining vectors of every symbol; h_eff is
-        (K, L, tau_c), the effective channels.
+        (K, L, tau_c), the effective channels; lam is the (L,) ICI power.
         """
-        vm = np.conj(v) * D
+        vm = np.conj(v) * network.D
         m = vm @ np.transpose(h_eff, (2, 1, 0))  # m[t, k, i] = v_tk^H D_k h_i(t)
         self.gain[row] += np.diagonal(m, axis1=1, axis2=2).T
-        self.cross[row] += np.swapaxes(np.abs(m) ** 2, 0, 1)
+        self.received[row] += (np.abs(m) ** 2 @ network.p).T
         w = np.abs(vm) ** 2  # |D_k v_tk|^2 per AP
-        self.ici[row] += np.swapaxes(w @ lam.T, 0, 1)
+        self.ici[row] += (w @ lam).T
         self.vnorm[row] += w.sum(axis=2).T
 
     def bump(self) -> None:
@@ -56,7 +58,7 @@ class SinrAccumulator:
     def merge(self, other: "SinrAccumulator") -> None:
         self.count += other.count
         self.gain += other.gain
-        self.cross += other.cross
+        self.received += other.received
         self.ici += other.ici
         self.vnorm += other.vnorm
 
@@ -68,14 +70,8 @@ def finalize_sinr(acc: SinrAccumulator, network: NetworkRealization) -> np.ndarr
     to zero or below; zero-combiner records finalize to SINR 0.
     """
     n = acc.count
-    p = network.p
-    num = p[:, None] * np.abs(acc.gain / n) ** 2
-    den = (
-        (p * acc.cross / n).sum(axis=-1)
-        - num
-        + (acc.ici / n).sum(axis=-1)
-        + network.sigma2 * acc.vnorm / n
-    )
+    num = network.p[:, None] * np.abs(acc.gain / n) ** 2
+    den = (acc.received + acc.ici + network.sigma2 * acc.vnorm) / n - num
     sinr = np.divide(num, den, out=np.full_like(num, np.nan), where=den > 0.0)
     sinr[num == 0.0] = 0.0
     return sinr

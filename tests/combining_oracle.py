@@ -43,16 +43,17 @@ def combiner_matrix_at(scheme, h_hat, err_var, network, tau):
     return v
 
 
-def add_symbol_at(acc, row, tau, v, h_eff, lam, D):
+def add_symbol_at(acc, row, tau, v, h_eff, lam, network):
     """Accumulate one trial's terms of one row for all UEs at 1-based symbol tau.
 
-    v and h_eff are (K, L): combining vectors and effective channels.
+    v and h_eff are (K, L): combining vectors and effective channels; lam is
+    the (L,) ICI power.
     """
     t = tau - 1
-    vm = np.conj(v) * D
+    vm = np.conj(v) * network.D
     m = vm @ h_eff.T  # m[k, i] = v_k^H D_k h_i
     acc.gain[row, :, t] += np.diagonal(m)
-    acc.cross[row, :, t, :] += np.abs(m) ** 2
+    acc.received[row, :, t] += np.abs(m) ** 2 @ network.p
     w = np.abs(vm) ** 2
-    acc.ici[row, :, t, :] += w @ lam.T
+    acc.ici[row, :, t] += w @ lam
     acc.vnorm[row, :, t] += w.sum(axis=1)

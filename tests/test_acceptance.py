@@ -114,7 +114,7 @@ def test_criterion_6_no_pn_pipeline_equivalence():
         h_symbols = np.repeat(h_world[:, :, None], layout.block_symbols, axis=2)
         for s_idx, scheme in enumerate(schemes):
             acc.add_symbol(s_idx, combiner_matrix(scheme, h_hat, ctx.err_var, network),
-                           h_symbols, lam, network.D)
+                           h_symbols, lam, network)
         acc.bump()
 
     total = SinrAccumulator(len(schemes), layout.n_ues, layout.block_symbols)

@@ -321,6 +321,34 @@ class TestCli:
         assert "config error: name" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unwritable_out_rejected_before_running(self, tmp_path, monkeypatch, capsys):
+        """An --out under a missing directory, or naming a directory, is a config
+        error before anything runs; an existing file is not truncated first."""
+        from cfofdm import cli
+
+        calls = counting_runs(monkeypatch)
+        fig2 = ["fig2", "name=ci", *CI_FIG, "n_ues=5", "n_geometries=2", "n_trials=5",
+                "--seed", "0"]
+        for out in (tmp_path / "missing" / "x.csv", tmp_path):
+            assert cli_main([*fig2, "--out", str(out)]) == 1
+            assert "config error: --out" in capsys.readouterr().err
+        assert calls == []
+        cfg_path = tmp_path / "t.cfg"
+        cfg_path.write_text("n_aps = 4\nn_ues = 2\n")
+        missing = str(tmp_path / "missing" / "geo.csv")
+        assert cli_main(["dump-geometry", str(cfg_path), "--out", missing]) == 1
+        assert "config error: --out" in capsys.readouterr().err
+        # a failure of the write itself is reported the same way
+        monkeypatch.setattr(cli, "_check_out", lambda out_path: None)
+        assert cli_main(["dump-geometry", str(cfg_path), "--out", missing]) == 1
+        assert "config error: cannot write" in capsys.readouterr().err
+        kept = tmp_path / "kept.csv"
+        kept.write_text("old\n")
+        assert cli_main(["fig2", "name=a,b", *CI_FIG, "n_ues=5", "--out", str(kept)]) == 1
+        assert "config error: name" in capsys.readouterr().err
+        assert kept.read_text() == "old\n"
+        assert calls == []
+
     def test_missing_file_exit_code(self):
         assert cli_main(["run", "/nonexistent/path.cfg"]) == 1
 
@@ -552,8 +580,8 @@ class TestStackedTrial:
                 for tau in range(1, layout.block_symbols + 1):
                     v = combiner_matrix_at(scheme, h_hat, ctx.err_var, network, tau)
                     add_symbol_at(ref, e * n_schemes + s_idx, tau, v, h_eff[:, :, tau - 1],
-                                  lam, network.D)
-        for name in ("gain", "cross", "ici", "vnorm"):
+                                  lam, network)
+        for name in ("gain", "received", "ici", "vnorm"):
             np.testing.assert_allclose(getattr(out, name), getattr(ref, name),
                                        rtol=1e-12, atol=0)
         assert out.count == 1

@@ -37,7 +37,9 @@ class TestLambdaIci:
         lam = lambda_ici(network, table)
         off_diag = sum(correlation_b_fast(i, i, 0, table.params).real
                        for i in range(-n // 2, n // 2) if i != 0)
-        assert lam[0, 0] == pytest.approx(0.2 * 0.5 * off_diag, abs=1e-12)
+        # AP 0 hears both UEs, each at p beta = 0.2 * 0.5
+        assert lam.shape == (2,)
+        assert lam[0] == pytest.approx(2 * 0.2 * 0.5 * off_diag, abs=1e-12)
 
     def test_linear_in_power(self, small_layout):
         table = cpe_table()
@@ -55,12 +57,12 @@ class TestAccumulator:
         acc = SinrAccumulator(1, 1, 1)
         h = np.array([[1 + 1j, 2 - 1j]])
         v = h.copy()  # MR with D = I
-        lam = np.zeros((1, 2))
-        acc.add_symbol(0, v[None], h[:, :, None], lam, network.D)
+        lam = np.zeros(2)
+        acc.add_symbol(0, v[None], h[:, :, None], lam, network)
         acc.bump()
         norm2 = np.sum(np.abs(h) ** 2)
         assert acc.gain[0, 0, 0] == pytest.approx(norm2)
-        assert acc.cross[0, 0, 0, 0] == pytest.approx(norm2**2)
+        assert acc.received[0, 0, 0] == pytest.approx(norm2**2)
         assert acc.vnorm[0, 0, 0] == pytest.approx(norm2)
 
     def test_zero_channel_contributes_zero(self):
@@ -70,8 +72,8 @@ class TestAccumulator:
         acc = SinrAccumulator(1, 2, 1)
         v = np.ones((2, 2), dtype=complex)
         acc.add_symbol(0, v[None], np.zeros((2, 2, 1), dtype=complex),
-                       np.zeros((2, 2)), network.D)
-        assert np.all(acc.gain == 0) and np.all(acc.cross == 0)
+                       np.zeros(2), network)
+        assert np.all(acc.gain == 0) and np.all(acc.received == 0)
 
     def test_identical_trials_average_to_single(self, rng):
         network = make_network(
@@ -79,13 +81,13 @@ class TestAccumulator:
             np.ones((2, 3)), [0, 1], sigma2=1e-3)
         h = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
         v = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-        lam = np.abs(rng.standard_normal((2, 3)))
+        lam = np.abs(rng.standard_normal((2, 3))).sum(axis=0)
         one = SinrAccumulator(1, 2, 1)
-        one.add_symbol(0, v[None], h[:, :, None], lam, network.D)
+        one.add_symbol(0, v[None], h[:, :, None], lam, network)
         one.bump()
         many = SinrAccumulator(1, 2, 1)
         for _ in range(7):
-            many.add_symbol(0, v[None], h[:, :, None], lam, network.D)
+            many.add_symbol(0, v[None], h[:, :, None], lam, network)
             many.bump()
         s1 = finalize_sinr(one, network)[0, 0, 0]
         s7 = finalize_sinr(many, network)[0, 0, 0]
@@ -97,14 +99,14 @@ class TestAccumulator:
         acc = SinrAccumulator(1, 2, 3)
         h_eff = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
         combiners = np.moveaxis(h_eff, -1, 0)  # (tau_c, K, L)
-        acc.add_symbol(0, combiners, h_eff, np.zeros((2, 3)), network.D)
+        acc.add_symbol(0, combiners, h_eff, np.zeros(3), network)
         acc.bump()
         for t in range(3):
             ref = SinrAccumulator(1, 2, 1)
-            ref.add_symbol(0, combiners[t][None], h_eff[:, :, t, None], np.zeros((2, 3)),
-                           network.D)
+            ref.add_symbol(0, combiners[t][None], h_eff[:, :, t, None], np.zeros(3),
+                           network)
             assert np.allclose(acc.gain[0, :, t], ref.gain[0, :, 0])
-            assert np.allclose(acc.cross[0, :, t], ref.cross[0, :, 0])
+            assert np.allclose(acc.received[0, :, t], ref.received[0, :, 0])
 
     def test_merge_matches_sequential(self, rng):
         network = make_network(
@@ -118,16 +120,73 @@ class TestAccumulator:
         parts = [SinrAccumulator(1, 2, 1) for _ in range(3)]
         trials = [trial() for _ in range(9)]
         for i, (v, h) in enumerate(trials):
-            seq.add_symbol(0, v[None], h[:, :, None], np.zeros((2, 3)), network.D)
+            seq.add_symbol(0, v[None], h[:, :, None], np.zeros(3), network)
             seq.bump()
-            parts[i % 3].add_symbol(0, v[None], h[:, :, None], np.zeros((2, 3)), network.D)
+            parts[i % 3].add_symbol(0, v[None], h[:, :, None], np.zeros(3), network)
             parts[i % 3].bump()
         merged = SinrAccumulator(1, 2, 1)
         for p in parts:
             merged.merge(p)
         assert merged.count == seq.count
         assert np.allclose(merged.gain, seq.gain)
-        assert np.allclose(merged.cross, seq.cross)
+        assert np.allclose(merged.received, seq.received)
+
+    def test_footprint_has_no_ue_pair_axis(self):
+        """Every array is (rows, K, tau_c): at fig3's K=100 the whole accumulator
+        is smaller than one (rows, K, tau_c, K) array of reals."""
+        rows, K, tau_c = 6, 100, 15
+        acc = SinrAccumulator(rows, K, tau_c)
+        arrays = [a for a in vars(acc).values() if isinstance(a, np.ndarray)]
+        assert all(a.shape == (rows, K, tau_c) for a in arrays)
+        assert sum(a.nbytes for a in arrays) < rows * K * tau_c * K * 8
+
+
+def ue_pair_sinr(trials, p, sigma2, D, lam_pair):
+    """Reference UatF SINR, (K, tau_c), from per-UE-pair sums: for every
+    (k, i), E|v_k^H D_k h_i|^2 and the ICI power sum_l |D_k v_k|_l^2 lambda_{i,l}
+    of UE i at AP l, each summed over i only at the end."""
+    tau_c, K, _ = trials[0][0].shape
+    gain = np.zeros((K, tau_c), dtype=complex)
+    cross = np.zeros((K, tau_c, K))
+    ici = np.zeros((K, tau_c, K))
+    vnorm = np.zeros((K, tau_c))
+    for v, h_eff in trials:
+        for t in range(tau_c):
+            for k in range(K):
+                vd = np.conj(v[t, k]) * D[k]
+                for i in range(K):
+                    cross[k, t, i] += abs(vd @ h_eff[i, :, t]) ** 2
+                    ici[k, t, i] += np.abs(vd) ** 2 @ lam_pair[i]
+                gain[k, t] += vd @ h_eff[k, :, t]
+                vnorm[k, t] += np.sum(np.abs(vd) ** 2)
+    n = len(trials)
+    num = p[:, None] * np.abs(gain / n) ** 2
+    den = ((p * cross / n).sum(axis=-1) - num + (ici / n).sum(axis=-1)
+           + sigma2 * vnorm / n)
+    return num / den
+
+
+def test_ue_pair_reference_gives_same_sinr(rng):
+    """The per-UE sums finalize to the SINR of the per-UE-pair sums, with
+    phase-noise ICI, unequal powers and a partial serving pattern."""
+    K, L, tau_c = 3, 4, 2
+    layout = SimulationLayout(16, 2, 15e3, 8, tau_c, (0,), (1,), L, K, 100.0)
+    network = make_network(layout, np.ones((K, L)), [0, 1, 2], sigma2=1e-2)
+    network.p = np.array([0.1, 0.4, 0.25])
+    network.D = np.array([[1, 1, 0, 0], [0, 1, 1, 1], [1, 0, 1, 1]], dtype=np.int8)
+    lam_pair = np.abs(rng.standard_normal((K, L))) * 0.05  # UE i's ICI at AP l
+
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    trials = [(draw(tau_c, K, L), draw(K, L, tau_c)) for _ in range(30)]
+    acc = SinrAccumulator(2, K, tau_c)
+    for v, h_eff in trials:
+        acc.add_symbol(1, v, h_eff, lam_pair.sum(axis=0), network)
+        acc.bump()
+    expect = ue_pair_sinr(trials, network.p, network.sigma2, network.D, lam_pair)
+    assert np.all(expect > 0)
+    np.testing.assert_allclose(finalize_sinr(acc, network)[1], expect, rtol=1e-12, atol=0)
 
 
 class TestFinalize:
@@ -137,7 +196,7 @@ class TestFinalize:
             np.ones((1, 2)), [0])
         acc = SinrAccumulator(1, 1, 1)
         acc.add_symbol(0, np.zeros((1, 1, 2), dtype=complex),
-                       np.ones((1, 2, 1), dtype=complex), np.zeros((1, 2)), network.D)
+                       np.ones((1, 2, 1), dtype=complex), np.zeros(2), network)
         acc.bump()
         assert finalize_sinr(acc, network)[0, 0, 0] == 0.0
 
@@ -160,9 +219,9 @@ class TestFinalize:
         # one stacked call with the draws on the symbol axis, summed into one symbol
         draws = SinrAccumulator(1, 1, n)
         draws.add_symbol(0, hh[:, None, None], (hh + e)[None, None, :],
-                         np.zeros((1, 1)), network.D)
+                         np.zeros(1), network)
         acc = SinrAccumulator(1, 1, 1)
-        for name in ("gain", "cross", "ici", "vnorm"):
+        for name in ("gain", "received", "ici", "vnorm"):
             getattr(acc, name)[:] = getattr(draws, name).sum(axis=2, keepdims=True)
         acc.count = n
         sinr = finalize_sinr(acc, network)[0, 0, 0]
@@ -173,26 +232,29 @@ class TestFinalize:
             SimulationLayout(16, 2, 15e3, 8, 2, (0,), (1,), 1, 1, 100.0),
             np.ones((1, 1)), [0], p=1.0, sigma2=0.0)
         acc = SinrAccumulator(1, 1, 1)
-        # cross sum below |gain|^2 forces a negative variance estimate
+        # received power below |gain|^2 forces a negative variance estimate
         acc.count = 1
         acc.gain[0, 0, 0] = 2.0
-        acc.cross[0, 0, 0, 0] = 1.0
+        acc.received[0, 0, 0] = 1.0
         assert np.isnan(finalize_sinr(acc, network)[0, 0, 0])
 
     def test_extra_interferer_never_raises_sinr(self, rng):
         layout = SimulationLayout(16, 2, 15e3, 8, 2, (0,), (1,), 3, 2, 100.0)
         net2 = make_network(layout, np.ones((2, 3)), [0, 1], sigma2=1e-3)
         acc = SinrAccumulator(1, 2, 1)
+        alone = SinrAccumulator(1, 2, 1)  # the same draws with UE 1 silent
         for _ in range(200):
             h = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
             v = np.zeros_like(h)
             v[0] = h[0]
-            acc.add_symbol(0, v[None], h[:, :, None], np.zeros((2, 3)), net2.D)
+            acc.add_symbol(0, v[None], h[:, :, None], np.zeros(3), net2)
             acc.bump()
+            h[1] = 0.0
+            alone.add_symbol(0, v[None], h[:, :, None], np.zeros(3), net2)
+            alone.bump()
         with_interf = finalize_sinr(acc, net2)[0, 0, 0]
-        # removing UE 1's cross term can only increase the SINR
-        acc.cross[0, 0, 0, 1] = 0.0
-        without = finalize_sinr(acc, net2)[0, 0, 0]
+        # removing UE 1's received power can only increase the SINR
+        without = finalize_sinr(alone, net2)[0, 0, 0]
         assert without >= with_interf
 
     def test_scale_invariance(self, rng):
@@ -203,14 +265,14 @@ class TestFinalize:
              rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)))
             for _ in range(50)
         ]
-        lam = np.abs(rng.standard_normal((2, 3))) * 0.01
+        lam = np.abs(rng.standard_normal((2, 3))).sum(axis=0) * 0.01
         a1 = SinrAccumulator(1, 2, 1)
         a2 = SinrAccumulator(1, 2, 1)
         alpha = 3.7 - 1.2j
         for v, h in trials:
-            a1.add_symbol(0, v[None], h[:, :, None], lam, network.D)
+            a1.add_symbol(0, v[None], h[:, :, None], lam, network)
             a1.bump()
-            a2.add_symbol(0, alpha * v[None], h[:, :, None], lam, network.D)
+            a2.add_symbol(0, alpha * v[None], h[:, :, None], lam, network)
             a2.bump()
         s1 = finalize_sinr(a1, network)[0, 0, 0]
         s2 = finalize_sinr(a2, network)[0, 0, 0]
@@ -223,25 +285,25 @@ class TestFinalize:
         network = make_network(layout, np.ones((3, 3)), [0, 1, 2], sigma2=1e-3)
         network.p = np.array([0.1, 0.2, 0.3])
         acc = SinrAccumulator(2, 3, 4)
-        lam = np.abs(rng.standard_normal((3, 3))) * 0.01
+        lam = np.abs(rng.standard_normal((3, 3))).sum(axis=0) * 0.01
         for _ in range(20):
             for s in range(2):
                 hs, vs = [], []
                 for tau in range(1, 5):
                     hs.append(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
                     vs.append(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-                acc.add_symbol(s, np.stack(vs), np.stack(hs, axis=-1), lam, network.D)
+                acc.add_symbol(s, np.stack(vs), np.stack(hs, axis=-1), lam, network)
             acc.bump()
         acc.gain[1, 0, 2] = 0.0        # zero numerator
-        acc.ici[1, 2, 3, :] = -1e6     # negative denominator
+        acc.ici[1, 2, 3] = -3e6        # negative denominator
 
         def per_record(s, k, t):
             n = acc.count
             num = network.p[k] * np.abs(acc.gain[s, k, t] / n) ** 2
             if num == 0.0:
                 return 0.0
-            den = ((network.p * acc.cross[s, k, t] / n).sum() - num
-                   + (acc.ici[s, k, t] / n).sum() + network.sigma2 * acc.vnorm[s, k, t] / n)
+            den = (acc.received[s, k, t] + acc.ici[s, k, t]
+                   + network.sigma2 * acc.vnorm[s, k, t]) / n - num
             return float("nan") if den <= 0.0 else float(num / den)
 
         expect = np.array([[[per_record(s, k, t) for t in range(4)] for k in range(3)]
