@@ -35,8 +35,10 @@ def _parse_int_list(text: str) -> Tuple[int, ...]:
         if not piece:
             continue
         if ":" in piece:
-            lo, hi = piece.split(":", 1)
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(v) for v in piece.split(":", 1))
+            if hi < lo:
+                raise ValueError("range %r runs backwards" % piece)
+            out.extend(range(lo, hi + 1))
         else:
             out.append(int(piece))
     if not out:

@@ -9,7 +9,8 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .network import NetworkRealization, SimulationLayout
-from .phase_noise import KernelGrid, lag_spectra, offset_spectra
+from .phase_noise import (KernelGrid, KernelParams, build_correlation_table, lag_spectra,
+                          offset_spectra)
 
 ESTIMATOR_KINDS = ("pna_ofdm", "pna_sc", "unaware")
 ICI_MODES = ("as_printed", "independent_data")
@@ -59,18 +60,16 @@ def build_ici_base(
     return pilot_terms, data_term
 
 
-def cpe_kernel_value(kind: str, dtau, table: KernelGrid):
-    """Symbol-lag CPE correlation assumed by each estimator kind, at one lag
-    or at every entry of an integer lag array."""
+def assumed_kernel(kind: str, table: KernelGrid) -> KernelGrid:
+    """The CPE kernel an estimator kind assumes, on the lags of ``table``: the OFDM
+    drift kernel itself (``pna_ofdm``), one drift sample per symbol N samples apart
+    (``pna_sc``), or no phase noise, 1 at every lag (``unaware``)."""
     if kind == "pna_ofdm":
-        return table.cpe(dtau)
-    if kind == "pna_sc":
-        # One drift sample per OFDM symbol, N sample periods apart.
-        params = table.params
-        return np.exp(-params.sigma2_tot * params.n * np.abs(dtau) / 2.0)
-    if kind == "unaware":
-        return np.ones(np.shape(dtau)) if np.ndim(dtau) else 1.0
-    raise ValueError("unknown estimator kind: %r" % (kind,))
+        return table
+    if kind not in ("pna_sc", "unaware"):
+        raise ValueError("unknown estimator kind: %r" % (kind,))
+    sigma2 = table.params.sigma2_tot if kind == "pna_sc" else 0.0
+    return build_correlation_table(KernelParams(1, sigma2, table.params.n), table.lags)
 
 
 @dataclass
@@ -80,13 +79,12 @@ class EstimatorModel:
     Fixed per configuration: a UE on pilot sequence t with power p and gain
     beta at AP l adds p beta (pilot_cov[t] + data_cov) to that AP's pilot
     covariance, and its channel at symbol tau correlates with the pilot slots
-    through the CPE kernel row b[tau - 1].
+    through rhs[:, t * tau_c + tau - 1] = B^(tau)H s_t under the kind's kernel.
     """
 
-    book: np.ndarray       # (tau_p, tau_p) pilot book, column t is sequence s_t
     pilot_cov: np.ndarray  # (tau_p, tau_p, tau_p) per sequence t: weighted s_t s_t^H + pilot ICI
     data_cov: np.ndarray   # (tau_p, tau_p) data ICI, zero for the baselines
-    b: np.ndarray          # (tau_c, tau_p) CPE kernel, block symbol by pilot slot
+    rhs: np.ndarray        # (tau_p, tau_p * tau_c) columns B^(tau)H s_t, (t, tau) pairs
 
 
 def build_models(
@@ -107,13 +105,15 @@ def build_models(
     outer = book.T[:, :, None] * np.conj(book.T)[:, None, :]  # s_t s_t^H per sequence t
     models = []
     for kind in kinds:
-        pilot_cov = outer * cpe_kernel_value(kind, syms[:, None] - syms[None, :], table)
+        kernel = assumed_kernel(kind, table)
+        pilot_cov = outer * kernel.cpe(syms[:, None] - syms[None, :])
         data_cov = np.zeros((tau_p, tau_p), dtype=complex)
         if kind == "pna_ofdm":
             pilot_ici, data_cov = build_ici_base(layout, table, mode=ici_mode)
             pilot_cov = pilot_cov + pilot_ici
-        b = cpe_kernel_value(kind, np.arange(1, tau_c + 1)[:, None] - syms[None, :], table)
-        models.append(EstimatorModel(book, pilot_cov, data_cov, b))
+        b = kernel.cpe(np.arange(1, tau_c + 1)[:, None] - syms[None, :])  # (tau_c, tau_p)
+        rhs = (np.conj(b).T[:, None, :] * book[:, :, None]).reshape(tau_p, -1)
+        models.append(EstimatorModel(pilot_cov, data_cov, rhs))
     return models
 
 
@@ -156,16 +156,16 @@ class EstimatorContext:
 def build_context(network: NetworkRealization, model: EstimatorModel) -> EstimatorContext:
     """Assemble the per-geometry estimator state of one estimator model."""
     psi = build_psi(network, model)
-    tau_c, tau_p = model.b.shape
-    K, L = network.beta.shape
-    s_all = model.book[:, network.pilot_index]  # (tau_p, K)
-    rhs = (np.conj(model.b).T[:, None, :] * s_all[:, :, None]).reshape(tau_p, -1)
-    sol = np.linalg.solve(psi, rhs)  # (L, tau_p, K * tau_c): Psi_l^{-1} rhs
-    quad = np.real(np.sum(np.conj(rhs) * sol, axis=1)).reshape(L, K, tau_c)
+    L, tau_p = psi.shape[:2]
+    rhs = model.rhs.reshape(tau_p, tau_p, -1)  # (tau_p, t, tau_c)
+    used, seq_of = np.unique(network.pilot_index, return_inverse=True)  # solve sequences in use
+    rhs_used = rhs[:, used].reshape(tau_p, -1)
+    sol = np.linalg.solve(psi, rhs_used)  # (L, tau_p, |used| * tau_c): Psi_l^{-1} rhs
+    quad = np.real(np.sum(np.conj(rhs_used) * sol, axis=1)).reshape(L, used.size, -1)[:, seq_of]
     scale = np.sqrt(network.p)[None, :] * network.beta.T
     eps = network.p[:, None, None] * network.beta[:, :, None] ** 2 * quad.transpose(1, 0, 2)
-    return EstimatorContext(psi=psi, rhs=rhs, scale=scale, eps=eps,
-                            err_var=network.beta[:, :, None] - eps)
+    return EstimatorContext(psi=psi, rhs=rhs[:, network.pilot_index].reshape(tau_p, -1),
+                            scale=scale, eps=eps, err_var=network.beta[:, :, None] - eps)
 
 
 def estimate_all(ctx: EstimatorContext, y: np.ndarray) -> np.ndarray:

@@ -77,10 +77,10 @@ class ResultRecord:
 def build_kernel_table(cfg: ExperimentConfig) -> KernelGrid:
     """CPE kernel at every symbol lag within the coherence block."""
     layout = cfg.layout()
-    params = KernelParams.from_layout(layout, cfg.pn_params(),
-                                      cp_consistent=cfg.cp_consistent_correlation)
-    return build_correlation_table(
-        params, range(-(layout.block_symbols - 1), layout.block_symbols))
+    n = layout.n_subcarriers
+    stride = n + (layout.cp_len if cfg.cp_consistent_correlation else 0)
+    return build_correlation_table(KernelParams(n, cfg.pn_params().sigma2_tot, stride),
+                                   range(-(layout.block_symbols - 1), layout.block_symbols))
 
 
 def _geometry(cfg: ExperimentConfig, geometry_index: int) -> NetworkRealization:

@@ -143,12 +143,6 @@ class KernelParams:
     sigma2_tot: float
     stride: int
 
-    @classmethod
-    def from_layout(cls, layout: SimulationLayout, pn: PnParams,
-                    cp_consistent: bool = False) -> "KernelParams":
-        stride = layout.n_subcarriers + (layout.cp_len if cp_consistent else 0)
-        return cls(n=layout.n_subcarriers, sigma2_tot=pn.sigma2_tot, stride=stride)
-
 
 def correlation_b_oracle(i1: int, i2: int, dtau: int, params: KernelParams) -> complex:
     """Literal O(N^2) double sum for B_{i1,i2}^{(dtau)} = E{J_i1^(t1) J_i2^(t2)*}."""

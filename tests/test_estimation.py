@@ -1,6 +1,7 @@
 """LMMSE estimator, ICI covariance construction, and baseline estimators."""
 
 import functools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from cfofdm import estimation
 from cfofdm.config import ci_config, fig2_config
 from cfofdm.estimation import (
     ESTIMATOR_KINDS,
+    assumed_kernel,
     build_context,
     build_ici_base,
     build_models,
@@ -57,14 +59,21 @@ def make_context(network, layout, table, kind="pna_ofdm", ici_mode="as_printed")
     return build_context(network, make_model(layout, table, kind, ici_mode))
 
 
+def ue_rhs(model, pilot_index):
+    """The model's right-hand-side columns of each UE's sequence: (tau_p, K * tau_c)."""
+    tau_p = model.rhs.shape[0]
+    return model.rhs.reshape(tau_p, tau_p, -1)[:, pilot_index].reshape(tau_p, -1)
+
+
 def coef_oracle(network, model):
     """The (L, K, tau_c, tau_p) estimator coefficients, h_hat[k, l, tau] =
-    coef[l, k, tau] . y_l, with the estimate variances eps (K, L, tau_c)."""
+    coef[l, k, tau] . y_l, with the estimate variances eps (K, L, tau_c), from
+    one solve per UE and symbol (UEs that share a sequence are solved twice)."""
     psi = build_psi(network, model)
-    tau_c, tau_p = model.b.shape
     K, L = network.beta.shape
-    s_all = model.book[:, network.pilot_index]
-    rhs = (np.conj(model.b).T[:, None, :] * s_all[:, :, None]).reshape(tau_p, -1)
+    tau_p = model.rhs.shape[0]
+    tau_c = model.rhs.shape[1] // tau_p
+    rhs = ue_rhs(model, network.pilot_index)
     sol = np.linalg.solve(psi, rhs)
     quad = np.real(np.sum(np.conj(rhs) * sol, axis=1)).reshape(L, K, tau_c)
     scale = np.sqrt(network.p)[None, :] * network.beta.T
@@ -225,7 +234,39 @@ class TestModels:
         assert all(not m.data_cov.any() for m in baselines)
         (pna,) = build_models(layout, table, ["pna_ofdm"])
         assert len(calls) == 1 and pna.data_cov.any()
-        assert [m.b.shape for m in (*baselines, pna)] == [(3, layout.tau_p)] * 3
+        tau_p = layout.tau_p
+        assert [m.rhs.shape for m in (*baselines, pna)] == [(tau_p, tau_p * 3)] * 3
+
+    @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+    def test_rhs_from_book_and_kernel(self, kind):
+        """Column t * tau_c + tau - 1 of rhs is B^(tau)H s_t: the kind's kernel at
+        the lags from each pilot slot's symbol to tau, times the sequence s_t."""
+        layout = toy_layout(n_subcarriers=24, block_subcarriers=12, block_symbols=5,
+                            pilot_subcarriers=(0, 6), pilot_symbols=(1, 3))
+        table = make_table(layout, 4e-3)
+        kernel = assumed_kernel(kind, table)
+        book, tau_c = layout.pilot_book, layout.block_symbols
+        syms = np.array([sym for _, sym in layout.pilot_slots])
+        model = make_model(layout, table, kind)
+        for t in range(layout.tau_p):
+            for tau in range(1, tau_c + 1):
+                expect = np.conj(kernel.cpe(tau - syms)) * book[:, t]
+                assert np.array_equal(model.rhs[:, t * tau_c + tau - 1], expect)
+
+    @pytest.mark.parametrize("cfg", [
+        ci_config(), fig2_config(), replace(fig2_config(), cp_consistent_correlation=True),
+    ], ids=["ci", "fig2", "fig2_cp"])
+    def test_assumed_kernels_closed_form(self, cfg):
+        """pna_sc is the single-carrier Wiener damping exp(-sigma2 N |dtau| / 2),
+        whatever stride the OFDM kernel uses; unaware is exactly 1."""
+        table = build_setup(cfg).table
+        sigma2, n = cfg.pn_params().sigma2_tot, cfg.n_subcarriers
+        expect = np.exp(-sigma2 * n * np.abs(table.lags) / 2.0)
+        sc = assumed_kernel("pna_sc", table)
+        assert np.array_equal(sc.lags, table.lags)
+        assert np.abs(sc.cpe(table.lags) / expect - 1.0).max() <= 4e-15
+        assert np.all(assumed_kernel("unaware", table).cpe(table.lags) == 1.0)
+        assert assumed_kernel("pna_ofdm", table) is table
 
     def test_unknown_kind_rejected(self):
         layout = toy_layout()
@@ -340,6 +381,7 @@ class TestContext:
         w = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
         for model, ctx in zip(setup.models, geom.contexts):
             coef, eps = coef_oracle(network, model)
+            assert ctx.rhs.tobytes() == ue_rhs(model, network.pilot_index).tobytes()
             assert ctx.eps.tobytes() == eps.tobytes()
             assert ctx.err_var.tobytes() == (network.beta[:, :, None] - eps).tobytes()
             # y_l ~ CN(0, Psi_l); elementwise the two orders of the solve differ by
@@ -347,6 +389,43 @@ class TestContext:
             y = (np.linalg.cholesky(ctx.psi) @ w[:, :, None])[:, :, 0]
             expect = np.einsum("lktp,lp->klt", coef, y)
             assert np.linalg.norm(estimate_all(ctx, y) - expect) <= 1e-12 * np.linalg.norm(expect)
+
+    @pytest.mark.parametrize("pilot_index", [[3, 0, 3], [0, 1, 2, 3, 1, 0, 2]],
+                             ids=["unused_sequences", "more_ues_than_sequences"])
+    def test_bitwise_equal_to_per_ue_solve(self, rng, pilot_index):
+        """Solving only the sequences in use gives the per-UE solve's state bit for bit."""
+        K = len(pilot_index)
+        layout = toy_layout(n_subcarriers=24, block_subcarriers=12, block_symbols=5,
+                            pilot_symbols=(1, 2, 3, 4), n_aps=3, n_ues=K)
+        network = make_network(layout, rng.uniform(0.05, 1.0, (K, 3)), pilot_index, sigma2=1e-2)
+        table = make_table(layout, 3e-3)
+        for kind in ESTIMATOR_KINDS:
+            model = make_model(layout, table, kind)
+            ctx = build_context(network, model)
+            _, eps = coef_oracle(network, model)
+            assert ctx.psi.tobytes() == build_psi(network, model).tobytes()
+            assert ctx.rhs.tobytes() == ue_rhs(model, network.pilot_index).tobytes()
+            assert ctx.eps.tobytes() == eps.tobytes()
+            assert ctx.err_var.tobytes() == (network.beta[:, :, None] - eps).tobytes()
+            assert np.array_equal(ctx.scale, np.sqrt(network.p)[None, :] * network.beta.T)
+
+    def test_fig2_hundred_ues_peak_below_one_solve_of_every_ue(self):
+        """At fig2 size with K=100 UEs on tau_p=12 sequences, one context build peaks
+        below a single (L, tau_p, K * tau_c) complex array: Psi_l is solved only
+        for the sequences in use."""
+        cfg = replace(fig2_config(), n_ues=100)
+        setup = build_setup(cfg)
+        network = build_geometry(cfg, setup, 0).network
+        tau_p, tau_c = setup.layout.tau_p, setup.layout.block_symbols
+        per_ue = cfg.n_aps * tau_p * cfg.n_ues * tau_c * np.dtype(complex).itemsize
+        for model in setup.models:
+            tracemalloc.start()
+            try:
+                build_context(network, model)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < per_ue
 
     def test_smaller_than_one_coefficient_tensor(self, rng):
         L, K, tau_c, tau_p = 200, 100, 15, 12
@@ -385,11 +464,9 @@ class TestBaselines:
     def test_sc_kernel_properties(self):
         layout = toy_layout()
         pn = PnParams(2e9, 4e-17, 4e-17, layout.sample_time)
-        from cfofdm.estimation import cpe_kernel_value
-
         n = layout.n_subcarriers
         small = build_correlation_table(KernelParams(n, pn.sigma2_tot, n), [0])
-        assert cpe_kernel_value("pna_sc", 0, small) == 1.0
+        assert assumed_kernel("pna_sc", small).cpe(0) == 1.0
         # full-scale check of the gap between the two kernels
         big = SimulationLayout(
             n_subcarriers=1200, cp_len=84, subcarrier_spacing=15e3,
@@ -402,9 +479,10 @@ class TestBaselines:
         # at zero lag the single-carrier kernel misses the in-symbol averaging
         # loss entirely (gap 1 - B00 ~ 0.127); at nonzero lags the OFDM kernel
         # slightly exceeds it (Jensen), so the two models genuinely differ
-        assert cpe_kernel_value("pna_sc", 0, table) - table.cpe(0) > 0.1
+        sc_kernel = assumed_kernel("pna_sc", table)
+        assert sc_kernel.cpe(0) - table.cpe(0) > 0.1
         for dt in range(1, 15):
-            sc = cpe_kernel_value("pna_sc", dt, table)
+            sc = sc_kernel.cpe(dt)
             ofdm_k = table.cpe(dt)
             assert sc <= ofdm_k
             assert abs(sc - ofdm_k) < 0.011

@@ -288,7 +288,7 @@ class TestCli:
         "master_seed = -2", "gamma_ap = -1e-17", "gamma_ue = -1e-17", "carrier_hz = -2e9",
         "subcarrier_spacing_hz = 0", "tx_power_w = -0.1", "shadow_sigma_db = -1",
         "n_subcarriers = 8\npilot_subcarriers = 10", "cp_len = -2",
-        "n_subcarriers = 8\nblock_subcarriers = 12",
+        "n_subcarriers = 8\nblock_subcarriers = 12", "pilot_symbols = 1, 5:3",
     ])
     def test_out_of_range_value_exit_code(self, tmp_path, capsys, entry):
         cfg_path = tmp_path / "t.cfg"
