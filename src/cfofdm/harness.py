@@ -156,14 +156,12 @@ def run_trial(cfg: ExperimentConfig, setup: Setup, geom: Geometry,
 
 @dataclass
 class GeometryResult:
-    """Per-geometry SE summaries of every result row."""
+    """Per-geometry SE of every result row: entry 0 the block, entry tau symbol tau."""
 
-    curves: np.ndarray  # (rows, tau_c) per-symbol SE
-    blocks: np.ndarray  # (rows,) per-block SE
-    # SE per trial batch, (n_batches, rows, tau_c) and (n_batches, rows); only for
-    # a single-geometry run of several batches, where they feed the standard error
-    batch_curves: Optional[np.ndarray]
-    batch_blocks: Optional[np.ndarray]
+    se: np.ndarray  # (rows, 1 + tau_c)
+    # SE per trial batch, (n_batches, rows, 1 + tau_c); only for a single-geometry
+    # run of several batches, where it feeds the standard error
+    batch_se: Optional[np.ndarray]
     n_invalid: int
     n_records: int
 
@@ -203,15 +201,11 @@ def run_geometry(
     for b in batches:
         total.merge(b)
     sinr = se.finalize_sinr(total, network)
-    curves, blocks = se.se_from_sinr(sinr)
-    batch_curves = batch_blocks = None
+    batch_se = None
     if cfg.n_geometries == 1 and n_batches > 1:
-        per_batch = [se.se_from_sinr(se.finalize_sinr(b, network)) for b in batches]
-        batch_curves = np.stack([c for c, _ in per_batch])
-        batch_blocks = np.stack([bl for _, bl in per_batch])
-    return GeometryResult(curves=curves, blocks=blocks, batch_curves=batch_curves,
-                          batch_blocks=batch_blocks, n_invalid=int(np.isnan(sinr).sum()),
-                          n_records=sinr.size)
+        batch_se = np.stack([se.se_from_sinr(se.finalize_sinr(b, network)) for b in batches])
+    return GeometryResult(se=se.se_from_sinr(sinr), batch_se=batch_se,
+                          n_invalid=int(np.isnan(sinr).sum()), n_records=sinr.size)
 
 
 def _standard_error(rows) -> np.ndarray:
@@ -231,9 +225,10 @@ def run_experiment(
 
     The records are a pure function of the configuration: byte-identical for
     every ``threads`` value (>= 1).  The standard error spreads over the
-    geometries, or over the trial batches of a single-geometry run.  Curves
-    stay per symbol until the rows are written: channel use c gets the value of
-    symbol ceil(c / N_c).  Raises RuntimeError if more than 1% of SINR records
+    geometries, or over the trial batches of a single-geometry run.  A row's SE
+    stays one (1 + tau_c) array, the block then every symbol, until the records
+    are written: channel use c reads entry ceil(c / N_c), so the block row
+    (c = 0) reads entry 0.  Raises RuntimeError if more than 1% of SINR records
     are invalid.
     """
     cfg.validate()
@@ -263,32 +258,24 @@ def run_experiment(
 
     n_uses = layout.block_subcarriers * layout.block_symbols
     total_trials = cfg.n_geometries * cfg.n_trials
-    curves = np.stack([g.curves for g in geoms])  # (geometries, rows, tau_c)
-    blocks = np.stack([g.blocks for g in geoms])  # (geometries, rows)
-    spread_curves, spread_blocks = curves, blocks
-    if geoms[0].batch_curves is not None:  # one geometry: spread over its trial batches
-        spread_curves, spread_blocks = geoms[0].batch_curves, geoms[0].batch_blocks
+    per_geometry = np.stack([g.se for g in geoms])  # (geometries, rows, 1 + tau_c)
+    mean = np.mean(per_geometry, axis=0)
+    # one geometry: the spread is over its trial batches
+    spread = per_geometry if geoms[0].batch_se is None else geoms[0].batch_se
+    err = _standard_error(spread)
+    if not (np.isfinite(mean).all() and np.isfinite(err).all()):
+        raise RuntimeError("Monte Carlo underflow: a result has no valid SINR record")
     records: List[ResultRecord] = []
     for r, (kind, scheme) in enumerate(itertools.product(cfg.estimators, cfg.schemes)):
-        curve = np.mean(curves[:, r], axis=0)
-        block = float(np.mean(blocks[:, r]))
-        curve_se = _standard_error(spread_curves[:, r])
-        block_se = float(_standard_error(spread_blocks[:, r]))
-        records.append(
-            ResultRecord(cfg.name, scheme, kind, layout.n_ues, layout.n_aps,
-                         0, 0, block, total_trials, block_se, cfg.master_seed)
-        )
-        for c in range(1, n_uses + 1):
+        for c in range(n_uses + 1):
             tau = se.symbol_of_channel_use(c, layout)
             records.append(
                 ResultRecord(
-                    cfg.name, scheme, kind, layout.n_ues, layout.n_aps,
-                    c, tau, float(curve[tau - 1]),
-                    total_trials, float(curve_se[tau - 1]), cfg.master_seed,
+                    cfg.name, scheme, kind, layout.n_ues, layout.n_aps, c, tau,
+                    float(mean[r, tau]), total_trials, float(err[r, tau]),
+                    cfg.master_seed,
                 )
             )
-    if not np.isfinite([(r.se_per_ue, r.standard_error) for r in records]).all():
-        raise RuntimeError("Monte Carlo underflow: a result has no valid SINR record")
     if progress:
         print("experiment %s finished in %.1f s"
               % (cfg.name, time.perf_counter() - t0), file=sys.stderr)

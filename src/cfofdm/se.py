@@ -3,8 +3,6 @@ including the deterministic inter-carrier-interference power term."""
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from .network import NetworkRealization, SimulationLayout
@@ -77,12 +75,12 @@ def finalize_sinr(acc: SinrAccumulator, network: NetworkRealization) -> np.ndarr
     return sinr
 
 
-def se_from_sinr(sinr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """UE-averaged per-symbol SE curves and per-block SEs from SINR records.
+def se_from_sinr(sinr: np.ndarray) -> np.ndarray:
+    """UE-averaged SE of the block and of every symbol from SINR records.
 
-    ``sinr`` is (..., K, tau_c), the curves (..., tau_c) and the blocks (...).
-    Invalid (NaN) records are left out of every average; a curve point or
-    block with no valid record behind it is NaN.
+    ``sinr`` is (..., K, tau_c) and the SE (..., 1 + tau_c): entry 0 is the
+    per-block SE and entry tau that of symbol tau.  Invalid (NaN) records are
+    left out of every average; an entry with no valid record behind it is NaN.
     """
     valid = ~np.isnan(sinr)
     rate = np.log2(1.0 + np.where(valid, sinr, 0.0))
@@ -91,7 +89,7 @@ def se_from_sinr(sinr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     has_valid = valid.any(axis=-1)
     block = _mean_of_valid(np.where(has_valid, per_ue, 0.0).sum(axis=-1),
                            has_valid.sum(axis=-1))
-    return per_tau, block
+    return np.concatenate([block[..., None], per_tau], axis=-1)
 
 
 def _mean_of_valid(total: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -101,7 +99,7 @@ def _mean_of_valid(total: np.ndarray, count: np.ndarray) -> np.ndarray:
 
 def symbol_of_channel_use(c: int, layout: SimulationLayout) -> int:
     """1-based OFDM symbol carrying channel use c, counting frequency-first:
-    tau(c) = ceil(c / N_c)."""
-    if not 1 <= c <= layout.block_subcarriers * layout.block_symbols:
+    tau(c) = ceil(c / N_c); the block row, c = 0, gets 0."""
+    if not 0 <= c <= layout.block_subcarriers * layout.block_symbols:
         raise ValueError("channel use %d outside the coherence block" % c)
     return -(-c // layout.block_subcarriers)

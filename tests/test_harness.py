@@ -1,6 +1,7 @@
 """Configuration parsing, experiment orchestration, CSV output, and the CLI."""
 
 import copy
+import itertools
 import math
 import os
 import subprocess
@@ -200,6 +201,51 @@ class TestRunExperiment:
         first = lines[1].split(",")
         assert len(first) == len(CSV_HEADER.split(","))
         assert first[0] == "ci"
+
+
+class TestAggregation:
+    """Every CSV row, the block row included, is its entry [row, tau] of
+    ``GeometryResult.se`` averaged over the geometries, with the standard error
+    over the geometries or over the trial batches of a single geometry."""
+
+    def assert_rows(self, cfg, per_geometry, spread):
+        """Each record matches the fsum mean over ``per_geometry`` and the
+        ddof=1 standard error over ``spread`` within 1e-14 relative."""
+        row_of = {pair: r for r, pair in
+                  enumerate(itertools.product(cfg.estimators, cfg.schemes))}
+        n_block_rows = 0
+        for line in records_to_csv(run_experiment(cfg)).splitlines()[1:]:
+            f = line.split(",")
+            r, tau = row_of[(f[2], f[1])], int(f[6])
+            values = [x[r, tau] for x in per_geometry]
+            mean = math.fsum(values) / len(values)
+            spread_values = [x[r, tau] for x in spread]
+            spread_mean = math.fsum(spread_values) / len(spread_values)
+            err = math.sqrt(math.fsum((v - spread_mean) ** 2 for v in spread_values)
+                            / (len(spread_values) - 1) / len(spread_values))
+            assert math.isclose(float(f[7]), mean, rel_tol=1e-14)
+            assert math.isclose(float(f[9]), err, rel_tol=1e-14)
+            n_block_rows += f[5] == "0"
+        assert n_block_rows == len(row_of)
+
+    def test_spread_over_geometries(self):
+        from cfofdm import harness
+
+        cfg = replace(ci_config(), n_geometries=3, n_trials=4,
+                      estimators=("pna_ofdm", "unaware"), schemes=("mr", "mmse"))
+        setup = harness.build_setup(cfg)
+        per_geometry = [harness.run_geometry(cfg, setup, g).se for g in range(3)]
+        assert per_geometry[0].shape == (4, 1 + cfg.block_symbols)
+        self.assert_rows(cfg, per_geometry, per_geometry)
+
+    def test_spread_over_trial_batches(self):
+        from cfofdm import harness
+
+        cfg = replace(ci_config(), n_geometries=1, n_trials=16,
+                      estimators=("pna_ofdm", "unaware"), schemes=("mr", "mmse"))
+        geom = harness.run_geometry(cfg, harness.build_setup(cfg), 0)
+        assert geom.batch_se.shape == (8, 4, 1 + cfg.block_symbols)
+        self.assert_rows(cfg, [geom.se], geom.batch_se)
 
 
 class TestDumpGeometry:
@@ -515,7 +561,7 @@ class TestInvalidRecordGuard:
         monkeypatch.setattr(se, "finalize_sinr", finalize_one_negative)
         geom = harness.run_geometry(cfg, harness.build_setup(cfg), 0)
         assert geom.n_invalid == 1
-        assert np.isfinite(geom.curves).all() and np.isfinite(geom.blocks).all()
+        assert np.isfinite(geom.se).all()
         calls.clear()
         text = records_to_csv(run_experiment(cfg))
         values = [float(v) for line in text.splitlines()[1:]

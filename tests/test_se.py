@@ -316,24 +316,25 @@ class TestFinalize:
 
 class TestSeAssembly:
     def test_equal_sinrs(self):
-        curve, block = se_from_sinr(np.full((2, 5), 3.0))
-        assert block == pytest.approx(2.0)
-        assert curve.shape == (5,)
-        assert np.allclose(curve, 2.0)
+        row = se_from_sinr(np.full((2, 5), 3.0))
+        assert row[0] == pytest.approx(2.0)
+        assert row.shape == (6,)
+        assert np.allclose(row[1:], 2.0)
 
     def test_zero_sinr(self):
-        curve, block = se_from_sinr(np.zeros((2, 4)))
-        assert block == 0.0
-        assert np.all(curve == 0.0)
+        row = se_from_sinr(np.zeros((2, 4)))
+        assert row[0] == 0.0
+        assert np.all(row[1:] == 0.0)
 
     def test_two_symbol_hand_value(self):
-        curve, block = se_from_sinr(np.array([[1.0, 3.0]]))
-        assert block == pytest.approx(1.5)
-        assert np.allclose(curve, [1.0, 2.0])
+        row = se_from_sinr(np.array([[1.0, 3.0]]))
+        assert row[0] == pytest.approx(1.5)
+        assert np.allclose(row[1:], [1.0, 2.0])
 
     def test_channel_use_mapping(self):
         layout = SimulationLayout(1200, 84, 15e3, 12, 15, (0,), tuple(range(1, 13)),
                                   2, 2, 1000.0)
+        assert symbol_of_channel_use(0, layout) == 0  # the block row
         assert symbol_of_channel_use(1, layout) == 1
         assert symbol_of_channel_use(12, layout) == 1
         assert symbol_of_channel_use(13, layout) == 2
@@ -342,30 +343,34 @@ class TestSeAssembly:
         assert symbol_of_channel_use(180, layout) == 15
         with pytest.raises(ValueError):
             symbol_of_channel_use(181, layout)
+        with pytest.raises(ValueError):
+            symbol_of_channel_use(-1, layout)
 
     def test_per_channel_use_expansion(self):
-        """Every channel use of the block reads the curve point of its symbol."""
+        """The block row reads entry 0, and every channel use of the block the
+        entry of its symbol."""
         layout = SimulationLayout(16, 2, 15e3, 8, 2, (0,), (1,), 2, 2, 100.0)
-        curve, _ = se_from_sinr(np.array([[1.0, 3.0]]))
+        row = se_from_sinr(np.array([[1.0, 3.0]]))
         n_uses = layout.block_subcarriers * layout.block_symbols
-        expanded = np.array([curve[symbol_of_channel_use(c, layout) - 1]
-                             for c in range(1, n_uses + 1)])
-        assert expanded.shape == (16,)
-        assert np.allclose(expanded[:8], 1.0)
-        assert np.allclose(expanded[8:], 2.0)
+        expanded = np.array([row[symbol_of_channel_use(c, layout)]
+                             for c in range(n_uses + 1)])
+        assert expanded.shape == (17,)
+        assert expanded[0] == pytest.approx(1.5)
+        assert np.allclose(expanded[1:9], 1.0)
+        assert np.allclose(expanded[9:], 2.0)
 
     def test_invalid_sinr_propagates(self):
-        """NaN records are averaged out; NaN reaches only a curve point or block
+        """NaN records are averaged out; NaN reaches only a symbol or block entry
         with no valid record behind it, and without a 0/0 warning."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            curve, block = se_from_sinr(np.array([[1.0, np.nan], [3.0, np.nan]]))
-            assert np.allclose(curve[0], 1.5) and np.isnan(curve[1])
-            assert block == pytest.approx(1.5)
-            _, block = se_from_sinr(np.array([[1.0, np.nan], [np.nan, np.nan]]))
-            assert block == pytest.approx(1.0)
-            curve, block = se_from_sinr(np.full((2, 2), np.nan))
-            assert np.isnan(curve).all() and np.isnan(block)
+            row = se_from_sinr(np.array([[1.0, np.nan], [3.0, np.nan]]))
+            assert np.allclose(row[1], 1.5) and np.isnan(row[2])
+            assert row[0] == pytest.approx(1.5)
+            row = se_from_sinr(np.array([[1.0, np.nan], [np.nan, np.nan]]))
+            assert row[0] == pytest.approx(1.0)
+            row = se_from_sinr(np.full((2, 2), np.nan))
+            assert np.isnan(row).all()
 
     def test_rows_equal_per_row_calls(self, rng):
         """Over leading axes every row equals its own call, and NaN appears only
@@ -376,13 +381,11 @@ class TestSeAssembly:
         sinr[1, 2] = np.nan         # a row without a valid record
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            curves, blocks = se_from_sinr(sinr)
-        assert curves.shape == (2, 3, 4) and blocks.shape == (2, 3)
+            rows = se_from_sinr(sinr)
+        assert rows.shape == (2, 3, 5)
         for idx in np.ndindex(2, 3):
-            curve, block = se_from_sinr(sinr[idx])
-            assert np.array_equal(curves[idx], curve, equal_nan=True)
-            assert np.array_equal(blocks[idx], block, equal_nan=True)
-        assert np.isnan(curves[1, 2]).all() and np.isnan(blocks[1, 2])
-        assert np.isnan(curves).sum() == 4 and np.isnan(blocks).sum() == 1
+            assert np.array_equal(rows[idx], se_from_sinr(sinr[idx]), equal_nan=True)
+        assert np.isnan(rows[1, 2]).all()
+        assert np.isnan(rows[..., 1:]).sum() == 4 and np.isnan(rows[..., 0]).sum() == 1
         per_ue = [np.log2(1 + r[~np.isnan(r)]).mean() for r in sinr[0, 1] if (r == r).any()]
-        assert blocks[0, 1] == pytest.approx(np.mean(per_ue), rel=1e-15)
+        assert rows[0, 1, 0] == pytest.approx(np.mean(per_ue), rel=1e-15)
