@@ -140,6 +140,7 @@ def run_trial(cfg: ExperimentConfig, setup: Setup, geom: Geometry,
     trace = gen_pn_trace(setup.pn, layout, rng)
     grids = ofdm.build_transmit_grids(layout, network.pilot_index, rng)
     y, cpe = ofdm.synth_pilot_observations(h, grids, trace, network, layout, rng)
+    del trace, grids  # the largest arrays of a trial; combining makes its own peak
     h_eff = cpe * h[:, :, 0][:, :, None]
 
     n_schemes = len(cfg.schemes)

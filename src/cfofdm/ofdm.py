@@ -47,12 +47,26 @@ def _constant_symbols(phase: np.ndarray) -> np.ndarray:
     return const
 
 
-def _symbol_phasors(phase: np.ndarray, constant: bool) -> np.ndarray:
-    """exp(j phase) of (nodes, N) phases; where every row is ``constant``, one
-    phasor per node, repeated, which gives the same values."""
+def _symbol_phasors(phase: np.ndarray, constant: bool, out: np.ndarray) -> np.ndarray:
+    """exp(j phase) of (nodes, N) phases, written into ``out``; where every row
+    is ``constant``, one phasor per node, broadcast, which gives the same values."""
     if constant:
-        return np.repeat(phasor(phase[:, :1]), phase.shape[1], axis=1)
-    return phasor(phase)
+        out[...] = phasor(phase[:, :1])
+    else:
+        np.cos(phase, out=out.real)
+        np.sin(phase, out=out.imag)
+    return out
+
+
+# Bytes of one (tile, N) complex array of the synthesis.  A tile height is a
+# multiple of 4, so the BLAS blocks each tile's CPE product as it blocks the
+# product over every AP, and the CPE comes out bitwise equal.
+_TILE_BYTES = 1 << 19
+
+
+def _tile_rows(n: int) -> int:
+    """APs per tile of the synthesis at N = ``n`` subcarriers."""
+    return max(4, _TILE_BYTES // (16 * n) // 4 * 4)
 
 
 def synth_pilot_observations(
@@ -68,7 +82,8 @@ def synth_pilot_observations(
 
     For every pilot slot (n, tau) and AP l the received sample is
     sum_k sqrt(p_k) * (J_{k,l} conv (h_{k,l} .* s_k))[n] + noise, with the
-    noise drawn from ``rng``.
+    noise drawn from ``rng``.  The APs are taken a tile at a time, so the
+    working set is a few (tile, N) arrays of about 0.5 MB each, never (L, N).
 
     Parameters
     ----------
@@ -95,40 +110,50 @@ def synth_pilot_observations(
     # fft(J_{k,l}) equals the time-domain phasor exp(j*theta) reversed mod N,
     # so the circular convolution never needs an explicit J vector.
     rev = (-np.arange(n)) % n
-    g = np.empty((L, n), dtype=complex)
-    fx = np.empty((L, n), dtype=complex)
-    fx_blocks = fx[:, : r_whole * nc].reshape(L, r_whole, nc)  # a view of fx
+    rows = _tile_rows(n)
+    e_ue = np.empty((K, n), dtype=complex)
+    ap_buf, fx_buf, g_buf = (np.empty((min(rows, L), n), dtype=complex) for _ in range(3))
     pilot_si = {t: si for si, t in enumerate(layout.pilot_symbols)}
     ue_const, ap_const = _constant_symbols(trace.ue_phase), _constant_symbols(trace.ap_phase)
     for t_sym in range(1, n_sym + 1):
-        e_ue = _symbol_phasors(trace.ue_phase[:, t_sym - 1], ue_const[t_sym - 1])  # (K, N)
-        e_ap = _symbol_phasors(trace.ap_phase[:, t_sym - 1], ap_const[t_sym - 1])  # (L, N)
-        cpe[:, :, t_sym - 1] = e_ue @ e_ap.T / n
-        if t_sym not in pilot_si:
-            continue
-        si = pilot_si[t_sym]
-        in_slot = np.flatnonzero(slot_sym == t_sym)
-        subs = slot_sub[in_slot]
+        _symbol_phasors(trace.ue_phase[:, t_sym - 1], ue_const[t_sym - 1], e_ue)
+        si = pilot_si.get(t_sym)
+        in_slot = np.flatnonzero(slot_sym == t_sym)  # empty off the pilot symbols
         # a phase constant over the symbol makes J a delta: no ICI at all
-        if ue_const[t_sym - 1] and ap_const[t_sym - 1]:
-            terms = (sqrt_p[:, None, None] * grids[:, si, subs][:, None, :]
+        ici = si is not None and not (ue_const[t_sym - 1] and ap_const[t_sym - 1])
+        if ici:
+            phases = np.exp(2j * np.pi * np.outer(slot_sub[in_slot], np.arange(n)) / n)
+            w_ue = sqrt_p[:, None] * e_ue[:, rev]  # (K, N)
+        for a in range(0, L, rows):
+            b = min(a + rows, L)
+            e_ap = _symbol_phasors(trace.ap_phase[a:b, t_sym - 1], ap_const[t_sym - 1],
+                                   ap_buf[: b - a])
+            cpe[:, a:b, t_sym - 1] = e_ue @ e_ap.T / n
+            if not ici:
+                continue
+            # g[l, m] = sum_k sqrt(p_k) e_ue[k, m] fft(h_{k,l} .* s_k)[m], one k at
+            # a time; h_{k,l} is constant over each block, the last one maybe
+            # partial.  A broadcast copy of h and a contiguous multiply beat one
+            # broadcast multiply, whose inner loop runs over only N_c samples.
+            fx, g = fx_buf[: b - a], g_buf[: b - a]
+            fx_blocks = fx[:, : r_whole * nc].reshape(b - a, r_whole, nc)  # a view of fx
+            for k in range(K):
+                fx_blocks[...] = h[k, a:b, :r_whole, None]
+                fx[:, r_whole * nc :] = h[k, a:b, r_whole:]
+                np.multiply(fx, grids[k, si], out=fx)
+                np.fft.fft(fx, axis=-1, out=fx)
+                if k == 0:
+                    np.multiply(fx, w_ue[k], out=g)
+                else:
+                    np.multiply(fx, w_ue[k], out=fx)
+                    np.add(g, fx, out=g)
+            g[:, 0] *= e_ap[:, 0]  # g *= e_ap[:, rev], through views
+            g[:, 1:] *= e_ap[:, :0:-1]
+            y[a:b, in_slot] = g @ phases.T / n
+        if si is not None and not ici:
+            terms = (sqrt_p[:, None, None] * grids[:, si, slot_sub[in_slot]][:, None, :]
                      * cpe[:, :, t_sym - 1, None] * h[:, :, :1])  # slots of block 1
             y[:, in_slot] = terms.sum(axis=0)
-            continue
-        # g[l, m] = sum_k sqrt(p_k) e_ue[k, m] fft(h_{k,l} .* s_k)[m], one k at a
-        # time; h_{k,l} is constant over each block, the last one maybe partial
-        w_ue = sqrt_p[:, None] * e_ue[:, rev]  # (K, N)
-        g.fill(0.0)
-        for k in range(K):
-            fx_blocks[...] = h[k, :, :r_whole, None]
-            fx[:, r_whole * nc :] = h[k, :, r_whole:]
-            np.multiply(fx, grids[k, si], out=fx)
-            np.fft.fft(fx, axis=-1, out=fx)
-            np.multiply(fx, w_ue[k], out=fx)
-            np.add(g, fx, out=g)
-        g *= e_ap[:, rev]
-        phases = np.exp(2j * np.pi * np.outer(subs, np.arange(n)) / n)
-        y[:, in_slot] = g @ phases.T / n
 
     y += np.sqrt(network.sigma2 / 2.0) * (
         rng.standard_normal((L, tau_p)) + 1j * rng.standard_normal((L, tau_p))

@@ -631,3 +631,36 @@ class TestStackedTrial:
             np.testing.assert_allclose(getattr(out, name), getattr(ref, name),
                                        rtol=1e-12, atol=0)
         assert out.count == 1
+
+
+class TestTrialMemory:
+    def test_trial_peak_within_synthesis_working_set(self):
+        """A phase-noise trial's traced peak stays below its trace, h and grids
+        plus the synthesis working set, derived from the AP tile: three (tile, N)
+        buffers, and three tiles' worth for the (K, N) UE phasors and weights,
+        the CPE, y and temporaries.  Four (L, N) arrays in the synthesis, or a
+        trace kept alive through combining, exceed it."""
+        import tracemalloc
+
+        from cfofdm import ofdm
+        from cfofdm.harness import build_geometry, build_setup, derived_rng, run_trial
+
+        cfg = replace(fig2_config(), n_subcarriers=600, n_aps=100, n_ues=10,
+                      n_geometries=1, n_trials=1)
+        setup = build_setup(cfg)
+        geom = build_geometry(cfg, setup, 0)
+        layout = setup.layout
+        K, L, n = layout.n_ues, layout.n_aps, layout.n_subcarriers
+        trace_bytes = (K + L) * layout.block_symbols * n * 8  # float64 phases
+        h_bytes = K * L * layout.n_blocks * 16
+        grids_bytes = K * len(layout.pilot_symbols) * n * 16
+        tile_bytes = ofdm._tile_rows(n) * n * 16  # 52 APs: 0.5 MB
+        budget = 6 * tile_bytes
+        assert budget < L * n * 16 * 4
+        tracemalloc.start()
+        try:
+            run_trial(cfg, setup, geom, derived_rng(cfg.master_seed, 1, 0, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < trace_bytes + h_bytes + grids_bytes + budget

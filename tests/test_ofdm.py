@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cfofdm import ofdm
 from cfofdm.network import NetworkRealization, SimulationLayout, gen_fir_taps
 from cfofdm.ofdm import build_transmit_grids, synth_pilot_observations, time_domain_oracle
 from cfofdm.phase_noise import KernelParams, PhaseNoiseTrace, PnParams, correlation_b_fast, cpe_per_symbol, gen_pn_trace, phase_drift
@@ -228,6 +229,35 @@ class TestSynthObservations:
         assert np.abs(y - ref.y).max() <= 1e-12 * np.abs(ref.y).max()
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
         assert np.array_equal(cpe, cpe_per_symbol(trace))
+
+    @pytest.mark.parametrize("case", ["pn", "no_pn", "partial_block", "two_pilot_columns"])
+    def test_ap_tiles_invariant(self, ci_layout, monkeypatch, case):
+        """Ragged AP tiles (8 + 8 + 8 + 6 of the 30 APs) give the one-tile y
+        within 1e-15 relative, the CPE of cpe_per_symbol bitwise, and leave the
+        generator in the same state."""
+        layout = ci_layout
+        if case == "two_pilot_columns":
+            layout = replace(layout, pilot_subcarriers=(0, 5))
+        if case == "partial_block":
+            layout = replace(layout, block_subcarriers=11)
+        K, L, n = layout.n_ues, layout.n_aps, layout.n_subcarriers
+        rng = np.random.default_rng(13)
+        network = make_network(layout, rng.uniform(0.1, 1.0, (K, L)),
+                               np.arange(K) % layout.tau_p, p=0.2, sigma2=1e-3)
+        h = rng.standard_normal((K, L, layout.n_blocks)) + 1j * rng.standard_normal(
+            (K, L, layout.n_blocks))
+        grids = build_transmit_grids(layout, network.pilot_index, rng)
+        gamma = 0.0 if case == "no_pn" else 4e-16
+        trace = gen_pn_trace(PnParams(2e9, gamma, gamma, layout.sample_time), layout, rng)
+        one_rng = copy.deepcopy(rng)
+        assert ofdm._tile_rows(n) >= L
+        y_one, _ = synth_pilot_observations(h, grids, trace, network, layout, one_rng)
+        monkeypatch.setattr(ofdm, "_TILE_BYTES", 8 * n * 16)
+        assert ofdm._tile_rows(n) == 8
+        y, cpe = synth_pilot_observations(h, grids, trace, network, layout, rng)
+        assert np.abs(y - y_one).max() <= 1e-15 * np.abs(y_one).max()
+        assert np.array_equal(cpe, cpe_per_symbol(trace))
+        assert rng.bit_generator.state == one_rng.bit_generator.state
 
 
 class TestTimeDomainOracle:
