@@ -17,51 +17,57 @@ def _masked_mmse_group(v, h_hat, err_var, network, group, members) -> None:
     """Regularized MMSE solves over ``members`` for every symbol, restricted to
     the cluster support S of ``group``, written into its UEs' rows of ``v``.
 
-    ``v``, ``h_hat`` and ``err_var`` are (tau_c, K, L); one stacked solve over
-    the (tau_c, |S|, |S|) systems, redone symbol by symbol if one is singular.
+    ``v``, ``h_hat`` and ``err_var`` are (..., tau_c, K, L); one stacked solve
+    over the (..., tau_c, |S|, |S|) systems, redone system by system if one is
+    singular.
     """
     ks, support = group.ues, group.support
-    h = h_hat[:, members[:, None], support]  # (tau_c, |members|, |S|)
-    c = err_var[:, members[:, None], support]
+    h = h_hat[..., members[:, None], support]  # (..., tau_c, |members|, |S|)
+    c = err_var[..., members[:, None], support]
     p = network.p[members]
-    a = (np.swapaxes(h, 1, 2) * p) @ h.conj()
+    a = (np.swapaxes(h, -1, -2) * p) @ h.conj()
     diag = np.arange(len(support))
-    a[:, diag, diag] += (p[:, None] * c).sum(axis=1) + network.sigma2
-    rhs = np.swapaxes(h_hat[:, ks[:, None], support], 1, 2)  # (tau_c, |S|, len(ks))
+    a[..., diag, diag] += (p[:, None] * c).sum(axis=-2) + network.sigma2
+    rhs = np.swapaxes(h_hat[..., ks[:, None], support], -1, -2)  # (..., tau_c, |S|, len(ks))
     try:
         sol = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:
         sol = np.empty_like(rhs)
-        for t in range(len(a)):
+        for idx in np.ndindex(a.shape[:-2]):
             try:
-                sol[t] = np.linalg.solve(a[t], rhs[t])
+                sol[idx] = np.linalg.solve(a[idx], rhs[idx])
             except np.linalg.LinAlgError:
-                log.warning("singular reduced combiner system for UEs %s at symbol %d; "
-                            "using pseudo-inverse", list(ks), t + 1)
-                sol[t] = np.linalg.pinv(a[t]) @ rhs[t]
-    v[:, ks[:, None], support] = network.p[ks][:, None] * np.swapaxes(sol, 1, 2)
+                at = "symbol %d" % (idx[-1] + 1)
+                if len(idx) > 1:
+                    at = "stacked estimate %s, %s" % (",".join(map(str, idx[:-1])), at)
+                log.warning("singular reduced combiner system for UEs %s at %s; "
+                            "using pseudo-inverse", ks.tolist(), at)
+                sol[idx] = np.linalg.pinv(a[idx]) @ rhs[idx]
+    v[..., ks[:, None], support] = network.p[ks][:, None] * np.swapaxes(sol, -1, -2)
 
 
 def combiner_matrix(scheme: str, h_hat: np.ndarray, err_var: np.ndarray,
                     network: NetworkRealization) -> np.ndarray:
-    """Length-L combining vectors for every symbol and UE: (tau_c, K, L), from
-    the (K, L, tau_c) estimates and their error variances.
+    """Length-L combining vectors for every symbol and UE: (..., tau_c, K, L),
+    from the (..., K, L, tau_c) estimates and their error variances.
 
-    Entries off a UE's serving cluster are zero.  For the MMSE variants, each
-    of ``network.groups`` (UEs with one cluster support) shares one stacked
-    solve over all symbols.
+    Leading axes stack estimates of one network, such as several estimators'
+    estimates of one trial; every stacked entry gives the combiners it would
+    give alone, bit for bit.  Entries off a UE's serving cluster are zero.  For
+    the MMSE variants, each of ``network.groups`` (UEs with one cluster
+    support) shares one stacked solve over all symbols and leading entries.
     """
     D = network.D
-    h_hat = np.moveaxis(h_hat, -1, 0)  # (tau_c, K, L)
+    h_hat = np.moveaxis(h_hat, -1, -3)  # (..., tau_c, K, L)
     if scheme == "mr":
         return D * h_hat
-    err_var = np.moveaxis(err_var, -1, 0)
+    err_var = np.moveaxis(err_var, -1, -3)
     if scheme == "lp_mmse":
         # each AP weighs its own estimate by the inverse of the locally served
         # signal-plus-interference power
         served_p = D * network.p[:, None]
-        den = (served_p * (np.abs(h_hat) ** 2 + err_var)).sum(axis=1) + network.sigma2
-        return served_p * h_hat / den[:, None, :]
+        den = (served_p * (np.abs(h_hat) ** 2 + err_var)).sum(axis=-2) + network.sigma2
+        return served_p * h_hat / den[..., None, :]
     if scheme not in ("p_mmse", "mmse"):
         raise ValueError("unknown combining scheme: %r" % (scheme,))
     v = np.zeros(h_hat.shape, dtype=complex)

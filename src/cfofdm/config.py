@@ -149,7 +149,10 @@ class ExperimentConfig:
             if s not in SCHEMES:
                 raise ConfigError("unknown scheme %r" % s)
         for key in ("estimators", "schemes"):
-            if len(set(getattr(self, key))) < len(getattr(self, key)):
+            entries = getattr(self, key)
+            if not entries:
+                raise ConfigError("%s must list at least one entry" % key)
+            if len(set(entries)) < len(entries):
                 raise ConfigError("%s lists an entry more than once" % key)
         if self.n_ues > self.n_aps * layout.tau_p:
             raise ConfigError(

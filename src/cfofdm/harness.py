@@ -128,12 +128,21 @@ def build_geometry(cfg: ExperimentConfig, setup: Setup, geometry_index: int) -> 
     return Geometry(network, contexts, se.lambda_ici(network, setup.table))
 
 
+# Bytes of the stacked (tau_c, K, L) complex combiners of one estimator chunk:
+# the synthesis tile budget.  A fig2 chunk is one estimator, a ci chunk all three.
+_CHUNK_BYTES = ofdm._TILE_BYTES
+
+
 def run_trial(cfg: ExperimentConfig, setup: Setup, geom: Geometry,
               rng: np.random.Generator) -> se.SinrAccumulator:
     """One Monte Carlo trial: draw, synthesize, estimate, combine, accumulate.
 
     Returns a single-trial accumulator over every result row: row
     e * len(cfg.schemes) + s holds estimator e with scheme s, in CSV order.
+    The estimators go in chunks, as many as fit ``_CHUNK_BYTES`` and at least
+    one: a chunk's estimates are stacked, and each scheme makes one combiner
+    call and one accumulate call over the chunk's rows of that scheme, the
+    strided row slice e0 * S + s, e0 * S + s + S, ... for S schemes.
     """
     layout, network = setup.layout, geom.network
     h = gen_channel(network.beta, layout, rng)
@@ -146,11 +155,17 @@ def run_trial(cfg: ExperimentConfig, setup: Setup, geom: Geometry,
     n_schemes = len(cfg.schemes)
     acc = se.SinrAccumulator(len(geom.contexts) * n_schemes, layout.n_ues,
                              layout.block_symbols)
-    for e, ctx in enumerate(geom.contexts):
-        h_hat = estimation.estimate_all(ctx, y)
+    per_call = max(1, _CHUNK_BYTES // (16 * layout.block_symbols * layout.n_ues
+                                        * layout.n_aps))
+    for e0 in range(0, len(geom.contexts), per_call):
+        chunk = geom.contexts[e0:e0 + per_call]
+        h_hat = np.stack([estimation.estimate_all(ctx, y) for ctx in chunk])
+        err_var = np.stack([ctx.err_var for ctx in chunk])
+        stop = (e0 + len(chunk)) * n_schemes
         for s, scheme in enumerate(cfg.schemes):
-            v = combining.combiner_matrix(scheme, h_hat, ctx.err_var, network)
-            acc.add_symbol(e * n_schemes + s, v, h_eff, geom.lam, network)
+            v = combining.combiner_matrix(scheme, h_hat, err_var, network)
+            acc.add_symbol(slice(e0 * n_schemes + s, stop, n_schemes), v, h_eff,
+                           geom.lam, network)
     acc.bump()
     return acc
 

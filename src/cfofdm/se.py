@@ -34,20 +34,23 @@ class SinrAccumulator:
         self.ici = np.zeros((n_rows, n_ues, n_symbols))
         self.vnorm = np.zeros((n_rows, n_ues, n_symbols))
 
-    def add_symbol(self, row: int, v: np.ndarray, h_eff: np.ndarray,
+    def add_symbol(self, rows, v: np.ndarray, h_eff: np.ndarray,
                    lam: np.ndarray, network: NetworkRealization) -> None:
-        """Accumulate one trial's terms of one row for all UEs and symbols.
+        """Accumulate one trial's terms of some rows for all UEs and symbols.
 
-        v is (tau_c, K, L), the combining vectors of every symbol; h_eff is
-        (K, L, tau_c), the effective channels; lam is the (L,) ICI power.
+        v is (tau_c, K, L), the combining vectors of every symbol, for one row
+        index ``rows``; or (n, tau_c, K, L) for a slice ``rows`` of n rows,
+        such as the strided slice of one scheme across several estimators.
+        h_eff is (K, L, tau_c), the effective channels; lam is the (L,) ICI
+        power.
         """
         vm = np.conj(v) * network.D
-        m = vm @ np.transpose(h_eff, (2, 1, 0))  # m[t, k, i] = v_tk^H D_k h_i(t)
-        self.gain[row] += np.diagonal(m, axis1=1, axis2=2).T
-        self.received[row] += (np.abs(m) ** 2 @ network.p).T
+        m = vm @ np.transpose(h_eff, (2, 1, 0))  # m[..., t, k, i] = v_tk^H D_k h_i(t)
+        self.gain[rows] += np.swapaxes(np.diagonal(m, axis1=-2, axis2=-1), -1, -2)
+        self.received[rows] += np.swapaxes(np.abs(m) ** 2 @ network.p, -1, -2)
         w = np.abs(vm) ** 2  # |D_k v_tk|^2 per AP
-        self.ici[row] += (w @ lam).T
-        self.vnorm[row] += w.sum(axis=2).T
+        self.ici[rows] += np.swapaxes(w @ lam, -1, -2)
+        self.vnorm[rows] += np.swapaxes(w.sum(axis=-1), -1, -2)
 
     def bump(self) -> None:
         """Mark one full trial as accumulated."""

@@ -10,7 +10,7 @@ from cfofdm.config import ci_config
 from cfofdm.harness import derived_rng
 from cfofdm.network import NetworkRealization, generate_network
 
-from combining_oracle import combiner_matrix_at
+from combining_oracle import combiner_matrix_at, combiner_matrix_per_estimate
 
 
 def make_setup(h_hat, err_var, D, p=0.2, sigma2=1e-3):
@@ -150,13 +150,13 @@ class TestMmse:
             assert np.isfinite(v).all()
 
 
-def ci_estimates(seed):
+def ci_estimates(seed, stack=()):
     """A ci geometry with random estimates of the channels' scale on every
-    symbol of the block."""
+    symbol of the block: (*stack, K, L, tau_c), one draw per stacked entry."""
     layout = ci_config().layout()
     network = generate_network(layout, derived_rng(seed, 0, 0))
     rng = np.random.default_rng(seed)
-    shape = (layout.n_ues, layout.n_aps, layout.block_symbols)
+    shape = stack + (layout.n_ues, layout.n_aps, layout.block_symbols)
     beta = network.beta[:, :, None]
     h = np.sqrt(beta / 2) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     c = 0.1 * beta * rng.uniform(size=shape)
@@ -181,6 +181,18 @@ class TestStackedMatchesPerSymbolOracle:
         for tau in range(1, v.shape[0] + 1):
             ref = combiner_matrix_at(scheme, *est, network, tau)
             np.testing.assert_allclose(v[tau - 1], ref, rtol=1e-12, atol=0)
+
+
+class TestStackedEstimates:
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_stack_equals_per_estimate_calls(self, scheme):
+        """Three stacked estimates give bit for bit the combiners of one call
+        each, on a geometry with several cluster groups."""
+        est, network = ci_estimates(5, stack=(3,))
+        assert len(network.groups) >= 2
+        v = combiner_matrix(scheme, *est, network)
+        assert v.shape == (3, est[0].shape[-1]) + network.D.shape
+        assert np.array_equal(v, combiner_matrix_per_estimate(scheme, *est, network))
 
 
 class TestPinvFallback:
@@ -223,3 +235,36 @@ class TestPinvFallback:
                 group = tuple(np.flatnonzero((D == D[k]).all(axis=1)))
                 if (group, t + 1) not in bad:
                     assert np.array_equal(v[t, k], normal[t, k])
+
+    @pytest.mark.parametrize("scheme", ("p_mmse", "mmse"))
+    def test_stacked_fallback_names_estimate_and_symbol(self, scheme, monkeypatch, caplog):
+        """In a (2, K, L, tau_c) stack with one singular system, in estimate 1,
+        only that system takes the pseudo-inverse: one warning, and estimate
+        0's combiners stay bitwise those of the stacked solve."""
+        h = np.ones((2, 3, 4, 4), dtype=complex) * (1 + 0.5j)
+        h += 0.1 * np.arange(96).reshape(2, 3, 4, 4)
+        c = np.full((2, 3, 4, 4), 0.01)
+        D = np.array([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1]])
+        h[1, :, 2:, 2] = 0.0  # group {2} (support {2, 3}) at tau 3 reduces to sigma2 * I
+        c[1, :, 2:, 2] = 0.0
+        _, network = make_setup(h[0], c[0], D)
+        normal = combiner_matrix(scheme, h, c, network)
+
+        real_solve = np.linalg.solve
+
+        def solve(a, b):
+            eye = network.sigma2 * np.eye(a.shape[-1])
+            if (a == eye).all(axis=(-2, -1)).any():
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        with caplog.at_level("WARNING", logger="cfofdm.combining"):
+            v = combiner_matrix(scheme, h, c, network)
+        warnings = [r for r in caplog.records if r.name == "cfofdm.combining"]
+        assert len(warnings) == 1
+        assert "UEs [2] at stacked estimate 1, symbol 3" in warnings[0].getMessage()
+        assert np.array_equal(v[0], normal[0])
+        assert np.all(v[1, 2, 2, 2:] == 0)  # pinv of sigma2*I, zero rhs
+        v[1, 2, 2, 2:] = normal[1, 2, 2, 2:]
+        assert np.array_equal(v, normal)

@@ -120,6 +120,14 @@ class TestConfigParsing:
             parse_config("estimators = magic")
 
     @pytest.mark.parametrize("key", ["estimators", "schemes"])
+    def test_empty_list_rejected(self, key):
+        cfg = replace(ci_config(), **{key: ()})
+        with pytest.raises(ConfigError, match="%s must list at least one entry" % key):
+            cfg.validate()
+        with pytest.raises(ConfigError, match=key):
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize("key", ["estimators", "schemes"])
     def test_duplicate_entries_rejected(self, key):
         value = {"estimators": "pna_ofdm, unaware, pna_ofdm", "schemes": "mr, mr"}[key]
         with pytest.raises(ConfigError, match="%s lists an entry more than once" % key):
@@ -631,6 +639,37 @@ class TestStackedTrial:
             np.testing.assert_allclose(getattr(out, name), getattr(ref, name),
                                        rtol=1e-12, atol=0)
         assert out.count == 1
+
+    def test_chunk_of_one_estimator_matches_one_stacked_chunk(self, monkeypatch):
+        """At ci all three estimators go in one stacked call per scheme; forcing
+        one estimator per call gives bit for bit the same accumulators."""
+        from cfofdm import combining, harness
+        from cfofdm.combining import SCHEMES
+        from cfofdm.harness import build_geometry, build_setup, derived_rng, run_trial
+
+        cfg = replace(ci_config(), schemes=SCHEMES,
+                      estimators=("pna_ofdm", "pna_sc", "unaware"))
+        setup = build_setup(cfg)
+        geom = build_geometry(cfg, setup, 0)
+        layout = setup.layout
+        rng = derived_rng(cfg.master_seed, 1, 0, 0)
+        stacks = []
+        real = combining.combiner_matrix
+
+        def counted(scheme, h_hat, *args):
+            stacks.append(len(h_hat))
+            return real(scheme, h_hat, *args)
+
+        monkeypatch.setattr(combining, "combiner_matrix", counted)
+        stacked = run_trial(cfg, setup, geom, copy.deepcopy(rng))
+        assert stacks == [3] * 4
+        del stacks[:]
+        one = 16 * layout.block_symbols * layout.n_ues * layout.n_aps
+        monkeypatch.setattr(harness, "_CHUNK_BYTES", 2 * one - 1)
+        single = run_trial(cfg, setup, geom, rng)
+        assert stacks == [1] * 12
+        for name in ("gain", "received", "ici", "vnorm"):
+            assert np.array_equal(getattr(stacked, name), getattr(single, name))
 
 
 class TestTrialMemory:

@@ -131,6 +131,27 @@ class TestAccumulator:
         assert np.allclose(merged.gain, seq.gain)
         assert np.allclose(merged.received, seq.received)
 
+    def test_strided_row_slice_equals_per_row_calls(self, rng):
+        """One call over the strided rows of one scheme (row e * S + s for
+        estimators e = 1, 2 of 3, S = 2 schemes) adds bit for bit what one call
+        per row adds, and leaves every other row alone."""
+        from combining_oracle import add_symbol_per_row
+
+        layout = SimulationLayout(16, 2, 15e3, 8, 3, (0,), (1,), 3, 2, 100.0)
+        network = make_network(layout, np.ones((2, 3)), [0, 1], sigma2=1e-3)
+        network = replace(network, D=np.array([[1, 0, 1], [1, 1, 0]], dtype=np.int8))
+        h_eff = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+        v = rng.standard_normal((2, 3, 2, 3)) + 1j * rng.standard_normal((2, 3, 2, 3))
+        lam = rng.uniform(size=3)
+        rows = slice(1 * 2 + 1, 3 * 2, 2)
+        stacked, per_row = SinrAccumulator(6, 2, 3), SinrAccumulator(6, 2, 3)
+        stacked.add_symbol(rows, v, h_eff, lam, network)
+        add_symbol_per_row(per_row, rows, v, h_eff, lam, network)
+        for name in ("gain", "received", "ici", "vnorm"):
+            got = getattr(stacked, name)
+            assert np.array_equal(got, getattr(per_row, name))
+            assert not got[[0, 1, 2, 4]].any() and got[[3, 5]].all()
+
     def test_footprint_has_no_ue_pair_axis(self):
         """Every array is (rows, K, tau_c): at fig3's K=100 the whole accumulator
         is smaller than one (rows, K, tau_c, K) array of reals."""
