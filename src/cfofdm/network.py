@@ -232,22 +232,23 @@ def assign_pilots(beta: np.ndarray, tau_p: int, policy: str = "round_robin") -> 
     """Assign a 0-based pilot index to every UE.
 
     ``round_robin``: t_k = k mod tau_p.  ``greedy``: UEs in descending order of
-    their strongest link pick the pilot with the least accumulated gain at
-    their strongest AP.
+    their strongest link pick, among the pilots with fewer than L UEs, the one
+    with the least accumulated gain at their strongest AP.  A pilot holds at
+    most L UEs because each needs its own (AP, pilot) slot for its master claim
+    in ``form_dcc``; with K <= L * tau_p a pilot with room always exists.
     """
-    K = beta.shape[0]
+    K, L = beta.shape
     if policy == "round_robin":
         return np.arange(K) % tau_p
     if policy != "greedy":
         raise ValueError("unknown pilot policy: %r" % (policy,))
     t = np.full(K, -1, dtype=int)
-    order = np.argsort(-beta.max(axis=1), kind="stable")
-    for k in order:
-        l_star = int(np.argmax(beta[k]))
-        contamination = np.zeros(tau_p)
-        for i in np.flatnonzero(t >= 0):
-            contamination[t[i]] += beta[i, l_star]
-        t[k] = int(np.argmin(contamination))
+    for k in np.argsort(-beta.max(axis=1), kind="stable"):
+        on = t >= 0
+        load = np.zeros(tau_p)
+        np.add.at(load, t[on], beta[on, np.argmax(beta[k])])  # in UE order
+        load[np.bincount(t[on], minlength=tau_p) >= L] = np.inf
+        t[k] = np.argmin(load)
     return t
 
 
@@ -260,29 +261,22 @@ def form_dcc(beta: np.ndarray, pilot_index: np.ndarray, tau_p: int) -> np.ndarra
     (AP, pilot) and at least one serving AP per UE.
     """
     K, L = beta.shape
-    winner = {}  # (l, t) -> strongest UE using pilot t, from AP l's view
-    for t in np.unique(pilot_index):
+    used = np.unique(pilot_index)
+    serve = np.zeros((L, tau_p), dtype=int)  # serve[l, t]: the UE AP l serves on pilot t
+    for t in used:
         users = np.flatnonzero(pilot_index == t)
-        best = users[np.argmax(beta[users, :], axis=0)]
-        for l in range(L):
-            winner[(l, int(t))] = int(best[l])
-
-    forced = {}  # (l, t) -> UE whose master claim pinned this slot
-    order = np.argsort(-beta.max(axis=1), kind="stable")
-    for k in order:
-        t = int(pilot_index[k])
-        for l in np.argsort(-beta[k]):
-            if (int(l), t) not in forced:
-                forced[(int(l), t)] = int(k)
-                break
-        else:
+        serve[:, t] = users[np.argmax(beta[users, :], axis=0)]
+    claimed = np.zeros((L, tau_p), dtype=bool)  # slots pinned by a master claim
+    for k in np.argsort(-beta.max(axis=1), kind="stable"):
+        t = pilot_index[k]
+        aps = np.argsort(-beta[k])
+        free = aps[~claimed[aps, t]]
+        if not free.size:
             raise RuntimeError("no AP available to serve UE %d" % k)
-
+        serve[free[0], t] = k
+        claimed[free[0], t] = True
     D = np.zeros((K, L), dtype=np.int8)
-    for l in range(L):
-        for t in np.unique(pilot_index):
-            k = forced.get((l, int(t)), winner[(l, int(t))])
-            D[k, l] = 1
+    D[serve[:, used], np.arange(L)[:, None]] = 1
     return D
 
 

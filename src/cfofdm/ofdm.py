@@ -38,13 +38,12 @@ def build_transmit_grids(
     return grids
 
 
-def _constant_symbols(phase: np.ndarray) -> np.ndarray:
-    """(tau_c,) whether every node's phase is constant over each symbol, from
-    (nodes, tau_c, N) phases; only symbols whose ends agree are scanned whole."""
-    const = (phase[:, :, -1] == phase[:, :, 0]).all(axis=0)
-    for t in np.flatnonzero(const):
-        const[t] = (phase[:, t] == phase[:, t, :1]).all()
-    return const
+def _constant_phase(phase: np.ndarray) -> bool:
+    """Whether every node's phase is constant over each symbol, from (nodes,
+    tau_c, N) phases.  A walk of ``gen_pn_trace`` is so over every symbol
+    (sigma^2 = 0) or over none; the symbol ends are compared first, so a varying
+    walk costs no full scan."""
+    return bool((phase[:, :, -1] == phase[:, :, 0]).all() and (phase == phase[:, :, :1]).all())
 
 
 def _symbol_phasors(phase: np.ndarray, constant: bool, out: np.ndarray) -> np.ndarray:
@@ -114,20 +113,19 @@ def synth_pilot_observations(
     e_ue = np.empty((K, n), dtype=complex)
     ap_buf, fx_buf, g_buf = (np.empty((min(rows, L), n), dtype=complex) for _ in range(3))
     pilot_si = {t: si for si, t in enumerate(layout.pilot_symbols)}
-    ue_const, ap_const = _constant_symbols(trace.ue_phase), _constant_symbols(trace.ap_phase)
+    ue_const, ap_const = _constant_phase(trace.ue_phase), _constant_phase(trace.ap_phase)
     for t_sym in range(1, n_sym + 1):
-        _symbol_phasors(trace.ue_phase[:, t_sym - 1], ue_const[t_sym - 1], e_ue)
+        _symbol_phasors(trace.ue_phase[:, t_sym - 1], ue_const, e_ue)
         si = pilot_si.get(t_sym)
         in_slot = np.flatnonzero(slot_sym == t_sym)  # empty off the pilot symbols
         # a phase constant over the symbol makes J a delta: no ICI at all
-        ici = si is not None and not (ue_const[t_sym - 1] and ap_const[t_sym - 1])
+        ici = si is not None and not (ue_const and ap_const)
         if ici:
             phases = np.exp(2j * np.pi * np.outer(slot_sub[in_slot], np.arange(n)) / n)
             w_ue = sqrt_p[:, None] * e_ue[:, rev]  # (K, N)
         for a in range(0, L, rows):
             b = min(a + rows, L)
-            e_ap = _symbol_phasors(trace.ap_phase[a:b, t_sym - 1], ap_const[t_sym - 1],
-                                   ap_buf[: b - a])
+            e_ap = _symbol_phasors(trace.ap_phase[a:b, t_sym - 1], ap_const, ap_buf[: b - a])
             cpe[:, a:b, t_sym - 1] = e_ue @ e_ap.T / n
             if not ici:
                 continue

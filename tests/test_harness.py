@@ -417,6 +417,14 @@ class TestCli:
         monkeypatch.setattr(se, "finalize_sinr", all_invalid_finalize)
         assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 3
 
+    def test_greedy_pilots_within_slot_budget_exit_code(self, tmp_path):
+        """K = n_aps * tau_p passes validation, so it runs: greedy pilots leave
+        every UE an (AP, pilot) slot of its own."""
+        argv = ["fig2", "n_subcarriers=120", "block_symbols=5", "pilot_symbols=1:4",
+                "shadow_sigma_db=0", "n_aps=10", "n_ues=40", "pilot_policy=greedy",
+                "n_geometries=3", "n_trials=2", "--seed", "1", "--out", str(tmp_path / "o.csv")]
+        assert cli_main(argv) == 0
+
     def test_validate_exit_code(self):
         assert cli_main(["validate"]) == 0
 

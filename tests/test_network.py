@@ -13,6 +13,8 @@ from cfofdm.network import (
     place_nodes,
 )
 
+from network_oracle import assign_pilots_greedy_loop, form_dcc_dicts
+
 
 def make_layout(**kw):
     base = dict(
@@ -159,6 +161,20 @@ class TestPilotAssignment:
         t = assign_pilots(beta, 2, policy="greedy")
         assert set(t.tolist()) == {0, 1}
 
+    @pytest.mark.parametrize("n_aps", [2, 4, 10])
+    def test_greedy_never_overfills_a_pilot(self, n_aps):
+        """At K = L * tau_p no pilot carries more than L UEs, so every UE's
+        master claim finds an (AP, pilot) slot and form_dcc serves it."""
+        tau_p = 4
+        layout = make_layout(n_aps=n_aps, n_ues=n_aps * tau_p, pilot_symbols=(1, 2, 3, 4))
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            ap, ue = place_nodes(layout, rng)
+            beta = large_scale_fading(ue, ap, layout.area_side, rng, shadow_sigma_db=8.0)
+            t = assign_pilots(beta, tau_p, policy="greedy")
+            assert np.bincount(t, minlength=tau_p).max() <= n_aps
+            assert (form_dcc(beta, t, tau_p).sum(axis=1) >= 1).all()
+
 
 class TestDcc:
     def test_single_ue_all_ones(self):
@@ -203,6 +219,30 @@ class TestDcc:
                 pilots_used = t[served]
                 assert len(np.unique(pilots_used)) == len(pilots_used)
                 assert len(served) <= tau_p
+
+    @pytest.mark.parametrize("shadow_db", [0.0, 4.0, 8.0])
+    @pytest.mark.parametrize("n_aps, n_ues, tau_p", [
+        pytest.param(30, 5, 4, id="ci"),
+        pytest.param(200, 10, 12, id="fig2"),
+        pytest.param(30, 3, 12, id="fewer_ues_than_pilots"),
+        pytest.param(30, 20, 4, id="more_ues_than_pilots"),
+        pytest.param(200, 100, 12, id="k100"),
+    ])
+    def test_matches_loop_reference(self, n_aps, n_ues, tau_p, shadow_db):
+        """Pilots and D are bitwise those of the dict- and loop-based reference,
+        for both policies; with K <= L no pilot can overfill, where the greedy
+        reference, which has no capacity rule, would differ."""
+        layout = make_layout(n_aps=n_aps, n_ues=n_ues, pilot_symbols=tuple(range(1, tau_p + 1)))
+        rng = np.random.default_rng(22)
+        for _ in range(4):
+            ap, ue = place_nodes(layout, rng)
+            beta = large_scale_fading(ue, ap, layout.area_side, rng, shadow_sigma_db=shadow_db)
+            for t, t_ref in ((assign_pilots(beta, tau_p), np.arange(n_ues) % tau_p),
+                             (assign_pilots(beta, tau_p, policy="greedy"),
+                              assign_pilots_greedy_loop(beta, tau_p))):
+                assert np.array_equal(t, t_ref)
+                D, D_ref = form_dcc(beta, t, tau_p), form_dcc_dicts(beta, t, tau_p)
+                assert D.dtype == D_ref.dtype and np.array_equal(D, D_ref)
 
 
 class TestChannel:

@@ -30,6 +30,14 @@ def constant_trace(layout, value=0.0):
                            ue_phase=np.full(shape_ue, value / 2))
 
 
+def pn_params(case, layout):
+    """Oscillators of a synthesis test case: none for ``no_pn``, only the APs'
+    or only the UEs' for ``ap_only_pn`` and ``ue_only_pn``, both otherwise."""
+    gamma_ap = 0.0 if case in ("no_pn", "ue_only_pn") else 4e-16
+    gamma_ue = 0.0 if case in ("no_pn", "ap_only_pn") else 4e-16
+    return PnParams(2e9, gamma_ap, gamma_ue, layout.sample_time)
+
+
 def book_layout(tau_p):
     """A layout with tau_p pilot symbols on one pilot subcarrier."""
     return SimulationLayout(
@@ -197,12 +205,13 @@ class TestSynthObservations:
         se = power.std(ddof=1) / np.sqrt(power.size)
         assert abs(power.mean() - expect) <= 3 * se
 
-    @pytest.mark.parametrize("case", ["pn", "no_pn", "shared_data", "two_pilot_columns",
-                                      "partial_block", "partial_block_no_pn"])
+    @pytest.mark.parametrize("case", ["pn", "no_pn", "ap_only_pn", "ue_only_pn", "shared_data",
+                                      "two_pilot_columns", "partial_block",
+                                      "partial_block_no_pn"])
     def test_matches_decomposed_oracle(self, ci_layout, case):
         """The synthesis gives the decomposed oracle's y, returns the CPE of
         every symbol bitwise as cpe_per_symbol does, and leaves the generator in
-        the same state."""
+        the same state; also where only one node kind has phase noise."""
         layout = ci_layout
         if case == "two_pilot_columns":
             layout = replace(layout, pilot_subcarriers=(0, 5))
@@ -220,8 +229,7 @@ class TestSynthObservations:
             (K, L, layout.n_blocks))
         grids = build_transmit_grids(layout, network.pilot_index, rng,
                                      shared_data=case == "shared_data")
-        gamma = 0.0 if case == "no_pn" else 4e-16
-        trace = gen_pn_trace(PnParams(2e9, gamma, gamma, layout.sample_time), layout, rng)
+        trace = gen_pn_trace(pn_params(case, layout), layout, rng)
         oracle_rng = copy.deepcopy(rng)
         y, cpe = synth_pilot_observations(h, grids, trace, network, layout, rng)
         ref = decomposed_pilot_observations(h, grids, trace, network, layout, oracle_rng)
@@ -230,7 +238,8 @@ class TestSynthObservations:
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
         assert np.array_equal(cpe, cpe_per_symbol(trace))
 
-    @pytest.mark.parametrize("case", ["pn", "no_pn", "partial_block", "two_pilot_columns"])
+    @pytest.mark.parametrize("case", ["pn", "no_pn", "ap_only_pn", "ue_only_pn",
+                                      "partial_block", "two_pilot_columns"])
     def test_ap_tiles_invariant(self, ci_layout, monkeypatch, case):
         """Ragged AP tiles (8 + 8 + 8 + 6 of the 30 APs) give the one-tile y
         within 1e-15 relative, the CPE of cpe_per_symbol bitwise, and leave the
@@ -247,8 +256,7 @@ class TestSynthObservations:
         h = rng.standard_normal((K, L, layout.n_blocks)) + 1j * rng.standard_normal(
             (K, L, layout.n_blocks))
         grids = build_transmit_grids(layout, network.pilot_index, rng)
-        gamma = 0.0 if case == "no_pn" else 4e-16
-        trace = gen_pn_trace(PnParams(2e9, gamma, gamma, layout.sample_time), layout, rng)
+        trace = gen_pn_trace(pn_params(case, layout), layout, rng)
         one_rng = copy.deepcopy(rng)
         assert ofdm._tile_rows(n) >= L
         y_one, _ = synth_pilot_observations(h, grids, trace, network, layout, one_rng)
