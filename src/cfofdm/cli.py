@@ -40,11 +40,11 @@ def _int_at_least(lo: int, hi: float = math.inf):
 def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="override master_seed")
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    p.add_argument("--threads", type=_int_at_least(1), default=1,
-                   help="worker threads for Monte Carlo trials (>= 1): about 2x "
-                        "faster on 2 threads at fig2 scale, no faster (or slower) "
-                        "at small layouts; the output is byte-identical for every "
-                        "value")
+    p.add_argument("--threads", type=_int_at_least(1, 64), default=1,
+                   help="worker threads for Monte Carlo trials, 1 to 64 (each is an OS "
+                        "thread): about 2x faster on 2 threads at fig2 scale, no faster "
+                        "(or slower) at small layouts; the output is byte-identical for "
+                        "every value")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -49,7 +49,7 @@ def _masked_mmse_group(v, h_hat, err_var, network, group, members) -> None:
 def combiner_matrix(scheme: str, h_hat: np.ndarray, err_var: np.ndarray,
                     network: NetworkRealization) -> np.ndarray:
     """Length-L combining vectors for every symbol and UE: (..., tau_c, K, L),
-    from the (..., K, L, tau_c) estimates and their error variances.
+    from the estimates and their error variances in that same layout.
 
     Leading axes stack estimates of one network, such as several estimators'
     estimates of one trial; every stacked entry gives the combiners it would
@@ -58,10 +58,8 @@ def combiner_matrix(scheme: str, h_hat: np.ndarray, err_var: np.ndarray,
     support) shares one stacked solve over all symbols and leading entries.
     """
     D = network.D
-    h_hat = np.moveaxis(h_hat, -1, -3)  # (..., tau_c, K, L)
     if scheme == "mr":
         return D * h_hat
-    err_var = np.moveaxis(err_var, -1, -3)
     if scheme == "lp_mmse":
         # each AP weighs its own estimate by the inverse of the locally served
         # signal-plus-interference power

@@ -176,10 +176,10 @@ _PARSERS = {f.name: _PARSE_TYPE[f.type] for f in fields(ExperimentConfig)}
 def parse_config(text: str, base: ExperimentConfig = None) -> ExperimentConfig:
     """Parse flat ``key = value`` text ('#' comments) over the defaults.
 
-    Unknown keys and unparsable values raise ConfigError with the line number.
+    Unknown or repeated keys and unparsable values raise ConfigError with the line number.
     """
     cfg = base if base is not None else ExperimentConfig()
-    updates = {}
+    updates, line_of = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -189,6 +189,9 @@ def parse_config(text: str, base: ExperimentConfig = None) -> ExperimentConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _PARSERS:
             raise ConfigError("line %d: unknown key %r" % (lineno, key))
+        if key in line_of:
+            raise ConfigError("line %d: %s already set on line %d" % (lineno, key, line_of[key]))
+        line_of[key] = lineno
         try:
             updates[key] = _PARSERS[key](value)
         except (ValueError, TypeError) as exc:
@@ -209,7 +212,7 @@ def load_config(path: str, base: ExperimentConfig = None) -> ExperimentConfig:
 
 
 def apply_overrides(cfg: ExperimentConfig, overrides) -> ExperimentConfig:
-    """Apply command-line ``key=value`` overrides onto a configuration."""
+    """Apply command-line ``key=value`` overrides, one per line, onto a configuration."""
     text = "\n".join(overrides)
     return parse_config(text, base=cfg)
 

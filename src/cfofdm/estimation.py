@@ -143,14 +143,15 @@ class EstimatorContext:
     """Statistics-only estimator state, reusable across all Monte Carlo trials.
 
     The estimate of UE k at AP l and symbol tau is
-    h_hat = scale[l, k] * rhs[:, k * tau_c + tau - 1]^H Psi_l^{-1} y_l.
+    h_hat = scale[l, k] * rhs[:, k * tau_c + tau - 1]^H Psi_l^{-1} y_l.  Like
+    the estimates, ``eps`` and ``err_var`` are (tau_c, K, L): symbol first.
     """
 
     psi: np.ndarray      # (L, tau_p, tau_p) pilot observation covariances Psi_l
     rhs: np.ndarray      # (tau_p, K * tau_c) columns B^(tau)H s_{t_k}, (k, tau) pairs
     scale: np.ndarray    # (L, K) sqrt(p_k) beta_kl
-    eps: np.ndarray      # (K, L, tau_c) estimate variances
-    err_var: np.ndarray  # (K, L, tau_c) error variances beta - eps
+    eps: np.ndarray      # (tau_c, K, L) estimate variances
+    err_var: np.ndarray  # (tau_c, K, L) error variances beta - eps
 
 
 def build_context(network: NetworkRealization, model: EstimatorModel) -> EstimatorContext:
@@ -163,16 +164,16 @@ def build_context(network: NetworkRealization, model: EstimatorModel) -> Estimat
     sol = np.linalg.solve(psi, rhs_used)  # (L, tau_p, |used| * tau_c): Psi_l^{-1} rhs
     quad = np.real(np.sum(np.conj(rhs_used) * sol, axis=1)).reshape(L, used.size, -1)[:, seq_of]
     scale = np.sqrt(network.p)[None, :] * network.beta.T
-    eps = network.p[:, None, None] * network.beta[:, :, None] ** 2 * quad.transpose(1, 0, 2)
+    eps = network.p[:, None] * network.beta ** 2 * quad.transpose(2, 1, 0)
     return EstimatorContext(psi=psi, rhs=rhs[:, network.pilot_index].reshape(tau_p, -1),
-                            scale=scale, eps=eps, err_var=network.beta[:, :, None] - eps)
+                            scale=scale, eps=eps, err_var=network.beta - eps)
 
 
 def estimate_all(ctx: EstimatorContext, y: np.ndarray) -> np.ndarray:
-    """Estimates h_hat (K, L, tau_c) for every (UE, AP, symbol) from stacked
+    """Estimates h_hat (tau_c, K, L) for every (symbol, UE, AP) from stacked
     pilot observations (L, tau_p); each is reused on every subcarrier of the
-    coherence block."""
+    coherence block.  The result is a view of the (L, K, tau_c) product."""
     L, K = ctx.scale.shape
     z = np.linalg.solve(ctx.psi, y[:, :, None])[:, :, 0]  # (L, tau_p): Psi_l^{-1} y_l
     h_hat = (z @ np.conj(ctx.rhs)).reshape(L, K, -1) * ctx.scale[:, :, None]
-    return np.ascontiguousarray(h_hat.transpose(1, 0, 2))
+    return h_hat.transpose(2, 1, 0)

@@ -3,7 +3,6 @@ result aggregation, and CSV persistence."""
 
 from __future__ import annotations
 
-import itertools
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -137,12 +136,11 @@ def run_trial(cfg: ExperimentConfig, setup: Setup, geom: Geometry,
               rng: np.random.Generator) -> se.SinrAccumulator:
     """One Monte Carlo trial: draw, synthesize, estimate, combine, accumulate.
 
-    Returns a single-trial accumulator over every result row: row
-    e * len(cfg.schemes) + s holds estimator e with scheme s, in CSV order.
-    The estimators go in chunks, as many as fit ``_CHUNK_BYTES`` and at least
-    one: a chunk's estimates are stacked, and each scheme makes one combiner
-    call and one accumulate call over the chunk's rows of that scheme, the
-    strided row slice e0 * S + s, e0 * S + s + S, ... for S schemes.
+    Returns a single-trial accumulator of shape (E, S, tau_c, K): entry
+    [e, s] holds estimator e with scheme s.  The estimators go in chunks, as
+    many as fit ``_CHUNK_BYTES`` and at least one: a chunk's estimates are
+    stacked, and each scheme makes one combiner call and one accumulate call
+    over the chunk's entries [e0:e1, s].
     """
     layout, network = setup.layout, geom.network
     h = gen_channel(network.beta, layout, rng)
@@ -150,32 +148,30 @@ def run_trial(cfg: ExperimentConfig, setup: Setup, geom: Geometry,
     grids = ofdm.build_transmit_grids(layout, network.pilot_index, rng)
     y, cpe = ofdm.synth_pilot_observations(h, grids, trace, network, layout, rng)
     del trace, grids  # the largest arrays of a trial; combining makes its own peak
-    h_eff = cpe * h[:, :, 0][:, :, None]
+    h_eff = cpe * h[:, :, 0]
 
-    n_schemes = len(cfg.schemes)
-    acc = se.SinrAccumulator(len(geom.contexts) * n_schemes, layout.n_ues,
-                             layout.block_symbols)
+    acc = se.SinrAccumulator((len(geom.contexts), len(cfg.schemes), layout.block_symbols,
+                              layout.n_ues))
     per_call = max(1, _CHUNK_BYTES // (16 * layout.block_symbols * layout.n_ues
                                         * layout.n_aps))
     for e0 in range(0, len(geom.contexts), per_call):
         chunk = geom.contexts[e0:e0 + per_call]
         h_hat = np.stack([estimation.estimate_all(ctx, y) for ctx in chunk])
         err_var = np.stack([ctx.err_var for ctx in chunk])
-        stop = (e0 + len(chunk)) * n_schemes
         for s, scheme in enumerate(cfg.schemes):
             v = combining.combiner_matrix(scheme, h_hat, err_var, network)
-            acc.add_symbol(slice(e0 * n_schemes + s, stop, n_schemes), v, h_eff,
-                           geom.lam, network)
+            acc.add_symbol((slice(e0, e0 + len(chunk)), s), v, h_eff, geom.lam, network)
     acc.bump()
     return acc
 
 
 @dataclass
 class GeometryResult:
-    """Per-geometry SE of every result row: entry 0 the block, entry tau symbol tau."""
+    """Per-geometry SE of every (estimator, scheme) pair: entry 0 of the last
+    axis is the block, entry tau symbol tau."""
 
-    se: np.ndarray  # (rows, 1 + tau_c)
-    # SE per trial batch, (n_batches, rows, 1 + tau_c); only for a single-geometry
+    se: np.ndarray  # (E, S, 1 + tau_c)
+    # SE per trial batch, (n_batches, E, S, 1 + tau_c); only for a single-geometry
     # run of several batches, where it feeds the standard error
     batch_se: Optional[np.ndarray]
     n_invalid: int
@@ -197,9 +193,9 @@ def run_geometry(
     geom = build_geometry(cfg, setup, geometry_index)
     network = geom.network
 
-    shape = (len(cfg.estimators) * len(cfg.schemes), layout.n_ues, layout.block_symbols)
+    shape = (len(cfg.estimators), len(cfg.schemes), layout.block_symbols, layout.n_ues)
     n_batches = max(1, min(_N_BATCHES, cfg.n_trials))
-    batches = [se.SinrAccumulator(*shape) for _ in range(n_batches)]
+    batches = [se.SinrAccumulator(shape) for _ in range(n_batches)]
 
     def one(t: int):
         rng = derived_rng(cfg.master_seed, _STREAM_TRIAL, geometry_index, t)
@@ -213,7 +209,7 @@ def run_geometry(
             for t, acc in zip(ids, trial_map(one, ids)):
                 batches[t % n_batches].merge(acc)
 
-    total = se.SinrAccumulator(*shape)
+    total = se.SinrAccumulator(shape)
     for b in batches:
         total.merge(b)
     sinr = se.finalize_sinr(total, network)
@@ -274,7 +270,7 @@ def run_experiment(
 
     n_uses = layout.block_subcarriers * layout.block_symbols
     total_trials = cfg.n_geometries * cfg.n_trials
-    per_geometry = np.stack([g.se for g in geoms])  # (geometries, rows, 1 + tau_c)
+    per_geometry = np.stack([g.se for g in geoms])  # (geometries, E, S, 1 + tau_c)
     mean = np.mean(per_geometry, axis=0)
     # one geometry: the spread is over its trial batches
     spread = per_geometry if geoms[0].batch_se is None else geoms[0].batch_se
@@ -282,13 +278,13 @@ def run_experiment(
     if not (np.isfinite(mean).all() and np.isfinite(err).all()):
         raise RuntimeError("Monte Carlo underflow: a result has no valid SINR record")
     records: List[ResultRecord] = []
-    for r, (kind, scheme) in enumerate(itertools.product(cfg.estimators, cfg.schemes)):
+    for e, s in np.ndindex(mean.shape[:2]):  # estimators, then schemes: CSV order
         for c in range(n_uses + 1):
             tau = se.symbol_of_channel_use(c, layout)
             records.append(
                 ResultRecord(
-                    cfg.name, scheme, kind, layout.n_ues, layout.n_aps, c, tau,
-                    float(mean[r, tau]), total_trials, float(err[r, tau]),
+                    cfg.name, cfg.schemes[s], cfg.estimators[e], layout.n_ues, layout.n_aps,
+                    c, tau, float(mean[e, s, tau]), total_trials, float(err[e, s, tau]),
                     cfg.master_seed,
                 )
             )

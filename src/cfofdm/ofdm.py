@@ -92,7 +92,8 @@ def synth_pilot_observations(
     Returns
     -------
     y : (L, tau_p) stacked pilot observations per AP.
-    cpe : (K, L, tau_c) common phase errors J_{k,l,0}^{(tau)}, equal to
+    cpe : (tau_c, K, L) common phase errors J_{k,l,0}^{(tau)}, symbol first
+        like every per-symbol array of a trial; equal to
         ``phase_noise.cpe_per_symbol(trace)``.
     """
     K, L, _ = h.shape
@@ -105,7 +106,7 @@ def synth_pilot_observations(
     slot_sub, slot_sym = layout.pilot_slot_positions
 
     y = np.empty((L, tau_p), dtype=complex)
-    cpe = np.empty((K, L, n_sym), dtype=complex)
+    cpe = np.empty((n_sym, K, L), dtype=complex)
     # fft(J_{k,l}) equals the time-domain phasor exp(j*theta) reversed mod N,
     # so the circular convolution never needs an explicit J vector.
     rev = (-np.arange(n)) % n
@@ -126,7 +127,7 @@ def synth_pilot_observations(
         for a in range(0, L, rows):
             b = min(a + rows, L)
             e_ap = _symbol_phasors(trace.ap_phase[a:b, t_sym - 1], ap_const, ap_buf[: b - a])
-            cpe[:, a:b, t_sym - 1] = e_ue @ e_ap.T / n
+            cpe[t_sym - 1, :, a:b] = e_ue @ e_ap.T / n
             if not ici:
                 continue
             # g[l, m] = sum_k sqrt(p_k) e_ue[k, m] fft(h_{k,l} .* s_k)[m], one k at
@@ -150,7 +151,7 @@ def synth_pilot_observations(
             y[a:b, in_slot] = g @ phases.T / n
         if si is not None and not ici:
             terms = (sqrt_p[:, None, None] * grids[:, si, slot_sub[in_slot]][:, None, :]
-                     * cpe[:, :, t_sym - 1, None] * h[:, :, :1])  # slots of block 1
+                     * cpe[t_sym - 1, :, :, None] * h[:, :, :1])  # slots of block 1
             y[:, in_slot] = terms.sum(axis=0)
 
     y += np.sqrt(network.sigma2 / 2.0) * (

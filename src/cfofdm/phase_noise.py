@@ -120,14 +120,11 @@ def phasor(theta: np.ndarray) -> np.ndarray:
 
 
 def cpe_per_symbol(trace: PhaseNoiseTrace) -> np.ndarray:
-    """Common phase errors J_{k,l,0}^{(tau)} for all pairs: (K, L, tau_c) complex."""
-    n_sym = trace.ue_phase.shape[1]
+    """Common phase errors J_{k,l,0}^{(tau)} of every symbol and pair:
+    (tau_c, K, L) complex, symbol first like every per-symbol array of a trial."""
     n = trace.ue_phase.shape[-1]
-    out = np.empty((trace.ue_phase.shape[0], trace.ap_phase.shape[0], n_sym),
-                   dtype=complex)
-    for t in range(n_sym):
-        out[:, :, t] = phasor(trace.ue_phase[:, t, :]) @ phasor(trace.ap_phase[:, t, :]).T / n
-    return out
+    return np.stack([phasor(trace.ue_phase[:, t]) @ phasor(trace.ap_phase[:, t]).T / n
+                     for t in range(trace.ue_phase.shape[1])])
 
 
 @dataclass(frozen=True)

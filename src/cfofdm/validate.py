@@ -157,11 +157,9 @@ def no_pn_reduction(cfg: ExperimentConfig) -> Check:
 
     p, beta, tau_p = network.p, network.beta, layout.tau_p
     shares = network.pilot_index[:, None] == network.pilot_index[None, :]
-    expect = (p[:, None] * beta**2 * tau_p
-              / (tau_p * shares @ (p[:, None] * beta) + network.sigma2))[:, :, None]
+    expect = p[:, None] * beta**2 * tau_p / (tau_p * shares @ (p[:, None] * beta) + network.sigma2)
     ctx = geom.contexts[cfg.estimators.index("pna_ofdm")]
-    abs_err = max(np.abs(ctx.eps - expect).max(),
-                  np.abs(ctx.err_var - (beta[:, :, None] - expect)).max())
+    abs_err = max(np.abs(ctx.eps - expect).max(), np.abs(ctx.err_var - (beta - expect)).max())
     rel_err = (np.abs(ctx.eps - expect) / expect).max()
     ok = spread <= 1e-10 and abs_err <= 1e-10 and rel_err <= 1e-10
     return Check("no_pn_reduction", ok,
@@ -197,8 +195,8 @@ def lmmse_moments(cfg: ExperimentConfig) -> Check:
         trace = gen_pn_trace(pn, layout, rng)
         grids = ofdm.build_transmit_grids(layout, network.pilot_index, rng, shared_data=True)
         y, cpe = ofdm.synth_pilot_observations(h, grids, trace, network, layout, rng)
-        h_eff[t] = cpe[k, l] * h[k, l, 0]
-        h_hat[t] = estimation.estimate_all(ctx, y)[k, l]
+        h_eff[t] = cpe[:, k, l] * h[k, l, 0]
+        h_hat[t] = estimation.estimate_all(ctx, y)[:, k, l]
         y_l[t] = y[l]
 
     prods = (h_eff - h_hat)[:, :, None] * np.conj(y_l)[:, None, :]
@@ -206,7 +204,7 @@ def lmmse_moments(cfg: ExperimentConfig) -> Check:
     power = np.abs(h_hat) ** 2
     total = power + np.abs(h_eff - h_hat) ** 2
     var_dev = _std_errors(total, setup.table.cpe(0) * network.beta[k, l]).max()
-    eps_dev = _std_errors(power, ctx.eps[k, l]).max()
+    eps_dev = _std_errors(power, ctx.eps[:, k, l]).max()
     ok = orth <= 3.0 and var_dev <= 3.0 and eps_dev <= 3.0
     return Check("lmmse_moments", ok,
                  "orthogonality %.2f, variance decomposition %.2f, E|h_hat|^2 vs eps %.2f "

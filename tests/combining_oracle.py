@@ -4,9 +4,8 @@ accumulation.
 ``combiner_matrix_at`` builds the combiners of one 1-based symbol tau with one
 small solve per cluster group, and ``add_symbol_at`` accumulates the UatF
 terms of one symbol; the package does both for every symbol in one call.
-``combiner_matrix_per_estimate`` and ``add_symbol_per_row`` make one package
-call per stacked estimate or per row, where the package makes one call for the
-whole stack.
+``combiner_matrix_per_estimate`` makes one package call per stacked estimate,
+where the package makes one call for the whole stack.
 """
 
 import numpy as np
@@ -66,13 +65,6 @@ def add_symbol_at(acc, row, tau, v, h_eff, lam, network):
 
 
 def combiner_matrix_per_estimate(scheme, h_hat, err_var, network):
-    """Combiners of stacked (n, K, L, tau_c) estimates, one ``combiner_matrix``
+    """Combiners of stacked (n, tau_c, K, L) estimates, one ``combiner_matrix``
     call per estimate: (n, tau_c, K, L)."""
     return np.stack([combiner_matrix(scheme, h, c, network) for h, c in zip(h_hat, err_var)])
-
-
-def add_symbol_per_row(acc, rows, v, h_eff, lam, network):
-    """``acc.add_symbol`` of the (n, tau_c, K, L) combiners ``v`` over the row
-    slice ``rows``, one call per row."""
-    for row, v_row in zip(range(*rows.indices(len(acc.gain))), v, strict=True):
-        acc.add_symbol(row, v_row, h_eff, lam, network)

@@ -44,7 +44,7 @@ def decomposed_pilot_observations(h, grids, trace, network, layout, rng) -> Pilo
     tau_p = layout.tau_p
     sqrt_p = np.sqrt(network.p)
     h_full = expand_blocks(h, layout)  # (K, L, N)
-    cpe = cpe_per_symbol(trace)    # (K, L, tau_c)
+    cpe = cpe_per_symbol(trace).transpose(1, 2, 0)  # (K, L, tau_c)
 
     slots = layout.pilot_slots
     slot_sub = np.array([nu for nu, _ in slots])

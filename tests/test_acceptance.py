@@ -92,8 +92,8 @@ def test_criterion_6_no_pn_pipeline_equivalence():
     network, ctx, lam = geom.network, geom.contexts[0], geom.lam  # rows are the schemes
 
     n_batches = 8
-    batch_accs = [SinrAccumulator(len(schemes), layout.n_ues, layout.block_symbols)
-                  for _ in range(n_batches)]
+    shape = (len(schemes), layout.block_symbols, layout.n_ues)
+    batch_accs = [SinrAccumulator(shape) for _ in range(n_batches)]
     shared_draws = []
     for t in range(n_trials):
         rng = derived_rng(cfg.master_seed, 1, 0, t)
@@ -111,21 +111,21 @@ def test_criterion_6_no_pn_pipeline_equivalence():
         shared_draws.append((h_world, noise))
         h_hat = estimate_all(ctx, y)
         acc = batch_accs[t % n_batches]
-        h_symbols = np.repeat(h_world[:, :, None], layout.block_symbols, axis=2)
+        h_symbols = np.repeat(h_world[None], layout.block_symbols, axis=0)
         for s_idx, scheme in enumerate(schemes):
             acc.add_symbol(s_idx, combiner_matrix(scheme, h_hat, ctx.err_var, network),
                            h_symbols, lam, network)
         acc.bump()
 
-    total = SinrAccumulator(len(schemes), layout.n_ues, layout.block_symbols)
+    total = SinrAccumulator(shape)
     for b in batch_accs:
         total.merge(b)
 
     ref = no_pn_reference.uatf_se(shared_draws, layout.pilot_book, network.pilot_index,
                                   network.p, network.beta, network.sigma2,
                                   network.D, schemes)
-    pipe_all = np.log2(1 + finalize_sinr(total, network)[:, :, 0])  # (rows, K)
-    batch_all = np.log2(1 + np.stack([finalize_sinr(b, network)[:, :, 0] for b in batch_accs]))
+    pipe_all = np.log2(1 + finalize_sinr(total, network)[:, 0])  # (rows, K)
+    batch_all = np.log2(1 + np.stack([finalize_sinr(b, network)[:, 0] for b in batch_accs]))
     worst = 0.0
     for s_idx, scheme in enumerate(schemes):
         for k in range(layout.n_ues):

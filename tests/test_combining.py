@@ -14,10 +14,11 @@ from combining_oracle import combiner_matrix_at, combiner_matrix_per_estimate
 
 
 def make_setup(h_hat, err_var, D, p=0.2, sigma2=1e-3):
-    K, L, T = h_hat.shape
+    """A network for (tau_c, K, L) estimates and error variances."""
+    K, L = h_hat.shape[-2:]
     network = NetworkRealization(
         ap_positions=np.zeros((L, 2)), ue_positions=np.zeros((K, 2)),
-        beta=np.abs(h_hat[:, :, 0]) + err_var[:, :, 0], D=np.asarray(D, dtype=np.int8),
+        beta=np.abs(h_hat[0]) + err_var[0], D=np.asarray(D, dtype=np.int8),
         pilot_index=np.arange(K) % max(K, 1), p=np.full(K, p), sigma2=sigma2,
     )
     return (h_hat, err_var), network
@@ -25,28 +26,28 @@ def make_setup(h_hat, err_var, D, p=0.2, sigma2=1e-3):
 
 class TestMr:
     def test_unit_vector(self):
-        h = np.zeros((1, 3, 1), dtype=complex)
+        h = np.zeros((1, 1, 3), dtype=complex)
         h[0, 0, 0] = 1.0
-        est, network = make_setup(h, np.zeros((1, 3, 1)), np.ones((1, 3)))
+        est, network = make_setup(h, np.zeros((1, 1, 3)), np.ones((1, 3)))
         v = combiner_matrix("mr", *est, network)[0, 0]
-        assert np.array_equal(v, h[0, :, 0])
+        assert np.array_equal(v, h[0, 0])
 
     def test_masked_outside_cluster(self, rng):
-        h = rng.standard_normal((2, 4, 1)) + 1j * rng.standard_normal((2, 4, 1))
+        h = rng.standard_normal((1, 2, 4)) + 1j * rng.standard_normal((1, 2, 4))
         D = np.array([[1, 0, 1, 0], [0, 1, 1, 1]])
-        est, network = make_setup(h, np.zeros((2, 4, 1)), D)
+        est, network = make_setup(h, np.zeros((1, 2, 4)), D)
         v = combiner_matrix("mr", *est, network)[0, 0]
         assert v[1] == 0 and v[3] == 0
 
     def test_random_elementwise(self, rng):
-        h = rng.standard_normal((3, 5, 2)) + 1j * rng.standard_normal((3, 5, 2))
+        h = rng.standard_normal((2, 3, 5)) + 1j * rng.standard_normal((2, 3, 5))
         D = (rng.uniform(size=(3, 5)) > 0.4).astype(int)
         D[:, 0] = 1
-        est, network = make_setup(h, np.zeros((3, 5, 2)), D)
+        est, network = make_setup(h, np.zeros((2, 3, 5)), D)
         v = combiner_matrix("mr", *est, network)
         for k in range(3):
             for tau in (1, 2):
-                assert np.allclose(v[tau - 1, k], D[k] * h[k, :, tau - 1])
+                assert np.allclose(v[tau - 1, k], D[k] * h[tau - 1, k])
 
 
 class TestLpMmse:
@@ -59,22 +60,22 @@ class TestLpMmse:
         assert v == pytest.approx(expect, rel=1e-12)
 
     def test_zero_estimate(self):
-        h = np.zeros((1, 2, 1), dtype=complex)
-        est, network = make_setup(h, np.zeros((1, 2, 1)), np.ones((1, 2)))
+        h = np.zeros((1, 1, 2), dtype=complex)
+        est, network = make_setup(h, np.zeros((1, 1, 2)), np.ones((1, 2)))
         assert combiner_matrix("lp_mmse", *est, network)[0, 0, 0] == 0
 
     def test_two_ue_hand_denominator(self, rng):
-        h = rng.standard_normal((2, 1, 1)) + 1j * rng.standard_normal((2, 1, 1))
-        c = np.abs(rng.standard_normal((2, 1, 1))) * 0.1
+        h = rng.standard_normal((1, 2, 1)) + 1j * rng.standard_normal((1, 2, 1))
+        c = np.abs(rng.standard_normal((1, 2, 1))) * 0.1
         est, network = make_setup(h, c, np.ones((2, 1)), p=0.3, sigma2=2e-3)
         v = combiner_matrix("lp_mmse", *est, network)[0, 0, 0]
-        den = sum(0.3 * (np.abs(h[i, 0, 0]) ** 2 + c[i, 0, 0]) for i in range(2)) + 2e-3
+        den = sum(0.3 * (np.abs(h[0, i, 0]) ** 2 + c[0, i, 0]) for i in range(2)) + 2e-3
         assert v == pytest.approx(0.3 * h[0, 0, 0] / den, rel=1e-12)
 
     def test_unserved_entries_are_zero(self):
-        h = np.ones((2, 2, 1), dtype=complex)
+        h = np.ones((1, 2, 2), dtype=complex)
         D = np.array([[1, 0], [0, 1]])
-        est, network = make_setup(h, np.zeros((2, 2, 1)), D)
+        est, network = make_setup(h, np.zeros((1, 2, 2)), D)
         v = combiner_matrix("lp_mmse", *est, network)[0]
         assert v[0, 1] == 0 and v[1, 0] == 0
 
@@ -82,41 +83,41 @@ class TestLpMmse:
 class TestPMmse:
     def test_sherman_morrison_single_cluster(self, rng):
         # P_k = {k}, full support: (p h h^H + (p c + s) I)^{-1} h has closed form
-        h = rng.standard_normal((1, 3, 1)) + 1j * rng.standard_normal((1, 3, 1))
-        c = np.full((1, 3, 1), 0.05)
+        h = rng.standard_normal((1, 1, 3)) + 1j * rng.standard_normal((1, 1, 3))
+        c = np.full((1, 1, 3), 0.05)
         est, network = make_setup(h, c, np.ones((1, 3)), p=0.4, sigma2=1e-3)
         v = combiner_matrix("p_mmse", *est, network)[0, 0]
-        hv = h[0, :, 0]
+        hv = h[0, 0]
         a = 0.4 * 0.05 + 1e-3  # constant per-AP error variance keeps the diag scalar
         expect = 0.4 * hv / (a + 0.4 * np.vdot(hv, hv).real)
         assert np.allclose(v, expect, rtol=1e-10)
 
     def test_disjoint_clusters(self):
-        h = np.ones((2, 4, 1), dtype=complex)
+        h = np.ones((1, 2, 4), dtype=complex)
         D = np.array([[1, 1, 0, 0], [0, 0, 1, 1]])
-        est, network = make_setup(h, np.zeros((2, 4, 1)), D)
+        est, network = make_setup(h, np.zeros((1, 2, 4)), D)
         groups = [(g.ues.tolist(), g.support.tolist(), g.partial.tolist())
                   for g in network.groups]
         assert groups == [([0], [0, 1], [0]), ([1], [2, 3], [1])]
 
     def test_output_in_cluster_span(self, rng):
-        h = rng.standard_normal((3, 5, 1)) + 1j * rng.standard_normal((3, 5, 1))
+        h = rng.standard_normal((1, 3, 5)) + 1j * rng.standard_normal((1, 3, 5))
         D = np.array([[1, 0, 1, 0, 1], [1, 1, 0, 0, 0], [0, 0, 0, 1, 1]])
-        est, network = make_setup(h, np.full((3, 5, 1), 0.01), D)
+        est, network = make_setup(h, np.full((1, 3, 5), 0.01), D)
         v = combiner_matrix("p_mmse", *est, network)[0, 0]
         assert np.all(v[network.D[0] == 0] == 0)
 
 
 class TestMmse:
     def test_single_ue_equals_p_mmse(self, rng):
-        h = rng.standard_normal((1, 4, 1)) + 1j * rng.standard_normal((1, 4, 1))
-        est, network = make_setup(h, np.full((1, 4, 1), 0.02), np.ones((1, 4)))
+        h = rng.standard_normal((1, 1, 4)) + 1j * rng.standard_normal((1, 1, 4))
+        est, network = make_setup(h, np.full((1, 1, 4), 0.02), np.ones((1, 4)))
         assert np.allclose(combiner_matrix("mmse", *est, network)[0, 0],
                            combiner_matrix("p_mmse", *est, network)[0, 0], rtol=1e-12)
 
     def test_equals_p_mmse_when_all_shared(self, rng):
-        h = rng.standard_normal((3, 4, 1)) + 1j * rng.standard_normal((3, 4, 1))
-        est, network = make_setup(h, np.full((3, 4, 1), 0.02), np.ones((3, 4)))
+        h = rng.standard_normal((1, 3, 4)) + 1j * rng.standard_normal((1, 3, 4))
+        est, network = make_setup(h, np.full((1, 3, 4), 0.02), np.ones((3, 4)))
         mmse = combiner_matrix("mmse", *est, network)
         p_mmse = combiner_matrix("p_mmse", *est, network)
         for k in range(3):
@@ -127,24 +128,24 @@ class TestMmse:
     def test_matches_canonical_reference(self, rng):
         """All-ones clusters, no PN: the standard MMSE combiner formula."""
         K, L = 3, 5
-        h = rng.standard_normal((K, L, 1)) + 1j * rng.standard_normal((K, L, 1))
-        c = np.abs(rng.standard_normal((K, L, 1))) * 0.05
+        h = rng.standard_normal((1, K, L)) + 1j * rng.standard_normal((1, K, L))
+        c = np.abs(rng.standard_normal((1, K, L))) * 0.05
         est, network = make_setup(h, c, np.ones((K, L)), p=0.25, sigma2=3e-3)
         k = 1
         # independent formulation: full L x L system assembled entrywise
         a = np.zeros((L, L), dtype=complex)
         for i in range(K):
-            hv = h[i, :, 0]
+            hv = h[0, i]
             a += 0.25 * np.outer(hv, hv.conj())
-            a += 0.25 * np.diag(c[i, :, 0])
+            a += 0.25 * np.diag(c[0, i])
         a += 3e-3 * np.eye(L)
-        expect = 0.25 * np.linalg.solve(a, h[k, :, 0])
+        expect = 0.25 * np.linalg.solve(a, h[0, k])
         assert np.allclose(combiner_matrix("mmse", *est, network)[0, k], expect,
                            rtol=1e-10)
 
     def test_finite_outputs(self, rng):
-        h = 1e3 * (rng.standard_normal((2, 3, 1)) + 1j * rng.standard_normal((2, 3, 1)))
-        est, network = make_setup(h, np.zeros((2, 3, 1)), np.ones((2, 3)), sigma2=1e-9)
+        h = 1e3 * (rng.standard_normal((1, 2, 3)) + 1j * rng.standard_normal((1, 2, 3)))
+        est, network = make_setup(h, np.zeros((1, 2, 3)), np.ones((2, 3)), sigma2=1e-9)
         for scheme in ("mr", "lp_mmse", "p_mmse", "mmse"):
             v = combiner_matrix(scheme, *est, network)
             assert np.isfinite(v).all()
@@ -152,12 +153,12 @@ class TestMmse:
 
 def ci_estimates(seed, stack=()):
     """A ci geometry with random estimates of the channels' scale on every
-    symbol of the block: (*stack, K, L, tau_c), one draw per stacked entry."""
+    symbol of the block: (*stack, tau_c, K, L), one draw per stacked entry."""
     layout = ci_config().layout()
     network = generate_network(layout, derived_rng(seed, 0, 0))
     rng = np.random.default_rng(seed)
-    shape = stack + (layout.n_ues, layout.n_aps, layout.block_symbols)
-    beta = network.beta[:, :, None]
+    shape = stack + (layout.block_symbols, layout.n_ues, layout.n_aps)
+    beta = network.beta
     h = np.sqrt(beta / 2) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     c = 0.1 * beta * rng.uniform(size=shape)
     return (h, c), network
@@ -175,11 +176,13 @@ class TestStackedMatchesPerSymbolOracle:
             K = 4
             network = replace(network, D=np.ones((K, network.D.shape[1]), dtype=np.int8),
                               p=network.p[:K], beta=network.beta[:K])
-            est = (est[0][:K], est[1][:K])
+            est = (est[0][:, :K], est[1][:, :K])
         v = combiner_matrix(scheme, *est, network)
-        assert v.shape == (est[0].shape[2],) + network.D.shape
+        assert v.shape == est[0].shape
+        # the oracle takes (K, L, tau_c) estimates
+        est_kl = [a.transpose(1, 2, 0) for a in est]
         for tau in range(1, v.shape[0] + 1):
-            ref = combiner_matrix_at(scheme, *est, network, tau)
+            ref = combiner_matrix_at(scheme, *est_kl, network, tau)
             np.testing.assert_allclose(v[tau - 1], ref, rtol=1e-12, atol=0)
 
 
@@ -191,24 +194,24 @@ class TestStackedEstimates:
         est, network = ci_estimates(5, stack=(3,))
         assert len(network.groups) >= 2
         v = combiner_matrix(scheme, *est, network)
-        assert v.shape == (3, est[0].shape[-1]) + network.D.shape
+        assert v.shape == (3, ci_config().block_symbols) + network.D.shape
         assert np.array_equal(v, combiner_matrix_per_estimate(scheme, *est, network))
 
 
 class TestPinvFallback:
     @pytest.mark.parametrize("scheme", ("p_mmse", "mmse"))
     def test_one_warning_per_singular_group_and_symbol(self, scheme, monkeypatch, caplog):
-        h = np.ones((3, 4, 4), dtype=complex) * (1 + 0.5j)
-        h += 0.1 * np.arange(48).reshape(3, 4, 4)
-        c = np.full((3, 4, 4), 0.01)
+        h = np.ones((4, 3, 4), dtype=complex) * (1 + 0.5j)  # (tau_c, K, L)
+        h += 0.1 * np.arange(48).reshape(4, 3, 4)
+        c = np.full((4, 3, 4), 0.01)
         D = np.array([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1]])
         # (group, tau) systems that reduce to sigma2 * I are declared singular:
         # group {0, 1} (support {0, 1}) at tau 2, group {2} (support {2, 3})
         # at taus 1 and 3
         singular = [((0, 1), 2), ((2, 3), 1), ((2, 3), 3)]
         for support, tau in singular:
-            h[:, support, tau - 1] = 0.0
-            c[:, support, tau - 1] = 0.0
+            h[tau - 1, :, support] = 0.0
+            c[tau - 1, :, support] = 0.0
         est, network = make_setup(h, c, D)
         normal = combiner_matrix(scheme, *est, network)
 
@@ -238,15 +241,15 @@ class TestPinvFallback:
 
     @pytest.mark.parametrize("scheme", ("p_mmse", "mmse"))
     def test_stacked_fallback_names_estimate_and_symbol(self, scheme, monkeypatch, caplog):
-        """In a (2, K, L, tau_c) stack with one singular system, in estimate 1,
+        """In a (2, tau_c, K, L) stack with one singular system, in estimate 1,
         only that system takes the pseudo-inverse: one warning, and estimate
         0's combiners stay bitwise those of the stacked solve."""
-        h = np.ones((2, 3, 4, 4), dtype=complex) * (1 + 0.5j)
-        h += 0.1 * np.arange(96).reshape(2, 3, 4, 4)
-        c = np.full((2, 3, 4, 4), 0.01)
+        h = np.ones((2, 4, 3, 4), dtype=complex) * (1 + 0.5j)
+        h += 0.1 * np.arange(96).reshape(2, 4, 3, 4)
+        c = np.full((2, 4, 3, 4), 0.01)
         D = np.array([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1]])
-        h[1, :, 2:, 2] = 0.0  # group {2} (support {2, 3}) at tau 3 reduces to sigma2 * I
-        c[1, :, 2:, 2] = 0.0
+        h[1, 2, :, 2:] = 0.0  # group {2} (support {2, 3}) at tau 3 reduces to sigma2 * I
+        c[1, 2, :, 2:] = 0.0
         _, network = make_setup(h[0], c[0], D)
         normal = combiner_matrix(scheme, h, c, network)
 

@@ -343,12 +343,12 @@ class TestLmmseEstimate:
         for l in range(2):
             expect = (np.sqrt(0.3) * beta[0, l]
                       / (0.3 * beta[0, l] * layout.tau_p + 2e-3)) * (book[:, 0].conj() @ y)
-            assert h_hat[0, l, 0] == pytest.approx(expect, rel=1e-10)
+            assert h_hat[0, 0, l] == pytest.approx(expect, rel=1e-10)
             # textbook MMSE estimate variance
             expect_eps = 0.3 * beta[0, l] ** 2 * layout.tau_p / (
                 0.3 * beta[0, l] * layout.tau_p + 2e-3)
-            assert ctx.eps[0, l, 0] == pytest.approx(expect_eps, rel=1e-10)
-            assert ctx.err_var[0, l, 0] == pytest.approx(beta[0, l] - expect_eps, rel=1e-10)
+            assert ctx.eps[0, 0, l] == pytest.approx(expect_eps, rel=1e-10)
+            assert ctx.err_var[0, 0, l] == pytest.approx(beta[0, l] - expect_eps, rel=1e-10)
 
     def test_zero_beta_zero_stats(self):
         layout = toy_layout()
@@ -356,7 +356,7 @@ class TestLmmseEstimate:
         beta = np.array([[0.5, 0.0], [0.3, 0.4]])
         network = make_network(layout, beta, [0, 1])
         ctx = make_context(network, layout, table)
-        assert ctx.eps[0, 1, 1] == 0.0 and ctx.err_var[0, 1, 1] == 0.0
+        assert ctx.eps[1, 0, 1] == 0.0 and ctx.err_var[1, 0, 1] == 0.0
 
     def test_eps_within_bounds(self):
         layout = toy_layout()
@@ -380,14 +380,15 @@ class TestContext:
         shape = (cfg.n_aps, setup.layout.tau_p)
         w = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
         for model, ctx in zip(setup.models, geom.contexts):
-            coef, eps = coef_oracle(network, model)
+            coef, eps = coef_oracle(network, model)  # eps (K, L, tau_c)
             assert ctx.rhs.tobytes() == ue_rhs(model, network.pilot_index).tobytes()
-            assert ctx.eps.tobytes() == eps.tobytes()
-            assert ctx.err_var.tobytes() == (network.beta[:, :, None] - eps).tobytes()
+            assert ctx.eps.tobytes() == eps.transpose(2, 0, 1).tobytes()
+            assert ctx.err_var.tobytes() == (
+                network.beta[:, :, None] - eps).transpose(2, 0, 1).tobytes()
             # y_l ~ CN(0, Psi_l); elementwise the two orders of the solve differ by
             # up to cond(Psi_l) * eps_machine, about 1e-10 for fig2's unaware Psi_l
             y = (np.linalg.cholesky(ctx.psi) @ w[:, :, None])[:, :, 0]
-            expect = np.einsum("lktp,lp->klt", coef, y)
+            expect = np.einsum("lktp,lp->tkl", coef, y)
             assert np.linalg.norm(estimate_all(ctx, y) - expect) <= 1e-12 * np.linalg.norm(expect)
 
     @pytest.mark.parametrize("pilot_index", [[3, 0, 3], [0, 1, 2, 3, 1, 0, 2]],
@@ -402,11 +403,12 @@ class TestContext:
         for kind in ESTIMATOR_KINDS:
             model = make_model(layout, table, kind)
             ctx = build_context(network, model)
-            _, eps = coef_oracle(network, model)
+            _, eps = coef_oracle(network, model)  # (K, L, tau_c)
             assert ctx.psi.tobytes() == build_psi(network, model).tobytes()
             assert ctx.rhs.tobytes() == ue_rhs(model, network.pilot_index).tobytes()
-            assert ctx.eps.tobytes() == eps.tobytes()
-            assert ctx.err_var.tobytes() == (network.beta[:, :, None] - eps).tobytes()
+            assert ctx.eps.tobytes() == eps.transpose(2, 0, 1).tobytes()
+            assert ctx.err_var.tobytes() == (
+                network.beta[:, :, None] - eps).transpose(2, 0, 1).tobytes()
             assert np.array_equal(ctx.scale, np.sqrt(network.p)[None, :] * network.beta.T)
 
     def test_fig2_hundred_ues_peak_below_one_solve_of_every_ue(self):
@@ -459,7 +461,7 @@ class TestBaselines:
         ctx = make_context(network, layout, table, kind="unaware")
         y = rng.standard_normal((2, layout.tau_p)) + 1j * rng.standard_normal((2, layout.tau_p))
         est = estimate_all(ctx, y)
-        assert np.abs(est - est[:, :, :1]).max() < 1e-14
+        assert np.abs(est - est[:1]).max() < 1e-14
 
     def test_sc_kernel_properties(self):
         layout = toy_layout()
@@ -507,8 +509,8 @@ class TestBaselines:
             j0 = np.exp(1j * (trace.ue_phase[:, tau - 1][:, None, :]
                               + trace.ap_phase[:, tau - 1][None, :, :])).mean(axis=2)
             h_eff = j0 * h[:, :, 0]
-            e_pna = estimate_all(ctx_pna, y)[:, :, tau - 1]
-            e_un = estimate_all(ctx_un, y)[:, :, tau - 1]
+            e_pna = estimate_all(ctx_pna, y)[tau - 1]
+            e_un = estimate_all(ctx_un, y)[tau - 1]
             err_pna.append(np.abs(h_eff - e_pna) ** 2)
             err_un.append(np.abs(h_eff - e_un) ** 2)
         assert np.mean(err_un) >= np.mean(err_pna)

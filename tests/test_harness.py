@@ -1,7 +1,6 @@
 """Configuration parsing, experiment orchestration, CSV output, and the CLI."""
 
 import copy
-import itertools
 import math
 import os
 import subprocess
@@ -133,6 +132,27 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="%s lists an entry more than once" % key):
             parse_config("%s = %s" % (key, value))
 
+    def test_key_given_twice_in_file_rejected(self, tmp_path, capsys):
+        """A key set twice in one file is an error naming both lines, not the
+        last value silently kept."""
+        with pytest.raises(ConfigError, match="line 3: n_trials already set on line 1"):
+            parse_config("n_trials = 10\nn_aps = 5\nn_trials = 20\n")
+        cfg_path = tmp_path / "twice.cfg"
+        cfg_path.write_text("n_subcarriers = 120\nblock_symbols = 5\npilot_symbols = 1:4\n"
+                            "n_aps = 5\nn_ues = 2\nn_geometries = 1\nn_trials = 1\n"
+                            "n_aps = 6\n")
+        assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 1
+        assert "line 8: n_aps already set on line 4" in capsys.readouterr().err
+
+    def test_key_given_twice_in_overrides_rejected(self, capsys):
+        """Two overrides of one key are an error; one override of a key that
+        the file sets is not."""
+        with pytest.raises(ConfigError, match="line 2: n_trials already set on line 1"):
+            apply_overrides(ci_config(), ["n_trials=3", "n_trials=5"])
+        assert cli_main(["fig2", "n_trials=3", "n_trials=5"]) == 1
+        assert "n_trials already set" in capsys.readouterr().err
+        assert apply_overrides(parse_config("n_trials = 10"), ["n_trials=3"]).n_trials == 3
+
     def test_infeasible_serving_capacity_rejected(self):
         with pytest.raises(ConfigError, match="serving capacity"):
             parse_config("n_aps = 4\nn_ues = 100\nblock_symbols = 5\n"
@@ -212,29 +232,27 @@ class TestRunExperiment:
 
 
 class TestAggregation:
-    """Every CSV row, the block row included, is its entry [row, tau] of
+    """Every CSV row, the block row included, is its entry [e, s, tau] of
     ``GeometryResult.se`` averaged over the geometries, with the standard error
     over the geometries or over the trial batches of a single geometry."""
 
     def assert_rows(self, cfg, per_geometry, spread):
         """Each record matches the fsum mean over ``per_geometry`` and the
         ddof=1 standard error over ``spread`` within 1e-14 relative."""
-        row_of = {pair: r for r, pair in
-                  enumerate(itertools.product(cfg.estimators, cfg.schemes))}
         n_block_rows = 0
         for line in records_to_csv(run_experiment(cfg)).splitlines()[1:]:
             f = line.split(",")
-            r, tau = row_of[(f[2], f[1])], int(f[6])
-            values = [x[r, tau] for x in per_geometry]
+            at = cfg.estimators.index(f[2]), cfg.schemes.index(f[1]), int(f[6])
+            values = [x[at] for x in per_geometry]
             mean = math.fsum(values) / len(values)
-            spread_values = [x[r, tau] for x in spread]
+            spread_values = [x[at] for x in spread]
             spread_mean = math.fsum(spread_values) / len(spread_values)
             err = math.sqrt(math.fsum((v - spread_mean) ** 2 for v in spread_values)
                             / (len(spread_values) - 1) / len(spread_values))
             assert math.isclose(float(f[7]), mean, rel_tol=1e-14)
             assert math.isclose(float(f[9]), err, rel_tol=1e-14)
             n_block_rows += f[5] == "0"
-        assert n_block_rows == len(row_of)
+        assert n_block_rows == len(cfg.estimators) * len(cfg.schemes)
 
     def test_spread_over_geometries(self):
         from cfofdm import harness
@@ -243,7 +261,7 @@ class TestAggregation:
                       estimators=("pna_ofdm", "unaware"), schemes=("mr", "mmse"))
         setup = harness.build_setup(cfg)
         per_geometry = [harness.run_geometry(cfg, setup, g).se for g in range(3)]
-        assert per_geometry[0].shape == (4, 1 + cfg.block_symbols)
+        assert per_geometry[0].shape == (2, 2, 1 + cfg.block_symbols)
         self.assert_rows(cfg, per_geometry, per_geometry)
 
     def test_spread_over_trial_batches(self):
@@ -252,7 +270,7 @@ class TestAggregation:
         cfg = replace(ci_config(), n_geometries=1, n_trials=16,
                       estimators=("pna_ofdm", "unaware"), schemes=("mr", "mmse"))
         geom = harness.run_geometry(cfg, harness.build_setup(cfg), 0)
-        assert geom.batch_se.shape == (8, 4, 1 + cfg.block_symbols)
+        assert geom.batch_se.shape == (8, 2, 2, 1 + cfg.block_symbols)
         self.assert_rows(cfg, [geom.se], geom.batch_se)
 
 
@@ -316,6 +334,7 @@ class TestCli:
         pytest.param("run t.cfg --threads 0", 1, id="zero_threads"),
         pytest.param("run t.cfg --threads -3", 1, id="negative_threads"),
         pytest.param("run t.cfg --threads two", 1, id="non_integer_threads"),
+        pytest.param("run t.cfg --threads 65", 1, id="threads_above_cap"),
         pytest.param("validate --n 0", 1, id="zero_validate_n"),
         pytest.param("validate --n 1", 1, id="validate_n_1"),
         pytest.param("validate --n 4", 1, id="validate_n_below_fir_taps"),
@@ -466,7 +485,8 @@ class TestCli:
     def test_fig3_validates_every_count_first(self, monkeypatch, capsys):
         """K = 100 exceeds the capacity of 8 APs: nothing runs before the error."""
         calls = counting_runs(monkeypatch)
-        argv = ["fig3", *CI_FIG, "n_aps=8", "n_geometries=1", "n_trials=1"]
+        ci_but_aps = [o for o in CI_FIG if not o.startswith("n_aps=")]
+        argv = ["fig3", *ci_but_aps, "n_aps=8", "n_geometries=1", "n_trials=1"]
         assert cli_main(argv) == 1
         assert calls == []
         assert "serving capacity" in capsys.readouterr().err
@@ -569,9 +589,9 @@ class TestInvalidRecordGuard:
 
         def finalize_one_negative(acc, network):
             calls.append(acc)
-            if len(calls) == 1:  # row 0, UE 0, symbol 1 of the first accumulator
+            if len(calls) == 1:  # pair (0, 0), symbol 1, UE 0 of the first accumulator
                 acc = copy.deepcopy(acc)
-                acc.ici[0, 0, 0] -= 1e6 * acc.count
+                acc.ici[0, 0, 0, 0] -= 1e6 * acc.count
             return real_finalize(acc, network)
 
         monkeypatch.setattr(se, "finalize_sinr", finalize_one_negative)
@@ -598,7 +618,7 @@ class TestInvalidRecordGuard:
             first[:] = first or [acc]
             sinr = real_finalize(acc, network)
             if acc is first[0]:
-                sinr[0, :, 0] = np.nan  # row 0 of the first geometry
+                sinr[0, 0, 0] = np.nan  # pair (0, 0) at symbol 1, first geometry
             return sinr
 
         monkeypatch.setattr(se, "finalize_sinr", finalize_tau1_invalid)
@@ -607,24 +627,35 @@ class TestInvalidRecordGuard:
 
 
 class TestStackedTrial:
-    def test_run_trial_matches_per_symbol_loop(self):
+    @pytest.mark.parametrize("world", [
+        # every estimator and scheme; K = tau_c = 5
+        pytest.param(dict(schemes=("mr", "lp_mmse", "p_mmse", "mmse"),
+                          estimators=("pna_ofdm", "pna_sc", "unaware")), id="ci"),
+        # K, L, tau_c, E and S all differ, so a swapped axis changes a shape
+        pytest.param(dict(n_ues=5, n_aps=7, block_symbols=4, pilot_symbols=(1, 2, 3),
+                          schemes=("p_mmse", "mr", "lp_mmse"),
+                          estimators=("unaware", "pna_ofdm")), id="distinct_sizes"),
+    ])
+    def test_run_trial_matches_per_symbol_loop(self, world):
         """One trial's accumulators equal those of the per-symbol combine-and-
-        accumulate loop on the same draws."""
-        from cfofdm import se
-        from cfofdm.combining import SCHEMES
-        from cfofdm.harness import build_geometry, build_setup, derived_rng, run_trial
+        accumulate loop on the same draws, and every per-symbol array of the
+        trial path is (..., tau_c, K, L), every result (E, S, ...)."""
+        from cfofdm import combining, se
+        from cfofdm.harness import (build_geometry, build_setup, derived_rng, run_geometry,
+                                    run_trial)
         from cfofdm.network import gen_channel
         from cfofdm.ofdm import build_transmit_grids, synth_pilot_observations
         from cfofdm.phase_noise import gen_pn_trace
 
         from combining_oracle import add_symbol_at, combiner_matrix_at
 
-        cfg = replace(ci_config(), schemes=SCHEMES, shadow_sigma_db=4.0,
-                      estimators=("pna_ofdm", "pna_sc", "unaware"))
+        cfg = replace(ci_config(), shadow_sigma_db=4.0, n_geometries=1, n_trials=2, **world)
         setup = build_setup(cfg)
         geom = build_geometry(cfg, setup, 0)
         layout, network, lam = setup.layout, geom.network, geom.lam
         assert len({row.tobytes() for row in network.D}) >= 2
+        E, S, T, K, L = (len(cfg.estimators), len(cfg.schemes), layout.block_symbols,
+                         layout.n_ues, layout.n_aps)
         rng = derived_rng(cfg.master_seed, 1, 0, 0)
         out = run_trial(cfg, setup, geom, copy.deepcopy(rng))
 
@@ -632,21 +663,28 @@ class TestStackedTrial:
         trace = gen_pn_trace(setup.pn, layout, rng)
         grids = build_transmit_grids(layout, network.pilot_index, rng)
         y, cpe = synth_pilot_observations(h, grids, trace, network, layout, rng)
-        h_eff = cpe * h[:, :, 0][:, :, None]
-        n_schemes = len(cfg.schemes)
-        ref = se.SinrAccumulator(len(cfg.estimators) * n_schemes, layout.n_ues,
-                                 layout.block_symbols)
+        assert cpe.shape == (T, K, L)
+        h_eff = cpe * h[:, :, 0]
         for e, ctx in enumerate(geom.contexts):
             h_hat = estimation.estimate_all(ctx, y)
-            for s_idx, scheme in enumerate(cfg.schemes):
-                for tau in range(1, layout.block_symbols + 1):
-                    v = combiner_matrix_at(scheme, h_hat, ctx.err_var, network, tau)
-                    add_symbol_at(ref, e * n_schemes + s_idx, tau, v, h_eff[:, :, tau - 1],
-                                  lam, network)
-        for name in ("gain", "received", "ici", "vnorm"):
-            np.testing.assert_allclose(getattr(out, name), getattr(ref, name),
-                                       rtol=1e-12, atol=0)
+            assert h_hat.shape == ctx.err_var.shape == ctx.eps.shape == (T, K, L)
+            for s, scheme in enumerate(cfg.schemes):
+                v_all = combining.combiner_matrix(scheme, h_hat, ctx.err_var, network)
+                assert v_all.shape == (T, K, L)
+                # the oracles take (K, L, tau_c) estimates and (rows, K, tau_c) sums
+                ref = se.SinrAccumulator((1, K, T))
+                for tau in range(1, T + 1):
+                    v = combiner_matrix_at(scheme, h_hat.transpose(1, 2, 0),
+                                           ctx.err_var.transpose(1, 2, 0), network, tau)
+                    add_symbol_at(ref, 0, tau, v, h_eff[tau - 1], lam, network)
+                for name in ("gain", "received", "ici", "vnorm"):
+                    assert getattr(out, name).shape == (E, S, T, K)
+                    np.testing.assert_allclose(getattr(out, name)[e, s],
+                                               getattr(ref, name)[0].T, rtol=1e-12, atol=0)
         assert out.count == 1
+        result = run_geometry(cfg, setup, 0)
+        assert result.se.shape == (E, S, 1 + T)
+        assert result.batch_se.shape == (2, E, S, 1 + T)
 
     def test_chunk_of_one_estimator_matches_one_stacked_chunk(self, monkeypatch):
         """At ci all three estimators go in one stacked call per scheme; forcing

@@ -54,11 +54,11 @@ class TestAccumulator:
         network = make_network(
             SimulationLayout(16, 2, 15e3, 8, 2, (0,), (1,), 2, 1, 100.0),
             np.ones((1, 2)), [0], p=1.0, sigma2=0.0)
-        acc = SinrAccumulator(1, 1, 1)
+        acc = SinrAccumulator((1, 1, 1))
         h = np.array([[1 + 1j, 2 - 1j]])
         v = h.copy()  # MR with D = I
         lam = np.zeros(2)
-        acc.add_symbol(0, v[None], h[:, :, None], lam, network)
+        acc.add_symbol(0, v[None], h[None], lam, network)
         acc.bump()
         norm2 = np.sum(np.abs(h) ** 2)
         assert acc.gain[0, 0, 0] == pytest.approx(norm2)
@@ -69,9 +69,9 @@ class TestAccumulator:
         network = make_network(
             SimulationLayout(16, 2, 15e3, 8, 2, (0,), (1,), 2, 2, 100.0),
             np.ones((2, 2)), [0, 1])
-        acc = SinrAccumulator(1, 2, 1)
+        acc = SinrAccumulator((1, 1, 2))
         v = np.ones((2, 2), dtype=complex)
-        acc.add_symbol(0, v[None], np.zeros((2, 2, 1), dtype=complex),
+        acc.add_symbol(0, v[None], np.zeros((1, 2, 2), dtype=complex),
                        np.zeros(2), network)
         assert np.all(acc.gain == 0) and np.all(acc.received == 0)
 
@@ -82,12 +82,12 @@ class TestAccumulator:
         h = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
         v = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
         lam = np.abs(rng.standard_normal((2, 3))).sum(axis=0)
-        one = SinrAccumulator(1, 2, 1)
-        one.add_symbol(0, v[None], h[:, :, None], lam, network)
+        one = SinrAccumulator((1, 1, 2))
+        one.add_symbol(0, v[None], h[None], lam, network)
         one.bump()
-        many = SinrAccumulator(1, 2, 1)
+        many = SinrAccumulator((1, 1, 2))
         for _ in range(7):
-            many.add_symbol(0, v[None], h[:, :, None], lam, network)
+            many.add_symbol(0, v[None], h[None], lam, network)
             many.bump()
         s1 = finalize_sinr(one, network)[0, 0, 0]
         s7 = finalize_sinr(many, network)[0, 0, 0]
@@ -96,17 +96,15 @@ class TestAccumulator:
     def test_accumulate_trial_covers_all_symbols(self, rng):
         layout = SimulationLayout(16, 2, 15e3, 8, 3, (0,), (1,), 3, 2, 100.0)
         network = make_network(layout, np.ones((2, 3)), [0, 1])
-        acc = SinrAccumulator(1, 2, 3)
-        h_eff = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
-        combiners = np.moveaxis(h_eff, -1, 0)  # (tau_c, K, L)
-        acc.add_symbol(0, combiners, h_eff, np.zeros(3), network)
+        acc = SinrAccumulator((1, 3, 2))
+        h_eff = rng.standard_normal((3, 2, 3)) + 1j * rng.standard_normal((3, 2, 3))
+        acc.add_symbol(0, h_eff, h_eff, np.zeros(3), network)  # MR, (tau_c, K, L)
         acc.bump()
         for t in range(3):
-            ref = SinrAccumulator(1, 2, 1)
-            ref.add_symbol(0, combiners[t][None], h_eff[:, :, t, None], np.zeros(3),
-                           network)
-            assert np.allclose(acc.gain[0, :, t], ref.gain[0, :, 0])
-            assert np.allclose(acc.received[0, :, t], ref.received[0, :, 0])
+            ref = SinrAccumulator((1, 1, 2))
+            ref.add_symbol(0, h_eff[t][None], h_eff[t][None], np.zeros(3), network)
+            assert np.allclose(acc.gain[0, t], ref.gain[0, 0])
+            assert np.allclose(acc.received[0, t], ref.received[0, 0])
 
     def test_merge_matches_sequential(self, rng):
         network = make_network(
@@ -116,50 +114,48 @@ class TestAccumulator:
             h = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
             v = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
             return v, h
-        seq = SinrAccumulator(1, 2, 1)
-        parts = [SinrAccumulator(1, 2, 1) for _ in range(3)]
+        seq = SinrAccumulator((1, 1, 2))
+        parts = [SinrAccumulator((1, 1, 2)) for _ in range(3)]
         trials = [trial() for _ in range(9)]
         for i, (v, h) in enumerate(trials):
-            seq.add_symbol(0, v[None], h[:, :, None], np.zeros(3), network)
+            seq.add_symbol(0, v[None], h[None], np.zeros(3), network)
             seq.bump()
-            parts[i % 3].add_symbol(0, v[None], h[:, :, None], np.zeros(3), network)
+            parts[i % 3].add_symbol(0, v[None], h[None], np.zeros(3), network)
             parts[i % 3].bump()
-        merged = SinrAccumulator(1, 2, 1)
+        merged = SinrAccumulator((1, 1, 2))
         for p in parts:
             merged.merge(p)
         assert merged.count == seq.count
         assert np.allclose(merged.gain, seq.gain)
         assert np.allclose(merged.received, seq.received)
 
-    def test_strided_row_slice_equals_per_row_calls(self, rng):
-        """One call over the strided rows of one scheme (row e * S + s for
-        estimators e = 1, 2 of 3, S = 2 schemes) adds bit for bit what one call
-        per row adds, and leaves every other row alone."""
-        from combining_oracle import add_symbol_per_row
-
+    def test_estimator_slice_equals_per_entry_calls(self, rng):
+        """One call over estimators 1 and 2 of 3 at scheme 1 of 2, index
+        (slice(1, 3), 1), adds bit for bit what one call per (estimator,
+        scheme) entry adds, and leaves every other entry alone."""
         layout = SimulationLayout(16, 2, 15e3, 8, 3, (0,), (1,), 3, 2, 100.0)
         network = make_network(layout, np.ones((2, 3)), [0, 1], sigma2=1e-3)
         network = replace(network, D=np.array([[1, 0, 1], [1, 1, 0]], dtype=np.int8))
-        h_eff = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+        h_eff = rng.standard_normal((3, 2, 3)) + 1j * rng.standard_normal((3, 2, 3))
         v = rng.standard_normal((2, 3, 2, 3)) + 1j * rng.standard_normal((2, 3, 2, 3))
         lam = rng.uniform(size=3)
-        rows = slice(1 * 2 + 1, 3 * 2, 2)
-        stacked, per_row = SinrAccumulator(6, 2, 3), SinrAccumulator(6, 2, 3)
-        stacked.add_symbol(rows, v, h_eff, lam, network)
-        add_symbol_per_row(per_row, rows, v, h_eff, lam, network)
+        stacked, per_entry = SinrAccumulator((3, 2, 3, 2)), SinrAccumulator((3, 2, 3, 2))
+        stacked.add_symbol((slice(1, 3), 1), v, h_eff, lam, network)
+        for e, v_e in zip((1, 2), v):
+            per_entry.add_symbol((e, 1), v_e, h_eff, lam, network)
         for name in ("gain", "received", "ici", "vnorm"):
             got = getattr(stacked, name)
-            assert np.array_equal(got, getattr(per_row, name))
-            assert not got[[0, 1, 2, 4]].any() and got[[3, 5]].all()
+            assert np.array_equal(got, getattr(per_entry, name))
+            assert not got[0].any() and not got[:, 0].any() and got[1:, 1].all()
 
     def test_footprint_has_no_ue_pair_axis(self):
-        """Every array is (rows, K, tau_c): at fig3's K=100 the whole accumulator
-        is smaller than one (rows, K, tau_c, K) array of reals."""
-        rows, K, tau_c = 6, 100, 15
-        acc = SinrAccumulator(rows, K, tau_c)
+        """Every array is (E, S, tau_c, K): at fig3's K=100 the whole accumulator
+        is smaller than one (E, S, tau_c, K, K) array of reals."""
+        shape = (3, 2, 15, 100)
+        acc = SinrAccumulator(shape)
         arrays = [a for a in vars(acc).values() if isinstance(a, np.ndarray)]
-        assert all(a.shape == (rows, K, tau_c) for a in arrays)
-        assert sum(a.nbytes for a in arrays) < rows * K * tau_c * K * 8
+        assert all(a.shape == shape for a in arrays)
+        assert sum(a.nbytes for a in arrays) < np.prod(shape) * shape[-1] * 8
 
 
 def ue_pair_sinr(trials, p, sigma2, D, lam_pair):
@@ -200,12 +196,14 @@ def test_ue_pair_reference_gives_same_sinr(rng):
     def draw(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    trials = [(draw(tau_c, K, L), draw(K, L, tau_c)) for _ in range(30)]
-    acc = SinrAccumulator(2, K, tau_c)
+    trials = [(draw(tau_c, K, L), draw(tau_c, K, L)) for _ in range(30)]
+    acc = SinrAccumulator((2, tau_c, K))
     for v, h_eff in trials:
         acc.add_symbol(1, v, h_eff, lam_pair.sum(axis=0), network)
         acc.bump()
-    expect = ue_pair_sinr(trials, network.p, network.sigma2, network.D, lam_pair)
+    # the reference takes (K, L, tau_c) channels and gives (K, tau_c) SINRs
+    expect = ue_pair_sinr([(v, h.transpose(1, 2, 0)) for v, h in trials], network.p,
+                          network.sigma2, network.D, lam_pair).T
     assert np.all(expect > 0)
     np.testing.assert_allclose(finalize_sinr(acc, network)[1], expect, rtol=1e-12, atol=0)
 
@@ -215,9 +213,9 @@ class TestFinalize:
         network = make_network(
             SimulationLayout(16, 2, 15e3, 8, 2, (0,), (1,), 2, 1, 100.0),
             np.ones((1, 2)), [0])
-        acc = SinrAccumulator(1, 1, 1)
+        acc = SinrAccumulator((1, 1, 1))
         acc.add_symbol(0, np.zeros((1, 1, 2), dtype=complex),
-                       np.ones((1, 2, 1), dtype=complex), np.zeros(2), network)
+                       np.ones((1, 1, 2), dtype=complex), np.zeros(2), network)
         acc.bump()
         assert finalize_sinr(acc, network)[0, 0, 0] == 0.0
 
@@ -238,12 +236,12 @@ class TestFinalize:
         hh = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(eps / 2)
         e = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(c / 2)
         # one stacked call with the draws on the symbol axis, summed into one symbol
-        draws = SinrAccumulator(1, 1, n)
-        draws.add_symbol(0, hh[:, None, None], (hh + e)[None, None, :],
+        draws = SinrAccumulator((1, n, 1))
+        draws.add_symbol(0, hh[:, None, None], (hh + e)[:, None, None],
                          np.zeros(1), network)
-        acc = SinrAccumulator(1, 1, 1)
+        acc = SinrAccumulator((1, 1, 1))
         for name in ("gain", "received", "ici", "vnorm"):
-            getattr(acc, name)[:] = getattr(draws, name).sum(axis=2, keepdims=True)
+            getattr(acc, name)[:] = getattr(draws, name).sum(axis=1, keepdims=True)
         acc.count = n
         sinr = finalize_sinr(acc, network)[0, 0, 0]
         assert sinr == pytest.approx(p * eps / (p * beta + s2), rel=0.02)
@@ -252,7 +250,7 @@ class TestFinalize:
         network = make_network(
             SimulationLayout(16, 2, 15e3, 8, 2, (0,), (1,), 1, 1, 100.0),
             np.ones((1, 1)), [0], p=1.0, sigma2=0.0)
-        acc = SinrAccumulator(1, 1, 1)
+        acc = SinrAccumulator((1, 1, 1))
         # received power below |gain|^2 forces a negative variance estimate
         acc.count = 1
         acc.gain[0, 0, 0] = 2.0
@@ -262,16 +260,16 @@ class TestFinalize:
     def test_extra_interferer_never_raises_sinr(self, rng):
         layout = SimulationLayout(16, 2, 15e3, 8, 2, (0,), (1,), 3, 2, 100.0)
         net2 = make_network(layout, np.ones((2, 3)), [0, 1], sigma2=1e-3)
-        acc = SinrAccumulator(1, 2, 1)
-        alone = SinrAccumulator(1, 2, 1)  # the same draws with UE 1 silent
+        acc = SinrAccumulator((1, 1, 2))
+        alone = SinrAccumulator((1, 1, 2))  # the same draws with UE 1 silent
         for _ in range(200):
             h = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
             v = np.zeros_like(h)
             v[0] = h[0]
-            acc.add_symbol(0, v[None], h[:, :, None], np.zeros(3), net2)
+            acc.add_symbol(0, v[None], h[None], np.zeros(3), net2)
             acc.bump()
             h[1] = 0.0
-            alone.add_symbol(0, v[None], h[:, :, None], np.zeros(3), net2)
+            alone.add_symbol(0, v[None], h[None], np.zeros(3), net2)
             alone.bump()
         with_interf = finalize_sinr(acc, net2)[0, 0, 0]
         # removing UE 1's received power can only increase the SINR
@@ -287,13 +285,13 @@ class TestFinalize:
             for _ in range(50)
         ]
         lam = np.abs(rng.standard_normal((2, 3))).sum(axis=0) * 0.01
-        a1 = SinrAccumulator(1, 2, 1)
-        a2 = SinrAccumulator(1, 2, 1)
+        a1 = SinrAccumulator((1, 1, 2))
+        a2 = SinrAccumulator((1, 1, 2))
         alpha = 3.7 - 1.2j
         for v, h in trials:
-            a1.add_symbol(0, v[None], h[:, :, None], lam, network)
+            a1.add_symbol(0, v[None], h[None], lam, network)
             a1.bump()
-            a2.add_symbol(0, alpha * v[None], h[:, :, None], lam, network)
+            a2.add_symbol(0, alpha * v[None], h[None], lam, network)
             a2.bump()
         s1 = finalize_sinr(a1, network)[0, 0, 0]
         s2 = finalize_sinr(a2, network)[0, 0, 0]
@@ -305,7 +303,7 @@ class TestFinalize:
         layout = SimulationLayout(16, 2, 15e3, 8, 4, (0,), (1,), 3, 3, 100.0)
         network = make_network(layout, np.ones((3, 3)), [0, 1, 2], sigma2=1e-3)
         network.p = np.array([0.1, 0.2, 0.3])
-        acc = SinrAccumulator(2, 3, 4)
+        acc = SinrAccumulator((2, 4, 3))
         lam = np.abs(rng.standard_normal((3, 3))).sum(axis=0) * 0.01
         for _ in range(20):
             for s in range(2):
@@ -313,42 +311,42 @@ class TestFinalize:
                 for tau in range(1, 5):
                     hs.append(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
                     vs.append(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-                acc.add_symbol(s, np.stack(vs), np.stack(hs, axis=-1), lam, network)
+                acc.add_symbol(s, np.stack(vs), np.stack(hs), lam, network)
             acc.bump()
-        acc.gain[1, 0, 2] = 0.0        # zero numerator
-        acc.ici[1, 2, 3] = -3e6        # negative denominator
+        acc.gain[1, 2, 0] = 0.0        # zero numerator
+        acc.ici[1, 3, 2] = -3e6        # negative denominator
 
-        def per_record(s, k, t):
+        def per_record(s, t, k):
             n = acc.count
-            num = network.p[k] * np.abs(acc.gain[s, k, t] / n) ** 2
+            num = network.p[k] * np.abs(acc.gain[s, t, k] / n) ** 2
             if num == 0.0:
                 return 0.0
-            den = (acc.received[s, k, t] + acc.ici[s, k, t]
-                   + network.sigma2 * acc.vnorm[s, k, t]) / n - num
+            den = (acc.received[s, t, k] + acc.ici[s, t, k]
+                   + network.sigma2 * acc.vnorm[s, t, k]) / n - num
             return float("nan") if den <= 0.0 else float(num / den)
 
-        expect = np.array([[[per_record(s, k, t) for t in range(4)] for k in range(3)]
+        expect = np.array([[[per_record(s, t, k) for k in range(3)] for t in range(4)]
                            for s in range(2)])
         sinr = finalize_sinr(acc, network)
         assert np.array_equal(sinr, expect, equal_nan=True)
-        assert sinr[1, 0, 2] == 0.0
-        assert np.isnan(sinr[1, 2, 3])
+        assert sinr[1, 2, 0] == 0.0
+        assert np.isnan(sinr[1, 3, 2])
 
 
 class TestSeAssembly:
     def test_equal_sinrs(self):
-        row = se_from_sinr(np.full((2, 5), 3.0))
+        row = se_from_sinr(np.full((5, 2), 3.0))  # (tau_c, K)
         assert row[0] == pytest.approx(2.0)
         assert row.shape == (6,)
         assert np.allclose(row[1:], 2.0)
 
     def test_zero_sinr(self):
-        row = se_from_sinr(np.zeros((2, 4)))
+        row = se_from_sinr(np.zeros((4, 2)))
         assert row[0] == 0.0
         assert np.all(row[1:] == 0.0)
 
     def test_two_symbol_hand_value(self):
-        row = se_from_sinr(np.array([[1.0, 3.0]]))
+        row = se_from_sinr(np.array([[1.0], [3.0]]))
         assert row[0] == pytest.approx(1.5)
         assert np.allclose(row[1:], [1.0, 2.0])
 
@@ -371,7 +369,7 @@ class TestSeAssembly:
         """The block row reads entry 0, and every channel use of the block the
         entry of its symbol."""
         layout = SimulationLayout(16, 2, 15e3, 8, 2, (0,), (1,), 2, 2, 100.0)
-        row = se_from_sinr(np.array([[1.0, 3.0]]))
+        row = se_from_sinr(np.array([[1.0], [3.0]]))
         n_uses = layout.block_subcarriers * layout.block_symbols
         expanded = np.array([row[symbol_of_channel_use(c, layout)]
                              for c in range(n_uses + 1)])
@@ -385,7 +383,7 @@ class TestSeAssembly:
         with no valid record behind it, and without a 0/0 warning."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            row = se_from_sinr(np.array([[1.0, np.nan], [3.0, np.nan]]))
+            row = se_from_sinr(np.array([[1.0, 3.0], [np.nan, np.nan]]))
             assert np.allclose(row[1], 1.5) and np.isnan(row[2])
             assert row[0] == pytest.approx(1.5)
             row = se_from_sinr(np.array([[1.0, np.nan], [np.nan, np.nan]]))
@@ -396,9 +394,9 @@ class TestSeAssembly:
     def test_rows_equal_per_row_calls(self, rng):
         """Over leading axes every row equals its own call, and NaN appears only
         in the row without a valid record."""
-        sinr = rng.uniform(0.1, 10.0, (2, 3, 10, 4))  # (rows..., K, tau_c)
-        sinr[0, 1, 2, :3] = np.nan  # some invalid records
-        sinr[0, 1, 4] = np.nan      # a UE without a valid record
+        sinr = rng.uniform(0.1, 10.0, (2, 3, 4, 10))  # (rows..., tau_c, K)
+        sinr[0, 1, :3, 2] = np.nan  # some invalid records
+        sinr[0, 1, :, 4] = np.nan   # a UE without a valid record
         sinr[1, 2] = np.nan         # a row without a valid record
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -408,5 +406,5 @@ class TestSeAssembly:
             assert np.array_equal(rows[idx], se_from_sinr(sinr[idx]), equal_nan=True)
         assert np.isnan(rows[1, 2]).all()
         assert np.isnan(rows[..., 1:]).sum() == 4 and np.isnan(rows[..., 0]).sum() == 1
-        per_ue = [np.log2(1 + r[~np.isnan(r)]).mean() for r in sinr[0, 1] if (r == r).any()]
+        per_ue = [np.log2(1 + r[~np.isnan(r)]).mean() for r in sinr[0, 1].T if (r == r).any()]
         assert rows[0, 1, 0] == pytest.approx(np.mean(per_ue), rel=1e-15)
