@@ -22,11 +22,14 @@ def _masked_mmse_group(v, h_hat, err_var, network, group, members) -> None:
     singular.
     """
     ks, support = group.ues, group.support
-    h = h_hat[..., members[:, None], support]  # (..., tau_c, |members|, |S|)
-    c = err_var[..., members[:, None], support]
     p = network.p[members]
-    a = (np.swapaxes(h, -1, -2) * p) @ h.conj()
+    h = h_hat[..., members[:, None], support]  # (..., tau_c, |members|, |S|)
+    # each product is taken before the transpose: a product with a transposed
+    # operand would go through numpy's buffers, a copy as large as h
+    a = np.swapaxes(h * p[:, None], -1, -2) @ np.conjugate(h, out=h)
+    del h  # the systems are the largest arrays of a stacked trial: hold no more
     diag = np.arange(len(support))
+    c = err_var[..., members[:, None], support]
     a[..., diag, diag] += (p[:, None] * c).sum(axis=-2) + network.sigma2
     rhs = np.swapaxes(h_hat[..., ks[:, None], support], -1, -2)  # (..., tau_c, |S|, len(ks))
     try:
@@ -43,7 +46,8 @@ def _masked_mmse_group(v, h_hat, err_var, network, group, members) -> None:
                 log.warning("singular reduced combiner system for UEs %s at %s; "
                             "using pseudo-inverse", ks.tolist(), at)
                 sol[idx] = np.linalg.pinv(a[idx]) @ rhs[idx]
-    v[..., ks[:, None], support] = network.p[ks][:, None] * np.swapaxes(sol, -1, -2)
+    del a
+    v[..., ks[:, None], support] = np.swapaxes(sol * network.p[ks], -1, -2)
 
 
 def combiner_matrix(scheme: str, h_hat: np.ndarray, err_var: np.ndarray,
@@ -51,9 +55,10 @@ def combiner_matrix(scheme: str, h_hat: np.ndarray, err_var: np.ndarray,
     """Length-L combining vectors for every symbol and UE: (..., tau_c, K, L),
     from the estimates and their error variances in that same layout.
 
-    Leading axes stack estimates of one network, such as several estimators'
-    estimates of one trial; every stacked entry gives the combiners it would
-    give alone, bit for bit.  Entries off a UE's serving cluster are zero.  For
+    Leading axes stack estimates of one network, such as several trials' and
+    estimators' estimates; ``err_var`` broadcasts against them, so it may omit
+    the trial axis.  Every stacked entry gives the combiners it would give
+    alone, bit for bit.  Entries off a UE's serving cluster are zero.  For
     the MMSE variants, each of ``network.groups`` (UEs with one cluster
     support) shares one stacked solve over all symbols and leading entries.
     """

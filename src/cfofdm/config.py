@@ -178,24 +178,35 @@ def parse_config(text: str, base: ExperimentConfig = None) -> ExperimentConfig:
 
     Unknown or repeated keys and unparsable values raise ConfigError with the line number.
     """
-    cfg = base if base is not None else ExperimentConfig()
-    updates, line_of = {}, {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    entries = [("line %d" % i, "on line %d" % i, raw)
+               for i, raw in enumerate(text.splitlines(), start=1)]
+    return _parse_entries(entries, base if base is not None else ExperimentConfig())
+
+
+def _parse_entries(entries, cfg: ExperimentConfig) -> ExperimentConfig:
+    """Apply ``key = value`` entries over ``cfg`` and validate the result.
+
+    Each entry is (where, origin, text): an error names the entry by
+    ``where`` ("line 3"), and names by ``origin`` ("on line 1") the entry
+    that first set a key given twice.
+    """
+    updates, origin_of = {}, {}
+    for where, origin, raw in entries:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError("line %d: expected 'key = value', got %r" % (lineno, raw))
+            raise ConfigError("%s: expected 'key = value', got %r" % (where, raw))
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _PARSERS:
-            raise ConfigError("line %d: unknown key %r" % (lineno, key))
-        if key in line_of:
-            raise ConfigError("line %d: %s already set on line %d" % (lineno, key, line_of[key]))
-        line_of[key] = lineno
+            raise ConfigError("%s: unknown key %r" % (where, key))
+        if key in origin_of:
+            raise ConfigError("%s: %s already set %s" % (where, key, origin_of[key]))
+        origin_of[key] = origin
         try:
             updates[key] = _PARSERS[key](value)
         except (ValueError, TypeError) as exc:
-            raise ConfigError("line %d: invalid value for %s: %s" % (lineno, key, exc)) from None
+            raise ConfigError("%s: invalid value for %s: %s" % (where, key, exc)) from None
     cfg = replace(cfg, **updates)
     cfg.validate()
     return cfg
@@ -212,9 +223,11 @@ def load_config(path: str, base: ExperimentConfig = None) -> ExperimentConfig:
 
 
 def apply_overrides(cfg: ExperimentConfig, overrides) -> ExperimentConfig:
-    """Apply command-line ``key=value`` overrides, one per line, onto a configuration."""
-    text = "\n".join(overrides)
-    return parse_config(text, base=cfg)
+    """Apply command-line ``key=value`` overrides onto a configuration; an error
+    names the override by its position and text, "override 2 (n_trials=5)"."""
+    entries = [("override %d (%s)" % (i, raw), "by override %d" % i, raw)
+               for i, raw in enumerate(overrides, start=1)]
+    return _parse_entries(entries, cfg)
 
 
 def _fmt(value) -> str:

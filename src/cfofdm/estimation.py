@@ -170,10 +170,12 @@ def build_context(network: NetworkRealization, model: EstimatorModel) -> Estimat
 
 
 def estimate_all(ctx: EstimatorContext, y: np.ndarray) -> np.ndarray:
-    """Estimates h_hat (tau_c, K, L) for every (symbol, UE, AP) from stacked
-    pilot observations (L, tau_p); each is reused on every subcarrier of the
-    coherence block.  The result is a view of the (L, K, tau_c) product."""
+    """Estimates h_hat (..., tau_c, K, L) for every (symbol, UE, AP) from stacked
+    pilot observations (..., L, tau_p); each is reused on every subcarrier of
+    the coherence block.  Leading axes stack the observations of several
+    trials, each estimated bit for bit as alone.  The result is a view of the
+    (..., L, K, tau_c) product."""
     L, K = ctx.scale.shape
-    z = np.linalg.solve(ctx.psi, y[:, :, None])[:, :, 0]  # (L, tau_p): Psi_l^{-1} y_l
-    h_hat = (z @ np.conj(ctx.rhs)).reshape(L, K, -1) * ctx.scale[:, :, None]
-    return h_hat.transpose(2, 1, 0)
+    z = np.linalg.solve(ctx.psi, y[..., None])[..., 0]  # (..., L, tau_p): Psi_l^{-1} y_l
+    h_hat = (z @ np.conj(ctx.rhs)).reshape(z.shape[:-1] + (K, -1)) * ctx.scale[:, :, None]
+    return np.swapaxes(h_hat, -1, -3)

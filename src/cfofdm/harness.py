@@ -8,7 +8,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .network import NetworkRealization, SimulationLayout, gen_channel, generate
 from .phase_noise import (
     KernelGrid,
     KernelParams,
+    PhaseNoiseTrace,
     PnParams,
     build_correlation_table,
     cpe_per_symbol,  # unused here; perfbench/probe.py wraps this name (ROADMAP item 4)
@@ -32,6 +33,7 @@ CSV_HEADER = (
 _STREAM_GEOMETRY = 0
 _STREAM_TRIAL = 1
 _N_BATCHES = 8  # trial batches behind single-geometry standard errors
+MAX_THREADS = 64  # worker threads of one run, each an OS thread
 
 
 def derived_rng(master_seed: int, *key: int) -> np.random.Generator:
@@ -127,40 +129,101 @@ def build_geometry(cfg: ExperimentConfig, setup: Setup, geometry_index: int) -> 
     return Geometry(network, contexts, se.lambda_ici(network, setup.table))
 
 
-# Bytes of the stacked (tau_c, K, L) complex combiners of one estimator chunk:
-# the synthesis tile budget.  A fig2 chunk is one estimator, a ci chunk all three.
+# Bytes of the phase traces of one stack of trials: the synthesis tile budget.
+# A ci stack is three trials; a fig2 or fig3 trace alone exceeds the budget,
+# so there a stack is one trial.
+_STACK_BYTES = ofdm._TILE_BYTES
+# Bytes of the stacked (B, chunk, tau_c, K, L) complex combiners of one
+# estimator chunk: the same budget.  A fig2 chunk is one estimator, a ci chunk
+# all three.
 _CHUNK_BYTES = ofdm._TILE_BYTES
 
 
-def run_trial(cfg: ExperimentConfig, setup: Setup, geom: Geometry,
-              rng: np.random.Generator) -> se.SinrAccumulator:
-    """One Monte Carlo trial: draw, synthesize, estimate, combine, accumulate.
+def stack_size(layout: SimulationLayout) -> int:
+    """Trials per stack: at least one, and as many as fit ``_STACK_BYTES`` with
+    their phase traces, (K + L) tau_c N float64 phases each, and with the AP
+    rows of their synthesis tile, L N complex samples each (the larger only
+    at tau_c = 1)."""
+    n, L = layout.n_subcarriers, layout.n_aps
+    trace = (layout.n_ues + L) * layout.block_symbols * n * 8
+    return max(1, _STACK_BYTES // max(trace, L * n * 16))
 
-    Returns a single-trial accumulator of shape (E, S, tau_c, K): entry
-    [e, s] holds estimator e with scheme s.  The estimators go in chunks, as
-    many as fit ``_CHUNK_BYTES`` and at least one: a chunk's estimates are
-    stacked, and each scheme makes one combiner call and one accumulate call
-    over the chunk's entries [e0:e1, s].
+
+def trial_rngs(master_seed: int, geometry_index: int, trials: range) -> List[np.random.Generator]:
+    """The generators of ``trials`` of one geometry, one stream per trial."""
+    return [derived_rng(master_seed, _STREAM_TRIAL, geometry_index, t) for t in trials]
+
+
+def _as_stack(first: np.ndarray, size: int) -> np.ndarray:
+    """A stack of ``size`` arrays shaped like ``first``, holding ``first`` at
+    entry 0: a view of ``first`` itself for a stack of one."""
+    if size == 1:
+        return first[None]
+    stack = np.empty((size,) + first.shape, dtype=first.dtype)
+    stack[0] = first
+    return stack
+
+
+def observe(setup: Setup, network: NetworkRealization, rngs: Sequence[np.random.Generator],
+            shared_data: bool = False) -> Tuple[np.ndarray, np.ndarray]:
+    """Draw and synthesize a stack of trials, one generator per trial.
+
+    Trial b draws from ``rngs[b]`` in this order: channel, phase trace,
+    transmit grids (``ofdm.build_transmit_grids``, with ``shared_data``), and
+    the receiver noise of the synthesis.  Trial 0 draws new arrays, which a
+    stack of one uses as they are; the walks of every further trial go
+    straight into the stacked trace.  Returns the pilot observations y
+    (B, L, tau_p) and the effective channels h_eff (B, tau_c, K, L); the
+    trace is freed on return.
     """
-    layout, network = setup.layout, geom.network
-    h = gen_channel(network.beta, layout, rng)
-    trace = gen_pn_trace(setup.pn, layout, rng)
-    grids = ofdm.build_transmit_grids(layout, network.pilot_index, rng)
-    y, cpe = ofdm.synth_pilot_observations(h, grids, trace, network, layout, rng)
-    del trace, grids  # the largest arrays of a trial; combining makes its own peak
-    h_eff = cpe * h[:, :, 0]
+    layout = setup.layout
 
-    acc = se.SinrAccumulator((len(geom.contexts), len(cfg.schemes), layout.block_symbols,
-                              layout.n_ues))
-    per_call = max(1, _CHUNK_BYTES // (16 * layout.block_symbols * layout.n_ues
+    def draw(rng, trace_out=None):
+        return (gen_channel(network.beta, layout, rng),
+                gen_pn_trace(setup.pn, layout, rng, trace_out),
+                ofdm.build_transmit_grids(layout, network.pilot_index, rng, shared_data))
+
+    B = len(rngs)
+    h, trace, grids = draw(rngs[0])
+    h, grids = _as_stack(h, B), _as_stack(grids, B)
+    trace = PhaseNoiseTrace(_as_stack(trace.ap_phase, B), _as_stack(trace.ue_phase, B))
+    for b in range(1, B):
+        h[b], _, grids[b] = draw(rngs[b], PhaseNoiseTrace(trace.ap_phase[b], trace.ue_phase[b]))
+    y, cpe = ofdm.synth_pilot_observations(h, grids, trace, network, layout, rngs)
+    return y, cpe * h[:, None, :, :, 0]
+
+
+def run_trial(cfg: ExperimentConfig, setup: Setup, geom: Geometry,
+              rngs) -> se.SinrAccumulator:
+    """A stack of Monte Carlo trials, one generator of ``rngs`` each (a bare
+    generator is a stack of one): draw, synthesize, estimate, combine,
+    accumulate.
+
+    Returns an accumulator of shape (B, E, S, tau_c, K) whose entry b holds
+    trial b alone (``count`` 1): entry [b, e, s] holds estimator e with
+    scheme s.  Every array of the trials carries the stack axis first, and
+    each trial's sums are bit for bit those of its stack of one.  The
+    estimators go in chunks, as many as fit ``_CHUNK_BYTES`` and at least
+    one: a chunk's estimates are stacked, and each scheme makes one combiner
+    call and one accumulate call over the chunk's entries [:, e0:e1, s].
+    """
+    if isinstance(rngs, np.random.Generator):
+        rngs = [rngs]
+    layout, network = setup.layout, geom.network
+    y, h_eff = observe(setup, network, rngs)
+    B, E = len(rngs), len(geom.contexts)
+    acc = se.SinrAccumulator((B, E, len(cfg.schemes), layout.block_symbols, layout.n_ues))
+    per_call = max(1, _CHUNK_BYTES // (16 * B * layout.block_symbols * layout.n_ues
                                         * layout.n_aps))
-    for e0 in range(0, len(geom.contexts), per_call):
+    for e0 in range(0, E, per_call):
         chunk = geom.contexts[e0:e0 + per_call]
-        h_hat = np.stack([estimation.estimate_all(ctx, y) for ctx in chunk])
+        h_hat = np.stack([estimation.estimate_all(ctx, y) for ctx in chunk], axis=1)
         err_var = np.stack([ctx.err_var for ctx in chunk])
         for s, scheme in enumerate(cfg.schemes):
-            v = combining.combiner_matrix(scheme, h_hat, err_var, network)
-            acc.add_symbol((slice(e0, e0 + len(chunk)), s), v, h_eff, geom.lam, network)
+            # one scheme's combiners at a time: the call's result is freed after it
+            acc.add_symbol((slice(None), slice(e0, e0 + len(chunk)), s),
+                           combining.combiner_matrix(scheme, h_hat, err_var, network),
+                           h_eff[:, None], geom.lam, network)
     acc.bump()
     return acc
 
@@ -186,8 +249,10 @@ def run_geometry(
 ) -> GeometryResult:
     """All Monte Carlo trials for one network geometry.
 
-    Trial t lands in batch t % n_batches; the batches are merged in order.
-    Trials run in the calling thread at ``threads`` = 1, else on a pool.
+    The trials go in stacks of ``stack_size``, the last one maybe partial.
+    Trial t lands in batch t % n_batches, merged in trial order; the batches
+    are merged in order.  Stacks run in the calling thread at ``threads`` = 1,
+    else on a pool.
     """
     layout = setup.layout
     geom = build_geometry(cfg, setup, geometry_index)
@@ -196,18 +261,20 @@ def run_geometry(
     shape = (len(cfg.estimators), len(cfg.schemes), layout.block_symbols, layout.n_ues)
     n_batches = max(1, min(_N_BATCHES, cfg.n_trials))
     batches = [se.SinrAccumulator(shape) for _ in range(n_batches)]
+    stack = stack_size(layout)
 
-    def one(t: int):
-        rng = derived_rng(cfg.master_seed, _STREAM_TRIAL, geometry_index, t)
-        return run_trial(cfg, setup, geom, rng)
+    def one(t0: int):
+        trials = range(t0, min(t0 + stack, cfg.n_trials))
+        return run_trial(cfg, setup, geom, trial_rngs(cfg.master_seed, geometry_index, trials))
 
     with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
         trial_map = map if pool is None else pool.map
-        chunk = 4 * threads  # trials in flight at once
+        chunk = 4 * threads * stack  # trials of the stacks in flight at once
         for lo in range(0, cfg.n_trials, chunk):
-            ids = range(lo, min(lo + chunk, cfg.n_trials))
-            for t, acc in zip(ids, trial_map(one, ids)):
-                batches[t % n_batches].merge(acc)
+            starts = range(lo, min(lo + chunk, cfg.n_trials), stack)
+            for t0, acc in zip(starts, trial_map(one, starts)):
+                for b in range(len(acc.gain)):
+                    batches[(t0 + b) % n_batches].merge(acc, b)
 
     total = se.SinrAccumulator(shape)
     for b in batches:
@@ -236,7 +303,8 @@ def run_experiment(
     """Run the full experiment and aggregate records across geometries.
 
     The records are a pure function of the configuration: byte-identical for
-    every ``threads`` value (>= 1).  The standard error spreads over the
+    every ``threads`` value from 1 to MAX_THREADS; any other raises ValueError
+    before a thread starts.  The standard error spreads over the
     geometries, or over the trial batches of a single-geometry run.  A row's SE
     stays one (1 + tau_c) array, the block then every symbol, until the records
     are written: channel use c reads entry ceil(c / N_c), so the block row
@@ -244,8 +312,8 @@ def run_experiment(
     are invalid.
     """
     cfg.validate()
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
+    if not 1 <= threads <= MAX_THREADS:
+        raise ValueError("threads must lie in [1, %d], got %r" % (MAX_THREADS, threads))
     layout = cfg.layout()
     t0 = time.perf_counter()
     if progress:

@@ -39,18 +39,19 @@ def build_transmit_grids(
 
 
 def _constant_phase(phase: np.ndarray) -> bool:
-    """Whether every node's phase is constant over each symbol, from (nodes,
+    """Whether every node's phase is constant over each symbol, from (..., nodes,
     tau_c, N) phases.  A walk of ``gen_pn_trace`` is so over every symbol
     (sigma^2 = 0) or over none; the symbol ends are compared first, so a varying
     walk costs no full scan."""
-    return bool((phase[:, :, -1] == phase[:, :, 0]).all() and (phase == phase[:, :, :1]).all())
+    return bool((phase[..., -1] == phase[..., 0]).all() and (phase == phase[..., :1]).all())
 
 
 def _symbol_phasors(phase: np.ndarray, constant: bool, out: np.ndarray) -> np.ndarray:
-    """exp(j phase) of (nodes, N) phases, written into ``out``; where every row
-    is ``constant``, one phasor per node, broadcast, which gives the same values."""
+    """exp(j phase) of (..., nodes, N) phases, written into ``out``; where every
+    row is ``constant``, one phasor per node, broadcast, which gives the same
+    values."""
     if constant:
-        out[...] = phasor(phase[:, :1])
+        out[...] = phasor(phase[..., :1])
     else:
         np.cos(phase, out=out.real)
         np.sin(phase, out=out.imag)
@@ -74,7 +75,7 @@ def synth_pilot_observations(
     trace: PhaseNoiseTrace,
     network: NetworkRealization,
     layout: SimulationLayout,
-    rng: np.random.Generator,
+    rng,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Received pilot observations with exact phase-noise ICI, and the common
     phase errors of every symbol of the block.
@@ -83,6 +84,13 @@ def synth_pilot_observations(
     sum_k sqrt(p_k) * (J_{k,l} conv (h_{k,l} .* s_k))[n] + noise, with the
     noise drawn from ``rng``.  The APs are taken a tile at a time, so the
     working set is a few (tile, N) arrays of about 0.5 MB each, never (L, N).
+
+    A leading axis of B trials on ``h``, ``grids`` and the trace's phases
+    synthesizes a stack of trials in one call, with ``rng`` one generator per
+    trial, and returns y and cpe with that axis first.  A tile then takes its
+    APs of every trial, so each trial's y and CPE are bit for bit those of
+    its call alone; ``harness.stack_size`` keeps a stack's tile within the
+    budget.
 
     Parameters
     ----------
@@ -96,7 +104,17 @@ def synth_pilot_observations(
         like every per-symbol array of a trial; equal to
         ``phase_noise.cpe_per_symbol(trace)``.
     """
-    K, L, _ = h.shape
+    if h.ndim == 4:
+        return _synth_stack(h, grids, trace, network, layout, rng)
+    one = PhaseNoiseTrace(trace.ap_phase[None], trace.ue_phase[None])
+    y, cpe = _synth_stack(h[None], grids[None], one, network, layout, [rng])
+    return y[0], cpe[0]
+
+
+def _synth_stack(h, grids, trace, network, layout, rngs) -> Tuple[np.ndarray, np.ndarray]:
+    """``synth_pilot_observations`` of a stack of trials: (B, ...) arrays and
+    one generator per trial; returns y (B, L, tau_p) and cpe (B, tau_c, K, L)."""
+    B, K, L, _ = h.shape
     n = layout.n_subcarriers
     nc = layout.block_subcarriers
     r_whole = n // nc  # whole coherence blocks; a partial one may follow
@@ -105,58 +123,61 @@ def synth_pilot_observations(
     sqrt_p = np.sqrt(network.p)
     slot_sub, slot_sym = layout.pilot_slot_positions
 
-    y = np.empty((L, tau_p), dtype=complex)
-    cpe = np.empty((n_sym, K, L), dtype=complex)
+    y = np.empty((B, L, tau_p), dtype=complex)
+    cpe = np.empty((B, n_sym, K, L), dtype=complex)
     # fft(J_{k,l}) equals the time-domain phasor exp(j*theta) reversed mod N,
     # so the circular convolution never needs an explicit J vector.
     rev = (-np.arange(n)) % n
     rows = _tile_rows(n)
-    e_ue = np.empty((K, n), dtype=complex)
-    ap_buf, fx_buf, g_buf = (np.empty((min(rows, L), n), dtype=complex) for _ in range(3))
+    e_ue = np.empty((B, K, n), dtype=complex)
+    ap_buf, fx_buf, g_buf = (np.empty((B, min(rows, L), n), dtype=complex) for _ in range(3))
     pilot_si = {t: si for si, t in enumerate(layout.pilot_symbols)}
     ue_const, ap_const = _constant_phase(trace.ue_phase), _constant_phase(trace.ap_phase)
     for t_sym in range(1, n_sym + 1):
-        _symbol_phasors(trace.ue_phase[:, t_sym - 1], ue_const, e_ue)
+        _symbol_phasors(trace.ue_phase[:, :, t_sym - 1], ue_const, e_ue)
         si = pilot_si.get(t_sym)
         in_slot = np.flatnonzero(slot_sym == t_sym)  # empty off the pilot symbols
         # a phase constant over the symbol makes J a delta: no ICI at all
         ici = si is not None and not (ue_const and ap_const)
         if ici:
             phases = np.exp(2j * np.pi * np.outer(slot_sub[in_slot], np.arange(n)) / n)
-            w_ue = sqrt_p[:, None] * e_ue[:, rev]  # (K, N)
+            w_ue = sqrt_p[:, None] * e_ue[..., rev]  # (B, K, N)
         for a in range(0, L, rows):
             b = min(a + rows, L)
-            e_ap = _symbol_phasors(trace.ap_phase[a:b, t_sym - 1], ap_const, ap_buf[: b - a])
-            cpe[t_sym - 1, :, a:b] = e_ue @ e_ap.T / n
+            e_ap = _symbol_phasors(trace.ap_phase[:, a:b, t_sym - 1], ap_const,
+                                   ap_buf[:, : b - a])
+            cpe[:, t_sym - 1, :, a:b] = e_ue @ np.swapaxes(e_ap, -1, -2) / n
             if not ici:
                 continue
             # g[l, m] = sum_k sqrt(p_k) e_ue[k, m] fft(h_{k,l} .* s_k)[m], one k at
             # a time; h_{k,l} is constant over each block, the last one maybe
             # partial.  A broadcast copy of h and a contiguous multiply beat one
             # broadcast multiply, whose inner loop runs over only N_c samples.
-            fx, g = fx_buf[: b - a], g_buf[: b - a]
-            fx_blocks = fx[:, : r_whole * nc].reshape(b - a, r_whole, nc)  # a view of fx
+            fx, g = fx_buf[:, : b - a], g_buf[:, : b - a]
+            fx_blocks = fx[..., : r_whole * nc].reshape(B, b - a, r_whole, nc)  # a view of fx
             for k in range(K):
-                fx_blocks[...] = h[k, a:b, :r_whole, None]
-                fx[:, r_whole * nc :] = h[k, a:b, r_whole:]
-                np.multiply(fx, grids[k, si], out=fx)
+                fx_blocks[...] = h[:, k, a:b, :r_whole, None]
+                fx[..., r_whole * nc :] = h[:, k, a:b, r_whole:]
+                np.multiply(fx, grids[:, k, si, None], out=fx)
                 np.fft.fft(fx, axis=-1, out=fx)
                 if k == 0:
-                    np.multiply(fx, w_ue[k], out=g)
+                    np.multiply(fx, w_ue[:, k, None], out=g)
                 else:
-                    np.multiply(fx, w_ue[k], out=fx)
+                    np.multiply(fx, w_ue[:, k, None], out=fx)
                     np.add(g, fx, out=g)
-            g[:, 0] *= e_ap[:, 0]  # g *= e_ap[:, rev], through views
-            g[:, 1:] *= e_ap[:, :0:-1]
-            y[a:b, in_slot] = g @ phases.T / n
+            # g *= e_ap[..., rev] through a contiguous copy in fx: numpy would
+            # buffer a product with the strided reversed view, 128 KB per operand
+            g *= np.take(e_ap, rev, axis=-1, out=fx, mode="wrap")
+            y[:, a:b, in_slot] = g @ phases.T / n
         if si is not None and not ici:
-            terms = (sqrt_p[:, None, None] * grids[:, si, slot_sub[in_slot]][:, None, :]
-                     * cpe[t_sym - 1, :, :, None] * h[:, :, :1])  # slots of block 1
-            y[:, in_slot] = terms.sum(axis=0)
+            terms = (sqrt_p[:, None, None] * grids[:, :, si, slot_sub[in_slot]][:, :, None, :]
+                     * cpe[:, t_sym - 1, :, :, None] * h[..., :1])  # slots of block 1
+            y[:, :, in_slot] = terms.sum(axis=1)
 
-    y += np.sqrt(network.sigma2 / 2.0) * (
-        rng.standard_normal((L, tau_p)) + 1j * rng.standard_normal((L, tau_p))
-    )
+    for y_b, rng in zip(y, rngs):
+        y_b += np.sqrt(network.sigma2 / 2.0) * (
+            rng.standard_normal((L, tau_p)) + 1j * rng.standard_normal((L, tau_p))
+        )
     return y, cpe
 
 

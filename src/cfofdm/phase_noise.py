@@ -4,7 +4,7 @@ spectra, and the second-order drift correlation kernel."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -65,17 +65,20 @@ def wiener_walks(
     sigma2: float,
     cp_len: int,
     rng: np.random.Generator,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Discrete Wiener phase walks with cyclic-prefix jumps at symbol boundaries.
 
     Per-sample increments are N(0, sigma2); the step from the last sample of a
     symbol to the first sample of the next has variance (cp_len + 1) * sigma2.
     The initial phase is uniform on [0, 2*pi) per node.  The increments are
-    drawn, scaled and summed in place in one array; the walks and the
-    generator's end state are bit for bit those of ``rng.normal(0, s)``
-    draws, which are 0 + s z.
+    drawn, scaled and summed in place in one array, ``out`` if given (C-ordered
+    (n_nodes, n_symbols, n_samples) float64); the walks and the generator's end
+    state are bit for bit those of ``rng.normal(0, s)`` draws, which are 0 + s z.
     """
-    inc = rng.standard_normal((n_nodes, n_symbols * n_samples))
+    shape = (n_nodes, n_symbols * n_samples)
+    inc = np.empty(shape) if out is None else out.reshape(shape)  # a view of out
+    rng.standard_normal(out=inc)
     inc *= np.sqrt(sigma2)
     inc[:, 0] = rng.uniform(0.0, 2.0 * np.pi, size=n_nodes)
     if n_symbols > 1:
@@ -84,13 +87,14 @@ def wiener_walks(
     return inc.reshape(n_nodes, n_symbols, n_samples)
 
 
-def gen_pn_trace(params: PnParams, layout: SimulationLayout,
-                 rng: np.random.Generator) -> PhaseNoiseTrace:
-    """Independent per-AP and per-UE phase walks spanning one coherence block."""
+def gen_pn_trace(params: PnParams, layout: SimulationLayout, rng: np.random.Generator,
+                 out: Optional[PhaseNoiseTrace] = None) -> PhaseNoiseTrace:
+    """Independent per-AP and per-UE phase walks spanning one coherence block,
+    drawn into the arrays of ``out`` if given."""
     ap = wiener_walks(layout.n_aps, layout.block_symbols, layout.n_subcarriers,
-                      params.sigma2_ap, layout.cp_len, rng)
+                      params.sigma2_ap, layout.cp_len, rng, None if out is None else out.ap_phase)
     ue = wiener_walks(layout.n_ues, layout.block_symbols, layout.n_subcarriers,
-                      params.sigma2_ue, layout.cp_len, rng)
+                      params.sigma2_ue, layout.cp_len, rng, None if out is None else out.ue_phase)
     return PhaseNoiseTrace(ap_phase=ap, ue_phase=ue)
 
 

@@ -20,7 +20,8 @@ def lambda_ici(network: NetworkRealization, table: KernelGrid) -> np.ndarray:
 class SinrAccumulator:
     """Running sums of the four UatF SINR terms per (..., symbol, UE).
 
-    The leading axes index the result rows, (estimator, scheme) in a trial.
+    The leading axes index the result rows, (estimator, scheme) in a trial,
+    after the trial axis in a stack of trials.
     For UE k, ``gain`` sums v_k^H D_k h_k, ``received`` sum_i p_i
     |v_k^H D_k h_i|^2, ``ici`` sum_l |D_k v_k|_l^2 lambda_l and ``vnorm``
     ||D_k v_k||^2.  Sums (not means) merge associatively and
@@ -39,9 +40,11 @@ class SinrAccumulator:
         """Accumulate one trial's terms of some rows for all UEs and symbols.
 
         ``index`` selects rows by their leading axes, such as ``(e, s)`` or
-        ``(slice(e0, e1), s)``; v holds their combining vectors, (..., tau_c,
-        K, L) to match.  h_eff is (tau_c, K, L), the effective channels; lam
-        is the (L,) ICI power.
+        ``(slice(None), slice(e0, e1), s)``; v holds their combining vectors,
+        (..., tau_c, K, L) to match.  h_eff holds the effective channels,
+        (..., tau_c, K, L) broadcasting against v: (tau_c, K, L) for one trial,
+        (B, 1, tau_c, K, L) for a stack of B trials' estimator rows.  lam is
+        the (L,) ICI power.
         """
         vm = np.conj(v) * network.D
         m = vm @ np.swapaxes(h_eff, -1, -2)  # m[..., t, k, i] = v_tk^H D_k h_i(t)
@@ -55,12 +58,16 @@ class SinrAccumulator:
         """Mark one full trial as accumulated."""
         self.count += 1
 
-    def merge(self, other: "SinrAccumulator") -> None:
+    def merge(self, other: "SinrAccumulator", row=None) -> None:
+        """Add the sums of ``other``; with ``row``, only its entry ``row`` of the
+        leading axis, such as one trial of the stack ``harness.run_trial``
+        accumulates, whose ``count`` is then that of each entry."""
+        pick = slice(None) if row is None else row
         self.count += other.count
-        self.gain += other.gain
-        self.received += other.received
-        self.ici += other.ici
-        self.vnorm += other.vnorm
+        self.gain += other.gain[pick]
+        self.received += other.received[pick]
+        self.ici += other.ici[pick]
+        self.vnorm += other.vnorm[pick]
 
 
 def finalize_sinr(acc: SinrAccumulator, network: NetworkRealization) -> np.ndarray:

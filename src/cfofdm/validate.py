@@ -16,8 +16,8 @@ import numpy as np
 
 from . import estimation, ofdm
 from .config import ExperimentConfig, ci_config
-from .harness import build_geometry, build_setup, derived_rng
-from .network import gen_channel, gen_fir_taps, generate_network
+from .harness import build_geometry, build_setup, derived_rng, observe, stack_size, trial_rngs
+from .network import gen_fir_taps, generate_network
 from .phase_noise import (
     KernelParams,
     correlation_b_fast,
@@ -177,27 +177,29 @@ def lmmse_moments(cfg: ExperimentConfig) -> Check:
     in the world where the estimator's assumed pilot covariance is exact: the
     kernel stride that trace generation uses, equal-index data terms only, and
     one data draw shared across the pilot symbols (the assumed ICI covariance
-    correlates data interference across OFDM symbols).
+    correlates data interference across OFDM symbols).  The trials are drawn
+    and synthesized in stacks by ``harness.observe``, on the streams of a run's
+    geometry 0.
     """
     cfg = replace(cfg, ici_mode="independent_data", cp_consistent_correlation=True,
                   estimators=("pna_ofdm",))
     setup = build_setup(cfg)
-    layout, pn = setup.layout, setup.pn
+    layout = setup.layout
     geom = build_geometry(cfg, setup, 0)
     network, ctx = geom.network, geom.contexts[0]  # pna_ofdm, the only estimator
     k, l = 0, 0
     h_eff = np.empty((cfg.n_trials, layout.block_symbols), dtype=complex)
     h_hat = np.empty_like(h_eff)
     y_l = np.empty((cfg.n_trials, layout.tau_p), dtype=complex)
-    for t in range(cfg.n_trials):
-        rng = derived_rng(cfg.master_seed, 1, 0, t)
-        h = gen_channel(network.beta, layout, rng)
-        trace = gen_pn_trace(pn, layout, rng)
-        grids = ofdm.build_transmit_grids(layout, network.pilot_index, rng, shared_data=True)
-        y, cpe = ofdm.synth_pilot_observations(h, grids, trace, network, layout, rng)
-        h_eff[t] = cpe[:, k, l] * h[k, l, 0]
-        h_hat[t] = estimation.estimate_all(ctx, y)[:, k, l]
-        y_l[t] = y[l]
+    stack = stack_size(layout)
+    for t0 in range(0, cfg.n_trials, stack):
+        rows = slice(t0, min(t0 + stack, cfg.n_trials))
+        y, h_eff_all = observe(setup, network,
+                               trial_rngs(cfg.master_seed, 0, range(rows.start, rows.stop)),
+                               shared_data=True)
+        h_eff[rows] = h_eff_all[:, :, k, l]
+        h_hat[rows] = estimation.estimate_all(ctx, y)[:, :, k, l]
+        y_l[rows] = y[:, l]
 
     prods = (h_eff - h_hat)[:, :, None] * np.conj(y_l)[:, None, :]
     orth = max(_std_errors(prods.real, 0.0).max(), _std_errors(prods.imag, 0.0).max())

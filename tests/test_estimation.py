@@ -331,6 +331,20 @@ class TestLmmseEstimate:
         b = estimate_all(ctx, y)[1, 1, 1]
         assert a == pytest.approx(2.5j * b, rel=1e-12)
 
+    def test_stacked_observations_estimated_as_alone(self, rng):
+        """A leading axis of observations, as a stack of trials, gives each
+        entry's estimates bit for bit."""
+        layout = toy_layout()
+        table = make_table(layout, 3e-3)
+        network = make_network(layout, rng.uniform(0.05, 1.0, (2, 2)), [0, 1])
+        ctx = make_context(network, layout, table)
+        y = rng.standard_normal((3, 2, layout.tau_p)) + 1j * rng.standard_normal(
+            (3, 2, layout.tau_p))
+        h_hat = estimate_all(ctx, y)
+        assert h_hat.shape == (3,) + ctx.eps.shape
+        for b in range(3):
+            assert np.array_equal(h_hat[b], estimate_all(ctx, y[b]))
+
     def test_no_pn_single_ue_closed_form(self, rng):
         layout = toy_layout(n_ues=1)
         table = make_table(layout, 0.0)

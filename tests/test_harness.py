@@ -3,6 +3,7 @@
 import copy
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -48,6 +49,11 @@ def small_cfg(**kw):
 def all_invalid_finalize(acc, network):
     """finalize_sinr stand-in that marks every SINR record invalid."""
     return np.full(acc.gain.shape, np.nan)
+
+
+def trace_bytes(layout):
+    """Bytes of one trial's float64 phase walks, the unit of the stack budget."""
+    return (layout.n_ues + layout.n_aps) * layout.block_symbols * layout.n_subcarriers * 8
 
 
 def counting_runs(monkeypatch):
@@ -147,10 +153,13 @@ class TestConfigParsing:
     def test_key_given_twice_in_overrides_rejected(self, capsys):
         """Two overrides of one key are an error; one override of a key that
         the file sets is not."""
-        with pytest.raises(ConfigError, match="line 2: n_trials already set on line 1"):
+        message = "override 2 (n_trials=5): n_trials already set by override 1"
+        with pytest.raises(ConfigError, match=re.escape(message)):
             apply_overrides(ci_config(), ["n_trials=3", "n_trials=5"])
         assert cli_main(["fig2", "n_trials=3", "n_trials=5"]) == 1
-        assert "n_trials already set" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+        with pytest.raises(ConfigError, match=re.escape("override 1 (bogus=1): unknown key")):
+            apply_overrides(ci_config(), ["bogus=1"])
         assert apply_overrides(parse_config("n_trials = 10"), ["n_trials=3"]).n_trials == 3
 
     def test_infeasible_serving_capacity_rejected(self):
@@ -184,6 +193,42 @@ class TestRunExperiment:
         for threads in (0, -3):
             with pytest.raises(ValueError, match="threads"):
                 run_experiment(small_cfg(), threads=threads)
+
+    def test_threads_above_cap_rejected_before_any_pool(self, monkeypatch):
+        """run_experiment enforces the CLI's cap itself, before a pool exists; the
+        pool is replaced by one that fails if constructed, so no thread starts."""
+        from cfofdm import harness
+
+        class PoolReached(Exception):
+            pass
+
+        def no_pool(workers):
+            raise PoolReached(workers)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
+        for threads in (harness.MAX_THREADS + 1, 10 ** 6):
+            with pytest.raises(ValueError, match="threads"):
+                run_experiment(small_cfg(), threads=threads)
+        with pytest.raises(PoolReached, match=str(harness.MAX_THREADS)):
+            run_experiment(small_cfg(), threads=harness.MAX_THREADS)
+
+    @pytest.mark.parametrize("n_trials", [7, 2], ids=["partial_last_stack", "under_one_stack"])
+    def test_csv_invariant_to_threads_and_stack_size(self, monkeypatch, n_trials):
+        """Byte-identical CSVs on 1 and 2 threads with stacks of 1 and 3 trials,
+        on one geometry, whose standard error reads every trial batch."""
+        from cfofdm import harness
+
+        cfg = replace(ci_config(), n_geometries=1, n_trials=n_trials,
+                      estimators=("pna_ofdm", "pna_sc", "unaware"),
+                      schemes=("mr", "lp_mmse", "p_mmse", "mmse"))
+        layout = cfg.layout()
+        texts = set()
+        for stack in (1, 3):
+            monkeypatch.setattr(harness, "_STACK_BYTES", stack * trace_bytes(layout))
+            assert harness.stack_size(layout) == stack
+            for threads in (1, 2):
+                texts.add(records_to_csv(run_experiment(cfg, threads=threads)))
+        assert len(texts) == 1
 
     def test_scheme_rows_present(self):
         cfg = small_cfg(n_trials=4, n_geometries=1)
@@ -657,7 +702,7 @@ class TestStackedTrial:
         E, S, T, K, L = (len(cfg.estimators), len(cfg.schemes), layout.block_symbols,
                          layout.n_ues, layout.n_aps)
         rng = derived_rng(cfg.master_seed, 1, 0, 0)
-        out = run_trial(cfg, setup, geom, copy.deepcopy(rng))
+        out = run_trial(cfg, setup, geom, [copy.deepcopy(rng)])
 
         h = gen_channel(network.beta, layout, rng)
         trace = gen_pn_trace(setup.pn, layout, rng)
@@ -678,8 +723,8 @@ class TestStackedTrial:
                                            ctx.err_var.transpose(1, 2, 0), network, tau)
                     add_symbol_at(ref, 0, tau, v, h_eff[tau - 1], lam, network)
                 for name in ("gain", "received", "ici", "vnorm"):
-                    assert getattr(out, name).shape == (E, S, T, K)
-                    np.testing.assert_allclose(getattr(out, name)[e, s],
+                    assert getattr(out, name).shape == (1, E, S, T, K)
+                    np.testing.assert_allclose(getattr(out, name)[0, e, s],
                                                getattr(ref, name)[0].T, rtol=1e-12, atol=0)
         assert out.count == 1
         result = run_geometry(cfg, setup, 0)
@@ -687,35 +732,64 @@ class TestStackedTrial:
         assert result.batch_se.shape == (2, E, S, 1 + T)
 
     def test_chunk_of_one_estimator_matches_one_stacked_chunk(self, monkeypatch):
-        """At ci all three estimators go in one stacked call per scheme; forcing
-        one estimator per call gives bit for bit the same accumulators."""
+        """At ci a stack of three trials takes all three estimators in one
+        stacked call per scheme; forcing one estimator per call gives bit for
+        bit the same accumulators."""
         from cfofdm import combining, harness
         from cfofdm.combining import SCHEMES
-        from cfofdm.harness import build_geometry, build_setup, derived_rng, run_trial
+        from cfofdm.harness import build_geometry, build_setup, run_trial, stack_size, trial_rngs
 
         cfg = replace(ci_config(), schemes=SCHEMES,
                       estimators=("pna_ofdm", "pna_sc", "unaware"))
         setup = build_setup(cfg)
         geom = build_geometry(cfg, setup, 0)
         layout = setup.layout
-        rng = derived_rng(cfg.master_seed, 1, 0, 0)
+        assert stack_size(layout) == 3
         stacks = []
         real = combining.combiner_matrix
 
         def counted(scheme, h_hat, *args):
-            stacks.append(len(h_hat))
+            stacks.append(h_hat.shape[:2])  # (trials, estimators)
             return real(scheme, h_hat, *args)
 
         monkeypatch.setattr(combining, "combiner_matrix", counted)
-        stacked = run_trial(cfg, setup, geom, copy.deepcopy(rng))
-        assert stacks == [3] * 4
+        stacked = run_trial(cfg, setup, geom, trial_rngs(cfg.master_seed, 0, range(3)))
+        assert stacks == [(3, 3)] * 4
         del stacks[:]
-        one = 16 * layout.block_symbols * layout.n_ues * layout.n_aps
+        one = 16 * 3 * layout.block_symbols * layout.n_ues * layout.n_aps
         monkeypatch.setattr(harness, "_CHUNK_BYTES", 2 * one - 1)
-        single = run_trial(cfg, setup, geom, rng)
-        assert stacks == [1] * 12
+        single = run_trial(cfg, setup, geom, trial_rngs(cfg.master_seed, 0, range(3)))
+        assert stacks == [(3, 1)] * 12
         for name in ("gain", "received", "ici", "vnorm"):
             assert np.array_equal(getattr(stacked, name), getattr(single, name))
+
+
+class TestTrialStack:
+    @pytest.mark.parametrize("pn", [True, False], ids=["pn", "no_pn"])
+    @pytest.mark.parametrize("stack", [1, 2, 3])
+    def test_stack_matches_trials_alone(self, monkeypatch, stack, pn):
+        """Each trial of a stack of ``stack_size`` trials has, bit for bit, the
+        four sums of its stack of one, on the ci world with every estimator
+        and scheme."""
+        from cfofdm import harness
+        from cfofdm.combining import SCHEMES
+        from cfofdm.harness import build_geometry, build_setup, run_trial, stack_size, trial_rngs
+
+        cfg = replace(ci_config(), schemes=SCHEMES,
+                      estimators=("pna_ofdm", "pna_sc", "unaware"))
+        if not pn:
+            cfg = replace(cfg, gamma_ap=0.0, gamma_ue=0.0)
+        setup = build_setup(cfg)
+        geom = build_geometry(cfg, setup, 0)
+        layout = setup.layout
+        monkeypatch.setattr(harness, "_STACK_BYTES", stack * trace_bytes(layout))
+        assert stack_size(layout) == stack
+        acc = run_trial(cfg, setup, geom, trial_rngs(cfg.master_seed, 0, range(stack)))
+        assert acc.gain.shape == (stack, 3, 4, layout.block_symbols, layout.n_ues)
+        for b in range(stack):
+            alone = run_trial(cfg, setup, geom, trial_rngs(cfg.master_seed, 0, range(b, b + 1)))
+            for name in ("gain", "received", "ici", "vnorm"):
+                assert np.array_equal(getattr(acc, name)[b], getattr(alone, name)[0])
 
 
 class TestTrialMemory:

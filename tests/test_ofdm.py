@@ -267,6 +267,44 @@ class TestSynthObservations:
         assert np.array_equal(cpe, cpe_per_symbol(trace))
         assert rng.bit_generator.state == one_rng.bit_generator.state
 
+    @pytest.mark.parametrize("case", ["pn", "no_pn", "ue_only_pn", "partial_block"])
+    def test_stack_matches_trials_alone(self, ci_layout, monkeypatch, case):
+        """Three trials stacked on a leading axis give each trial's y and CPE
+        bit for bit as its call alone, and leave each generator in the same
+        state, over ragged AP tiles (8 + 8 + 8 + 6 of the 30 APs)."""
+        layout = ci_layout
+        if case == "partial_block":
+            layout = replace(layout, block_subcarriers=11)
+        K, L, n = layout.n_ues, layout.n_aps, layout.n_subcarriers
+        rng = np.random.default_rng(14)
+        network = make_network(layout, rng.uniform(0.1, 1.0, (K, L)),
+                               np.arange(K) % layout.tau_p, p=0.2, sigma2=1e-3)
+        pn = pn_params(case, layout)
+        trials = []
+        for seed in range(3):
+            t_rng = np.random.default_rng(seed)
+            h = t_rng.standard_normal((K, L, layout.n_blocks)) + 1j * t_rng.standard_normal(
+                (K, L, layout.n_blocks))
+            grids = build_transmit_grids(layout, network.pilot_index, t_rng)
+            trials.append((h, grids, gen_pn_trace(pn, layout, t_rng), t_rng))
+        monkeypatch.setattr(ofdm, "_TILE_BYTES", 8 * n * 16)
+        alone_rngs = [copy.deepcopy(t[3]) for t in trials]
+        alone = [synth_pilot_observations(h, grids, trace, network, layout, r)
+                 for (h, grids, trace, _), r in zip(trials, alone_rngs)]
+        stacked_trace = PhaseNoiseTrace(np.stack([t[2].ap_phase for t in trials]),
+                                        np.stack([t[2].ue_phase for t in trials]))
+        rngs = [t[3] for t in trials]
+        y, cpe = synth_pilot_observations(np.stack([t[0] for t in trials]),
+                                          np.stack([t[1] for t in trials]), stacked_trace,
+                                          network, layout, rngs)
+        assert y.shape == (3, L, layout.tau_p)
+        assert cpe.shape == (3, layout.block_symbols, K, L)
+        for b, (y_b, cpe_b) in enumerate(alone):
+            assert np.array_equal(y[b], y_b)
+            assert np.array_equal(cpe[b], cpe_b)
+        for r, r_alone in zip(rngs, alone_rngs):
+            assert r.bit_generator.state == r_alone.bit_generator.state
+
 
 class TestTimeDomainOracle:
     def test_identity_channel_no_pn(self, small_layout):
