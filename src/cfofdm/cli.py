@@ -44,7 +44,7 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=_int_at_least(1, MAX_THREADS), default=1,
                    help="worker threads for Monte Carlo trials, 1 to %d (each is an OS "
                         "thread): about 2x faster on 2 threads at fig2 scale; the ci "
-                        "layout's 5 x 30 trials took 1.1 s on 2 threads against 1.3 s "
+                        "layout's 5 x 30 trials took 0.9 s on 2 threads against 1.1 s "
                         "on 1; the output is byte-identical for every value" % MAX_THREADS)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+from typing import Optional
 
 import numpy as np
 
@@ -51,7 +52,8 @@ def _masked_mmse_group(v, h_hat, err_var, network, group, members) -> None:
 
 
 def combiner_matrix(scheme: str, h_hat: np.ndarray, err_var: np.ndarray,
-                    network: NetworkRealization) -> np.ndarray:
+                    network: NetworkRealization,
+                    solved: Optional[np.ndarray] = None) -> np.ndarray:
     """Length-L combining vectors for every symbol and UE: (..., tau_c, K, L),
     from the estimates and their error variances in that same layout.
 
@@ -61,6 +63,10 @@ def combiner_matrix(scheme: str, h_hat: np.ndarray, err_var: np.ndarray,
     alone, bit for bit.  Entries off a UE's serving cluster are zero.  For
     the MMSE variants, each of ``network.groups`` (UEs with one cluster
     support) shares one stacked solve over all symbols and leading entries.
+
+    ``solved``, if given, holds the other MMSE variant's combiners of the same
+    estimates.  A group whose partial set is every UE solves the same system
+    in both variants, so it takes its rows from ``solved``, bit for bit.
     """
     D = network.D
     if scheme == "mr":
@@ -75,6 +81,9 @@ def combiner_matrix(scheme: str, h_hat: np.ndarray, err_var: np.ndarray,
         raise ValueError("unknown combining scheme: %r" % (scheme,))
     v = np.zeros(h_hat.shape, dtype=complex)
     for g in network.groups:
+        if solved is not None and len(g.partial) == len(D):
+            v[..., g.ues, :] = solved[..., g.ues, :]
+            continue
         members = np.arange(len(D)) if scheme == "mmse" else g.partial
         _masked_mmse_group(v, h_hat, err_var, network, g, members)
     return v

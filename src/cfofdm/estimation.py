@@ -4,7 +4,7 @@ two single-carrier-style baseline estimators."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,7 +63,12 @@ def build_ici_base(
 def assumed_kernel(kind: str, table: KernelGrid) -> KernelGrid:
     """The CPE kernel an estimator kind assumes, on the lags of ``table``: the OFDM
     drift kernel itself (``pna_ofdm``), one drift sample per symbol N samples apart
-    (``pna_sc``), or no phase noise, 1 at every lag (``unaware``)."""
+    (``pna_sc``), or no phase noise, 1 at every lag (``unaware``).
+
+    ``pna_sc`` keeps the stride N under ``cp_consistent_correlation``: the
+    single-carrier baseline models one phase sample per symbol period of N
+    samples and knows no cyclic prefix, so the flag moves only the OFDM
+    kernel."""
     if kind == "pna_ofdm":
         return table
     if kind not in ("pna_sc", "unaware"):
@@ -79,12 +84,13 @@ class EstimatorModel:
     Fixed per configuration: a UE on pilot sequence t with power p and gain
     beta at AP l adds p beta (pilot_cov[t] + data_cov) to that AP's pilot
     covariance, and its channel at symbol tau correlates with the pilot slots
-    through rhs[:, t * tau_c + tau - 1] = B^(tau)H s_t under the kind's kernel.
+    through rhs[:, t * T + tau - 1] = B^(tau)H s_t under the kind's kernel,
+    for the first T symbols of the block.
     """
 
     pilot_cov: np.ndarray  # (tau_p, tau_p, tau_p) per sequence t: weighted s_t s_t^H + pilot ICI
     data_cov: np.ndarray   # (tau_p, tau_p) data ICI, zero for the baselines
-    rhs: np.ndarray        # (tau_p, tau_p * tau_c) columns B^(tau)H s_t, (t, tau) pairs
+    rhs: np.ndarray        # (tau_p, tau_p * T) columns B^(tau)H s_t, (t, tau) pairs
 
 
 def build_models(
@@ -92,8 +98,10 @@ def build_models(
     table: KernelGrid,
     kinds: Sequence[str],
     ici_mode: str = "as_printed",
+    symbols: Optional[int] = None,
 ) -> List[EstimatorModel]:
-    """One estimator model per entry of ``kinds``, in that order.
+    """One estimator model per entry of ``kinds``, in that order, for the
+    first ``symbols`` symbols of the block (every symbol by default).
 
     [pilot_cov[t]]_{i1,i2} = s_t[i1] s_t[i2]^* k(sym_{i1} - sym_{i2}) under the
     kind's CPE kernel k.  Only the phase-noise-aware OFDM estimator adds the
@@ -101,7 +109,8 @@ def build_models(
     baselines assume none.
     """
     _, syms = layout.pilot_slot_positions
-    tau_c, tau_p, book = layout.block_symbols, layout.tau_p, layout.pilot_book
+    tau_p, book = layout.tau_p, layout.pilot_book
+    n_sym = layout.block_symbols if symbols is None else symbols
     outer = book.T[:, :, None] * np.conj(book.T)[:, None, :]  # s_t s_t^H per sequence t
     models = []
     for kind in kinds:
@@ -111,7 +120,7 @@ def build_models(
         if kind == "pna_ofdm":
             pilot_ici, data_cov = build_ici_base(layout, table, mode=ici_mode)
             pilot_cov = pilot_cov + pilot_ici
-        b = kernel.cpe(np.arange(1, tau_c + 1)[:, None] - syms[None, :])  # (tau_c, tau_p)
+        b = kernel.cpe(np.arange(1, n_sym + 1)[:, None] - syms[None, :])  # (T, tau_p)
         rhs = (np.conj(b).T[:, None, :] * book[:, :, None]).reshape(tau_p, -1)
         models.append(EstimatorModel(pilot_cov, data_cov, rhs))
     return models
@@ -143,25 +152,26 @@ class EstimatorContext:
     """Statistics-only estimator state, reusable across all Monte Carlo trials.
 
     The estimate of UE k at AP l and symbol tau is
-    h_hat = scale[l, k] * rhs[:, k * tau_c + tau - 1]^H Psi_l^{-1} y_l.  Like
-    the estimates, ``eps`` and ``err_var`` are (tau_c, K, L): symbol first.
+    h_hat = scale[l, k] * rhs[:, k * T + tau - 1]^H Psi_l^{-1} y_l, for the
+    model's T symbols.  Like the estimates, ``eps`` and ``err_var`` are
+    (T, K, L): symbol first.
     """
 
     psi: np.ndarray      # (L, tau_p, tau_p) pilot observation covariances Psi_l
-    rhs: np.ndarray      # (tau_p, K * tau_c) columns B^(tau)H s_{t_k}, (k, tau) pairs
+    rhs: np.ndarray      # (tau_p, K * T) columns B^(tau)H s_{t_k}, (k, tau) pairs
     scale: np.ndarray    # (L, K) sqrt(p_k) beta_kl
-    eps: np.ndarray      # (tau_c, K, L) estimate variances
-    err_var: np.ndarray  # (tau_c, K, L) error variances beta - eps
+    eps: np.ndarray      # (T, K, L) estimate variances
+    err_var: np.ndarray  # (T, K, L) error variances beta - eps
 
 
 def build_context(network: NetworkRealization, model: EstimatorModel) -> EstimatorContext:
     """Assemble the per-geometry estimator state of one estimator model."""
     psi = build_psi(network, model)
     L, tau_p = psi.shape[:2]
-    rhs = model.rhs.reshape(tau_p, tau_p, -1)  # (tau_p, t, tau_c)
+    rhs = model.rhs.reshape(tau_p, tau_p, -1)  # (tau_p, t, T)
     used, seq_of = np.unique(network.pilot_index, return_inverse=True)  # solve sequences in use
     rhs_used = rhs[:, used].reshape(tau_p, -1)
-    sol = np.linalg.solve(psi, rhs_used)  # (L, tau_p, |used| * tau_c): Psi_l^{-1} rhs
+    sol = np.linalg.solve(psi, rhs_used)  # (L, tau_p, |used| * T): Psi_l^{-1} rhs
     quad = np.real(np.sum(np.conj(rhs_used) * sol, axis=1)).reshape(L, used.size, -1)[:, seq_of]
     scale = np.sqrt(network.p)[None, :] * network.beta.T
     eps = network.p[:, None] * network.beta ** 2 * quad.transpose(2, 1, 0)
@@ -170,11 +180,11 @@ def build_context(network: NetworkRealization, model: EstimatorModel) -> Estimat
 
 
 def estimate_all(ctx: EstimatorContext, y: np.ndarray) -> np.ndarray:
-    """Estimates h_hat (..., tau_c, K, L) for every (symbol, UE, AP) from stacked
-    pilot observations (..., L, tau_p); each is reused on every subcarrier of
-    the coherence block.  Leading axes stack the observations of several
-    trials, each estimated bit for bit as alone.  The result is a view of the
-    (..., L, K, tau_c) product."""
+    """Estimates h_hat (..., T, K, L) for every (symbol, UE, AP) of the
+    context's T symbols from stacked pilot observations (..., L, tau_p); each
+    is reused on every subcarrier of the coherence block.  Leading axes stack
+    the observations of several trials, each estimated bit for bit as alone.
+    The result is a view of the (..., L, K, T) product."""
     L, K = ctx.scale.shape
     z = np.linalg.solve(ctx.psi, y[..., None])[..., 0]  # (..., L, tau_p): Psi_l^{-1} y_l
     h_hat = (z @ np.conj(ctx.rhs)).reshape(z.shape[:-1] + (K, -1)) * ctx.scale[:, :, None]

@@ -102,6 +102,9 @@ class Setup:
     pn: PnParams
     table: KernelGrid
     models: List[estimation.EstimatorModel]   # one per entry of cfg.estimators
+    # T, the length of a trial's symbol axis: tau_c, or 1 where both oscillator
+    # kinds are ideal, so that every symbol of the block is the same symbol
+    symbols: int
 
 
 @dataclass
@@ -114,12 +117,13 @@ class Geometry:
 
 
 def build_setup(cfg: ExperimentConfig) -> Setup:
-    """Layout, phase-noise parameters, kernel grid and estimator models of one
-    configuration."""
-    layout = cfg.layout()
+    """Layout, phase-noise parameters, kernel grid, estimator models and
+    symbol count of one configuration."""
+    layout, pn = cfg.layout(), cfg.pn_params()
     table = build_kernel_table(cfg)
-    models = estimation.build_models(layout, table, cfg.estimators, cfg.ici_mode)
-    return Setup(layout, cfg.pn_params(), table, models)
+    symbols = 1 if pn.ideal else layout.block_symbols
+    models = estimation.build_models(layout, table, cfg.estimators, cfg.ici_mode, symbols)
+    return Setup(layout, pn, table, models, symbols)
 
 
 def build_geometry(cfg: ExperimentConfig, setup: Setup, geometry_index: int) -> Geometry:
@@ -172,11 +176,12 @@ def observe(setup: Setup, network: NetworkRealization, rngs: Sequence[np.random.
     transmit grids (``ofdm.build_transmit_grids``, with ``shared_data``), and
     the receiver noise of the synthesis.  Trial 0 draws new arrays, which a
     stack of one uses as they are; the walks of every further trial go
-    straight into the stacked trace.  Returns the pilot observations y
-    (B, L, tau_p) and the effective channels h_eff (B, tau_c, K, L); the
-    trace is freed on return.
+    straight into the stacked trace.  In an ideal world the stacked trace
+    holds each node's initial phase alone, (B, nodes, 1, 1).  Returns the pilot observations y (B, L, tau_p) and the effective
+    channels h_eff (B, T, K, L); the trace is freed on return.
     """
     layout = setup.layout
+    cut = np.s_[..., :1, :1] if setup.pn.ideal else np.s_[...]
 
     def draw(rng, trace_out=None):
         return (gen_channel(network.beta, layout, rng),
@@ -186,7 +191,8 @@ def observe(setup: Setup, network: NetworkRealization, rngs: Sequence[np.random.
     B = len(rngs)
     h, trace, grids = draw(rngs[0])
     h, grids = _as_stack(h, B), _as_stack(grids, B)
-    trace = PhaseNoiseTrace(_as_stack(trace.ap_phase, B), _as_stack(trace.ue_phase, B))
+    trace = PhaseNoiseTrace(_as_stack(trace.ap_phase[cut], B),
+                            _as_stack(trace.ue_phase[cut], B))
     for b in range(1, B):
         h[b], _, grids[b] = draw(rngs[b], PhaseNoiseTrace(trace.ap_phase[b], trace.ue_phase[b]))
     y, cpe = ofdm.synth_pilot_observations(h, grids, trace, network, layout, rngs)
@@ -199,31 +205,40 @@ def run_trial(cfg: ExperimentConfig, setup: Setup, geom: Geometry,
     generator is a stack of one): draw, synthesize, estimate, combine,
     accumulate.
 
-    Returns an accumulator of shape (B, E, S, tau_c, K) whose entry b holds
-    trial b alone (``count`` 1): entry [b, e, s] holds estimator e with
-    scheme s.  Every array of the trials carries the stack axis first, and
+    Returns an accumulator of shape (B, E, S, T, K), T = ``setup.symbols``,
+    whose entry b holds trial b alone (``count`` 1): entry [b, e, s] holds
+    estimator e with scheme s.  In an ideal world T is 1: the one symbol
+    stands for every symbol of the block, and broadcasts into them when
+    merged.  Every array of the trials carries the stack axis first, and
     each trial's sums are bit for bit those of its stack of one.  The
     estimators go in chunks, as many as fit ``_CHUNK_BYTES`` and at least
     one: a chunk's estimates are stacked, and each scheme makes one combiner
     call and one accumulate call over the chunk's entries [:, e0:e1, s].
+    With both MMSE variants, the second takes the rows the first solved for
+    every group whose partial set is every UE.
     """
     if isinstance(rngs, np.random.Generator):
         rngs = [rngs]
     layout, network = setup.layout, geom.network
     y, h_eff = observe(setup, network, rngs)
-    B, E = len(rngs), len(geom.contexts)
-    acc = se.SinrAccumulator((B, E, len(cfg.schemes), layout.block_symbols, layout.n_ues))
-    per_call = max(1, _CHUNK_BYTES // (16 * B * layout.block_symbols * layout.n_ues
-                                        * layout.n_aps))
+    B, E, T = len(rngs), len(geom.contexts), setup.symbols
+    acc = se.SinrAccumulator((B, E, len(cfg.schemes), T, layout.n_ues))
+    per_call = max(1, _CHUNK_BYTES // (16 * B * T * layout.n_ues * layout.n_aps))
+    both_mmse = {"p_mmse", "mmse"} <= set(cfg.schemes)
     for e0 in range(0, E, per_call):
         chunk = geom.contexts[e0:e0 + per_call]
         h_hat = np.stack([estimation.estimate_all(ctx, y) for ctx in chunk], axis=1)
         err_var = np.stack([ctx.err_var for ctx in chunk])
+        solved = None  # the first MMSE variant's combiners, until the second is made
         for s, scheme in enumerate(cfg.schemes):
-            # one scheme's combiners at a time: the call's result is freed after it
-            acc.add_symbol((slice(None), slice(e0, e0 + len(chunk)), s),
-                           combining.combiner_matrix(scheme, h_hat, err_var, network),
+            # one scheme's combiners at a time: the call's result is freed after
+            # it, or after the other MMSE variant
+            v = combining.combiner_matrix(scheme, h_hat, err_var, network, solved=solved)
+            acc.add_symbol((slice(None), slice(e0, e0 + len(chunk)), s), v,
                            h_eff[:, None], geom.lam, network)
+            if both_mmse and scheme in ("p_mmse", "mmse"):
+                solved = v if solved is None else None
+            del v
     acc.bump()
     return acc
 

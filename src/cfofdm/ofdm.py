@@ -92,6 +92,10 @@ def synth_pilot_observations(
     its call alone; ``harness.stack_size`` keeps a stack's tile within the
     budget.
 
+    The trace's phases are (nodes, tau_c, N) walks, or (nodes, 1, 1) constant
+    phases, those of ideal oscillators: then symbol 1 stands for every symbol
+    of the block, and its CPE is computed once.
+
     Parameters
     ----------
     h : (K, L, R) per-block channel draws for this trial.
@@ -100,9 +104,9 @@ def synth_pilot_observations(
     Returns
     -------
     y : (L, tau_p) stacked pilot observations per AP.
-    cpe : (tau_c, K, L) common phase errors J_{k,l,0}^{(tau)}, symbol first
-        like every per-symbol array of a trial; equal to
-        ``phase_noise.cpe_per_symbol(trace)``.
+    cpe : (T, K, L) common phase errors J_{k,l,0}^{(tau)} of the trace's T
+        symbols, symbol first like every per-symbol array of a trial; equal
+        to ``phase_noise.cpe_per_symbol(trace)``.
     """
     if h.ndim == 4:
         return _synth_stack(h, grids, trace, network, layout, rng)
@@ -113,15 +117,21 @@ def synth_pilot_observations(
 
 def _synth_stack(h, grids, trace, network, layout, rngs) -> Tuple[np.ndarray, np.ndarray]:
     """``synth_pilot_observations`` of a stack of trials: (B, ...) arrays and
-    one generator per trial; returns y (B, L, tau_p) and cpe (B, tau_c, K, L)."""
+    one generator per trial; returns y (B, L, tau_p) and cpe (B, T, K, L)."""
     B, K, L, _ = h.shape
     n = layout.n_subcarriers
     nc = layout.block_subcarriers
     r_whole = n // nc  # whole coherence blocks; a partial one may follow
-    n_sym = layout.block_symbols
+    n_sym = trace.ue_phase.shape[-2]  # tau_c, or 1 for constant phases
     tau_p = layout.tau_p
     sqrt_p = np.sqrt(network.p)
     slot_sub, slot_sym = layout.pilot_slot_positions
+    ue_const, ap_const = _constant_phase(trace.ue_phase), _constant_phase(trace.ap_phase)
+    # a phase constant over each symbol makes J a delta: no ICI at all
+    no_ici = ue_const and ap_const
+    if trace.ap_phase.shape[-2] != n_sym or not (n_sym == layout.block_symbols or no_ici):
+        raise ValueError("trace phases must be (..., nodes, tau_c, N) walks or "
+                         "(..., nodes, 1, 1) constant phases")
 
     y = np.empty((B, L, tau_p), dtype=complex)
     cpe = np.empty((B, n_sym, K, L), dtype=complex)
@@ -132,13 +142,11 @@ def _synth_stack(h, grids, trace, network, layout, rngs) -> Tuple[np.ndarray, np
     e_ue = np.empty((B, K, n), dtype=complex)
     ap_buf, fx_buf, g_buf = (np.empty((B, min(rows, L), n), dtype=complex) for _ in range(3))
     pilot_si = {t: si for si, t in enumerate(layout.pilot_symbols)}
-    ue_const, ap_const = _constant_phase(trace.ue_phase), _constant_phase(trace.ap_phase)
     for t_sym in range(1, n_sym + 1):
         _symbol_phasors(trace.ue_phase[:, :, t_sym - 1], ue_const, e_ue)
         si = pilot_si.get(t_sym)
         in_slot = np.flatnonzero(slot_sym == t_sym)  # empty off the pilot symbols
-        # a phase constant over the symbol makes J a delta: no ICI at all
-        ici = si is not None and not (ue_const and ap_const)
+        ici = si is not None and not no_ici
         if ici:
             phases = np.exp(2j * np.pi * np.outer(slot_sub[in_slot], np.arange(n)) / n)
             w_ue = sqrt_p[:, None] * e_ue[..., rev]  # (B, K, N)
@@ -169,10 +177,13 @@ def _synth_stack(h, grids, trace, network, layout, rngs) -> Tuple[np.ndarray, np
             # buffer a product with the strided reversed view, 128 KB per operand
             g *= np.take(e_ap, rev, axis=-1, out=fx, mode="wrap")
             y[:, a:b, in_slot] = g @ phases.T / n
-        if si is not None and not ici:
-            terms = (sqrt_p[:, None, None] * grids[:, :, si, slot_sub[in_slot]][:, :, None, :]
-                     * cpe[:, t_sym - 1, :, :, None] * h[..., :1])  # slots of block 1
-            y[:, :, in_slot] = terms.sum(axis=1)
+    if no_ici:
+        # y is each pilot rotated by its symbol's CPE, on the slots of block 1
+        slot_si = [pilot_si[t] for t in slot_sym]
+        slot_cpe = np.moveaxis(cpe[:, np.minimum(slot_sym, n_sym) - 1], 1, -1)  # (B, K, L, tau_p)
+        terms = (sqrt_p[:, None, None] * grids[:, :, slot_si, slot_sub][:, :, None, :]
+                 * slot_cpe * h[..., :1])
+        y[...] = terms.sum(axis=1)
 
     for y_b, rng in zip(y, rngs):
         y_b += np.sqrt(network.sigma2 / 2.0) * (

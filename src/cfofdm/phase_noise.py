@@ -40,6 +40,12 @@ class PnParams:
         """Combined per-sample increment variance of the received phase."""
         return self.sigma2_ap + self.sigma2_ue
 
+    @property
+    def ideal(self) -> bool:
+        """Whether both node kinds have ideal oscillators, sigma^2 = 0: every
+        walk is then its initial phase, and every symbol of a block the same."""
+        return self.sigma2_ap == 0.0 and self.sigma2_ue == 0.0
+
 
 @dataclass
 class PhaseNoiseTrace:
@@ -47,7 +53,8 @@ class PhaseNoiseTrace:
 
     The received phase for the (UE k, AP l) pair is the sum of the two node
     walks, so traces of UEs observed at the same AP share the AP component by
-    construction.
+    construction.  The phases of ideal oscillators, constant over the block,
+    may also be held as (nodes, 1, 1) initial phases.
     """
 
     ap_phase: np.ndarray  # (L, tau_c, N) radians
@@ -56,6 +63,10 @@ class PhaseNoiseTrace:
     def combined(self, k: int, l: int) -> np.ndarray:
         """theta_{k,l}: (tau_c, N) phase of the k -> l uplink."""
         return self.ue_phase[k] + self.ap_phase[l]
+
+
+# Increments drawn per call where they are discarded, 64 KB of float64.
+_DRAW_CHUNK = 1 << 13
 
 
 def wiener_walks(
@@ -75,7 +86,21 @@ def wiener_walks(
     drawn, scaled and summed in place in one array, ``out`` if given (C-ordered
     (n_nodes, n_symbols, n_samples) float64); the walks and the generator's end
     state are bit for bit those of ``rng.normal(0, s)`` draws, which are 0 + s z.
+
+    With ``sigma2`` = 0 every walk is its initial phase.  The increments are
+    still drawn, ``_DRAW_CHUNK`` at a time into a scratch array, so the
+    generator ends where it would; the initial phases go into ``out`` (which
+    may then be (n_nodes, 1, 1)), and the walks are those phases broadcast to
+    (n_nodes, n_symbols, n_samples), a read-only view.
     """
+    if sigma2 == 0.0:
+        total = n_nodes * n_symbols * n_samples
+        scratch = np.empty(min(_DRAW_CHUNK, total))
+        for start in range(0, total, _DRAW_CHUNK):
+            rng.standard_normal(out=scratch[: total - start])
+        phase = np.empty((n_nodes, 1, 1)) if out is None else out
+        phase[...] = rng.uniform(0.0, 2.0 * np.pi, size=n_nodes)[:, None, None]
+        return np.broadcast_to(phase, (n_nodes, n_symbols, n_samples))
     shape = (n_nodes, n_symbols * n_samples)
     inc = np.empty(shape) if out is None else out.reshape(shape)  # a view of out
     rng.standard_normal(out=inc)
@@ -90,7 +115,8 @@ def wiener_walks(
 def gen_pn_trace(params: PnParams, layout: SimulationLayout, rng: np.random.Generator,
                  out: Optional[PhaseNoiseTrace] = None) -> PhaseNoiseTrace:
     """Independent per-AP and per-UE phase walks spanning one coherence block,
-    drawn into the arrays of ``out`` if given."""
+    drawn into the arrays of ``out`` if given.  A node kind with an ideal
+    oscillator gets its initial phases broadcast (``wiener_walks``)."""
     ap = wiener_walks(layout.n_aps, layout.block_symbols, layout.n_subcarriers,
                       params.sigma2_ap, layout.cp_len, rng, None if out is None else out.ap_phase)
     ue = wiener_walks(layout.n_ues, layout.block_symbols, layout.n_subcarriers,

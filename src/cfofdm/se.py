@@ -61,7 +61,8 @@ class SinrAccumulator:
     def merge(self, other: "SinrAccumulator", row=None) -> None:
         """Add the sums of ``other``; with ``row``, only its entry ``row`` of the
         leading axis, such as one trial of the stack ``harness.run_trial``
-        accumulates, whose ``count`` is then that of each entry."""
+        accumulates, whose ``count`` is then that of each entry.  A symbol
+        axis of length 1, an ideal world's, broadcasts into every symbol."""
         pick = slice(None) if row is None else row
         self.count += other.count
         self.gain += other.gain[pick]

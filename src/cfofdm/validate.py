@@ -147,18 +147,20 @@ def no_pn_reduction(cfg: ExperimentConfig) -> Check:
     cfg = replace(cfg, gamma_ap=0.0, gamma_ue=0.0, estimators=estimation.ESTIMATOR_KINDS)
     setup = build_setup(cfg)
     layout = setup.layout
-    geom = build_geometry(cfg, setup, 0)
-    network = geom.network
+    network = build_geometry(cfg, setup, 0).network
+    # every symbol of the block, not the one symbol the trials of an ideal world run
+    contexts = [estimation.build_context(network, model) for model in
+                estimation.build_models(layout, setup.table, cfg.estimators, cfg.ici_mode)]
     rng = derived_rng(cfg.master_seed, 1, 0, 0)
     y = (rng.standard_normal((layout.n_aps, layout.tau_p))
          + 1j * rng.standard_normal((layout.n_aps, layout.tau_p)))
-    h_hats = [estimation.estimate_all(ctx, y) for ctx in geom.contexts]
+    h_hats = [estimation.estimate_all(ctx, y) for ctx in contexts]
     spread = max(np.abs(h - h_hats[0]).max() for h in h_hats[1:])
 
     p, beta, tau_p = network.p, network.beta, layout.tau_p
     shares = network.pilot_index[:, None] == network.pilot_index[None, :]
     expect = p[:, None] * beta**2 * tau_p / (tau_p * shares @ (p[:, None] * beta) + network.sigma2)
-    ctx = geom.contexts[cfg.estimators.index("pna_ofdm")]
+    ctx = contexts[cfg.estimators.index("pna_ofdm")]
     abs_err = max(np.abs(ctx.eps - expect).max(), np.abs(ctx.err_var - (beta - expect)).max())
     rel_err = (np.abs(ctx.eps - expect) / expect).max()
     ok = spread <= 1e-10 and abs_err <= 1e-10 and rel_err <= 1e-10

@@ -268,6 +268,22 @@ class TestModels:
         assert np.all(assumed_kernel("unaware", table).cpe(table.lags) == 1.0)
         assert assumed_kernel("pna_ofdm", table) is table
 
+    def test_cp_flag_moves_only_the_ofdm_kernel(self):
+        """cp_consistent_correlation stretches pna_ofdm's kernel to the stride
+        N + N_cp, damping every nonzero lag more; pna_sc keeps one drift sample
+        per symbol N samples apart, so its kernel and model do not move."""
+        cfg = ci_config()
+        off, on = (build_setup(replace(cfg, cp_consistent_correlation=flag))
+                   for flag in (False, True))
+        assert on.table.params.stride == cfg.n_subcarriers + cfg.cp_len_effective
+        lags = off.table.lags[off.table.lags != 0]
+        assert np.all(on.table.cpe(lags) < off.table.cpe(lags))
+        assert np.array_equal(assumed_kernel("pna_sc", on.table).values,
+                              assumed_kernel("pna_sc", off.table).values)
+        (sc_off,), (sc_on,) = (build_models(s.layout, s.table, ["pna_sc"]) for s in (off, on))
+        assert np.array_equal(sc_on.pilot_cov, sc_off.pilot_cov)
+        assert np.array_equal(sc_on.rhs, sc_off.rhs)
+
     def test_unknown_kind_rejected(self):
         layout = toy_layout()
         with pytest.raises(ValueError, match="unknown estimator kind"):

@@ -214,8 +214,9 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("n_trials", [7, 2], ids=["partial_last_stack", "under_one_stack"])
     def test_csv_invariant_to_threads_and_stack_size(self, monkeypatch, n_trials):
-        """Byte-identical CSVs on 1 and 2 threads with stacks of 1 and 3 trials,
-        on one geometry, whose standard error reads every trial batch."""
+        """Byte-identical ``run_fig2`` CSVs, the phase-noise rows and the
+        one-symbol no_pn rows, on 1 and 2 threads with stacks of 1 and 3
+        trials, on one geometry, whose standard error reads every trial batch."""
         from cfofdm import harness
 
         cfg = replace(ci_config(), n_geometries=1, n_trials=n_trials,
@@ -227,8 +228,30 @@ class TestRunExperiment:
             monkeypatch.setattr(harness, "_STACK_BYTES", stack * trace_bytes(layout))
             assert harness.stack_size(layout) == stack
             for threads in (1, 2):
-                texts.add(records_to_csv(run_experiment(cfg, threads=threads)))
+                texts.add(records_to_csv(run_fig2(cfg, threads=threads)))
         assert len(texts) == 1
+        assert ",no_pn," in texts.pop()
+
+    @pytest.mark.parametrize("pn", [True, False], ids=["pn", "no_pn"])
+    def test_p_mmse_rows_independent_of_mmse(self, pn):
+        """The p_mmse rows, and the mmse rows, are byte-identical whether the
+        other MMSE variant runs too, before or after, on a ci world with
+        groups whose partial set is every UE."""
+        from cfofdm.harness import build_geometry, build_setup
+
+        cfg = replace(ci_config(), n_geometries=2, n_trials=4,
+                      estimators=("pna_ofdm", "unaware"))
+        if not pn:
+            cfg = replace(cfg, gamma_ap=0.0, gamma_ue=0.0)
+        network = build_geometry(cfg, build_setup(cfg), 0).network
+        assert any(len(g.partial) == cfg.n_ues for g in network.groups)
+        texts = {schemes: records_to_csv(run_experiment(replace(cfg, schemes=schemes)))
+                 for schemes in (("p_mmse",), ("mmse",), ("p_mmse", "mmse"), ("mmse", "p_mmse"))}
+        for scheme in ("p_mmse", "mmse"):
+            rows = [[line for line in text.splitlines() if ",%s," % scheme in line]
+                    for schemes, text in texts.items() if scheme in schemes]
+            assert len(rows) == 3 and len(rows[0]) == 2 * (1 + 60)
+            assert all(r == rows[0] for r in rows)
 
     def test_scheme_rows_present(self):
         cfg = small_cfg(n_trials=4, n_geometries=1)
@@ -680,11 +703,16 @@ class TestStackedTrial:
         pytest.param(dict(n_ues=5, n_aps=7, block_symbols=4, pilot_symbols=(1, 2, 3),
                           schemes=("p_mmse", "mr", "lp_mmse"),
                           estimators=("unaware", "pna_ofdm")), id="distinct_sizes"),
+        # ideal oscillators: the trial path runs one symbol, the oracle every one
+        pytest.param(dict(gamma_ap=0.0, gamma_ue=0.0, schemes=("mr", "lp_mmse", "p_mmse", "mmse"),
+                          estimators=("pna_ofdm", "pna_sc", "unaware")), id="ideal"),
     ])
     def test_run_trial_matches_per_symbol_loop(self, world):
         """One trial's accumulators equal those of the per-symbol combine-and-
         accumulate loop on the same draws, and every per-symbol array of the
-        trial path is (..., tau_c, K, L), every result (E, S, ...)."""
+        trial path is (..., T, K, L), every result (E, S, ...).  T is tau_c,
+        or 1 with ideal oscillators, where the oracle still runs every symbol,
+        every symbol's sums are equal, and the one symbol stands for them."""
         from cfofdm import combining, se
         from cfofdm.harness import (build_geometry, build_setup, derived_rng, run_geometry,
                                     run_trial)
@@ -701,6 +729,10 @@ class TestStackedTrial:
         assert len({row.tobytes() for row in network.D}) >= 2
         E, S, T, K, L = (len(cfg.estimators), len(cfg.schemes), layout.block_symbols,
                          layout.n_ues, layout.n_aps)
+        ideal = "gamma_ap" in world
+        T_out = 1 if ideal else T
+        assert setup.symbols == T_out
+        assert all(ctx.err_var.shape == (T_out, K, L) for ctx in geom.contexts)
         rng = derived_rng(cfg.master_seed, 1, 0, 0)
         out = run_trial(cfg, setup, geom, [copy.deepcopy(rng)])
 
@@ -710,7 +742,10 @@ class TestStackedTrial:
         y, cpe = synth_pilot_observations(h, grids, trace, network, layout, rng)
         assert cpe.shape == (T, K, L)
         h_eff = cpe * h[:, :, 0]
-        for e, ctx in enumerate(geom.contexts):
+        # the oracle's contexts estimate every symbol of the block
+        models = estimation.build_models(layout, setup.table, cfg.estimators, cfg.ici_mode)
+        for e, model in enumerate(models):
+            ctx = estimation.build_context(network, model)
             h_hat = estimation.estimate_all(ctx, y)
             assert h_hat.shape == ctx.err_var.shape == ctx.eps.shape == (T, K, L)
             for s, scheme in enumerate(cfg.schemes):
@@ -723,13 +758,20 @@ class TestStackedTrial:
                                            ctx.err_var.transpose(1, 2, 0), network, tau)
                     add_symbol_at(ref, 0, tau, v, h_eff[tau - 1], lam, network)
                 for name in ("gain", "received", "ici", "vnorm"):
-                    assert getattr(out, name).shape == (1, E, S, T, K)
-                    np.testing.assert_allclose(getattr(out, name)[0, e, s],
-                                               getattr(ref, name)[0].T, rtol=1e-12, atol=0)
+                    expect = getattr(ref, name)[0].T  # (tau_c, K)
+                    if ideal:
+                        assert np.array_equal(expect, np.broadcast_to(expect[:1], expect.shape))
+                    assert getattr(out, name).shape == (1, E, S, T_out, K)
+                    np.testing.assert_allclose(
+                        np.broadcast_to(getattr(out, name)[0, e, s], expect.shape),
+                        expect, rtol=1e-12, atol=0)
         assert out.count == 1
         result = run_geometry(cfg, setup, 0)
         assert result.se.shape == (E, S, 1 + T)
         assert result.batch_se.shape == (2, E, S, 1 + T)
+        if ideal:  # every symbol reads the one symbol's sums
+            per_tau = result.se[..., 1:]
+            assert np.array_equal(per_tau, np.broadcast_to(per_tau[..., :1], per_tau.shape))
 
     def test_chunk_of_one_estimator_matches_one_stacked_chunk(self, monkeypatch):
         """At ci a stack of three trials takes all three estimators in one
@@ -748,9 +790,9 @@ class TestStackedTrial:
         stacks = []
         real = combining.combiner_matrix
 
-        def counted(scheme, h_hat, *args):
+        def counted(scheme, h_hat, *args, **kwargs):
             stacks.append(h_hat.shape[:2])  # (trials, estimators)
-            return real(scheme, h_hat, *args)
+            return real(scheme, h_hat, *args, **kwargs)
 
         monkeypatch.setattr(combining, "combiner_matrix", counted)
         stacked = run_trial(cfg, setup, geom, trial_rngs(cfg.master_seed, 0, range(3)))
@@ -785,7 +827,8 @@ class TestTrialStack:
         monkeypatch.setattr(harness, "_STACK_BYTES", stack * trace_bytes(layout))
         assert stack_size(layout) == stack
         acc = run_trial(cfg, setup, geom, trial_rngs(cfg.master_seed, 0, range(stack)))
-        assert acc.gain.shape == (stack, 3, 4, layout.block_symbols, layout.n_ues)
+        assert setup.symbols == (layout.block_symbols if pn else 1)
+        assert acc.gain.shape == (stack, 3, 4, setup.symbols, layout.n_ues)
         for b in range(stack):
             alone = run_trial(cfg, setup, geom, trial_rngs(cfg.master_seed, 0, range(b, b + 1)))
             for name in ("gain", "received", "ici", "vnorm"):
@@ -823,3 +866,32 @@ class TestTrialMemory:
         finally:
             tracemalloc.stop()
         assert peak < trace_bytes + h_bytes + grids_bytes + budget
+
+    def test_ideal_stack_observes_no_walk(self):
+        """Observing a stack of ideal-oscillator trials keeps each node's
+        initial phase alone: its traced peak stays below one trial's
+        (nodes, tau_c, N) walk, while observing the same stack with phase noise
+        holds the stack's walks.  The layout makes the walks dwarf the rest:
+        many symbols, few pilot symbols and APs."""
+        import tracemalloc
+
+        from cfofdm.harness import build_geometry, build_setup, observe, trial_rngs
+
+        base = replace(ci_config(), n_subcarriers=240, block_symbols=40, pilot_symbols=(1, 2),
+                       n_aps=10, n_ues=4)
+        B = 3
+        walk_bytes = trace_bytes(base.layout())  # one trial's float64 walks
+        peaks = {}
+        for name, cfg in (("ideal", replace(base, gamma_ap=0.0, gamma_ue=0.0)), ("pn", base)):
+            setup = build_setup(cfg)
+            network = build_geometry(cfg, setup, 0).network
+            rngs = trial_rngs(cfg.master_seed, 0, range(B))
+            tracemalloc.start()
+            try:
+                y, h_eff = observe(setup, network, rngs)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert h_eff.shape == (B, setup.symbols, cfg.n_ues, cfg.n_aps)
+        assert setup.symbols == base.block_symbols
+        assert peaks["ideal"] < walk_bytes < B * walk_bytes < peaks["pn"]

@@ -306,6 +306,33 @@ class TestSynthObservations:
             assert r.bit_generator.state == r_alone.bit_generator.state
 
 
+    def test_constant_phases_stand_for_every_symbol(self, ci_layout):
+        """Ideal oscillators' (nodes, 1, 1) initial phases give bit for bit the
+        y of the walks ``gen_pn_trace`` broadcasts over the block, and the CPE
+        of its symbol 1 alone; a one-symbol trace that varies within its
+        symbol is rejected."""
+        layout = ci_layout
+        K, L = layout.n_ues, layout.n_aps
+        rng = np.random.default_rng(15)
+        network = make_network(layout, rng.uniform(0.1, 1.0, (K, L)),
+                               np.arange(K) % layout.tau_p, p=0.2, sigma2=1e-3)
+        h = rng.standard_normal((K, L, layout.n_blocks)) + 1j * rng.standard_normal(
+            (K, L, layout.n_blocks))
+        grids = build_transmit_grids(layout, network.pilot_index, rng)
+        walks = gen_pn_trace(pn_params("no_pn", layout), layout, rng)
+        one = PhaseNoiseTrace(walks.ap_phase[:, :1, :1], walks.ue_phase[:, :1, :1])
+        full_rng = copy.deepcopy(rng)
+        y, cpe = synth_pilot_observations(h, grids, one, network, layout, rng)
+        y_full, cpe_full = synth_pilot_observations(h, grids, walks, network, layout, full_rng)
+        assert cpe.shape == (1, K, L)
+        assert np.array_equal(y, y_full)
+        assert np.array_equal(np.broadcast_to(cpe, cpe_full.shape), cpe_full)
+        varying = PhaseNoiseTrace(rng.uniform(size=(L, 1, layout.n_subcarriers)),
+                                  rng.uniform(size=(K, 1, layout.n_subcarriers)))
+        with pytest.raises(ValueError, match="constant phases"):
+            synth_pilot_observations(h, grids, varying, network, layout, rng)
+
+
 class TestTimeDomainOracle:
     def test_identity_channel_no_pn(self, small_layout):
         layout = small_layout
