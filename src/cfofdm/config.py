@@ -178,7 +178,7 @@ def parse_config(text: str, base: ExperimentConfig = None) -> ExperimentConfig:
 
     Unknown or repeated keys and unparsable values raise ConfigError with the line number.
     """
-    entries = [("line %d" % i, "on line %d" % i, raw)
+    entries = [("line %d" % i, "on line %d" % i, raw.split("#", 1)[0])
                for i, raw in enumerate(text.splitlines(), start=1)]
     return _parse_entries(entries, base if base is not None else ExperimentConfig())
 
@@ -192,7 +192,7 @@ def _parse_entries(entries, cfg: ExperimentConfig) -> ExperimentConfig:
     """
     updates, origin_of = {}, {}
     for where, origin, raw in entries:
-        line = raw.split("#", 1)[0].strip()
+        line = raw.strip()
         if not line:
             continue
         if "=" not in line:
@@ -224,7 +224,8 @@ def load_config(path: str, base: ExperimentConfig = None) -> ExperimentConfig:
 
 def apply_overrides(cfg: ExperimentConfig, overrides) -> ExperimentConfig:
     """Apply command-line ``key=value`` overrides onto a configuration; an error
-    names the override by its position and text, "override 2 (n_trials=5)"."""
+    names the override by its position and text, "override 2 (n_trials=5)".
+    A command line has no comments: a '#' is part of the value."""
     entries = [("override %d (%s)" % (i, raw), "by override %d" % i, raw)
                for i, raw in enumerate(overrides, start=1)]
     return _parse_entries(entries, cfg)

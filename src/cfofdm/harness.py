@@ -176,12 +176,14 @@ def observe(setup: Setup, network: NetworkRealization, rngs: Sequence[np.random.
     transmit grids (``ofdm.build_transmit_grids``, with ``shared_data``), and
     the receiver noise of the synthesis.  Trial 0 draws new arrays, which a
     stack of one uses as they are; the walks of every further trial go
-    straight into the stacked trace.  In an ideal world the stacked trace
-    holds each node's initial phase alone, (B, nodes, 1, 1).  Returns the pilot observations y (B, L, tau_p) and the effective
+    straight into the stacked trace.  Of a node kind with ideal oscillators
+    (sigma^2 = 0) it holds each node's initial phase alone, (B, nodes, 1, 1).
+    Returns the pilot observations y (B, L, tau_p) and the effective
     channels h_eff (B, T, K, L); the trace is freed on return.
     """
     layout = setup.layout
-    cut = np.s_[..., :1, :1] if setup.pn.ideal else np.s_[...]
+    ap_cut, ue_cut = (np.s_[..., :1, :1] if s2 == 0.0 else np.s_[...]
+                      for s2 in (setup.pn.sigma2_ap, setup.pn.sigma2_ue))
 
     def draw(rng, trace_out=None):
         return (gen_channel(network.beta, layout, rng),
@@ -191,8 +193,8 @@ def observe(setup: Setup, network: NetworkRealization, rngs: Sequence[np.random.
     B = len(rngs)
     h, trace, grids = draw(rngs[0])
     h, grids = _as_stack(h, B), _as_stack(grids, B)
-    trace = PhaseNoiseTrace(_as_stack(trace.ap_phase[cut], B),
-                            _as_stack(trace.ue_phase[cut], B))
+    trace = PhaseNoiseTrace(_as_stack(trace.ap_phase[ap_cut], B),
+                            _as_stack(trace.ue_phase[ue_cut], B))
     for b in range(1, B):
         h[b], _, grids[b] = draw(rngs[b], PhaseNoiseTrace(trace.ap_phase[b], trace.ue_phase[b]))
     y, cpe = ofdm.synth_pilot_observations(h, grids, trace, network, layout, rngs)
@@ -200,10 +202,9 @@ def observe(setup: Setup, network: NetworkRealization, rngs: Sequence[np.random.
 
 
 def run_trial(cfg: ExperimentConfig, setup: Setup, geom: Geometry,
-              rngs) -> se.SinrAccumulator:
-    """A stack of Monte Carlo trials, one generator of ``rngs`` each (a bare
-    generator is a stack of one): draw, synthesize, estimate, combine,
-    accumulate.
+              rngs: Sequence[np.random.Generator]) -> se.SinrAccumulator:
+    """A stack of Monte Carlo trials, one generator of ``rngs`` each: draw,
+    synthesize, estimate, combine, accumulate.
 
     Returns an accumulator of shape (B, E, S, T, K), T = ``setup.symbols``,
     whose entry b holds trial b alone (``count`` 1): entry [b, e, s] holds
@@ -217,8 +218,6 @@ def run_trial(cfg: ExperimentConfig, setup: Setup, geom: Geometry,
     With both MMSE variants, the second takes the rows the first solved for
     every group whose partial set is every UE.
     """
-    if isinstance(rngs, np.random.Generator):
-        rngs = [rngs]
     layout, network = setup.layout, geom.network
     y, h_eff = observe(setup, network, rngs)
     B, E, T = len(rngs), len(geom.contexts), setup.symbols

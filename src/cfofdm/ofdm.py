@@ -3,7 +3,7 @@ inter-carrier interference, and the time-domain validation oracle."""
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,23 +38,15 @@ def build_transmit_grids(
     return grids
 
 
-def _constant_phase(phase: np.ndarray) -> bool:
-    """Whether every node's phase is constant over each symbol, from (..., nodes,
-    tau_c, N) phases.  A walk of ``gen_pn_trace`` is so over every symbol
-    (sigma^2 = 0) or over none; the symbol ends are compared first, so a varying
-    walk costs no full scan."""
-    return bool((phase[..., -1] == phase[..., 0]).all() and (phase == phase[..., :1]).all())
-
-
-def _symbol_phasors(phase: np.ndarray, constant: bool, out: np.ndarray) -> np.ndarray:
-    """exp(j phase) of (..., nodes, N) phases, written into ``out``; where every
-    row is ``constant``, one phasor per node, broadcast, which gives the same
-    values."""
-    if constant:
-        out[...] = phasor(phase[..., :1])
+def _symbol_phasors(phase: np.ndarray, t: int, out: np.ndarray) -> np.ndarray:
+    """exp(j phase) of symbol ``t`` (0-based) of (..., nodes, tau_c, N) walks,
+    written into ``out`` (..., nodes, N); a (..., nodes, 1, 1) constant phase
+    stands for every symbol: one phasor per node, broadcast."""
+    if phase.shape[-2:] == (1, 1):
+        out[...] = phasor(phase[..., 0, :])
     else:
-        np.cos(phase, out=out.real)
-        np.sin(phase, out=out.imag)
+        np.cos(phase[..., t, :], out=out.real)
+        np.sin(phase[..., t, :], out=out.imag)
     return out
 
 
@@ -75,63 +67,52 @@ def synth_pilot_observations(
     trace: PhaseNoiseTrace,
     network: NetworkRealization,
     layout: SimulationLayout,
-    rng,
+    rngs: Sequence[np.random.Generator],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Received pilot observations with exact phase-noise ICI, and the common
-    phase errors of every symbol of the block.
+    phase errors of every symbol of the block, of a stack of B trials.
 
     For every pilot slot (n, tau) and AP l the received sample is
-    sum_k sqrt(p_k) * (J_{k,l} conv (h_{k,l} .* s_k))[n] + noise, with the
-    noise drawn from ``rng``.  The APs are taken a tile at a time, so the
-    working set is a few (tile, N) arrays of about 0.5 MB each, never (L, N).
+    sum_k sqrt(p_k) * (J_{k,l} conv (h_{k,l} .* s_k))[n] + noise, with trial
+    b's noise drawn from ``rngs[b]``.  The APs are taken a tile at a time, of
+    every trial, so the working set is a few (B, tile, N) arrays of about
+    0.5 MB each, never (L, N), and each trial's y and CPE are bit for bit
+    those of its stack of one; ``harness.stack_size`` keeps a stack's tile
+    within the budget.
 
-    A leading axis of B trials on ``h``, ``grids`` and the trace's phases
-    synthesizes a stack of trials in one call, with ``rng`` one generator per
-    trial, and returns y and cpe with that axis first.  A tile then takes its
-    APs of every trial, so each trial's y and CPE are bit for bit those of
-    its call alone; ``harness.stack_size`` keeps a stack's tile within the
-    budget.
-
-    The trace's phases are (nodes, tau_c, N) walks, or (nodes, 1, 1) constant
-    phases, those of ideal oscillators: then symbol 1 stands for every symbol
-    of the block, and its CPE is computed once.
+    Each node kind's phases are (B, nodes, tau_c, N) walks, or (B, nodes, 1, 1)
+    constant phases, those of ideal oscillators, which stand for every sample
+    of every symbol.  Where both kinds are constant J is a delta: symbol 1
+    stands for every symbol, its CPE is computed once, and each pilot slot's
+    y is its pilot rotated by that CPE.
 
     Parameters
     ----------
-    h : (K, L, R) per-block channel draws for this trial.
-    grids : (K, |T_p|, N) transmit grids for the pilot-bearing symbols.
+    h : (B, K, L, R) per-block channel draws.
+    grids : (B, K, |T_p|, N) transmit grids for the pilot-bearing symbols.
+    rngs : one generator per trial.
 
     Returns
     -------
-    y : (L, tau_p) stacked pilot observations per AP.
-    cpe : (T, K, L) common phase errors J_{k,l,0}^{(tau)} of the trace's T
-        symbols, symbol first like every per-symbol array of a trial; equal
-        to ``phase_noise.cpe_per_symbol(trace)``.
+    y : (B, L, tau_p) stacked pilot observations per AP.
+    cpe : (B, T, K, L) common phase errors J_{k,l,0}^{(tau)}, symbol first like
+        every per-symbol array of a trial, T = tau_c, or 1 where both kinds
+        are constant; each trial's equal to ``phase_noise.cpe_per_symbol``.
     """
-    if h.ndim == 4:
-        return _synth_stack(h, grids, trace, network, layout, rng)
-    one = PhaseNoiseTrace(trace.ap_phase[None], trace.ue_phase[None])
-    y, cpe = _synth_stack(h[None], grids[None], one, network, layout, [rng])
-    return y[0], cpe[0]
-
-
-def _synth_stack(h, grids, trace, network, layout, rngs) -> Tuple[np.ndarray, np.ndarray]:
-    """``synth_pilot_observations`` of a stack of trials: (B, ...) arrays and
-    one generator per trial; returns y (B, L, tau_p) and cpe (B, T, K, L)."""
     B, K, L, _ = h.shape
     n = layout.n_subcarriers
     nc = layout.block_subcarriers
     r_whole = n // nc  # whole coherence blocks; a partial one may follow
-    n_sym = trace.ue_phase.shape[-2]  # tau_c, or 1 for constant phases
     tau_p = layout.tau_p
     sqrt_p = np.sqrt(network.p)
     slot_sub, slot_sym = layout.pilot_slot_positions
-    ue_const, ap_const = _constant_phase(trace.ue_phase), _constant_phase(trace.ap_phase)
-    # a phase constant over each symbol makes J a delta: no ICI at all
-    no_ici = ue_const and ap_const
-    if trace.ap_phase.shape[-2] != n_sym or not (n_sym == layout.block_symbols or no_ici):
+    shapes = (trace.ap_phase.shape[-2:], trace.ue_phase.shape[-2:])
+    if not all(s in ((layout.block_symbols, n), (1, 1)) for s in shapes):
         raise ValueError("trace phases must be (..., nodes, tau_c, N) walks or "
                          "(..., nodes, 1, 1) constant phases")
+    # both kinds constant make J a delta: no ICI at all
+    no_ici = shapes == ((1, 1), (1, 1))
+    n_sym = 1 if no_ici else layout.block_symbols
 
     y = np.empty((B, L, tau_p), dtype=complex)
     cpe = np.empty((B, n_sym, K, L), dtype=complex)
@@ -143,7 +124,7 @@ def _synth_stack(h, grids, trace, network, layout, rngs) -> Tuple[np.ndarray, np
     ap_buf, fx_buf, g_buf = (np.empty((B, min(rows, L), n), dtype=complex) for _ in range(3))
     pilot_si = {t: si for si, t in enumerate(layout.pilot_symbols)}
     for t_sym in range(1, n_sym + 1):
-        _symbol_phasors(trace.ue_phase[:, :, t_sym - 1], ue_const, e_ue)
+        _symbol_phasors(trace.ue_phase, t_sym - 1, e_ue)
         si = pilot_si.get(t_sym)
         in_slot = np.flatnonzero(slot_sym == t_sym)  # empty off the pilot symbols
         ici = si is not None and not no_ici
@@ -152,8 +133,7 @@ def _synth_stack(h, grids, trace, network, layout, rngs) -> Tuple[np.ndarray, np
             w_ue = sqrt_p[:, None] * e_ue[..., rev]  # (B, K, N)
         for a in range(0, L, rows):
             b = min(a + rows, L)
-            e_ap = _symbol_phasors(trace.ap_phase[:, a:b, t_sym - 1], ap_const,
-                                   ap_buf[:, : b - a])
+            e_ap = _symbol_phasors(trace.ap_phase[:, a:b], t_sym - 1, ap_buf[:, : b - a])
             cpe[:, t_sym - 1, :, a:b] = e_ue @ np.swapaxes(e_ap, -1, -2) / n
             if not ici:
                 continue
@@ -178,11 +158,10 @@ def _synth_stack(h, grids, trace, network, layout, rngs) -> Tuple[np.ndarray, np
             g *= np.take(e_ap, rev, axis=-1, out=fx, mode="wrap")
             y[:, a:b, in_slot] = g @ phases.T / n
     if no_ici:
-        # y is each pilot rotated by its symbol's CPE, on the slots of block 1
+        # y is each pilot rotated by the one symbol's CPE, on the slots of block 1
         slot_si = [pilot_si[t] for t in slot_sym]
-        slot_cpe = np.moveaxis(cpe[:, np.minimum(slot_sym, n_sym) - 1], 1, -1)  # (B, K, L, tau_p)
         terms = (sqrt_p[:, None, None] * grids[:, :, slot_si, slot_sub][:, :, None, :]
-                 * slot_cpe * h[..., :1])
+                 * cpe[:, 0, :, :, None] * h[..., :1])
         y[...] = terms.sum(axis=1)
 
     for y_b, rng in zip(y, rngs):

@@ -4,14 +4,25 @@
 effective-channel (J_0) term and the ICI term separately, and the noise, with
 y = sum_k (effective + ici) + noise.  It draws from the generator exactly as
 ``cfofdm.ofdm.synth_pilot_observations`` does, so both give the same noise
-draws from equal generator states.
+draws from equal generator states.  ``synth_one`` runs that synthesis on one
+trial, as a stack of one.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from cfofdm.phase_noise import cpe_per_symbol
+from cfofdm.ofdm import synth_pilot_observations
+from cfofdm.phase_noise import PhaseNoiseTrace, cpe_per_symbol
+
+
+def synth_one(h, grids, trace, network, layout, rng):
+    """``synth_pilot_observations`` of one trial, (K, L, R) channels, (K, |T_p|,
+    N) grids, a trace without a stack axis and one generator: y (L, tau_p) and
+    cpe (T, K, L) of its stack of one."""
+    one = PhaseNoiseTrace(trace.ap_phase[None], trace.ue_phase[None])
+    y, cpe = synth_pilot_observations(h[None], grids[None], one, network, layout, [rng])
+    return y[0], cpe[0]
 
 
 def expand_blocks(h: np.ndarray, layout) -> np.ndarray:

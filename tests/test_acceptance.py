@@ -29,12 +29,12 @@ from cfofdm.harness import (
     run_fig3,
 )
 from cfofdm.network import gen_channel
-from cfofdm.ofdm import build_transmit_grids, synth_pilot_observations
+from cfofdm.ofdm import build_transmit_grids
 from cfofdm.phase_noise import gen_pn_trace
 from cfofdm.se import SinrAccumulator, finalize_sinr
 
 import no_pn_reference
-from pilot_oracle import decomposed_pilot_observations
+from pilot_oracle import decomposed_pilot_observations, synth_one
 
 
 def _report(num: int, name: str, passed: bool, detail: str) -> bool:
@@ -104,7 +104,7 @@ def test_criterion_6_no_pn_pipeline_equivalence():
         # returns the noise inside the pipeline's y
         noise = decomposed_pilot_observations(h, grids, trace, network, layout,
                                               copy.deepcopy(rng)).noise
-        y, _ = synth_pilot_observations(h, grids, trace, network, layout, rng)
+        y, _ = synth_one(h, grids, trace, network, layout, rng)
         cpe0 = np.exp(1j * (trace.ue_phase[:, 0, :][:, None, :]
                             + trace.ap_phase[:, 0, :][None, :, :])).mean(axis=2)
         h_world = cpe0 * h[:, :, 0]  # sigma=0: constant over symbols

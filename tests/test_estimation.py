@@ -20,7 +20,7 @@ from cfofdm.estimation import (
 )
 from cfofdm.harness import build_geometry, build_setup
 from cfofdm.network import NetworkRealization, SimulationLayout, gen_channel
-from cfofdm.ofdm import build_transmit_grids, synth_pilot_observations
+from cfofdm.ofdm import build_transmit_grids
 from cfofdm.phase_noise import (
     KernelParams,
     PnParams,
@@ -29,6 +29,7 @@ from cfofdm.phase_noise import (
     gen_pn_trace,
 )
 
+from pilot_oracle import synth_one
 from test_ofdm import make_network
 
 
@@ -534,7 +535,7 @@ class TestBaselines:
             h = gen_channel(beta, layout, rng)
             trace = gen_pn_trace(pn, layout, rng)
             grids = build_transmit_grids(layout, network.pilot_index, rng)
-            y, _ = synth_pilot_observations(h, grids, trace, network, layout, rng)
+            y, _ = synth_one(h, grids, trace, network, layout, rng)
             tau = 2
             j0 = np.exp(1j * (trace.ue_phase[:, tau - 1][:, None, :]
                               + trace.ap_phase[:, tau - 1][None, :, :])).mean(axis=2)

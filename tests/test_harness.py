@@ -162,6 +162,13 @@ class TestConfigParsing:
             apply_overrides(ci_config(), ["bogus=1"])
         assert apply_overrides(parse_config("n_trials = 10"), ["n_trials=3"]).n_trials == 3
 
+    def test_override_keeps_hash(self):
+        """A '#' in an override is part of its value, not a comment as in a file."""
+        with pytest.raises(ConfigError, match=re.escape("override 1 (n_trials=3#0): invalid")):
+            apply_overrides(ci_config(), ["n_trials=3#0"])
+        assert apply_overrides(ci_config(), ["name=run#1"]).name == "run#1"
+        assert parse_config("name = run#1").name == "run"
+
     def test_infeasible_serving_capacity_rejected(self):
         with pytest.raises(ConfigError, match="serving capacity"):
             parse_config("n_aps = 4\nn_ues = 100\nblock_symbols = 5\n"
@@ -216,21 +223,25 @@ class TestRunExperiment:
     def test_csv_invariant_to_threads_and_stack_size(self, monkeypatch, n_trials):
         """Byte-identical ``run_fig2`` CSVs, the phase-noise rows and the
         one-symbol no_pn rows, on 1 and 2 threads with stacks of 1 and 3
-        trials, on one geometry, whose standard error reads every trial batch."""
+        trials, on one geometry, whose standard error reads every trial batch;
+        also in the worlds where only the UEs or only the APs have phase
+        noise, whose ideal kind is held as (B, nodes, 1, 1) phases."""
         from cfofdm import harness
 
-        cfg = replace(ci_config(), n_geometries=1, n_trials=n_trials,
-                      estimators=("pna_ofdm", "pna_sc", "unaware"),
-                      schemes=("mr", "lp_mmse", "p_mmse", "mmse"))
-        layout = cfg.layout()
-        texts = set()
-        for stack in (1, 3):
-            monkeypatch.setattr(harness, "_STACK_BYTES", stack * trace_bytes(layout))
-            assert harness.stack_size(layout) == stack
-            for threads in (1, 2):
-                texts.add(records_to_csv(run_fig2(cfg, threads=threads)))
-        assert len(texts) == 1
-        assert ",no_pn," in texts.pop()
+        base = replace(ci_config(), n_geometries=1, n_trials=n_trials,
+                       estimators=("pna_ofdm", "pna_sc", "unaware"),
+                       schemes=("mr", "lp_mmse", "p_mmse", "mmse"))
+        layout = base.layout()
+        for world in ({}, {"gamma_ap": 0.0}, {"gamma_ue": 0.0}):
+            cfg = replace(base, **world)
+            texts = set()
+            for stack in (1, 3):
+                monkeypatch.setattr(harness, "_STACK_BYTES", stack * trace_bytes(layout))
+                assert harness.stack_size(layout) == stack
+                for threads in (1, 2):
+                    texts.add(records_to_csv(run_fig2(cfg, threads=threads)))
+            assert len(texts) == 1
+            assert ",no_pn," in texts.pop()
 
     @pytest.mark.parametrize("pn", [True, False], ids=["pn", "no_pn"])
     def test_p_mmse_rows_independent_of_mmse(self, pn):
@@ -706,6 +717,11 @@ class TestStackedTrial:
         # ideal oscillators: the trial path runs one symbol, the oracle every one
         pytest.param(dict(gamma_ap=0.0, gamma_ue=0.0, schemes=("mr", "lp_mmse", "p_mmse", "mmse"),
                           estimators=("pna_ofdm", "pna_sc", "unaware")), id="ideal"),
+        # one ideal node kind: the trial path holds its (B, nodes, 1, 1) phases
+        pytest.param(dict(gamma_ap=0.0, schemes=("mr", "lp_mmse", "p_mmse", "mmse"),
+                          estimators=("pna_ofdm", "pna_sc", "unaware")), id="ue_only_pn"),
+        pytest.param(dict(gamma_ue=0.0, schemes=("mr", "lp_mmse", "p_mmse", "mmse"),
+                          estimators=("pna_ofdm", "pna_sc", "unaware")), id="ap_only_pn"),
     ])
     def test_run_trial_matches_per_symbol_loop(self, world):
         """One trial's accumulators equal those of the per-symbol combine-and-
@@ -717,10 +733,11 @@ class TestStackedTrial:
         from cfofdm.harness import (build_geometry, build_setup, derived_rng, run_geometry,
                                     run_trial)
         from cfofdm.network import gen_channel
-        from cfofdm.ofdm import build_transmit_grids, synth_pilot_observations
+        from cfofdm.ofdm import build_transmit_grids
         from cfofdm.phase_noise import gen_pn_trace
 
         from combining_oracle import add_symbol_at, combiner_matrix_at
+        from pilot_oracle import synth_one
 
         cfg = replace(ci_config(), shadow_sigma_db=4.0, n_geometries=1, n_trials=2, **world)
         setup = build_setup(cfg)
@@ -729,7 +746,7 @@ class TestStackedTrial:
         assert len({row.tobytes() for row in network.D}) >= 2
         E, S, T, K, L = (len(cfg.estimators), len(cfg.schemes), layout.block_symbols,
                          layout.n_ues, layout.n_aps)
-        ideal = "gamma_ap" in world
+        ideal = cfg.gamma_ap == cfg.gamma_ue == 0.0
         T_out = 1 if ideal else T
         assert setup.symbols == T_out
         assert all(ctx.err_var.shape == (T_out, K, L) for ctx in geom.contexts)
@@ -739,7 +756,7 @@ class TestStackedTrial:
         h = gen_channel(network.beta, layout, rng)
         trace = gen_pn_trace(setup.pn, layout, rng)
         grids = build_transmit_grids(layout, network.pilot_index, rng)
-        y, cpe = synth_pilot_observations(h, grids, trace, network, layout, rng)
+        y, cpe = synth_one(h, grids, trace, network, layout, rng)
         assert cpe.shape == (T, K, L)
         h_eff = cpe * h[:, :, 0]
         # the oracle's contexts estimate every symbol of the block
@@ -861,7 +878,7 @@ class TestTrialMemory:
         assert budget < L * n * 16 * 4
         tracemalloc.start()
         try:
-            run_trial(cfg, setup, geom, derived_rng(cfg.master_seed, 1, 0, 0))
+            run_trial(cfg, setup, geom, [derived_rng(cfg.master_seed, 1, 0, 0)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -871,7 +888,8 @@ class TestTrialMemory:
         """Observing a stack of ideal-oscillator trials keeps each node's
         initial phase alone: its traced peak stays below one trial's
         (nodes, tau_c, N) walk, while observing the same stack with phase noise
-        holds the stack's walks.  The layout makes the walks dwarf the rest:
+        holds the stack's walks.  Where only the UEs have phase noise, the
+        stack holds no AP walk.  The layout makes the walks dwarf the rest:
         many symbols, few pilot symbols and APs."""
         import tracemalloc
 
@@ -881,8 +899,10 @@ class TestTrialMemory:
                        n_aps=10, n_ues=4)
         B = 3
         walk_bytes = trace_bytes(base.layout())  # one trial's float64 walks
+        ap_walk_bytes = base.n_aps * base.block_symbols * base.n_subcarriers * 8
         peaks = {}
-        for name, cfg in (("ideal", replace(base, gamma_ap=0.0, gamma_ue=0.0)), ("pn", base)):
+        for name, cfg in (("ideal", replace(base, gamma_ap=0.0, gamma_ue=0.0)),
+                          ("ue_pn", replace(base, gamma_ap=0.0)), ("pn", base)):
             setup = build_setup(cfg)
             network = build_geometry(cfg, setup, 0).network
             rngs = trial_rngs(cfg.master_seed, 0, range(B))
@@ -895,3 +915,4 @@ class TestTrialMemory:
             assert h_eff.shape == (B, setup.symbols, cfg.n_ues, cfg.n_aps)
         assert setup.symbols == base.block_symbols
         assert peaks["ideal"] < walk_bytes < B * walk_bytes < peaks["pn"]
+        assert peaks["ue_pn"] < peaks["pn"] - (B - 1) * ap_walk_bytes

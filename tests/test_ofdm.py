@@ -11,7 +11,7 @@ from cfofdm.network import NetworkRealization, SimulationLayout, gen_fir_taps
 from cfofdm.ofdm import build_transmit_grids, synth_pilot_observations, time_domain_oracle
 from cfofdm.phase_noise import KernelParams, PhaseNoiseTrace, PnParams, correlation_b_fast, cpe_per_symbol, gen_pn_trace, phase_drift
 
-from pilot_oracle import decomposed_pilot_observations, expand_blocks
+from pilot_oracle import decomposed_pilot_observations, expand_blocks, synth_one
 
 
 def make_network(layout, beta, pilot_index, p=0.1, sigma2=1e-13):
@@ -95,7 +95,7 @@ class TestSynthObservations:
              + 1j * rng.standard_normal((1, 2, layout.n_blocks)))
         grids = build_transmit_grids(layout, network.pilot_index, rng)
         trace = constant_trace(layout, value=0.0)
-        y, _ = synth_pilot_observations(h, grids, trace, network, layout, rng)
+        y, _ = synth_one(h, grids, trace, network, layout, rng)
         # J collapses to a delta: y = sqrt(p) s h exactly, zero ICI
         obs = decomposed_pilot_observations(h, grids, trace, network, layout, rng)
         assert np.abs(obs.ici).max() < 1e-12
@@ -231,7 +231,7 @@ class TestSynthObservations:
                                      shared_data=case == "shared_data")
         trace = gen_pn_trace(pn_params(case, layout), layout, rng)
         oracle_rng = copy.deepcopy(rng)
-        y, cpe = synth_pilot_observations(h, grids, trace, network, layout, rng)
+        y, cpe = synth_one(h, grids, trace, network, layout, rng)
         ref = decomposed_pilot_observations(h, grids, trace, network, layout, oracle_rng)
         assert y.shape == (L, layout.tau_p)
         assert np.abs(y - ref.y).max() <= 1e-12 * np.abs(ref.y).max()
@@ -259,10 +259,10 @@ class TestSynthObservations:
         trace = gen_pn_trace(pn_params(case, layout), layout, rng)
         one_rng = copy.deepcopy(rng)
         assert ofdm._tile_rows(n) >= L
-        y_one, _ = synth_pilot_observations(h, grids, trace, network, layout, one_rng)
+        y_one, _ = synth_one(h, grids, trace, network, layout, one_rng)
         monkeypatch.setattr(ofdm, "_TILE_BYTES", 8 * n * 16)
         assert ofdm._tile_rows(n) == 8
-        y, cpe = synth_pilot_observations(h, grids, trace, network, layout, rng)
+        y, cpe = synth_one(h, grids, trace, network, layout, rng)
         assert np.abs(y - y_one).max() <= 1e-15 * np.abs(y_one).max()
         assert np.array_equal(cpe, cpe_per_symbol(trace))
         assert rng.bit_generator.state == one_rng.bit_generator.state
@@ -289,7 +289,7 @@ class TestSynthObservations:
             trials.append((h, grids, gen_pn_trace(pn, layout, t_rng), t_rng))
         monkeypatch.setattr(ofdm, "_TILE_BYTES", 8 * n * 16)
         alone_rngs = [copy.deepcopy(t[3]) for t in trials]
-        alone = [synth_pilot_observations(h, grids, trace, network, layout, r)
+        alone = [synth_one(h, grids, trace, network, layout, r)
                  for (h, grids, trace, _), r in zip(trials, alone_rngs)]
         stacked_trace = PhaseNoiseTrace(np.stack([t[2].ap_phase for t in trials]),
                                         np.stack([t[2].ue_phase for t in trials]))
@@ -307,10 +307,13 @@ class TestSynthObservations:
 
 
     def test_constant_phases_stand_for_every_symbol(self, ci_layout):
-        """Ideal oscillators' (nodes, 1, 1) initial phases give bit for bit the
-        y of the walks ``gen_pn_trace`` broadcasts over the block, and the CPE
-        of its symbol 1 alone; a one-symbol trace that varies within its
-        symbol is rejected."""
+        """Ideal oscillators' (nodes, 1, 1) initial phases stand for the walks
+        ``gen_pn_trace`` broadcasts over the block.  Where only one node kind
+        is ideal, its constant phases give bit for bit the y and CPE of its
+        walks.  Where both are, the CPE is that of symbol 1 alone, bit for
+        bit, and y is within 1e-12 relative: the constant phases take no ICI
+        evaluation, the broadcast walks the exact one.  A one-symbol trace
+        that varies within its symbol is rejected."""
         layout = ci_layout
         K, L = layout.n_ues, layout.n_aps
         rng = np.random.default_rng(15)
@@ -319,18 +322,47 @@ class TestSynthObservations:
         h = rng.standard_normal((K, L, layout.n_blocks)) + 1j * rng.standard_normal(
             (K, L, layout.n_blocks))
         grids = build_transmit_grids(layout, network.pilot_index, rng)
-        walks = gen_pn_trace(pn_params("no_pn", layout), layout, rng)
-        one = PhaseNoiseTrace(walks.ap_phase[:, :1, :1], walks.ue_phase[:, :1, :1])
-        full_rng = copy.deepcopy(rng)
-        y, cpe = synth_pilot_observations(h, grids, one, network, layout, rng)
-        y_full, cpe_full = synth_pilot_observations(h, grids, walks, network, layout, full_rng)
-        assert cpe.shape == (1, K, L)
-        assert np.array_equal(y, y_full)
-        assert np.array_equal(np.broadcast_to(cpe, cpe_full.shape), cpe_full)
+        for case in ("ue_only_pn", "ap_only_pn", "no_pn"):
+            walks = gen_pn_trace(pn_params(case, layout), layout, rng)
+            ap, ue = walks.ap_phase, walks.ue_phase
+            one = PhaseNoiseTrace(ap if case == "ap_only_pn" else ap[:, :1, :1],
+                                  ue if case == "ue_only_pn" else ue[:, :1, :1])
+            full_rng = copy.deepcopy(rng)
+            y, cpe = synth_one(h, grids, one, network, layout, rng)
+            y_full, cpe_full = synth_one(h, grids, walks, network, layout, full_rng)
+            assert rng.bit_generator.state == full_rng.bit_generator.state
+            assert np.array_equal(np.broadcast_to(cpe, cpe_full.shape), cpe_full)
+            if case == "no_pn":
+                assert cpe.shape == (1, K, L)
+                assert np.abs(y - y_full).max() <= 1e-12 * np.abs(y_full).max()
+            else:
+                assert cpe.shape == (layout.block_symbols, K, L)
+                assert np.array_equal(y, y_full)
         varying = PhaseNoiseTrace(rng.uniform(size=(L, 1, layout.n_subcarriers)),
                                   rng.uniform(size=(K, 1, layout.n_subcarriers)))
         with pytest.raises(ValueError, match="constant phases"):
-            synth_pilot_observations(h, grids, varying, network, layout, rng)
+            synth_one(h, grids, varying, network, layout, rng)
+
+    def test_one_subcarrier_walks_keep_every_symbol(self, ci_layout):
+        """At N = 1 a walk, (nodes, tau_c, 1), has one sample per symbol, yet
+        it is no constant phase: the CPE keeps every symbol, that of
+        cpe_per_symbol, and y is the decomposed oracle's."""
+        layout = replace(ci_layout, n_subcarriers=1, block_subcarriers=1)
+        K, L = layout.n_ues, layout.n_aps
+        rng = np.random.default_rng(16)
+        network = make_network(layout, rng.uniform(0.1, 1.0, (K, L)),
+                               np.arange(K) % layout.tau_p, p=0.2, sigma2=1e-3)
+        h = rng.standard_normal((K, L, 1)) + 1j * rng.standard_normal((K, L, 1))
+        grids = build_transmit_grids(layout, network.pilot_index, rng)
+        trace = gen_pn_trace(pn_params("pn", layout), layout, rng)
+        assert trace.ue_phase.shape == (K, layout.block_symbols, 1)
+        oracle_rng = copy.deepcopy(rng)
+        y, cpe = synth_one(h, grids, trace, network, layout, rng)
+        ref = decomposed_pilot_observations(h, grids, trace, network, layout, oracle_rng)
+        assert cpe.shape == (layout.block_symbols, K, L)
+        assert np.array_equal(cpe, cpe_per_symbol(trace))
+        assert not np.array_equal(cpe[0], cpe[1])
+        assert np.abs(y - ref.y).max() <= 1e-12 * np.abs(ref.y).max()
 
 
 class TestTimeDomainOracle:
@@ -380,6 +412,6 @@ class TestTimeDomainOracle:
                        layout.pilot_subcarriers)
         grids[:, :, ~mask] = 0.0  # isolate the pilots
         trace = constant_trace(layout, 0.0)
-        y, _ = synth_pilot_observations(h, grids, trace, network, layout, rng)
+        y, _ = synth_one(h, grids, trace, network, layout, rng)
         other = layout.pilot_book[:, 1]
         assert abs(other.conj() @ y[0]) < 1e-10
