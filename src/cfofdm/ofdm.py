@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
+import itertools
+
 import numpy as np
 
 from .network import NetworkRealization, SimulationLayout
@@ -72,10 +74,16 @@ def synth_pilot_observations(
     """Received pilot observations with exact phase-noise ICI, and the common
     phase errors of every symbol of the block, of a stack of B trials.
 
-    For every pilot slot (n, tau) and AP l the received sample is
-    sum_k sqrt(p_k) * (J_{k,l} conv (h_{k,l} .* s_k))[n] + noise, with trial
-    b's noise drawn from ``rngs[b]``.  The APs are taken a tile at a time, of
-    every trial, so the working set is a few (B, tile, N) arrays of about
+    For every pilot slot (nu, tau) and AP l the received sample is
+    sum_k sqrt(p_k) * (J_{k,l} conv (h_{k,l} .* s_k))[nu] + noise, with trial
+    b's noise drawn from ``rngs[b]``.  With h_{k,l} constant over each
+    coherence block b it is evaluated as
+    sum_k sqrt(p_k) sum_b h_{k,l}[b] sum_{j in b} s_k[j] J_{k,l}[nu - j], where
+    J_{k,l}[-j] = ifft(e_ue_k .* e_ap_l)[j] is the drift spectrum of the
+    symbol's phasors: one inverse FFT per (UE, AP, pilot slot).  The APs are
+    taken a tile at a time, of every trial, for the CPE, and a sub-tile and a
+    chunk of UEs at a time for the ICI, so the working set is a (B, tile, N)
+    array and one (B, sub-tile, chunk, N) array of drift spectra of about
     0.5 MB each, never (L, N), and each trial's y and CPE are bit for bit
     those of its stack of one; ``harness.stack_size`` keeps a stack's tile
     within the budget.
@@ -114,49 +122,66 @@ def synth_pilot_observations(
     no_ici = shapes == ((1, 1), (1, 1))
     n_sym = 1 if no_ici else layout.block_symbols
 
-    y = np.empty((B, L, tau_p), dtype=complex)
+    y = np.zeros((B, L, tau_p), dtype=complex)
     cpe = np.empty((B, n_sym, K, L), dtype=complex)
-    # fft(J_{k,l}) equals the time-domain phasor exp(j*theta) reversed mod N,
-    # so the circular convolution never needs an explicit J vector.
-    rev = (-np.arange(n)) % n
     rows = _tile_rows(n)
+    # UEs per chunk and APs per sub-tile of the ICI: one AP's drift spectra of
+    # a chunk fit the tile budget, and a sub-tile's of every trial do too.
+    # The chunks do not depend on B: they set the order of the UE sum.
+    kc = min(K, max(1, _TILE_BYTES // (16 * n)))
+    sub = min(rows, L, max(1, _TILE_BYTES // (16 * B * kc * n)))
     e_ue = np.empty((B, K, n), dtype=complex)
-    ap_buf, fx_buf, g_buf = (np.empty((B, min(rows, L), n), dtype=complex) for _ in range(3))
+    ap_buf = np.empty((B, min(rows, L), n), dtype=complex)
+    drift = np.empty((B, sub, kc, n), dtype=complex)
+    block_sums = np.empty((B, sub, kc, layout.n_blocks), dtype=complex)
+    per_ue = np.empty((B, kc, sub, layout.n_blocks), dtype=complex)  # h's own layout
+    ones = np.ones(nc, dtype=complex)
     pilot_si = {t: si for si, t in enumerate(layout.pilot_symbols)}
-    for t_sym in range(1, n_sym + 1):
-        _symbol_phasors(trace.ue_phase, t_sym - 1, e_ue)
-        si = pilot_si.get(t_sym)
-        in_slot = np.flatnonzero(slot_sym == t_sym)  # empty off the pilot symbols
-        ici = si is not None and not no_ici
-        if ici:
-            phases = np.exp(2j * np.pi * np.outer(slot_sub[in_slot], np.arange(n)) / n)
-            w_ue = sqrt_p[:, None] * e_ue[..., rev]  # (B, K, N)
-        for a in range(0, L, rows):
-            b = min(a + rows, L)
-            e_ap = _symbol_phasors(trace.ap_phase[:, a:b], t_sym - 1, ap_buf[:, : b - a])
-            cpe[:, t_sym - 1, :, a:b] = e_ue @ np.swapaxes(e_ap, -1, -2) / n
-            if not ici:
-                continue
-            # g[l, m] = sum_k sqrt(p_k) e_ue[k, m] fft(h_{k,l} .* s_k)[m], one k at
-            # a time; h_{k,l} is constant over each block, the last one maybe
-            # partial.  A broadcast copy of h and a contiguous multiply beat one
-            # broadcast multiply, whose inner loop runs over only N_c samples.
-            fx, g = fx_buf[:, : b - a], g_buf[:, : b - a]
-            fx_blocks = fx[..., : r_whole * nc].reshape(B, b - a, r_whole, nc)  # a view of fx
-            for k in range(K):
-                fx_blocks[...] = h[:, k, a:b, :r_whole, None]
-                fx[..., r_whole * nc :] = h[:, k, a:b, r_whole:]
-                np.multiply(fx, grids[:, k, si, None], out=fx)
-                np.fft.fft(fx, axis=-1, out=fx)
-                if k == 0:
-                    np.multiply(fx, w_ue[:, k, None], out=g)
-                else:
-                    np.multiply(fx, w_ue[:, k, None], out=fx)
-                    np.add(g, fx, out=g)
-            # g *= e_ap[..., rev] through a contiguous copy in fx: numpy would
-            # buffer a product with the strided reversed view, 128 KB per operand
-            g *= np.take(e_ap, rev, axis=-1, out=fx, mode="wrap")
-            y[:, a:b, in_slot] = g @ phases.T / n
+    # numpy runs a product with a broadcast operand through buffers of
+    # np.getbufsize() elements allocated per call, 128 KB each at the default
+    # 8192; 1024-element buffers stay in L1, and rows of N >= 1024 need none.
+    # From numpy 2.0 the buffer size lives in the context variable that
+    # errstate saves, so leaving the block restores the caller's size.
+    with np.errstate():
+        np.setbufsize(1024)
+        for t_sym in range(1, n_sym + 1):
+            _symbol_phasors(trace.ue_phase, t_sym - 1, e_ue)
+            si = pilot_si.get(t_sym)
+            in_slot = np.flatnonzero(slot_sym == t_sym)  # empty off the pilot symbols
+            ici = si is not None and not no_ici
+            if ici:
+                s_w = sqrt_p[:, None] * grids[:, :, si]  # (B, K, N)
+                # the slot at subcarrier nu reads J[nu - j] = D[j - nu]: the ramp
+                # exp(-2j pi nu m / N) on the UE phasors shifts D by nu
+                slots = [(i, e_ue if nu == 0 else
+                          e_ue * np.exp(-2j * np.pi * nu * np.arange(n) / n))
+                         for i, nu in zip(in_slot, slot_sub[in_slot])]
+            for a in range(0, L, rows):
+                b = min(a + rows, L)
+                e_ap = _symbol_phasors(trace.ap_phase[:, a:b], t_sym - 1, ap_buf[:, : b - a])
+                cpe[:, t_sym - 1, :, a:b] = e_ue @ np.swapaxes(e_ap, -1, -2) / n
+                if not ici:
+                    continue
+                for c, k0 in itertools.product(range(a, b, sub), range(0, K, kc)):
+                    d, k1 = min(c + sub, b), min(k0 + kc, K)
+                    spec = drift[:, : d - c, : k1 - k0]
+                    sums = block_sums[:, : d - c, : k1 - k0]
+                    prod = per_ue[:, : k1 - k0, : d - c]
+                    whole = spec[..., : r_whole * nc].reshape(B, d - c, k1 - k0, r_whole, nc)
+                    for i, w_ue in slots:
+                        # D_kl[j] = J_kl[-j], the block sums of s_k D_kl, then
+                        # y_l = sum_k sum_b h_kl[b] sqrt(p_k) sum_{j in b} s_k[j] D_kl[j]
+                        np.multiply(e_ap[:, c - a : d - a, None], w_ue[:, None, k0:k1], out=spec)
+                        np.fft.ifft(spec, axis=-1, out=spec)
+                        spec *= s_w[:, None, k0:k1]
+                        np.matmul(whole, ones, out=sums[..., :r_whole])
+                        if r_whole < layout.n_blocks:  # the partial block
+                            np.matmul(spec[..., r_whole * nc :], ones[: n - r_whole * nc],
+                                      out=sums[..., r_whole])
+                        # summed over blocks, then UEs, the same way at every stack
+                        # size and sub-tile (an einsum's order depends on both)
+                        np.multiply(np.swapaxes(sums, 1, 2), h[:, k0:k1, c:d], out=prod)
+                        y[:, c:d, i] += prod.sum(axis=-1).sum(axis=1)
     if no_ici:
         # y is each pilot rotated by the one symbol's CPE, on the slots of block 1
         slot_si = [pilot_si[t] for t in slot_sym]

@@ -2,8 +2,9 @@
 accumulation.
 
 ``combiner_matrix_at`` builds the combiners of one 1-based symbol tau with one
-small solve per cluster group, and ``add_symbol_at`` accumulates the UatF
-terms of one symbol; the package does both for every symbol in one call.
+|S| x |S| solve per cluster group, in extended precision, and ``add_symbol_at``
+accumulates the UatF terms of one symbol; the package does both for every
+symbol in one call.
 ``combiner_matrix_per_estimate`` makes one package call per stacked estimate,
 where the package makes one call for the whole stack.
 """
@@ -11,6 +12,27 @@ where the package makes one call for the whole stack.
 import numpy as np
 
 from cfofdm.combining import combiner_matrix
+
+# The oracle must be closer to the truth than the float64 combiners it judges.
+assert np.finfo(np.longdouble).eps < 1e-18, "the oracle needs an extended-precision long double"
+
+
+def solve_extended(a, b):
+    """a^-1 b by Gaussian elimination with partial pivoting in np.clongdouble."""
+    a = np.array(a, dtype=np.clongdouble)
+    b = np.array(b, dtype=np.clongdouble)
+    n = len(a)
+    for j in range(n):
+        pivot = j + np.argmax(np.abs(a[j:, j]))
+        a[[j, pivot]] = a[[pivot, j]]
+        b[[j, pivot]] = b[[pivot, j]]
+        f = a[j + 1:, j] / a[j, j]
+        a[j + 1:, j:] -= f[:, None] * a[j, j:]
+        b[j + 1:] -= f[:, None] * b[j]
+    x = np.empty_like(b)
+    for j in reversed(range(n)):
+        x[j] = (b[j] - a[j, j + 1:] @ x[j + 1:]) / a[j, j]
+    return x
 
 
 def combiner_matrix_at(scheme, h_hat, err_var, network, tau):
@@ -35,15 +57,12 @@ def combiner_matrix_at(scheme, h_hat, err_var, network, tau):
         members = (np.arange(K) if scheme == "mmse"
                    else np.flatnonzero((D & D[ks[0]][None, :]).any(axis=1)))
         support = np.flatnonzero(D[ks[0]])
-        hm = h[members][:, support]
-        p = network.p[members]
+        hm = h[members][:, support].astype(np.clongdouble)
+        p = network.p[members].astype(np.longdouble)
         a = (hm.T * p) @ hm.conj()
         a[np.diag_indices_from(a)] += ((p[:, None] * c[members][:, support]).sum(axis=0)
                                        + network.sigma2)
-        try:
-            sol = np.linalg.solve(a, h[ks][:, support].T)
-        except np.linalg.LinAlgError:
-            sol = np.linalg.pinv(a) @ h[ks][:, support].T
+        sol = solve_extended(a, h[ks][:, support].T)
         v[np.ix_(ks, support)] = network.p[ks][:, None] * sol.T
     return v
 

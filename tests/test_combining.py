@@ -164,13 +164,26 @@ def ci_estimates(seed, stack=()):
     return (h, c), network
 
 
+def few_ap_clusters(est, network):
+    """The ci estimates on clusters of 2-3 of the 4 strongest APs per UE, where
+    every group has more members than support APs, as in fig3 at K=100."""
+    aps = np.argsort(network.beta.sum(axis=0))[-4:]
+    D = np.zeros_like(network.D)
+    for k, cluster in enumerate(((0, 1), (0, 1, 2), (1, 2), (2, 3), (0, 3))):
+        D[k, aps[list(cluster)]] = 1
+    return est, replace(network, D=D)
+
+
 class TestStackedMatchesPerSymbolOracle:
     @pytest.mark.parametrize("scheme", SCHEMES)
-    @pytest.mark.parametrize("clusters", ("ci", "all_ones"))
+    @pytest.mark.parametrize("clusters", ("ci", "all_ones", "few_aps"))
     def test_matches_per_symbol_oracle(self, scheme, clusters):
         est, network = ci_estimates(3)
         if clusters == "ci":
             assert len({row.tobytes() for row in network.D}) >= 2  # several groups
+        elif clusters == "few_aps":
+            est, network = few_ap_clusters(est, network)
+            assert all(len(g.partial) > len(g.support) for g in network.groups)
         else:
             # fig2 pilot layout: K <= tau_p, every AP serves every UE
             K = 4
@@ -197,6 +210,13 @@ class TestStackedEstimates:
         assert v.shape == (3, ci_config().block_symbols) + network.D.shape
         assert np.array_equal(v, combiner_matrix_per_estimate(scheme, *est, network))
 
+    @pytest.mark.parametrize("scheme", ("p_mmse", "mmse"))
+    def test_support_form_stack_equals_per_estimate_calls(self, scheme):
+        """The same, where every group has more members than support APs."""
+        est, network = few_ap_clusters(*ci_estimates(5, stack=(3,)))
+        v = combiner_matrix(scheme, *est, network)
+        assert np.array_equal(v, combiner_matrix_per_estimate(scheme, *est, network))
+
 
 class TestPinvFallback:
     @pytest.mark.parametrize("scheme", ("p_mmse", "mmse"))
@@ -205,9 +225,10 @@ class TestPinvFallback:
         h += 0.1 * np.arange(48).reshape(4, 3, 4)
         c = np.full((4, 3, 4), 0.01)
         D = np.array([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1]])
-        # (group, tau) systems that reduce to sigma2 * I are declared singular:
-        # group {0, 1} (support {0, 1}) at tau 2, group {2} (support {2, 3})
-        # at taus 1 and 3
+        # (group, tau) systems whose members' channels are zero on the support
+        # reduce to sigma2 * I (support form) or to the members' P^-1 (member
+        # form) and are declared singular: group {0, 1} (support {0, 1}) at
+        # tau 2, group {2} (support {2, 3}) at taus 1 and 3
         singular = [((0, 1), 2), ((2, 3), 1), ((2, 3), 3)]
         for support, tau in singular:
             h[tau - 1, :, support] = 0.0
@@ -218,8 +239,10 @@ class TestPinvFallback:
         real_solve = np.linalg.solve
 
         def solve(a, b):
-            eye = network.sigma2 * np.eye(a.shape[-1])
-            if (a == eye).all(axis=(-2, -1)).any():
+            eye = np.eye(a.shape[-1])
+            # every UE sends at one power
+            if any((a == d).all(axis=(-2, -1)).any() for d in (network.sigma2 * eye,
+                                                               eye / network.p[0])):
                 raise np.linalg.LinAlgError("Singular matrix")
             return real_solve(a, b)
 
@@ -231,7 +254,7 @@ class TestPinvFallback:
         assert np.isfinite(v).all()
         for support, tau in singular:
             ks = np.flatnonzero(D[:, support[0]])
-            assert np.all(v[tau - 1][np.ix_(ks, support)] == 0)  # pinv of sigma2*I, zero rhs
+            assert np.all(v[tau - 1][np.ix_(ks, support)] == 0)  # zero channels: a zero rhs, or Z^-1 H = 0
         bad = {(tuple(np.flatnonzero(D[:, s[0]])), t) for s, t in singular}
         for t in range(4):
             for k in range(3):
@@ -248,7 +271,7 @@ class TestPinvFallback:
         h += 0.1 * np.arange(96).reshape(2, 4, 3, 4)
         c = np.full((2, 4, 3, 4), 0.01)
         D = np.array([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1]])
-        h[1, 2, :, 2:] = 0.0  # group {2} (support {2, 3}) at tau 3 reduces to sigma2 * I
+        h[1, 2, :, 2:] = 0.0  # group {2} (support {2, 3}) at tau 3 reduces to P^-1 (p_mmse) or sigma2 * I (mmse)
         c[1, 2, :, 2:] = 0.0
         _, network = make_setup(h[0], c[0], D)
         normal = combiner_matrix(scheme, h, c, network)
@@ -256,8 +279,10 @@ class TestPinvFallback:
         real_solve = np.linalg.solve
 
         def solve(a, b):
-            eye = network.sigma2 * np.eye(a.shape[-1])
-            if (a == eye).all(axis=(-2, -1)).any():
+            eye = np.eye(a.shape[-1])
+            # every UE sends at one power
+            if any((a == d).all(axis=(-2, -1)).any() for d in (network.sigma2 * eye,
+                                                               eye / network.p[0])):
                 raise np.linalg.LinAlgError("Singular matrix")
             return real_solve(a, b)
 
@@ -268,7 +293,7 @@ class TestPinvFallback:
         assert len(warnings) == 1
         assert "UEs [2] at stacked estimate 1, symbol 3" in warnings[0].getMessage()
         assert np.array_equal(v[0], normal[0])
-        assert np.all(v[1, 2, 2, 2:] == 0)  # pinv of sigma2*I, zero rhs
+        assert np.all(v[1, 2, 2, 2:] == 0)  # zero channels: a zero rhs, or Z^-1 H = 0
         v[1, 2, 2, 2:] = normal[1, 2, 2, 2:]
         assert np.array_equal(v, normal)
 
@@ -302,3 +327,75 @@ class TestSharedMmseSolve:
         assert np.array_equal(combiner_matrix("p_mmse", *est, network, solved=mmse), p_mmse)
         assert np.array_equal(combiner_matrix("mmse", *est, network, solved=p_mmse), mmse)
         assert len(solves) == 2 * (len(network.groups) - len(full))
+
+
+class TestReducedSolve:
+    @pytest.mark.parametrize("scheme", ("p_mmse", "mmse"))
+    def test_systems_are_members_by_members(self, scheme, monkeypatch):
+        """On the fig2 pilot layout, every AP serving every UE, each MMSE-family
+        solve is (..., |members|, |members|), here (tau_c, K, K), never the
+        (tau_c, L, L) system of the cluster support."""
+        est, network = ci_estimates(3)
+        K, L = 4, network.D.shape[1]
+        network = replace(network, D=np.ones((K, L), dtype=np.int8),
+                          p=network.p[:K], beta=network.beta[:K])
+        est = (est[0][:, :K], est[1][:, :K])
+        shapes = []
+        real_solve = np.linalg.solve
+
+        def solve(a, b):
+            shapes.append(a.shape)
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        combiner_matrix(scheme, *est, network)
+        assert shapes == [(est[0].shape[0], K, K)]
+
+    @pytest.mark.parametrize("scheme", ("p_mmse", "mmse"))
+    def test_more_members_than_support_aps_solve_in_the_support(self, scheme, monkeypatch):
+        """A group with more members than support APs, as every group of fig3 at
+        K=100, solves its (..., |S|, |S|) systems instead."""
+        est, network = few_ap_clusters(*ci_estimates(3))
+        shapes = []
+        real_solve = np.linalg.solve
+
+        def solve(a, b):
+            shapes.append(a.shape)
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        combiner_matrix(scheme, *est, network)
+        tau_c = est[0].shape[0]
+        assert shapes == [(tau_c, len(g.support), len(g.support)) for g in network.groups]
+
+    def test_high_snr_matches_extended_precision_oracle(self):
+        """Where the noise is far below the channels, the |S| x |S| systems are
+        ill-conditioned (cond >= 1e5), and a float64 solve of them is off by
+        about cond * 1e-16.  Every ci group has fewer members than support APs,
+        so it solves in the member dimension, and that gives the extended-precision
+        oracle's P-MMSE and MMSE combiners within 1e-12.  The oracle's own
+        error, about cond * eps(longdouble), stays below 1e-13."""
+        (h, _), network = ci_estimates(3)
+        rng = np.random.default_rng(7)
+        h = (rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)) / np.sqrt(2)
+        sigma2 = 1e-5
+        c = 0.1 * sigma2 * rng.uniform(size=h.shape)
+        network = replace(network, sigma2=sigma2)
+        assert all(len(network.D) < len(g.support) for g in network.groups)
+        cond = 0.0
+        for g in network.groups:
+            for t in range(h.shape[0]):
+                hm = h[t][np.ix_(g.partial, g.support)]
+                p = network.p[g.partial]
+                a = (hm.T * p) @ hm.conj()
+                a[np.diag_indices_from(a)] += (p[:, None] * c[t][np.ix_(g.partial, g.support)]
+                                               ).sum(axis=0) + sigma2
+                cond = max(cond, np.linalg.cond(a))
+        assert cond >= 1e5
+        assert cond * np.finfo(np.longdouble).eps < 1e-13
+        est_kl = [a.transpose(1, 2, 0) for a in (h, c)]
+        for scheme in ("p_mmse", "mmse"):
+            v = combiner_matrix(scheme, h, c, network)
+            for tau in range(1, v.shape[0] + 1):
+                ref = combiner_matrix_at(scheme, *est_kl, network, tau)
+                np.testing.assert_allclose(v[tau - 1], ref, rtol=1e-12, atol=0)

@@ -855,10 +855,12 @@ class TestTrialStack:
 class TestTrialMemory:
     def test_trial_peak_within_synthesis_working_set(self):
         """A phase-noise trial's traced peak stays below its trace, h and grids
-        plus the synthesis working set, derived from the AP tile: three (tile, N)
-        buffers, and three tiles' worth for the (K, N) UE phasors and weights,
-        the CPE, y and temporaries.  Four (L, N) arrays in the synthesis, or a
-        trace kept alive through combining, exceed it."""
+        plus the synthesis working set, derived from the AP tile: one (tile, N)
+        buffer of AP phasors, one (sub-tile, UEs, N) buffer of drift spectra
+        within the same budget, and four tiles' worth for the (K, N) UE
+        phasors and weighted grid, the block sums, the CPE, y and temporaries.
+        Four (L, N) arrays in the synthesis, or a trace kept alive through
+        combining, exceed it."""
         import tracemalloc
 
         from cfofdm import ofdm

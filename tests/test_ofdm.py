@@ -305,6 +305,41 @@ class TestSynthObservations:
         for r, r_alone in zip(rngs, alone_rngs):
             assert r.bit_generator.state == r_alone.bit_generator.state
 
+    def test_ue_chunks_match_oracle_and_stack(self, ci_layout, monkeypatch):
+        """A tile budget of two APs' samples cuts the ICI into chunks of two
+        UEs (2 + 2 + 1 of 5) and sub-tiles of one AP: y stays within 1e-12 of
+        the decomposed oracle, the CPE is that of cpe_per_symbol bitwise, and
+        three stacked trials give each trial's y bit for bit as alone."""
+        layout = ci_layout
+        K, L, n = layout.n_ues, layout.n_aps, layout.n_subcarriers
+        rng = np.random.default_rng(17)
+        network = make_network(layout, rng.uniform(0.1, 1.0, (K, L)),
+                               np.arange(K) % layout.tau_p, p=0.2, sigma2=1e-3)
+        pn = pn_params("pn", layout)
+        trials = []
+        for seed in range(3):
+            t_rng = np.random.default_rng(seed)
+            h = t_rng.standard_normal((K, L, layout.n_blocks)) + 1j * t_rng.standard_normal(
+                (K, L, layout.n_blocks))
+            grids = build_transmit_grids(layout, network.pilot_index, t_rng)
+            trials.append((h, grids, gen_pn_trace(pn, layout, t_rng), t_rng))
+        monkeypatch.setattr(ofdm, "_TILE_BYTES", 2 * n * 16)
+        alone = []
+        for h, grids, trace, t_rng in trials:
+            oracle_rng, one_rng = copy.deepcopy(t_rng), copy.deepcopy(t_rng)
+            y, cpe = synth_one(h, grids, trace, network, layout, one_rng)
+            ref = decomposed_pilot_observations(h, grids, trace, network, layout, oracle_rng)
+            assert np.abs(y - ref.y).max() <= 1e-12 * np.abs(ref.y).max()
+            assert np.array_equal(cpe, cpe_per_symbol(trace))
+            alone.append(y)
+        stacked_trace = PhaseNoiseTrace(np.stack([t[2].ap_phase for t in trials]),
+                                        np.stack([t[2].ue_phase for t in trials]))
+        y, _ = synth_pilot_observations(np.stack([t[0] for t in trials]),
+                                        np.stack([t[1] for t in trials]), stacked_trace,
+                                        network, layout, [t[3] for t in trials])
+        for y_b, y_alone in zip(y, alone):
+            assert np.array_equal(y_b, y_alone)
+
 
     def test_constant_phases_stand_for_every_symbol(self, ci_layout):
         """Ideal oscillators' (nodes, 1, 1) initial phases stand for the walks
@@ -363,6 +398,23 @@ class TestSynthObservations:
         assert np.array_equal(cpe, cpe_per_symbol(trace))
         assert not np.array_equal(cpe[0], cpe[1])
         assert np.abs(y - ref.y).max() <= 1e-12 * np.abs(ref.y).max()
+
+    def test_caller_buffer_size_kept(self, ci_layout):
+        """The synthesis sets numpy's operand buffer size for its own ufuncs
+        only: the caller's size is the same after the call."""
+        layout = ci_layout
+        K, L = layout.n_ues, layout.n_aps
+        rng = np.random.default_rng(17)
+        network = make_network(layout, rng.uniform(0.1, 1.0, (K, L)),
+                               np.arange(K) % layout.tau_p, p=0.2, sigma2=1e-3)
+        h = rng.standard_normal((K, L, layout.n_blocks)) + 1j * rng.standard_normal(
+            (K, L, layout.n_blocks))
+        grids = build_transmit_grids(layout, network.pilot_index, rng)
+        trace = gen_pn_trace(pn_params("pn", layout), layout, rng)
+        with np.errstate():
+            np.setbufsize(16384)
+            synth_one(h, grids, trace, network, layout, rng)
+            assert np.getbufsize() == 16384
 
 
 class TestTimeDomainOracle:
