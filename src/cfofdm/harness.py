@@ -8,7 +8,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -134,8 +134,9 @@ def build_geometry(cfg: ExperimentConfig, setup: Setup, geometry_index: int) -> 
 
 
 # Bytes of the phase traces of one stack of trials: the synthesis tile budget.
-# A ci stack is three trials; a fig2 or fig3 trace alone exceeds the budget,
-# so there a stack is one trial.
+# A ci stack is three trials, a replayed ideal ci stack six; a fig2 or fig3
+# trace alone, or a fig2 or fig3 ideal trial's AP tile, exceeds the budget, so
+# there a stack is one trial.
 _STACK_BYTES = ofdm._TILE_BYTES
 # Bytes of the stacked (B, chunk, tau_c, K, L) complex combiners of one
 # estimator chunk: the same budget.  A fig2 chunk is one estimator, a ci chunk
@@ -143,14 +144,102 @@ _STACK_BYTES = ofdm._TILE_BYTES
 _CHUNK_BYTES = ofdm._TILE_BYTES
 
 
-def stack_size(layout: SimulationLayout) -> int:
+def stack_size(layout: SimulationLayout, replay: bool = False) -> int:
     """Trials per stack: at least one, and as many as fit ``_STACK_BYTES`` with
     their phase traces, (K + L) tau_c N float64 phases each, and with the AP
     rows of their synthesis tile, L N complex samples each (the larger only
-    at tau_c = 1)."""
-    n, L = layout.n_subcarriers, layout.n_aps
-    trace = (layout.n_ues + L) * layout.block_symbols * n * 8
+    at tau_c = 1).  A replayed ideal trial (``replay``, see ``TrialDraws``)
+    holds no trace and no grids: it counts the AP rows of its tile and its
+    channel, K L R complex samples."""
+    n, K, L = layout.n_subcarriers, layout.n_ues, layout.n_aps
+    if replay:
+        return max(1, _STACK_BYTES // (16 * L * (n + K * layout.n_blocks)))
+    trace = (K + L) * layout.block_symbols * n * 8
     return max(1, _STACK_BYTES // max(trace, L * n * 16))
+
+
+_WORD = (1 << 64) - 1  # the low half of a 128-bit PCG64 word
+
+
+@dataclass
+class StackDraws:
+    """What an ideal-oscillator twin reuses of some trials' draws, one row per
+    trial: each node's initial phase and the trial generator's PCG64 state
+    just before the receiver noise, packed as the 128-bit state and increment
+    in (high, low) 64-bit words, then ``has_uint32`` and ``uinteger``.
+
+    A recording stack (``replay`` False) is filled by ``observe`` as it draws;
+    a replaying one stands in for the trace and grids.  The arrays of a stack
+    are views of its geometry's, which ``TrialDraws`` keeps.
+    """
+
+    replay: bool
+    ap_phase: np.ndarray  # (trials, L) float64
+    ue_phase: np.ndarray  # (trials, K) float64
+    state: np.ndarray     # (trials, 6) uint64
+    recorded: np.ndarray  # (trials,) bool
+
+    def rows(self, trials: range) -> "StackDraws":
+        """The stack of ``trials``: views of this geometry's rows."""
+        pick = slice(trials.start, trials.stop)
+        return StackDraws(self.replay, self.ap_phase[pick], self.ue_phase[pick],
+                          self.state[pick], self.recorded[pick])
+
+    def record(self, trace: PhaseNoiseTrace, rngs: Sequence[np.random.Generator]) -> None:
+        """Keep the stack's initial phases, the first sample of each walk, and
+        its generators' states."""
+        self.ap_phase[...] = trace.ap_phase[..., 0, 0]
+        self.ue_phase[...] = trace.ue_phase[..., 0, 0]
+        for row, rng in zip(self.state, rngs):
+            s = rng.bit_generator.state
+            state, inc = s["state"]["state"], s["state"]["inc"]
+            row[...] = (state >> 64, state & _WORD, inc >> 64, inc & _WORD,
+                        s["has_uint32"], s["uinteger"])
+        self.recorded[...] = True
+
+    def restore(self, rngs: Sequence[np.random.Generator]) -> None:
+        """Move each generator to its recorded state."""
+        if not self.recorded.all():
+            raise LookupError("a replayed trial has no recorded draws")
+        for row, rng in zip(self.state, rngs):
+            hi, lo, inc_hi, inc_lo, has_uint32, uinteger = (int(w) for w in row)
+            rng.bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
+                "has_uint32": has_uint32, "uinteger": uinteger,
+            }
+
+
+class TrialDraws:
+    """The ``StackDraws`` of every geometry of a run: recorded by the
+    phase-noise run of ``run_fig2`` and replayed by its ideal twin
+    (``replayed``), which frees each geometry's as it takes it.  A record
+    is (K + L) float64 phases, six words and a flag per trial: 1.7 KB at
+    fig2's K = 10, L = 200, 17 MB at 50 geometries of 200 trials."""
+
+    def __init__(self, replay: bool = False, geometries: Optional[Dict[int, StackDraws]] = None):
+        self.replay = replay
+        self._geometries = {} if geometries is None else geometries
+
+    def replayed(self) -> "TrialDraws":
+        """The same records, replayed."""
+        return TrialDraws(True, self._geometries)
+
+    def geometry(self, index: int, n_trials: int, layout: SimulationLayout) -> StackDraws:
+        """The rows of geometry ``index``: new ones to record, or the recorded
+        ones to replay, which no longer stay here; raises LookupError if
+        geometry ``index`` or one of its ``n_trials`` trials was not recorded."""
+        if not self.replay:
+            draws = StackDraws(False, np.empty((n_trials, layout.n_aps)),
+                               np.empty((n_trials, layout.n_ues)),
+                               np.empty((n_trials, 6), dtype=np.uint64),
+                               np.zeros(n_trials, dtype=bool))
+            self._geometries[index] = draws
+            return draws
+        draws = self._geometries.pop(index, None)
+        if draws is None or len(draws.recorded) != n_trials:
+            raise LookupError("geometry %d has no recorded draws of %d trials" % (index, n_trials))
+        return replace(draws, replay=True)
 
 
 def trial_rngs(master_seed: int, geometry_index: int, trials: range) -> List[np.random.Generator]:
@@ -169,7 +258,8 @@ def _as_stack(first: np.ndarray, size: int) -> np.ndarray:
 
 
 def observe(setup: Setup, network: NetworkRealization, rngs: Sequence[np.random.Generator],
-            shared_data: bool = False) -> Tuple[np.ndarray, np.ndarray]:
+            shared_data: bool = False,
+            draws: Optional[StackDraws] = None) -> Tuple[np.ndarray, np.ndarray]:
     """Draw and synthesize a stack of trials, one generator per trial.
 
     Trial b draws from ``rngs[b]`` in this order: channel, phase trace,
@@ -180,29 +270,49 @@ def observe(setup: Setup, network: NetworkRealization, rngs: Sequence[np.random.
     (sigma^2 = 0) it holds each node's initial phase alone, (B, nodes, 1, 1).
     Returns the pilot observations y (B, L, tau_p) and the effective
     channels h_eff (B, T, K, L); the trace is freed on return.
+
+    A recording ``draws`` keeps each trial's initial phases and its
+    generator's state before the noise.  A replaying one, in an ideal world,
+    stands in for the trace and grids: each trial draws its channel, moves its
+    generator to the recorded state and is synthesized from the recorded
+    phases and the layout's pilot samples, the only samples of the grids an
+    ideal synthesis reads.  y, h_eff and every generator's end state are
+    then bit for bit those of the drawn stack.
     """
     layout = setup.layout
-    ap_cut, ue_cut = (np.s_[..., :1, :1] if s2 == 0.0 else np.s_[...]
-                      for s2 in (setup.pn.sigma2_ap, setup.pn.sigma2_ue))
-
-    def draw(rng, trace_out=None):
-        return (gen_channel(network.beta, layout, rng),
-                gen_pn_trace(setup.pn, layout, rng, trace_out),
-                ofdm.build_transmit_grids(layout, network.pilot_index, rng, shared_data))
-
     B = len(rngs)
-    h, trace, grids = draw(rngs[0])
-    h, grids = _as_stack(h, B), _as_stack(grids, B)
-    trace = PhaseNoiseTrace(_as_stack(trace.ap_phase[ap_cut], B),
-                            _as_stack(trace.ue_phase[ue_cut], B))
+    h = _as_stack(gen_channel(network.beta, layout, rngs[0]), B)
     for b in range(1, B):
-        h[b], _, grids[b] = draw(rngs[b], PhaseNoiseTrace(trace.ap_phase[b], trace.ue_phase[b]))
+        h[b] = gen_channel(network.beta, layout, rngs[b])
+    if draws is not None and draws.replay:
+        if not setup.pn.ideal:
+            raise ValueError("only an ideal-oscillator world replays draws")
+        draws.restore(rngs)
+        trace = PhaseNoiseTrace(draws.ap_phase[..., None, None], draws.ue_phase[..., None, None])
+        pilots = layout.pilot_grid[network.pilot_index]
+        grids = np.broadcast_to(pilots, (B,) + pilots.shape)
+    else:
+        ap_cut, ue_cut = (np.s_[..., :1, :1] if s2 == 0.0 else np.s_[...]
+                          for s2 in (setup.pn.sigma2_ap, setup.pn.sigma2_ue))
+        trace = gen_pn_trace(setup.pn, layout, rngs[0])
+        grids = _as_stack(ofdm.build_transmit_grids(layout, network.pilot_index, rngs[0],
+                                                    shared_data), B)
+        trace = PhaseNoiseTrace(_as_stack(trace.ap_phase[ap_cut], B),
+                                _as_stack(trace.ue_phase[ue_cut], B))
+        for b in range(1, B):
+            gen_pn_trace(setup.pn, layout, rngs[b],
+                         PhaseNoiseTrace(trace.ap_phase[b], trace.ue_phase[b]))
+            grids[b] = ofdm.build_transmit_grids(layout, network.pilot_index, rngs[b],
+                                                 shared_data)
+        if draws is not None:
+            draws.record(trace, rngs)
     y, cpe = ofdm.synth_pilot_observations(h, grids, trace, network, layout, rngs)
     return y, cpe * h[:, None, :, :, 0]
 
 
 def run_trial(cfg: ExperimentConfig, setup: Setup, geom: Geometry,
-              rngs: Sequence[np.random.Generator]) -> se.SinrAccumulator:
+              rngs: Sequence[np.random.Generator],
+              draws: Optional[StackDraws] = None) -> se.SinrAccumulator:
     """A stack of Monte Carlo trials, one generator of ``rngs`` each: draw,
     synthesize, estimate, combine, accumulate.
 
@@ -216,10 +326,10 @@ def run_trial(cfg: ExperimentConfig, setup: Setup, geom: Geometry,
     one: a chunk's estimates are stacked, and each scheme makes one combiner
     call and one accumulate call over the chunk's entries [:, e0:e1, s].
     With both MMSE variants, the second takes the rows the first solved for
-    every group whose partial set is every UE.
+    every group whose partial set is every UE.  ``draws`` goes to ``observe``.
     """
     layout, network = setup.layout, geom.network
-    y, h_eff = observe(setup, network, rngs)
+    y, h_eff = observe(setup, network, rngs, draws=draws)
     B, E, T = len(rngs), len(geom.contexts), setup.symbols
     acc = se.SinrAccumulator((B, E, len(cfg.schemes), T, layout.n_ues))
     per_call = max(1, _CHUNK_BYTES // (16 * B * T * layout.n_ues * layout.n_aps))
@@ -260,26 +370,30 @@ def run_geometry(
     setup: Setup,
     geometry_index: int,
     threads: int = 1,
+    draws: Optional[TrialDraws] = None,
 ) -> GeometryResult:
     """All Monte Carlo trials for one network geometry.
 
     The trials go in stacks of ``stack_size``, the last one maybe partial.
     Trial t lands in batch t % n_batches, merged in trial order; the batches
     are merged in order.  Stacks run in the calling thread at ``threads`` = 1,
-    else on a pool.
+    else on a pool.  ``draws``, if given, records or replays the geometry's
+    trials (``TrialDraws``).
     """
     layout = setup.layout
     geom = build_geometry(cfg, setup, geometry_index)
     network = geom.network
+    record = None if draws is None else draws.geometry(geometry_index, cfg.n_trials, layout)
 
     shape = (len(cfg.estimators), len(cfg.schemes), layout.block_symbols, layout.n_ues)
     n_batches = max(1, min(_N_BATCHES, cfg.n_trials))
     batches = [se.SinrAccumulator(shape) for _ in range(n_batches)]
-    stack = stack_size(layout)
+    stack = stack_size(layout, replay=draws is not None and draws.replay)
 
     def one(t0: int):
         trials = range(t0, min(t0 + stack, cfg.n_trials))
-        return run_trial(cfg, setup, geom, trial_rngs(cfg.master_seed, geometry_index, trials))
+        return run_trial(cfg, setup, geom, trial_rngs(cfg.master_seed, geometry_index, trials),
+                         None if record is None else record.rows(trials))
 
     with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
         trial_map = map if pool is None else pool.map
@@ -313,6 +427,7 @@ def run_experiment(
     cfg: ExperimentConfig,
     threads: int = 1,
     progress: bool = False,
+    draws: Optional[TrialDraws] = None,
 ) -> List[ResultRecord]:
     """Run the full experiment and aggregate records across geometries.
 
@@ -323,7 +438,7 @@ def run_experiment(
     stays one (1 + tau_c) array, the block then every symbol, until the records
     are written: channel use c reads entry ceil(c / N_c), so the block row
     (c = 0) reads entry 0.  Raises RuntimeError if more than 1% of SINR records
-    are invalid.
+    are invalid.  ``draws`` goes to every ``run_geometry``.
     """
     cfg.validate()
     if not 1 <= threads <= MAX_THREADS:
@@ -335,7 +450,7 @@ def run_experiment(
     setup = build_setup(cfg)
     geoms: List[GeometryResult] = []
     for g in range(cfg.n_geometries):
-        geoms.append(run_geometry(cfg, setup, g, threads=threads))
+        geoms.append(run_geometry(cfg, setup, g, threads=threads, draws=draws))
         if progress:
             print(
                 "geometry %d/%d done (%.1f s elapsed)"
@@ -384,10 +499,12 @@ def run_fig2(cfg: ExperimentConfig, threads: int = 1,
              progress: bool = False) -> List[ResultRecord]:
     """SE per UE versus channel use: every estimator of ``cfg``, then the
     same scenario with ideal oscillators (where all estimators coincide),
-    labelled ``no_pn``."""
-    records = run_experiment(cfg, threads=threads, progress=progress)
+    labelled ``no_pn``.  The ideal run replays the draws of the first
+    (``TrialDraws``): its rows are those of a drawn run, byte for byte."""
+    draws = TrialDraws()
+    records = run_experiment(cfg, threads=threads, progress=progress, draws=draws)
     no_pn = replace(cfg, gamma_ap=0.0, gamma_ue=0.0, estimators=("pna_ofdm",))
-    ref = run_experiment(no_pn, threads=threads, progress=progress)
+    ref = run_experiment(no_pn, threads=threads, progress=progress, draws=draws.replayed())
     return records + [replace(r, estimator="no_pn") for r in ref]
 
 

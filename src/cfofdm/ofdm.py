@@ -178,10 +178,14 @@ def synth_pilot_observations(
                         if r_whole < layout.n_blocks:  # the partial block
                             np.matmul(spec[..., r_whole * nc :], ones[: n - r_whole * nc],
                                       out=sums[..., r_whole])
-                        # summed over blocks, then UEs, the same way at every stack
-                        # size and sub-tile (an einsum's order depends on both)
+                        # summed over blocks, then UEs in order, the same way at every
+                        # stack size and sub-tile (an einsum's order depends on both,
+                        # and so does a sum over the UE axis: numpy sums it pairwise
+                        # where a sub-tile of one AP leaves it innermost)
                         np.multiply(np.swapaxes(sums, 1, 2), h[:, k0:k1, c:d], out=prod)
-                        y[:, c:d, i] += prod.sum(axis=-1).sum(axis=1)
+                        ue = prod.sum(axis=-1)
+                        np.add.accumulate(ue, axis=1, out=ue)
+                        y[:, c:d, i] += ue[:, -1]
     if no_ici:
         # y is each pilot rotated by the one symbol's CPE, on the slots of block 1
         slot_si = [pilot_si[t] for t in slot_sym]

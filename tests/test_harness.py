@@ -223,9 +223,11 @@ class TestRunExperiment:
     def test_csv_invariant_to_threads_and_stack_size(self, monkeypatch, n_trials):
         """Byte-identical ``run_fig2`` CSVs, the phase-noise rows and the
         one-symbol no_pn rows, on 1 and 2 threads with stacks of 1 and 3
-        trials, on one geometry, whose standard error reads every trial batch;
-        also in the worlds where only the UEs or only the APs have phase
-        noise, whose ideal kind is held as (B, nodes, 1, 1) phases."""
+        trials (replayed ideal stacks of 2 and 6), on one geometry, whose
+        standard error reads every trial batch; also in the worlds where only
+        the UEs or only the APs have phase noise, whose ideal kind is held as
+        (B, nodes, 1, 1) phases.  Each equals the phase-noise run followed by
+        a standalone ideal run, which draws what ``run_fig2`` replays."""
         from cfofdm import harness
 
         base = replace(ci_config(), n_geometries=1, n_trials=n_trials,
@@ -234,14 +236,18 @@ class TestRunExperiment:
         layout = base.layout()
         for world in ({}, {"gamma_ap": 0.0}, {"gamma_ue": 0.0}):
             cfg = replace(base, **world)
+            no_pn = replace(cfg, gamma_ap=0.0, gamma_ue=0.0, estimators=("pna_ofdm",))
+            drawn = records_to_csv(run_experiment(cfg) + [replace(r, estimator="no_pn")
+                                                          for r in run_experiment(no_pn)])
             texts = set()
-            for stack in (1, 3):
+            for stack, ideal_stack in ((1, 2), (3, 6)):
                 monkeypatch.setattr(harness, "_STACK_BYTES", stack * trace_bytes(layout))
                 assert harness.stack_size(layout) == stack
+                assert harness.stack_size(layout, replay=True) == ideal_stack
                 for threads in (1, 2):
                     texts.add(records_to_csv(run_fig2(cfg, threads=threads)))
-            assert len(texts) == 1
-            assert ",no_pn," in texts.pop()
+            assert texts == {drawn}
+            assert ",no_pn," in drawn
 
     @pytest.mark.parametrize("pn", [True, False], ids=["pn", "no_pn"])
     def test_p_mmse_rows_independent_of_mmse(self, pn):
@@ -850,6 +856,85 @@ class TestTrialStack:
             alone = run_trial(cfg, setup, geom, trial_rngs(cfg.master_seed, 0, range(b, b + 1)))
             for name in ("gain", "received", "ici", "vnorm"):
                 assert np.array_equal(getattr(acc, name)[b], getattr(alone, name)[0])
+
+    def test_stack_with_one_ap_sub_tiles_matches_trials_alone(self):
+        """At 28 ci trials a stack's ICI sub-tile is one AP, where numpy would
+        sum the UE axis pairwise; each trial still has, bit for bit, the four
+        sums of its stack of one."""
+        from cfofdm import ofdm
+        from cfofdm.combining import SCHEMES
+        from cfofdm.harness import build_geometry, build_setup, run_trial, trial_rngs
+
+        cfg = replace(ci_config(), schemes=SCHEMES,
+                      estimators=("pna_ofdm", "pna_sc", "unaware"))
+        setup = build_setup(cfg)
+        geom = build_geometry(cfg, setup, 0)
+        layout = setup.layout
+        B = 28
+        assert ofdm._TILE_BYTES // (16 * B * layout.n_ues * layout.n_subcarriers) == 1
+        acc = run_trial(cfg, setup, geom, trial_rngs(cfg.master_seed, 0, range(B)))
+        for b in range(B):
+            alone = run_trial(cfg, setup, geom, trial_rngs(cfg.master_seed, 0, range(b, b + 1)))
+            for name in ("gain", "received", "ici", "vnorm"):
+                assert np.array_equal(getattr(acc, name)[b], getattr(alone, name)[0])
+
+
+class TestReplay:
+    WORLDS = [pytest.param({}, id="pn"), pytest.param({"gamma_ap": 0.0}, id="ue_pn"),
+              pytest.param({"gamma_ue": 0.0}, id="ap_pn")]
+
+    @pytest.mark.parametrize("world", WORLDS)
+    @pytest.mark.parametrize("stack", [1, 3])
+    def test_replayed_stack_ends_where_drawn_stack_ends(self, world, stack):
+        """A replayed ideal stack gives the drawn stack's y and h_eff, and
+        leaves every trial generator where the drawn stack leaves it."""
+        from cfofdm.harness import TrialDraws, build_geometry, build_setup, observe, trial_rngs
+
+        cfg = replace(ci_config(), **world)
+        ideal = replace(cfg, gamma_ap=0.0, gamma_ue=0.0)
+        setup, ideal_setup = build_setup(cfg), build_setup(ideal)
+        network = build_geometry(cfg, setup, 0).network
+        layout, trials = setup.layout, range(2, 2 + stack)
+        draws = TrialDraws()
+        observe(setup, network, trial_rngs(cfg.master_seed, 0, trials),
+                draws=draws.geometry(0, 2 + stack, layout).rows(trials))
+        drawn_rngs = trial_rngs(cfg.master_seed, 0, trials)
+        y, h_eff = observe(ideal_setup, network, drawn_rngs)
+        replayed_rngs = trial_rngs(cfg.master_seed, 0, trials)
+        record = draws.replayed().geometry(0, 2 + stack, layout)
+        y_r, h_eff_r = observe(ideal_setup, network, replayed_rngs, draws=record.rows(trials))
+        assert np.array_equal(y_r, y) and np.array_equal(h_eff_r, h_eff)
+        for a, b in zip(replayed_rngs, drawn_rngs):
+            assert a.bit_generator.state == b.bit_generator.state
+            assert np.array_equal(a.standard_normal(8), b.standard_normal(8))
+
+    def test_missing_record_raises(self):
+        """Replay never falls back to drawing: an unrecorded geometry, a
+        geometry recorded with another trial count, an unrecorded trial and a
+        phase-noise world each raise."""
+        from cfofdm.harness import TrialDraws, build_geometry, build_setup, observe, trial_rngs
+
+        cfg = replace(ci_config(), n_geometries=1, n_trials=4)
+        no_pn = replace(cfg, gamma_ap=0.0, gamma_ue=0.0)
+        with pytest.raises(LookupError, match="geometry 0"):
+            run_experiment(no_pn, draws=TrialDraws().replayed())
+        draws = TrialDraws()
+        run_experiment(cfg, draws=draws)
+        with pytest.raises(LookupError, match="geometry 0"):
+            run_experiment(replace(no_pn, n_trials=5), draws=draws.replayed())
+
+        setup, ideal_setup = build_setup(cfg), build_setup(no_pn)
+        network = build_geometry(cfg, setup, 0).network
+        draws = TrialDraws()
+        draws.geometry(0, 4, setup.layout)  # nothing recorded
+        record = draws.replayed().geometry(0, 4, setup.layout)
+        with pytest.raises(LookupError, match="no recorded draws"):
+            observe(ideal_setup, network, trial_rngs(cfg.master_seed, 0, range(2)),
+                    draws=record.rows(range(2)))
+        record.recorded[:] = True
+        with pytest.raises(ValueError, match="ideal"):
+            observe(setup, network, trial_rngs(cfg.master_seed, 0, range(2)),
+                    draws=record.rows(range(2)))
 
 
 class TestTrialMemory:

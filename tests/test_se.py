@@ -408,3 +408,33 @@ class TestSeAssembly:
         assert np.isnan(rows[..., 1:]).sum() == 4 and np.isnan(rows[..., 0]).sum() == 1
         per_ue = [np.log2(1 + r[~np.isnan(r)]).mean() for r in sinr[0, 1].T if (r == r).any()]
         assert rows[0, 1, 0] == pytest.approx(np.mean(per_ue), rel=1e-15)
+
+
+class TestNoPnMrClosedForm:
+    @pytest.mark.parametrize("n_ues", [4, 5], ids=["orthogonal_pilots", "shared_pilot"])
+    def test_monte_carlo_mr_matches_closed_form(self, n_ues):
+        """On the ci world with ideal oscillators, each geometry's Monte Carlo
+        MR SE lies within 3 batch standard errors of the closed form
+        (``no_pn_mr_oracle``).  At K = 5 > tau_p = 4 UEs 0 and 4 share a pilot
+        sequence, so the oracle's coherent co-pilot term enters, though at
+        most at 0.4 % of the SE, below what the test resolves.  400 trials
+        put the UatF bias of a sample-mean SINR, about 1.7 / n relative, at
+        0.4 %, well below a batch standard error of 1-4 %."""
+        from cfofdm.config import ci_config
+        from cfofdm.harness import build_geometry, build_setup, run_geometry
+
+        from no_pn_mr_oracle import mr_se_no_pn
+
+        cfg = replace(ci_config(), n_ues=n_ues, gamma_ap=0.0, gamma_ue=0.0,
+                      estimators=("pna_ofdm",), schemes=("mr",), n_geometries=1,
+                      n_trials=400)
+        setup = build_setup(cfg)
+        for g in range(4):
+            geom = build_geometry(cfg, setup, g)
+            network = geom.network
+            assert (n_ues > 4) == (len(np.unique(network.pilot_index)) < n_ues)
+            oracle = mr_se_no_pn(network, geom.contexts[0].eps[0]).mean()
+            result = run_geometry(cfg, setup, g)
+            batches = result.batch_se[:, 0, 0, 0]  # the block entry of each batch
+            err = np.std(batches, ddof=1) / np.sqrt(len(batches))
+            assert abs(result.se[0, 0, 0] - oracle) <= 3.0 * err, (g, result.se[0, 0, 0], oracle, err)
