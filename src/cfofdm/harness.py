@@ -133,29 +133,43 @@ def build_geometry(cfg: ExperimentConfig, setup: Setup, geometry_index: int) -> 
     return Geometry(network, contexts, se.lambda_ici(network, setup.table))
 
 
-# Bytes of the phase traces of one stack of trials: the synthesis tile budget.
-# A ci stack is three trials, a replayed ideal ci stack six; a fig2 or fig3
+# Bytes of the phase traces of one synthesis piece: the synthesis tile budget.
+# A ci piece is three trials, a replayed ideal ci piece six; a fig2 or fig3
 # trace alone, or a fig2 or fig3 ideal trial's AP tile, exceeds the budget, so
-# there a stack is one trial.
+# there a piece is one trial.
 _STACK_BYTES = ofdm._TILE_BYTES
-# Bytes of the stacked (B, chunk, tau_c, K, L) complex combiners of one
-# estimator chunk: the same budget.  A fig2 chunk is one estimator, a ci chunk
-# all three.
-_CHUNK_BYTES = ofdm._TILE_BYTES
+# Bytes of one estimator's stacked (B, tau_c, K, L) complex combiners, which
+# bound a trial stack: half the synthesis tile budget.  A ci stack of 15
+# trials then combines one estimator per call.
+_CHUNK_BYTES = ofdm._TILE_BYTES // 2
 
 
 def stack_size(layout: SimulationLayout, replay: bool = False) -> int:
-    """Trials per stack: at least one, and as many as fit ``_STACK_BYTES`` with
-    their phase traces, (K + L) tau_c N float64 phases each, and with the AP
-    rows of their synthesis tile, L N complex samples each (the larger only
-    at tau_c = 1).  A replayed ideal trial (``replay``, see ``TrialDraws``)
-    holds no trace and no grids: it counts the AP rows of its tile and its
-    channel, K L R complex samples."""
+    """Trials per synthesis piece (``observe``): at least one, and as many as
+    fit ``_STACK_BYTES`` with their phase traces, (K + L) tau_c N float64
+    phases each, and with the AP rows of their synthesis tile, L N complex
+    samples each (the larger only at tau_c = 1).  A replayed ideal trial
+    (``replay``, see ``TrialDraws``) holds no trace and no grids: it counts
+    the AP rows of its tile and its channel, K L R complex samples."""
     n, K, L = layout.n_subcarriers, layout.n_ues, layout.n_aps
     if replay:
         return max(1, _STACK_BYTES // (16 * L * (n + K * layout.n_blocks)))
     trace = (K + L) * layout.block_symbols * n * 8
     return max(1, _STACK_BYTES // max(trace, L * n * 16))
+
+
+def trial_stack_size(layout: SimulationLayout, n_trials: int, threads: int = 1) -> int:
+    """Trials per trial stack of a geometry of ``n_trials`` trials on
+    ``threads`` threads: the unit of the pool, the estimation, the combining
+    and the accumulation.  At most as many as keep one estimator's stacked
+    combiners, 16 tau_c K L bytes per trial, within ``_CHUNK_BYTES``, and
+    the trials spread evenly over stacks whose count is a multiple of
+    ``threads``: 15 at the ci layout's 30 trials, on 1 or 2 threads, in
+    both oscillator worlds; 1 at fig2's layout."""
+    per_trial = 16 * layout.block_symbols * layout.n_ues * layout.n_aps
+    most = max(1, _CHUNK_BYTES // per_trial)
+    stacks = threads * -(-n_trials // (threads * most))
+    return -(-n_trials // stacks)
 
 
 _WORD = (1 << 64) - 1  # the low half of a 128-bit PCG64 word
@@ -264,12 +278,15 @@ def observe(setup: Setup, network: NetworkRealization, rngs: Sequence[np.random.
 
     Trial b draws from ``rngs[b]`` in this order: channel, phase trace,
     transmit grids (``ofdm.build_transmit_grids``, with ``shared_data``), and
-    the receiver noise of the synthesis.  Trial 0 draws new arrays, which a
-    stack of one uses as they are; the walks of every further trial go
-    straight into the stacked trace.  Of a node kind with ideal oscillators
-    (sigma^2 = 0) it holds each node's initial phase alone, (B, nodes, 1, 1).
-    Returns the pilot observations y (B, L, tau_p) and the effective
-    channels h_eff (B, T, K, L); the trace is freed on return.
+    the receiver noise of the synthesis.  The trials go in pieces of
+    ``stack_size``, the last one maybe partial, so the stack holds at most one
+    piece's traces and grids at a time.  In a piece, trial 0 draws new
+    arrays, which a piece of one uses as they are; the walks of every further
+    trial go straight into the piece's stacked trace.  Of a node kind with
+    ideal oscillators (sigma^2 = 0) it holds each node's initial phase alone,
+    (B, nodes, 1, 1).  Returns the pilot observations y (B, L, tau_p) and the
+    effective channels h_eff (B, T, K, L) of the whole stack, each trial's bit
+    for bit those of its stack of one.
 
     A recording ``draws`` keeps each trial's initial phases and its
     generator's state before the noise.  A replaying one, in an ideal world,
@@ -277,16 +294,31 @@ def observe(setup: Setup, network: NetworkRealization, rngs: Sequence[np.random.
     generator to the recorded state and is synthesized from the recorded
     phases and the layout's pilot samples, the only samples of the grids an
     ideal synthesis reads.  y, h_eff and every generator's end state are
-    then bit for bit those of the drawn stack.
+    then bit for bit those of the drawn stack.  ``draws`` is taken a piece's
+    rows at a time.
     """
+    replay = draws is not None and draws.replay
+    if replay and not setup.pn.ideal:
+        raise ValueError("only an ideal-oscillator world replays draws")
+    B, piece = len(rngs), stack_size(setup.layout, replay)
+    parts = [_observe_piece(setup, network, rngs[lo:lo + piece], shared_data,
+                            None if draws is None else draws.rows(range(lo, min(lo + piece, B))))
+             for lo in range(0, B, piece)]
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(a) for a in zip(*parts))
+
+
+def _observe_piece(setup: Setup, network: NetworkRealization,
+                   rngs: Sequence[np.random.Generator], shared_data: bool,
+                   draws: Optional[StackDraws]) -> Tuple[np.ndarray, np.ndarray]:
+    """``observe`` of one synthesis piece."""
     layout = setup.layout
     B = len(rngs)
     h = _as_stack(gen_channel(network.beta, layout, rngs[0]), B)
     for b in range(1, B):
         h[b] = gen_channel(network.beta, layout, rngs[b])
     if draws is not None and draws.replay:
-        if not setup.pn.ideal:
-            raise ValueError("only an ideal-oscillator world replays draws")
         draws.restore(rngs)
         trace = PhaseNoiseTrace(draws.ap_phase[..., None, None], draws.ue_phase[..., None, None])
         pilots = layout.pilot_grid[network.pilot_index]
@@ -313,8 +345,9 @@ def observe(setup: Setup, network: NetworkRealization, rngs: Sequence[np.random.
 def run_trial(cfg: ExperimentConfig, setup: Setup, geom: Geometry,
               rngs: Sequence[np.random.Generator],
               draws: Optional[StackDraws] = None) -> se.SinrAccumulator:
-    """A stack of Monte Carlo trials, one generator of ``rngs`` each: draw,
-    synthesize, estimate, combine, accumulate.
+    """A stack of Monte Carlo trials, one generator of ``rngs`` each: draw
+    and synthesize (``observe``, a piece of ``stack_size`` trials at a time),
+    estimate, combine, accumulate.
 
     Returns an accumulator of shape (B, E, S, T, K), T = ``setup.symbols``,
     whose entry b holds trial b alone (``count`` 1): entry [b, e, s] holds
@@ -374,11 +407,12 @@ def run_geometry(
 ) -> GeometryResult:
     """All Monte Carlo trials for one network geometry.
 
-    The trials go in stacks of ``stack_size``, the last one maybe partial.
-    Trial t lands in batch t % n_batches, merged in trial order; the batches
-    are merged in order.  Stacks run in the calling thread at ``threads`` = 1,
-    else on a pool.  ``draws``, if given, records or replays the geometry's
-    trials (``TrialDraws``).
+    The trials go in stacks of ``trial_stack_size``, the last one maybe
+    partial.  Trial t lands in batch t % n_batches, merged in trial order; the
+    batches are merged in order.  Stacks run in the calling thread at
+    ``threads`` = 1, else on a pool, at most 4 ``threads`` stacks in flight.
+    ``draws``, if given, records or replays the geometry's trials
+    (``TrialDraws``).
     """
     layout = setup.layout
     geom = build_geometry(cfg, setup, geometry_index)
@@ -388,7 +422,7 @@ def run_geometry(
     shape = (len(cfg.estimators), len(cfg.schemes), layout.block_symbols, layout.n_ues)
     n_batches = max(1, min(_N_BATCHES, cfg.n_trials))
     batches = [se.SinrAccumulator(shape) for _ in range(n_batches)]
-    stack = stack_size(layout, replay=draws is not None and draws.replay)
+    stack = trial_stack_size(layout, cfg.n_trials, threads)
 
     def one(t0: int):
         trials = range(t0, min(t0 + stack, cfg.n_trials))

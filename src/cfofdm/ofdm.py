@@ -85,8 +85,9 @@ def synth_pilot_observations(
     chunk of UEs at a time for the ICI, so the working set is a (B, tile, N)
     array and one (B, sub-tile, chunk, N) array of drift spectra of about
     0.5 MB each, never (L, N), and each trial's y and CPE are bit for bit
-    those of its stack of one; ``harness.stack_size`` keeps a stack's tile
-    within the budget.
+    those of its stack of one.  ``harness.observe`` passes a trial stack a
+    piece of ``harness.stack_size`` trials at a time, which keeps a piece's
+    tile within the budget whatever the size of the stack.
 
     Each node kind's phases are (B, nodes, tau_c, N) walks, or (B, nodes, 1, 1)
     constant phases, those of ideal oscillators, which stand for every sample

@@ -2,12 +2,14 @@
 accumulation.
 
 ``combiner_matrix_at`` builds the combiners of one 1-based symbol tau with one
-|S| x |S| solve per cluster group, in extended precision, and ``add_symbol_at``
-accumulates the UatF terms of one symbol; the package does both for every
-symbol in one call.
+|S| x |S| solve per cluster group, in extended precision refined against an
+exact rational residual, and ``add_symbol_at`` accumulates the UatF terms of
+one symbol; the package does both for every symbol in one call.
 ``combiner_matrix_per_estimate`` makes one package call per stacked estimate,
 where the package makes one call for the whole stack.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -35,6 +37,59 @@ def solve_extended(a, b):
     return x
 
 
+def _on_denominator(arrays):
+    """Real float64 or long double arrays as exact rationals on one common
+    denominator q: every entry is a Fraction with a power-of-two denominator,
+    so q is the largest, and each entry becomes the integer numerator over q,
+    held in an object array of Python ints.  Returns (q, int arrays)."""
+    fracs = [[Fraction(*v.as_integer_ratio())
+              for v in np.asarray(a, dtype=np.longdouble).ravel()] for a in arrays]
+    q = max(f.denominator for entries in fracs for f in entries)
+    ints = [np.array([f.numerator * (q // f.denominator) for f in entries],
+                     dtype=object).reshape(np.shape(a))
+            for a, entries in zip(arrays, fracs)]
+    return q, ints
+
+
+def exact_residual(h, c, p, sigma2, b, x):
+    """b - A x for A = sum_m p_m (h_m h_m^H + diag(c_m)) + sigma2 I, from the
+    float64 rows h_m of ``h`` and c_m of ``c`` (members, n), the weights
+    ``p``, ``sigma2``, the float64 (n, cols) ``b`` and the long double
+    (n, cols) ``x``.  It is computed exactly, as a rational on the inputs'
+    common power-of-two denominator q (``_on_denominator``): every term is an
+    integer over q^4, and the residual is rounded to complex128 once, at
+    the end."""
+    q, (hr, hi, cq, pq, s2, br, bi, xr, xi) = _on_denominator(
+        [h.real, h.imag, c, p, sigma2, b.real, b.imag, x.real, x.imag])
+    # s_m = p_m h_m^H x over q^3, then (A x)_i = sum_m h_mi s_m + diag_i x_i over q^4
+    sr = pq[:, None] * (hr @ xr + hi @ xi)
+    si = pq[:, None] * (hr @ xi - hi @ xr)
+    diag = (pq[:, None] * cq).sum(axis=0) + s2 * q  # over q^2
+    ar = hr.T @ sr - hi.T @ si + q * diag[:, None] * xr
+    ai = hr.T @ si + hi.T @ sr + q * diag[:, None] * xi
+    q3, q4 = q ** 3, q ** 4
+    r = np.empty(x.shape, dtype=complex)
+    for i, j in np.ndindex(r.shape):
+        r[i, j] = complex(float(Fraction(q3 * br[i, j] - ar[i, j], q4)),
+                          float(Fraction(q3 * bi[i, j] - ai[i, j], q4)))
+    return r
+
+
+def solve_refined(h, c, p, sigma2, b, steps=2):
+    """The solution of the ``exact_residual`` system A x = b: a long double
+    ``solve_extended``, refined ``steps`` times with the exact residual, so
+    that its error stops growing with cond(A) while cond(A) eps(long double)
+    stays well below one."""
+    hl = h.astype(np.clongdouble)
+    pl = p.astype(np.longdouble)
+    a = (hl.T * pl) @ hl.conj()
+    a[np.diag_indices_from(a)] += (pl[:, None] * c).sum(axis=0) + sigma2
+    x = solve_extended(a, b)
+    for _ in range(steps):
+        x += solve_extended(a, exact_residual(h, c, p, sigma2, b, x))
+    return x
+
+
 def combiner_matrix_at(scheme, h_hat, err_var, network, tau):
     """Length-L combining vectors for every UE at 1-based symbol tau: (K, L),
     from the (K, L, tau_c) estimates and their error variances."""
@@ -57,12 +112,8 @@ def combiner_matrix_at(scheme, h_hat, err_var, network, tau):
         members = (np.arange(K) if scheme == "mmse"
                    else np.flatnonzero((D & D[ks[0]][None, :]).any(axis=1)))
         support = np.flatnonzero(D[ks[0]])
-        hm = h[members][:, support].astype(np.clongdouble)
-        p = network.p[members].astype(np.longdouble)
-        a = (hm.T * p) @ hm.conj()
-        a[np.diag_indices_from(a)] += ((p[:, None] * c[members][:, support]).sum(axis=0)
-                                       + network.sigma2)
-        sol = solve_extended(a, h[ks][:, support].T)
+        sol = solve_refined(h[members][:, support], c[members][:, support],
+                            network.p[members], network.sigma2, h[ks][:, support].T)
         v[np.ix_(ks, support)] = network.p[ks][:, None] * sol.T
     return v
 

@@ -23,16 +23,27 @@ numerator, which leaves
 import numpy as np
 
 
+def mr_cross(network, gamma):
+    """(K, K) E{v_k^H h_i} = sum_l D_kl E{h_hat_kl^* h_il} of MR, from the
+    (K, L) estimate variances ``gamma`` and the network's beta, D, p and
+    pilot sequences: the gain sum_l D_kl gamma_kl at i = k, the coherent
+    co-pilot term for another UE i on UE k's pilot sequence, and zero for a
+    UE on another sequence."""
+    D, beta, p, t = network.D, network.beta, network.p, network.pilot_index
+    cross = ((D * gamma) / beta) @ beta.T * np.sqrt(p[None, :] / p[:, None])  # [k, i]
+    return np.where(t[:, None] == t[None, :], cross, 0.0)
+
+
 def mr_se_no_pn(network, gamma):
     """Per-UE UatF SE (K,) of MR, from the (K, L) estimate variances ``gamma``
     (``build_context(...).eps`` of an ideal-oscillator world) and the
     network's beta, D, p, sigma^2 and pilot sequences."""
-    D, beta, p, t = network.D, network.beta, network.p, network.pilot_index
+    D, beta, p = network.D, network.beta, network.p
     g = D * gamma                               # (K, L)
     gain = g.sum(axis=1)                        # E{v_k^H h_k} = E||v_k||^2
     interference = (g @ beta.T) @ p             # sum_i p_i sum_l D_kl gamma_kl beta_il
-    cross = (g / beta) @ beta.T * np.sqrt(p[None, :] / p[:, None])  # [k, i]
-    co_pilot = (t[:, None] == t[None, :]) & ~np.eye(len(t), dtype=bool)
-    coherent = (np.where(co_pilot, np.abs(cross) ** 2, 0.0) * p[None, :]).sum(axis=1)
+    others = ~np.eye(len(p), dtype=bool)        # i != k; mr_cross is 0 off k's sequence
+    coherent = (np.where(others, np.abs(mr_cross(network, gamma)) ** 2, 0.0)
+                * p[None, :]).sum(axis=1)
     sinr = p * gain ** 2 / (interference + coherent + network.sigma2 * gain)
     return np.log2(1.0 + sinr)

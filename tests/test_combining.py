@@ -374,28 +374,53 @@ class TestReducedSolve:
         about cond * 1e-16.  Every ci group has fewer members than support APs,
         so it solves in the member dimension, and that gives the extended-precision
         oracle's P-MMSE and MMSE combiners within 1e-12.  The oracle's own
-        error, about cond * eps(longdouble), stays below 1e-13."""
-        (h, _), network = ci_estimates(3)
-        rng = np.random.default_rng(7)
-        h = (rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)) / np.sqrt(2)
-        sigma2 = 1e-5
-        c = 0.1 * sigma2 * rng.uniform(size=h.shape)
-        network = replace(network, sigma2=sigma2)
-        assert all(len(network.D) < len(g.support) for g in network.groups)
-        cond = 0.0
-        for g in network.groups:
-            for t in range(h.shape[0]):
-                hm = h[t][np.ix_(g.partial, g.support)]
-                p = network.p[g.partial]
-                a = (hm.T * p) @ hm.conj()
-                a[np.diag_indices_from(a)] += (p[:, None] * c[t][np.ix_(g.partial, g.support)]
-                                               ).sum(axis=0) + sigma2
-                cond = max(cond, np.linalg.cond(a))
+        error, about cond * eps(longdouble) before its refinement, stays below
+        1e-13."""
+        h, c, network, cond = high_snr_world(1e-5)
         assert cond >= 1e5
         assert cond * np.finfo(np.longdouble).eps < 1e-13
-        est_kl = [a.transpose(1, 2, 0) for a in (h, c)]
-        for scheme in ("p_mmse", "mmse"):
-            v = combiner_matrix(scheme, h, c, network)
-            for tau in range(1, v.shape[0] + 1):
-                ref = combiner_matrix_at(scheme, *est_kl, network, tau)
-                np.testing.assert_allclose(v[tau - 1], ref, rtol=1e-12, atol=0)
+        assert_matches_oracle(h, c, network)
+
+    def test_ill_conditioned_matches_refined_oracle(self):
+        """With sigma^2 scaled down to 1e-10 the systems reach cond >= 1e10,
+        where a long double solve alone is off by about cond * 1e-19, 1e-9.
+        The oracle refines it with a residual computed exactly in rationals
+        (``combining_oracle.exact_residual``); each refinement shrinks its
+        error by about cond * eps(longdouble), far below one, so it is exact
+        to float64.  The production combiners match it within 1e-12."""
+        h, c, network, cond = high_snr_world(1e-10)
+        assert cond >= 1e10
+        assert cond * np.finfo(np.longdouble).eps < 1e-6
+        assert_matches_oracle(h, c, network)
+
+
+def high_snr_world(sigma2):
+    """The ci geometry with unit-variance estimates, noise power ``sigma2``
+    and error variances below it: (h, c, network, the largest condition
+    number of a group's |S| x |S| system)."""
+    (h, _), network = ci_estimates(3)
+    rng = np.random.default_rng(7)
+    h = (rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)) / np.sqrt(2)
+    c = 0.1 * sigma2 * rng.uniform(size=h.shape)
+    network = replace(network, sigma2=sigma2)
+    assert all(len(network.D) < len(g.support) for g in network.groups)
+    cond = 0.0
+    for g in network.groups:
+        for t in range(h.shape[0]):
+            hm = h[t][np.ix_(g.partial, g.support)]
+            p = network.p[g.partial]
+            a = (hm.T * p) @ hm.conj()
+            a[np.diag_indices_from(a)] += (p[:, None] * c[t][np.ix_(g.partial, g.support)]
+                                           ).sum(axis=0) + sigma2
+            cond = max(cond, np.linalg.cond(a))
+    return h, c, network, cond
+
+
+def assert_matches_oracle(h, c, network):
+    """The P-MMSE and MMSE combiners equal the per-symbol oracle's within 1e-12."""
+    est_kl = [a.transpose(1, 2, 0) for a in (h, c)]
+    for scheme in ("p_mmse", "mmse"):
+        v = combiner_matrix(scheme, h, c, network)
+        for tau in range(1, v.shape[0] + 1):
+            ref = combiner_matrix_at(scheme, *est_kl, network, tau)
+            np.testing.assert_allclose(v[tau - 1], ref, rtol=1e-12, atol=0)

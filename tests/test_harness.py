@@ -222,18 +222,22 @@ class TestRunExperiment:
     @pytest.mark.parametrize("n_trials", [7, 2], ids=["partial_last_stack", "under_one_stack"])
     def test_csv_invariant_to_threads_and_stack_size(self, monkeypatch, n_trials):
         """Byte-identical ``run_fig2`` CSVs, the phase-noise rows and the
-        one-symbol no_pn rows, on 1 and 2 threads with stacks of 1 and 3
-        trials (replayed ideal stacks of 2 and 6), on one geometry, whose
-        standard error reads every trial batch; also in the worlds where only
-        the UEs or only the APs have phase noise, whose ideal kind is held as
-        (B, nodes, 1, 1) phases.  Each equals the phase-noise run followed by
-        a standalone ideal run, which draws what ``run_fig2`` replays."""
+        one-symbol no_pn rows, on 1 and 2 threads with synthesis pieces of 1
+        and 3 trials (replayed ideal pieces of 2 and 6), on one geometry,
+        whose standard error reads every trial batch; also in the worlds
+        where only the UEs or only the APs have phase noise, whose ideal kind
+        is held as (B, nodes, 1, 1) phases.  At 7 trials the trial stack is 7
+        on one thread and 4 on two, larger than a piece, whose last one is
+        partial.  Each equals the phase-noise run followed by a standalone
+        ideal run, which draws what ``run_fig2`` replays."""
         from cfofdm import harness
 
         base = replace(ci_config(), n_geometries=1, n_trials=n_trials,
                        estimators=("pna_ofdm", "pna_sc", "unaware"),
                        schemes=("mr", "lp_mmse", "p_mmse", "mmse"))
         layout = base.layout()
+        assert [harness.trial_stack_size(layout, n_trials, t) for t in (1, 2)] == (
+            [7, 4] if n_trials == 7 else [2, 1])
         for world in ({}, {"gamma_ap": 0.0}, {"gamma_ue": 0.0}):
             cfg = replace(base, **world)
             no_pn = replace(cfg, gamma_ap=0.0, gamma_ue=0.0, estimators=("pna_ofdm",))
@@ -831,12 +835,12 @@ class TestStackedTrial:
 
 class TestTrialStack:
     @pytest.mark.parametrize("pn", [True, False], ids=["pn", "no_pn"])
-    @pytest.mark.parametrize("stack", [1, 2, 3])
-    def test_stack_matches_trials_alone(self, monkeypatch, stack, pn):
-        """Each trial of a stack of ``stack_size`` trials has, bit for bit, the
-        four sums of its stack of one, on the ci world with every estimator
-        and scheme."""
-        from cfofdm import harness
+    @pytest.mark.parametrize("stack", [1, 2, 3, 7])
+    def test_stack_matches_trials_alone(self, stack, pn):
+        """Each trial of a stack has, bit for bit, the four sums of its stack
+        of one, on the ci world with every estimator and scheme: a stack of
+        up to one synthesis piece of 3 trials, or of 7, synthesized in pieces
+        of 3, 3 and 1."""
         from cfofdm.combining import SCHEMES
         from cfofdm.harness import build_geometry, build_setup, run_trial, stack_size, trial_rngs
 
@@ -847,8 +851,7 @@ class TestTrialStack:
         setup = build_setup(cfg)
         geom = build_geometry(cfg, setup, 0)
         layout = setup.layout
-        monkeypatch.setattr(harness, "_STACK_BYTES", stack * trace_bytes(layout))
-        assert stack_size(layout) == stack
+        assert stack_size(layout) == 3
         acc = run_trial(cfg, setup, geom, trial_rngs(cfg.master_seed, 0, range(stack)))
         assert setup.symbols == (layout.block_symbols if pn else 1)
         assert acc.gain.shape == (stack, 3, 4, setup.symbols, layout.n_ues)
@@ -937,6 +940,110 @@ class TestReplay:
                     draws=record.rows(range(2)))
 
 
+class TestSynthesisPieces:
+    WORLDS = TestReplay.WORLDS + [pytest.param({"gamma_ap": 0.0, "gamma_ue": 0.0}, id="ideal")]
+
+    def test_trial_stack_sizes(self):
+        """A ci geometry of 30 trials goes in two stacks of 15 on one or two
+        threads, in both oscillator worlds, and a fig2 one in stacks of one;
+        a stack holds at most the combiner budget's trials and at most an
+        even spread over the threads, and its synthesis pieces stay those of
+        ``stack_size``: 3 drawn and 6 replayed at ci, 1 at fig2."""
+        from cfofdm import harness
+        from cfofdm.harness import stack_size, trial_stack_size
+
+        ci, fig2 = ci_config().layout(), fig2_config().layout()
+        assert [trial_stack_size(ci, 30, t) for t in (1, 2)] == [15, 15]
+        assert [trial_stack_size(fig2, n, t) for n in (1, 200) for t in (1, 2)] == [1] * 4
+        assert (stack_size(ci), stack_size(ci, replay=True)) == (3, 6)
+        assert (stack_size(fig2), stack_size(fig2, replay=True)) == (1, 1)
+        most = harness._CHUNK_BYTES // (16 * ci.block_symbols * ci.n_ues * ci.n_aps)
+        for n_trials in range(1, 100):
+            for threads in (1, 2, 3):
+                size = trial_stack_size(ci, n_trials, threads)
+                assert 1 <= size <= min(most, -(-n_trials // threads))
+                # no thread gets a stack more than another
+                stacks = -(-n_trials // size)
+                assert -(-stacks // threads) == -(-n_trials // (threads * most))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_geometry_stacks(self, monkeypatch, threads):
+        """``run_fig2`` on a ci geometry of 30 trials runs two trial stacks of
+        15 in each world, whose pieces synthesize 3 drawn or at most 6
+        replayed trials."""
+        from cfofdm import harness, ofdm
+
+        stacks, pieces = [], []
+        real_trial, real_synth = harness.run_trial, ofdm.synth_pilot_observations
+
+        def counted_trial(cfg, setup, geom, rngs, draws=None):
+            stacks.append((setup.symbols, len(rngs)))
+            return real_trial(cfg, setup, geom, rngs, draws)
+
+        def counted_synth(h, *args, **kwargs):
+            pieces.append(len(h))
+            return real_synth(h, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_trial", counted_trial)
+        monkeypatch.setattr(ofdm, "synth_pilot_observations", counted_synth)
+        cfg = replace(ci_config(), n_geometries=1, n_trials=30)
+        run_fig2(cfg, threads=threads)
+        T = cfg.block_symbols
+        assert sorted(stacks) == [(1, 15), (1, 15), (T, 15), (T, 15)]
+        # drawn: 5 pieces of 3 per stack; replayed: pieces of 6, 6 and 3
+        assert sorted(pieces) == [3] * 12 + [6] * 4
+
+    @pytest.mark.parametrize("world", WORLDS)
+    def test_stack_matches_its_pieces(self, world):
+        """Observing a stack of 7 trials gives, bit for bit, the y and h_eff
+        of observing its pieces of 3, 3 and 1 trials one call each, leaves
+        every generator where the pieces leave it, and records the same
+        draws; replaying the record in pieces of 6 and 1 gives the replayed
+        pieces' y, h_eff and end states, and those of drawing the ideal
+        stack."""
+        from cfofdm.harness import (TrialDraws, build_geometry, build_setup, observe,
+                                    stack_size, trial_rngs)
+
+        cfg = replace(ci_config(), **world)
+        ideal = replace(cfg, gamma_ap=0.0, gamma_ue=0.0)
+        setup, ideal_setup = build_setup(cfg), build_setup(ideal)
+        network = build_geometry(cfg, setup, 0).network
+        layout, B = setup.layout, 7
+
+        def in_pieces(stp, rngs, record, piece):
+            parts = [observe(stp, network, rngs[lo:lo + piece],
+                             draws=record.rows(range(lo, min(lo + piece, B))))
+                     for lo in range(0, B, piece)]
+            return tuple(np.concatenate(a) for a in zip(*parts))
+
+        def assert_same(a, b, rngs_a, rngs_b):
+            assert all(np.array_equal(u, v) for u, v in zip(a, b))
+            for r, q in zip(rngs_a, rngs_b):
+                assert r.bit_generator.state == q.bit_generator.state
+
+        piece = stack_size(layout)
+        assert piece < B and B % piece
+        stack_draws, piece_draws = TrialDraws(), TrialDraws()
+        rngs, piece_rngs = (trial_rngs(cfg.master_seed, 0, range(B)) for _ in range(2))
+        stack = observe(setup, network, rngs, draws=stack_draws.geometry(0, B, layout))
+        pieces = in_pieces(setup, piece_rngs, piece_draws.geometry(0, B, layout), piece)
+        assert stack[1].shape == (B, setup.symbols, layout.n_ues, layout.n_aps)
+        assert_same(stack, pieces, rngs, piece_rngs)
+        recorded = [d.replayed().geometry(0, B, layout) for d in (stack_draws, piece_draws)]
+        for name in ("ap_phase", "ue_phase", "state", "recorded"):
+            assert np.array_equal(getattr(recorded[0], name), getattr(recorded[1], name))
+        assert recorded[0].recorded.all()
+
+        replay_piece = stack_size(layout, replay=True)
+        assert replay_piece < B and B % replay_piece
+        rngs, piece_rngs, drawn_rngs = (trial_rngs(cfg.master_seed, 0, range(B))
+                                        for _ in range(3))
+        replayed = observe(ideal_setup, network, rngs, draws=recorded[0])
+        pieces = in_pieces(ideal_setup, piece_rngs, recorded[1], replay_piece)
+        assert_same(replayed, pieces, rngs, piece_rngs)
+        assert_same(replayed, observe(ideal_setup, network, drawn_rngs), rngs, drawn_rngs)
+
+
 class TestTrialMemory:
     def test_trial_peak_within_synthesis_working_set(self):
         """A phase-noise trial's traced peak stays below its trace, h and grids
@@ -974,17 +1081,21 @@ class TestTrialMemory:
     def test_ideal_stack_observes_no_walk(self):
         """Observing a stack of ideal-oscillator trials keeps each node's
         initial phase alone: its traced peak stays below one trial's
-        (nodes, tau_c, N) walk, while observing the same stack with phase noise
-        holds the stack's walks.  Where only the UEs have phase noise, the
-        stack holds no AP walk.  The layout makes the walks dwarf the rest:
+        (nodes, tau_c, N) walk.  Observing the same stack with phase noise
+        holds one synthesis piece's walks at a time, never the stack's: here a
+        piece is one trial of a stack of three, and the peak lies between one
+        trial's walks and two.  Where only the UEs have phase noise, the
+        piece holds no AP walk.  The layout makes the walks dwarf the rest:
         many symbols, few pilot symbols and APs."""
         import tracemalloc
 
-        from cfofdm.harness import build_geometry, build_setup, observe, trial_rngs
+        from cfofdm.harness import build_geometry, build_setup, observe, stack_size, trial_rngs
 
         base = replace(ci_config(), n_subcarriers=240, block_symbols=40, pilot_symbols=(1, 2),
                        n_aps=10, n_ues=4)
         B = 3
+        piece = stack_size(base.layout())
+        assert piece + 1 < B
         walk_bytes = trace_bytes(base.layout())  # one trial's float64 walks
         ap_walk_bytes = base.n_aps * base.block_symbols * base.n_subcarriers * 8
         peaks = {}
@@ -1001,5 +1112,5 @@ class TestTrialMemory:
                 tracemalloc.stop()
             assert h_eff.shape == (B, setup.symbols, cfg.n_ues, cfg.n_aps)
         assert setup.symbols == base.block_symbols
-        assert peaks["ideal"] < walk_bytes < B * walk_bytes < peaks["pn"]
-        assert peaks["ue_pn"] < peaks["pn"] - (B - 1) * ap_walk_bytes
+        assert peaks["ideal"] < walk_bytes < peaks["pn"] < (piece + 1) * walk_bytes
+        assert peaks["ue_pn"] < peaks["pn"] - 0.9 * piece * ap_walk_bytes

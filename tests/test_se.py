@@ -438,3 +438,58 @@ class TestNoPnMrClosedForm:
             batches = result.batch_se[:, 0, 0, 0]  # the block entry of each batch
             err = np.std(batches, ddof=1) / np.sqrt(len(batches))
             assert abs(result.se[0, 0, 0] - oracle) <= 3.0 * err, (g, result.se[0, 0, 0], oracle, err)
+
+    def test_cross_term_matches_sample_mean(self):
+        """The oracle's E{v_k^H h_i} (``mr_cross``) equals the sample mean of
+        sum_l D_kl h_hat_kl^* h_il over channels and pilot noise drawn through
+        ``no_pn_reference``, within 4 standard errors, for every pair (k, i).
+        The world makes the coherent co-pilot term large: UEs 0 and 4 share
+        a pilot sequence, and the APs are the four that hear the weaker of
+        the two best, every one serving every UE, where beta_4l / beta_0l
+        spans three orders of magnitude.  Each co-pilot entry then lies more
+        than 10 standard errors from zero, so an oracle without the term
+        fails."""
+        from types import SimpleNamespace
+
+        from cfofdm.config import ci_config
+        from cfofdm.harness import build_geometry, build_setup
+
+        import no_pn_reference
+        from no_pn_mr_oracle import mr_cross
+
+        cfg = replace(ci_config(), gamma_ap=0.0, gamma_ue=0.0, estimators=("pna_ofdm",))
+        layout = cfg.layout()
+        full = build_geometry(cfg, build_setup(cfg), 0).network
+        t = full.pilot_index
+        assert t[0] == t[4] and len(np.unique(t)) == 4
+        aps = np.argsort(np.minimum(full.beta[0], full.beta[4]))[-4:]
+        beta = full.beta[:, aps]
+        ratio = beta[4] / beta[0]
+        assert ratio.max() / ratio.min() > 1e3
+        network = SimpleNamespace(beta=beta, D=np.ones(beta.shape, dtype=np.int8), p=full.p,
+                                  pilot_index=t, sigma2=full.sigma2)
+        K, L = beta.shape
+        book = layout.pilot_book
+
+        def estimate(y):
+            return no_pn_reference.estimate_channels(y, book, t, network.p, beta, network.sigma2)
+
+        gamma = beta - estimate(np.zeros((L, layout.tau_p), dtype=complex))[1]
+        expect = mr_cross(network, gamma)
+        rng = np.random.default_rng(11)
+        n = 2000
+        samples = np.empty((n, K, K), dtype=complex)
+        for d in range(n):
+            h = np.sqrt(beta / 2) * (rng.standard_normal((K, L))
+                                     + 1j * rng.standard_normal((K, L)))
+            noise = np.sqrt(network.sigma2 / 2) * (rng.standard_normal((L, layout.tau_p))
+                                                   + 1j * rng.standard_normal((L, layout.tau_p)))
+            h_hat, _ = estimate(no_pn_reference.synth_pilot_obs(h, book, t, network.p, noise))
+            samples[d] = (network.D * h_hat).conj() @ h.T  # [k, i]
+        mean = samples.mean(axis=0)
+        err = np.sqrt(samples.real.var(axis=0, ddof=1) + samples.imag.var(axis=0, ddof=1)
+                      ) / np.sqrt(n)
+        assert (np.abs(mean - expect) <= 4.0 * err).all(), (mean, expect, err)
+        co_pilot = (t[:, None] == t[None, :]) & ~np.eye(K, dtype=bool)
+        assert co_pilot.sum() == 2
+        assert (np.abs(expect[co_pilot]) > 10.0 * err[co_pilot]).all()
