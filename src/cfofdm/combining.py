@@ -85,10 +85,10 @@ def combiner_matrix(scheme: str, h_hat: np.ndarray, err_var: np.ndarray,
     """Length-L combining vectors for every symbol and UE: (..., tau_c, K, L),
     from the estimates and their error variances in that same layout.
 
-    Leading axes stack estimates of one network, such as several trials' and
-    estimators' estimates; ``err_var`` broadcasts against them, so it may omit
-    the trial axis.  Every stacked entry gives the combiners it would give
-    alone, bit for bit.  Entries off a UE's serving cluster are zero.  For
+    Leading axes stack estimates of one network, such as a stack of trials'
+    estimates; ``err_var`` broadcasts against them, so it may omit the trial
+    axis.  Every stacked entry gives the combiners it would give alone, bit
+    for bit.  Entries off a UE's serving cluster are zero.  For
     the MMSE variants, each of ``network.groups`` (UEs with one cluster
     support) shares one stacked solve over all symbols and leading entries.
 

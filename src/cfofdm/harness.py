@@ -133,29 +133,27 @@ def build_geometry(cfg: ExperimentConfig, setup: Setup, geometry_index: int) -> 
     return Geometry(network, contexts, se.lambda_ici(network, setup.table))
 
 
-# Bytes of the phase traces of one synthesis piece: the synthesis tile budget.
-# A ci piece is three trials, a replayed ideal ci piece six; a fig2 or fig3
-# trace alone, or a fig2 or fig3 ideal trial's AP tile, exceeds the budget, so
-# there a piece is one trial.
+# Bytes of what one synthesis piece holds: the synthesis tile budget.  A ci
+# piece is three phase-noise trials or six ideal ones; a fig2 or fig3 trial's
+# walks, or an ideal one's AP tile, exceed the budget, so there a piece is one
+# trial.
 _STACK_BYTES = ofdm._TILE_BYTES
 # Bytes of one estimator's stacked (B, tau_c, K, L) complex combiners, which
-# bound a trial stack: half the synthesis tile budget.  A ci stack of 15
-# trials then combines one estimator per call.
+# bound a trial stack: half the synthesis tile budget.  A ci stack is then 15
+# trials.
 _CHUNK_BYTES = ofdm._TILE_BYTES // 2
 
 
-def stack_size(layout: SimulationLayout, replay: bool = False) -> int:
-    """Trials per synthesis piece (``observe``): at least one, and as many as
-    fit ``_STACK_BYTES`` with their phase traces, (K + L) tau_c N float64
-    phases each, and with the AP rows of their synthesis tile, L N complex
-    samples each (the larger only at tau_c = 1).  A replayed ideal trial
-    (``replay``, see ``TrialDraws``) holds no trace and no grids: it counts
-    the AP rows of its tile and its channel, K L R complex samples."""
+def _piece_size(setup: Setup) -> int:
+    """Trials per synthesis piece of ``observe``: at least one, and as many
+    as fit ``_STACK_BYTES`` with what a trial holds, the larger of its phase
+    walks, tau_c N float64 phases per node of a kind with phase noise, and
+    its AP tile and channel, L (N + K R) complex samples."""
+    layout, pn = setup.layout, setup.pn
     n, K, L = layout.n_subcarriers, layout.n_ues, layout.n_aps
-    if replay:
-        return max(1, _STACK_BYTES // (16 * L * (n + K * layout.n_blocks)))
-    trace = (K + L) * layout.block_symbols * n * 8
-    return max(1, _STACK_BYTES // max(trace, L * n * 16))
+    nodes = L * (pn.sigma2_ap > 0.0) + K * (pn.sigma2_ue > 0.0)
+    walks = nodes * layout.block_symbols * n * 8
+    return max(1, _STACK_BYTES // max(walks, 16 * L * (n + K * layout.n_blocks)))
 
 
 def trial_stack_size(layout: SimulationLayout, n_trials: int, threads: int = 1) -> int:
@@ -172,15 +170,12 @@ def trial_stack_size(layout: SimulationLayout, n_trials: int, threads: int = 1) 
     return -(-n_trials // stacks)
 
 
-_WORD = (1 << 64) - 1  # the low half of a 128-bit PCG64 word
-
-
 @dataclass
 class StackDraws:
     """What an ideal-oscillator twin reuses of some trials' draws, one row per
-    trial: each node's initial phase and the trial generator's PCG64 state
-    just before the receiver noise, packed as the 128-bit state and increment
-    in (high, low) 64-bit words, then ``has_uint32`` and ``uinteger``.
+    trial: each node's initial phase and the trial generator's
+    ``bit_generator.state`` just before the receiver noise, None until
+    recorded.
 
     A recording stack (``replay`` False) is filled by ``observe`` as it draws;
     a replaying one stands in for the trace and grids.  The arrays of a stack
@@ -190,46 +185,36 @@ class StackDraws:
     replay: bool
     ap_phase: np.ndarray  # (trials, L) float64
     ue_phase: np.ndarray  # (trials, K) float64
-    state: np.ndarray     # (trials, 6) uint64
-    recorded: np.ndarray  # (trials,) bool
+    state: np.ndarray     # (trials,) object: state dicts, or None
 
     def rows(self, trials: range) -> "StackDraws":
         """The stack of ``trials``: views of this geometry's rows."""
         pick = slice(trials.start, trials.stop)
         return StackDraws(self.replay, self.ap_phase[pick], self.ue_phase[pick],
-                          self.state[pick], self.recorded[pick])
+                          self.state[pick])
 
     def record(self, trace: PhaseNoiseTrace, rngs: Sequence[np.random.Generator]) -> None:
         """Keep the stack's initial phases, the first sample of each walk, and
         its generators' states."""
         self.ap_phase[...] = trace.ap_phase[..., 0, 0]
         self.ue_phase[...] = trace.ue_phase[..., 0, 0]
-        for row, rng in zip(self.state, rngs):
-            s = rng.bit_generator.state
-            state, inc = s["state"]["state"], s["state"]["inc"]
-            row[...] = (state >> 64, state & _WORD, inc >> 64, inc & _WORD,
-                        s["has_uint32"], s["uinteger"])
-        self.recorded[...] = True
+        for b, rng in enumerate(rngs):
+            self.state[b] = rng.bit_generator.state
 
     def restore(self, rngs: Sequence[np.random.Generator]) -> None:
         """Move each generator to its recorded state."""
-        if not self.recorded.all():
+        if any(state is None for state in self.state):
             raise LookupError("a replayed trial has no recorded draws")
-        for row, rng in zip(self.state, rngs):
-            hi, lo, inc_hi, inc_lo, has_uint32, uinteger = (int(w) for w in row)
-            rng.bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
-                "has_uint32": has_uint32, "uinteger": uinteger,
-            }
+        for state, rng in zip(self.state, rngs):
+            rng.bit_generator.state = state
 
 
 class TrialDraws:
     """The ``StackDraws`` of every geometry of a run: recorded by the
     phase-noise run of ``run_fig2`` and replayed by its ideal twin
     (``replayed``), which frees each geometry's as it takes it.  A record
-    is (K + L) float64 phases, six words and a flag per trial: 1.7 KB at
-    fig2's K = 10, L = 200, 17 MB at 50 geometries of 200 trials."""
+    is (K + L) float64 phases and a state dict of about 525 B per trial:
+    2.2 KB at fig2's K = 10, L = 200, 22 MB at 50 geometries of 200 trials."""
 
     def __init__(self, replay: bool = False, geometries: Optional[Dict[int, StackDraws]] = None):
         self.replay = replay
@@ -246,12 +231,11 @@ class TrialDraws:
         if not self.replay:
             draws = StackDraws(False, np.empty((n_trials, layout.n_aps)),
                                np.empty((n_trials, layout.n_ues)),
-                               np.empty((n_trials, 6), dtype=np.uint64),
-                               np.zeros(n_trials, dtype=bool))
+                               np.full(n_trials, None, dtype=object))
             self._geometries[index] = draws
             return draws
         draws = self._geometries.pop(index, None)
-        if draws is None or len(draws.recorded) != n_trials:
+        if draws is None or len(draws.state) != n_trials:
             raise LookupError("geometry %d has no recorded draws of %d trials" % (index, n_trials))
         return replace(draws, replay=True)
 
@@ -279,7 +263,7 @@ def observe(setup: Setup, network: NetworkRealization, rngs: Sequence[np.random.
     Trial b draws from ``rngs[b]`` in this order: channel, phase trace,
     transmit grids (``ofdm.build_transmit_grids``, with ``shared_data``), and
     the receiver noise of the synthesis.  The trials go in pieces of
-    ``stack_size``, the last one maybe partial, so the stack holds at most one
+    ``_piece_size``, the last one maybe partial, so the stack holds at most one
     piece's traces and grids at a time.  In a piece, trial 0 draws new
     arrays, which a piece of one uses as they are; the walks of every further
     trial go straight into the piece's stacked trace.  Of a node kind with
@@ -297,10 +281,9 @@ def observe(setup: Setup, network: NetworkRealization, rngs: Sequence[np.random.
     then bit for bit those of the drawn stack.  ``draws`` is taken a piece's
     rows at a time.
     """
-    replay = draws is not None and draws.replay
-    if replay and not setup.pn.ideal:
+    if draws is not None and draws.replay and not setup.pn.ideal:
         raise ValueError("only an ideal-oscillator world replays draws")
-    B, piece = len(rngs), stack_size(setup.layout, replay)
+    B, piece = len(rngs), _piece_size(setup)
     parts = [_observe_piece(setup, network, rngs[lo:lo + piece], shared_data,
                             None if draws is None else draws.rows(range(lo, min(lo + piece, B))))
              for lo in range(0, B, piece)]
@@ -346,38 +329,32 @@ def run_trial(cfg: ExperimentConfig, setup: Setup, geom: Geometry,
               rngs: Sequence[np.random.Generator],
               draws: Optional[StackDraws] = None) -> se.SinrAccumulator:
     """A stack of Monte Carlo trials, one generator of ``rngs`` each: draw
-    and synthesize (``observe``, a piece of ``stack_size`` trials at a time),
-    estimate, combine, accumulate.
+    and synthesize (``observe``), estimate, combine, accumulate.
 
     Returns an accumulator of shape (B, E, S, T, K), T = ``setup.symbols``,
     whose entry b holds trial b alone (``count`` 1): entry [b, e, s] holds
     estimator e with scheme s.  In an ideal world T is 1: the one symbol
     stands for every symbol of the block, and broadcasts into them when
     merged.  Every array of the trials carries the stack axis first, and
-    each trial's sums are bit for bit those of its stack of one.  The
-    estimators go in chunks, as many as fit ``_CHUNK_BYTES`` and at least
-    one: a chunk's estimates are stacked, and each scheme makes one combiner
-    call and one accumulate call over the chunk's entries [:, e0:e1, s].
-    With both MMSE variants, the second takes the rows the first solved for
-    every group whose partial set is every UE.  ``draws`` goes to ``observe``.
+    each trial's sums are bit for bit those of its stack of one.  Each
+    estimator makes one estimate of the stack, then each scheme one combiner
+    call and one accumulate call over its entries [:, e, s].  With both MMSE
+    variants, the second takes the rows the first solved for every group
+    whose partial set is every UE.  ``draws`` goes to ``observe``.
     """
     layout, network = setup.layout, geom.network
     y, h_eff = observe(setup, network, rngs, draws=draws)
-    B, E, T = len(rngs), len(geom.contexts), setup.symbols
-    acc = se.SinrAccumulator((B, E, len(cfg.schemes), T, layout.n_ues))
-    per_call = max(1, _CHUNK_BYTES // (16 * B * T * layout.n_ues * layout.n_aps))
+    acc = se.SinrAccumulator((len(rngs), len(geom.contexts), len(cfg.schemes), setup.symbols,
+                              layout.n_ues))
     both_mmse = {"p_mmse", "mmse"} <= set(cfg.schemes)
-    for e0 in range(0, E, per_call):
-        chunk = geom.contexts[e0:e0 + per_call]
-        h_hat = np.stack([estimation.estimate_all(ctx, y) for ctx in chunk], axis=1)
-        err_var = np.stack([ctx.err_var for ctx in chunk])
+    for e, ctx in enumerate(geom.contexts):
+        h_hat = estimation.estimate_all(ctx, y)
         solved = None  # the first MMSE variant's combiners, until the second is made
         for s, scheme in enumerate(cfg.schemes):
             # one scheme's combiners at a time: the call's result is freed after
             # it, or after the other MMSE variant
-            v = combining.combiner_matrix(scheme, h_hat, err_var, network, solved=solved)
-            acc.add_symbol((slice(None), slice(e0, e0 + len(chunk)), s), v,
-                           h_eff[:, None], geom.lam, network)
+            v = combining.combiner_matrix(scheme, h_hat, ctx.err_var, network, solved=solved)
+            acc.add_symbol((slice(None), e, s), v, h_eff, geom.lam, network)
             if both_mmse and scheme in ("p_mmse", "mmse"):
                 solved = v if solved is None else None
             del v

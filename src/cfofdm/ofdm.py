@@ -86,8 +86,8 @@ def synth_pilot_observations(
     array and one (B, sub-tile, chunk, N) array of drift spectra of about
     0.5 MB each, never (L, N), and each trial's y and CPE are bit for bit
     those of its stack of one.  ``harness.observe`` passes a trial stack a
-    piece of ``harness.stack_size`` trials at a time, which keeps a piece's
-    tile within the budget whatever the size of the stack.
+    synthesis piece at a time, which keeps a piece's tile within the budget
+    whatever the size of the stack.
 
     Each node kind's phases are (B, nodes, tau_c, N) walks, or (B, nodes, 1, 1)
     constant phases, those of ideal oscillators, which stand for every sample

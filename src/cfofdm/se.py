@@ -40,11 +40,11 @@ class SinrAccumulator:
         """Accumulate one trial's terms of some rows for all UEs and symbols.
 
         ``index`` selects rows by their leading axes, such as ``(e, s)`` or
-        ``(slice(None), slice(e0, e1), s)``; v holds their combining vectors,
+        ``(slice(None), e, s)``; v holds their combining vectors,
         (..., tau_c, K, L) to match.  h_eff holds the effective channels,
         (..., tau_c, K, L) broadcasting against v: (tau_c, K, L) for one trial,
-        (B, 1, tau_c, K, L) for a stack of B trials' estimator rows.  lam is
-        the (L,) ICI power.
+        (B, tau_c, K, L) for a stack of B trials.  lam is the (L,) ICI
+        power.
         """
         vm = np.conj(v) * network.D
         m = vm @ np.swapaxes(h_eff, -1, -2)  # m[..., t, k, i] = v_tk^H D_k h_i(t)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import estimation, ofdm
 from .config import ExperimentConfig, ci_config
-from .harness import build_geometry, build_setup, derived_rng, observe, stack_size, trial_rngs
+from .harness import build_geometry, build_setup, observe, trial_rngs, trial_stack_size
 from .network import gen_fir_taps, generate_network
 from .phase_noise import (
     KernelParams,
@@ -151,7 +151,7 @@ def no_pn_reduction(cfg: ExperimentConfig) -> Check:
     # every symbol of the block, not the one symbol the trials of an ideal world run
     contexts = [estimation.build_context(network, model) for model in
                 estimation.build_models(layout, setup.table, cfg.estimators, cfg.ici_mode)]
-    rng = derived_rng(cfg.master_seed, 1, 0, 0)
+    rng = trial_rngs(cfg.master_seed, 0, range(1))[0]
     y = (rng.standard_normal((layout.n_aps, layout.tau_p))
          + 1j * rng.standard_normal((layout.n_aps, layout.tau_p)))
     h_hats = [estimation.estimate_all(ctx, y) for ctx in contexts]
@@ -193,7 +193,7 @@ def lmmse_moments(cfg: ExperimentConfig) -> Check:
     h_eff = np.empty((cfg.n_trials, layout.block_symbols), dtype=complex)
     h_hat = np.empty_like(h_eff)
     y_l = np.empty((cfg.n_trials, layout.tau_p), dtype=complex)
-    stack = stack_size(layout)
+    stack = trial_stack_size(layout, cfg.n_trials)
     for t0 in range(0, cfg.n_trials, stack):
         rows = slice(t0, min(t0 + stack, cfg.n_trials))
         y, h_eff_all = observe(setup, network,

@@ -223,13 +223,14 @@ class TestRunExperiment:
     def test_csv_invariant_to_threads_and_stack_size(self, monkeypatch, n_trials):
         """Byte-identical ``run_fig2`` CSVs, the phase-noise rows and the
         one-symbol no_pn rows, on 1 and 2 threads with synthesis pieces of 1
-        and 3 trials (replayed ideal pieces of 2 and 6), on one geometry,
+        and 3 phase-noise trials (ideal pieces of 2 and 6), on one geometry,
         whose standard error reads every trial batch; also in the worlds
         where only the UEs or only the APs have phase noise, whose ideal kind
-        is held as (B, nodes, 1, 1) phases.  At 7 trials the trial stack is 7
-        on one thread and 4 on two, larger than a piece, whose last one is
-        partial.  Each equals the phase-noise run followed by a standalone
-        ideal run, which draws what ``run_fig2`` replays."""
+        is held as (B, nodes, 1, 1) phases, and where both kinds are ideal,
+        whose drawn run of 3 estimators has ideal pieces.  At 7 trials the
+        trial stack is 7 on one thread and 4 on two, larger than a piece,
+        whose last one is partial.  Each equals the drawn run followed by a
+        standalone ideal run, which draws what ``run_fig2`` replays."""
         from cfofdm import harness
 
         base = replace(ci_config(), n_geometries=1, n_trials=n_trials,
@@ -238,7 +239,10 @@ class TestRunExperiment:
         layout = base.layout()
         assert [harness.trial_stack_size(layout, n_trials, t) for t in (1, 2)] == (
             [7, 4] if n_trials == 7 else [2, 1])
-        for world in ({}, {"gamma_ap": 0.0}, {"gamma_ue": 0.0}):
+        setups = [harness.build_setup(c) for c in (base, replace(base, gamma_ap=0.0,
+                                                                   gamma_ue=0.0))]
+        for world in ({}, {"gamma_ap": 0.0}, {"gamma_ue": 0.0},
+                      {"gamma_ap": 0.0, "gamma_ue": 0.0}):
             cfg = replace(base, **world)
             no_pn = replace(cfg, gamma_ap=0.0, gamma_ue=0.0, estimators=("pna_ofdm",))
             drawn = records_to_csv(run_experiment(cfg) + [replace(r, estimator="no_pn")
@@ -246,8 +250,7 @@ class TestRunExperiment:
             texts = set()
             for stack, ideal_stack in ((1, 2), (3, 6)):
                 monkeypatch.setattr(harness, "_STACK_BYTES", stack * trace_bytes(layout))
-                assert harness.stack_size(layout) == stack
-                assert harness.stack_size(layout, replay=True) == ideal_stack
+                assert [harness._piece_size(s) for s in setups] == [stack, ideal_stack]
                 for threads in (1, 2):
                     texts.add(records_to_csv(run_fig2(cfg, threads=threads)))
             assert texts == {drawn}
@@ -800,38 +803,6 @@ class TestStackedTrial:
             per_tau = result.se[..., 1:]
             assert np.array_equal(per_tau, np.broadcast_to(per_tau[..., :1], per_tau.shape))
 
-    def test_chunk_of_one_estimator_matches_one_stacked_chunk(self, monkeypatch):
-        """At ci a stack of three trials takes all three estimators in one
-        stacked call per scheme; forcing one estimator per call gives bit for
-        bit the same accumulators."""
-        from cfofdm import combining, harness
-        from cfofdm.combining import SCHEMES
-        from cfofdm.harness import build_geometry, build_setup, run_trial, stack_size, trial_rngs
-
-        cfg = replace(ci_config(), schemes=SCHEMES,
-                      estimators=("pna_ofdm", "pna_sc", "unaware"))
-        setup = build_setup(cfg)
-        geom = build_geometry(cfg, setup, 0)
-        layout = setup.layout
-        assert stack_size(layout) == 3
-        stacks = []
-        real = combining.combiner_matrix
-
-        def counted(scheme, h_hat, *args, **kwargs):
-            stacks.append(h_hat.shape[:2])  # (trials, estimators)
-            return real(scheme, h_hat, *args, **kwargs)
-
-        monkeypatch.setattr(combining, "combiner_matrix", counted)
-        stacked = run_trial(cfg, setup, geom, trial_rngs(cfg.master_seed, 0, range(3)))
-        assert stacks == [(3, 3)] * 4
-        del stacks[:]
-        one = 16 * 3 * layout.block_symbols * layout.n_ues * layout.n_aps
-        monkeypatch.setattr(harness, "_CHUNK_BYTES", 2 * one - 1)
-        single = run_trial(cfg, setup, geom, trial_rngs(cfg.master_seed, 0, range(3)))
-        assert stacks == [(3, 1)] * 12
-        for name in ("gain", "received", "ici", "vnorm"):
-            assert np.array_equal(getattr(stacked, name), getattr(single, name))
-
 
 class TestTrialStack:
     @pytest.mark.parametrize("pn", [True, False], ids=["pn", "no_pn"])
@@ -839,10 +810,10 @@ class TestTrialStack:
     def test_stack_matches_trials_alone(self, stack, pn):
         """Each trial of a stack has, bit for bit, the four sums of its stack
         of one, on the ci world with every estimator and scheme: a stack of
-        up to one synthesis piece of 3 trials, or of 7, synthesized in pieces
-        of 3, 3 and 1."""
+        up to one synthesis piece, or of 7, synthesized in pieces of 3, 3 and
+        1 with phase noise and of 6 and 1 without."""
         from cfofdm.combining import SCHEMES
-        from cfofdm.harness import build_geometry, build_setup, run_trial, stack_size, trial_rngs
+        from cfofdm.harness import _piece_size, build_geometry, build_setup, run_trial, trial_rngs
 
         cfg = replace(ci_config(), schemes=SCHEMES,
                       estimators=("pna_ofdm", "pna_sc", "unaware"))
@@ -851,7 +822,7 @@ class TestTrialStack:
         setup = build_setup(cfg)
         geom = build_geometry(cfg, setup, 0)
         layout = setup.layout
-        assert stack_size(layout) == 3
+        assert _piece_size(setup) == (3 if pn else 6)
         acc = run_trial(cfg, setup, geom, trial_rngs(cfg.master_seed, 0, range(stack)))
         assert setup.symbols == (layout.block_symbols if pn else 1)
         assert acc.gain.shape == (stack, 3, 4, setup.symbols, layout.n_ues)
@@ -934,7 +905,6 @@ class TestReplay:
         with pytest.raises(LookupError, match="no recorded draws"):
             observe(ideal_setup, network, trial_rngs(cfg.master_seed, 0, range(2)),
                     draws=record.rows(range(2)))
-        record.recorded[:] = True
         with pytest.raises(ValueError, match="ideal"):
             observe(setup, network, trial_rngs(cfg.master_seed, 0, range(2)),
                     draws=record.rows(range(2)))
@@ -947,16 +917,17 @@ class TestSynthesisPieces:
         """A ci geometry of 30 trials goes in two stacks of 15 on one or two
         threads, in both oscillator worlds, and a fig2 one in stacks of one;
         a stack holds at most the combiner budget's trials and at most an
-        even spread over the threads, and its synthesis pieces stay those of
-        ``stack_size``: 3 drawn and 6 replayed at ci, 1 at fig2."""
+        even spread over the threads, and its synthesis pieces stay 3 trials
+        with phase noise and 6 ideal ones at ci, 1 and 1 at fig2."""
         from cfofdm import harness
-        from cfofdm.harness import stack_size, trial_stack_size
+        from cfofdm.harness import _piece_size, build_setup, trial_stack_size
 
         ci, fig2 = ci_config().layout(), fig2_config().layout()
         assert [trial_stack_size(ci, 30, t) for t in (1, 2)] == [15, 15]
         assert [trial_stack_size(fig2, n, t) for n in (1, 200) for t in (1, 2)] == [1] * 4
-        assert (stack_size(ci), stack_size(ci, replay=True)) == (3, 6)
-        assert (stack_size(fig2), stack_size(fig2, replay=True)) == (1, 1)
+        for cfg, pieces in ((ci_config(), (3, 6)), (fig2_config(), (1, 1))):
+            ideal = replace(cfg, gamma_ap=0.0, gamma_ue=0.0)
+            assert tuple(_piece_size(build_setup(c)) for c in (cfg, ideal)) == pieces
         most = harness._CHUNK_BYTES // (16 * ci.block_symbols * ci.n_ues * ci.n_aps)
         for n_trials in range(1, 100):
             for threads in (1, 2, 3):
@@ -996,13 +967,14 @@ class TestSynthesisPieces:
     @pytest.mark.parametrize("world", WORLDS)
     def test_stack_matches_its_pieces(self, world):
         """Observing a stack of 7 trials gives, bit for bit, the y and h_eff
-        of observing its pieces of 3, 3 and 1 trials one call each, leaves
+        of observing its pieces one call each (3, 3 and 1 trials, or 6 and 1
+        where only ideal oscillators or the UEs' walks are held), leaves
         every generator where the pieces leave it, and records the same
         draws; replaying the record in pieces of 6 and 1 gives the replayed
         pieces' y, h_eff and end states, and those of drawing the ideal
         stack."""
-        from cfofdm.harness import (TrialDraws, build_geometry, build_setup, observe,
-                                    stack_size, trial_rngs)
+        from cfofdm.harness import (TrialDraws, _piece_size, build_geometry, build_setup,
+                                    observe, trial_rngs)
 
         cfg = replace(ci_config(), **world)
         ideal = replace(cfg, gamma_ap=0.0, gamma_ue=0.0)
@@ -1021,7 +993,7 @@ class TestSynthesisPieces:
             for r, q in zip(rngs_a, rngs_b):
                 assert r.bit_generator.state == q.bit_generator.state
 
-        piece = stack_size(layout)
+        piece = _piece_size(setup)
         assert piece < B and B % piece
         stack_draws, piece_draws = TrialDraws(), TrialDraws()
         rngs, piece_rngs = (trial_rngs(cfg.master_seed, 0, range(B)) for _ in range(2))
@@ -1030,11 +1002,11 @@ class TestSynthesisPieces:
         assert stack[1].shape == (B, setup.symbols, layout.n_ues, layout.n_aps)
         assert_same(stack, pieces, rngs, piece_rngs)
         recorded = [d.replayed().geometry(0, B, layout) for d in (stack_draws, piece_draws)]
-        for name in ("ap_phase", "ue_phase", "state", "recorded"):
+        for name in ("ap_phase", "ue_phase", "state"):
             assert np.array_equal(getattr(recorded[0], name), getattr(recorded[1], name))
-        assert recorded[0].recorded.all()
+        assert all(state is not None for state in recorded[0].state)
 
-        replay_piece = stack_size(layout, replay=True)
+        replay_piece = _piece_size(ideal_setup)
         assert replay_piece < B and B % replay_piece
         rngs, piece_rngs, drawn_rngs = (trial_rngs(cfg.master_seed, 0, range(B))
                                         for _ in range(3))
@@ -1089,12 +1061,12 @@ class TestTrialMemory:
         many symbols, few pilot symbols and APs."""
         import tracemalloc
 
-        from cfofdm.harness import build_geometry, build_setup, observe, stack_size, trial_rngs
+        from cfofdm.harness import _piece_size, build_geometry, build_setup, observe, trial_rngs
 
         base = replace(ci_config(), n_subcarriers=240, block_symbols=40, pilot_symbols=(1, 2),
                        n_aps=10, n_ues=4)
         B = 3
-        piece = stack_size(base.layout())
+        piece = _piece_size(build_setup(base))
         assert piece + 1 < B
         walk_bytes = trace_bytes(base.layout())  # one trial's float64 walks
         ap_walk_bytes = base.n_aps * base.block_symbols * base.n_subcarriers * 8
