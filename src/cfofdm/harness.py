@@ -8,7 +8,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -171,30 +171,33 @@ def trial_stack_size(layout: SimulationLayout, n_trials: int, threads: int = 1) 
 
 
 @dataclass
-class StackDraws:
-    """What an ideal-oscillator twin reuses of some trials' draws, one row per
-    trial: each node's initial phase and the trial generator's
-    ``bit_generator.state`` just before the receiver noise, None until
-    recorded.
+class TrialDraws:
+    """What an ideal-oscillator world replays of each trial's draws, one row
+    per (geometry, trial): each node's initial phase and the trial
+    generator's ``bit_generator.state`` just before the receiver noise, None
+    until recorded.  ``run_fig2`` passes one record to both of its runs: the
+    phase-noise run records every trial as it draws it, and the ideal run
+    replays them (``observe``).  A record is (K + L) float64 phases and a
+    state dict of about 525 B per trial, kept until ``run_fig2`` returns:
+    2.2 KB at fig2's K = 10, L = 200, 22 MB at 50 geometries of 200 trials."""
 
-    A recording stack (``replay`` False) is filled by ``observe`` as it draws;
-    a replaying one stands in for the trace and grids.  The arrays of a stack
-    are views of its geometry's, which ``TrialDraws`` keeps.
-    """
+    ap_phase: np.ndarray  # (n_geometries, n_trials, L) float64
+    ue_phase: np.ndarray  # (n_geometries, n_trials, K) float64
+    state: np.ndarray     # (n_geometries, n_trials) object: state dicts, or None
 
-    replay: bool
-    ap_phase: np.ndarray  # (trials, L) float64
-    ue_phase: np.ndarray  # (trials, K) float64
-    state: np.ndarray     # (trials,) object: state dicts, or None
+    @classmethod
+    def of(cls, cfg: ExperimentConfig) -> "TrialDraws":
+        """An empty record of every trial of ``cfg``."""
+        rows = (cfg.n_geometries, cfg.n_trials)
+        return cls(np.empty(rows + (cfg.n_aps,)), np.empty(rows + (cfg.n_ues,)),
+                   np.full(rows, None, dtype=object))
 
-    def rows(self, trials: range) -> "StackDraws":
-        """The stack of ``trials``: views of this geometry's rows."""
-        pick = slice(trials.start, trials.stop)
-        return StackDraws(self.replay, self.ap_phase[pick], self.ue_phase[pick],
-                          self.state[pick])
+    def rows(self, key) -> "TrialDraws":
+        """The rows ``key`` of the leading axes: views of these arrays."""
+        return TrialDraws(self.ap_phase[key], self.ue_phase[key], self.state[key])
 
     def record(self, trace: PhaseNoiseTrace, rngs: Sequence[np.random.Generator]) -> None:
-        """Keep the stack's initial phases, the first sample of each walk, and
+        """Keep a stack's initial phases, the first sample of each walk, and
         its generators' states."""
         self.ap_phase[...] = trace.ap_phase[..., 0, 0]
         self.ue_phase[...] = trace.ue_phase[..., 0, 0]
@@ -202,42 +205,9 @@ class StackDraws:
             self.state[b] = rng.bit_generator.state
 
     def restore(self, rngs: Sequence[np.random.Generator]) -> None:
-        """Move each generator to its recorded state."""
-        if any(state is None for state in self.state):
-            raise LookupError("a replayed trial has no recorded draws")
+        """Move each generator of a stack to its recorded state."""
         for state, rng in zip(self.state, rngs):
             rng.bit_generator.state = state
-
-
-class TrialDraws:
-    """The ``StackDraws`` of every geometry of a run: recorded by the
-    phase-noise run of ``run_fig2`` and replayed by its ideal twin
-    (``replayed``), which frees each geometry's as it takes it.  A record
-    is (K + L) float64 phases and a state dict of about 525 B per trial:
-    2.2 KB at fig2's K = 10, L = 200, 22 MB at 50 geometries of 200 trials."""
-
-    def __init__(self, replay: bool = False, geometries: Optional[Dict[int, StackDraws]] = None):
-        self.replay = replay
-        self._geometries = {} if geometries is None else geometries
-
-    def replayed(self) -> "TrialDraws":
-        """The same records, replayed."""
-        return TrialDraws(True, self._geometries)
-
-    def geometry(self, index: int, n_trials: int, layout: SimulationLayout) -> StackDraws:
-        """The rows of geometry ``index``: new ones to record, or the recorded
-        ones to replay, which no longer stay here; raises LookupError if
-        geometry ``index`` or one of its ``n_trials`` trials was not recorded."""
-        if not self.replay:
-            draws = StackDraws(False, np.empty((n_trials, layout.n_aps)),
-                               np.empty((n_trials, layout.n_ues)),
-                               np.full(n_trials, None, dtype=object))
-            self._geometries[index] = draws
-            return draws
-        draws = self._geometries.pop(index, None)
-        if draws is None or len(draws.state) != n_trials:
-            raise LookupError("geometry %d has no recorded draws of %d trials" % (index, n_trials))
-        return replace(draws, replay=True)
 
 
 def trial_rngs(master_seed: int, geometry_index: int, trials: range) -> List[np.random.Generator]:
@@ -257,35 +227,33 @@ def _as_stack(first: np.ndarray, size: int) -> np.ndarray:
 
 def observe(setup: Setup, network: NetworkRealization, rngs: Sequence[np.random.Generator],
             shared_data: bool = False,
-            draws: Optional[StackDraws] = None) -> Tuple[np.ndarray, np.ndarray]:
+            draws: Optional[TrialDraws] = None) -> Tuple[np.ndarray, np.ndarray]:
     """Draw and synthesize a stack of trials, one generator per trial.
 
     Trial b draws from ``rngs[b]`` in this order: channel, phase trace,
     transmit grids (``ofdm.build_transmit_grids``, with ``shared_data``), and
     the receiver noise of the synthesis.  The trials go in pieces of
     ``_piece_size``, the last one maybe partial, so the stack holds at most one
-    piece's traces and grids at a time.  In a piece, trial 0 draws new
-    arrays, which a piece of one uses as they are; the walks of every further
-    trial go straight into the piece's stacked trace.  Of a node kind with
-    ideal oscillators (sigma^2 = 0) it holds each node's initial phase alone,
+    piece's traces and grids at a time.  A piece's trace is allocated up front
+    and every trial's walks are drawn into it; of a node kind with ideal
+    oscillators (sigma^2 = 0) it holds each node's initial phase alone,
     (B, nodes, 1, 1).  Returns the pilot observations y (B, L, tau_p) and the
     effective channels h_eff (B, T, K, L) of the whole stack, each trial's bit
     for bit those of its stack of one.
 
-    A recording ``draws`` keeps each trial's initial phases and its
-    generator's state before the noise.  A replaying one, in an ideal world,
-    stands in for the trace and grids: each trial draws its channel, moves its
-    generator to the recorded state and is synthesized from the recorded
-    phases and the layout's pilot samples, the only samples of the grids an
-    ideal synthesis reads.  y, h_eff and every generator's end state are
-    then bit for bit those of the drawn stack.  ``draws`` is taken a piece's
-    rows at a time.
+    ``draws``, the stack's rows of a ``TrialDraws``, is taken a piece's rows
+    at a time.  A piece of an ideal world whose rows are all recorded
+    replays them: each trial draws its channel, moves its generator to the
+    recorded state and is synthesized from the recorded phases and the
+    layout's pilot samples, the only samples of the grids an ideal synthesis
+    reads.  Every other piece draws, and records each trial's initial
+    phases and its generator's state before the noise.  A replayed piece's
+    y, h_eff and generator end states are bit for bit those of the drawn
+    one, so drawing is never wrong, only slower.
     """
-    if draws is not None and draws.replay and not setup.pn.ideal:
-        raise ValueError("only an ideal-oscillator world replays draws")
     B, piece = len(rngs), _piece_size(setup)
     parts = [_observe_piece(setup, network, rngs[lo:lo + piece], shared_data,
-                            None if draws is None else draws.rows(range(lo, min(lo + piece, B))))
+                            None if draws is None else draws.rows(slice(lo, lo + piece)))
              for lo in range(0, B, piece)]
     if len(parts) == 1:
         return parts[0]
@@ -294,29 +262,29 @@ def observe(setup: Setup, network: NetworkRealization, rngs: Sequence[np.random.
 
 def _observe_piece(setup: Setup, network: NetworkRealization,
                    rngs: Sequence[np.random.Generator], shared_data: bool,
-                   draws: Optional[StackDraws]) -> Tuple[np.ndarray, np.ndarray]:
+                   draws: Optional[TrialDraws]) -> Tuple[np.ndarray, np.ndarray]:
     """``observe`` of one synthesis piece."""
-    layout = setup.layout
+    layout, pn = setup.layout, setup.pn
     B = len(rngs)
     h = _as_stack(gen_channel(network.beta, layout, rngs[0]), B)
     for b in range(1, B):
         h[b] = gen_channel(network.beta, layout, rngs[b])
-    if draws is not None and draws.replay:
+    if pn.ideal and draws is not None and all(state is not None for state in draws.state):
         draws.restore(rngs)
         trace = PhaseNoiseTrace(draws.ap_phase[..., None, None], draws.ue_phase[..., None, None])
         pilots = layout.pilot_grid[network.pilot_index]
         grids = np.broadcast_to(pilots, (B,) + pilots.shape)
     else:
-        ap_cut, ue_cut = (np.s_[..., :1, :1] if s2 == 0.0 else np.s_[...]
-                          for s2 in (setup.pn.sigma2_ap, setup.pn.sigma2_ue))
-        trace = gen_pn_trace(setup.pn, layout, rngs[0])
+        walk = (layout.block_symbols, layout.n_subcarriers)
+        trace = PhaseNoiseTrace(*(np.empty((B, nodes) + (walk if s2 > 0.0 else (1, 1)))
+                                  for nodes, s2 in ((layout.n_aps, pn.sigma2_ap),
+                                                    (layout.n_ues, pn.sigma2_ue))))
+        for b in range(B):
+            gen_pn_trace(pn, layout, rngs[b],
+                         PhaseNoiseTrace(trace.ap_phase[b], trace.ue_phase[b]))
         grids = _as_stack(ofdm.build_transmit_grids(layout, network.pilot_index, rngs[0],
                                                     shared_data), B)
-        trace = PhaseNoiseTrace(_as_stack(trace.ap_phase[ap_cut], B),
-                                _as_stack(trace.ue_phase[ue_cut], B))
         for b in range(1, B):
-            gen_pn_trace(setup.pn, layout, rngs[b],
-                         PhaseNoiseTrace(trace.ap_phase[b], trace.ue_phase[b]))
             grids[b] = ofdm.build_transmit_grids(layout, network.pilot_index, rngs[b],
                                                  shared_data)
         if draws is not None:
@@ -327,7 +295,7 @@ def _observe_piece(setup: Setup, network: NetworkRealization,
 
 def run_trial(cfg: ExperimentConfig, setup: Setup, geom: Geometry,
               rngs: Sequence[np.random.Generator],
-              draws: Optional[StackDraws] = None) -> se.SinrAccumulator:
+              draws: Optional[TrialDraws] = None) -> se.SinrAccumulator:
     """A stack of Monte Carlo trials, one generator of ``rngs`` each: draw
     and synthesize (``observe``), estimate, combine, accumulate.
 
@@ -387,14 +355,14 @@ def run_geometry(
     The trials go in stacks of ``trial_stack_size``, the last one maybe
     partial.  Trial t lands in batch t % n_batches, merged in trial order; the
     batches are merged in order.  Stacks run in the calling thread at
-    ``threads`` = 1, else on a pool, at most 4 ``threads`` stacks in flight.
-    ``draws``, if given, records or replays the geometry's trials
-    (``TrialDraws``).
+    ``threads`` = 1, else on a pool of ``threads`` workers that maps them
+    all.  ``draws``, if given, is the run's ``TrialDraws``, whose row
+    ``geometry_index`` goes to ``observe``.
     """
     layout = setup.layout
     geom = build_geometry(cfg, setup, geometry_index)
     network = geom.network
-    record = None if draws is None else draws.geometry(geometry_index, cfg.n_trials, layout)
+    record = None if draws is None else draws.rows(geometry_index)
 
     shape = (len(cfg.estimators), len(cfg.schemes), layout.block_symbols, layout.n_ues)
     n_batches = max(1, min(_N_BATCHES, cfg.n_trials))
@@ -404,16 +372,13 @@ def run_geometry(
     def one(t0: int):
         trials = range(t0, min(t0 + stack, cfg.n_trials))
         return run_trial(cfg, setup, geom, trial_rngs(cfg.master_seed, geometry_index, trials),
-                         None if record is None else record.rows(trials))
+                         None if record is None else record.rows(slice(t0, t0 + stack)))
 
     with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
-        trial_map = map if pool is None else pool.map
-        chunk = 4 * threads * stack  # trials of the stacks in flight at once
-        for lo in range(0, cfg.n_trials, chunk):
-            starts = range(lo, min(lo + chunk, cfg.n_trials), stack)
-            for t0, acc in zip(starts, trial_map(one, starts)):
-                for b in range(len(acc.gain)):
-                    batches[(t0 + b) % n_batches].merge(acc, b)
+        starts = range(0, cfg.n_trials, stack)
+        for t0, acc in zip(starts, (map if pool is None else pool.map)(one, starts)):
+            for b in range(len(acc.gain)):
+                batches[(t0 + b) % n_batches].merge(acc, b)
 
     total = se.SinrAccumulator(shape)
     for b in batches:
@@ -449,11 +414,16 @@ def run_experiment(
     stays one (1 + tau_c) array, the block then every symbol, until the records
     are written: channel use c reads entry ceil(c / N_c), so the block row
     (c = 0) reads entry 0.  Raises RuntimeError if more than 1% of SINR records
-    are invalid.  ``draws`` goes to every ``run_geometry``.
+    are invalid.  ``draws`` goes to every ``run_geometry``; a record of
+    other than n_geometries x n_trials trials raises ValueError before any
+    work.
     """
     cfg.validate()
     if not 1 <= threads <= MAX_THREADS:
         raise ValueError("threads must lie in [1, %d], got %r" % (MAX_THREADS, threads))
+    rows = (cfg.n_geometries, cfg.n_trials)
+    if draws is not None and draws.state.shape != rows:
+        raise ValueError("draws of %s trials for a run of %s" % (draws.state.shape, rows))
     layout = cfg.layout()
     t0 = time.perf_counter()
     if progress:
@@ -510,12 +480,13 @@ def run_fig2(cfg: ExperimentConfig, threads: int = 1,
              progress: bool = False) -> List[ResultRecord]:
     """SE per UE versus channel use: every estimator of ``cfg``, then the
     same scenario with ideal oscillators (where all estimators coincide),
-    labelled ``no_pn``.  The ideal run replays the draws of the first
-    (``TrialDraws``): its rows are those of a drawn run, byte for byte."""
-    draws = TrialDraws()
+    labelled ``no_pn``.  Both runs take one ``TrialDraws``: the first
+    records every trial's draws and the ideal run replays them, so its rows
+    are those of a drawn run, byte for byte."""
+    draws = TrialDraws.of(cfg)
     records = run_experiment(cfg, threads=threads, progress=progress, draws=draws)
     no_pn = replace(cfg, gamma_ap=0.0, gamma_ue=0.0, estimators=("pna_ofdm",))
-    ref = run_experiment(no_pn, threads=threads, progress=progress, draws=draws.replayed())
+    ref = run_experiment(no_pn, threads=threads, progress=progress, draws=draws)
     return records + [replace(r, estimator="no_pn") for r in ref]
 
 

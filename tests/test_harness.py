@@ -71,6 +71,22 @@ def counting_runs(monkeypatch):
     return calls
 
 
+def counting_traces(monkeypatch):
+    """Whether each ``gen_pn_trace`` call of harness from now on is of an
+    ideal world, in call order."""
+    from cfofdm import harness
+
+    calls = []
+    real_trace = harness.gen_pn_trace
+
+    def counting_trace(params, *args, **kwargs):
+        calls.append(params.ideal)
+        return real_trace(params, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "gen_pn_trace", counting_trace)
+    return calls
+
+
 class TestConfigParsing:
     def test_fig2_preset_matches_scenario(self):
         cfg = fig2_config()
@@ -859,55 +875,99 @@ class TestReplay:
 
     @pytest.mark.parametrize("world", WORLDS)
     @pytest.mark.parametrize("stack", [1, 3])
-    def test_replayed_stack_ends_where_drawn_stack_ends(self, world, stack):
-        """A replayed ideal stack gives the drawn stack's y and h_eff, and
-        leaves every trial generator where the drawn stack leaves it."""
+    def test_replayed_stack_ends_where_drawn_stack_ends(self, monkeypatch, world, stack):
+        """A recorded ideal stack replays, drawing no trace, and gives the
+        drawn stack's y and h_eff, and leaves every trial generator where the
+        drawn stack leaves it."""
         from cfofdm.harness import TrialDraws, build_geometry, build_setup, observe, trial_rngs
 
-        cfg = replace(ci_config(), **world)
+        cfg = replace(ci_config(), n_geometries=1, n_trials=2 + stack, **world)
         ideal = replace(cfg, gamma_ap=0.0, gamma_ue=0.0)
         setup, ideal_setup = build_setup(cfg), build_setup(ideal)
         network = build_geometry(cfg, setup, 0).network
-        layout, trials = setup.layout, range(2, 2 + stack)
-        draws = TrialDraws()
-        observe(setup, network, trial_rngs(cfg.master_seed, 0, trials),
-                draws=draws.geometry(0, 2 + stack, layout).rows(trials))
+        trials = range(2, 2 + stack)
+        draws = TrialDraws.of(cfg).rows((0, slice(2, 2 + stack)))
+        observe(setup, network, trial_rngs(cfg.master_seed, 0, trials), draws=draws)
         drawn_rngs = trial_rngs(cfg.master_seed, 0, trials)
         y, h_eff = observe(ideal_setup, network, drawn_rngs)
+        traces = counting_traces(monkeypatch)
         replayed_rngs = trial_rngs(cfg.master_seed, 0, trials)
-        record = draws.replayed().geometry(0, 2 + stack, layout)
-        y_r, h_eff_r = observe(ideal_setup, network, replayed_rngs, draws=record.rows(trials))
+        y_r, h_eff_r = observe(ideal_setup, network, replayed_rngs, draws=draws)
+        assert traces == []
         assert np.array_equal(y_r, y) and np.array_equal(h_eff_r, h_eff)
         for a, b in zip(replayed_rngs, drawn_rngs):
             assert a.bit_generator.state == b.bit_generator.state
             assert np.array_equal(a.standard_normal(8), b.standard_normal(8))
 
-    def test_missing_record_raises(self):
-        """Replay never falls back to drawing: an unrecorded geometry, a
-        geometry recorded with another trial count, an unrecorded trial and a
-        phase-noise world each raise."""
+    def test_misshaped_record_raises(self, monkeypatch):
+        """A record of another geometry or trial count would pair trials
+        with other trials' rows: it raises ValueError before any set-up."""
+        from cfofdm import harness
+        from cfofdm.harness import TrialDraws
+
+        def no_setup(cfg):
+            raise AssertionError("set-up reached")
+
+        monkeypatch.setattr(harness, "build_setup", no_setup)
+        cfg = replace(ci_config(), n_geometries=1, n_trials=4, gamma_ap=0.0, gamma_ue=0.0)
+        draws = TrialDraws.of(cfg)
+        for other in ({"n_trials": 5}, {"n_trials": 3}, {"n_geometries": 2}):
+            with pytest.raises(ValueError, match=r"draws of \(1, 4\) trials"):
+                run_experiment(replace(cfg, **other), draws=draws)
+
+    def test_unrecorded_ideal_stack_draws(self, monkeypatch):
+        """An ideal stack whose rows are not all recorded draws, bit for bit
+        as a stack without a record does, y, h_eff and end states, and
+        records what it draws; the stack then replays to the same."""
         from cfofdm.harness import TrialDraws, build_geometry, build_setup, observe, trial_rngs
 
-        cfg = replace(ci_config(), n_geometries=1, n_trials=4)
-        no_pn = replace(cfg, gamma_ap=0.0, gamma_ue=0.0)
-        with pytest.raises(LookupError, match="geometry 0"):
-            run_experiment(no_pn, draws=TrialDraws().replayed())
-        draws = TrialDraws()
-        run_experiment(cfg, draws=draws)
-        with pytest.raises(LookupError, match="geometry 0"):
-            run_experiment(replace(no_pn, n_trials=5), draws=draws.replayed())
-
-        setup, ideal_setup = build_setup(cfg), build_setup(no_pn)
+        cfg = replace(ci_config(), n_geometries=1, n_trials=4, gamma_ap=0.0, gamma_ue=0.0)
+        setup = build_setup(cfg)
         network = build_geometry(cfg, setup, 0).network
-        draws = TrialDraws()
-        draws.geometry(0, 4, setup.layout)  # nothing recorded
-        record = draws.replayed().geometry(0, 4, setup.layout)
-        with pytest.raises(LookupError, match="no recorded draws"):
-            observe(ideal_setup, network, trial_rngs(cfg.master_seed, 0, range(2)),
-                    draws=record.rows(range(2)))
-        with pytest.raises(ValueError, match="ideal"):
-            observe(setup, network, trial_rngs(cfg.master_seed, 0, range(2)),
-                    draws=record.rows(range(2)))
+        draws = TrialDraws.of(cfg).rows(0)
+
+        def run(record):
+            rngs = trial_rngs(cfg.master_seed, 0, range(4))
+            y, h_eff = observe(setup, network, rngs, draws=record)
+            return y, h_eff, [rng.bit_generator.state for rng in rngs]
+
+        observe(setup, network, trial_rngs(cfg.master_seed, 0, range(1)),
+                draws=draws.rows(slice(0, 1)))  # trial 0 alone is recorded
+        traces = counting_traces(monkeypatch)
+        drawn = run(None)
+        partly = run(draws)
+        assert traces == [True] * 8
+        assert all(state is not None for state in draws.state)
+        replayed = run(draws)
+        assert len(traces) == 8
+        for y, h_eff, states in (partly, replayed):
+            assert np.array_equal(y, drawn[0]) and np.array_equal(h_eff, drawn[1])
+            assert states == drawn[2]
+
+    @pytest.mark.parametrize("world", WORLDS + [
+        pytest.param({"gamma_ap": 0.0, "gamma_ue": 0.0}, id="ideal")])
+    def test_no_pn_half_draws_no_trace(self, monkeypatch, world):
+        """``run_fig2``'s ideal run replays every trial of its first run: it
+        draws no trace, whether the first run has phase noise or is itself
+        ideal and records as it draws.  A fallback to drawing would give the
+        same CSV, only slower."""
+        from cfofdm import harness
+
+        traces = counting_traces(monkeypatch)
+        starts = []
+        real_run = harness.run_experiment
+
+        def run(*args, **kwargs):
+            starts.append(len(traces))
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_experiment", run)
+        cfg = replace(ci_config(), n_geometries=2, n_trials=7,
+                      schemes=("mr", "lp_mmse", "p_mmse", "mmse"), **world)
+        run_fig2(cfg, threads=2)
+        ideal = cfg.pn_params().ideal
+        assert starts[0] == 0 and traces[:starts[1]] == [ideal] * 14
+        assert traces[starts[1]:] == []
 
 
 class TestSynthesisPieces:
@@ -965,18 +1025,18 @@ class TestSynthesisPieces:
         assert sorted(pieces) == [3] * 12 + [6] * 4
 
     @pytest.mark.parametrize("world", WORLDS)
-    def test_stack_matches_its_pieces(self, world):
+    def test_stack_matches_its_pieces(self, monkeypatch, world):
         """Observing a stack of 7 trials gives, bit for bit, the y and h_eff
         of observing its pieces one call each (3, 3 and 1 trials, or 6 and 1
         where only ideal oscillators or the UEs' walks are held), leaves
         every generator where the pieces leave it, and records the same
-        draws; replaying the record in pieces of 6 and 1 gives the replayed
-        pieces' y, h_eff and end states, and those of drawing the ideal
-        stack."""
+        draws; replaying the record, as a stack or in pieces of 6 and 1,
+        draws no trace and gives the replayed pieces' y, h_eff and end
+        states, and those of drawing the ideal stack."""
         from cfofdm.harness import (TrialDraws, _piece_size, build_geometry, build_setup,
                                     observe, trial_rngs)
 
-        cfg = replace(ci_config(), **world)
+        cfg = replace(ci_config(), n_geometries=1, n_trials=7, **world)
         ideal = replace(cfg, gamma_ap=0.0, gamma_ue=0.0)
         setup, ideal_setup = build_setup(cfg), build_setup(ideal)
         network = build_geometry(cfg, setup, 0).network
@@ -984,7 +1044,7 @@ class TestSynthesisPieces:
 
         def in_pieces(stp, rngs, record, piece):
             parts = [observe(stp, network, rngs[lo:lo + piece],
-                             draws=record.rows(range(lo, min(lo + piece, B))))
+                             draws=record.rows(slice(lo, lo + piece)))
                      for lo in range(0, B, piece)]
             return tuple(np.concatenate(a) for a in zip(*parts))
 
@@ -995,23 +1055,24 @@ class TestSynthesisPieces:
 
         piece = _piece_size(setup)
         assert piece < B and B % piece
-        stack_draws, piece_draws = TrialDraws(), TrialDraws()
+        stack_draws, piece_draws = (TrialDraws.of(cfg).rows(0) for _ in range(2))
         rngs, piece_rngs = (trial_rngs(cfg.master_seed, 0, range(B)) for _ in range(2))
-        stack = observe(setup, network, rngs, draws=stack_draws.geometry(0, B, layout))
-        pieces = in_pieces(setup, piece_rngs, piece_draws.geometry(0, B, layout), piece)
+        stack = observe(setup, network, rngs, draws=stack_draws)
+        pieces = in_pieces(setup, piece_rngs, piece_draws, piece)
         assert stack[1].shape == (B, setup.symbols, layout.n_ues, layout.n_aps)
         assert_same(stack, pieces, rngs, piece_rngs)
-        recorded = [d.replayed().geometry(0, B, layout) for d in (stack_draws, piece_draws)]
         for name in ("ap_phase", "ue_phase", "state"):
-            assert np.array_equal(getattr(recorded[0], name), getattr(recorded[1], name))
-        assert all(state is not None for state in recorded[0].state)
+            assert np.array_equal(getattr(stack_draws, name), getattr(piece_draws, name))
+        assert all(state is not None for state in stack_draws.state)
 
         replay_piece = _piece_size(ideal_setup)
         assert replay_piece < B and B % replay_piece
         rngs, piece_rngs, drawn_rngs = (trial_rngs(cfg.master_seed, 0, range(B))
                                         for _ in range(3))
-        replayed = observe(ideal_setup, network, rngs, draws=recorded[0])
-        pieces = in_pieces(ideal_setup, piece_rngs, recorded[1], replay_piece)
+        traces = counting_traces(monkeypatch)
+        replayed = observe(ideal_setup, network, rngs, draws=stack_draws)
+        pieces = in_pieces(ideal_setup, piece_rngs, piece_draws, replay_piece)
+        assert traces == []
         assert_same(replayed, pieces, rngs, piece_rngs)
         assert_same(replayed, observe(ideal_setup, network, drawn_rngs), rngs, drawn_rngs)
 
