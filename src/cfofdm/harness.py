@@ -177,9 +177,10 @@ class TrialDraws:
     generator's ``bit_generator.state`` just before the receiver noise, None
     until recorded.  ``run_fig2`` passes one record to both of its runs: the
     phase-noise run records every trial as it draws it, and the ideal run
-    replays them (``observe``).  A record is (K + L) float64 phases and a
-    state dict of about 525 B per trial, kept until ``run_fig2`` returns:
-    2.2 KB at fig2's K = 10, L = 200, 22 MB at 50 geometries of 200 trials."""
+    replays them (``observe``, which writes and reads the rows in place).  A
+    record is (K + L) float64 phases and a state dict of about 525 B per
+    trial, kept until ``run_fig2`` returns: 2.2 KB at fig2's K = 10, L = 200,
+    22 MB at 50 geometries of 200 trials."""
 
     ap_phase: np.ndarray  # (n_geometries, n_trials, L) float64
     ue_phase: np.ndarray  # (n_geometries, n_trials, K) float64
@@ -195,19 +196,6 @@ class TrialDraws:
     def rows(self, key) -> "TrialDraws":
         """The rows ``key`` of the leading axes: views of these arrays."""
         return TrialDraws(self.ap_phase[key], self.ue_phase[key], self.state[key])
-
-    def record(self, trace: PhaseNoiseTrace, rngs: Sequence[np.random.Generator]) -> None:
-        """Keep a stack's initial phases, the first sample of each walk, and
-        its generators' states."""
-        self.ap_phase[...] = trace.ap_phase[..., 0, 0]
-        self.ue_phase[...] = trace.ue_phase[..., 0, 0]
-        for b, rng in enumerate(rngs):
-            self.state[b] = rng.bit_generator.state
-
-    def restore(self, rngs: Sequence[np.random.Generator]) -> None:
-        """Move each generator of a stack to its recorded state."""
-        for state, rng in zip(self.state, rngs):
-            rng.bit_generator.state = state
 
 
 def trial_rngs(master_seed: int, geometry_index: int, trials: range) -> List[np.random.Generator]:
@@ -231,25 +219,26 @@ def observe(setup: Setup, network: NetworkRealization, rngs: Sequence[np.random.
     """Draw and synthesize a stack of trials, one generator per trial.
 
     Trial b draws from ``rngs[b]`` in this order: channel, phase trace,
-    transmit grids (``ofdm.build_transmit_grids``, with ``shared_data``), and
-    the receiver noise of the synthesis.  The trials go in pieces of
-    ``_piece_size``, the last one maybe partial, so the stack holds at most one
-    piece's traces and grids at a time.  A piece's trace is allocated up front
-    and every trial's walks are drawn into it; of a node kind with ideal
-    oscillators (sigma^2 = 0) it holds each node's initial phase alone,
-    (B, nodes, 1, 1).  Returns the pilot observations y (B, L, tau_p) and the
-    effective channels h_eff (B, T, K, L) of the whole stack, each trial's bit
-    for bit those of its stack of one.
+    transmit grids (``ofdm.build_transmit_grids``, with ``shared_data``),
+    then the receiver noise, which is added to the noise-free synthesis of
+    ``ofdm.synth_pilot_observations``, itself drawing nothing.  The trials
+    go in pieces of ``_piece_size``, the last one maybe partial, so the
+    stack holds at most one piece's traces and grids at a time.  A piece's
+    trace is allocated up front and every trial's walks are drawn into it;
+    of a node kind with ideal oscillators (sigma^2 = 0) it holds each node's
+    initial phase alone, (B, nodes, 1, 1).  Returns the pilot observations
+    y (B, L, tau_p) and the effective channels h_eff (B, T, K, L) of the
+    whole stack, each trial's bit for bit those of its stack of one.
 
     ``draws``, the stack's rows of a ``TrialDraws``, is taken a piece's rows
     at a time.  A piece of an ideal world whose rows are all recorded
     replays them: each trial draws its channel, moves its generator to the
-    recorded state and is synthesized from the recorded phases and the
-    layout's pilot samples, the only samples of the grids an ideal synthesis
-    reads.  Every other piece draws, and records each trial's initial
-    phases and its generator's state before the noise.  A replayed piece's
-    y, h_eff and generator end states are bit for bit those of the drawn
-    one, so drawing is never wrong, only slower.
+    recorded state and draws its noise, and is synthesized from the
+    recorded phases and the layout's pilot samples, the only samples of the
+    grids an ideal synthesis reads.  Every other piece draws, and records
+    each trial's initial phases and, just before its noise, its generator's
+    state.  A replayed piece's y, h_eff and generator end states are bit for
+    bit those of the drawn one, so drawing is never wrong, only slower.
     """
     B, piece = len(rngs), _piece_size(setup)
     parts = [_observe_piece(setup, network, rngs[lo:lo + piece], shared_data,
@@ -269,8 +258,8 @@ def _observe_piece(setup: Setup, network: NetworkRealization,
     h = _as_stack(gen_channel(network.beta, layout, rngs[0]), B)
     for b in range(1, B):
         h[b] = gen_channel(network.beta, layout, rngs[b])
-    if pn.ideal and draws is not None and all(state is not None for state in draws.state):
-        draws.restore(rngs)
+    replay = pn.ideal and draws is not None and all(state is not None for state in draws.state)
+    if replay:
         trace = PhaseNoiseTrace(draws.ap_phase[..., None, None], draws.ue_phase[..., None, None])
         pilots = layout.pilot_grid[network.pilot_index]
         grids = np.broadcast_to(pilots, (B,) + pilots.shape)
@@ -288,8 +277,19 @@ def _observe_piece(setup: Setup, network: NetworkRealization,
             grids[b] = ofdm.build_transmit_grids(layout, network.pilot_index, rngs[b],
                                                  shared_data)
         if draws is not None:
-            draws.record(trace, rngs)
-    y, cpe = ofdm.synth_pilot_observations(h, grids, trace, network, layout, rngs)
+            draws.ap_phase[...] = trace.ap_phase[..., 0, 0]
+            draws.ue_phase[...] = trace.ue_phase[..., 0, 0]
+    shape = (layout.n_aps, layout.tau_p)
+    noise = np.empty((B,) + shape, dtype=complex)
+    for b, rng in enumerate(rngs):
+        if replay:
+            rng.bit_generator.state = draws.state[b]
+        elif draws is not None:
+            draws.state[b] = rng.bit_generator.state
+        noise[b] = np.sqrt(network.sigma2 / 2.0) * (
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    y, cpe = ofdm.synth_pilot_observations(h, grids, trace, network, layout)
+    y += noise
     return y, cpe * h[:, None, :, :, 0]
 
 

@@ -3,7 +3,7 @@ inter-carrier interference, and the time-domain validation oracle."""
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import itertools
 
@@ -69,15 +69,14 @@ def synth_pilot_observations(
     trace: PhaseNoiseTrace,
     network: NetworkRealization,
     layout: SimulationLayout,
-    rngs: Sequence[np.random.Generator],
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Received pilot observations with exact phase-noise ICI, and the common
-    phase errors of every symbol of the block, of a stack of B trials.
+    """Noise-free pilot observations with exact phase-noise ICI, and the
+    common phase errors of every symbol of the block, of a stack of B trials.
+    It draws nothing: ``harness.observe`` adds each trial's receiver noise.
 
     For every pilot slot (nu, tau) and AP l the received sample is
-    sum_k sqrt(p_k) * (J_{k,l} conv (h_{k,l} .* s_k))[nu] + noise, with trial
-    b's noise drawn from ``rngs[b]``.  With h_{k,l} constant over each
-    coherence block b it is evaluated as
+    sum_k sqrt(p_k) * (J_{k,l} conv (h_{k,l} .* s_k))[nu].  With h_{k,l}
+    constant over each coherence block b it is evaluated as
     sum_k sqrt(p_k) sum_b h_{k,l}[b] sum_{j in b} s_k[j] J_{k,l}[nu - j], where
     J_{k,l}[-j] = ifft(e_ue_k .* e_ap_l)[j] is the drift spectrum of the
     symbol's phasors: one inverse FFT per (UE, AP, pilot slot).  The APs are
@@ -99,11 +98,10 @@ def synth_pilot_observations(
     ----------
     h : (B, K, L, R) per-block channel draws.
     grids : (B, K, |T_p|, N) transmit grids for the pilot-bearing symbols.
-    rngs : one generator per trial.
 
     Returns
     -------
-    y : (B, L, tau_p) stacked pilot observations per AP.
+    y : (B, L, tau_p) stacked noise-free pilot observations per AP.
     cpe : (B, T, K, L) common phase errors J_{k,l,0}^{(tau)}, symbol first like
         every per-symbol array of a trial, T = tau_c, or 1 where both kinds
         are constant; each trial's equal to ``phase_noise.cpe_per_symbol``.
@@ -193,11 +191,6 @@ def synth_pilot_observations(
         terms = (sqrt_p[:, None, None] * grids[:, :, slot_si, slot_sub][:, :, None, :]
                  * cpe[:, 0, :, :, None] * h[..., :1])
         y[...] = terms.sum(axis=1)
-
-    for y_b, rng in zip(y, rngs):
-        y_b += np.sqrt(network.sigma2 / 2.0) * (
-            rng.standard_normal((L, tau_p)) + 1j * rng.standard_normal((L, tau_p))
-        )
     return y, cpe
 
 

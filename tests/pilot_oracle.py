@@ -2,10 +2,12 @@
 
 ``decomposed_pilot_observations`` keeps, per (UE, AP, pilot slot), the
 effective-channel (J_0) term and the ICI term separately, and the noise, with
-y = sum_k (effective + ici) + noise.  It draws from the generator exactly as
-``cfofdm.ofdm.synth_pilot_observations`` does, so both give the same noise
-draws from equal generator states.  ``synth_one`` runs that synthesis on one
-trial, as a stack of one.
+y = sum_k (effective + ici) + noise.  Its noise is ``receiver_noise``, drawn
+from the generator exactly as ``cfofdm.harness.observe`` draws a trial's
+noise after its grids, so both give the same noise from equal generator
+states.  ``synth_one`` runs the noise-free synthesis,
+``cfofdm.ofdm.synth_pilot_observations``, on one trial, as a stack of one,
+and adds that noise.
 """
 
 from dataclasses import dataclass
@@ -16,12 +18,21 @@ from cfofdm.ofdm import synth_pilot_observations
 from cfofdm.phase_noise import PhaseNoiseTrace, cpe_per_symbol
 
 
-def synth_one(h, grids, trace, network, layout, rng):
+def receiver_noise(network, shape, rng):
+    """One trial's (L, tau_p) receiver noise, drawn as ``harness.observe`` draws it."""
+    return np.sqrt(network.sigma2 / 2.0) * (
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def synth_one(h, grids, trace, network, layout, rng=None):
     """``synth_pilot_observations`` of one trial, (K, L, R) channels, (K, |T_p|,
-    N) grids, a trace without a stack axis and one generator: y (L, tau_p) and
-    cpe (T, K, L) of its stack of one."""
+    N) grids and a trace without a stack axis, plus the receiver noise drawn
+    from ``rng``, none without one: y (L, tau_p) and cpe (T, K, L) of its
+    stack of one."""
     one = PhaseNoiseTrace(trace.ap_phase[None], trace.ue_phase[None])
-    y, cpe = synth_pilot_observations(h[None], grids[None], one, network, layout, [rng])
+    y, cpe = synth_pilot_observations(h[None], grids[None], one, network, layout)
+    if rng is not None:
+        y[0] += receiver_noise(network, y.shape[1:], rng)
     return y[0], cpe[0]
 
 
@@ -84,8 +95,6 @@ def decomposed_pilot_observations(h, grids, trace, network, layout, rng) -> Pilo
         conv_at = np.einsum("klm,lm,sm->kls", fx, e_ap, phases, optimize=True) / n
         ici[:, :, in_slot] = sqrt_p[:, None, None] * conv_at - effective[:, :, in_slot]
 
-    noise = np.sqrt(network.sigma2 / 2.0) * (
-        rng.standard_normal((L, tau_p)) + 1j * rng.standard_normal((L, tau_p))
-    )
+    noise = receiver_noise(network, (L, tau_p), rng)
     y = (effective + ici).sum(axis=0) + noise
     return PilotObservation(y=y, effective=effective, ici=ici, noise=noise)

@@ -11,6 +11,7 @@ Each criterion prints one PASS/FAIL line (visible with pytest -s).
 import copy
 import os
 from dataclasses import replace
+from typing import List
 
 import numpy as np
 import pytest
@@ -20,6 +21,9 @@ from cfofdm.config import ci_config, fig2_config
 from cfofdm.combining import combiner_matrix
 from cfofdm.estimation import estimate_all
 from cfofdm.harness import (
+    FIG3_UE_COUNTS,
+    MAX_THREADS,
+    ResultRecord,
     build_geometry,
     build_setup,
     derived_rng,
@@ -158,9 +162,31 @@ full_scale = pytest.mark.skipif(
 
 
 def _full_scale_counts():
+    """(geometries, trials, threads) of the full-scale runs; the thread count
+    defaults to the host's CPUs, at most MAX_THREADS."""
     return (int(os.environ.get("FULL_SCALE_GEOMS", "50")),
             int(os.environ.get("FULL_SCALE_TRIALS", "200")),
-            int(os.environ.get("FULL_SCALE_THREADS", str(os.cpu_count() or 1))))
+            int(os.environ.get("FULL_SCALE_THREADS",
+                               str(min(os.cpu_count() or 1, MAX_THREADS)))))
+
+
+def test_full_scale_threads_default_within_max(monkeypatch):
+    """On a host of more CPUs than MAX_THREADS the default thread count is
+    MAX_THREADS, which ``run_experiment`` accepts; an explicit count passes
+    through unchanged."""
+    monkeypatch.delenv("FULL_SCALE_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 128)
+    assert _full_scale_counts()[2] == MAX_THREADS
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _full_scale_counts()[2] == 1
+    monkeypatch.setenv("FULL_SCALE_THREADS", "100")
+    assert _full_scale_counts()[2] == 100
+
+
+def _check(name: str, ok: bool, detail: str = "") -> validate.Check:
+    """A figure target's check, its detail line led by its name and verdict."""
+    return validate.Check(name, ok, " ".join(filter(None, (name, "ok" if ok else "BAD",
+                                                            detail))))
 
 
 def _curves(records):
@@ -171,11 +197,8 @@ def _curves(records):
     return out
 
 
-@full_scale
-def test_criterion_7_fig2_targets():
-    geoms, trials, threads = _full_scale_counts()
-    cfg = replace(fig2_config(), n_geometries=geoms, n_trials=trials)
-    records = run_fig2(cfg, threads=threads, progress=True)
+def fig2_checks(records) -> List[validate.Check]:
+    """The fig2 preset's 16 targets, on its records."""
     cur = _curves(records)
     checks = []
 
@@ -185,46 +208,40 @@ def test_criterion_7_fig2_targets():
         > cur[("mmse", "unaware")][c]
         for c in range(1, 145)
     )
-    checks.append(("ordering", order_ok, ""))
+    checks.append(_check("ordering", order_ok))
 
     # (b) pilot-region plateau values at channel use 60, within 15%
     for est, target in (("pna_ofdm", 4.66), ("pna_sc", 3.92), ("unaware", 1.27)):
         val = cur[("mmse", est)][60]
-        checks.append(("plateau %s" % est, abs(val - target) <= 0.15 * target,
-                       "%.3f vs %.2f" % (val, target)))
+        checks.append(_check("plateau %s" % est, abs(val - target) <= 0.15 * target,
+                             "%.3f vs %.2f" % (val, target)))
 
     # (c) the phase-noise-aware curves collapse after the pilots run out
     for key in (("mmse", "pna_ofdm"), ("mmse", "pna_sc"),
                 ("mr", "pna_ofdm"), ("mr", "pna_sc")):
         ratio = cur[key][144] / cur[key][180]
-        checks.append(("drop %s/%s" % key, ratio > 3.0, "ratio %.2f" % ratio))
+        checks.append(_check("drop %s/%s" % key, ratio > 3.0, "ratio %.2f" % ratio))
 
     # (d) only the unaware curves rise toward the middle of the pilot region
     for scheme in ("mmse", "mr"):
         un = [cur[(scheme, "unaware")][c] for c in range(1, 133)]
         rise = max(un) / un[0]
-        checks.append(("convex unaware %s" % scheme, rise > 1.3, "rise %.2f" % rise))
+        checks.append(_check("convex unaware %s" % scheme, rise > 1.3, "rise %.2f" % rise))
         for est in ("pna_ofdm", "pna_sc"):
             aw = [cur[(scheme, est)][c] for c in range(1, 133)]
-            checks.append(("flat %s %s" % (scheme, est), max(aw) / aw[0] < 1.15,
-                           "rise %.2f" % (max(aw) / aw[0])))
+            checks.append(_check("flat %s %s" % (scheme, est), max(aw) / aw[0] < 1.15,
+                                 "rise %.2f" % (max(aw) / aw[0])))
 
     # (e) no-phase-noise references within 10%
     for scheme, target in (("mmse", 8.996), ("mr", 1.892)):
         val = cur[(scheme, "no_pn")][60]
-        checks.append(("no-PN %s" % scheme, abs(val - target) <= 0.10 * target,
-                       "%.3f vs %.3f" % (val, target)))
-
-    ok = all(c[1] for c in checks)
-    detail = "; ".join("%s %s %s" % (n, "ok" if p else "BAD", d) for n, p, d in checks)
-    assert _report(7, "fig2 preset targets", ok, detail)
+        checks.append(_check("no-PN %s" % scheme, abs(val - target) <= 0.10 * target,
+                             "%.3f vs %.3f" % (val, target)))
+    return checks
 
 
-@full_scale
-def test_criterion_8_fig3_targets():
-    geoms, trials, threads = _full_scale_counts()
-    base = replace(fig2_config(), n_geometries=geoms, n_trials=trials, name="fig3")
-    records = run_fig3(base, threads=threads, progress=True)
+def fig3_checks(records) -> List[validate.Check]:
+    """The fig3 preset's 11 targets, on its records at channel use 60."""
     vals = {}
     for r in records:
         if r.channel_use == 60:
@@ -233,18 +250,123 @@ def test_criterion_8_fig3_targets():
 
     v1 = vals[("mmse", "pna_ofdm")][1]
     v100 = vals[("mmse", "pna_ofdm")][100]
-    checks.append(("K=1", abs(v1 - 5.41) <= 0.15 * 5.41, "%.3f vs 5.41" % v1))
-    checks.append(("K=100", abs(v100 - 1.55) <= 0.20 * 1.55, "%.3f vs 1.55" % v100))
+    checks.append(_check("K=1", abs(v1 - 5.41) <= 0.15 * 5.41, "%.3f vs 5.41" % v1))
+    checks.append(_check("K=100", abs(v100 - 1.55) <= 0.20 * 1.55, "%.3f vs 1.55" % v100))
 
     for key, series in vals.items():
         ks = sorted(series)
         mono = all(series[a] > series[b] for a, b in zip(ks, ks[1:]))
-        checks.append(("monotone %s/%s" % key, mono, ""))
+        checks.append(_check("monotone %s/%s" % key, mono))
 
     sc100 = vals[("mmse", "pna_sc")][100]
-    checks.append(("convergence", abs(v100 - sc100) <= 0.10 * max(v100, sc100),
-                   "%.3f vs %.3f" % (v100, sc100)))
+    checks.append(_check("convergence", abs(v100 - sc100) <= 0.10 * max(v100, sc100),
+                         "%.3f vs %.3f" % (v100, sc100)))
+    return checks
 
-    ok = all(c[1] for c in checks)
-    detail = "; ".join("%s %s %s" % (n, "ok" if p else "BAD", d) for n, p, d in checks)
-    assert _report(8, "fig3 preset targets", ok, detail)
+
+@full_scale
+def test_criterion_7_fig2_targets():
+    geoms, trials, threads = _full_scale_counts()
+    cfg = replace(fig2_config(), n_geometries=geoms, n_trials=trials)
+    records = run_fig2(cfg, threads=threads, progress=True)
+    assert _report(7, "fig2 preset targets", *_joined(fig2_checks(records)))
+
+
+@full_scale
+def test_criterion_8_fig3_targets():
+    geoms, trials, threads = _full_scale_counts()
+    base = replace(fig2_config(), n_geometries=geoms, n_trials=trials, name="fig3")
+    records = run_fig3(base, threads=threads, progress=True)
+    assert _report(8, "fig3 preset targets", *_joined(fig3_checks(records)))
+
+
+def _fig2_at_targets():
+    """SE curves of every (scheme, estimator) of the fig2 preset over its
+    channel uses (entry c, entry 0 unused) that meet its targets: at them
+    where a target is a value, and clear of every bound."""
+    c = np.arange(fig2_config().block_subcarriers * fig2_config().block_symbols + 1)
+    pilots = c <= 144
+    return {
+        ("mmse", "pna_ofdm"): np.where(pilots, 4.66, 4.66 / 4),
+        ("mmse", "pna_sc"): np.where(pilots, 3.92, 3.92 / 4),
+        ("mr", "pna_ofdm"): np.where(pilots, 1.6, 0.4),
+        ("mr", "pna_sc"): np.where(pilots, 1.4, 0.35),
+        ("mmse", "unaware"): np.where(c <= 30, 0.9, 1.27),
+        ("mr", "unaware"): np.where(c <= 30, 0.5, 0.8),
+        ("mmse", "no_pn"): np.full(len(c), 8.996),
+        ("mr", "no_pn"): np.full(len(c), 1.892),
+    }
+
+
+def _cross_fig2(cur, name):
+    """Move the value of fig2 check ``name`` just past its bound, and no
+    other check's value past its own."""
+    kind, _, key = name.partition(" ")
+    if kind == "ordering":
+        cur[("mmse", "pna_ofdm")][100] = cur[("mmse", "pna_sc")][100]
+    elif kind == "plateau":
+        cur[("mmse", key)] *= 1.16
+    elif kind == "drop":
+        curve = cur[tuple(key.split("/"))]
+        curve[145:] = curve[144] / 2.99
+    elif kind == "convex":
+        curve = cur[(key.split()[1], "unaware")]
+        curve[:31] = curve[60] / 1.29
+    elif kind == "flat":
+        curve = cur[tuple(key.split())]
+        curve[100] = curve[1] * 1.16
+    else:  # no-PN
+        cur[(key, "no_pn")] *= 1.11
+
+
+def _fig2_records(cur):
+    return [ResultRecord("fig2", s, e, 10, 200, c, 0, float(v[c]), 1, 0.0, 0)
+            for (s, e), v in cur.items() for c in range(1, len(v))]
+
+
+def _fig3_at_targets():
+    """SE at channel use 60 of every (scheme, estimator) of the fig3 preset
+    per UE count that meets its targets."""
+    generic = (4.0, 3.0, 2.5, 2.0, 1.0)
+    vals = {(s, e): dict(zip(FIG3_UE_COUNTS, generic))
+            for s in ("mmse", "mr") for e in ("unaware", "pna_sc", "pna_ofdm", "no_pn")}
+    vals[("mmse", "pna_ofdm")] = dict(zip(FIG3_UE_COUNTS, (5.41, 4.0, 3.0, 2.5, 1.55)))
+    vals[("mmse", "pna_sc")] = dict(zip(FIG3_UE_COUNTS, (5.0, 3.8, 2.9, 2.4, 1.55)))
+    return vals
+
+
+def _cross_fig3(vals, name):
+    """Move the value of fig3 check ``name`` just past its bound, and no
+    other check's value past its own."""
+    aware, sc = vals[("mmse", "pna_ofdm")], vals[("mmse", "pna_sc")]
+    if name == "K=1":
+        aware[1] = 5.41 * 1.16
+    elif name == "K=100":  # both curves, which keeps them converged
+        aware[100] = sc[100] = 1.55 * 0.79
+    elif name == "convergence":
+        sc[100] = 1.55 * 1.12
+    else:  # monotone
+        series = vals[tuple(name.split()[1].split("/"))]
+        series[20] = series[10]
+
+
+def _fig3_records(vals):
+    return [ResultRecord("fig3_K%d" % K, s, e, K, 200, 60, 0, v, 1, 0.0, 0)
+            for (s, e), series in vals.items() for K, v in series.items()]
+
+
+@pytest.mark.parametrize("checks, at_targets, cross, records, count", [
+    pytest.param(fig2_checks, _fig2_at_targets, _cross_fig2, _fig2_records, 16, id="fig2"),
+    pytest.param(fig3_checks, _fig3_at_targets, _cross_fig3, _fig3_records, 11, id="fig3"),
+])
+def test_figure_checks_on_synthetic_records(checks, at_targets, cross, records, count):
+    """Criteria 7 and 8's checks on synthetic records: every check passes at
+    the targets, and moving one check's value just past its bound fails that
+    check alone, for each of fig2's 16 checks and fig3's 11."""
+    passed = checks(records(at_targets()))
+    assert len(passed) == count and len({c.name for c in passed}) == count
+    assert all(c.ok for c in passed), _joined(passed)[1]
+    for name in (c.name for c in passed):
+        values = at_targets()
+        cross(values, name)
+        assert [c.name for c in checks(records(values)) if not c.ok] == [name]

@@ -899,6 +899,41 @@ class TestReplay:
             assert a.bit_generator.state == b.bit_generator.state
             assert np.array_equal(a.standard_normal(8), b.standard_normal(8))
 
+    def test_noise_drawn_at_the_record_point(self):
+        """A drawn phase-noise piece records each generator's state after its
+        channel, trace and grids, and its y is the noise-free synthesis of
+        those draws plus, bit for bit, the noise drawn from the recorded
+        state: the synthesis draws and adds no noise of its own."""
+        from cfofdm.harness import (TrialDraws, _piece_size, build_geometry, build_setup,
+                                    observe, trial_rngs)
+        from cfofdm.network import gen_channel
+        from cfofdm.ofdm import build_transmit_grids, synth_pilot_observations
+        from cfofdm.phase_noise import PhaseNoiseTrace, gen_pn_trace
+
+        from pilot_oracle import receiver_noise
+
+        cfg = replace(ci_config(), n_geometries=1, n_trials=3)
+        setup = build_setup(cfg)
+        network = build_geometry(cfg, setup, 0).network
+        layout, B = setup.layout, _piece_size(setup)
+        assert B == cfg.n_trials  # one piece
+        draws = TrialDraws.of(cfg).rows(0)
+        rngs = trial_rngs(cfg.master_seed, 0, range(B))
+        copies = copy.deepcopy(rngs)
+        y, _ = observe(setup, network, rngs, draws=draws)
+        trials = [(gen_channel(network.beta, layout, r), gen_pn_trace(setup.pn, layout, r),
+                   build_transmit_grids(layout, network.pilot_index, r)) for r in copies]
+        trace = PhaseNoiseTrace(np.stack([t.ap_phase for _, t, _ in trials]),
+                                np.stack([t.ue_phase for _, t, _ in trials]))
+        clean, _ = synth_pilot_observations(np.stack([h for h, _, _ in trials]),
+                                            np.stack([g for _, _, g in trials]), trace,
+                                            network, layout)
+        for b, r in enumerate(copies):
+            assert r.bit_generator.state == draws.state[b]
+            r.bit_generator.state = draws.state[b]
+            assert np.array_equal(y[b], clean[b] + receiver_noise(network, y.shape[1:], r))
+            assert r.bit_generator.state == rngs[b].bit_generator.state
+
     def test_misshaped_record_raises(self, monkeypatch):
         """A record of another geometry or trial count would pair trials
         with other trials' rows: it raises ValueError before any set-up."""

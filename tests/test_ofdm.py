@@ -269,9 +269,9 @@ class TestSynthObservations:
 
     @pytest.mark.parametrize("case", ["pn", "no_pn", "ue_only_pn", "partial_block"])
     def test_stack_matches_trials_alone(self, ci_layout, monkeypatch, case):
-        """Three trials stacked on a leading axis give each trial's y and CPE
-        bit for bit as its call alone, and leave each generator in the same
-        state, over ragged AP tiles (8 + 8 + 8 + 6 of the 30 APs)."""
+        """Three trials stacked on a leading axis give each trial's noise-free
+        y and CPE bit for bit as its call alone, over ragged AP tiles
+        (8 + 8 + 8 + 6 of the 30 APs)."""
         layout = ci_layout
         if case == "partial_block":
             layout = replace(layout, block_subcarriers=11)
@@ -286,30 +286,26 @@ class TestSynthObservations:
             h = t_rng.standard_normal((K, L, layout.n_blocks)) + 1j * t_rng.standard_normal(
                 (K, L, layout.n_blocks))
             grids = build_transmit_grids(layout, network.pilot_index, t_rng)
-            trials.append((h, grids, gen_pn_trace(pn, layout, t_rng), t_rng))
+            trials.append((h, grids, gen_pn_trace(pn, layout, t_rng)))
         monkeypatch.setattr(ofdm, "_TILE_BYTES", 8 * n * 16)
-        alone_rngs = [copy.deepcopy(t[3]) for t in trials]
-        alone = [synth_one(h, grids, trace, network, layout, r)
-                 for (h, grids, trace, _), r in zip(trials, alone_rngs)]
+        alone = [synth_one(h, grids, trace, network, layout) for h, grids, trace in trials]
         stacked_trace = PhaseNoiseTrace(np.stack([t[2].ap_phase for t in trials]),
                                         np.stack([t[2].ue_phase for t in trials]))
-        rngs = [t[3] for t in trials]
         y, cpe = synth_pilot_observations(np.stack([t[0] for t in trials]),
                                           np.stack([t[1] for t in trials]), stacked_trace,
-                                          network, layout, rngs)
+                                          network, layout)
         assert y.shape == (3, L, layout.tau_p)
         assert cpe.shape == (3, layout.block_symbols, K, L)
         for b, (y_b, cpe_b) in enumerate(alone):
             assert np.array_equal(y[b], y_b)
             assert np.array_equal(cpe[b], cpe_b)
-        for r, r_alone in zip(rngs, alone_rngs):
-            assert r.bit_generator.state == r_alone.bit_generator.state
 
     def test_ue_chunks_match_oracle_and_stack(self, ci_layout, monkeypatch):
         """A tile budget of two APs' samples cuts the ICI into chunks of two
-        UEs (2 + 2 + 1 of 5) and sub-tiles of one AP: y stays within 1e-12 of
-        the decomposed oracle, the CPE is that of cpe_per_symbol bitwise, and
-        three stacked trials give each trial's y bit for bit as alone."""
+        UEs (2 + 2 + 1 of 5) and sub-tiles of one AP: y plus the oracle's
+        noise stays within 1e-12 of the decomposed oracle, the CPE is that of
+        cpe_per_symbol bitwise, and three stacked trials give each trial's
+        noise-free y bit for bit as alone."""
         layout = ci_layout
         K, L, n = layout.n_ues, layout.n_aps, layout.n_subcarriers
         rng = np.random.default_rng(17)
@@ -326,17 +322,16 @@ class TestSynthObservations:
         monkeypatch.setattr(ofdm, "_TILE_BYTES", 2 * n * 16)
         alone = []
         for h, grids, trace, t_rng in trials:
-            oracle_rng, one_rng = copy.deepcopy(t_rng), copy.deepcopy(t_rng)
-            y, cpe = synth_one(h, grids, trace, network, layout, one_rng)
-            ref = decomposed_pilot_observations(h, grids, trace, network, layout, oracle_rng)
-            assert np.abs(y - ref.y).max() <= 1e-12 * np.abs(ref.y).max()
+            y, cpe = synth_one(h, grids, trace, network, layout)
+            ref = decomposed_pilot_observations(h, grids, trace, network, layout, t_rng)
+            assert np.abs(y + ref.noise - ref.y).max() <= 1e-12 * np.abs(ref.y).max()
             assert np.array_equal(cpe, cpe_per_symbol(trace))
             alone.append(y)
         stacked_trace = PhaseNoiseTrace(np.stack([t[2].ap_phase for t in trials]),
                                         np.stack([t[2].ue_phase for t in trials]))
         y, _ = synth_pilot_observations(np.stack([t[0] for t in trials]),
                                         np.stack([t[1] for t in trials]), stacked_trace,
-                                        network, layout, [t[3] for t in trials])
+                                        network, layout)
         for y_b, y_alone in zip(y, alone):
             assert np.array_equal(y_b, y_alone)
 
