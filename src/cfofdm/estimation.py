@@ -126,8 +126,10 @@ def build_models(
     return models
 
 
-def build_psi(network: NetworkRealization, model: EstimatorModel) -> np.ndarray:
-    """Pilot observation covariance Psi_l per AP: (L, tau_p, tau_p) Hermitian.
+def build_psi(network: NetworkRealization,
+              model: EstimatorModel) -> Tuple[np.ndarray, np.ndarray]:
+    """Pilot observation covariance Psi_l per AP and its lower Cholesky factor,
+    both (L, tau_p, tau_p): Psi_l Hermitian and Psi_l = C_l C_l^H.
 
     Psi_l = sum_k p_k beta_{k,l} (pilot_cov[t_k] + data_cov) + sigma^2 I.
     Raises RuntimeError unless every Psi_l is positive definite.
@@ -141,23 +143,25 @@ def build_psi(network: NetworkRealization, model: EstimatorModel) -> np.ndarray:
     psi += network.sigma2 * np.eye(psi.shape[1])[None, :, :]
     psi = 0.5 * (psi + np.conj(np.swapaxes(psi, 1, 2)))
     try:
-        np.linalg.cholesky(psi)
+        chol = np.linalg.cholesky(psi)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError("pilot covariance factorization failed: %s" % exc) from exc
-    return psi
+    return psi, chol
 
 
 @dataclass
 class EstimatorContext:
     """Statistics-only estimator state, reusable across all Monte Carlo trials.
 
-    The estimate of UE k at AP l and symbol tau is
-    h_hat = scale[l, k] * rhs[:, k * T + tau - 1]^H Psi_l^{-1} y_l, for the
+    Psi_l is held as its whitening factor W_l = C_l^{-1}, the inverse of its
+    lower Cholesky factor, so that Psi_l^{-1} = W_l^H W_l.  The estimate of UE
+    k at AP l and symbol tau is
+    h_hat = scale[l, k] * (W_l rhs[:, k * T + tau - 1])^H (W_l y_l), for the
     model's T symbols.  Like the estimates, ``eps`` and ``err_var`` are
     (T, K, L): symbol first.
     """
 
-    psi: np.ndarray      # (L, tau_p, tau_p) pilot observation covariances Psi_l
+    whiten: np.ndarray   # (L, tau_p, tau_p) whitening factors W_l = C_l^{-1}
     rhs: np.ndarray      # (tau_p, K * T) columns B^(tau)H s_{t_k}, (k, tau) pairs
     scale: np.ndarray    # (L, K) sqrt(p_k) beta_kl
     eps: np.ndarray      # (T, K, L) estimate variances
@@ -165,27 +169,42 @@ class EstimatorContext:
 
 
 def build_context(network: NetworkRealization, model: EstimatorModel) -> EstimatorContext:
-    """Assemble the per-geometry estimator state of one estimator model."""
-    psi = build_psi(network, model)
-    L, tau_p = psi.shape[:2]
+    """Assemble the per-geometry estimator state of one estimator model.
+
+    The estimate variance of UE k at AP l is p_k beta_kl^2 ||W_l r||^2 over the
+    right-hand-side columns r of k's sequence: one product of every AP's
+    whitening rows, stacked (L * tau_p, tau_p), with the columns of the
+    sequences in use, gathered per UE."""
+    whiten = np.linalg.inv(build_psi(network, model)[1])  # (L, tau_p, tau_p): C_l^{-1}
+    L, tau_p = whiten.shape[:2]
     rhs = model.rhs.reshape(tau_p, tau_p, -1)  # (tau_p, t, T)
-    used, seq_of = np.unique(network.pilot_index, return_inverse=True)  # solve sequences in use
+    used, seq_of = np.unique(network.pilot_index, return_inverse=True)  # sequences in use
     rhs_used = rhs[:, used].reshape(tau_p, -1)
-    sol = np.linalg.solve(psi, rhs_used)  # (L, tau_p, |used| * T): Psi_l^{-1} rhs
-    quad = np.real(np.sum(np.conj(rhs_used) * sol, axis=1)).reshape(L, used.size, -1)[:, seq_of]
+    # W_l r as (re, im) pairs, squared in place and summed over the whitened rows
+    # into sums allocated before the product, which is freed before anything
+    # else is allocated: at fig2 size a run then peaks no higher than with the
+    # LU solve
+    quad = np.empty((L, 2 * rhs_used.shape[1]))
+    white = (whiten.reshape(L * tau_p, tau_p) @ rhs_used).reshape(L, tau_p, -1).view(float)
+    white *= white
+    white.sum(axis=1, out=quad)
+    del white
+    quad = (quad[:, 0::2] + quad[:, 1::2]).reshape(L, used.size, -1)[:, seq_of]
     scale = np.sqrt(network.p)[None, :] * network.beta.T
     eps = network.p[:, None] * network.beta ** 2 * quad.transpose(2, 1, 0)
-    return EstimatorContext(psi=psi, rhs=rhs[:, network.pilot_index].reshape(tau_p, -1),
+    return EstimatorContext(whiten=whiten, rhs=rhs[:, network.pilot_index].reshape(tau_p, -1),
                             scale=scale, eps=eps, err_var=network.beta - eps)
 
 
 def estimate_all(ctx: EstimatorContext, y: np.ndarray) -> np.ndarray:
     """Estimates h_hat (..., T, K, L) for every (symbol, UE, AP) of the
     context's T symbols from stacked pilot observations (..., L, tau_p); each
-    is reused on every subcarrier of the coherence block.  Leading axes stack
-    the observations of several trials, each estimated bit for bit as alone.
-    The result is a view of the (..., L, K, T) product."""
+    is reused on every subcarrier of the coherence block.  Psi_l^{-1} y_l is
+    W_l^H (W_l y_l), two small products per AP and observation.  Leading axes
+    stack the observations of several trials, each estimated bit for bit as
+    alone.  The result is a view of the (..., L, K, T) product."""
     L, K = ctx.scale.shape
-    z = np.linalg.solve(ctx.psi, y[..., None])[..., 0]  # (..., L, tau_p): Psi_l^{-1} y_l
+    w = ctx.whiten
+    z = (np.conj(w).swapaxes(-1, -2) @ (w @ y[..., None]))[..., 0]  # (..., L, tau_p)
     h_hat = (z @ np.conj(ctx.rhs)).reshape(z.shape[:-1] + (K, -1)) * ctx.scale[:, :, None]
     return np.swapaxes(h_hat, -1, -3)

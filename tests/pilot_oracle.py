@@ -2,7 +2,9 @@
 
 ``decomposed_pilot_observations`` keeps, per (UE, AP, pilot slot), the
 effective-channel (J_0) term and the ICI term separately, and the noise, with
-y = sum_k (effective + ici) + noise.  Its noise is ``receiver_noise``, drawn
+y = sum_k (effective + ici) + noise, from ``received_terms``, the exact
+decomposition of the received samples at any subcarriers of any symbol.  Its
+noise is ``receiver_noise``, drawn
 from the generator exactly as ``cfofdm.harness.observe`` draws a trial's
 noise after its grids, so both give the same noise from equal generator
 states.  ``synth_one`` runs the noise-free synthesis,
@@ -53,47 +55,55 @@ class PilotObservation:
     noise: np.ndarray      # (L, tau_p)
 
 
+def received_terms(h, x, trace, network, layout, symbol, subs):
+    """UE k's received samples at AP l on the subcarriers ``subs`` of OFDM
+    symbol ``symbol`` (1-based within the block), exactly decomposed: the J_0
+    (effective channel) term and the remaining ICI term, each (K, L,
+    len(subs)) and scaled by sqrt(p_k).  ``x`` (K, N) is every UE's
+    frequency-domain transmit sample on every subcarrier of that symbol and
+    ``h`` (K, L, R) the per-block channels.
+
+    The received sample on subcarrier n is (J_{k,l} conv (h_{k,l} .* x_k))[n],
+    the circular convolution with the symbol's drift spectrum J_{k,l}.
+    """
+    n = layout.n_subcarriers
+    sqrt_p = np.sqrt(network.p)
+    h_full = expand_blocks(h, layout)  # (K, L, N)
+    j0 = cpe_per_symbol(trace)[symbol - 1]  # (K, L)
+    effective = (sqrt_p[:, None, None] * x[:, subs][:, None, :] * j0[:, :, None]
+                 * h_full[:, :, subs])
+    # fft(J_{k,l}) equals the time-domain phasor exp(j*theta) reversed mod N,
+    # so the circular convolution never needs an explicit J vector.
+    rev = (-np.arange(n)) % n
+    e_ue = np.exp(1j * trace.ue_phase[:, symbol - 1, :][:, rev])  # (K, N)
+    e_ap = np.exp(1j * trace.ap_phase[:, symbol - 1, :][:, rev])  # (L, N)
+    phases = np.exp(2j * np.pi * np.outer(subs, np.arange(n)) / n)
+    fx = np.fft.fft(x[:, None, :] * h_full, axis=-1)
+    fx *= e_ue[:, None, :]
+    conv_at = np.einsum("klm,lm,sm->kls", fx, e_ap, phases, optimize=True) / n
+    return effective, sqrt_p[:, None, None] * conv_at - effective
+
+
 def decomposed_pilot_observations(h, grids, trace, network, layout, rng) -> PilotObservation:
     """Received pilot observations with exact phase-noise ICI, decomposed.
 
     For every pilot slot (n, tau) of the first coherence block and AP l the
     received sample is sum_k sqrt(p_k) * (J_{k,l} conv (h_{k,l} .* s_k))[n] +
     noise, split into the J_0 (effective channel) part and the remaining ICI
-    part.
+    part (``received_terms`` of each pilot symbol).
     """
     K, L, _ = h.shape
-    n = layout.n_subcarriers
     tau_p = layout.tau_p
-    sqrt_p = np.sqrt(network.p)
-    h_full = expand_blocks(h, layout)  # (K, L, N)
-    cpe = cpe_per_symbol(trace).transpose(1, 2, 0)  # (K, L, tau_c)
-
     slots = layout.pilot_slots
     slot_sub = np.array([nu for nu, _ in slots])
     slot_sym = np.array([t for _, t in slots])  # 1-based
 
     effective = np.zeros((K, L, tau_p), dtype=complex)
     ici = np.zeros((K, L, tau_p), dtype=complex)
-
-    # fft(J_{k,l}) equals the time-domain phasor exp(j*theta) reversed mod N,
-    # so the circular convolution never needs an explicit J vector.
-    rev = (-np.arange(n)) % n
     for si, t_sym in enumerate(layout.pilot_symbols):
         in_slot = np.flatnonzero(slot_sym == t_sym)
-        subs = slot_sub[in_slot]
-        j0 = cpe[:, :, t_sym - 1]  # (K, L)
-        s_at = grids[:, si, :][:, subs]  # (K, n_slots)
-        h_at = h_full[:, :, subs]        # (K, L, n_slots)
-        effective[:, :, in_slot] = (
-            sqrt_p[:, None, None] * s_at[:, None, :] * j0[:, :, None] * h_at
-        )
-        e_ue = np.exp(1j * trace.ue_phase[:, t_sym - 1, :][:, rev])  # (K, N)
-        e_ap = np.exp(1j * trace.ap_phase[:, t_sym - 1, :][:, rev])  # (L, N)
-        phases = np.exp(2j * np.pi * np.outer(subs, np.arange(n)) / n)
-        fx = np.fft.fft(grids[:, si, None, :] * h_full, axis=-1)
-        fx *= e_ue[:, None, :]
-        conv_at = np.einsum("klm,lm,sm->kls", fx, e_ap, phases, optimize=True) / n
-        ici[:, :, in_slot] = sqrt_p[:, None, None] * conv_at - effective[:, :, in_slot]
+        effective[:, :, in_slot], ici[:, :, in_slot] = received_terms(
+            h, grids[:, si, :], trace, network, layout, t_sym, slot_sub[in_slot])
 
     noise = receiver_noise(network, (L, tau_p), rng)
     y = (effective + ici).sum(axis=0) + noise

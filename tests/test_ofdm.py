@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 
 from cfofdm import ofdm
-from cfofdm.network import NetworkRealization, SimulationLayout, gen_fir_taps
+from cfofdm.config import ci_config
+from cfofdm.harness import build_geometry, build_setup
+from cfofdm.network import NetworkRealization, SimulationLayout, gen_channel, gen_fir_taps
 from cfofdm.ofdm import build_transmit_grids, synth_pilot_observations, time_domain_oracle
 from cfofdm.phase_noise import KernelParams, PhaseNoiseTrace, PnParams, correlation_b_fast, cpe_per_symbol, gen_pn_trace, phase_drift
+from cfofdm.se import lambda_ici
 
-from pilot_oracle import decomposed_pilot_observations, expand_blocks, synth_one
+from pilot_oracle import decomposed_pilot_observations, expand_blocks, received_terms, synth_one
 
 
 def make_network(layout, beta, pilot_index, p=0.1, sigma2=1e-13):
@@ -204,6 +207,33 @@ class TestSynthObservations:
         expect = 0.2 * 0.8 * (1 - correlation_b_fast(0, 0, 0, params).real)
         se = power.std(ddof=1) / np.sqrt(power.size)
         assert abs(power.mean() - expect) <= 3 * se
+
+    def test_data_subcarrier_ici_matches_lambda_per_ap(self):
+        """At a data subcarrier of coherence block 0, the per-AP ICI zeta_l =
+        sum_k sqrt(p_k) (rx_kl[n] - J_kl(0) h_kl[n] x_k[n]) has E|zeta_l|^2 =
+        lambda_l of ``lambda_ici`` within 3 SE at every AP of a ci
+        geometry with phase noise.  Subcarrier 6 of symbol 5, the block's
+        data symbol, with CN(0, 1) data on every subcarrier; 2000 trials.
+        The trial count, the seed and the every-AP criterion are fixed: a
+        failure is a finding about the model, not a reason to re-seed."""
+        cfg = ci_config()
+        setup = build_setup(cfg)
+        network = build_geometry(cfg, setup, 0).network
+        layout = setup.layout
+        K, L, n = layout.n_ues, layout.n_aps, layout.n_subcarriers
+        symbol, sub, n_trials = 5, 6, 2000
+        assert symbol not in layout.pilot_symbols and sub < layout.block_subcarriers
+        rng = np.random.default_rng(31)
+        power = np.empty((n_trials, L))
+        for i in range(n_trials):
+            h = gen_channel(network.beta, layout, rng)
+            trace = gen_pn_trace(setup.pn, layout, rng)
+            x = (rng.standard_normal((K, n)) + 1j * rng.standard_normal((K, n))) / np.sqrt(2.0)
+            _, ici = received_terms(h, x, trace, network, layout, symbol, np.array([sub]))
+            power[i] = np.abs(ici[:, :, 0].sum(axis=0)) ** 2
+        lam = lambda_ici(network, setup.table)
+        se_l = power.std(axis=0, ddof=1) / np.sqrt(n_trials)
+        assert np.all(np.abs(power.mean(axis=0) - lam) <= 3 * se_l)
 
     @pytest.mark.parametrize("case", ["pn", "no_pn", "ap_only_pn", "ue_only_pn", "shared_data",
                                       "two_pilot_columns", "partial_block",
