@@ -29,35 +29,57 @@ def build_ici_base(
     sequence t sent on the other pilot subcarrier j; the data term weights
     every data subcarrier's offset by 1 (``as_printed``), or keeps only
     equal-index data pairs through a lag weight (``independent_data``).
+
+    A slot's weights depend on its symbol only through the lag to the other
+    slot's symbol and, for the pilot term, through the book: slot (s, p), in
+    pilot symbol s on pilot subcarrier p, weights the comb of every pilot
+    subcarrier q, seen from p, by s_t[q] of symbol s.  So the pilot term of
+    slots (s, p) and (u, m) is sum_{q,r} s_t[q] s_t[r]^* G[p, q, m, r], where G
+    is the Gram of the distinct comb rows under the lag spectrum of s - u: one
+    matrix product per lag, in place of a pair sum per sequence and slot pair.
     """
     if mode not in ICI_MODES:
         raise ValueError("unknown ICI mode: %r" % (mode,))
     params, n, tau_p = table.params, layout.n_subcarriers, layout.tau_p
-    subs, syms = layout.pilot_slot_positions
-    # y[t, i, d]: sample of pilot t on the subcarrier seen[i, d] = (n_i - d) % N of
-    # slot i's symbol, zeroed at d = 0, the slot's own subcarrier
-    seen = (subs[:, None] - np.arange(n)) % n
-    slot_si = np.arange(tau_p) // len(layout.pilot_subcarriers)  # slots are symbol-major
-    y = np.take(layout.pilot_grid.reshape(tau_p, -1), slot_si[:, None] * n + seen, axis=1)
-    y[:, :, 0] = 0.0
+    subs, syms = np.array(layout.pilot_subcarriers), np.array(layout.pilot_symbols)
+    n_p = subs.size
     lags, lag_of = np.unique(syms[:, None] - syms[None, :], return_inverse=True)
-    lag_of = lag_of.reshape(tau_p, tau_p)
-    w = lag_spectra(params, lags)[lag_of]  # (tau_p, tau_p, 2N), per slot pair
-    a = offset_spectra(y)
-    pilot_terms = np.einsum("tif,ijf,tjf->tij", a, w, np.conj(a))
+    lag_of = lag_of.reshape(syms.size, syms.size)
 
-    data_ind = (layout.pilot_grid[0, 0] == 0).astype(float)
+    def slot_grams(rows, w):
+        """sum_f A_x W A_y^* over the offset spectra A of the weight rows, for
+        every pilot symbol pair (s, u) at its lag: (|T_p|, |T_p|, rows, rows)."""
+        a = offset_spectra(rows)
+        return ((a * w[:, None, :]) @ np.conj(a).T)[lag_of]
+
+    # comb[p, q, d]: whether the subcarrier (subs[p] - d) % N, offset d from
+    # pilot subcarrier p, carries pilot subcarrier q; zeroed at d = 0, the
+    # slot's own subcarrier.  Rows repeat (with whole blocks a row depends only
+    # on subs[p] - subs[q] mod N_c), so each distinct row is transformed once
+    on_comb = np.arange(n) % layout.block_subcarriers == subs[:, None]  # (P, N)
+    seen = (subs[:, None] - np.arange(n)) % n  # (P, N)
+    comb = on_comb[:, seen].swapaxes(0, 1).reshape(n_p * n_p, n)
+    comb[:: n_p + 1, 0] = False
+    distinct = {}
+    first_of = [distinct.setdefault(row.tobytes(), i) for i, row in enumerate(comb)]
+    first, row_of = np.unique(first_of, return_inverse=True)
+    row_of = row_of.reshape(n_p, n_p)
+    w = lag_spectra(params, lags)
+    g = slot_grams(comb[first].astype(float), w)[:, :, row_of[:, :, None, None], row_of]
+    book = layout.pilot_book.T.reshape(tau_p, syms.size, n_p)  # [t, s, q], slots symbol-major
+    pilot_terms = np.einsum("tsq,supqmr,tur->tspum", book, g, np.conj(book))
+
+    data_ind = layout.pilot_grid[0, 0] == 0  # no pilot sample on a data subcarrier
     if mode == "as_printed":
-        y_data = data_ind[seen]
+        y_data = data_ind[seen].astype(float)
     else:
         # sum_{j in D} B_{n1-j,n2-j} = unit weights on n1 and n2 at the lag weight
         # G(d) = sum_{j in D} exp(2j pi j d / N)
-        y_data = np.zeros((tau_p, n))
-        y_data[np.arange(tau_p), subs % n] = 1.0
-        w = lag_spectra(params, lags, n * np.fft.ifft(data_ind))[lag_of]
-    a = offset_spectra(y_data)
-    data_term = np.einsum("if,ijf,jf->ij", a, w, np.conj(a))
-    return pilot_terms, data_term
+        y_data = np.zeros((n_p, n))
+        y_data[np.arange(n_p), subs] = 1.0
+        w = lag_spectra(params, lags, n * np.fft.ifft(data_ind))
+    data_term = slot_grams(y_data, w).swapaxes(1, 2)  # [s, p, u, m]
+    return pilot_terms.reshape((tau_p,) * 3), data_term.reshape(tau_p, tau_p)
 
 
 def assumed_kernel(kind: str, table: KernelGrid) -> KernelGrid:
@@ -136,7 +158,7 @@ def build_psi(network: NetworkRealization,
     """
     pb = network.p[:, None] * network.beta  # (K, L)
     psi = np.zeros((pb.shape[1],) + model.data_cov.shape, dtype=complex)
-    for t in np.unique(network.pilot_index):
+    for t in np.flatnonzero(np.bincount(network.pilot_index)):  # sequences in use
         coeff = pb[network.pilot_index == t].sum(axis=0)  # (L,)
         psi += coeff[:, None, None] * model.pilot_cov[int(t)][None, :, :]
     psi += pb.sum(axis=0)[:, None, None] * model.data_cov[None, :, :]

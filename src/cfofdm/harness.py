@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
@@ -349,15 +349,16 @@ def run_geometry(
     geometry_index: int,
     threads: int = 1,
     draws: Optional[TrialDraws] = None,
+    pool: Optional[Executor] = None,
 ) -> GeometryResult:
     """All Monte Carlo trials for one network geometry.
 
-    The trials go in stacks of ``trial_stack_size``, the last one maybe
-    partial.  Trial t lands in batch t % n_batches, merged in trial order; the
-    batches are merged in order.  Stacks run in the calling thread at
-    ``threads`` = 1, else on a pool of ``threads`` workers that maps them
-    all.  ``draws``, if given, is the run's ``TrialDraws``, whose row
-    ``geometry_index`` goes to ``observe``.
+    The trials go in stacks of ``trial_stack_size`` for ``threads`` workers,
+    the last one maybe partial.  Trial t lands in batch t % n_batches, merged
+    in trial order; the batches are merged in order.  ``pool``, if given (the
+    run's pool of ``threads`` workers), maps the stacks; else they run in the
+    calling thread.  ``draws``, if given, is the run's ``TrialDraws``, whose
+    row ``geometry_index`` goes to ``observe``.
     """
     layout = setup.layout
     geom = build_geometry(cfg, setup, geometry_index)
@@ -374,11 +375,10 @@ def run_geometry(
         return run_trial(cfg, setup, geom, trial_rngs(cfg.master_seed, geometry_index, trials),
                          None if record is None else record.rows(slice(t0, t0 + stack)))
 
-    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
-        starts = range(0, cfg.n_trials, stack)
-        for t0, acc in zip(starts, (map if pool is None else pool.map)(one, starts)):
-            for b in range(len(acc.gain)):
-                batches[(t0 + b) % n_batches].merge(acc, b)
+    starts = range(0, cfg.n_trials, stack)
+    for t0, acc in zip(starts, (map if pool is None else pool.map)(one, starts)):
+        for b in range(len(acc.gain)):
+            batches[(t0 + b) % n_batches].merge(acc, b)
 
     total = se.SinrAccumulator(shape)
     for b in batches:
@@ -430,14 +430,15 @@ def run_experiment(
         print(effective_config_text(cfg), file=sys.stderr, end="")
     setup = build_setup(cfg)
     geoms: List[GeometryResult] = []
-    for g in range(cfg.n_geometries):
-        geoms.append(run_geometry(cfg, setup, g, threads=threads, draws=draws))
-        if progress:
-            print(
-                "geometry %d/%d done (%.1f s elapsed)"
-                % (g + 1, cfg.n_geometries, time.perf_counter() - t0),
-                file=sys.stderr,
-            )
+    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+        for g in range(cfg.n_geometries):
+            geoms.append(run_geometry(cfg, setup, g, threads=threads, draws=draws, pool=pool))
+            if progress:
+                print(
+                    "geometry %d/%d done (%.1f s elapsed)"
+                    % (g + 1, cfg.n_geometries, time.perf_counter() - t0),
+                    file=sys.stderr,
+                )
 
     n_invalid = sum(g.n_invalid for g in geoms)
     n_records = sum(g.n_records for g in geoms)

@@ -261,7 +261,7 @@ def form_dcc(beta: np.ndarray, pilot_index: np.ndarray, tau_p: int) -> np.ndarra
     (AP, pilot) and at least one serving AP per UE.
     """
     K, L = beta.shape
-    used = np.unique(pilot_index)
+    used = np.flatnonzero(np.bincount(pilot_index))
     serve = np.zeros((L, tau_p), dtype=int)  # serve[l, t]: the UE AP l serves on pilot t
     for t in used:
         users = np.flatnonzero(pilot_index == t)

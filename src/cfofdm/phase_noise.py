@@ -259,7 +259,7 @@ class KernelGrid:
 
 def build_correlation_table(params: KernelParams, lags: Iterable[int]) -> KernelGrid:
     """Evaluate the CPE kernel B_{0,0} at every lag of ``lags``."""
-    lags = np.unique(np.fromiter(lags, dtype=int))
+    lags = np.array(sorted(set(lags)), dtype=int)
     a0 = offset_spectra(np.eye(1, params.n)[0])
     values = (np.abs(a0) ** 2 * lag_spectra(params, lags)).sum(axis=1).real
     return KernelGrid(params, lags, values)

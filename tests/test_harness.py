@@ -212,6 +212,23 @@ class TestRunExperiment:
         b = records_to_csv(run_experiment(cfg, threads=2))
         assert a == b
 
+    def test_one_pool_per_run(self, monkeypatch):
+        """Every geometry of a run maps its stacks on the one pool the run
+        opens, with the records of a run on one thread."""
+        from cfofdm import harness
+
+        opened, real_pool = [], harness.ThreadPoolExecutor
+
+        def counting_pool(workers):
+            opened.append(workers)
+            return real_pool(workers)
+
+        cfg = small_cfg(n_geometries=3)
+        sequential = records_to_csv(run_experiment(cfg))
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", counting_pool)
+        assert records_to_csv(run_experiment(cfg, threads=2)) == sequential
+        assert opened == [2]
+
     def test_threads_below_one_rejected(self):
         for threads in (0, -3):
             with pytest.raises(ValueError, match="threads"):
@@ -641,6 +658,32 @@ class TestImport:
                 "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']")
         subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                        check=True, timeout=120)
+
+    def test_run_loads_no_numpy_ma(self, tmp_path):
+        """A run imports no numpy.ma that ``import cfofdm.cli`` had not loaded:
+        on numpy 2.4 a plain ``np.unique(x)`` imports it (5 ms and about 1 MB
+        per run).  Comparing before and after the run keeps the test valid on a
+        numpy that loads numpy.ma eagerly."""
+        import cfofdm
+
+        cfg_path = tmp_path / "ci.cfg"
+        cfg_path.write_text(
+            "n_subcarriers = 120\nblock_symbols = 5\npilot_symbols = 1:4\n"
+            "n_aps = 30\nn_ues = 5\nshadow_sigma_db = 0\n"
+            "estimators = unaware, pna_sc, pna_ofdm\nschemes = mr, lp_mmse, p_mmse, mmse\n"
+            "n_geometries = 1\nn_trials = 2\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cfofdm.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = ("import sys, cfofdm.cli; before = 'numpy.ma' in sys.modules; "
+                "rc = cfofdm.cli.main(['run', sys.argv[1], '--out', sys.argv[2]]); "
+                "print(rc, before, 'numpy.ma' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code, str(cfg_path), str(tmp_path / "o.csv")],
+                              env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                              text=True, timeout=120)
+        rc, before, after = proc.stdout.split()
+        assert rc == "0", proc.stderr
+        assert after == before, "the run imported numpy.ma"
 
 
 class TestValidateSuite:
