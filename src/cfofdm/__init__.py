@@ -15,17 +15,14 @@ from .network import (
     large_scale_fading,
     place_nodes,
 )
-from .ofdm import synth_pilot_observations, time_domain_oracle
+from .ofdm import synth_pilot_observations
 from .phase_noise import (
     KernelGrid,
     KernelParams,
     PhaseNoiseTrace,
     PnParams,
     build_correlation_table,
-    correlation_b_fast,
-    correlation_b_oracle,
     gen_pn_trace,
-    phase_drift,
     pn_increment_variance,
 )
 from .se import SinrAccumulator, finalize_sinr, lambda_ici, se_from_sinr

@@ -64,9 +64,10 @@ def build_parser() -> argparse.ArgumentParser:
         _add_run_options(p_fig)
 
     p_val = sub.add_parser("validate", help="run the model validation suite")
-    # the domain check's channel has 5 taps, so a smaller transform truncates it;
-    # 256 is the largest size the acceptance suite runs, and the kernel oracle
-    # check grows as N^2 per call
+    # 5 is the smallest transform at which the domain check's layout (N_c = 2)
+    # holds two whole coherence blocks and a partial one, so that the low end
+    # checks both kinds of the synthesis' block sums; 256 is the largest size
+    # the acceptance suite runs, and the kernel oracle check grows as N^2 per call
     p_val.add_argument("--n", type=_int_at_least(5, 256), default=64,
                        help="transform size for checks (5 to 256)")
 

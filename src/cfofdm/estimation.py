@@ -127,8 +127,9 @@ def build_models(
 
     [pilot_cov[t]]_{i1,i2} = s_t[i1] s_t[i2]^* k(sym_{i1} - sym_{i2}) under the
     kind's CPE kernel k.  Only the phase-noise-aware OFDM estimator adds the
-    ICI covariance of ``build_ici_base``; the single-carrier and unaware
-    baselines assume none.
+    ICI covariance of ``build_ici_base``, and only with phase noise: its exact
+    value is zero at sigma^2 = 0.  The single-carrier and unaware baselines
+    assume none.
     """
     _, syms = layout.pilot_slot_positions
     tau_p, book = layout.tau_p, layout.pilot_book
@@ -139,7 +140,7 @@ def build_models(
         kernel = assumed_kernel(kind, table)
         pilot_cov = outer * kernel.cpe(syms[:, None] - syms[None, :])
         data_cov = np.zeros((tau_p, tau_p), dtype=complex)
-        if kind == "pna_ofdm":
+        if kind == "pna_ofdm" and table.params.sigma2_tot > 0.0:
             pilot_ici, data_cov = build_ici_base(layout, table, mode=ici_mode)
             pilot_cov = pilot_cov + pilot_ici
         b = kernel.cpe(np.arange(1, n_sym + 1)[:, None] - syms[None, :])  # (T, tau_p)

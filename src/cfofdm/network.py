@@ -289,19 +289,6 @@ def gen_channel(beta: np.ndarray, layout: SimulationLayout,
     return z * np.sqrt(beta[:, :, None] / 2.0)
 
 
-def gen_fir_taps(beta: np.ndarray, rng: np.random.Generator, n_taps: int = 8) -> np.ndarray:
-    """Random FIR channel taps with an exponential power-delay profile.
-
-    Tap powers decay as exp(-q / (n_taps / 4)) and are normalized so the total
-    power per link equals beta.  Only the time-domain oracle consumes these.
-    """
-    K, L = beta.shape
-    pdp = np.exp(-np.arange(n_taps) / (n_taps / 4.0))
-    pdp = pdp / pdp.sum()
-    z = rng.standard_normal((K, L, n_taps)) + 1j * rng.standard_normal((K, L, n_taps))
-    return z * np.sqrt(beta[:, :, None] * pdp[None, None, :] / 2.0)
-
-
 def noise_power_w(bandwidth_hz: float, noise_figure_db: float = 7.0) -> float:
     """Thermal noise power in watts: -174 dBm/Hz + 10*log10(W) + noise figure."""
     dbm = -174.0 + 10.0 * np.log10(bandwidth_hz) + noise_figure_db

@@ -1,9 +1,9 @@
-"""Frequency-domain transmit grids, pilot observation synthesis with exact
-inter-carrier interference, and the time-domain validation oracle."""
+"""Frequency-domain transmit grids and pilot observation synthesis with exact
+inter-carrier interference."""
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import itertools
 
@@ -193,43 +193,3 @@ def synth_pilot_observations(
         y[...] = terms.sum(axis=1)
     return y, cpe
 
-
-def time_domain_oracle(
-    fir_taps: np.ndarray,
-    grids: np.ndarray,
-    trace: PhaseNoiseTrace,
-    network: NetworkRealization,
-    layout: SimulationLayout,
-    symbol: int,
-    noise_time: Optional[np.ndarray] = None,
-):
-    """Time-domain received symbol per AP and its frequency transform.
-
-    Implements y_check = sum_k sqrt(p_k) diag(exp(j*theta)) (h_check circconv
-    s_check) + noise, with s_check the unitary IDFT of the grid symbol.  The
-    returned transform fft(y_check)/sqrt(N) equals the frequency-domain model
-    sum_j s_j h_j J_{n-j} + noise_freq sample for sample.
-
-    Parameters
-    ----------
-    fir_taps : (K, L, Q) time-domain channel taps.
-    grids : (K, n_symbols, N) transmit grids; ``symbol`` is the 1-based OFDM
-        symbol index selecting both the grid column and the trace symbol.
-    noise_time : optional (L, N) time-domain noise; defaults to zeros, a
-        noise-free observation.
-    """
-    K, L, Q = fir_taps.shape
-    n = layout.n_subcarriers
-    s_idx = symbol - 1
-    if noise_time is None:
-        noise_time = np.zeros((L, n), dtype=complex)
-    y_time = np.array(noise_time, dtype=complex)
-    for l in range(L):
-        for k in range(K):
-            s_check = np.sqrt(n) * np.fft.ifft(grids[k, s_idx])
-            conv = np.zeros(n, dtype=complex)
-            for q in range(Q):
-                conv += fir_taps[k, l, q] * np.roll(s_check, q)
-            theta = trace.combined(k, l)[s_idx]
-            y_time[l] += np.sqrt(network.p[k]) * np.exp(1j * theta) * conv
-    return y_time, np.fft.fft(y_time, axis=-1) / np.sqrt(n)

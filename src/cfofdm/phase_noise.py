@@ -1,5 +1,5 @@
-"""Wiener oscillator phase noise: time-domain traces, frequency-domain phase-drift
-spectra, and the second-order drift correlation kernel."""
+"""Wiener oscillator phase noise: time-domain traces, their common phase errors,
+and the evaluator of the second-order drift correlation kernel."""
 
 from __future__ import annotations
 
@@ -59,10 +59,6 @@ class PhaseNoiseTrace:
 
     ap_phase: np.ndarray  # (L, tau_c, N) radians
     ue_phase: np.ndarray  # (K, tau_c, N) radians
-
-    def combined(self, k: int, l: int) -> np.ndarray:
-        """theta_{k,l}: (tau_c, N) phase of the k -> l uplink."""
-        return self.ue_phase[k] + self.ap_phase[l]
 
 
 # Increments drawn per call where they are discarded, 64 KB of float64.
@@ -124,22 +120,6 @@ def gen_pn_trace(params: PnParams, layout: SimulationLayout, rng: np.random.Gene
     return PhaseNoiseTrace(ap_phase=ap, ue_phase=ue)
 
 
-def phase_drift(theta_symbol: np.ndarray) -> np.ndarray:
-    """Frequency-domain phase-drift vector of one OFDM symbol.
-
-    J_i = (1/N) * sum_n exp(j*theta_n) * exp(-2j*pi*n*i/N).  The result is in
-    natural DFT layout: entry ``J[i % N]`` is the coefficient for offset i, for
-    any i in {-N/2, ..., N/2 - 1} (the definition is N-periodic in i).  J[0] is
-    the common phase error.  The drift of a unit-modulus sequence satisfies
-    sum_i |J_i|^2 = 1.
-    """
-    theta_symbol = np.asarray(theta_symbol)
-    n = theta_symbol.shape[-1]
-    if theta_symbol.ndim < 1 or n < 1:
-        raise ValueError("theta_symbol must hold at least one sample")
-    return np.fft.fft(np.exp(1j * theta_symbol), axis=-1) / n
-
-
 def phasor(theta: np.ndarray) -> np.ndarray:
     """exp(j*theta) for real theta, written as cos + j*sin into one complex array
     (bitwise equal to ``np.exp(1j * theta)`` and faster)."""
@@ -169,16 +149,6 @@ class KernelParams:
     n: int
     sigma2_tot: float
     stride: int
-
-
-def correlation_b_oracle(i1: int, i2: int, dtau: int, params: KernelParams) -> complex:
-    """Literal O(N^2) double sum for B_{i1,i2}^{(dtau)} = E{J_i1^(t1) J_i2^(t2)*}."""
-    n = params.n
-    n1 = np.arange(n)[:, None]
-    n2 = np.arange(n)[None, :]
-    damp = np.exp(-params.sigma2_tot / 2.0 * np.abs(dtau * params.stride + n1 - n2))
-    phase = np.exp(-2j * np.pi * (n1 * i1 - n2 * i2) / n)
-    return complex((damp * phase).sum() / n**2)
 
 
 # The kernel pair-sum evaluator.  A weighted double sum of the kernel over
@@ -222,15 +192,6 @@ def lag_spectra(params: KernelParams, lags, lag_weight=None) -> np.ndarray:
     return np.fft.ifft(w, axis=-1) / n**2
 
 
-def correlation_b_fast(i1: int, i2: int, dtau: int, params: KernelParams) -> complex:
-    """Kernel B_{i1,i2}^{(dtau)}: the scalar view of the pair-sum evaluator,
-    with unit weight on one offset per side."""
-    y = np.zeros((2, params.n))
-    y[0, i1 % params.n] = y[1, i2 % params.n] = 1.0
-    a1, a2 = offset_spectra(y)
-    return complex(np.sum(a1 * lag_spectra(params, [dtau])[0] * np.conj(a2)))
-
-
 @dataclass
 class KernelGrid:
     """CPE kernel values B_{0,0}^{(dtau)} at every symbol lag in ``lags``.
@@ -258,8 +219,12 @@ class KernelGrid:
 
 
 def build_correlation_table(params: KernelParams, lags: Iterable[int]) -> KernelGrid:
-    """Evaluate the CPE kernel B_{0,0} at every lag of ``lags``."""
+    """Evaluate the CPE kernel B_{0,0} at every lag of ``lags``: exactly 1
+    without phase noise (sigma^2 = 0), where the evaluator's FFTs would leave
+    round-off of either sign."""
     lags = np.array(sorted(set(lags)), dtype=int)
+    if params.sigma2_tot == 0.0:
+        return KernelGrid(params, lags, np.ones(lags.size))
     a0 = offset_spectra(np.eye(1, params.n)[0])
     values = (np.abs(a0) ** 2 * lag_spectra(params, lags)).sum(axis=1).real
     return KernelGrid(params, lags, values)

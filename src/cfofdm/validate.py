@@ -1,10 +1,13 @@
-"""Model self-checks: kernel identities, model equivalences, the no-phase-noise
-reduction and the moments of the LMMSE estimate.
+"""Model self-checks: kernel identities, the time-domain model against the
+pilot synthesis, the no-phase-noise reduction and the moments of the LMMSE
+estimate.
 
 Each check is one function of its input size (and seed, or the configuration
 of the world it runs in) returning a ``Check``. ``run_validation`` runs them at
 desk size for ``sim validate``; the acceptance suite runs the same functions at
-larger sizes.
+larger sizes.  The literal references that only these checks run live here
+too: the double-sum kernel, the drift spectrum of one symbol and the
+time-domain received symbol.
 """
 
 from __future__ import annotations
@@ -17,13 +20,14 @@ import numpy as np
 from . import estimation, ofdm
 from .config import ExperimentConfig, ci_config
 from .harness import build_geometry, build_setup, observe, trial_rngs, trial_stack_size
-from .network import gen_fir_taps, generate_network
+from .network import NetworkRealization, gen_channel, generate_network
 from .phase_noise import (
     KernelParams,
-    correlation_b_fast,
-    correlation_b_oracle,
+    PhaseNoiseTrace,
+    build_correlation_table,
     gen_pn_trace,
-    phase_drift,
+    lag_spectra,
+    offset_spectra,
     wiener_walks,
 )
 
@@ -38,20 +42,85 @@ class Check(NamedTuple):
     detail: str
 
 
+def phase_drift(theta_symbol: np.ndarray) -> np.ndarray:
+    """Frequency-domain phase-drift vector of one OFDM symbol.
+
+    J_i = (1/N) * sum_n exp(j*theta_n) * exp(-2j*pi*n*i/N).  The result is in
+    natural DFT layout: entry ``J[i % N]`` is the coefficient for offset i, for
+    any i in {-N/2, ..., N/2 - 1} (the definition is N-periodic in i).  J[0] is
+    the common phase error.  The drift of a unit-modulus sequence satisfies
+    sum_i |J_i|^2 = 1.
+    """
+    theta_symbol = np.asarray(theta_symbol)
+    n = theta_symbol.shape[-1]
+    if theta_symbol.ndim < 1 or n < 1:
+        raise ValueError("theta_symbol must hold at least one sample")
+    return np.fft.fft(np.exp(1j * theta_symbol), axis=-1) / n
+
+
+def correlation_b_oracle(i1: int, i2: int, dtau: int, params: KernelParams) -> complex:
+    """Literal O(N^2) double sum for B_{i1,i2}^{(dtau)} = E{J_i1^(t1) J_i2^(t2)*}."""
+    n = params.n
+    n1 = np.arange(n)[:, None]
+    n2 = np.arange(n)[None, :]
+    damp = np.exp(-params.sigma2_tot / 2.0 * np.abs(dtau * params.stride + n1 - n2))
+    phase = np.exp(-2j * np.pi * (n1 * i1 - n2 * i2) / n)
+    return complex((damp * phase).sum() / n**2)
+
+
+def time_domain_oracle(h_time: np.ndarray, x: np.ndarray, trace: PhaseNoiseTrace,
+                       network: NetworkRealization, symbol: int):
+    """Noise-free time-domain received symbol per AP and its unitary DFT.
+
+    Implements y_check_l = sum_k sqrt(p_k) diag(exp(j*theta_kl)) (h_check_kl
+    circconv s_check_k), with theta_kl the sum of UE k's and AP l's walks in
+    OFDM symbol ``symbol`` (1-based) and s_check the unitary IDFT of the
+    frequency symbol x.  Its transform fft(y_check)/sqrt(N) is the
+    frequency-domain model sum_k sqrt(p_k) sum_j x_k[j] H_kl[j] J_kl[nu - j],
+    with H = fft(h_check), sample for sample.
+
+    Parameters
+    ----------
+    h_time : (K, L, N) time-domain channel responses, one tap per sample lag.
+    x : (K, N) the symbol each UE transmits, on every subcarrier.
+    """
+    n = x.shape[-1]
+    t = symbol - 1
+    s_check = np.sqrt(n) * np.fft.ifft(x, axis=-1)
+    m = np.arange(n)
+    # (h circconv s)[m] = sum_q h[q] s[(m - q) mod N], tap by tap
+    conv = np.einsum("klq,kqm->klm", h_time, s_check[:, (m[None, :] - m[:, None]) % n])
+    theta = trace.ue_phase[:, None, t] + trace.ap_phase[None, :, t]  # (K, L, N)
+    y_time = np.einsum("k,klm->lm", np.sqrt(network.p), np.exp(1j * theta) * conv)
+    return y_time, np.fft.fft(y_time, axis=-1) / np.sqrt(n)
+
+
 def _std_errors(x: np.ndarray, target) -> np.ndarray:
     """|mean - target| in standard errors of the mean, over axis 0."""
     return np.abs(x.mean(axis=0) - target) / (x.std(axis=0, ddof=1) / np.sqrt(len(x)))
 
 
+def _kernel_block(params: KernelParams, offsets, lags) -> np.ndarray:
+    """B_{i1,i2}^{(dtau)} of the pair-sum evaluator for every lag and pair of
+    ``offsets``, (lags, offsets, offsets): unit weight on one offset per side,
+    one batched product per lag."""
+    a = offset_spectra(np.eye(params.n)[np.asarray(offsets) % params.n])
+    return (a * lag_spectra(params, lags)[:, None, :]) @ np.conj(a).T
+
+
 def kernel_oracle(n: int) -> Check:
-    """Fast kernel against the literal double-sum oracle, |i| <= 8, |dtau| <= 3."""
+    """Kernel pair-sum evaluator against the literal double-sum oracle, |i| <= 8,
+    |dtau| <= 3."""
     params = KernelParams(n=n, sigma2_tot=_SIGMA2, stride=n)
+    offsets, lags = range(-8, 9), range(-3, 4)
+    b = _kernel_block(params, offsets, lags)
     worst = max(
-        abs(correlation_b_fast(i1, i2, dt, params) - correlation_b_oracle(i1, i2, dt, params))
-        for i1 in range(-8, 9) for i2 in range(-8, 9) for dt in range(-3, 4)
+        abs(b[a, r, c] - correlation_b_oracle(i1, i2, dt, params))
+        for a, dt in enumerate(lags) for r, i1 in enumerate(offsets)
+        for c, i2 in enumerate(offsets)
     )
     return Check("kernel_oracle_equivalence", worst <= 1e-10,
-                 "max |fast - oracle| = %.3e at N=%d, |i|<=8, |dt|<=3 (tol 1e-10)"
+                 "max |evaluator - oracle| = %.3e at N=%d, |i|<=8, |dt|<=3 (tol 1e-10)"
                  % (worst, n))
 
 
@@ -68,12 +137,14 @@ def parseval(n: int, n_draws: int, seed: int) -> Check:
 
 
 def trace_sum(n: int) -> Check:
-    """sum_i B_ii = 1, and the ICI power sum_{i!=0} B_ii = 1 - B_00."""
+    """sum_i B_ii = 1, and the ICI power sum_{i!=0} B_ii = 1 - B_00 with B_00
+    from the CPE table."""
     params = KernelParams(n=n, sigma2_tot=_SIGMA2, stride=n)
     idx = np.arange(-n // 2, n // 2)
-    diag = np.array([correlation_b_fast(i, i, 0, params).real for i in idx])
+    diag = np.diagonal(_kernel_block(params, idx, [0])[0]).real
+    b00 = build_correlation_table(params, [0]).cpe(0)
     err_sum = abs(diag.sum() - 1.0)
-    err_split = abs(diag[idx != 0].sum() - (1.0 - diag[idx == 0][0]))
+    err_split = abs(diag[idx != 0].sum() - (1.0 - b00))
     return Check("kernel_trace_sum", err_sum <= 1e-10 and err_split <= 1e-10,
                  "|sum B_ii - 1| = %.3e, |sum_{i!=0} B_ii - (1 - B00)| = %.3e at N=%d "
                  "(tol 1e-10)" % (err_sum, err_split, n))
@@ -90,8 +161,8 @@ def mc_kernel(n: int, n_traces: int, seed: int) -> Check:
              + wiener_walks(n_traces, 4, n, _SIGMA2 / 2, cp, rng))
     j0 = np.exp(1j * theta).mean(axis=2)
     prod = j0 * np.conj(j0[:, :1])  # (n_traces, dtau)
-    params = KernelParams(n=n, sigma2_tot=_SIGMA2, stride=n + cp)
-    b = np.array([correlation_b_fast(0, 0, dt, params).real for dt in range(4)])
+    b = build_correlation_table(KernelParams(n=n, sigma2_tot=_SIGMA2, stride=n + cp),
+                                range(4)).values
     # at dtau = 0 the product is |J_0|^2, real by construction
     worst = max(_std_errors(prod.real, b).max(), _std_errors(prod.imag[:, 1:], 0.0).max())
     return Check("mc_kernel_consistency", worst <= 3.0,
@@ -100,40 +171,46 @@ def mc_kernel(n: int, n_traces: int, seed: int) -> Check:
 
 
 def domain_equivalence(n: int, n_draws: int, seed: int) -> Check:
-    """DFT of the time-domain model against the frequency-domain model, at
-    both pilot symbols."""
+    """The unitary DFT of the literal time-domain model against the synthesis,
+    ``ofdm.synth_pilot_observations``, at every pilot slot of both pilot
+    symbols.
+
+    Each link's time-domain response is the N-point inverse DFT of its
+    block-constant frequency response, one ``gen_channel`` draw per coherence
+    block.  Two pilot subcarriers per block put slots off the block's first
+    subcarrier, where the synthesis ramps the UE phasors, and N_c =
+    max(2, N // 8) leaves a partial last coherence block wherever it does not
+    divide N, as at N = 5.
+    """
     cfg = replace(
         ci_config(), n_subcarriers=n, block_subcarriers=max(2, n // 8),
-        block_symbols=3, pilot_symbols=(1, 2), pilot_subcarriers=(0,),
+        block_symbols=3, pilot_symbols=(1, 2), pilot_subcarriers=(0, 1),
         n_aps=2, n_ues=2, shadow_sigma_db=0.0,
     )
     layout = cfg.layout()
     pn = cfg.pn_params()
+    slot_sub, slot_sym = layout.pilot_slot_positions
     worst = 0.0
     for draw in range(n_draws):
         rng = np.random.default_rng(seed + draw)
         network = generate_network(layout, rng, shadow_sigma_db=0.0)
-        taps = gen_fir_taps(network.beta, rng, n_taps=5)
+        h = gen_channel(network.beta, layout, rng)
         grids = ofdm.build_transmit_grids(layout, network.pilot_index, rng)
         trace = gen_pn_trace(pn, layout, rng)
-        noise_t = np.sqrt(network.sigma2 / 2) * (
-            rng.standard_normal((layout.n_aps, n)) + 1j * rng.standard_normal((layout.n_aps, n))
-        )
-        h_freq = np.fft.fft(taps, n=n, axis=-1)  # (K, L, N)
-        for symbol in layout.pilot_symbols:
-            _, y_freq = ofdm.time_domain_oracle(taps, grids, trace, network, layout, symbol,
-                                                noise_time=noise_t)
-            y_ref = np.fft.fft(noise_t, axis=-1) / np.sqrt(n)
-            for l in range(layout.n_aps):
-                for k in range(layout.n_ues):
-                    j = phase_drift(trace.combined(k, l)[symbol - 1])
-                    x = grids[k, symbol - 1] * h_freq[k, l]
-                    y_ref[l] += np.sqrt(network.p[k]) * np.fft.ifft(np.fft.fft(j) * np.fft.fft(x))
-            worst = max(worst, np.linalg.norm(y_freq - y_ref) / np.linalg.norm(y_ref))
+        y, _ = ofdm.synth_pilot_observations(
+            h[None], grids[None], PhaseNoiseTrace(trace.ap_phase[None], trace.ue_phase[None]),
+            network, layout)
+        h_freq = np.repeat(h, layout.block_subcarriers, axis=-1)[..., :n]
+        h_time = np.fft.ifft(h_freq, axis=-1)
+        y_freq = {t: time_domain_oracle(h_time, grids[:, si], trace, network, t)[1]
+                  for si, t in enumerate(layout.pilot_symbols)}
+        y_ref = np.stack([y_freq[t][:, nu] for nu, t in zip(slot_sub, slot_sym)], axis=-1)
+        worst = max(worst, np.linalg.norm(y[0] - y_ref) / np.linalg.norm(y_ref))
     return Check("domain_equivalence", worst <= 1e-9,
-                 "max relative |DFT(time model) - freq model| = %.3e over %d draws and "
-                 "symbols %s at N=%d (tol 1e-9)"
-                 % (worst, n_draws, ", ".join(map(str, layout.pilot_symbols)), n))
+                 "max relative |DFT(time model) - synth_pilot_observations| = %.3e over %d "
+                 "draws, %d pilot slots of symbols %s, at N=%d, N_c=%d (tol 1e-9)"
+                 % (worst, n_draws, layout.tau_p, ", ".join(map(str, layout.pilot_symbols)),
+                    n, layout.block_subcarriers))
 
 
 def no_pn_reduction(cfg: ExperimentConfig) -> Check:

@@ -26,9 +26,9 @@ from cfofdm.phase_noise import (
     KernelParams,
     PnParams,
     build_correlation_table,
-    correlation_b_oracle,
     gen_pn_trace,
 )
+from cfofdm.validate import correlation_b_oracle
 
 from ici_base_oracle import ici_base_einsum
 from pilot_oracle import synth_one
@@ -290,6 +290,20 @@ class TestModels:
         assert len(calls) == 1 and pna.data_cov.any()
         tau_p = layout.tau_p
         assert [m.rhs.shape for m in (*baselines, pna)] == [(tau_p, tau_p * 3)] * 3
+
+    def test_ideal_world_builds_no_ici_base(self, monkeypatch):
+        """At sigma^2 = 0 the ICI base, exactly zero there, is not built: an
+        ideal ``build_setup`` calls no ``build_ici_base``, and its pna_ofdm
+        model is the unaware one."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("ICI base built in an ideal world")
+
+        monkeypatch.setattr(estimation, "build_ici_base", refuse)
+        cfg = replace(ci_config(), gamma_ap=0.0, gamma_ue=0.0, estimators=ESTIMATOR_KINDS)
+        pna, _, unaware = build_setup(cfg).models
+        assert not pna.data_cov.any()
+        assert np.array_equal(pna.pilot_cov, unaware.pilot_cov)
+        assert np.array_equal(pna.rhs, unaware.rhs)
 
     @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
     def test_rhs_from_book_and_kernel(self, kind):

@@ -462,7 +462,7 @@ class TestCli:
         pytest.param("run t.cfg --threads 65", 1, id="threads_above_cap"),
         pytest.param("validate --n 0", 1, id="zero_validate_n"),
         pytest.param("validate --n 1", 1, id="validate_n_1"),
-        pytest.param("validate --n 4", 1, id="validate_n_below_fir_taps"),
+        pytest.param("validate --n 4", 1, id="validate_n_below_floor"),
         pytest.param("validate --n 257", 1, id="validate_n_above_cap"),
         pytest.param("validate --n 2048", 1, id="validate_n_2048"),
         pytest.param("", 1, id="no_command"),
@@ -688,22 +688,42 @@ class TestImport:
 
 class TestValidateSuite:
     def test_detects_injected_kernel_bug(self, monkeypatch):
-        """A stride-off-by-one fast kernel must fail the oracle-equivalence check."""
+        """A stride-off-by-one lag spectrum in the evaluator the kernel checks
+        call must fail the oracle-equivalence check."""
         from cfofdm import validate as val
-        from cfofdm.phase_noise import KernelParams, correlation_b_fast
+        from cfofdm.phase_noise import KernelParams, lag_spectra
 
-        def broken_fast(i1, i2, dtau, params):
+        def broken_lag_spectra(params, lags, lag_weight=None):
             shifted = KernelParams(params.n, params.sigma2_tot, params.stride + 1)
-            return correlation_b_fast(i1, i2, dtau, shifted)
+            return lag_spectra(shifted, lags, lag_weight)
 
-        monkeypatch.setattr(val, "correlation_b_fast", broken_fast)
+        monkeypatch.setattr(val, "lag_spectra", broken_lag_spectra)
         assert not val.kernel_oracle(32).ok
 
+    def test_detects_synthesis_fault(self, monkeypatch, capsys):
+        """Pilot observations of the synthesis off by 1e-6 relative fail the
+        domain check at both of its sizes, and only it: ``sim validate`` exits 2."""
+        from cfofdm import ofdm
+
+        real = ofdm.synth_pilot_observations
+
+        def off(*args, **kwargs):
+            y, cpe = real(*args, **kwargs)
+            return y * (1.0 + 1e-6), cpe
+
+        monkeypatch.setattr(ofdm, "synth_pilot_observations", off)
+        assert cli_main(["validate", "--n", "5"]) == 2
+        failed = [line for line in capsys.readouterr().out.splitlines()
+                  if not line.startswith("PASS ")]
+        assert len(failed) == 2
+        assert all(line.startswith("FAIL domain_equivalence: ") for line in failed)
+
     def test_clean_run_passes(self):
-        from cfofdm.validate import kernel_oracle, trace_sum
+        from cfofdm.validate import domain_equivalence, kernel_oracle, trace_sum
 
         assert kernel_oracle(32).ok
         assert trace_sum(32).ok
+        assert domain_equivalence(5, 5, 0).ok  # two whole coherence blocks and a partial one
 
 
 class TestSinrSymbolDependence:

@@ -9,11 +9,13 @@ import pytest
 from cfofdm import ofdm
 from cfofdm.config import ci_config
 from cfofdm.harness import build_geometry, build_setup
-from cfofdm.network import NetworkRealization, SimulationLayout, gen_channel, gen_fir_taps
-from cfofdm.ofdm import build_transmit_grids, synth_pilot_observations, time_domain_oracle
-from cfofdm.phase_noise import KernelParams, PhaseNoiseTrace, PnParams, correlation_b_fast, cpe_per_symbol, gen_pn_trace, phase_drift
+from cfofdm.network import NetworkRealization, SimulationLayout, gen_channel
+from cfofdm.ofdm import build_transmit_grids, synth_pilot_observations
+from cfofdm.phase_noise import KernelParams, PhaseNoiseTrace, PnParams, cpe_per_symbol, gen_pn_trace
 from cfofdm.se import lambda_ici
+from cfofdm.validate import phase_drift, time_domain_oracle
 
+from kernel_scalar import correlation_b_fast
 from pilot_oracle import decomposed_pilot_observations, expand_blocks, received_terms, synth_one
 
 
@@ -140,7 +142,7 @@ class TestSynthObservations:
         for i, (nu, sym) in enumerate(layout.pilot_slots):
             si = layout.pilot_symbols.index(sym)
             for l in range(2):
-                j_vec = phase_drift(trace.combined(0, l)[sym - 1])
+                j_vec = phase_drift(trace.ue_phase[0, sym - 1] + trace.ap_phase[l, sym - 1])
                 zeta = 0.0 + 0.0j
                 for j in range(n):
                     if j == nu:
@@ -167,7 +169,7 @@ class TestSynthObservations:
         n = layout.n_subcarriers
         for i, (nu, sym) in enumerate(layout.pilot_slots):
             si = layout.pilot_symbols.index(sym)
-            j_vec = phase_drift(trace.combined(0, 0)[sym - 1])
+            j_vec = phase_drift(trace.ue_phase[0, sym - 1] + trace.ap_phase[0, sym - 1])
             expect = sum(
                 grids[0, si, j] * j_vec[(nu - j) % n] * 1.0
                 for j in pilot_cols if j != nu
@@ -448,11 +450,11 @@ class TestTimeDomainOracle:
         beta = np.ones((2, 2))
         network = make_network(layout, beta, [0, 1], p=1.0, sigma2=0.0)
         rng = np.random.default_rng(7)
-        taps = np.zeros((2, 2, 3), dtype=complex)
+        taps = np.zeros((2, 2, layout.n_subcarriers), dtype=complex)
         taps[:, :, 0] = 1.0  # identity channel
         grids = build_transmit_grids(layout, network.pilot_index, rng)
         trace = constant_trace(layout, 0.0)
-        y_time, _ = time_domain_oracle(taps, grids, trace, network, layout, symbol=1)
+        y_time, _ = time_domain_oracle(taps, grids[:, 0], trace, network, symbol=1)
         n = layout.n_subcarriers
         expect = sum(np.sqrt(n) * np.fft.ifft(grids[k, 0]) for k in range(2))
         assert np.abs(y_time - expect[None, :]).max() < 1e-12
@@ -463,16 +465,17 @@ class TestTimeDomainOracle:
         beta = np.ones((1, 1))
         network = make_network(layout, beta, [0], p=0.81, sigma2=0.0)
         rng = np.random.default_rng(9)
-        taps = gen_fir_taps(beta, rng, n_taps=3)
         n = layout.n_subcarriers
+        taps = np.zeros((1, 1, n), dtype=complex)
+        taps[..., :3] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         n0 = 5
         grids = np.zeros((1, len(layout.pilot_symbols), n), dtype=complex)
         grids[0, 0, n0] = 0.3 - 0.8j
         pn = PnParams(2e9, 4e-16, 4e-16, layout.sample_time)
         trace = gen_pn_trace(pn, layout, rng)
-        _, y_freq = time_domain_oracle(taps, grids, trace, network, layout, 1)
-        h_freq = np.fft.fft(taps[0, 0], n=n)
-        j_vec = phase_drift(trace.combined(0, 0)[0])
+        _, y_freq = time_domain_oracle(taps, grids[:, 0], trace, network, 1)
+        h_freq = np.fft.fft(taps[0, 0])
+        j_vec = phase_drift(trace.ue_phase[0, 0] + trace.ap_phase[0, 0])
         for i in (-3, -1, 0, 1, 4):
             expect = np.sqrt(0.81) * grids[0, 0, n0] * j_vec[i % n] * h_freq[n0]
             assert y_freq[0, (n0 + i) % n] == pytest.approx(expect, rel=1e-10)

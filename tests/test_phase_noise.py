@@ -8,16 +8,16 @@ from cfofdm.phase_noise import (
     KernelParams,
     PnParams,
     build_correlation_table,
-    correlation_b_fast,
-    correlation_b_oracle,
     gen_pn_trace,
     lag_spectra,
     offset_spectra,
-    phase_drift,
     phasor,
     pn_increment_variance,
     wiener_walks,
 )
+from cfofdm.validate import correlation_b_oracle, phase_drift
+
+from kernel_scalar import correlation_b_fast
 
 
 class TestIncrementVariance:
@@ -67,7 +67,7 @@ class TestTraces:
     def test_zero_variance_constant_trace(self, small_layout):
         pn = PnParams(carrier_hz=0.0, gamma_ap=0.0, gamma_ue=0.0, sample_time=1e-7)
         trace = gen_pn_trace(pn, small_layout, np.random.default_rng(0))
-        theta = trace.combined(0, 0)
+        theta = trace.ue_phase[0] + trace.ap_phase[0]
         assert np.ptp(theta) == 0.0
 
     def test_increment_variance_statistics(self):
@@ -88,14 +88,19 @@ class TestTraces:
         assert jump.var() == pytest.approx((cp + 1) * sig2, rel=3 * np.sqrt(2 / n))
 
     def test_shared_ap_component(self, small_layout):
+        """One walk per node, so the received phases theta_{k,l} = phi_k +
+        varphi_l of every UE at one AP hold the same AP walk."""
+        layout = small_layout
         pn = PnParams(carrier_hz=2e9, gamma_ap=4e-17, gamma_ue=4e-17,
-                      sample_time=small_layout.sample_time)
-        trace = gen_pn_trace(pn, small_layout, np.random.default_rng(3))
-        # theta_{k,l} - phi_k leaves the same AP walk for every UE
-        diff0 = trace.combined(0, 1) - trace.ue_phase[0]
-        diff1 = trace.combined(1, 1) - trace.ue_phase[1]
-        assert np.allclose(diff0, diff1, atol=1e-9)
-        assert np.allclose(diff0, trace.ap_phase[1], atol=1e-9)
+                      sample_time=layout.sample_time)
+        trace = gen_pn_trace(pn, layout, np.random.default_rng(3))
+        walk = (layout.block_symbols, layout.n_subcarriers)
+        assert trace.ap_phase.shape == (layout.n_aps,) + walk
+        assert trace.ue_phase.shape == (layout.n_ues,) + walk
+        theta = trace.ue_phase[:, None] + trace.ap_phase[None]  # (K, L, tau_c, N)
+        diff = theta[:, 1] - trace.ue_phase  # theta_{k,1} - phi_k
+        assert np.allclose(diff[0], diff[1], atol=1e-9)
+        assert np.allclose(diff[0], trace.ap_phase[1], atol=1e-9)
 
 
 class TestPhasor:

@@ -6,8 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cfofdm.config import ci_config
+from cfofdm.harness import build_geometry, build_setup
 from cfofdm.network import NetworkRealization, SimulationLayout
-from cfofdm.phase_noise import KernelParams, build_correlation_table, correlation_b_fast
+from cfofdm.phase_noise import KernelParams, build_correlation_table
 from cfofdm.se import (
     SinrAccumulator,
     finalize_sinr,
@@ -16,6 +18,7 @@ from cfofdm.se import (
     symbol_of_channel_use,
 )
 
+from kernel_scalar import correlation_b_fast
 from test_ofdm import make_network
 
 
@@ -46,6 +49,18 @@ class TestLambdaIci:
         net1 = make_network(small_layout, np.ones((2, 2)), [0, 1], p=0.1)
         net2 = make_network(small_layout, np.ones((2, 2)), [0, 1], p=0.2)
         assert np.allclose(2 * lambda_ici(net1, table), lambda_ici(net2, table))
+
+    @pytest.mark.parametrize("gamma_ap, gamma_ue", [
+        (0.0, 0.0), (4e-17, 0.0), (0.0, 4e-17), (4e-17, 4e-17)])
+    def test_nonnegative_and_zero_when_ideal(self, gamma_ap, gamma_ue):
+        """lambda >= 0 at every AP of a ci geometry in every world, and exactly
+        0 where both oscillator kinds are ideal: B_00 is then exactly 1, with
+        no round-off of either sign."""
+        cfg = replace(ci_config(), gamma_ap=gamma_ap, gamma_ue=gamma_ue)
+        setup = build_setup(cfg)
+        lam = build_geometry(cfg, setup, 0).lam
+        assert np.all(lam >= 0.0)
+        assert np.all(lam == 0.0) == setup.pn.ideal
 
 
 class TestAccumulator:
