@@ -4,13 +4,12 @@ two single-carrier-style baseline estimators."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .network import NetworkRealization, SimulationLayout
-from .phase_noise import (KernelGrid, KernelParams, build_correlation_table, lag_spectra,
-                          offset_spectra)
+from .phase_noise import KernelGrid, KernelParams, build_correlation_table, lag_spectra, pair_sums
 
 ESTIMATOR_KINDS = ("pna_ofdm", "pna_sc", "unaware")
 ICI_MODES = ("as_printed", "independent_data")
@@ -46,12 +45,6 @@ def build_ici_base(
     lags, lag_of = np.unique(syms[:, None] - syms[None, :], return_inverse=True)
     lag_of = lag_of.reshape(syms.size, syms.size)
 
-    def slot_grams(rows, w):
-        """sum_f A_x W A_y^* over the offset spectra A of the weight rows, for
-        every pilot symbol pair (s, u) at its lag: (|T_p|, |T_p|, rows, rows)."""
-        a = offset_spectra(rows)
-        return ((a * w[:, None, :]) @ np.conj(a).T)[lag_of]
-
     # comb[p, q, d]: whether the subcarrier (subs[p] - d) % N, offset d from
     # pilot subcarrier p, carries pilot subcarrier q; zeroed at d = 0, the
     # slot's own subcarrier.  Rows repeat (with whole blocks a row depends only
@@ -65,7 +58,8 @@ def build_ici_base(
     first, row_of = np.unique(first_of, return_inverse=True)
     row_of = row_of.reshape(n_p, n_p)
     w = lag_spectra(params, lags)
-    g = slot_grams(comb[first].astype(float), w)[:, :, row_of[:, :, None, None], row_of]
+    # the Grams of every pilot symbol pair (s, u) at its lag: [s, u, rows, rows]
+    g = pair_sums(comb[first].astype(float), w)[lag_of][:, :, row_of[:, :, None, None], row_of]
     book = layout.pilot_book.T.reshape(tau_p, syms.size, n_p)  # [t, s, q], slots symbol-major
     pilot_terms = np.einsum("tsq,supqmr,tur->tspum", book, g, np.conj(book))
 
@@ -78,7 +72,7 @@ def build_ici_base(
         y_data = np.zeros((n_p, n))
         y_data[np.arange(n_p), subs] = 1.0
         w = lag_spectra(params, lags, n * np.fft.ifft(data_ind))
-    data_term = slot_grams(y_data, w).swapaxes(1, 2)  # [s, p, u, m]
+    data_term = pair_sums(y_data, w)[lag_of].swapaxes(1, 2)  # [s, p, u, m]
     return pilot_terms.reshape((tau_p,) * 3), data_term.reshape(tau_p, tau_p)
 
 
@@ -120,10 +114,11 @@ def build_models(
     table: KernelGrid,
     kinds: Sequence[str],
     ici_mode: str = "as_printed",
-    symbols: Optional[int] = None,
 ) -> List[EstimatorModel]:
     """One estimator model per entry of ``kinds``, in that order, for the
-    first ``symbols`` symbols of the block (every symbol by default).
+    first T symbols of the block: every symbol, T = tau_c, with phase noise,
+    and T = 1 without (the table's sigma^2 = 0), where every symbol of the
+    block is the same symbol.
 
     [pilot_cov[t]]_{i1,i2} = s_t[i1] s_t[i2]^* k(sym_{i1} - sym_{i2}) under the
     kind's CPE kernel k.  Only the phase-noise-aware OFDM estimator adds the
@@ -133,14 +128,15 @@ def build_models(
     """
     _, syms = layout.pilot_slot_positions
     tau_p, book = layout.tau_p, layout.pilot_book
-    n_sym = layout.block_symbols if symbols is None else symbols
+    pn = table.params.sigma2_tot > 0.0
+    n_sym = layout.block_symbols if pn else 1
     outer = book.T[:, :, None] * np.conj(book.T)[:, None, :]  # s_t s_t^H per sequence t
     models = []
     for kind in kinds:
         kernel = assumed_kernel(kind, table)
         pilot_cov = outer * kernel.cpe(syms[:, None] - syms[None, :])
         data_cov = np.zeros((tau_p, tau_p), dtype=complex)
-        if kind == "pna_ofdm" and table.params.sigma2_tot > 0.0:
+        if kind == "pna_ofdm" and pn:
             pilot_ici, data_cov = build_ici_base(layout, table, mode=ici_mode)
             pilot_cov = pilot_cov + pilot_ici
         b = kernel.cpe(np.arange(1, n_sym + 1)[:, None] - syms[None, :])  # (T, tau_p)

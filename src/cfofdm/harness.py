@@ -102,9 +102,6 @@ class Setup:
     pn: PnParams
     table: KernelGrid
     models: List[estimation.EstimatorModel]   # one per entry of cfg.estimators
-    # T, the length of a trial's symbol axis: tau_c, or 1 where both oscillator
-    # kinds are ideal, so that every symbol of the block is the same symbol
-    symbols: int
 
 
 @dataclass
@@ -117,13 +114,12 @@ class Geometry:
 
 
 def build_setup(cfg: ExperimentConfig) -> Setup:
-    """Layout, phase-noise parameters, kernel grid, estimator models and
-    symbol count of one configuration."""
+    """Layout, phase-noise parameters, kernel grid and estimator models of
+    one configuration."""
     layout, pn = cfg.layout(), cfg.pn_params()
     table = build_kernel_table(cfg)
-    symbols = 1 if pn.ideal else layout.block_symbols
-    models = estimation.build_models(layout, table, cfg.estimators, cfg.ici_mode, symbols)
-    return Setup(layout, pn, table, models, symbols)
+    models = estimation.build_models(layout, table, cfg.estimators, cfg.ici_mode)
+    return Setup(layout, pn, table, models)
 
 
 def build_geometry(cfg: ExperimentConfig, setup: Setup, geometry_index: int) -> Geometry:
@@ -214,13 +210,12 @@ def _as_stack(first: np.ndarray, size: int) -> np.ndarray:
 
 
 def observe(setup: Setup, network: NetworkRealization, rngs: Sequence[np.random.Generator],
-            shared_data: bool = False,
             draws: Optional[TrialDraws] = None) -> Tuple[np.ndarray, np.ndarray]:
     """Draw and synthesize a stack of trials, one generator per trial.
 
     Trial b draws from ``rngs[b]`` in this order: channel, phase trace,
-    transmit grids (``ofdm.build_transmit_grids``, with ``shared_data``),
-    then the receiver noise, which is added to the noise-free synthesis of
+    transmit grids (``ofdm.build_transmit_grids``), then the receiver
+    noise, which is added to the noise-free synthesis of
     ``ofdm.synth_pilot_observations``, itself drawing nothing.  The trials
     go in pieces of ``_piece_size``, the last one maybe partial, so the
     stack holds at most one piece's traces and grids at a time.  A piece's
@@ -241,7 +236,7 @@ def observe(setup: Setup, network: NetworkRealization, rngs: Sequence[np.random.
     bit those of the drawn one, so drawing is never wrong, only slower.
     """
     B, piece = len(rngs), _piece_size(setup)
-    parts = [_observe_piece(setup, network, rngs[lo:lo + piece], shared_data,
+    parts = [_observe_piece(setup, network, rngs[lo:lo + piece],
                             None if draws is None else draws.rows(slice(lo, lo + piece)))
              for lo in range(0, B, piece)]
     if len(parts) == 1:
@@ -250,7 +245,7 @@ def observe(setup: Setup, network: NetworkRealization, rngs: Sequence[np.random.
 
 
 def _observe_piece(setup: Setup, network: NetworkRealization,
-                   rngs: Sequence[np.random.Generator], shared_data: bool,
+                   rngs: Sequence[np.random.Generator],
                    draws: Optional[TrialDraws]) -> Tuple[np.ndarray, np.ndarray]:
     """``observe`` of one synthesis piece."""
     layout, pn = setup.layout, setup.pn
@@ -271,11 +266,9 @@ def _observe_piece(setup: Setup, network: NetworkRealization,
         for b in range(B):
             gen_pn_trace(pn, layout, rngs[b],
                          PhaseNoiseTrace(trace.ap_phase[b], trace.ue_phase[b]))
-        grids = _as_stack(ofdm.build_transmit_grids(layout, network.pilot_index, rngs[0],
-                                                    shared_data), B)
+        grids = _as_stack(ofdm.build_transmit_grids(layout, network.pilot_index, rngs[0]), B)
         for b in range(1, B):
-            grids[b] = ofdm.build_transmit_grids(layout, network.pilot_index, rngs[b],
-                                                 shared_data)
+            grids[b] = ofdm.build_transmit_grids(layout, network.pilot_index, rngs[b])
         if draws is not None:
             draws.ap_phase[...] = trace.ap_phase[..., 0, 0]
             draws.ue_phase[...] = trace.ue_phase[..., 0, 0]
@@ -299,21 +292,22 @@ def run_trial(cfg: ExperimentConfig, setup: Setup, geom: Geometry,
     """A stack of Monte Carlo trials, one generator of ``rngs`` each: draw
     and synthesize (``observe``), estimate, combine, accumulate.
 
-    Returns an accumulator of shape (B, E, S, T, K), T = ``setup.symbols``,
-    whose entry b holds trial b alone (``count`` 1): entry [b, e, s] holds
-    estimator e with scheme s.  In an ideal world T is 1: the one symbol
-    stands for every symbol of the block, and broadcasts into them when
-    merged.  Every array of the trials carries the stack axis first, and
-    each trial's sums are bit for bit those of its stack of one.  Each
-    estimator makes one estimate of the stack, then each scheme one combiner
-    call and one accumulate call over its entries [:, e, s].  With both MMSE
-    variants, the second takes the rows the first solved for every group
-    whose partial set is every UE.  ``draws`` goes to ``observe``.
+    Returns an accumulator of shape (B, E, S, T, K), T the symbol count of
+    the contexts, whose entry b holds trial b alone (``count`` 1): entry
+    [b, e, s] holds estimator e with scheme s.  In an ideal world T is 1
+    (``estimation.build_models``): the one symbol stands for every symbol
+    of the block, and broadcasts into them when merged.  Every array of the
+    trials carries the stack axis first, and each trial's sums are bit for
+    bit those of its stack of one.  Each estimator makes one estimate of
+    the stack, then each scheme one combiner call and one accumulate call
+    over its entries [:, e, s].  With both MMSE variants, the second takes
+    the rows the first solved for every group whose partial set is every
+    UE.  ``draws`` goes to ``observe``.
     """
     layout, network = setup.layout, geom.network
     y, h_eff = observe(setup, network, rngs, draws=draws)
-    acc = se.SinrAccumulator((len(rngs), len(geom.contexts), len(cfg.schemes), setup.symbols,
-                              layout.n_ues))
+    T = geom.contexts[0].eps.shape[0]
+    acc = se.SinrAccumulator((len(rngs), len(geom.contexts), len(cfg.schemes), T, layout.n_ues))
     both_mmse = {"p_mmse", "mmse"} <= set(cfg.schemes)
     for e, ctx in enumerate(geom.contexts):
         h_hat = estimation.estimate_all(ctx, y)

@@ -17,24 +17,15 @@ def build_transmit_grids(
     layout: SimulationLayout,
     pilot_index: np.ndarray,
     rng: np.random.Generator,
-    shared_data: bool = False,
 ) -> np.ndarray:
     """Per-UE frequency grids for the pilot-bearing OFDM symbols.
 
     Returns (K, |T_p|, N): for every pilot symbol, each UE transmits its
     sequence's samples of ``layout.pilot_grid`` on the pilot subcarriers and
-    fresh unit-power circularly-symmetric Gaussian data symbols elsewhere.  With
-    ``shared_data`` one data draw is repeated across the pilot symbols; the
-    self-checks use this world because there the estimator's assumed pilot
-    covariance is exact.
+    fresh unit-power circularly-symmetric Gaussian data symbols elsewhere.
     """
-    K = len(pilot_index)
-    n = layout.n_subcarriers
-    n_psym = len(layout.pilot_symbols)
-    shape = (K, 1 if shared_data else n_psym, n)
+    shape = (len(pilot_index), len(layout.pilot_symbols), layout.n_subcarriers)
     grids = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-    if shared_data:
-        grids = np.repeat(grids, n_psym, axis=1)
     cols = np.flatnonzero(layout.pilot_grid[0, 0])  # pilot samples have unit modulus
     grids[:, :, cols] = layout.pilot_grid[:, :, cols][pilot_index]
     return grids

@@ -192,6 +192,15 @@ def lag_spectra(params: KernelParams, lags, lag_weight=None) -> np.ndarray:
     return np.fft.ifft(w, axis=-1) / n**2
 
 
+def pair_sums(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The Gram of offset-weight rows (R, N) under each lag spectrum of ``w``
+    (lags, 2N): (lags, R, R), entry [., x, y] the pair sum of rows x and y,
+    sum_f A_x W A_y^* over their ``offset_spectra`` A.  With unit weight on
+    one offset per row it is the kernel B_{i1,i2} at those offsets."""
+    a = offset_spectra(rows)
+    return (a * w[:, None, :]) @ np.conj(a).T
+
+
 @dataclass
 class KernelGrid:
     """CPE kernel values B_{0,0}^{(dtau)} at every symbol lag in ``lags``.

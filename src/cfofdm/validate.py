@@ -3,11 +3,11 @@ pilot synthesis, the no-phase-noise reduction and the moments of the LMMSE
 estimate.
 
 Each check is one function of its input size (and seed, or the configuration
-of the world it runs in) returning a ``Check``. ``run_validation`` runs them at
-desk size for ``sim validate``; the acceptance suite runs the same functions at
-larger sizes.  The literal references that only these checks run live here
-too: the double-sum kernel, the drift spectrum of one symbol and the
-time-domain received symbol.
+of the world it runs in) returning a ``Check``; each calls what a run calls.
+``run_validation`` runs them at desk size for ``sim validate``; the acceptance
+suite runs the same functions at larger sizes.  The literal references that
+only these checks run live here too: the double-sum kernel, the drift
+spectrum of one symbol and the time-domain received symbol.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import estimation, ofdm
 from .config import ExperimentConfig, ci_config
-from .harness import build_geometry, build_setup, observe, trial_rngs, trial_stack_size
+from .harness import build_geometry, build_setup, trial_rngs, trial_stack_size
 from .network import NetworkRealization, gen_channel, generate_network
 from .phase_noise import (
     KernelParams,
@@ -27,7 +27,7 @@ from .phase_noise import (
     build_correlation_table,
     gen_pn_trace,
     lag_spectra,
-    offset_spectra,
+    pair_sums,
     wiener_walks,
 )
 
@@ -58,14 +58,14 @@ def phase_drift(theta_symbol: np.ndarray) -> np.ndarray:
     return np.fft.fft(np.exp(1j * theta_symbol), axis=-1) / n
 
 
-def correlation_b_oracle(i1: int, i2: int, dtau: int, params: KernelParams) -> complex:
-    """Literal O(N^2) double sum for B_{i1,i2}^{(dtau)} = E{J_i1^(t1) J_i2^(t2)*}."""
-    n = params.n
-    n1 = np.arange(n)[:, None]
-    n2 = np.arange(n)[None, :]
-    damp = np.exp(-params.sigma2_tot / 2.0 * np.abs(dtau * params.stride + n1 - n2))
-    phase = np.exp(-2j * np.pi * (n1 * i1 - n2 * i2) / n)
-    return complex((damp * phase).sum() / n**2)
+def correlation_b_oracle(offsets, lags, params: KernelParams) -> np.ndarray:
+    """Literal O(N^2) double sums B_{i1,i2}^{(dtau)} = E{J_i1^(t1) J_i2^(t2)*},
+    (lags, offsets, offsets): per lag E D E^H / N^2, D[n1, n2] = exp(-sigma2/2
+    |dtau stride + n1 - n2|) its damping and E the DFT rows (offsets, N)."""
+    n, m = params.n, np.arange(params.n)
+    e = np.exp(-2j * np.pi * np.outer(offsets, m) / n)
+    d = np.asarray(lags)[:, None, None] * params.stride + m[:, None] - m[None, :]
+    return e @ np.exp(-params.sigma2_tot / 2.0 * np.abs(d)) @ np.conj(e).T / n**2
 
 
 def time_domain_oracle(h_time: np.ndarray, x: np.ndarray, trace: PhaseNoiseTrace,
@@ -100,25 +100,13 @@ def _std_errors(x: np.ndarray, target) -> np.ndarray:
     return np.abs(x.mean(axis=0) - target) / (x.std(axis=0, ddof=1) / np.sqrt(len(x)))
 
 
-def _kernel_block(params: KernelParams, offsets, lags) -> np.ndarray:
-    """B_{i1,i2}^{(dtau)} of the pair-sum evaluator for every lag and pair of
-    ``offsets``, (lags, offsets, offsets): unit weight on one offset per side,
-    one batched product per lag."""
-    a = offset_spectra(np.eye(params.n)[np.asarray(offsets) % params.n])
-    return (a * lag_spectra(params, lags)[:, None, :]) @ np.conj(a).T
-
-
 def kernel_oracle(n: int) -> Check:
-    """Kernel pair-sum evaluator against the literal double-sum oracle, |i| <= 8,
-    |dtau| <= 3."""
+    """The Gram of ``pair_sums``, at unit weight on one offset per row,
+    against the literal double-sum oracle, |i| <= 8, |dtau| <= 3."""
     params = KernelParams(n=n, sigma2_tot=_SIGMA2, stride=n)
-    offsets, lags = range(-8, 9), range(-3, 4)
-    b = _kernel_block(params, offsets, lags)
-    worst = max(
-        abs(b[a, r, c] - correlation_b_oracle(i1, i2, dt, params))
-        for a, dt in enumerate(lags) for r, i1 in enumerate(offsets)
-        for c, i2 in enumerate(offsets)
-    )
+    offsets, lags = np.arange(-8, 9), np.arange(-3, 4)
+    b = pair_sums(np.eye(n)[offsets % n], lag_spectra(params, lags))
+    worst = np.abs(b - correlation_b_oracle(offsets, lags, params)).max()
     return Check("kernel_oracle_equivalence", worst <= 1e-10,
                  "max |evaluator - oracle| = %.3e at N=%d, |i|<=8, |dt|<=3 (tol 1e-10)"
                  % (worst, n))
@@ -137,11 +125,11 @@ def parseval(n: int, n_draws: int, seed: int) -> Check:
 
 
 def trace_sum(n: int) -> Check:
-    """sum_i B_ii = 1, and the ICI power sum_{i!=0} B_ii = 1 - B_00 with B_00
-    from the CPE table."""
+    """sum_i B_ii = 1 on the diagonal of the ``pair_sums`` Gram, and the ICI
+    power sum_{i!=0} B_ii = 1 - B_00 with B_00 from the CPE table."""
     params = KernelParams(n=n, sigma2_tot=_SIGMA2, stride=n)
     idx = np.arange(-n // 2, n // 2)
-    diag = np.diagonal(_kernel_block(params, idx, [0])[0]).real
+    diag = np.diagonal(pair_sums(np.eye(n)[idx % n], lag_spectra(params, [0]))[0]).real
     b00 = build_correlation_table(params, [0]).cpe(0)
     err_sum = abs(diag.sum() - 1.0)
     err_split = abs(diag[idx != 0].sum() - (1.0 - b00))
@@ -216,18 +204,18 @@ def domain_equivalence(n: int, n_draws: int, seed: int) -> Check:
 def no_pn_reduction(cfg: ExperimentConfig) -> Check:
     """Without phase noise the three estimators coincide and meet the closed form.
 
-    Runs on the network of ``cfg`` with ideal oscillators. The closed form is
-    the pilot-contamination MMSE eps_kl = p_k beta_kl^2 tau_p /
+    Runs on geometry 0 of ``cfg`` with ideal oscillators, on the contexts
+    ``harness.build_geometry`` builds there: one symbol, which stands for
+    every symbol of the block.  The closed form is the pilot-contamination
+    MMSE eps_kl = p_k beta_kl^2 tau_p /
     (tau_p sum_{i shares k's pilot} p_i beta_il + sigma^2), error variance
-    beta_kl - eps_kl, at every UE, AP and symbol.
+    beta_kl - eps_kl, at every UE and AP.
     """
     cfg = replace(cfg, gamma_ap=0.0, gamma_ue=0.0, estimators=estimation.ESTIMATOR_KINDS)
     setup = build_setup(cfg)
     layout = setup.layout
-    network = build_geometry(cfg, setup, 0).network
-    # every symbol of the block, not the one symbol the trials of an ideal world run
-    contexts = [estimation.build_context(network, model) for model in
-                estimation.build_models(layout, setup.table, cfg.estimators, cfg.ici_mode)]
+    geom = build_geometry(cfg, setup, 0)
+    network, contexts = geom.network, geom.contexts
     rng = trial_rngs(cfg.master_seed, 0, range(1))[0]
     y = (rng.standard_normal((layout.n_aps, layout.tau_p))
          + 1j * rng.standard_normal((layout.n_aps, layout.tau_p)))
@@ -255,30 +243,46 @@ def lmmse_moments(cfg: ExperimentConfig) -> Check:
     E|h_hat|^2 + E|h_eff - h_hat|^2 = B_00 beta, and E|h_hat|^2 = eps. It runs
     in the world where the estimator's assumed pilot covariance is exact: the
     kernel stride that trace generation uses, equal-index data terms only, and
-    one data draw shared across the pilot symbols (the assumed ICI covariance
-    correlates data interference across OFDM symbols).  The trials are drawn
-    and synthesized in stacks by ``harness.observe``, on the streams of a run's
-    geometry 0.
+    one data draw per UE and subcarrier repeated over the pilot symbols (the
+    assumed ICI covariance correlates data interference across OFDM symbols).
+    Each trial draws on its stream of a run's geometry 0 in the order of
+    ``harness.observe``: channel, trace, grids, noise.  The trials go in
+    stacks, synthesized and estimated at AP 0 alone.
     """
     cfg = replace(cfg, ici_mode="independent_data", cp_consistent_correlation=True,
                   estimators=("pna_ofdm",))
     setup = build_setup(cfg)
-    layout = setup.layout
+    layout, pn = setup.layout, setup.pn
     geom = build_geometry(cfg, setup, 0)
     network, ctx = geom.network, geom.contexts[0]  # pna_ofdm, the only estimator
     k, l = 0, 0
+    ctx_l = replace(ctx, whiten=ctx.whiten[l:l + 1], scale=ctx.scale[l:l + 1])  # what it reads
+    pilots = layout.pilot_grid[network.pilot_index]  # (K, |T_p|, N)
+    on_pilot = layout.pilot_grid[0, 0] != 0  # pilot samples have unit modulus
+    data_shape, noise_shape = (layout.n_ues, 1, layout.n_subcarriers), (layout.n_aps, layout.tau_p)
+
+    def draw(rng):
+        """One trial's AP l rows of channel, trace, grids and noise."""
+        h = gen_channel(network.beta, layout, rng)[:, l:l + 1]
+        trace = gen_pn_trace(pn, layout, rng)
+        data = (rng.standard_normal(data_shape)
+                + 1j * rng.standard_normal(data_shape)) / np.sqrt(2.0)
+        noise = rng.standard_normal(noise_shape)[l] + 1j * rng.standard_normal(noise_shape)[l]
+        return h, trace.ap_phase[l:l + 1], trace.ue_phase, np.where(on_pilot, pilots, data), noise
+
     h_eff = np.empty((cfg.n_trials, layout.block_symbols), dtype=complex)
     h_hat = np.empty_like(h_eff)
     y_l = np.empty((cfg.n_trials, layout.tau_p), dtype=complex)
     stack = trial_stack_size(layout, cfg.n_trials)
     for t0 in range(0, cfg.n_trials, stack):
         rows = slice(t0, min(t0 + stack, cfg.n_trials))
-        y, h_eff_all = observe(setup, network,
-                               trial_rngs(cfg.master_seed, 0, range(rows.start, rows.stop)),
-                               shared_data=True)
-        h_eff[rows] = h_eff_all[:, :, k, l]
-        h_hat[rows] = estimation.estimate_all(ctx, y)[:, :, k, l]
-        y_l[rows] = y[:, l]
+        h, ap, ue, grids, noise = map(np.stack, zip(*map(
+            draw, trial_rngs(cfg.master_seed, 0, range(rows.start, rows.stop)))))
+        y, cpe = ofdm.synth_pilot_observations(h, grids, PhaseNoiseTrace(ap, ue), network, layout)
+        y[:, 0] += np.sqrt(network.sigma2 / 2.0) * noise
+        h_eff[rows] = cpe[:, :, k, 0] * h[:, None, k, 0, 0]
+        h_hat[rows] = estimation.estimate_all(ctx_l, y)[:, :, k, 0]
+        y_l[rows] = y[:, 0]
 
     prods = (h_eff - h_hat)[:, :, None] * np.conj(y_l)[:, None, :]
     orth = max(_std_errors(prods.real, 0.0).max(), _std_errors(prods.imag, 0.0).max())

@@ -74,9 +74,13 @@ def test_criterion_4_mc_kernel_consistency():
 def test_criterion_5_estimator_correctness():
     """Closed-form no-PN reduction, orthogonality, and variance decomposition.
 
-    The moment checks run at CI scale over 1e4 trials, in the world where the
-    estimator's assumed second-order model is exact (see
-    ``validate.lmmse_moments``).
+    The no-PN reduction checks the ideal world's contexts as
+    ``harness.build_geometry`` builds them, one symbol standing for the
+    block.  The moment checks run at CI scale over 1e4 trials, in the world
+    where the estimator's assumed second-order model is exact (see
+    ``validate.lmmse_moments``), drawn in ``harness.observe``'s order on
+    geometry 0's streams and synthesized for the one AP they read: 2.13,
+    0.77 and 1.30 standard errors, in about 4 s.
     """
     checks = [
         validate.no_pn_reduction(replace(ci_config(), n_ues=1, n_aps=3, master_seed=7)),

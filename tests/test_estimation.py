@@ -28,9 +28,9 @@ from cfofdm.phase_noise import (
     build_correlation_table,
     gen_pn_trace,
 )
-from cfofdm.validate import correlation_b_oracle
 
 from ici_base_oracle import ici_base_einsum
+from kernel_scalar import correlation_b_literal
 from pilot_oracle import synth_one
 from test_ofdm import make_network
 
@@ -108,7 +108,7 @@ def assert_close_to_lu(ctx, network, model, eps):
 def ici_base_per_entry(layout, params, book, mode):
     """Pilot-pair and data-pair ICI sums with one oracle kernel call per entry."""
     oracle = functools.lru_cache(maxsize=None)(
-        lambda i1, i2, dt: correlation_b_oracle(i1, i2, dt, params))
+        lambda i1, i2, dt: correlation_b_literal(i1, i2, dt, params))
     tau_p, nc = layout.tau_p, layout.block_subcarriers
     subs = np.array([nu for nu, _ in layout.pilot_slots])
     syms = np.array([t for _, t in layout.pilot_slots])
@@ -158,7 +158,7 @@ def bruteforce_z_entry(layout, table, book, t, i1, i2, mode):
     params = table.params
 
     def b(a, c):
-        return correlation_b_oracle(a, c, t1 - t2, params)
+        return correlation_b_literal(a, c, t1 - t2, params)
 
     total = 0.0 + 0.0j
     # pilot-pair part with pilot-sample weights
@@ -241,6 +241,31 @@ class TestZIci:
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= ICI_ROUNDOFF * np.abs(ref).max()
 
+    def test_pair_sums_fault_fails_both_checks(self, monkeypatch, capsys):
+        """One Gram serves the ICI base and the kernel self-checks: a
+        ``pair_sums`` whose lag spectrum is off by one frequency bin makes
+        ``sim validate`` exit 2, failing the kernel checks and, through the
+        ICI base of the estimator it checks, the LMMSE moments; and it fails
+        the einsum-oracle comparison above, which does not call it."""
+        from cfofdm import validate
+        from cfofdm.cli import main
+        from cfofdm.phase_noise import offset_spectra
+
+        def off_by_one_bin(rows, w):
+            a = offset_spectra(rows)
+            return (a * np.roll(w, 1, axis=-1)[:, None, :]) @ np.conj(a).T
+
+        monkeypatch.setattr(estimation, "pair_sums", off_by_one_bin)
+        monkeypatch.setattr(validate, "pair_sums", off_by_one_bin)
+        assert main(["validate", "--n", "5"]) == 2
+        failed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+                  if not line.startswith("PASS ")]
+        assert failed == ["FAIL kernel_oracle_equivalence", "FAIL kernel_trace_sum",
+                          "FAIL lmmse_moments"]
+        for mode in ICI_MODES:
+            with pytest.raises(AssertionError):
+                self.test_ici_base_matches_einsum_oracle(ci_config(), mode)
+
     def test_zero_phase_noise_gives_zero(self):
         """Without phase noise the pna_ofdm model's ICI vanishes: its Psi is the
         unaware model's."""
@@ -304,6 +329,25 @@ class TestModels:
         assert not pna.data_cov.any()
         assert np.array_equal(pna.pilot_cov, unaware.pilot_cov)
         assert np.array_equal(pna.rhs, unaware.rhs)
+
+    @pytest.mark.parametrize("gammas, ideal", [
+        pytest.param({}, False, id="pn"),
+        pytest.param({"gamma_ue": 0.0}, False, id="ap_only_pn"),
+        pytest.param({"gamma_ap": 0.0}, False, id="ue_only_pn"),
+        pytest.param({"gamma_ap": 0.0, "gamma_ue": 0.0}, True, id="ideal")])
+    def test_symbol_count_from_phase_noise(self, gammas, ideal):
+        """The models, and the contexts of a geometry, cover T = tau_c symbols
+        where either node kind has phase noise, and T = 1 in an ideal world,
+        whose one symbol stands for every symbol of the block."""
+        cfg = replace(ci_config(), estimators=ESTIMATOR_KINDS, **gammas)
+        setup = build_setup(cfg)
+        assert setup.pn.ideal == ideal
+        T = 1 if ideal else cfg.block_symbols
+        tau_p, K, L = cfg.layout().tau_p, cfg.n_ues, cfg.n_aps
+        assert [m.rhs.shape for m in setup.models] == [(tau_p, tau_p * T)] * 3
+        for ctx in build_geometry(cfg, setup, 0).contexts:
+            assert ctx.rhs.shape == (tau_p, K * T)
+            assert ctx.eps.shape == ctx.err_var.shape == (T, K, L)
 
     @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
     def test_rhs_from_book_and_kernel(self, kind):

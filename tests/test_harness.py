@@ -718,6 +718,30 @@ class TestValidateSuite:
         assert len(failed) == 2
         assert all(line.startswith("FAIL domain_equivalence: ") for line in failed)
 
+    def test_checks_run(self, monkeypatch):
+        """``run_validation`` runs every check, in this order, at each of the
+        sizes of the CI step (at 5 and 64 the two kernel-oracle sizes
+        coincide); a check dropped from it fails here, not silently."""
+        from cfofdm import validate
+
+        def named(name):
+            return lambda *args: validate.Check(name, True, "")
+
+        for fn, name in [("kernel_oracle", "kernel_oracle_equivalence"),
+                         ("parseval", "parseval"), ("trace_sum", "kernel_trace_sum"),
+                         ("mc_kernel", "mc_kernel_consistency"),
+                         ("domain_equivalence", "domain_equivalence"),
+                         ("no_pn_reduction", "no_pn_reduction"),
+                         ("lmmse_moments", "lmmse_moments")]:
+            monkeypatch.setattr(validate, fn, named(name))
+        tail = ["parseval", "kernel_trace_sum", "mc_kernel_consistency",
+                "domain_equivalence", "domain_equivalence", "no_pn_reduction", "lmmse_moments"]
+        for n, oracles in ((5, 1), (64, 1), (256, 2)):
+            ok, lines = validate.run_validation(n)
+            assert ok
+            assert [line.split(":")[0] for line in lines] == (
+                ["PASS kernel_oracle_equivalence"] * oracles + ["PASS " + c for c in tail])
+
     def test_clean_run_passes(self):
         from cfofdm.validate import domain_equivalence, kernel_oracle, trace_sum
 
@@ -840,7 +864,6 @@ class TestStackedTrial:
                          layout.n_ues, layout.n_aps)
         ideal = cfg.gamma_ap == cfg.gamma_ue == 0.0
         T_out = 1 if ideal else T
-        assert setup.symbols == T_out
         assert all(ctx.err_var.shape == (T_out, K, L) for ctx in geom.contexts)
         rng = derived_rng(cfg.master_seed, 1, 0, 0)
         out = run_trial(cfg, setup, geom, [copy.deepcopy(rng)])
@@ -851,20 +874,20 @@ class TestStackedTrial:
         y, cpe = synth_one(h, grids, trace, network, layout, rng)
         assert cpe.shape == (T, K, L)
         h_eff = cpe * h[:, :, 0]
-        # the oracle's contexts estimate every symbol of the block
-        models = estimation.build_models(layout, setup.table, cfg.estimators, cfg.ici_mode)
-        for e, model in enumerate(models):
-            ctx = estimation.build_context(network, model)
+        for e, ctx in enumerate(geom.contexts):
             h_hat = estimation.estimate_all(ctx, y)
-            assert h_hat.shape == ctx.err_var.shape == ctx.eps.shape == (T, K, L)
+            assert h_hat.shape == ctx.eps.shape == (T_out, K, L)
+            v_all = combining.combiner_matrix(cfg.schemes[0], h_hat, ctx.err_var, network)
+            assert v_all.shape == (T_out, K, L)
+            # the oracle runs every symbol of the block, where the one symbol of
+            # an ideal world's contexts stands for each
+            h_hat, err_var = (np.broadcast_to(a, (T, K, L)) for a in (h_hat, ctx.err_var))
             for s, scheme in enumerate(cfg.schemes):
-                v_all = combining.combiner_matrix(scheme, h_hat, ctx.err_var, network)
-                assert v_all.shape == (T, K, L)
                 # the oracles take (K, L, tau_c) estimates and (rows, K, tau_c) sums
                 ref = se.SinrAccumulator((1, K, T))
                 for tau in range(1, T + 1):
                     v = combiner_matrix_at(scheme, h_hat.transpose(1, 2, 0),
-                                           ctx.err_var.transpose(1, 2, 0), network, tau)
+                                           err_var.transpose(1, 2, 0), network, tau)
                     add_symbol_at(ref, 0, tau, v, h_eff[tau - 1], lam, network)
                 for name in ("gain", "received", "ici", "vnorm"):
                     expect = getattr(ref, name)[0].T  # (tau_c, K)
@@ -903,8 +926,7 @@ class TestTrialStack:
         layout = setup.layout
         assert _piece_size(setup) == (3 if pn else 6)
         acc = run_trial(cfg, setup, geom, trial_rngs(cfg.master_seed, 0, range(stack)))
-        assert setup.symbols == (layout.block_symbols if pn else 1)
-        assert acc.gain.shape == (stack, 3, 4, setup.symbols, layout.n_ues)
+        assert acc.gain.shape == (stack, 3, 4, layout.block_symbols if pn else 1, layout.n_ues)
         for b in range(stack):
             alone = run_trial(cfg, setup, geom, trial_rngs(cfg.master_seed, 0, range(b, b + 1)))
             for name in ("gain", "received", "ici", "vnorm"):
@@ -1106,7 +1128,7 @@ class TestSynthesisPieces:
         real_trial, real_synth = harness.run_trial, ofdm.synth_pilot_observations
 
         def counted_trial(cfg, setup, geom, rngs, draws=None):
-            stacks.append((setup.symbols, len(rngs)))
+            stacks.append((geom.contexts[0].eps.shape[0], len(rngs)))
             return real_trial(cfg, setup, geom, rngs, draws)
 
         def counted_synth(h, *args, **kwargs):
@@ -1157,7 +1179,8 @@ class TestSynthesisPieces:
         rngs, piece_rngs = (trial_rngs(cfg.master_seed, 0, range(B)) for _ in range(2))
         stack = observe(setup, network, rngs, draws=stack_draws)
         pieces = in_pieces(setup, piece_rngs, piece_draws, piece)
-        assert stack[1].shape == (B, setup.symbols, layout.n_ues, layout.n_aps)
+        T = 1 if setup.pn.ideal else layout.block_symbols
+        assert stack[1].shape == (B, T, layout.n_ues, layout.n_aps)
         assert_same(stack, pieces, rngs, piece_rngs)
         for name in ("ap_phase", "ue_phase", "state"):
             assert np.array_equal(getattr(stack_draws, name), getattr(piece_draws, name))
@@ -1241,7 +1264,7 @@ class TestTrialMemory:
                 peaks[name] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert h_eff.shape == (B, setup.symbols, cfg.n_ues, cfg.n_aps)
-        assert setup.symbols == base.block_symbols
+            T = 1 if name == "ideal" else cfg.block_symbols
+            assert h_eff.shape == (B, T, cfg.n_ues, cfg.n_aps)
         assert peaks["ideal"] < walk_bytes < peaks["pn"] < (piece + 1) * walk_bytes
         assert peaks["ue_pn"] < peaks["pn"] - 0.9 * piece * ap_walk_bytes

@@ -259,8 +259,11 @@ class TestSynthObservations:
                                sigma2=1e-3)
         h = rng.standard_normal((K, L, layout.n_blocks)) + 1j * rng.standard_normal(
             (K, L, layout.n_blocks))
-        grids = build_transmit_grids(layout, network.pilot_index, rng,
-                                     shared_data=case == "shared_data")
+        grids = build_transmit_grids(layout, network.pilot_index, rng)
+        if case == "shared_data":
+            # the data of pilot symbol 1 repeated over the pilot symbols: the
+            # world of ``validate.lmmse_moments``
+            grids = np.where(layout.pilot_grid[0, 0] != 0, grids, grids[:, :1])
         trace = gen_pn_trace(pn_params(case, layout), layout, rng)
         oracle_rng = copy.deepcopy(rng)
         y, cpe = synth_one(h, grids, trace, network, layout, rng)
@@ -269,6 +272,45 @@ class TestSynthObservations:
         assert np.abs(y - ref.y).max() <= 1e-12 * np.abs(ref.y).max()
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
         assert np.array_equal(cpe, cpe_per_symbol(trace))
+
+    @pytest.mark.parametrize("case", ["pn", "ideal", "partial_block"])
+    def test_one_ap_gives_its_row(self, case):
+        """Synthesizing one AP, h and the AP phases sliced to [l:l+1], gives
+        row l of the full synthesis of a stack of three trials, and column l
+        of its CPE: the path ``validate.lmmse_moments`` takes.  With phase
+        noise y is bitwise equal.  The CPE is a mean of N unit phasors whose
+        summation order the BLAS picks by the tile's shape, and a one-AP tile
+        takes another kernel, so it is bounded by N machine epsilons, the
+        worst case of a reordered sum of N terms: at most 1.4e-15 apart with
+        phase noise, and 4.8e-15 in the ideal world, where y is each pilot
+        times that CPE (2.7e-14 at N = 120)."""
+        cfg = ci_config()
+        if case == "ideal":
+            cfg = replace(cfg, gamma_ap=0.0, gamma_ue=0.0)
+        if case == "partial_block":
+            cfg = replace(cfg, block_subcarriers=11)
+        setup = build_setup(cfg)
+        layout, network = setup.layout, build_geometry(cfg, setup, 0).network
+        rng = np.random.default_rng(5)
+        B = 3
+        h = np.stack([gen_channel(network.beta, layout, rng) for _ in range(B)])
+        walks = [gen_pn_trace(setup.pn, layout, rng) for _ in range(B)]
+        trace = PhaseNoiseTrace(np.stack([w.ap_phase for w in walks]),
+                                np.stack([w.ue_phase for w in walks]))
+        if case == "ideal":  # initial phases alone, as ``harness.observe`` holds them
+            trace = PhaseNoiseTrace(trace.ap_phase[..., :1, :1], trace.ue_phase[..., :1, :1])
+        grids = np.stack([build_transmit_grids(layout, network.pilot_index, rng)
+                          for _ in range(B)])
+        y, cpe = synth_pilot_observations(h, grids, trace, network, layout)
+        tol = layout.n_subcarriers * np.finfo(float).eps
+        for l in range(layout.n_aps):
+            one = PhaseNoiseTrace(trace.ap_phase[:, l:l + 1], trace.ue_phase)
+            y_l, cpe_l = synth_pilot_observations(h[:, :, l:l + 1], grids, one, network, layout)
+            assert np.abs(cpe_l[..., 0] - cpe[..., l]).max() <= tol
+            if case == "ideal":
+                assert np.abs(y_l[:, 0] - y[:, l]).max() <= tol * np.abs(y[:, l]).max()
+            else:
+                assert np.array_equal(y_l[:, 0], y[:, l])
 
     @pytest.mark.parametrize("case", ["pn", "no_pn", "ap_only_pn", "ue_only_pn",
                                       "partial_block", "two_pilot_columns"])

@@ -17,7 +17,7 @@ from cfofdm.phase_noise import (
 )
 from cfofdm.validate import correlation_b_oracle, phase_drift
 
-from kernel_scalar import correlation_b_fast
+from kernel_scalar import correlation_b_fast, correlation_b_literal
 
 
 class TestIncrementVariance:
@@ -138,8 +138,20 @@ class TestPhaseDrift:
 class TestKernelOracle:
     def test_no_noise_identity(self):
         params = KernelParams(n=32, sigma2_tot=0.0, stride=32)
-        assert correlation_b_oracle(0, 0, 0, params) == pytest.approx(1.0)
-        assert abs(correlation_b_oracle(3, -2, 0, params)) < 1e-14
+        assert correlation_b_literal(0, 0, 0, params) == pytest.approx(1.0)
+        assert abs(correlation_b_literal(3, -2, 0, params)) < 1e-14
+
+    def test_block_matches_scalar_literal(self):
+        """``validate.correlation_b_oracle``, per lag one product E D E^H / N^2,
+        is the scalar double sum at every lag and offset pair, offsets beyond
+        N/2 and a stride other than N included."""
+        params = KernelParams(n=32, sigma2_tot=5e-3, stride=36)
+        offsets, lags = np.array([-9, -1, 0, 3, 17]), np.array([-2, 0, 1, 3])
+        block = correlation_b_oracle(offsets, lags, params)
+        assert block.shape == (lags.size, offsets.size, offsets.size)
+        expect = [[[correlation_b_literal(int(i1), int(i2), int(dt), params) for i2 in offsets]
+                   for i1 in offsets] for dt in lags]
+        assert np.abs(block - np.array(expect)).max() <= 1e-14
 
     def test_difference_substitution_closed_form(self):
         n, sig2 = 1200, 7e-4
@@ -179,12 +191,12 @@ class TestCorrelationTable:
                         int(rng.integers(-3, 4))))
         for key in needed:
             assert correlation_b_fast(*key, kernel_params_64) == pytest.approx(
-                correlation_b_oracle(*key, kernel_params_64), abs=1e-10)
+                correlation_b_literal(*key, kernel_params_64), abs=1e-10)
         # the CPE grid, read at an integer lag array
         table = build_correlation_table(kernel_params_64, range(-3, 4))
         lags = np.array([[-1, 0], [2, -1]])
         assert table.cpe(lags) == pytest.approx(np.array(
-            [[correlation_b_oracle(0, 0, int(dt), kernel_params_64).real for dt in row]
+            [[correlation_b_literal(0, 0, int(dt), kernel_params_64).real for dt in row]
              for row in lags]), abs=1e-10)
 
     @pytest.mark.parametrize("cp", [0, 4])
@@ -204,7 +216,7 @@ class TestCorrelationTable:
         offsets = np.union1d((subs[:, None] - cols[None, :]).ravel(), [0])
         assert offsets.min() < 0 < offsets.max()
         lags = range(-(layout.block_symbols - 1), layout.block_symbols)
-        oracle = np.array([[[correlation_b_oracle(int(i1), int(i2), dt, params)
+        oracle = np.array([[[correlation_b_literal(int(i1), int(i2), dt, params)
                              for i2 in offsets] for i1 in offsets] for dt in lags])
         # unit weight on one offset per side
         for a, dt in enumerate(lags):
