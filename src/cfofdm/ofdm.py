@@ -5,8 +5,6 @@ from __future__ import annotations
 
 from typing import Tuple
 
-import itertools
-
 import numpy as np
 
 from .network import NetworkRealization, SimulationLayout
@@ -33,13 +31,14 @@ def build_transmit_grids(
 
 def _symbol_phasors(phase: np.ndarray, t: int, out: np.ndarray) -> np.ndarray:
     """exp(j phase) of symbol ``t`` (0-based) of (..., nodes, tau_c, N) walks,
-    written into ``out`` (..., nodes, N); a (..., nodes, 1, 1) constant phase
-    stands for every symbol: one phasor per node, broadcast."""
+    written into ``out`` (..., nodes, N) by ``phase_noise.phasor``, the function
+    ``cpe_per_symbol`` calls, so that the synthesis' CPE is bitwise its CPE; a
+    (..., nodes, 1, 1) constant phase stands for every symbol: one phasor per
+    node, broadcast."""
     if phase.shape[-2:] == (1, 1):
         out[...] = phasor(phase[..., 0, :])
     else:
-        np.cos(phase[..., t, :], out=out.real)
-        np.sin(phase[..., t, :], out=out.imag)
+        phasor(phase[..., t, :], out=out)
     return out
 
 
@@ -70,14 +69,17 @@ def synth_pilot_observations(
     constant over each coherence block b it is evaluated as
     sum_k sqrt(p_k) sum_b h_{k,l}[b] sum_{j in b} s_k[j] J_{k,l}[nu - j], where
     J_{k,l}[-j] = ifft(e_ue_k .* e_ap_l)[j] is the drift spectrum of the
-    symbol's phasors: one inverse FFT per (UE, AP, pilot slot).  The APs are
-    taken a tile at a time, of every trial, for the CPE, and a sub-tile and a
-    chunk of UEs at a time for the ICI, so the working set is a (B, tile, N)
-    array and one (B, sub-tile, chunk, N) array of drift spectra of about
-    0.5 MB each, never (L, N), and each trial's y and CPE are bit for bit
-    those of its stack of one.  ``harness.observe`` passes a trial stack a
-    synthesis piece at a time, which keeps a piece's tile within the budget
-    whatever the size of the stack.
+    symbol's phasors (``phase_noise.phasor``): one inverse FFT per (UE, AP,
+    pilot slot).  The APs are taken a tile at a time, of every trial, for the
+    CPE.  For the ICI each tile goes a chunk of UEs, then a pilot slot, then a
+    sub-tile at a time: each sub-tile's block sums go into its rows of one
+    (B, tile, chunk, R) array, and the channel weighting, the sum over blocks
+    and the in-order sum over UEs run once per tile, chunk and slot.  So the
+    working set is a (B, tile, N) array and one (B, sub-tile, chunk, N) array
+    of drift spectra of about 0.5 MB each, never (L, N), and each trial's y
+    and CPE are bit for bit those of its stack of one.  ``harness.observe``
+    passes a trial stack a synthesis piece at a time, which keeps a piece's
+    tile within the budget whatever the size of the stack.
 
     Each node kind's phases are (B, nodes, tau_c, N) walks, or (B, nodes, 1, 1)
     constant phases, those of ideal oscillators, which stand for every sample
@@ -114,17 +116,17 @@ def synth_pilot_observations(
 
     y = np.zeros((B, L, tau_p), dtype=complex)
     cpe = np.empty((B, n_sym, K, L), dtype=complex)
-    rows = _tile_rows(n)
+    rows = min(_tile_rows(n), L)
     # UEs per chunk and APs per sub-tile of the ICI: one AP's drift spectra of
     # a chunk fit the tile budget, and a sub-tile's of every trial do too.
     # The chunks do not depend on B: they set the order of the UE sum.
     kc = min(K, max(1, _TILE_BYTES // (16 * n)))
-    sub = min(rows, L, max(1, _TILE_BYTES // (16 * B * kc * n)))
+    sub = min(rows, max(1, _TILE_BYTES // (16 * B * kc * n)))
     e_ue = np.empty((B, K, n), dtype=complex)
-    ap_buf = np.empty((B, min(rows, L), n), dtype=complex)
+    ap_buf = np.empty((B, rows, n), dtype=complex)
     drift = np.empty((B, sub, kc, n), dtype=complex)
-    block_sums = np.empty((B, sub, kc, layout.n_blocks), dtype=complex)
-    per_ue = np.empty((B, kc, sub, layout.n_blocks), dtype=complex)  # h's own layout
+    block_sums = np.empty((B, rows, kc, layout.n_blocks), dtype=complex)
+    per_ue = np.empty((B, kc, rows, layout.n_blocks), dtype=complex)  # h's own layout
     ones = np.ones(nc, dtype=complex)
     pilot_si = {t: si for si, t in enumerate(layout.pilot_symbols)}
     # numpy runs a product with a broadcast operand through buffers of
@@ -152,30 +154,33 @@ def synth_pilot_observations(
                 cpe[:, t_sym - 1, :, a:b] = e_ue @ np.swapaxes(e_ap, -1, -2) / n
                 if not ici:
                     continue
-                for c, k0 in itertools.product(range(a, b, sub), range(0, K, kc)):
-                    d, k1 = min(c + sub, b), min(k0 + kc, K)
-                    spec = drift[:, : d - c, : k1 - k0]
-                    sums = block_sums[:, : d - c, : k1 - k0]
-                    prod = per_ue[:, : k1 - k0, : d - c]
-                    whole = spec[..., : r_whole * nc].reshape(B, d - c, k1 - k0, r_whole, nc)
+                for k0 in range(0, K, kc):
+                    k1 = min(k0 + kc, K)
+                    sums = block_sums[:, : b - a, : k1 - k0]
+                    prod = per_ue[:, : k1 - k0, : b - a]
                     for i, w_ue in slots:
-                        # D_kl[j] = J_kl[-j], the block sums of s_k D_kl, then
-                        # y_l = sum_k sum_b h_kl[b] sqrt(p_k) sum_{j in b} s_k[j] D_kl[j]
-                        np.multiply(e_ap[:, c - a : d - a, None], w_ue[:, None, k0:k1], out=spec)
-                        np.fft.ifft(spec, axis=-1, out=spec)
-                        spec *= s_w[:, None, k0:k1]
-                        np.matmul(whole, ones, out=sums[..., :r_whole])
-                        if r_whole < layout.n_blocks:  # the partial block
-                            np.matmul(spec[..., r_whole * nc :], ones[: n - r_whole * nc],
-                                      out=sums[..., r_whole])
-                        # summed over blocks, then UEs in order, the same way at every
-                        # stack size and sub-tile (an einsum's order depends on both,
-                        # and so does a sum over the UE axis: numpy sums it pairwise
-                        # where a sub-tile of one AP leaves it innermost)
-                        np.multiply(np.swapaxes(sums, 1, 2), h[:, k0:k1, c:d], out=prod)
+                        for c in range(0, b - a, sub):
+                            # D_kl[j] = J_kl[-j], then the block sums of s_k D_kl
+                            # into the sub-tile's rows of the tile's sums
+                            d = min(c + sub, b - a)
+                            spec = drift[:, : d - c, : k1 - k0]
+                            np.multiply(e_ap[:, c:d, None], w_ue[:, None, k0:k1], out=spec)
+                            np.fft.ifft(spec, axis=-1, out=spec)
+                            spec *= s_w[:, None, k0:k1]
+                            whole = spec[..., : r_whole * nc].reshape(B, d - c, k1 - k0, r_whole, nc)
+                            np.matmul(whole, ones, out=sums[:, c:d, :, :r_whole])
+                            if r_whole < layout.n_blocks:  # the partial block
+                                np.matmul(spec[..., r_whole * nc :], ones[: n - r_whole * nc],
+                                          out=sums[:, c:d, :, r_whole])
+                        # y_l = sum_k sum_b h_kl[b] sqrt(p_k) sum_{j in b} s_k[j] D_kl[j],
+                        # once per tile: summed over blocks, then UEs in order, the
+                        # same way at every stack size and tile (an einsum's order
+                        # depends on both, and so does a sum over the UE axis: numpy
+                        # sums it pairwise where a tile of one AP leaves it innermost)
+                        np.multiply(np.swapaxes(sums, 1, 2), h[:, k0:k1, a:b], out=prod)
                         ue = prod.sum(axis=-1)
                         np.add.accumulate(ue, axis=1, out=ue)
-                        y[:, c:d, i] += ue[:, -1]
+                        y[:, a:b, i] += ue[:, -1]
     if no_ici:
         # y is each pilot rotated by the one symbol's CPE, on the slots of block 1
         slot_si = [pilot_si[t] for t in slot_sym]

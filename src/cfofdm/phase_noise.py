@@ -120,12 +120,28 @@ def gen_pn_trace(params: PnParams, layout: SimulationLayout, rng: np.random.Gene
     return PhaseNoiseTrace(ap_phase=ap, ue_phase=ue)
 
 
-def phasor(theta: np.ndarray) -> np.ndarray:
-    """exp(j*theta) for real theta, written as cos + j*sin into one complex array
-    (bitwise equal to ``np.exp(1j * theta)`` and faster)."""
-    out = np.empty(np.shape(theta), dtype=complex)
-    np.cos(theta, out=out.real)
-    np.sin(theta, out=out.imag)
+def phasor(theta: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """exp(j*theta) for real theta, written into ``out`` (complex, theta's
+    shape) if given.
+
+    It is formed from the half-angle tangent t = tan(theta/2) as
+    cos theta = 2/(1 + t^2) - 1 and sin theta = t * 2/(1 + t^2).  numpy
+    evaluates float64 ``tan`` of a contiguous array in a SIMD kernel, several
+    times faster than its ``cos`` and ``sin``, so t is taken in a contiguous
+    scratch array and the rest follows as in-place ufuncs.  Each component is
+    within 4 eps of ``np.exp(1j * theta)``, and so is |phasor| of 1; each
+    value depends on its theta alone, not on the layout of the array holding
+    it, so a strided view and its contiguous copy give the same bits.
+    """
+    if out is None:
+        out = np.empty(np.shape(theta), dtype=complex)
+    t = np.multiply(theta, 0.5, out=np.empty(np.shape(theta)))
+    np.tan(t, out=t)
+    q = np.multiply(t, t)
+    q += 1.0
+    np.divide(2.0, q, out=q)  # 2/(1 + t^2): cos theta + 1
+    np.multiply(t, q, out=out.imag)
+    np.subtract(q, 1.0, out=out.real)
     return out
 
 

@@ -374,13 +374,20 @@ class TestSynthObservations:
             assert np.array_equal(y[b], y_b)
             assert np.array_equal(cpe[b], cpe_b)
 
-    def test_ue_chunks_match_oracle_and_stack(self, ci_layout, monkeypatch):
-        """A tile budget of two APs' samples cuts the ICI into chunks of two
-        UEs (2 + 2 + 1 of 5) and sub-tiles of one AP: y plus the oracle's
-        noise stays within 1e-12 of the decomposed oracle, the CPE is that of
-        cpe_per_symbol bitwise, and three stacked trials give each trial's
-        noise-free y bit for bit as alone."""
+    @pytest.mark.parametrize("case", ["pn", "two_pilot_columns", "partial_block"])
+    def test_ue_chunks_match_oracle_and_stack(self, ci_layout, monkeypatch, case):
+        """A tile budget of two APs' samples makes tiles of four APs, each
+        weighted once from sub-tiles of one AP, and chunks of two UEs (2 + 2 +
+        1 of 5): y plus the oracle's noise stays within 1e-12 of the
+        decomposed oracle, the CPE is that of cpe_per_symbol bitwise, and
+        three stacked trials give each trial's noise-free y bit for bit as
+        alone.  With two pilot subcarriers two slots of a pilot symbol reuse
+        the tile's block sums; with N_c = 11 the last block is partial."""
         layout = ci_layout
+        if case == "two_pilot_columns":
+            layout = replace(layout, pilot_subcarriers=(0, 5))
+        if case == "partial_block":
+            layout = replace(layout, block_subcarriers=11)
         K, L, n = layout.n_ues, layout.n_aps, layout.n_subcarriers
         rng = np.random.default_rng(17)
         network = make_network(layout, rng.uniform(0.1, 1.0, (K, L)),
@@ -394,6 +401,7 @@ class TestSynthObservations:
             grids = build_transmit_grids(layout, network.pilot_index, t_rng)
             trials.append((h, grids, gen_pn_trace(pn, layout, t_rng), t_rng))
         monkeypatch.setattr(ofdm, "_TILE_BYTES", 2 * n * 16)
+        assert ofdm._tile_rows(n) == 4
         alone = []
         for h, grids, trace, t_rng in trials:
             y, cpe = synth_one(h, grids, trace, network, layout)
@@ -403,12 +411,22 @@ class TestSynthObservations:
             alone.append(y)
         stacked_trace = PhaseNoiseTrace(np.stack([t[2].ap_phase for t in trials]),
                                         np.stack([t[2].ue_phase for t in trials]))
+        # the (B, sub-tile, chunk, N) shape of every inverse FFT of the stack
+        shapes, ifft = [], np.fft.ifft
+
+        def spy(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return ifft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", spy)
         y, _ = synth_pilot_observations(np.stack([t[0] for t in trials]),
                                         np.stack([t[1] for t in trials]), stacked_trace,
                                         network, layout)
+        assert {s[:2] for s in shapes} == {(3, 1)}  # 4 sub-tiles per tile of 4 APs
+        chunks = [s[2] for s in shapes]
+        assert chunks.count(2) == 2 * chunks.count(1) > 0
         for y_b, y_alone in zip(y, alone):
             assert np.array_equal(y_b, y_alone)
-
 
     def test_constant_phases_stand_for_every_symbol(self, ci_layout):
         """Ideal oscillators' (nodes, 1, 1) initial phases stand for the walks

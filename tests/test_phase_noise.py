@@ -104,18 +104,44 @@ class TestTraces:
 
 
 class TestPhasor:
-    def test_bitwise_equal_to_complex_exp(self):
-        """cos + j*sin matches np.exp(1j*theta) bit for bit on generated traces."""
+    @staticmethod
+    def traces():
         layout = ci_config().layout()
         pn = PnParams(carrier_hz=2e9, gamma_ap=4e-15, gamma_ue=4e-15,
                       sample_time=layout.sample_time)
         trace = gen_pn_trace(pn, layout, np.random.default_rng(5))
-        for theta in (trace.ap_phase, trace.ue_phase, trace.ap_phase[:, 2, ::-1],
-                      -trace.ue_phase[:, 0, :]):
+        return (trace.ap_phase, trace.ue_phase, trace.ap_phase[:, 2, ::-1],
+                -trace.ue_phase[:, 0, :])
+
+    def test_within_four_eps_of_complex_exp(self):
+        """The tangent form is within 4 eps of np.exp(1j*theta) in each
+        component, and its modulus within 4 eps of 1, on generated traces and
+        at angles where tan(theta/2) is 0, +-1 or near its poles."""
+        eps = np.finfo(float).eps
+        special = np.array([0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, 3 * np.pi / 2,
+                            2 * np.pi, 50.0, -50.0, 1e3])
+        for theta in self.traces() + (special,):
             expect = np.exp(1j * theta)
             got = phasor(theta)
             assert got.shape == expect.shape
-            assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+            assert np.isfinite(got).all()
+            assert np.abs(got.real - expect.real).max() <= 4 * eps
+            assert np.abs(got.imag - expect.imag).max() <= 4 * eps
+            assert np.abs(np.abs(got) - 1.0).max() <= 4 * eps
+
+    def test_view_gives_bits_of_its_copy(self):
+        """A strided, reversed, transposed or broadcast view gives bit for bit
+        the phasor of its contiguous copy, written into ``out`` when given:
+        the synthesis takes phasors of views, and its stack and tile tests
+        compare them with phasors of other views of the same phases."""
+        ap, ue = self.traces()[:2]
+        views = (ap[:, 2, ::-1], ue[:, :, ::3], ap.transpose(2, 0, 1),
+                 np.broadcast_to(ue[:, :1, :1], ue.shape))
+        for theta in views:
+            expect = phasor(np.ascontiguousarray(theta))
+            out = np.empty(theta.shape, dtype=complex)
+            assert phasor(theta, out=out) is out
+            assert np.array_equal(out.view(np.uint64), expect.view(np.uint64))
 
 
 class TestPhaseDrift:
