@@ -42,8 +42,9 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="override master_seed")
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p.add_argument("--threads", type=_int_at_least(1, MAX_THREADS), default=1,
-                   help="worker threads for Monte Carlo trials, 1 to %d (each is an OS "
-                        "thread); the output is byte-identical for every value" % MAX_THREADS)
+                   help="worker processes for Monte Carlo trials, 1 to %d (this process "
+                        "and, per geometry, children forked from it); the output is "
+                        "byte-identical for every value" % MAX_THREADS)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,12 +3,15 @@ result aggregation, and CSV persistence."""
 
 from __future__ import annotations
 
+import logging
+import os
+import pickle
+import signal
 import sys
 import time
-from concurrent.futures import Executor, ThreadPoolExecutor
-from contextlib import nullcontext
+import traceback
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,7 +36,9 @@ CSV_HEADER = (
 _STREAM_GEOMETRY = 0
 _STREAM_TRIAL = 1
 _N_BATCHES = 8  # trial batches behind single-geometry standard errors
-MAX_THREADS = 64  # worker threads of one run, each an OS thread
+# Workers of one run: the calling process and, per geometry, up to 63 forked
+# children, each with its own trial working set
+MAX_THREADS = 64
 
 
 def derived_rng(master_seed: int, *key: int) -> np.random.Generator:
@@ -154,7 +159,7 @@ def _piece_size(setup: Setup) -> int:
 
 def trial_stack_size(layout: SimulationLayout, n_trials: int, threads: int = 1) -> int:
     """Trials per trial stack of a geometry of ``n_trials`` trials on
-    ``threads`` threads: the unit of the pool, the estimation, the combining
+    ``threads`` workers: the unit of a worker, the estimation, the combining
     and the accumulation.  At most as many as keep one estimator's stacked
     combiners, 16 tau_c K L bytes per trial, within ``_CHUNK_BYTES``, and
     the trials spread evenly over stacks whose count is a multiple of
@@ -192,6 +197,12 @@ class TrialDraws:
     def rows(self, key) -> "TrialDraws":
         """The rows ``key`` of the leading axes: views of these arrays."""
         return TrialDraws(self.ap_phase[key], self.ue_phase[key], self.state[key])
+
+    def write(self, rows: "TrialDraws") -> None:
+        """Set these rows to ``rows``, a record of the same shape."""
+        self.ap_phase[...] = rows.ap_phase
+        self.ue_phase[...] = rows.ue_phase
+        self.state[...] = rows.state
 
 
 def trial_rngs(master_seed: int, geometry_index: int, trials: range) -> List[np.random.Generator]:
@@ -337,22 +348,124 @@ class GeometryResult:
     n_records: int
 
 
+def _captured_map(fn: Callable, items: Sequence) -> list:
+    """(fn(item), records) for each item, in order: the records that the
+    package's loggers made during fn(item), kept from every handler and
+    ready to pickle, their messages formatted and their arguments dropped."""
+    records = []
+
+    def keep(record):
+        record.msg, record.args = record.getMessage(), None
+        records.append(record)
+        return False
+
+    loggers = [logger for name, logger in list(logging.Logger.manager.loggerDict.items())
+               if name.split(".")[0] == __package__ and isinstance(logger, logging.Logger)]
+    for logger in loggers:
+        logger.addFilter(keep)
+    try:
+        out = []
+        for item in items:
+            out.append((fn(item), records[:]))
+            del records[:]
+        return out
+    finally:
+        for logger in loggers:
+            logger.removeFilter(keep)
+
+
+def _fork_map(fn: Callable, items: Sequence, workers: int, name: str) -> list:
+    """[fn(item) for item in items], item i on worker i % W, with W the
+    least of ``workers`` and the item count, or 1 where ``os.fork`` is
+    missing.
+
+    Worker 0 is the calling process; each other one is a child forked with
+    ``os.fork``, which inherits ``fn`` and everything it reads, so no input
+    is pickled.  A child pickles its results, or the exception that stopped
+    it, down its own pipe, together with the package's log records of each
+    item, and exits.  Once every result is in, each item's log records are
+    handled here, in item order, by the logger that made them.  A child's
+    exception is raised here with its type and message; a child that exits
+    without its message raises RuntimeError naming ``name``.  Every child is
+    reaped before this returns or raises, and killed first unless it has
+    sent its message.  With one worker nothing is forked or captured.
+    """
+    workers = min(workers, len(items)) if hasattr(os, "fork") else 1
+    if workers <= 1:
+        return [fn(item) for item in items]
+    children = []  # (pid, read end of its pipe) of each child not yet reaped
+    try:
+        for w in range(1, workers):
+            r, w_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w_fd)
+                raise
+            if pid == 0:  # the child: it leaves only through os._exit
+                status = 1
+                try:
+                    os.close(r)
+                    try:
+                        message = _captured_map(fn, items[w::workers])
+                    except Exception as exc:
+                        message = exc, traceback.format_exc()
+                    # pickled whole first, so that the pipe gets all of it or nothing
+                    data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+                    with os.fdopen(w_fd, "wb") as pipe:
+                        pipe.write(data)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w_fd)
+            children.append((pid, os.fdopen(r, "rb")))
+        results = [None] * len(items)
+        results[::workers] = _captured_map(fn, items[::workers])
+        for w in range(1, workers):
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            if status or not data:
+                raise RuntimeError("%s: worker process %d exited with status %d before "
+                                   "sending its results" % (name, pid, status))
+            message = pickle.loads(data)  # bytes that a child of this process wrote
+            if isinstance(message, tuple):  # the exception that stopped the child
+                exc, trace = message
+                raise exc from RuntimeError("in worker process %d of %s:\n%s"
+                                            % (pid, name, trace))
+            results[w::workers] = message
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for _, records in results:
+        for record in records:
+            logging.getLogger(record.name).handle(record)
+    return [result for result, _ in results]
+
+
 def run_geometry(
     cfg: ExperimentConfig,
     setup: Setup,
     geometry_index: int,
     threads: int = 1,
     draws: Optional[TrialDraws] = None,
-    pool: Optional[Executor] = None,
 ) -> GeometryResult:
     """All Monte Carlo trials for one network geometry.
 
     The trials go in stacks of ``trial_stack_size`` for ``threads`` workers,
-    the last one maybe partial.  Trial t lands in batch t % n_batches, merged
-    in trial order; the batches are merged in order.  ``pool``, if given (the
-    run's pool of ``threads`` workers), maps the stacks; else they run in the
-    calling thread.  ``draws``, if given, is the run's ``TrialDraws``, whose
-    row ``geometry_index`` goes to ``observe``.
+    the last one maybe partial.  Worker w runs stacks w, w + threads, ...:
+    worker 0 in the calling process and each other one in a process forked
+    after the geometry is built (``_fork_map``), unless the geometry has
+    fewer stacks or ``os.fork`` is missing, when fewer workers or the calling
+    process alone run them.  Trial t lands in batch t % n_batches, merged in
+    trial order; the batches are merged in order.  ``draws``, if given, is
+    the run's ``TrialDraws``, whose row ``geometry_index`` goes to
+    ``observe``; a forked worker's rows come back with its results.
     """
     layout = setup.layout
     geom = build_geometry(cfg, setup, geometry_index)
@@ -363,14 +476,18 @@ def run_geometry(
     n_batches = max(1, min(_N_BATCHES, cfg.n_trials))
     batches = [se.SinrAccumulator(shape) for _ in range(n_batches)]
     stack = trial_stack_size(layout, cfg.n_trials, threads)
+    starts = range(0, cfg.n_trials, stack)
 
     def one(t0: int):
         trials = range(t0, min(t0 + stack, cfg.n_trials))
+        rows = None if record is None else record.rows(slice(t0, t0 + stack))
         return run_trial(cfg, setup, geom, trial_rngs(cfg.master_seed, geometry_index, trials),
-                         None if record is None else record.rows(slice(t0, t0 + stack)))
+                         rows), rows
 
-    starts = range(0, cfg.n_trials, stack)
-    for t0, acc in zip(starts, (map if pool is None else pool.map)(one, starts)):
+    results = _fork_map(one, starts, threads, "geometry %d" % geometry_index)
+    for t0, (acc, rows) in zip(starts, results):
+        if record is not None:  # a forked worker's rows are copies
+            record.rows(slice(t0, t0 + stack)).write(rows)
         for b in range(len(acc.gain)):
             batches[(t0 + b) % n_batches].merge(acc, b)
 
@@ -403,7 +520,7 @@ def run_experiment(
 
     The records are a pure function of the configuration: byte-identical for
     every ``threads`` value from 1 to MAX_THREADS; any other raises ValueError
-    before a thread starts.  The standard error spreads over the
+    before a worker process is forked.  The standard error spreads over the
     geometries, or over the trial batches of a single-geometry run.  A row's SE
     stays one (1 + tau_c) array, the block then every symbol, until the records
     are written: channel use c reads entry ceil(c / N_c), so the block row
@@ -424,15 +541,14 @@ def run_experiment(
         print(effective_config_text(cfg), file=sys.stderr, end="")
     setup = build_setup(cfg)
     geoms: List[GeometryResult] = []
-    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
-        for g in range(cfg.n_geometries):
-            geoms.append(run_geometry(cfg, setup, g, threads=threads, draws=draws, pool=pool))
-            if progress:
-                print(
-                    "geometry %d/%d done (%.1f s elapsed)"
-                    % (g + 1, cfg.n_geometries, time.perf_counter() - t0),
-                    file=sys.stderr,
-                )
+    for g in range(cfg.n_geometries):
+        geoms.append(run_geometry(cfg, setup, g, threads=threads, draws=draws))
+        if progress:
+            print(
+                "geometry %d/%d done (%.1f s elapsed)"
+                % (g + 1, cfg.n_geometries, time.perf_counter() - t0),
+                file=sys.stderr,
+            )
 
     n_invalid = sum(g.n_invalid for g in geoms)
     n_records = sum(g.n_records for g in geoms)

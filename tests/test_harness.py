@@ -1,11 +1,14 @@
 """Configuration parsing, experiment orchestration, CSV output, and the CLI."""
 
+import ast
 import copy
+import logging
 import math
 import os
 import re
 import subprocess
 import sys
+import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -71,12 +74,36 @@ def counting_runs(monkeypatch):
     return calls
 
 
-def counting_traces(monkeypatch):
+class ForkCalls:
+    """Values appended by this process or by a worker process forked from
+    it: each ``append`` writes one line to a file opened for appending (one
+    write per line, so lines of several processes do not interleave), and
+    ``list()`` reads them back in the order written."""
+
+    def __init__(self, path):
+        self.path = path
+        path.write_text("")
+
+    def append(self, value):
+        with open(self.path, "a", encoding="utf-8") as f:
+            f.write(repr(value) + "\n")
+
+    def list(self):
+        return [ast.literal_eval(line) for line in self.path.read_text().splitlines()]
+
+
+def assert_no_child_left():
+    """Every process this one forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def counting_traces(monkeypatch, calls=None):
     """Whether each ``gen_pn_trace`` call of harness from now on is of an
-    ideal world, in call order."""
+    ideal world, in call order, appended to ``calls`` (a new list if None)."""
     from cfofdm import harness
 
-    calls = []
+    calls = [] if calls is None else calls
     real_trace = harness.gen_pn_trace
 
     def counting_trace(params, *args, **kwargs):
@@ -212,45 +239,186 @@ class TestRunExperiment:
         b = records_to_csv(run_experiment(cfg, threads=2))
         assert a == b
 
-    def test_one_pool_per_run(self, monkeypatch):
-        """Every geometry of a run maps its stacks on the one pool the run
-        opens, with the records of a run on one thread."""
+    def test_forks_per_geometry(self, monkeypatch):
+        """A geometry of S trial stacks on T workers forks min(T, S) - 1
+        worker processes, and the run's records are those of a run in one
+        process; one thread, a geometry of one stack, or a platform without
+        ``os.fork`` forks nothing."""
         from cfofdm import harness
 
-        opened, real_pool = [], harness.ThreadPoolExecutor
+        forks, per_geometry = [], []
+        real_fork, real_geometry = os.fork, harness.run_geometry
 
-        def counting_pool(workers):
-            opened.append(workers)
-            return real_pool(workers)
+        def counting_fork():
+            forks.append(None)
+            return real_fork()
 
-        cfg = small_cfg(n_geometries=3)
-        sequential = records_to_csv(run_experiment(cfg))
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", counting_pool)
-        assert records_to_csv(run_experiment(cfg, threads=2)) == sequential
-        assert opened == [2]
+        def geometry(*args, **kwargs):
+            before = len(forks)
+            out = real_geometry(*args, **kwargs)
+            per_geometry.append(len(forks) - before)
+            return out
+
+        monkeypatch.setattr(harness, "run_geometry", geometry)
+        monkeypatch.setattr(os, "fork", counting_fork)
+        for n_trials, threads, expected in ((12, 1, 0), (12, 2, 1), (12, 3, 2), (1, 2, 0)):
+            cfg = small_cfg(n_geometries=3, n_trials=n_trials)
+            assert harness.trial_stack_size(cfg.layout(), n_trials, threads) == (
+                -(-n_trials // threads))
+            sequential = records_to_csv(run_experiment(cfg))
+            del per_geometry[:]
+            assert records_to_csv(run_experiment(cfg, threads=threads)) == sequential
+            assert per_geometry == [expected] * 3
+            assert_no_child_left()
+        monkeypatch.delattr(os, "fork")
+        cfg = small_cfg(n_geometries=1)
+        assert records_to_csv(run_experiment(cfg, threads=2)) == records_to_csv(
+            run_experiment(cfg))
 
     def test_threads_below_one_rejected(self):
         for threads in (0, -3):
             with pytest.raises(ValueError, match="threads"):
                 run_experiment(small_cfg(), threads=threads)
 
-    def test_threads_above_cap_rejected_before_any_pool(self, monkeypatch):
-        """run_experiment enforces the CLI's cap itself, before a pool exists; the
-        pool is replaced by one that fails if constructed, so no thread starts."""
+    def test_threads_above_cap_rejected_before_any_fork(self, monkeypatch):
+        """run_experiment enforces the CLI's cap itself, before any worker
+        exists; ``os.fork`` is replaced by one that fails if called, so no
+        process starts."""
         from cfofdm import harness
 
-        class PoolReached(Exception):
+        class ForkReached(Exception):
             pass
 
-        def no_pool(workers):
-            raise PoolReached(workers)
+        def no_fork():
+            raise ForkReached("fork")
 
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         for threads in (harness.MAX_THREADS + 1, 10 ** 6):
             with pytest.raises(ValueError, match="threads"):
                 run_experiment(small_cfg(), threads=threads)
-        with pytest.raises(PoolReached, match=str(harness.MAX_THREADS)):
+        with pytest.raises(ForkReached):
             run_experiment(small_cfg(), threads=harness.MAX_THREADS)
+        assert_no_child_left()
+
+    def test_worker_log_records_handled_once_in_stack_order(self, monkeypatch):
+        """A pinv fallback forced in a forked worker reaches a handler on the
+        calling process's ``cfofdm.combining`` logger exactly once.  With one
+        fallback in each of four trial stacks on two workers, the records
+        arrive in stack order: from the calling process, its child, then
+        each again."""
+        from cfofdm import harness
+
+        forks, records, failed = [], [], []
+        real_fork, real_solve, real_trial = os.fork, np.linalg.solve, harness.run_trial
+        parent = os.getpid()
+        everywhere = False  # also fail in the calling process
+
+        def fork():
+            forks.append(real_fork())
+            return forks[-1]
+
+        def trial(*args, **kwargs):
+            del failed[:]
+            return real_trial(*args, **kwargs)
+
+        def solve(a, b):
+            # a stack's first stacked solve, then that solve's first system
+            if len(failed) < 2 and (everywhere or os.getpid() != parent):
+                failed.append(a.shape)
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_solve(a, b)
+
+        class Keep(logging.Handler):
+            def emit(self, record):
+                records.append(record)
+
+        handler = Keep(level=logging.WARNING)
+        logger = logging.getLogger("cfofdm.combining")
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        monkeypatch.setattr(harness, "run_trial", trial)
+        logger.addHandler(handler)
+        try:
+            run_experiment(small_cfg(n_geometries=1, n_trials=12), threads=2)
+            assert len(forks) == 1 and len(records) == 1
+            assert "using pseudo-inverse" in records[0].getMessage()
+            assert records[0].process == forks[0]
+            del forks[:], records[:]
+            everywhere = True
+            cfg = small_cfg(n_geometries=1, n_trials=4)
+            monkeypatch.setattr(harness, "_CHUNK_BYTES",
+                                16 * cfg.block_symbols * cfg.n_ues * cfg.n_aps)
+            assert harness.trial_stack_size(cfg.layout(), 4, 2) == 1
+            run_experiment(cfg, threads=2)
+            assert [r.process for r in records] == [parent, forks[0]] * 2
+        finally:
+            logger.removeHandler(handler)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("case", ["child_raises", "child_exits", "parent_raises",
+                                      "parent_interrupted"])
+    def test_worker_failure_reaps_every_child(self, monkeypatch, case):
+        """An exception in a forked worker raises in the calling process with
+        its type and message; a worker that exits without its results raises
+        RuntimeError naming the geometry and the exit status; an error or
+        interrupt in the calling process kills the workers still running.
+        Every child is reaped in each case."""
+        from cfofdm import harness
+
+        parent = os.getpid()
+        real_trial = harness.run_trial
+
+        def trial(*args, **kwargs):
+            in_child = os.getpid() != parent
+            if case == "child_raises" and in_child:
+                raise ValueError("stack failed in a worker")
+            if case == "child_exits" and in_child:
+                os._exit(7)
+            if case.startswith("parent") and in_child:
+                time.sleep(60)
+            if case == "parent_raises" and not in_child:
+                raise ValueError("stack failed in the calling process")
+            if case == "parent_interrupted" and not in_child:
+                raise KeyboardInterrupt
+            return real_trial(*args, **kwargs)
+
+        expected = {
+            "child_raises": (ValueError, "^stack failed in a worker$"),
+            "child_exits": (RuntimeError, r"^geometry 0: worker process \d+ exited with "
+                            r"status 7 before sending its results$"),
+            "parent_raises": (ValueError, "^stack failed in the calling process$"),
+            "parent_interrupted": (KeyboardInterrupt, None),
+        }[case]
+        monkeypatch.setattr(harness, "run_trial", trial)
+        t0 = time.monotonic()
+        with pytest.raises(expected[0], match=expected[1]) as info:
+            run_experiment(small_cfg(n_geometries=1), threads=2)
+        assert time.monotonic() - t0 < 30  # no sleeping worker was waited for
+        assert type(info.value) is expected[0]
+        if case == "child_raises":
+            assert "in trial" in str(info.value.__cause__)  # the worker's traceback
+        assert_no_child_left()
+
+    def test_worker_runtime_error_exit_code(self, tmp_path, monkeypatch, capsys):
+        """A RuntimeError in a forked worker ends ``sim`` with exit code 3 and
+        its message, as in the calling process."""
+        from cfofdm import harness
+
+        parent = os.getpid()
+        real_trial = harness.run_trial
+
+        def trial(*args, **kwargs):
+            if os.getpid() != parent:
+                raise RuntimeError("Monte Carlo underflow in a worker")
+            return real_trial(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_trial", trial)
+        out = tmp_path / "o.csv"
+        assert cli_main(["fig2", *CI_FIG, "n_ues=5", "n_geometries=1", "n_trials=2",
+                         "--threads", "2", "--out", str(out)]) == 3
+        assert "runtime error: Monte Carlo underflow in a worker" in capsys.readouterr().err
+        assert not out.exists()
+        assert_no_child_left()
 
     @pytest.mark.parametrize("n_trials", [7, 2], ids=["partial_last_stack", "under_one_stack"])
     def test_csv_invariant_to_threads_and_stack_size(self, monkeypatch, n_trials):
@@ -1066,28 +1234,33 @@ class TestReplay:
 
     @pytest.mark.parametrize("world", WORLDS + [
         pytest.param({"gamma_ap": 0.0, "gamma_ue": 0.0}, id="ideal")])
-    def test_no_pn_half_draws_no_trace(self, monkeypatch, world):
+    def test_no_pn_half_draws_no_trace(self, monkeypatch, tmp_path, world):
         """``run_fig2``'s ideal run replays every trial of its first run: it
         draws no trace, whether the first run has phase noise or is itself
-        ideal and records as it draws.  A fallback to drawing would give the
-        same CSV, only slower."""
+        ideal and records as it draws.  The first run's forked workers send
+        their rows back, so the ideal run starts with every row recorded.  A
+        fallback to drawing would give the same CSV, only slower.  The traces
+        are counted in every worker process."""
         from cfofdm import harness
 
-        traces = counting_traces(monkeypatch)
-        starts = []
+        traces = counting_traces(monkeypatch, ForkCalls(tmp_path / "traces"))
+        starts, unrecorded = [], []
         real_run = harness.run_experiment
 
-        def run(*args, **kwargs):
-            starts.append(len(traces))
-            return real_run(*args, **kwargs)
+        def run(*args, draws=None, **kwargs):
+            starts.append(len(traces.list()))
+            unrecorded.append(sum(state is None for state in draws.state.flat))
+            return real_run(*args, draws=draws, **kwargs)
 
         monkeypatch.setattr(harness, "run_experiment", run)
         cfg = replace(ci_config(), n_geometries=2, n_trials=7,
                       schemes=("mr", "lp_mmse", "p_mmse", "mmse"), **world)
         run_fig2(cfg, threads=2)
         ideal = cfg.pn_params().ideal
+        traces = traces.list()
         assert starts[0] == 0 and traces[:starts[1]] == [ideal] * 14
         assert traces[starts[1]:] == []
+        assert unrecorded == [14, 0]
 
 
 class TestSynthesisPieces:
@@ -1118,13 +1291,13 @@ class TestSynthesisPieces:
                 assert -(-stacks // threads) == -(-n_trials // (threads * most))
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_geometry_stacks(self, monkeypatch, threads):
+    def test_geometry_stacks(self, monkeypatch, tmp_path, threads):
         """``run_fig2`` on a ci geometry of 30 trials runs two trial stacks of
         15 in each world, whose pieces synthesize 3 drawn or at most 6
-        replayed trials."""
+        replayed trials; the calls are counted in every worker process."""
         from cfofdm import harness, ofdm
 
-        stacks, pieces = [], []
+        stacks, pieces = ForkCalls(tmp_path / "stacks"), ForkCalls(tmp_path / "pieces")
         real_trial, real_synth = harness.run_trial, ofdm.synth_pilot_observations
 
         def counted_trial(cfg, setup, geom, rngs, draws=None):
@@ -1140,6 +1313,7 @@ class TestSynthesisPieces:
         cfg = replace(ci_config(), n_geometries=1, n_trials=30)
         run_fig2(cfg, threads=threads)
         T = cfg.block_symbols
+        stacks, pieces = stacks.list(), pieces.list()
         assert sorted(stacks) == [(1, 15), (1, 15), (T, 15), (T, 15)]
         # drawn: 5 pieces of 3 per stack; replayed: pieces of 6, 6 and 3
         assert sorted(pieces) == [3] * 12 + [6] * 4
