@@ -11,7 +11,7 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import BinaryIO, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,8 +36,8 @@ CSV_HEADER = (
 _STREAM_GEOMETRY = 0
 _STREAM_TRIAL = 1
 _N_BATCHES = 8  # trial batches behind single-geometry standard errors
-# Workers of one run: the calling process and, per geometry, up to 63 forked
-# children, each with its own trial working set
+# Workers of one run: the calling process and up to 63 children forked once
+# per run, each with its own geometry and trial working set
 MAX_THREADS = 64
 
 
@@ -348,10 +348,11 @@ class GeometryResult:
     n_records: int
 
 
-def _captured_map(fn: Callable, items: Sequence) -> list:
-    """(fn(item), records) for each item, in order: the records that the
-    package's loggers made during fn(item), kept from every handler and
-    ready to pickle, their messages formatted and their arguments dropped."""
+def _capture_records() -> list:
+    """The list that every record the package's loggers make from now on
+    goes to, kept from every handler and ready to pickle: its message
+    formatted and its arguments dropped.  For a forked worker, which
+    captures until it exits."""
     records = []
 
     def keep(record):
@@ -359,93 +360,162 @@ def _captured_map(fn: Callable, items: Sequence) -> list:
         records.append(record)
         return False
 
-    loggers = [logger for name, logger in list(logging.Logger.manager.loggerDict.items())
-               if name.split(".")[0] == __package__ and isinstance(logger, logging.Logger)]
-    for logger in loggers:
-        logger.addFilter(keep)
-    try:
-        out = []
-        for item in items:
-            out.append((fn(item), records[:]))
-            del records[:]
-        return out
-    finally:
-        for logger in loggers:
-            logger.removeFilter(keep)
+    for name, logger in list(logging.Logger.manager.loggerDict.items()):
+        if name.split(".")[0] == __package__ and isinstance(logger, logging.Logger):
+            logger.addFilter(keep)
+    return records
 
 
-def _fork_map(fn: Callable, items: Sequence, workers: int, name: str) -> list:
-    """[fn(item) for item in items], item i on worker i % W, with W the
-    least of ``workers`` and the item count, or 1 where ``os.fork`` is
-    missing.
+@dataclass
+class _Child:
+    """A forked worker not yet reaped."""
 
-    Worker 0 is the calling process; each other one is a child forked with
-    ``os.fork``, which inherits ``fn`` and everything it reads, so no input
-    is pickled.  A child pickles its results, or the exception that stopped
-    it, down its own pipe, together with the package's log records of each
-    item, and exits.  Once every result is in, each item's log records are
-    handled here, in item order, by the logger that made them.  A child's
-    exception is raised here with its type and message; a child that exits
-    without its message raises RuntimeError naming ``name``.  Every child is
-    reaped before this returns or raises, and killed first unless it has
-    sent its message.  With one worker nothing is forked or captured.
+    pid: int
+    pipe: BinaryIO  # the read end of its pipe
+    left: int       # its stacks not yet read
+
+
+class _Workers:
+    """The worker processes of the trial stacks of ``geometries``, forked once.
+
+    The stacks are those of ``trial_stack_size`` for ``threads`` workers.
+    Items (g, t0), the stack at trial t0 of geometry g, taken in that order,
+    go round-robin: item i runs on worker i % W, W the least of ``threads``
+    and the item count, or 1 where ``os.fork`` is missing.  A geometry has a
+    multiple of ``threads`` stacks unless it has fewer, so worker w runs
+    stacks w, w + threads, ... of each geometry.  Worker 0 is the calling
+    process, which runs its stacks in ``run_geometry``.  Each other one is a
+    child forked here with ``os.fork``, which inherits cfg, set-up and
+    draws, so no input is pickled.  A child builds a geometry when it
+    reaches its first stack there, holding one geometry at a time.  As soon
+    as a stack is done it pickles one message down its own pipe: the
+    stack's accumulator, its ``TrialDraws`` rows and the package's log
+    records it made, or the exception that stopped the child.  ``receive``
+    reads a child's messages one at a time, in item order.  ``close``, or
+    leaving a ``with`` block, reaps every child, killing first each one
+    whose stacks are not all read.
     """
-    workers = min(workers, len(items)) if hasattr(os, "fork") else 1
-    if workers <= 1:
-        return [fn(item) for item in items]
-    children = []  # (pid, read end of its pipe) of each child not yet reaped
-    try:
-        for w in range(1, workers):
-            r, w_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(r)
-                os.close(w_fd)
-                raise
-            if pid == 0:  # the child: it leaves only through os._exit
-                status = 1
+
+    def __init__(self, cfg: ExperimentConfig, setup: Setup, geometries: range,
+                 threads: int, draws: Optional[TrialDraws]):
+        self.cfg, self.setup, self.draws = cfg, setup, draws
+        self.stack = trial_stack_size(setup.layout, cfg.n_trials, threads)
+        self.starts = range(0, cfg.n_trials, self.stack)
+        self.first = geometries.start
+        items = [(g, t0) for g in geometries for t0 in self.starts]
+        self.count = min(threads, len(items)) if hasattr(os, "fork") else 1
+        self.children = {}  # worker index: _Child
+        try:
+            for w in range(1, self.count):
+                r, w_fd = os.pipe()
                 try:
+                    pid = os.fork()
+                except BaseException:
                     os.close(r)
+                    os.close(w_fd)
+                    raise
+                if pid == 0:
+                    self._serve(items[w::self.count], r, w_fd)
+                os.close(w_fd)
+                self.children[w] = _Child(pid, os.fdopen(r, "rb"), len(items[w::self.count]))
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self) -> "_Workers":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def worker(self, geometry_index: int, t0: int) -> int:
+        """The worker of the stack at trial t0 of a geometry."""
+        item = (geometry_index - self.first) * len(self.starts) + t0 // self.stack
+        return item % self.count
+
+    def rows(self, geometry_index: int, t0: int) -> Optional[TrialDraws]:
+        """The ``draws`` rows of the stack at trial t0 of a geometry, or None."""
+        if self.draws is None:
+            return None
+        return self.draws.rows((geometry_index, slice(t0, t0 + self.stack)))
+
+    def run_stack(self, geom: Geometry, geometry_index: int, t0: int) -> se.SinrAccumulator:
+        """``run_trial`` of the stack at trial t0 of the geometry ``geom``."""
+        trials = range(t0, min(t0 + self.stack, self.cfg.n_trials))
+        return run_trial(self.cfg, self.setup, geom,
+                         trial_rngs(self.cfg.master_seed, geometry_index, trials),
+                         self.rows(geometry_index, t0))
+
+    def _serve(self, items: Sequence[Tuple[int, int]], r: int, w_fd: int) -> None:
+        """A child's work: run ``items``, writing each one's message down its
+        pipe, ``r`` to ``w_fd``, as a length and the pickled bytes.  Leaves
+        only through ``os._exit``."""
+        status = 1
+        try:
+            os.close(r)
+            for child in self.children.values():  # the read ends of earlier children
+                child.pipe.close()
+            records = _capture_records()
+            current = geom = None
+            with os.fdopen(w_fd, "wb") as pipe:
+                for g, t0 in items:
                     try:
-                        message = _captured_map(fn, items[w::workers])
+                        if g != current:
+                            geom = None  # one geometry at a time
+                            geom, current = build_geometry(self.cfg, self.setup, g), g
+                        message = self.run_stack(geom, g, t0), self.rows(g, t0), records[:]
                     except Exception as exc:
-                        message = exc, traceback.format_exc()
-                    # pickled whole first, so that the pipe gets all of it or nothing
+                        message = None, exc, traceback.format_exc()
+                    del records[:]
                     data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
-                    with os.fdopen(w_fd, "wb") as pipe:
-                        pipe.write(data)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(w_fd)
-            children.append((pid, os.fdopen(r, "rb")))
-        results = [None] * len(items)
-        results[::workers] = _captured_map(fn, items[::workers])
-        for w in range(1, workers):
-            pid, pipe = children[0]
-            with pipe:
-                data = pipe.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[0]
-            if status or not data:
-                raise RuntimeError("%s: worker process %d exited with status %d before "
-                                   "sending its results" % (name, pid, status))
-            message = pickle.loads(data)  # bytes that a child of this process wrote
-            if isinstance(message, tuple):  # the exception that stopped the child
-                exc, trace = message
-                raise exc from RuntimeError("in worker process %d of %s:\n%s"
-                                            % (pid, name, trace))
-            results[w::workers] = message
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    for _, records in results:
+                    pipe.write(len(data).to_bytes(8, "little"))
+                    pipe.write(data)
+                    pipe.flush()
+                    if message[0] is None:
+                        break
+            status = 0
+        finally:
+            os._exit(status)
+
+    def receive(self, w: int, geometry_index: int, t0: int) -> se.SinrAccumulator:
+        """The accumulator of the stack at trial t0 of a geometry, worker w's
+        next message.  Its rows go into ``draws`` and its log records are
+        handled here by the loggers that made them.  A child's exception is
+        raised here with its type and message; a child that exits without
+        the message raises RuntimeError naming the geometry."""
+        child = self.children[w]
+        head = child.pipe.read(8)
+        size = int.from_bytes(head, "little")
+        data = child.pipe.read(size) if len(head) == 8 else b""
+        if len(head) < 8 or len(data) < size:
+            raise RuntimeError("geometry %d: worker process %d exited with status %d before "
+                               "sending its results"
+                               % (geometry_index, child.pid, self._reap(w, kill=False)))
+        child.left -= 1
+        message = pickle.loads(data)  # bytes that a child of this process wrote
+        if message[0] is None:  # the exception that stopped the child
+            _, exc, trace = message
+            raise exc from RuntimeError("in worker process %d of geometry %d:\n%s"
+                                        % (child.pid, geometry_index, trace))
+        acc, rows, records = message
+        if rows is not None:  # the child's rows are copies
+            self.rows(geometry_index, t0).write(rows)
         for record in records:
             logging.getLogger(record.name).handle(record)
-    return [result for result, _ in results]
+        return acc
+
+    def _reap(self, w: int, kill: bool) -> int:
+        """Reap worker w, killed first if ``kill``; its exit status."""
+        child = self.children.pop(w)
+        child.pipe.close()
+        if kill:
+            os.kill(child.pid, signal.SIGKILL)
+        return os.waitstatus_to_exitcode(os.waitpid(child.pid, 0)[1])
+
+    def close(self) -> None:
+        """Reap every child, killing first each one whose stacks are not all read."""
+        for w in list(self.children):
+            self._reap(w, kill=self.children[w].left > 0)
 
 
 def run_geometry(
@@ -454,43 +524,44 @@ def run_geometry(
     geometry_index: int,
     threads: int = 1,
     draws: Optional[TrialDraws] = None,
+    workers: Optional[_Workers] = None,
 ) -> GeometryResult:
     """All Monte Carlo trials for one network geometry.
 
     The trials go in stacks of ``trial_stack_size`` for ``threads`` workers,
-    the last one maybe partial.  Worker w runs stacks w, w + threads, ...:
-    worker 0 in the calling process and each other one in a process forked
-    after the geometry is built (``_fork_map``), unless the geometry has
-    fewer stacks or ``os.fork`` is missing, when fewer workers or the calling
-    process alone run them.  Trial t lands in batch t % n_batches, merged in
-    trial order; the batches are merged in order.  ``draws``, if given, is
-    the run's ``TrialDraws``, whose row ``geometry_index`` goes to
-    ``observe``; a forked worker's rows come back with its results.
+    the last one maybe partial, run by ``workers``, a run's ``_Workers``
+    whose geometries hold this one and whose ``threads`` and ``draws`` are
+    then used, or else by workers forked for this geometry alone.  The
+    calling process builds the geometry and runs its own stacks here, and
+    reads each other stack from its worker, in stack order; where it runs
+    none it draws the network alone.  Trial t lands in batch t %
+    n_batches, each stack merged in trial order as it comes; the batches
+    are merged in order.  ``draws``, if given, is the run's ``TrialDraws``,
+    whose row ``geometry_index`` goes to ``observe``; a forked worker's rows
+    come back with its stacks.
     """
+    if workers is None:
+        with _Workers(cfg, setup, range(geometry_index, geometry_index + 1), threads,
+                      draws) as own:
+            return run_geometry(cfg, setup, geometry_index, workers=own)
     layout = setup.layout
-    geom = build_geometry(cfg, setup, geometry_index)
-    network = geom.network
-    record = None if draws is None else draws.rows(geometry_index)
-
     shape = (len(cfg.estimators), len(cfg.schemes), layout.block_symbols, layout.n_ues)
     n_batches = max(1, min(_N_BATCHES, cfg.n_trials))
     batches = [se.SinrAccumulator(shape) for _ in range(n_batches)]
-    stack = trial_stack_size(layout, cfg.n_trials, threads)
-    starts = range(0, cfg.n_trials, stack)
-
-    def one(t0: int):
-        trials = range(t0, min(t0 + stack, cfg.n_trials))
-        rows = None if record is None else record.rows(slice(t0, t0 + stack))
-        return run_trial(cfg, setup, geom, trial_rngs(cfg.master_seed, geometry_index, trials),
-                         rows), rows
-
-    results = _fork_map(one, starts, threads, "geometry %d" % geometry_index)
-    for t0, (acc, rows) in zip(starts, results):
-        if record is not None:  # a forked worker's rows are copies
-            record.rows(slice(t0, t0 + stack)).write(rows)
+    geom = None
+    for t0 in workers.starts:
+        w = workers.worker(geometry_index, t0)
+        if w == 0:
+            if geom is None:
+                geom = build_geometry(cfg, setup, geometry_index)
+            acc = workers.run_stack(geom, geometry_index, t0)
+        else:
+            acc = workers.receive(w, geometry_index, t0)
         for b in range(len(acc.gain)):
             batches[(t0 + b) % n_batches].merge(acc, b)
+        del acc  # merged: freed before the next stack is read
 
+    network = _geometry(cfg, geometry_index) if geom is None else geom.network
     total = se.SinrAccumulator(shape)
     for b in batches:
         total.merge(b)
@@ -520,14 +591,15 @@ def run_experiment(
 
     The records are a pure function of the configuration: byte-identical for
     every ``threads`` value from 1 to MAX_THREADS; any other raises ValueError
-    before a worker process is forked.  The standard error spreads over the
+    before a worker process is forked.  The workers (``_Workers``) are forked
+    once, after the set-up, and ``run_geometry`` takes each geometry's stacks
+    from them in turn.  The standard error spreads over the
     geometries, or over the trial batches of a single-geometry run.  A row's SE
     stays one (1 + tau_c) array, the block then every symbol, until the records
     are written: channel use c reads entry ceil(c / N_c), so the block row
     (c = 0) reads entry 0.  Raises RuntimeError if more than 1% of SINR records
-    are invalid.  ``draws`` goes to every ``run_geometry``; a record of
-    other than n_geometries x n_trials trials raises ValueError before any
-    work.
+    are invalid.  ``draws`` goes to the workers; a record of other than
+    n_geometries x n_trials trials raises ValueError before any work.
     """
     cfg.validate()
     if not 1 <= threads <= MAX_THREADS:
@@ -541,14 +613,15 @@ def run_experiment(
         print(effective_config_text(cfg), file=sys.stderr, end="")
     setup = build_setup(cfg)
     geoms: List[GeometryResult] = []
-    for g in range(cfg.n_geometries):
-        geoms.append(run_geometry(cfg, setup, g, threads=threads, draws=draws))
-        if progress:
-            print(
-                "geometry %d/%d done (%.1f s elapsed)"
-                % (g + 1, cfg.n_geometries, time.perf_counter() - t0),
-                file=sys.stderr,
-            )
+    with _Workers(cfg, setup, range(cfg.n_geometries), threads, draws) as workers:
+        for g in range(cfg.n_geometries):
+            geoms.append(run_geometry(cfg, setup, g, workers=workers))
+            if progress:
+                print(
+                    "geometry %d/%d done (%.1f s elapsed)"
+                    % (g + 1, cfg.n_geometries, time.perf_counter() - t0),
+                    file=sys.stderr,
+                )
 
     n_invalid = sum(g.n_invalid for g in geoms)
     n_records = sum(g.n_records for g in geoms)

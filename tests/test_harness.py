@@ -5,6 +5,7 @@ import copy
 import logging
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -33,6 +34,7 @@ from cfofdm.harness import (
     run_experiment,
     run_fig2,
 )
+from cfofdm.se import SinrAccumulator
 
 FLOAT_KEYS = [f.name for f in fields(ExperimentConfig) if f.type == "float"]
 
@@ -239,41 +241,80 @@ class TestRunExperiment:
         b = records_to_csv(run_experiment(cfg, threads=2))
         assert a == b
 
-    def test_forks_per_geometry(self, monkeypatch):
-        """A geometry of S trial stacks on T workers forks min(T, S) - 1
-        worker processes, and the run's records are those of a run in one
-        process; one thread, a geometry of one stack, or a platform without
+    def test_forks_once_per_run(self, monkeypatch):
+        """A run of S trial stacks in all on T workers forks min(T, S) - 1
+        worker processes once, whatever its geometry count, and ``run_fig2``
+        twice that, one set per run; the records are those of a run in one
+        process.  Three geometries of one trial on two workers fork one
+        child, which runs geometry 1.  One thread or a platform without
         ``os.fork`` forks nothing."""
         from cfofdm import harness
 
-        forks, per_geometry = [], []
-        real_fork, real_geometry = os.fork, harness.run_geometry
+        forks = []
+        real_fork = os.fork
 
         def counting_fork():
             forks.append(None)
             return real_fork()
 
-        def geometry(*args, **kwargs):
-            before = len(forks)
-            out = real_geometry(*args, **kwargs)
-            per_geometry.append(len(forks) - before)
-            return out
-
-        monkeypatch.setattr(harness, "run_geometry", geometry)
         monkeypatch.setattr(os, "fork", counting_fork)
-        for n_trials, threads, expected in ((12, 1, 0), (12, 2, 1), (12, 3, 2), (1, 2, 0)):
+        for n_trials, threads, expected in ((12, 1, 0), (12, 2, 1), (12, 3, 2), (1, 2, 1)):
             cfg = small_cfg(n_geometries=3, n_trials=n_trials)
             assert harness.trial_stack_size(cfg.layout(), n_trials, threads) == (
                 -(-n_trials // threads))
             sequential = records_to_csv(run_experiment(cfg))
-            del per_geometry[:]
+            figure = records_to_csv(run_fig2(cfg))
+            del forks[:]
             assert records_to_csv(run_experiment(cfg, threads=threads)) == sequential
-            assert per_geometry == [expected] * 3
+            assert len(forks) == expected
+            assert_no_child_left()
+            del forks[:]
+            assert records_to_csv(run_fig2(cfg, threads=threads)) == figure
+            assert len(forks) == 2 * expected
             assert_no_child_left()
         monkeypatch.delattr(os, "fork")
-        cfg = small_cfg(n_geometries=1)
+        cfg = small_cfg(n_geometries=3)
         assert records_to_csv(run_experiment(cfg, threads=2)) == records_to_csv(
             run_experiment(cfg))
+
+    def test_child_stacks_merged_as_they_come(self, monkeypatch):
+        """With two geometries of four trial stacks on two workers, the
+        calling process unpickles a child's stack only once it has merged
+        the one before: it never holds more than one unmerged child stack."""
+        from cfofdm import harness
+
+        held, most, loads = [], [], []
+        real_loads, real_merge = pickle.loads, SinrAccumulator.merge
+
+        def accumulators(obj):
+            if isinstance(obj, SinrAccumulator):
+                return [obj]
+            if isinstance(obj, (tuple, list)):
+                return [acc for item in obj for acc in accumulators(item)]
+            return []
+
+        def counting_loads(data, *args, **kwargs):
+            out = real_loads(data, *args, **kwargs)
+            loads.append(None)
+            held.extend(accumulators(out))
+            most.append(len(held))
+            return out
+
+        def merge(self, other, row=None):
+            if any(other is acc for acc in held):
+                held[:] = [acc for acc in held if acc is not other]
+            return real_merge(self, other, row)
+
+        cfg = small_cfg(n_geometries=2, n_trials=4)
+        monkeypatch.setattr(harness, "_CHUNK_BYTES",
+                            16 * cfg.block_symbols * cfg.n_ues * cfg.n_aps)
+        assert harness.trial_stack_size(cfg.layout(), 4, 2) == 1
+        sequential = records_to_csv(run_experiment(cfg))
+        monkeypatch.setattr(pickle, "loads", counting_loads)
+        monkeypatch.setattr(SinrAccumulator, "merge", merge)
+        assert records_to_csv(run_experiment(cfg, threads=2)) == sequential
+        assert len(loads) == 4 and max(most) == 1 and not held
+        assert_no_child_left()
 
     def test_threads_below_one_rejected(self):
         for threads in (0, -3):
@@ -355,20 +396,31 @@ class TestRunExperiment:
             logger.removeHandler(handler)
         assert_no_child_left()
 
-    @pytest.mark.parametrize("case", ["child_raises", "child_exits", "parent_raises",
-                                      "parent_interrupted"])
-    def test_worker_failure_reaps_every_child(self, monkeypatch, case):
+    @pytest.mark.parametrize("case, geometry", [
+        pytest.param(case, geometry, id=case + ("_on_geometry_1_of_2" if geometry else ""))
+        for geometry in (0, 1)
+        for case in ("child_raises", "child_exits", "parent_raises", "parent_interrupted")])
+    def test_worker_failure_reaps_every_child(self, monkeypatch, case, geometry):
         """An exception in a forked worker raises in the calling process with
         its type and message; a worker that exits without its results raises
         RuntimeError naming the geometry and the exit status; an error or
         interrupt in the calling process kills the workers still running.
-        Every child is reaped in each case."""
+        Every child is reaped in each case.  The failure comes on the only
+        geometry of a run, or on geometry 1 of 2, after every stack of
+        geometry 0 went through."""
         from cfofdm import harness
 
         parent = os.getpid()
-        real_trial = harness.run_trial
+        real_trial, real_geometry = harness.run_trial, harness.build_geometry
+        built = []  # the geometries this process built, in order
+
+        def build(cfg, setup, geometry_index):
+            built.append(geometry_index)
+            return real_geometry(cfg, setup, geometry_index)
 
         def trial(*args, **kwargs):
+            if built[-1] != geometry:
+                return real_trial(*args, **kwargs)
             in_child = os.getpid() != parent
             if case == "child_raises" and in_child:
                 raise ValueError("stack failed in a worker")
@@ -384,15 +436,16 @@ class TestRunExperiment:
 
         expected = {
             "child_raises": (ValueError, "^stack failed in a worker$"),
-            "child_exits": (RuntimeError, r"^geometry 0: worker process \d+ exited with "
-                            r"status 7 before sending its results$"),
+            "child_exits": (RuntimeError, r"^geometry %d: worker process \d+ exited with "
+                            r"status 7 before sending its results$" % geometry),
             "parent_raises": (ValueError, "^stack failed in the calling process$"),
             "parent_interrupted": (KeyboardInterrupt, None),
         }[case]
+        monkeypatch.setattr(harness, "build_geometry", build)
         monkeypatch.setattr(harness, "run_trial", trial)
         t0 = time.monotonic()
         with pytest.raises(expected[0], match=expected[1]) as info:
-            run_experiment(small_cfg(n_geometries=1), threads=2)
+            run_experiment(small_cfg(n_geometries=geometry + 1), threads=2)
         assert time.monotonic() - t0 < 30  # no sleeping worker was waited for
         assert type(info.value) is expected[0]
         if case == "child_raises":
