@@ -83,8 +83,7 @@ class ExperimentConfig:
     # receiver configuration
     estimators: Tuple[str, ...] = ("pna_ofdm",)    # pna_ofdm | pna_sc | unaware
     schemes: Tuple[str, ...] = ("mmse", "mr")      # mr | lp_mmse | p_mmse | mmse
-    ici_mode: str = "as_printed"       # as_printed | independent_data
-    cp_consistent_correlation: bool = False  # kernel stride N + N_cp instead of N
+    ici_mode: str = "as_printed"       # as_printed | independent_data (stride N + N_cp)
     # Monte Carlo
     n_geometries: int = 50
     n_trials: int = 200

@@ -26,8 +26,8 @@ def build_ici_base(
     Each is a kernel pair sum over offset weights seen from a pilot slot at
     subcarrier n: the pilot term weights offset n - j by the pilot sample of
     sequence t sent on the other pilot subcarrier j; the data term weights
-    every data subcarrier's offset by 1 (``as_printed``), or keeps only
-    equal-index data pairs through a lag weight (``independent_data``).
+    every data subcarrier's offset by 1 (``as_printed``), or only the pairs of
+    one data sample, equal index on one pilot symbol (``independent_data``).
 
     A slot's weights depend on its symbol only through the lag to the other
     slot's symbol and, for the pilot term, through the book: slot (s, p), in
@@ -68,10 +68,11 @@ def build_ici_base(
         y_data = data_ind[seen].astype(float)
     else:
         # sum_{j in D} B_{n1-j,n2-j} = unit weights on n1 and n2 at the lag weight
-        # G(d) = sum_{j in D} exp(2j pi j d / N)
+        # G(d) = sum_{j in D} exp(2j pi j d / N), at symbol lag 0 alone: data drawn
+        # afresh per subcarrier and symbol has E{x(j, s) x(j', u)^*} = delta_jj' delta_su
         y_data = np.zeros((n_p, n))
         y_data[np.arange(n_p), subs] = 1.0
-        w = lag_spectra(params, lags, n * np.fft.ifft(data_ind))
+        w = lag_spectra(params, lags, n * np.fft.ifft(data_ind)) * (lags == 0)[:, None]
     data_term = pair_sums(y_data, w)[lag_of].swapaxes(1, 2)  # [s, p, u, m]
     return pilot_terms.reshape((tau_p,) * 3), data_term.reshape(tau_p, tau_p)
 
@@ -81,10 +82,9 @@ def assumed_kernel(kind: str, table: KernelGrid) -> KernelGrid:
     drift kernel itself (``pna_ofdm``), one drift sample per symbol N samples apart
     (``pna_sc``), or no phase noise, 1 at every lag (``unaware``).
 
-    ``pna_sc`` keeps the stride N under ``cp_consistent_correlation``: the
-    single-carrier baseline models one phase sample per symbol period of N
-    samples and knows no cyclic prefix, so the flag moves only the OFDM
-    kernel."""
+    ``pna_sc`` keeps the stride N whatever the table's: the single-carrier
+    baseline models one phase sample per symbol period of N samples and knows
+    no cyclic prefix, so ``ici_mode`` moves only the OFDM kernel."""
     if kind == "pna_ofdm":
         return table
     if kind not in ("pna_sc", "unaware"):

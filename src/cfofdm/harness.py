@@ -81,10 +81,11 @@ class ResultRecord:
 
 
 def build_kernel_table(cfg: ExperimentConfig) -> KernelGrid:
-    """CPE kernel at every symbol lag within the coherence block."""
+    """CPE kernel at every symbol lag within the coherence block, at the stride
+    of ``ici_mode``: the traces' N + N_cp, or N for ``as_printed``."""
     layout = cfg.layout()
     n = layout.n_subcarriers
-    stride = n + (layout.cp_len if cfg.cp_consistent_correlation else 0)
+    stride = n + (layout.cp_len if cfg.ici_mode == "independent_data" else 0)
     return build_correlation_table(KernelParams(n, cfg.pn_params().sigma2_tot, stride),
                                    range(-(layout.block_symbols - 1), layout.block_symbols))
 
@@ -222,30 +223,15 @@ def _as_stack(first: np.ndarray, size: int) -> np.ndarray:
 
 def observe(setup: Setup, network: NetworkRealization, rngs: Sequence[np.random.Generator],
             draws: Optional[TrialDraws] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """Draw and synthesize a stack of trials, one generator per trial.
-
-    Trial b draws from ``rngs[b]`` in this order: channel, phase trace,
-    transmit grids (``ofdm.build_transmit_grids``), then the receiver
-    noise, which is added to the noise-free synthesis of
-    ``ofdm.synth_pilot_observations``, itself drawing nothing.  The trials
-    go in pieces of ``_piece_size``, the last one maybe partial, so the
-    stack holds at most one piece's traces and grids at a time.  A piece's
-    trace is allocated up front and every trial's walks are drawn into it;
-    of a node kind with ideal oscillators (sigma^2 = 0) it holds each node's
-    initial phase alone, (B, nodes, 1, 1).  Returns the pilot observations
-    y (B, L, tau_p) and the effective channels h_eff (B, T, K, L) of the
-    whole stack, each trial's bit for bit those of its stack of one.
-
-    ``draws``, the stack's rows of a ``TrialDraws``, is taken a piece's rows
-    at a time.  A piece of an ideal world whose rows are all recorded
-    replays them: each trial draws its channel, moves its generator to the
-    recorded state and draws its noise, and is synthesized from the
-    recorded phases and the layout's pilot samples, the only samples of the
-    grids an ideal synthesis reads.  Every other piece draws, and records
-    each trial's initial phases and, just before its noise, its generator's
-    state.  A replayed piece's y, h_eff and generator end states are bit for
-    bit those of the drawn one, so drawing is never wrong, only slower.
-    """
+    """Draw (``draw_trials``) and synthesize a stack of trials, one generator
+    per trial, in pieces of ``_piece_size``, the last one maybe partial, so
+    the stack holds at most one piece's traces and grids at a time; ``draws``
+    goes to ``draw_trials`` a piece's rows at a time.  Each trial's receiver
+    noise is added to the noise-free synthesis of
+    ``ofdm.synth_pilot_observations``, itself drawing nothing.  Returns the
+    pilot observations y (B, L, tau_p) and the effective channels h_eff
+    (B, T, K, L) of the whole stack, each trial's bit for bit those of its
+    stack of one."""
     B, piece = len(rngs), _piece_size(setup)
     parts = [_observe_piece(setup, network, rngs[lo:lo + piece],
                             None if draws is None else draws.rows(slice(lo, lo + piece)))
@@ -259,6 +245,28 @@ def _observe_piece(setup: Setup, network: NetworkRealization,
                    rngs: Sequence[np.random.Generator],
                    draws: Optional[TrialDraws]) -> Tuple[np.ndarray, np.ndarray]:
     """``observe`` of one synthesis piece."""
+    h, trace, grids, noise = draw_trials(setup, network, rngs, draws)
+    y, cpe = ofdm.synth_pilot_observations(h, grids, trace, network, setup.layout)
+    return y + noise, cpe * h[:, None, :, :, 0]
+
+
+def draw_trials(setup: Setup, network: NetworkRealization,
+                rngs: Sequence[np.random.Generator], draws: Optional[TrialDraws] = None,
+                ) -> Tuple[np.ndarray, PhaseNoiseTrace, np.ndarray, np.ndarray]:
+    """What a stack of trials draws, trial b from ``rngs[b]`` in this order:
+    channels h (B, K, L, R), the phase trace, allocated up front (an ideal
+    node kind holds each node's initial phase alone, (B, nodes, 1, 1)),
+    transmit grids (B, K, |T_p|, N) and receiver noise (B, L, tau_p).
+
+    An ideal stack whose rows of ``draws`` are all recorded replays them:
+    each trial draws its channel, moves its generator to the recorded state
+    and draws its noise, and takes the recorded phases and the layout's
+    pilot samples, the only grid samples an ideal synthesis reads.  Every
+    other stack draws, and records into ``draws``, if given, each trial's
+    initial phases and, just before its noise, its generator's state.
+    Replaying gives the drawn stack's y, h_eff and generator end states bit
+    for bit, so drawing is never wrong, only slower.
+    """
     layout, pn = setup.layout, setup.pn
     B = len(rngs)
     h = _as_stack(gen_channel(network.beta, layout, rngs[0]), B)
@@ -292,9 +300,7 @@ def _observe_piece(setup: Setup, network: NetworkRealization,
             draws.state[b] = rng.bit_generator.state
         noise[b] = np.sqrt(network.sigma2 / 2.0) * (
             rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    y, cpe = ofdm.synth_pilot_observations(h, grids, trace, network, layout)
-    y += noise
-    return y, cpe * h[:, None, :, :, 0]
+    return h, trace, grids, noise
 
 
 def run_trial(cfg: ExperimentConfig, setup: Setup, geom: Geometry,

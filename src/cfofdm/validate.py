@@ -1,6 +1,6 @@
 """Model self-checks: kernel identities, the time-domain model against the
 pilot synthesis, the no-phase-noise reduction and the moments of the LMMSE
-estimate.
+estimate in the world ``sim run`` draws.
 
 Each check is one function of its input size (and seed, or the configuration
 of the world it runs in) returning a ``Check``; each calls what a run calls.
@@ -13,13 +13,13 @@ spectrum of one symbol and the time-domain received symbol.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, NamedTuple, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from . import estimation, ofdm
 from .config import ExperimentConfig, ci_config
-from .harness import build_geometry, build_setup, trial_rngs, trial_stack_size
+from .harness import Setup, build_geometry, build_setup, draw_trials, trial_rngs, trial_stack_size
 from .network import NetworkRealization, gen_channel, generate_network
 from .phase_noise import (
     KernelParams,
@@ -235,54 +235,47 @@ def no_pn_reduction(cfg: ExperimentConfig) -> Check:
                  % (spread, layout.n_ues, layout.n_aps, abs_err, rel_err))
 
 
+def observe_ap(setup: Setup, network: NetworkRealization,
+               rngs: Sequence[np.random.Generator], l: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``harness.observe`` of a stack of trials read at AP l alone: the pilot
+    observations (B, tau_p) and effective channels (B, T, K) of AP l.  Each
+    trial draws all that ``observe`` draws (``harness.draw_trials``), and only
+    AP l's channels and phases are synthesized."""
+    h, trace, grids, noise = draw_trials(setup, network, rngs)
+    ap_l = PhaseNoiseTrace(trace.ap_phase[:, l:l + 1], trace.ue_phase)
+    y, cpe = ofdm.synth_pilot_observations(h[:, :, l:l + 1], grids, ap_l, network, setup.layout)
+    return y[:, 0] + noise[:, l], cpe[..., 0] * h[:, None, :, l, 0]
+
+
 def lmmse_moments(cfg: ExperimentConfig) -> Check:
     """Moments of the PN-aware LMMSE estimate of UE 0 at AP 0 over cfg.n_trials trials.
 
     At every symbol of the block: the orthogonality principle
     E{(h_eff - h_hat) y*} = 0, the variance decomposition
-    E|h_hat|^2 + E|h_eff - h_hat|^2 = B_00 beta, and E|h_hat|^2 = eps. It runs
-    in the world where the estimator's assumed pilot covariance is exact: the
-    kernel stride that trace generation uses, equal-index data terms only, and
-    one data draw per UE and subcarrier repeated over the pilot symbols (the
-    assumed ICI covariance correlates data interference across OFDM symbols).
-    Each trial draws on its stream of a run's geometry 0 in the order of
-    ``harness.observe``: channel, trace, grids, noise.  The trials go in
-    stacks, synthesized and estimated at AP 0 alone.
+    E|h_hat|^2 + E|h_eff - h_hat|^2 = B_00 beta, and E|h_hat|^2 = eps.  It
+    runs in the world ``sim run`` draws, on a run's geometry 0 and trial
+    streams, with the ``independent_data`` model, whose data term and kernel
+    stride are that world's.  The trials go in stacks, each drawn as
+    ``harness.observe`` draws it and synthesized and estimated at AP 0 alone
+    (``observe_ap``).
     """
-    cfg = replace(cfg, ici_mode="independent_data", cp_consistent_correlation=True,
-                  estimators=("pna_ofdm",))
+    cfg = replace(cfg, ici_mode="independent_data", estimators=("pna_ofdm",))
     setup = build_setup(cfg)
-    layout, pn = setup.layout, setup.pn
+    layout = setup.layout
     geom = build_geometry(cfg, setup, 0)
     network, ctx = geom.network, geom.contexts[0]  # pna_ofdm, the only estimator
     k, l = 0, 0
     ctx_l = replace(ctx, whiten=ctx.whiten[l:l + 1], scale=ctx.scale[l:l + 1])  # what it reads
-    pilots = layout.pilot_grid[network.pilot_index]  # (K, |T_p|, N)
-    on_pilot = layout.pilot_grid[0, 0] != 0  # pilot samples have unit modulus
-    data_shape, noise_shape = (layout.n_ues, 1, layout.n_subcarriers), (layout.n_aps, layout.tau_p)
-
-    def draw(rng):
-        """One trial's AP l rows of channel, trace, grids and noise."""
-        h = gen_channel(network.beta, layout, rng)[:, l:l + 1]
-        trace = gen_pn_trace(pn, layout, rng)
-        data = (rng.standard_normal(data_shape)
-                + 1j * rng.standard_normal(data_shape)) / np.sqrt(2.0)
-        noise = rng.standard_normal(noise_shape)[l] + 1j * rng.standard_normal(noise_shape)[l]
-        return h, trace.ap_phase[l:l + 1], trace.ue_phase, np.where(on_pilot, pilots, data), noise
-
     h_eff = np.empty((cfg.n_trials, layout.block_symbols), dtype=complex)
     h_hat = np.empty_like(h_eff)
     y_l = np.empty((cfg.n_trials, layout.tau_p), dtype=complex)
     stack = trial_stack_size(layout, cfg.n_trials)
     for t0 in range(0, cfg.n_trials, stack):
         rows = slice(t0, min(t0 + stack, cfg.n_trials))
-        h, ap, ue, grids, noise = map(np.stack, zip(*map(
-            draw, trial_rngs(cfg.master_seed, 0, range(rows.start, rows.stop)))))
-        y, cpe = ofdm.synth_pilot_observations(h, grids, PhaseNoiseTrace(ap, ue), network, layout)
-        y[:, 0] += np.sqrt(network.sigma2 / 2.0) * noise
-        h_eff[rows] = cpe[:, :, k, 0] * h[:, None, k, 0, 0]
-        h_hat[rows] = estimation.estimate_all(ctx_l, y)[:, :, k, 0]
-        y_l[rows] = y[:, 0]
+        y_l[rows], h = observe_ap(
+            setup, network, trial_rngs(cfg.master_seed, 0, range(rows.start, rows.stop)), l)
+        h_eff[rows] = h[:, :, k]
+        h_hat[rows] = estimation.estimate_all(ctx_l, y_l[rows, None])[:, :, k, 0]
 
     prods = (h_eff - h_hat)[:, :, None] * np.conj(y_l)[:, None, :]
     orth = max(_std_errors(prods.real, 0.0).max(), _std_errors(prods.imag, 0.0).max())

@@ -1,10 +1,11 @@
 """The ICI base as one pair sum per sequence and slot pair: the test oracle of
 ``cfofdm.estimation.build_ici_base``.
 
-``ici_base_einsum`` is the former production evaluator, kept verbatim: it
-transforms the offset weights of every (sequence, slot) pair, tau_p^2 offset
-spectra, and sums every (sequence, slot, slot) triple over the 2N frequencies
-in one three-operand einsum, tau_p^3 * 2N products.  It shares the kernel
+``ici_base_einsum`` is the former production evaluator, plus the
+``independent_data`` term's zeros between pilot symbols: it transforms the
+offset weights of every (sequence, slot) pair, tau_p^2 offset spectra, and
+sums every (sequence, slot, slot) triple over the 2N frequencies in one
+three-operand einsum, tau_p^3 * 2N products.  It shares the kernel
 pair-sum evaluator (``offset_spectra``, ``lag_spectra``) with the production
 code but not the factoring through the pilot book.
 """
@@ -30,7 +31,9 @@ def ici_base_einsum(
     subcarrier n: the pilot term weights offset n - j by the pilot sample of
     sequence t sent on the other pilot subcarrier j; the data term weights
     every data subcarrier's offset by 1 (``as_printed``), or keeps only
-    equal-index data pairs through a lag weight (``independent_data``).
+    equal-index data pairs through a lag weight, and of those only the pairs
+    of slots on one pilot symbol (``independent_data``): data drawn afresh per
+    subcarrier and symbol correlates with itself alone.
     """
     if mode not in ICI_MODES:
         raise ValueError("unknown ICI mode: %r" % (mode,))
@@ -59,4 +62,6 @@ def ici_base_einsum(
         w = lag_spectra(params, lags, n * np.fft.ifft(data_ind))[lag_of]
     a = offset_spectra(y_data)
     data_term = np.einsum("if,ijf,jf->ij", a, w, np.conj(a))
+    if mode == "independent_data":
+        data_term[syms[:, None] != syms[None, :]] = 0.0
     return pilot_terms, data_term

@@ -76,11 +76,12 @@ def test_criterion_5_estimator_correctness():
 
     The no-PN reduction checks the ideal world's contexts as
     ``harness.build_geometry`` builds them, one symbol standing for the
-    block.  The moment checks run at CI scale over 1e4 trials, in the world
-    where the estimator's assumed second-order model is exact (see
-    ``validate.lmmse_moments``), drawn in ``harness.observe``'s order on
-    geometry 0's streams and synthesized for the one AP they read: 2.13,
-    0.77 and 1.30 standard errors, in about 4 s.
+    block.  The moment checks run at CI scale over 1e4 trials of the world
+    ``sim run`` draws, on geometry 0's streams, with the ``independent_data``
+    model, whose data term and kernel stride are that world's (see
+    ``validate.lmmse_moments``); each trial is drawn as ``harness.observe``
+    draws it and synthesized for the one AP the checks read: 2.67, 1.34 and
+    1.30 standard errors.
     """
     checks = [
         validate.no_pn_reduction(replace(ci_config(), n_ues=1, n_aps=3, master_seed=7)),

@@ -133,7 +133,9 @@ def ici_base_per_entry(layout, params, book, mode):
             if mode == "as_printed":
                 data_term[i1, i2] = sum(oracle(int(subs[i1] - j1), int(subs[i2] - j2), dt)
                                         for j1 in data_cols for j2 in data_cols)
-            else:
+            elif dt == 0:
+                # fresh data per subcarrier and symbol: E{x(j1, t1) x(j2, t2)^*} is 1
+                # for j1 = j2 on one symbol, t1 = t2, and 0 otherwise
                 data_term[i1, i2] = sum(oracle(int(subs[i1] - j), int(subs[i2] - j), dt)
                                         for j in data_cols)
     return pilot_terms, data_term
@@ -142,8 +144,8 @@ def ici_base_per_entry(layout, params, book, mode):
 # Largest deviation of ``build_ici_base`` from the einsum oracle, relative to
 # each term's largest entry: both sum the same 2N-frequency products, in another
 # order, and 1e-12 (4.5e3 machine epsilons) bounds that for 2N = 2400 terms.
-# Measured on the ci, fig2 and fig2 cp_consistent presets in both ICI modes:
-# at most 1.9e-14 on the pilot terms and 7.8e-15 on the data term.
+# Measured on the ci and fig2 presets in both ICI modes, each at its stride:
+# at most 1.9e-14 on the pilot terms and 3.1e-15 on the data term.
 ICI_ROUNDOFF = 1e-12
 
 
@@ -171,7 +173,9 @@ def bruteforce_z_entry(layout, table, book, t, i1, i2, mode):
                 continue
             s2 = book[slot_of[(j2 % layout.block_subcarriers, t2)], t]
             total += s1 * np.conj(s2) * b(n1 - j1, n2 - j2)
-    # data-pair part
+    # data-pair part, weighted by the data correlation E{x(j1, t1) x(j2, t2)^*}: 1 for
+    # every pair (as_printed), or for the same sample alone, j1 = j2 and t1 = t2, of
+    # data drawn afresh per subcarrier and symbol (independent_data)
     data = [j for j in range(n) if j not in pilot_cols]
     for j1 in data:
         if j1 == n1:
@@ -179,7 +183,7 @@ def bruteforce_z_entry(layout, table, book, t, i1, i2, mode):
         for j2 in data:
             if j2 == n2:
                 continue
-            if mode == "independent_data" and j1 != j2:
+            if mode == "independent_data" and (j1 != j2 or t1 != t2):
                 continue
             total += b(n1 - j1, n2 - j2)
     return total
@@ -228,13 +232,13 @@ class TestZIci:
         assert data_term == pytest.approx(data_ref, rel=1e-10)
 
     @pytest.mark.parametrize("mode", ICI_MODES)
-    @pytest.mark.parametrize("cfg", [
-        ci_config(), fig2_config(), replace(fig2_config(), cp_consistent_correlation=True),
-    ], ids=["ci", "fig2", "fig2_cp"])
+    @pytest.mark.parametrize("cfg", [ci_config(), fig2_config()], ids=["ci", "fig2"])
     def test_ici_base_matches_einsum_oracle(self, cfg, mode):
         """At preset size the ICI base equals the einsum oracle, one pair sum per
         sequence and slot pair, up to round-off: every entry of each term within
-        ICI_ROUNDOFF of the term's largest entry."""
+        ICI_ROUNDOFF of the term's largest entry.  Each mode's kernel has its
+        own stride, N + N_cp for ``independent_data``."""
+        cfg = replace(cfg, ici_mode=mode)
         layout, table = cfg.layout(), build_setup(cfg).table
         for got, ref in zip(build_ici_base(layout, table, mode),
                             ici_base_einsum(layout, table, mode)):
@@ -366,8 +370,8 @@ class TestModels:
                 assert np.array_equal(model.rhs[:, t * tau_c + tau - 1], expect)
 
     @pytest.mark.parametrize("cfg", [
-        ci_config(), fig2_config(), replace(fig2_config(), cp_consistent_correlation=True),
-    ], ids=["ci", "fig2", "fig2_cp"])
+        ci_config(), fig2_config(), replace(fig2_config(), ici_mode="independent_data"),
+    ], ids=["ci", "fig2", "fig2_independent_data"])
     def test_assumed_kernels_closed_form(self, cfg):
         """pna_sc is the single-carrier Wiener damping exp(-sigma2 N |dtau| / 2),
         whatever stride the OFDM kernel uses; unaware is exactly 1."""
@@ -380,13 +384,15 @@ class TestModels:
         assert np.all(assumed_kernel("unaware", table).cpe(table.lags) == 1.0)
         assert assumed_kernel("pna_ofdm", table) is table
 
-    def test_cp_flag_moves_only_the_ofdm_kernel(self):
-        """cp_consistent_correlation stretches pna_ofdm's kernel to the stride
-        N + N_cp, damping every nonzero lag more; pna_sc keeps one drift sample
-        per symbol N samples apart, so its kernel and model do not move."""
+    def test_ici_mode_moves_only_the_ofdm_kernel(self):
+        """``independent_data`` stretches pna_ofdm's kernel to the stride
+        N + N_cp of the simulated traces, damping every nonzero lag more than
+        ``as_printed``'s stride N; pna_sc keeps one drift sample per symbol N
+        samples apart, so its kernel and model do not move."""
         cfg = ci_config()
-        off, on = (build_setup(replace(cfg, cp_consistent_correlation=flag))
-                   for flag in (False, True))
+        off, on = (build_setup(replace(cfg, ici_mode=mode))
+                   for mode in ("as_printed", "independent_data"))
+        assert off.table.params.stride == cfg.n_subcarriers
         assert on.table.params.stride == cfg.n_subcarriers + cfg.cp_len_effective
         lags = off.table.lags[off.table.lags != 0]
         assert np.all(on.table.cpe(lags) < off.table.cpe(lags))

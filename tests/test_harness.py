@@ -143,6 +143,18 @@ class TestConfigParsing:
             with pytest.raises(ConfigError, match="line 3"):
                 parse_config("n_aps = 4\nn_ues = 2\n%s\n" % entry)
 
+    def test_removed_stride_key_rejected(self, tmp_path, capsys):
+        """``cp_consistent_correlation``, the former kernel-stride switch, is an
+        unknown key: ``ici_mode`` alone selects the estimator's model, and
+        ``sim run`` on a file that names the old key exits 1."""
+        cfg_path = tmp_path / "stride.cfg"
+        cfg_path.write_text("n_subcarriers = 120\nblock_symbols = 5\npilot_symbols = 1:4\n"
+                            "n_aps = 5\nn_ues = 2\nn_geometries = 1\nn_trials = 1\n"
+                            "cp_consistent_correlation = true\n")
+        assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 1
+        assert "line 8: unknown key 'cp_consistent_correlation'" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_invalid_value_rejected_with_line(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_config("n_aps = not_a_number")
@@ -962,6 +974,58 @@ class TestValidateSuite:
             assert ok
             assert [line.split(":")[0] for line in lines] == (
                 ["PASS kernel_oracle_equivalence"] * oracles + ["PASS " + c for c in tail])
+
+    def test_moments_read_what_observe_returns(self):
+        """The AP-0 observations and effective channels that ``lmmse_moments``
+        reads (``observe_ap``) are ``harness.observe``'s y[:, 0] and
+        h_eff[:, :, :, 0] of the same trial streams: y bitwise, and h_eff
+        within N machine epsilons, the one-AP CPE bound of ``test_ofdm``'s
+        ``test_one_ap_gives_its_row``.  Four trials are two synthesis pieces
+        of ``observe`` and one draw of ``observe_ap``."""
+        from cfofdm.harness import build_geometry, build_setup, observe, trial_rngs
+        from cfofdm.validate import observe_ap
+
+        cfg = replace(ci_config(), ici_mode="independent_data", master_seed=55)
+        setup = build_setup(cfg)
+        network = build_geometry(cfg, setup, 0).network
+        y, h_eff = observe(setup, network, trial_rngs(cfg.master_seed, 0, range(4)))
+        y_0, h_eff_0 = observe_ap(setup, network, trial_rngs(cfg.master_seed, 0, range(4)), 0)
+        assert np.array_equal(y_0, y[:, 0])
+        assert h_eff_0.shape == h_eff[..., 0].shape
+        tol = cfg.n_subcarriers * np.finfo(float).eps
+        assert np.abs(h_eff_0 - h_eff[..., 0]).max() <= tol * np.abs(h_eff[..., 0]).max()
+
+    @pytest.mark.parametrize("fault", ["data_across_symbols", "stride_n"])
+    def test_moments_fail_on_the_former_models(self, monkeypatch, fault):
+        """In criterion 5's world (ci, seed 55, 10,000 trials) the moment check
+        fails with either part of the ``independent_data`` model put back as it
+        was: data ICI correlated across pilot symbols (orthogonality 3.68
+        standard errors), or the kernel stride N in place of the traces'
+        N + N_cp (4.34)."""
+        from cfofdm import harness, validate
+
+        from kernel_scalar import correlation_b_fast
+
+        if fault == "data_across_symbols":
+            real = estimation.build_ici_base
+
+            def across_symbols(layout, table, mode="as_printed"):
+                # sum_{j in D} B_{n1-j,n2-j}^(s-u) for every pair of slots (n1, s), (n2, u)
+                pilot_terms, _ = real(layout, table, mode)
+                subs, syms = layout.pilot_slot_positions
+                data = np.flatnonzero(layout.pilot_grid[0, 0] == 0)
+                data_term = np.array([
+                    [sum(correlation_b_fast(n1 - j, n2 - j, s - u, table.params) for j in data)
+                     for n2, u in zip(subs, syms)] for n1, s in zip(subs, syms)])
+                return pilot_terms, data_term
+
+            monkeypatch.setattr(estimation, "build_ici_base", across_symbols)
+        else:
+            real = harness.build_kernel_table
+            monkeypatch.setattr(harness, "build_kernel_table",
+                                lambda cfg: real(replace(cfg, ici_mode="as_printed")))
+        check = validate.lmmse_moments(replace(ci_config(), n_trials=10000, master_seed=55))
+        assert not check.ok, check.detail
 
     def test_clean_run_passes(self):
         from cfofdm.validate import domain_equivalence, kernel_oracle, trace_sum

@@ -261,8 +261,8 @@ class TestSynthObservations:
             (K, L, layout.n_blocks))
         grids = build_transmit_grids(layout, network.pilot_index, rng)
         if case == "shared_data":
-            # the data of pilot symbol 1 repeated over the pilot symbols: the
-            # world of ``validate.lmmse_moments``
+            # the data of pilot symbol 1 repeated over the pilot symbols: data
+            # correlated across symbols, which no run draws
             grids = np.where(layout.pilot_grid[0, 0] != 0, grids, grids[:, :1])
         trace = gen_pn_trace(pn_params(case, layout), layout, rng)
         oracle_rng = copy.deepcopy(rng)
