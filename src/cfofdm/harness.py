@@ -524,32 +524,20 @@ class _Workers:
             self._reap(w, kill=self.children[w].left > 0)
 
 
-def run_geometry(
-    cfg: ExperimentConfig,
-    setup: Setup,
-    geometry_index: int,
-    threads: int = 1,
-    draws: Optional[TrialDraws] = None,
-    workers: Optional[_Workers] = None,
-) -> GeometryResult:
+def run_geometry(cfg: ExperimentConfig, setup: Setup, geometry_index: int,
+                 workers: _Workers) -> GeometryResult:
     """All Monte Carlo trials for one network geometry.
 
-    The trials go in stacks of ``trial_stack_size`` for ``threads`` workers,
-    the last one maybe partial, run by ``workers``, a run's ``_Workers``
-    whose geometries hold this one and whose ``threads`` and ``draws`` are
-    then used, or else by workers forked for this geometry alone.  The
-    calling process builds the geometry and runs its own stacks here, and
-    reads each other stack from its worker, in stack order; where it runs
-    none it draws the network alone.  Trial t lands in batch t %
-    n_batches, each stack merged in trial order as it comes; the batches
-    are merged in order.  ``draws``, if given, is the run's ``TrialDraws``,
-    whose row ``geometry_index`` goes to ``observe``; a forked worker's rows
-    come back with its stacks.
+    The trials go in the stacks of ``workers``, a run's ``_Workers`` whose
+    geometries hold this one, the last stack maybe partial.  The calling
+    process builds the geometry and runs its own stacks here, and reads each
+    other stack from its worker, in stack order; where it runs none it draws
+    the network alone.  Trial t lands in batch t % n_batches, each stack
+    merged in trial order as it comes; the batches are merged in order.  The
+    run's ``TrialDraws``, if any, are those of ``workers``: row
+    ``geometry_index`` goes to ``observe``, and a forked worker's rows come
+    back with its stacks.
     """
-    if workers is None:
-        with _Workers(cfg, setup, range(geometry_index, geometry_index + 1), threads,
-                      draws) as own:
-            return run_geometry(cfg, setup, geometry_index, workers=own)
     layout = setup.layout
     shape = (len(cfg.estimators), len(cfg.schemes), layout.block_symbols, layout.n_ues)
     n_batches = max(1, min(_N_BATCHES, cfg.n_trials))

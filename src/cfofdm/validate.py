@@ -258,6 +258,14 @@ def lmmse_moments(cfg: ExperimentConfig) -> Check:
     stride are that world's.  The trials go in stacks, each drawn as
     ``harness.observe`` draws it and synthesized and estimated at AP 0 alone
     (``observe_ap``).
+
+    At the ci layout the verdict is the largest of 50 |z| values
+    (orthogonality alone is 40: 5 symbols x 4 pilot slots x re/im), so even
+    where the model is exact about 13 % of seeds exceed 3 by chance,
+    1 - 0.9973^50 for independent z.
+    At criterion 5's size (ci, 10,000 trials) it failed at 4 of seeds 55-69;
+    whether chance alone explains that is not established.  The bound is
+    kept at 3 standard errors.
     """
     cfg = replace(cfg, ici_mode="independent_data", estimators=("pna_ofdm",))
     setup = build_setup(cfg)

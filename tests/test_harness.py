@@ -36,6 +36,8 @@ from cfofdm.harness import (
 )
 from cfofdm.se import SinrAccumulator
 
+from one_geometry import run_one_geometry
+
 FLOAT_KEYS = [f.name for f in fields(ExperimentConfig) if f.type == "float"]
 
 # the ci layout as `sim fig2` / `sim fig3` overrides, less n_ues (fig3 sets it)
@@ -618,7 +620,7 @@ class TestAggregation:
         cfg = replace(ci_config(), n_geometries=3, n_trials=4,
                       estimators=("pna_ofdm", "unaware"), schemes=("mr", "mmse"))
         setup = harness.build_setup(cfg)
-        per_geometry = [harness.run_geometry(cfg, setup, g).se for g in range(3)]
+        per_geometry = [run_one_geometry(cfg, setup, g).se for g in range(3)]
         assert per_geometry[0].shape == (2, 2, 1 + cfg.block_symbols)
         self.assert_rows(cfg, per_geometry, per_geometry)
 
@@ -627,7 +629,7 @@ class TestAggregation:
 
         cfg = replace(ci_config(), n_geometries=1, n_trials=16,
                       estimators=("pna_ofdm", "unaware"), schemes=("mr", "mmse"))
-        geom = harness.run_geometry(cfg, harness.build_setup(cfg), 0)
+        geom = run_one_geometry(cfg, harness.build_setup(cfg), 0)
         assert geom.batch_se.shape == (8, 2, 2, 1 + cfg.block_symbols)
         self.assert_rows(cfg, [geom.se], geom.batch_se)
 
@@ -1075,7 +1077,7 @@ class TestInvalidRecordGuard:
             return real_finalize(acc, network)
 
         monkeypatch.setattr(se, "finalize_sinr", finalize_one_negative)
-        geom = harness.run_geometry(cfg, harness.build_setup(cfg), 0)
+        geom = run_one_geometry(cfg, harness.build_setup(cfg), 0)
         assert geom.n_invalid == 1
         assert np.isfinite(geom.se).all()
         calls.clear()
@@ -1131,8 +1133,7 @@ class TestStackedTrial:
         or 1 with ideal oscillators, where the oracle still runs every symbol,
         every symbol's sums are equal, and the one symbol stands for them."""
         from cfofdm import combining, se
-        from cfofdm.harness import (build_geometry, build_setup, derived_rng, run_geometry,
-                                    run_trial)
+        from cfofdm.harness import build_geometry, build_setup, derived_rng, run_trial
         from cfofdm.network import gen_channel
         from cfofdm.ofdm import build_transmit_grids
         from cfofdm.phase_noise import gen_pn_trace
@@ -1183,7 +1184,7 @@ class TestStackedTrial:
                         np.broadcast_to(getattr(out, name)[0, e, s], expect.shape),
                         expect, rtol=1e-12, atol=0)
         assert out.count == 1
-        result = run_geometry(cfg, setup, 0)
+        result = run_one_geometry(cfg, setup, 0)
         assert result.se.shape == (E, S, 1 + T)
         assert result.batch_se.shape == (2, E, S, 1 + T)
         if ideal:  # every symbol reads the one symbol's sums

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cfofdm import ofdm
-from cfofdm.config import ci_config
+from cfofdm.config import ci_config, fig2_config
 from cfofdm.harness import build_geometry, build_setup
 from cfofdm.network import NetworkRealization, SimulationLayout, gen_channel
 from cfofdm.ofdm import build_transmit_grids, synth_pilot_observations
@@ -376,19 +376,24 @@ class TestSynthObservations:
 
     @pytest.mark.parametrize("case", ["pn", "two_pilot_columns", "partial_block"])
     def test_ue_chunks_match_oracle_and_stack(self, ci_layout, monkeypatch, case):
-        """A tile budget of two APs' samples makes tiles of four APs, each
-        weighted once from sub-tiles of one AP, and chunks of two UEs (2 + 2 +
-        1 of 5): y plus the oracle's noise stays within 1e-12 of the
+        """A tile budget of two APs' samples makes chunks of UEs in both forms
+        of the ICI: y plus the oracle's noise stays within 1e-12 of the
         decomposed oracle, the CPE is that of cpe_per_symbol bitwise, and
         three stacked trials give each trial's noise-free y bit for bit as
-        alone.  With two pilot subcarriers two slots of a pilot symbol reuse
-        the tile's block sums; with N_c = 11 the last block is partial."""
+        alone.  The pilot-side-first form, the one this layout takes, runs
+        no inverse FFT, and its chunks are of one UE.  The drift-spectrum
+        form, forced, makes tiles of four APs, each weighted once from
+        sub-tiles of one AP, and chunks of two UEs (2 + 2 + 1 of 5).  With
+        two pilot subcarriers two slots of a pilot symbol reuse the chunk's
+        coefficients or the tile's block sums; with N_c = 11 the last block
+        is partial."""
         layout = ci_layout
         if case == "two_pilot_columns":
             layout = replace(layout, pilot_subcarriers=(0, 5))
         if case == "partial_block":
             layout = replace(layout, block_subcarriers=11)
         K, L, n = layout.n_ues, layout.n_aps, layout.n_subcarriers
+        assert ofdm._ici_by_products(n, layout.n_blocks)
         rng = np.random.default_rng(17)
         network = make_network(layout, rng.uniform(0.1, 1.0, (K, L)),
                                np.arange(K) % layout.tau_p, p=0.2, sigma2=1e-3)
@@ -400,33 +405,115 @@ class TestSynthObservations:
                 (K, L, layout.n_blocks))
             grids = build_transmit_grids(layout, network.pilot_index, t_rng)
             trials.append((h, grids, gen_pn_trace(pn, layout, t_rng), t_rng))
+        stacked_trace = PhaseNoiseTrace(np.stack([t[2].ap_phase for t in trials]),
+                                        np.stack([t[2].ue_phase for t in trials]))
         monkeypatch.setattr(ofdm, "_TILE_BYTES", 2 * n * 16)
         assert ofdm._tile_rows(n) == 4
-        alone = []
-        for h, grids, trace, t_rng in trials:
-            y, cpe = synth_one(h, grids, trace, network, layout)
+        for products in (True, False):
+            monkeypatch.setattr(ofdm, "_ici_by_products", lambda n, r, p=products: p)
+            alone = []
+            for h, grids, trace, t_rng in trials:
+                y, cpe = synth_one(h, grids, trace, network, layout)
+                ref = decomposed_pilot_observations(h, grids, trace, network, layout,
+                                                    copy.deepcopy(t_rng))
+                assert np.abs(y + ref.noise - ref.y).max() <= 1e-12 * np.abs(ref.y).max()
+                assert np.array_equal(cpe, cpe_per_symbol(trace))
+                alone.append(y)
+            # the (B, sub-tile, chunk, N) shape of every inverse FFT of the stack
+            shapes, ifft = [], np.fft.ifft
+
+            def spy(a, *args, **kwargs):
+                shapes.append(a.shape)
+                return ifft(a, *args, **kwargs)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(np.fft, "ifft", spy)
+                y, _ = synth_pilot_observations(np.stack([t[0] for t in trials]),
+                                                np.stack([t[1] for t in trials]), stacked_trace,
+                                                network, layout)
+            if products:
+                assert shapes == []
+            else:
+                assert {s[:2] for s in shapes} == {(3, 1)}  # 4 sub-tiles per tile of 4 APs
+                chunks = [s[2] for s in shapes]
+                assert chunks.count(2) == 2 * chunks.count(1) > 0
+            for y_b, y_alone in zip(y, alone):
+                assert np.array_equal(y_b, y_alone)
+
+    def test_product_form_partial_ue_chunk(self, ci_layout, monkeypatch):
+        """A tile budget of two UEs' coefficients makes the pilot-side-first
+        form take the 5 UEs in chunks of 2 + 2 + 1, with two pilot
+        subcarriers, whose second slot puts its ramp on the coefficients: y
+        plus the oracle's noise stays within 1e-12 of the decomposed oracle,
+        and three stacked trials give each trial's y bit for bit as alone."""
+        layout = replace(ci_layout, pilot_subcarriers=(0, 5))
+        K, L, n, R = layout.n_ues, layout.n_aps, layout.n_subcarriers, layout.n_blocks
+        rng = np.random.default_rng(19)
+        network = make_network(layout, rng.uniform(0.1, 1.0, (K, L)),
+                               np.arange(K) % layout.tau_p, p=0.2, sigma2=1e-3)
+        pn = pn_params("pn", layout)
+        monkeypatch.setattr(ofdm, "_TILE_BYTES", 2 * 16 * R * n)
+        trials, alone = [], []
+        for seed in range(3):
+            t_rng = np.random.default_rng(seed)
+            h = t_rng.standard_normal((K, L, R)) + 1j * t_rng.standard_normal((K, L, R))
+            grids = build_transmit_grids(layout, network.pilot_index, t_rng)
+            trace = gen_pn_trace(pn, layout, t_rng)
+            y, _ = synth_one(h, grids, trace, network, layout)
             ref = decomposed_pilot_observations(h, grids, trace, network, layout, t_rng)
             assert np.abs(y + ref.noise - ref.y).max() <= 1e-12 * np.abs(ref.y).max()
-            assert np.array_equal(cpe, cpe_per_symbol(trace))
+            trials.append((h, grids, trace))
             alone.append(y)
         stacked_trace = PhaseNoiseTrace(np.stack([t[2].ap_phase for t in trials]),
                                         np.stack([t[2].ue_phase for t in trials]))
-        # the (B, sub-tile, chunk, N) shape of every inverse FFT of the stack
-        shapes, ifft = [], np.fft.ifft
-
-        def spy(a, *args, **kwargs):
-            shapes.append(a.shape)
-            return ifft(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.fft, "ifft", spy)
         y, _ = synth_pilot_observations(np.stack([t[0] for t in trials]),
                                         np.stack([t[1] for t in trials]), stacked_trace,
                                         network, layout)
-        assert {s[:2] for s in shapes} == {(3, 1)}  # 4 sub-tiles per tile of 4 APs
-        chunks = [s[2] for s in shapes]
-        assert chunks.count(2) == 2 * chunks.count(1) > 0
         for y_b, y_alone in zip(y, alone):
             assert np.array_equal(y_b, y_alone)
+
+    @pytest.mark.parametrize("case", ["pn", "ap_only_pn", "ue_only_pn", "partial_block"])
+    def test_drift_spectrum_form_matches_oracle(self, ci_layout, monkeypatch, case):
+        """The drift-spectrum form, forced at the ci layout, which takes the
+        other form: y within 1e-12 of the decomposed oracle and within 1e-12
+        of the pilot-side-first form, the CPE of cpe_per_symbol bitwise, and
+        one AP synthesized alone gives its row bit for bit."""
+        layout = ci_layout
+        if case == "partial_block":
+            layout = replace(layout, block_subcarriers=11)
+            case = "pn"
+        K, L = layout.n_ues, layout.n_aps
+        rng = np.random.default_rng(18)
+        network = make_network(layout, rng.uniform(0.1, 1.0, (K, L)),
+                               np.arange(K) % layout.tau_p, p=0.2, sigma2=1e-3)
+        h = rng.standard_normal((K, L, layout.n_blocks)) + 1j * rng.standard_normal(
+            (K, L, layout.n_blocks))
+        grids = build_transmit_grids(layout, network.pilot_index, rng)
+        trace = gen_pn_trace(pn_params(case, layout), layout, rng)
+        ref = decomposed_pilot_observations(h, grids, trace, network, layout, rng)
+        y_products, _ = synth_one(h, grids, trace, network, layout)
+        monkeypatch.setattr(ofdm, "_ici_by_products", lambda n, r: False)
+        y, cpe = synth_one(h, grids, trace, network, layout)
+        scale = np.abs(ref.y).max()
+        assert np.abs(y + ref.noise - ref.y).max() <= 1e-12 * scale
+        assert np.abs(y - y_products).max() <= 1e-12 * scale
+        assert np.array_equal(cpe, cpe_per_symbol(trace))
+        for l in (0, L - 1):
+            one = PhaseNoiseTrace(trace.ap_phase[l:l + 1], trace.ue_phase)
+            y_l, _ = synth_one(h[:, l:l + 1], grids, one, network, layout)
+            assert np.array_equal(y_l[0], y[l])
+
+    def test_ici_form_follows_layout(self):
+        """The layout alone picks the form of the ICI: the pilot-side-first
+        form at the ci layout (R = 10 blocks of N = 120) and with its partial
+        block (N_c = 11, R = 11), the drift-spectrum form at N_c = 2 (R = 60)
+        and at fig2 (R = 100 blocks of N = 1200)."""
+        ci = ci_config()
+        for cfg, products in ((ci, True), (replace(ci, block_subcarriers=11), True),
+                              (replace(ci, block_subcarriers=2), False),
+                              (fig2_config(), False)):
+            layout = cfg.layout()
+            assert ofdm._ici_by_products(layout.n_subcarriers, layout.n_blocks) is products
 
     def test_constant_phases_stand_for_every_symbol(self, ci_layout):
         """Ideal oscillators' (nodes, 1, 1) initial phases stand for the walks

@@ -436,9 +436,10 @@ class TestNoPnMrClosedForm:
         put the UatF bias of a sample-mean SINR, about 1.7 / n relative, at
         0.4 %, well below a batch standard error of 1-4 %."""
         from cfofdm.config import ci_config
-        from cfofdm.harness import build_geometry, build_setup, run_geometry
+        from cfofdm.harness import build_geometry, build_setup
 
         from no_pn_mr_oracle import mr_se_no_pn
+        from one_geometry import run_one_geometry
 
         cfg = replace(ci_config(), n_ues=n_ues, gamma_ap=0.0, gamma_ue=0.0,
                       estimators=("pna_ofdm",), schemes=("mr",), n_geometries=1,
@@ -449,7 +450,7 @@ class TestNoPnMrClosedForm:
             network = geom.network
             assert (n_ues > 4) == (len(np.unique(network.pilot_index)) < n_ues)
             oracle = mr_se_no_pn(network, geom.contexts[0].eps[0]).mean()
-            result = run_geometry(cfg, setup, g)
+            result = run_one_geometry(cfg, setup, g)
             batches = result.batch_se[:, 0, 0, 0]  # the block entry of each batch
             err = np.std(batches, ddof=1) / np.sqrt(len(batches))
             assert abs(result.se[0, 0, 0] - oracle) <= 3.0 * err, (g, result.se[0, 0, 0], oracle, err)
