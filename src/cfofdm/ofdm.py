@@ -63,8 +63,14 @@ def _tile_rows(n: int) -> int:
 # synthesis times meet at c = 0.9, 2.7 and 4.2 for L = 10, 20 and 30 at
 # N = 120 (K = 5, 3 trials), and at c = 5.1 for L = 200 at N = 1200 (K = 10,
 # 1 trial).  L cannot enter, since one AP synthesized alone must take the
-# form of its full synthesis, so c sits below the crossover at 20 APs.
-_PRODUCTS_PER_LOG2N = 2.0
+# form of its full synthesis.  The measured layouts bound c only loosely:
+# the ci layout (R = 10 of N = 120, c > 1.45) gains from products and fig2
+# (R = 100 of N = 1200, c < 9.8) loses.  c = 1.6 is the least that also keeps
+# the ci layout's partial-block variant (N_c = 11, R = 11, c > 1.59) on
+# products, so few layouts take them below their crossover: by the measured
+# crossovers, those of fewer than about 14 APs with R between 0.9 and
+# 1.6 log2 N.
+_PRODUCTS_PER_LOG2N = 1.6
 
 
 # APs per product of the pilot-side-first form: each trial's AP phasors go
@@ -128,9 +134,9 @@ def synth_pilot_observations(
     J_{k,l}[-j] = ifft(e_ue_k .* e_ap_l)[j] is the drift spectrum of the
     symbol's phasors (``phase_noise.phasor``).  The inner sum takes one of
     two forms, chosen by the layout alone (``_ici_by_products``: R blocks of
-    N subcarriers take the second where R < 2 log2 N, below the measured
-    crossover at 20 APs; the ci layout's R = 10 of N = 120 does, fig2's
-    R = 100 of N = 1200 does not).  Both give y within round-off of each other.
+    N subcarriers take the second where R < 1.6 log2 N, bounded by the ci
+    layout's R = 10 of N = 120, which does, and fig2's R = 100 of N = 1200,
+    which does not).  Both give y within round-off of each other.
 
     The drift-spectrum form takes one inverse FFT per (UE, AP, pilot slot).
     The APs are taken a tile at a time, of every trial, for the CPE.  For

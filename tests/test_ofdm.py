@@ -273,24 +273,31 @@ class TestSynthObservations:
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
         assert np.array_equal(cpe, cpe_per_symbol(trace))
 
-    @pytest.mark.parametrize("case", ["pn", "ideal", "partial_block"])
+    @pytest.mark.parametrize("case", ["pn", "ideal", "partial_block", "forty_aps"])
     def test_one_ap_gives_its_row(self, case):
         """Synthesizing one AP, h and the AP phases sliced to [l:l+1], gives
         row l of the full synthesis of a stack of three trials, and column l
         of its CPE: the path ``validate.lmmse_moments`` takes.  With phase
-        noise y is bitwise equal.  The CPE is a mean of N unit phasors whose
-        summation order the BLAS picks by the tile's shape, and a one-AP tile
-        takes another kernel, so it is bounded by N machine epsilons, the
-        worst case of a reordered sum of N terms: at most 1.4e-15 apart with
-        phase noise, and 4.8e-15 in the ideal world, where y is each pilot
-        times that CPE (2.7e-14 at N = 120)."""
+        noise y is bitwise equal, also with 40 APs, where the pilot-side-first
+        form puts APs 32-39 in the rows of a second, zero-padded product.  The
+        CPE is a mean of N unit phasors whose summation order the BLAS picks
+        by the tile's shape, and a one-AP tile takes another kernel, so it is
+        bounded by N machine epsilons, the worst case of a reordered sum of N
+        terms: at most 1.4e-15 apart with phase noise, and 4.8e-15 in the
+        ideal world, where y is each pilot times that CPE (2.7e-14 at
+        N = 120)."""
         cfg = ci_config()
         if case == "ideal":
             cfg = replace(cfg, gamma_ap=0.0, gamma_ue=0.0)
         if case == "partial_block":
             cfg = replace(cfg, block_subcarriers=11)
+        if case == "forty_aps":
+            cfg = replace(cfg, n_aps=40)
         setup = build_setup(cfg)
         layout, network = setup.layout, build_geometry(cfg, setup, 0).network
+        if case == "forty_aps":
+            assert ofdm._ici_by_products(layout.n_subcarriers, layout.n_blocks)
+            assert layout.n_aps > ofdm._AP_BLOCK
         rng = np.random.default_rng(5)
         B = 3
         h = np.stack([gen_channel(network.beta, layout, rng) for _ in range(B)])
