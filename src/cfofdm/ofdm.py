@@ -62,30 +62,21 @@ def _tile_rows(n: int) -> int:
 # AP, make c grow with the AP count L.  At one BLAS thread the two forms'
 # synthesis times meet at c = 0.9, 2.7 and 4.2 for L = 10, 20 and 30 at
 # N = 120 (K = 5, 3 trials), and at c = 5.1 for L = 200 at N = 1200 (K = 10,
-# 1 trial).  L cannot enter, since one AP synthesized alone must take the
-# form of its full synthesis.  The measured layouts bound c only loosely:
-# the ci layout (R = 10 of N = 120, c > 1.45) gains from products and fig2
-# (R = 100 of N = 1200, c < 9.8) loses.  c = 1.6 is the least that also keeps
-# the ci layout's partial-block variant (N_c = 11, R = 11, c > 1.59) on
-# products, so few layouts take them below their crossover: by the measured
-# crossovers, those of fewer than about 14 APs with R between 0.9 and
-# 1.6 log2 N.
+# 1 trial).  L stays out of the rule because the measured layouts bound c
+# only loosely and none has few APs: the ci layout (R = 10 of N = 120,
+# c > 1.45) gains from products and fig2 (R = 100 of N = 1200, c < 9.8)
+# loses.  c = 1.6 is the least that also keeps the ci layout's partial-block
+# variant (N_c = 11, R = 11, c > 1.59) on products, so few layouts take them
+# below their crossover: by the measured crossovers, those of fewer than
+# about 14 APs with R between 0.9 and 1.6 log2 N.
 _PRODUCTS_PER_LOG2N = 1.6
-
-
-# APs per product of the pilot-side-first form: each trial's AP phasors go
-# into (_AP_BLOCK, N) by (N, chunk R) products, zero rows padding the last
-# block.  The products have one shape whatever the AP count, and the BLAS
-# treats the rows of a shape alike, so an AP's sums are bitwise the same
-# alone as among every AP (a one-row product is a gemv, another kernel).
-_AP_BLOCK = 32
 
 
 def _ici_by_products(n: int, r: int) -> bool:
     """Whether the synthesis takes the pilot-side-first form of the ICI at
     N = ``n`` subcarriers in ``r`` coherence blocks, not the drift-spectrum
     form: an operation count, R < c log2 N, in which the UE and trial counts
-    cancel and the AP count cannot enter."""
+    cancel and the AP count does not enter."""
     return r < _PRODUCTS_PER_LOG2N * math.log2(n)
 
 
@@ -155,11 +146,10 @@ def synth_pilot_observations(
     s_k, zero-padded in a partial last block, F[i, m] = e^{2 pi j i m/N} / N
     and P[b, m] = e^{2 pi j b N_c m/N} (``_block_dft``); a slot off
     subcarrier 0 puts its ramp on C.  Then the AP phasors times C^T give
-    every (UE, block) sum of every AP, in products of ``_AP_BLOCK`` AP rows,
-    zero-padded, so that an AP's sums have the same bits alone as among
-    every AP; the channel weighting sums them over blocks, then UEs in
-    order.  It takes every AP in one tile, so its AP phasors are one
-    (B, L, N) array padded to whole blocks, and a chunk's (B, chunk, R, N)
+    every (UE, block) sum of every AP, one (B, L, N) by (B, N, chunk R)
+    product per pilot slot and UE chunk; the channel weighting sums them
+    over blocks, then UEs in order.  It takes every AP in one tile, so its
+    AP phasors are one (B, L, N) array, and a chunk's (B, chunk, R, N)
     coefficients fit the tile budget per trial.
 
     In both forms the UE chunks are fixed whatever the stack and every trial
@@ -206,25 +196,20 @@ def synth_pilot_observations(
     y = np.zeros((B, L, tau_p), dtype=complex)
     cpe = np.empty((B, n_sym, K, L), dtype=complex)
     e_ue = np.empty((B, K, n), dtype=complex)
+    # the pilot-side-first form takes every AP in one tile: its coefficients
+    # are formed once per UE chunk and read by every AP's phasors
+    rows = L if products else min(_tile_rows(n), L)
+    ap_buf = np.empty((B, rows, n), dtype=complex)
     if products:
-        # the pilot-side-first form takes every AP in one tile: its
-        # coefficients are formed once per UE chunk and read by every AP's
-        # phasors, in blocks of _AP_BLOCK rows that zero rows pad
-        rows = L
-        n_ap_blocks = -(-L // _AP_BLOCK)
-        ap_buf = np.zeros((B, n_ap_blocks * _AP_BLOCK, n), dtype=complex)
-        ap_blocks = ap_buf.reshape(B, n_ap_blocks, _AP_BLOCK, n)
         # UEs per chunk: one trial's (chunk, R, N) coefficients fit the tile
         # budget, fixed whatever the stack so that the UE sum keeps its order
         kc = min(K, max(1, _TILE_BYTES // (16 * R * n)))
-        ap_sums = np.empty((B, n_ap_blocks, _AP_BLOCK, kc * R), dtype=complex)
+        ap_sums = np.empty((B, L, kc * R), dtype=complex)
         dft, block_phase = _block_dft(n, nc)
         s_pad = np.zeros((B, K, R * nc), dtype=complex)  # zeros past N: the partial block
         coef = np.empty((B, kc, R, n), dtype=complex)
         ramped = np.empty((B, kc * R, n), dtype=complex) if slot_sub.any() else None
     else:
-        rows = min(_tile_rows(n), L)
-        ap_buf = np.empty((B, rows, n), dtype=complex)
         # UEs per chunk and APs per sub-tile of the ICI: one AP's drift spectra
         # of a chunk fit the tile budget, and a sub-tile's of every trial do
         # too.  The chunks do not depend on B: they set the order of the UE sum.
@@ -298,9 +283,9 @@ def synth_pilot_observations(
                 for i, ramp in ramps:
                     w = flat if ramp is None else np.multiply(
                         flat, ramp, out=ramped[:, : (k1 - k0) * R])
-                    np.matmul(ap_blocks, np.swapaxes(w, -1, -2)[:, None], out=q)
-                    sums = q.reshape(B, -1, (k1 - k0) * R)[:, :L].reshape(B, L, k1 - k0, R)
-                    _add_block_sums(y[..., i], sums, h[:, k0:k1], per_ue[:, : k1 - k0])
+                    np.matmul(ap_buf, np.swapaxes(w, -1, -2), out=q)
+                    _add_block_sums(y[..., i], q.reshape(B, L, k1 - k0, R), h[:, k0:k1],
+                                    per_ue[:, : k1 - k0])
     if no_ici:
         # y is each pilot rotated by the one symbol's CPE, on the slots of block 1
         slot_si = [pilot_si[t] for t in slot_sym]

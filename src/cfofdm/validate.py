@@ -13,13 +13,13 @@ spectrum of one symbol and the time-domain received symbol.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
 from . import estimation, ofdm
 from .config import ExperimentConfig, ci_config
-from .harness import Setup, build_geometry, build_setup, draw_trials, trial_rngs, trial_stack_size
+from .harness import build_geometry, build_setup, observe, trial_rngs, trial_stack_size
 from .network import NetworkRealization, gen_channel, generate_network
 from .phase_noise import (
     KernelParams,
@@ -235,18 +235,6 @@ def no_pn_reduction(cfg: ExperimentConfig) -> Check:
                  % (spread, layout.n_ues, layout.n_aps, abs_err, rel_err))
 
 
-def observe_ap(setup: Setup, network: NetworkRealization,
-               rngs: Sequence[np.random.Generator], l: int) -> Tuple[np.ndarray, np.ndarray]:
-    """``harness.observe`` of a stack of trials read at AP l alone: the pilot
-    observations (B, tau_p) and effective channels (B, T, K) of AP l.  Each
-    trial draws all that ``observe`` draws (``harness.draw_trials``), and only
-    AP l's channels and phases are synthesized."""
-    h, trace, grids, noise = draw_trials(setup, network, rngs)
-    ap_l = PhaseNoiseTrace(trace.ap_phase[:, l:l + 1], trace.ue_phase)
-    y, cpe = ofdm.synth_pilot_observations(h[:, :, l:l + 1], grids, ap_l, network, setup.layout)
-    return y[:, 0] + noise[:, l], cpe[..., 0] * h[:, None, :, l, 0]
-
-
 def lmmse_moments(cfg: ExperimentConfig) -> Check:
     """Moments of the PN-aware LMMSE estimate of UE 0 at AP 0 over cfg.n_trials trials.
 
@@ -255,9 +243,9 @@ def lmmse_moments(cfg: ExperimentConfig) -> Check:
     E|h_hat|^2 + E|h_eff - h_hat|^2 = B_00 beta, and E|h_hat|^2 = eps.  It
     runs in the world ``sim run`` draws, on a run's geometry 0 and trial
     streams, with the ``independent_data`` model, whose data term and kernel
-    stride are that world's.  The trials go in stacks, each drawn as
-    ``harness.observe`` draws it and synthesized and estimated at AP 0 alone
-    (``observe_ap``).
+    stride are that world's.  The trials go in stacks, each drawn and
+    synthesized by ``harness.observe`` and estimated on the geometry's
+    context, as ``harness.run_trial`` does; the check reads UE 0 at AP 0.
 
     At the ci layout the verdict is the largest of 50 |z| values
     (orthogonality alone is 40: 5 symbols x 4 pilot slots x re/im), so even
@@ -273,17 +261,16 @@ def lmmse_moments(cfg: ExperimentConfig) -> Check:
     geom = build_geometry(cfg, setup, 0)
     network, ctx = geom.network, geom.contexts[0]  # pna_ofdm, the only estimator
     k, l = 0, 0
-    ctx_l = replace(ctx, whiten=ctx.whiten[l:l + 1], scale=ctx.scale[l:l + 1])  # what it reads
     h_eff = np.empty((cfg.n_trials, layout.block_symbols), dtype=complex)
     h_hat = np.empty_like(h_eff)
     y_l = np.empty((cfg.n_trials, layout.tau_p), dtype=complex)
     stack = trial_stack_size(layout, cfg.n_trials)
     for t0 in range(0, cfg.n_trials, stack):
         rows = slice(t0, min(t0 + stack, cfg.n_trials))
-        y_l[rows], h = observe_ap(
-            setup, network, trial_rngs(cfg.master_seed, 0, range(rows.start, rows.stop)), l)
-        h_eff[rows] = h[:, :, k]
-        h_hat[rows] = estimation.estimate_all(ctx_l, y_l[rows, None])[:, :, k, 0]
+        y, h = observe(setup, network,
+                       trial_rngs(cfg.master_seed, 0, range(rows.start, rows.stop)))
+        y_l[rows], h_eff[rows] = y[:, l], h[:, :, k, l]
+        h_hat[rows] = estimation.estimate_all(ctx, y)[:, :, k, l]
 
     prods = (h_eff - h_hat)[:, :, None] * np.conj(y_l)[:, None, :]
     orth = max(_std_errors(prods.real, 0.0).max(), _std_errors(prods.imag, 0.0).max())

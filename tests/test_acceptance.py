@@ -79,9 +79,9 @@ def test_criterion_5_estimator_correctness():
     block.  The moment checks run at CI scale over 1e4 trials of the world
     ``sim run`` draws, on geometry 0's streams, with the ``independent_data``
     model, whose data term and kernel stride are that world's (see
-    ``validate.lmmse_moments``); each trial is drawn as ``harness.observe``
-    draws it and synthesized for the one AP the checks read: 2.67, 1.34 and
-    1.30 standard errors.
+    ``validate.lmmse_moments``); each trial is drawn and synthesized by
+    ``harness.observe`` and estimated on geometry 0's context, as a run's
+    trials are: 2.67, 1.34 and 1.30 standard errors.
     """
     checks = [
         validate.no_pn_reduction(replace(ci_config(), n_ues=1, n_aps=3, master_seed=7)),

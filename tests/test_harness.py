@@ -977,25 +977,23 @@ class TestValidateSuite:
             assert [line.split(":")[0] for line in lines] == (
                 ["PASS kernel_oracle_equivalence"] * oracles + ["PASS " + c for c in tail])
 
-    def test_moments_read_what_observe_returns(self):
-        """The AP-0 observations and effective channels that ``lmmse_moments``
-        reads (``observe_ap``) are ``harness.observe``'s y[:, 0] and
-        h_eff[:, :, :, 0] of the same trial streams: y bitwise, and h_eff
-        within N machine epsilons, the one-AP CPE bound of ``test_ofdm``'s
-        ``test_one_ap_gives_its_row``.  Four trials are two synthesis pieces
-        of ``observe`` and one draw of ``observe_ap``."""
-        from cfofdm.harness import build_geometry, build_setup, observe, trial_rngs
-        from cfofdm.validate import observe_ap
+    def test_moments_read_what_observe_returns(self, monkeypatch):
+        """``lmmse_moments`` reads the observations and effective channels of
+        ``harness.observe``, the function every run's trials go through: at
+        ``sim validate``'s size the check passes, and with ``observe``'s
+        h_eff scaled by 1.1 at the name the check calls it fails."""
+        from cfofdm import harness, validate
 
-        cfg = replace(ci_config(), ici_mode="independent_data", master_seed=55)
-        setup = build_setup(cfg)
-        network = build_geometry(cfg, setup, 0).network
-        y, h_eff = observe(setup, network, trial_rngs(cfg.master_seed, 0, range(4)))
-        y_0, h_eff_0 = observe_ap(setup, network, trial_rngs(cfg.master_seed, 0, range(4)), 0)
-        assert np.array_equal(y_0, y[:, 0])
-        assert h_eff_0.shape == h_eff[..., 0].shape
-        tol = cfg.n_subcarriers * np.finfo(float).eps
-        assert np.abs(h_eff_0 - h_eff[..., 0]).max() <= tol * np.abs(h_eff[..., 0]).max()
+        cfg = replace(ci_config(), n_aps=3, n_ues=2, n_trials=3000)
+        assert validate.lmmse_moments(cfg).ok
+
+        def faulty(*args, **kwargs):
+            y, h_eff = harness.observe(*args, **kwargs)
+            return y, 1.1 * h_eff
+
+        monkeypatch.setattr(validate, "observe", faulty)
+        check = validate.lmmse_moments(cfg)
+        assert not check.ok, check.detail
 
     @pytest.mark.parametrize("fault", ["data_across_symbols", "stride_n"])
     def test_moments_fail_on_the_former_models(self, monkeypatch, fault):
