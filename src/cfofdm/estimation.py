@@ -18,7 +18,7 @@ ICI_MODES = ("as_printed", "independent_data")
 def build_ici_base(
     layout: SimulationLayout,
     table: KernelGrid,
-    mode: str = "as_printed",
+    mode: str,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The pilot-pair sums (tau_p, tau_p, tau_p), one (tau_p, tau_p) matrix per
     pilot sequence, and the data-pair sum (tau_p, tau_p) of the ICI covariance.
@@ -113,7 +113,7 @@ def build_models(
     layout: SimulationLayout,
     table: KernelGrid,
     kinds: Sequence[str],
-    ici_mode: str = "as_printed",
+    ici_mode: str,
 ) -> List[EstimatorModel]:
     """One estimator model per entry of ``kinds``, in that order, for the
     first T symbols of the block: every symbol, T = tau_c, with phase noise,

@@ -3,9 +3,9 @@ pilot synthesis, the no-phase-noise reduction and the moments of the LMMSE
 estimate in the world ``sim run`` draws.
 
 Each check is one function of its input size (and seed, or the configuration
-of the world it runs in) returning a ``Check``; each calls what a run calls.
-``run_validation`` runs them at desk size for ``sim validate``; the acceptance
-suite runs the same functions at larger sizes.  The literal references that
+of its world) returning a ``Check``, or for the LMMSE moments one per model;
+each calls what a run calls.  ``run_validation`` runs them at desk size for
+``sim validate``, the acceptance suite at larger sizes.  Literal references
 only these checks run live here too: the double-sum kernel, the drift
 spectrum of one symbol and the time-domain received symbol.
 """
@@ -235,34 +235,33 @@ def no_pn_reduction(cfg: ExperimentConfig) -> Check:
                  % (spread, layout.n_ues, layout.n_aps, abs_err, rel_err))
 
 
-def lmmse_moments(cfg: ExperimentConfig) -> Check:
-    """Moments of the PN-aware LMMSE estimate of UE 0 at AP 0 over cfg.n_trials trials.
+def lmmse_moments(cfg: ExperimentConfig) -> List[Check]:
+    """Moments of the LMMSE estimate of UE 0 at AP 0 over cfg.n_trials trials,
+    one ``Check`` per estimator model of the set-up, in its order.
 
     At every symbol of the block: the orthogonality principle
     E{(h_eff - h_hat) y*} = 0, the variance decomposition
     E|h_hat|^2 + E|h_eff - h_hat|^2 = B_00 beta, and E|h_hat|^2 = eps.  It
     runs in the world ``sim run`` draws, on a run's geometry 0 and trial
-    streams, with the ``independent_data`` model, whose data term and kernel
-    stride are that world's.  The trials go in stacks, each drawn and
-    synthesized by ``harness.observe`` and estimated on the geometry's
-    context, as ``harness.run_trial`` does; the check reads UE 0 at AP 0.
+    streams, with ``ici_mode = independent_data``, whose pna_ofdm data term
+    and kernel stride are that world's.  Each trial stack is drawn and
+    synthesized once by ``harness.observe`` and estimated with every context
+    of the geometry, as ``harness.run_trial`` does.  The caller decides which
+    verdicts gate: only a model that is LMMSE in this world should pass.
 
-    At the ci layout the verdict is the largest of 50 |z| values
-    (orthogonality alone is 40: 5 symbols x 4 pilot slots x re/im), so even
-    where the model is exact about 13 % of seeds exceed 3 by chance,
-    1 - 0.9973^50 for independent z.
-    At criterion 5's size (ci, 10,000 trials) it failed at 4 of seeds 55-69;
-    whether chance alone explains that is not established.  The bound is
-    kept at 3 standard errors.
+    At the ci layout a verdict is the largest of 50 |z| values (orthogonality
+    alone is 40: 5 symbols x 4 pilot slots x re/im), which move together down
+    the symbol axis, so the chance that an exact model exceeds 3 is unknown;
+    at criterion 5's size the check failed at seeds 61, 62, 63 and 67 of 55-69.
     """
-    cfg = replace(cfg, ici_mode="independent_data", estimators=("pna_ofdm",))
+    cfg = replace(cfg, ici_mode="independent_data")
     setup = build_setup(cfg)
     layout = setup.layout
     geom = build_geometry(cfg, setup, 0)
-    network, ctx = geom.network, geom.contexts[0]  # pna_ofdm, the only estimator
+    network, contexts = geom.network, geom.contexts
     k, l = 0, 0
     h_eff = np.empty((cfg.n_trials, layout.block_symbols), dtype=complex)
-    h_hat = np.empty_like(h_eff)
+    h_hat = np.empty((len(contexts),) + h_eff.shape, dtype=complex)
     y_l = np.empty((cfg.n_trials, layout.tau_p), dtype=complex)
     stack = trial_stack_size(layout, cfg.n_trials)
     for t0 in range(0, cfg.n_trials, stack):
@@ -270,19 +269,22 @@ def lmmse_moments(cfg: ExperimentConfig) -> Check:
         y, h = observe(setup, network,
                        trial_rngs(cfg.master_seed, 0, range(rows.start, rows.stop)))
         y_l[rows], h_eff[rows] = y[:, l], h[:, :, k, l]
-        h_hat[rows] = estimation.estimate_all(ctx, y)[:, :, k, l]
+        h_hat[:, rows] = [estimation.estimate_all(ctx, y)[:, :, k, l] for ctx in contexts]
 
-    prods = (h_eff - h_hat)[:, :, None] * np.conj(y_l)[:, None, :]
-    orth = max(_std_errors(prods.real, 0.0).max(), _std_errors(prods.imag, 0.0).max())
-    power = np.abs(h_hat) ** 2
-    total = power + np.abs(h_eff - h_hat) ** 2
-    var_dev = _std_errors(total, setup.table.cpe(0) * network.beta[k, l]).max()
-    eps_dev = _std_errors(power, ctx.eps[:, k, l]).max()
-    ok = orth <= 3.0 and var_dev <= 3.0 and eps_dev <= 3.0
-    return Check("lmmse_moments", ok,
-                 "orthogonality %.2f, variance decomposition %.2f, E|h_hat|^2 vs eps %.2f "
-                 "standard errors over %d trials and %d symbols (tol 3)"
-                 % (orth, var_dev, eps_dev, cfg.n_trials, layout.block_symbols))
+    checks = []
+    for hat, ctx in zip(h_hat, contexts):
+        prods = (h_eff - hat)[:, :, None] * np.conj(y_l)[:, None, :]
+        orth = max(_std_errors(prods.real, 0.0).max(), _std_errors(prods.imag, 0.0).max())
+        power = np.abs(hat) ** 2
+        total = power + np.abs(h_eff - hat) ** 2
+        var_dev = _std_errors(total, setup.table.cpe(0) * network.beta[k, l]).max()
+        eps_dev = _std_errors(power, ctx.eps[:, k, l]).max()
+        ok = orth <= 3.0 and var_dev <= 3.0 and eps_dev <= 3.0
+        checks.append(Check("lmmse_moments", ok,
+                            "orthogonality %.2f, variance decomposition %.2f, E|h_hat|^2 vs "
+                            "eps %.2f standard errors over %d trials and %d symbols (tol 3)"
+                            % (orth, var_dev, eps_dev, cfg.n_trials, layout.block_symbols)))
+    return checks
 
 
 def run_validation(n: int = 64) -> Tuple[bool, List[str]]:
@@ -290,9 +292,7 @@ def run_validation(n: int = 64) -> Tuple[bool, List[str]]:
     checks = [kernel_oracle(m) for m in sorted({min(n, 64), n})]
     checks += [parseval(n, 100, 11), trace_sum(n), mc_kernel(n, 10000, 5)]
     checks += [domain_equivalence(m, 20, 100) for m in sorted({16, min(n, 64)})]
-    checks += [
-        no_pn_reduction(replace(ci_config(), n_aps=4, n_ues=3, master_seed=3)),
-        lmmse_moments(replace(ci_config(), n_aps=3, n_ues=2, n_trials=3000)),
-    ]
+    checks.append(no_pn_reduction(replace(ci_config(), n_aps=4, n_ues=3, master_seed=3)))
+    checks += lmmse_moments(replace(ci_config(), n_aps=3, n_ues=2, n_trials=3000))
     lines = ["%s %s: %s" % ("PASS" if c.ok else "FAIL", c.name, c.detail) for c in checks]
     return all(c.ok for c in checks), lines

@@ -22,7 +22,7 @@ from cfofdm.phase_noise import KernelGrid, lag_spectra, offset_spectra
 def ici_base_einsum(
     layout: SimulationLayout,
     table: KernelGrid,
-    mode: str = "as_printed",
+    mode: str,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The pilot-pair sums (tau_p, tau_p, tau_p), one (tau_p, tau_p) matrix per
     pilot sequence, and the data-pair sum (tau_p, tau_p) of the ICI covariance.

@@ -37,6 +37,7 @@ from cfofdm.ofdm import build_transmit_grids
 from cfofdm.phase_noise import gen_pn_trace
 from cfofdm.se import SinrAccumulator, finalize_sinr
 
+import former_models
 import no_pn_reference
 from pilot_oracle import decomposed_pilot_observations, synth_one
 
@@ -71,7 +72,7 @@ def test_criterion_4_mc_kernel_consistency():
     assert _report(4, "Monte Carlo kernel consistency", *_joined(checks))
 
 
-def test_criterion_5_estimator_correctness():
+def test_criterion_5_estimator_correctness(monkeypatch):
     """Closed-form no-PN reduction, orthogonality, and variance decomposition.
 
     The no-PN reduction checks the ideal world's contexts as
@@ -80,14 +81,21 @@ def test_criterion_5_estimator_correctness():
     ``sim run`` draws, on geometry 0's streams, with the ``independent_data``
     model, whose data term and kernel stride are that world's (see
     ``validate.lmmse_moments``); each trial is drawn and synthesized by
-    ``harness.observe`` and estimated on geometry 0's context, as a run's
-    trials are: 2.67, 1.34 and 1.30 standard errors.
+    ``harness.observe`` and estimated on geometry 0's contexts, as a run's
+    trials are: 2.67, 1.34 and 1.30 standard errors.  The same pass scores
+    the two former models, each with one part of that model put back, and
+    each must fail: data ICI correlated across pilot symbols (orthogonality
+    3.68 standard errors), and the kernel stride N in place of the traces'
+    N + N_cp (4.34).
     """
-    checks = [
-        validate.no_pn_reduction(replace(ci_config(), n_ues=1, n_aps=3, master_seed=7)),
-        validate.lmmse_moments(replace(ci_config(), n_trials=10000, master_seed=55)),
-    ]
-    assert _report(5, "estimator correctness", *_joined(checks))
+    no_pn = validate.no_pn_reduction(replace(ci_config(), n_ues=1, n_aps=3, master_seed=7))
+    former_models.add_to_setup(monkeypatch, former_models.data_across_symbols,
+                               former_models.stride_n)
+    moments, across_symbols, stride_n = validate.lmmse_moments(
+        replace(ci_config(), n_trials=10000, master_seed=55))
+    assert _report(5, "estimator correctness", *_joined([no_pn, moments]))
+    assert not across_symbols.ok, across_symbols.detail
+    assert not stride_n.ok, stride_n.detail
 
 
 def test_criterion_6_no_pn_pipeline_equivalence():

@@ -52,14 +52,14 @@ def make_table(layout, sigma2_tot, stride=None):
     return build_correlation_table(params, lags)
 
 
-def make_model(layout, table, kind="pna_ofdm", ici_mode="as_printed"):
+def make_model(layout, table, kind="pna_ofdm", *, ici_mode):
     """Estimator model of one kind with the pilot book of ``layout``."""
     (model,) = build_models(layout, table, [kind], ici_mode)
     return model
 
 
-def make_context(network, layout, table, kind="pna_ofdm", ici_mode="as_printed"):
-    return build_context(network, make_model(layout, table, kind, ici_mode))
+def make_context(network, layout, table, kind="pna_ofdm", *, ici_mode):
+    return build_context(network, make_model(layout, table, kind, ici_mode=ici_mode))
 
 
 def ue_rhs(model, pilot_index):
@@ -276,7 +276,8 @@ class TestZIci:
         layout = toy_layout()
         table = make_table(layout, 0.0)
         network = make_network(layout, np.ones((2, 2)), [0, 1])
-        unaware, _ = build_psi(network, make_model(layout, table, "unaware"))
+        unaware, _ = build_psi(network,
+                               make_model(layout, table, "unaware", ici_mode="as_printed"))
         for mode in ("as_printed", "independent_data"):
             psi, _ = build_psi(network, make_model(layout, table, ici_mode=mode))
             assert np.abs(psi - unaware).max() < 1e-12
@@ -312,10 +313,10 @@ class TestModels:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(estimation, "build_ici_base", counting)
-        baselines = build_models(layout, table, ["unaware", "pna_sc"])
+        baselines = build_models(layout, table, ["unaware", "pna_sc"], "as_printed")
         assert calls == []
         assert all(not m.data_cov.any() for m in baselines)
-        (pna,) = build_models(layout, table, ["pna_ofdm"])
+        (pna,) = build_models(layout, table, ["pna_ofdm"], "as_printed")
         assert len(calls) == 1 and pna.data_cov.any()
         tau_p = layout.tau_p
         assert [m.rhs.shape for m in (*baselines, pna)] == [(tau_p, tau_p * 3)] * 3
@@ -363,7 +364,7 @@ class TestModels:
         kernel = assumed_kernel(kind, table)
         book, tau_c = layout.pilot_book, layout.block_symbols
         syms = np.array([sym for _, sym in layout.pilot_slots])
-        model = make_model(layout, table, kind)
+        model = make_model(layout, table, kind, ici_mode="as_printed")
         for t in range(layout.tau_p):
             for tau in range(1, tau_c + 1):
                 expect = np.conj(kernel.cpe(tau - syms)) * book[:, t]
@@ -390,22 +391,23 @@ class TestModels:
         ``as_printed``'s stride N; pna_sc keeps one drift sample per symbol N
         samples apart, so its kernel and model do not move."""
         cfg = ci_config()
-        off, on = (build_setup(replace(cfg, ici_mode=mode))
-                   for mode in ("as_printed", "independent_data"))
+        modes = ("as_printed", "independent_data")
+        off, on = (build_setup(replace(cfg, ici_mode=mode)) for mode in modes)
         assert off.table.params.stride == cfg.n_subcarriers
         assert on.table.params.stride == cfg.n_subcarriers + cfg.cp_len_effective
         lags = off.table.lags[off.table.lags != 0]
         assert np.all(on.table.cpe(lags) < off.table.cpe(lags))
         assert np.array_equal(assumed_kernel("pna_sc", on.table).values,
                               assumed_kernel("pna_sc", off.table).values)
-        (sc_off,), (sc_on,) = (build_models(s.layout, s.table, ["pna_sc"]) for s in (off, on))
+        (sc_off,), (sc_on,) = (build_models(s.layout, s.table, ["pna_sc"], mode)
+                               for s, mode in zip((off, on), modes))
         assert np.array_equal(sc_on.pilot_cov, sc_off.pilot_cov)
         assert np.array_equal(sc_on.rhs, sc_off.rhs)
 
     def test_unknown_kind_rejected(self):
         layout = toy_layout()
         with pytest.raises(ValueError, match="unknown estimator kind"):
-            make_model(layout, make_table(layout, 5e-3), "magic")
+            make_model(layout, make_table(layout, 5e-3), "magic", ici_mode="as_printed")
 
 
 class TestPsi:
@@ -415,7 +417,7 @@ class TestPsi:
         book = layout.pilot_book
         beta = np.array([[0.5, 0.3], [0.2, 0.8]])
         network = make_network(layout, beta, [0, 1], p=0.4, sigma2=1e-3)
-        psi, _ = build_psi(network, make_model(layout, table))
+        psi, _ = build_psi(network, make_model(layout, table, ici_mode="as_printed"))
         for l in range(2):
             expect = sum(
                 0.4 * beta[k, l] * np.outer(book[:, k], np.conj(book[:, k]))
@@ -429,7 +431,7 @@ class TestPsi:
         book = layout.pilot_book
         beta = np.array([[0.6, 0.1]])
         network = make_network(layout, beta, [0], p=0.2, sigma2=1e-3)
-        psi, _ = build_psi(network, make_model(layout, table))
+        psi, _ = build_psi(network, make_model(layout, table, ici_mode="as_printed"))
         s = book[:, 0]
         for l in range(2):
             val = np.real(s.conj() @ np.linalg.solve(psi[l], s))
@@ -442,7 +444,7 @@ class TestPsi:
         layout = toy_layout()
         table = make_table(layout, 3e-3)
         network = make_network(layout, np.array([[0.5, 0.3], [0.2, 0.8]]), [0, 1], sigma2=-1.0)
-        model = make_model(layout, table)
+        model = make_model(layout, table, ici_mode="as_printed")
         for build in (build_psi, build_context):
             with pytest.raises(RuntimeError, match="factorization failed"):
                 build(network, model)
@@ -453,7 +455,7 @@ class TestPsi:
         for _ in range(5):
             beta = rng.uniform(0.05, 1.0, (2, 2))
             network = make_network(layout, beta, [0, 1], p=0.3, sigma2=1e-4)
-            psi, _ = build_psi(network, make_model(layout, table))
+            psi, _ = build_psi(network, make_model(layout, table, ici_mode="as_printed"))
             assert np.abs(psi - np.conj(np.swapaxes(psi, 1, 2))).max() <= 1e-12
 
 
@@ -462,14 +464,14 @@ class TestLmmseEstimate:
         layout = toy_layout()
         table = make_table(layout, 3e-3)
         network = make_network(layout, np.ones((2, 2)), [0, 1])
-        ctx = make_context(network, layout, table)
+        ctx = make_context(network, layout, table, ici_mode="as_printed")
         assert estimate_all(ctx, np.zeros((2, layout.tau_p), dtype=complex))[0, 0, 0] == 0
 
     def test_linearity(self, rng):
         layout = toy_layout()
         table = make_table(layout, 3e-3)
         network = make_network(layout, np.ones((2, 2)), [0, 1])
-        ctx = make_context(network, layout, table)
+        ctx = make_context(network, layout, table, ici_mode="as_printed")
         y = np.zeros((2, layout.tau_p), dtype=complex)
         y[1] = rng.standard_normal(layout.tau_p) + 1j * rng.standard_normal(layout.tau_p)
         a = estimate_all(ctx, 2.5j * y)[1, 1, 1]
@@ -482,7 +484,7 @@ class TestLmmseEstimate:
         layout = toy_layout()
         table = make_table(layout, 3e-3)
         network = make_network(layout, rng.uniform(0.05, 1.0, (2, 2)), [0, 1])
-        ctx = make_context(network, layout, table)
+        ctx = make_context(network, layout, table, ici_mode="as_printed")
         y = rng.standard_normal((3, 2, layout.tau_p)) + 1j * rng.standard_normal(
             (3, 2, layout.tau_p))
         h_hat = estimate_all(ctx, y)
@@ -496,7 +498,7 @@ class TestLmmseEstimate:
         book = layout.pilot_book
         beta = np.array([[0.7, 0.2]])
         network = make_network(layout, beta, [0], p=0.3, sigma2=2e-3)
-        ctx = make_context(network, layout, table)
+        ctx = make_context(network, layout, table, ici_mode="as_printed")
         y = rng.standard_normal(layout.tau_p) + 1j * rng.standard_normal(layout.tau_p)
         h_hat = estimate_all(ctx, np.tile(y, (2, 1)))
         for l in range(2):
@@ -514,7 +516,7 @@ class TestLmmseEstimate:
         table = make_table(layout, 3e-3)
         beta = np.array([[0.5, 0.0], [0.3, 0.4]])
         network = make_network(layout, beta, [0, 1])
-        ctx = make_context(network, layout, table)
+        ctx = make_context(network, layout, table, ici_mode="as_printed")
         assert ctx.eps[1, 0, 1] == 0.0 and ctx.err_var[1, 0, 1] == 0.0
 
     def test_eps_within_bounds(self):
@@ -565,7 +567,7 @@ class TestContext:
         network = make_network(layout, rng.uniform(0.05, 1.0, (K, 3)), pilot_index, sigma2=1e-2)
         table = make_table(layout, 3e-3)
         for kind in ESTIMATOR_KINDS:
-            model = make_model(layout, table, kind)
+            model = make_model(layout, table, kind, ici_mode="as_printed")
             ctx = build_context(network, model)
             _, eps = coef_oracle(network, model)  # (K, L, tau_c)
             psi, _ = build_psi(network, model)
@@ -608,7 +610,7 @@ class TestContext:
         network = make_network(layout, rng.uniform(0.05, 1.0, (K, L)), np.arange(K) % tau_p)
         table = make_table(layout, 3e-4)
         for kind in ESTIMATOR_KINDS:
-            ctx = make_context(network, layout, table, kind=kind)
+            ctx = make_context(network, layout, table, kind=kind, ici_mode="as_printed")
             held = sum(a.nbytes for a in vars(ctx).values())
             assert held < L * K * tau_c * tau_p * np.dtype(complex).itemsize
 
@@ -621,7 +623,7 @@ class TestBaselines:
         y = rng.standard_normal((2, layout.tau_p)) + 1j * rng.standard_normal((2, layout.tau_p))
         outs = []
         for kind in ("pna_ofdm", "pna_sc", "unaware"):
-            ctx = make_context(network, layout, table, kind=kind)
+            ctx = make_context(network, layout, table, kind=kind, ici_mode="as_printed")
             outs.append(estimate_all(ctx, y))
         assert np.abs(outs[0] - outs[1]).max() < 1e-10
         assert np.abs(outs[0] - outs[2]).max() < 1e-10
@@ -630,7 +632,7 @@ class TestBaselines:
         layout = toy_layout()
         table = make_table(layout, 3e-3)
         network = make_network(layout, np.ones((2, 2)), [0, 1])
-        ctx = make_context(network, layout, table, kind="unaware")
+        ctx = make_context(network, layout, table, kind="unaware", ici_mode="as_printed")
         y = rng.standard_normal((2, layout.tau_p)) + 1j * rng.standard_normal((2, layout.tau_p))
         est = estimate_all(ctx, y)
         assert np.abs(est - est[:1]).max() < 1e-14
@@ -669,7 +671,7 @@ class TestBaselines:
         network = make_network(layout, beta, [0, 1], p=0.4, sigma2=1e-4)
         ctx_pna = make_context(network, layout, table, kind="pna_ofdm",
                                ici_mode="independent_data")
-        ctx_un = make_context(network, layout, table, kind="unaware")
+        ctx_un = make_context(network, layout, table, kind="unaware", ici_mode="as_printed")
         rng = np.random.default_rng(42)
         err_pna, err_un = [], []
         for _ in range(2000):

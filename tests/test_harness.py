@@ -36,6 +36,7 @@ from cfofdm.harness import (
 )
 from cfofdm.se import SinrAccumulator
 
+import former_models
 from one_geometry import run_one_geometry
 
 FLOAT_KEYS = [f.name for f in fields(ExperimentConfig) if f.type == "float"]
@@ -811,7 +812,7 @@ class TestCli:
         from cfofdm import validate
 
         monkeypatch.setattr(validate, "lmmse_moments",
-                            lambda cfg: validate.Check("lmmse_moments", False, "injected"))
+                            lambda cfg: [validate.Check("lmmse_moments", False, "injected")])
         assert cli_main(["validate"]) == 2
 
     def test_dump_geometry(self, tmp_path):
@@ -966,9 +967,10 @@ class TestValidateSuite:
                          ("parseval", "parseval"), ("trace_sum", "kernel_trace_sum"),
                          ("mc_kernel", "mc_kernel_consistency"),
                          ("domain_equivalence", "domain_equivalence"),
-                         ("no_pn_reduction", "no_pn_reduction"),
-                         ("lmmse_moments", "lmmse_moments")]:
+                         ("no_pn_reduction", "no_pn_reduction")]:
             monkeypatch.setattr(validate, fn, named(name))
+        monkeypatch.setattr(validate, "lmmse_moments",
+                            lambda cfg: [validate.Check("lmmse_moments", True, "")])
         tail = ["parseval", "kernel_trace_sum", "mc_kernel_consistency",
                 "domain_equivalence", "domain_equivalence", "no_pn_reduction", "lmmse_moments"]
         for n, oracles in ((5, 1), (64, 1), (256, 2)):
@@ -985,47 +987,40 @@ class TestValidateSuite:
         from cfofdm import harness, validate
 
         cfg = replace(ci_config(), n_aps=3, n_ues=2, n_trials=3000)
-        assert validate.lmmse_moments(cfg).ok
+        (check,) = validate.lmmse_moments(cfg)
+        assert check.ok, check.detail
 
         def faulty(*args, **kwargs):
             y, h_eff = harness.observe(*args, **kwargs)
             return y, 1.1 * h_eff
 
         monkeypatch.setattr(validate, "observe", faulty)
-        check = validate.lmmse_moments(cfg)
+        (check,) = validate.lmmse_moments(cfg)
         assert not check.ok, check.detail
 
-    @pytest.mark.parametrize("fault", ["data_across_symbols", "stride_n"])
-    def test_moments_fail_on_the_former_models(self, monkeypatch, fault):
-        """In criterion 5's world (ci, seed 55, 10,000 trials) the moment check
-        fails with either part of the ``independent_data`` model put back as it
-        was: data ICI correlated across pilot symbols (orthogonality 3.68
-        standard errors), or the kernel stride N in place of the traces'
-        N + N_cp (4.34)."""
+    def test_moments_score_every_model_on_one_synthesis(self, monkeypatch):
+        """At ``sim validate``'s size, a former model added to the set-up gets
+        its own verdict from the same trial stacks: the pna_ofdm verdict reads
+        as without it, and ``observe`` runs once per trial stack either way,
+        not once per model."""
         from cfofdm import harness, validate
 
-        from kernel_scalar import correlation_b_fast
+        cfg = replace(ci_config(), n_aps=3, n_ues=2, n_trials=3000)
+        calls = []
 
-        if fault == "data_across_symbols":
-            real = estimation.build_ici_base
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return harness.observe(*args, **kwargs)
 
-            def across_symbols(layout, table, mode="as_printed"):
-                # sum_{j in D} B_{n1-j,n2-j}^(s-u) for every pair of slots (n1, s), (n2, u)
-                pilot_terms, _ = real(layout, table, mode)
-                subs, syms = layout.pilot_slot_positions
-                data = np.flatnonzero(layout.pilot_grid[0, 0] == 0)
-                data_term = np.array([
-                    [sum(correlation_b_fast(n1 - j, n2 - j, s - u, table.params) for j in data)
-                     for n2, u in zip(subs, syms)] for n1, s in zip(subs, syms)])
-                return pilot_terms, data_term
-
-            monkeypatch.setattr(estimation, "build_ici_base", across_symbols)
-        else:
-            real = harness.build_kernel_table
-            monkeypatch.setattr(harness, "build_kernel_table",
-                                lambda cfg: real(replace(cfg, ici_mode="as_printed")))
-        check = validate.lmmse_moments(replace(ci_config(), n_trials=10000, master_seed=55))
-        assert not check.ok, check.detail
+        monkeypatch.setattr(validate, "observe", counting)
+        (alone,) = validate.lmmse_moments(cfg)
+        stacks = len(calls)
+        assert stacks == -(-cfg.n_trials // harness.trial_stack_size(cfg.layout(), cfg.n_trials))
+        former_models.add_to_setup(monkeypatch, former_models.stride_n)
+        pna, stride_n = validate.lmmse_moments(cfg)
+        assert pna.detail == alone.detail
+        assert stride_n.detail != alone.detail
+        assert len(calls) == 2 * stacks
 
     def test_clean_run_passes(self):
         from cfofdm.validate import domain_equivalence, kernel_oracle, trace_sum
