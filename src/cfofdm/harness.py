@@ -11,6 +11,7 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import BinaryIO, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -102,12 +103,16 @@ def _geometry(cfg: ExperimentConfig, geometry_index: int) -> NetworkRealization:
 
 @dataclass
 class Setup:
-    """Per-configuration state, shared by every geometry."""
+    """Per-configuration state, shared by every geometry.  ``draws`` is the
+    no_pn replay record of ``draw_trials``, if any: ``_trial_key`` of each
+    trial to its initial phases, AP then UE, and its generator's
+    ``bit_generator.state`` just before its receiver noise."""
 
     layout: SimulationLayout
     pn: PnParams
     table: KernelGrid
     models: List[estimation.EstimatorModel]   # one per entry of cfg.estimators
+    draws: Optional[dict] = None
 
 
 @dataclass
@@ -172,43 +177,16 @@ def trial_stack_size(layout: SimulationLayout, n_trials: int, threads: int = 1) 
     return -(-n_trials // stacks)
 
 
-@dataclass
-class TrialDraws:
-    """What an ideal-oscillator world replays of each trial's draws, one row
-    per (geometry, trial): each node's initial phase and the trial
-    generator's ``bit_generator.state`` just before the receiver noise, None
-    until recorded.  ``run_fig2`` passes one record to both of its runs: the
-    phase-noise run records every trial as it draws it, and the ideal run
-    replays them (``observe``, which writes and reads the rows in place).  A
-    record is (K + L) float64 phases and a state dict of about 525 B per
-    trial, kept until ``run_fig2`` returns: 2.2 KB at fig2's K = 10, L = 200,
-    22 MB at 50 geometries of 200 trials."""
-
-    ap_phase: np.ndarray  # (n_geometries, n_trials, L) float64
-    ue_phase: np.ndarray  # (n_geometries, n_trials, K) float64
-    state: np.ndarray     # (n_geometries, n_trials) object: state dicts, or None
-
-    @classmethod
-    def of(cls, cfg: ExperimentConfig) -> "TrialDraws":
-        """An empty record of every trial of ``cfg``."""
-        rows = (cfg.n_geometries, cfg.n_trials)
-        return cls(np.empty(rows + (cfg.n_aps,)), np.empty(rows + (cfg.n_ues,)),
-                   np.full(rows, None, dtype=object))
-
-    def rows(self, key) -> "TrialDraws":
-        """The rows ``key`` of the leading axes: views of these arrays."""
-        return TrialDraws(self.ap_phase[key], self.ue_phase[key], self.state[key])
-
-    def write(self, rows: "TrialDraws") -> None:
-        """Set these rows to ``rows``, a record of the same shape."""
-        self.ap_phase[...] = rows.ap_phase
-        self.ue_phase[...] = rows.ue_phase
-        self.state[...] = rows.state
-
-
 def trial_rngs(master_seed: int, geometry_index: int, trials: range) -> List[np.random.Generator]:
     """The generators of ``trials`` of one geometry, one stream per trial."""
     return [derived_rng(master_seed, _STREAM_TRIAL, geometry_index, t) for t in trials]
+
+
+def _trial_key(rng: np.random.Generator) -> tuple:
+    """A trial's key in a replay record: its generator's seed and spawn key,
+    (master seed, (stream, geometry, trial)) for ``trial_rngs``."""
+    seq = rng.bit_generator.seed_seq
+    return seq.entropy, seq.spawn_key
 
 
 def _as_stack(first: np.ndarray, size: int) -> np.ndarray:
@@ -221,60 +199,58 @@ def _as_stack(first: np.ndarray, size: int) -> np.ndarray:
     return stack
 
 
-def observe(setup: Setup, network: NetworkRealization, rngs: Sequence[np.random.Generator],
-            draws: Optional[TrialDraws] = None) -> Tuple[np.ndarray, np.ndarray]:
+def observe(setup: Setup, network: NetworkRealization,
+            rngs: Sequence[np.random.Generator]) -> Tuple[np.ndarray, np.ndarray]:
     """Draw (``draw_trials``) and synthesize a stack of trials, one generator
     per trial, in pieces of ``_piece_size``, the last one maybe partial, so
-    the stack holds at most one piece's traces and grids at a time; ``draws``
-    goes to ``draw_trials`` a piece's rows at a time.  Each trial's receiver
-    noise is added to the noise-free synthesis of
+    the stack holds at most one piece's traces and grids at a time.  Each
+    trial's receiver noise is added to the noise-free synthesis of
     ``ofdm.synth_pilot_observations``, itself drawing nothing.  Returns the
     pilot observations y (B, L, tau_p) and the effective channels h_eff
     (B, T, K, L) of the whole stack, each trial's bit for bit those of its
     stack of one."""
     B, piece = len(rngs), _piece_size(setup)
-    parts = [_observe_piece(setup, network, rngs[lo:lo + piece],
-                            None if draws is None else draws.rows(slice(lo, lo + piece)))
-             for lo in range(0, B, piece)]
+    parts = [_observe_piece(setup, network, rngs[lo:lo + piece]) for lo in range(0, B, piece)]
     if len(parts) == 1:
         return parts[0]
     return tuple(np.concatenate(a) for a in zip(*parts))
 
 
 def _observe_piece(setup: Setup, network: NetworkRealization,
-                   rngs: Sequence[np.random.Generator],
-                   draws: Optional[TrialDraws]) -> Tuple[np.ndarray, np.ndarray]:
+                   rngs: Sequence[np.random.Generator]) -> Tuple[np.ndarray, np.ndarray]:
     """``observe`` of one synthesis piece."""
-    h, trace, grids, noise = draw_trials(setup, network, rngs, draws)
+    h, trace, grids, noise = draw_trials(setup, network, rngs)
     y, cpe = ofdm.synth_pilot_observations(h, grids, trace, network, setup.layout)
     return y + noise, cpe * h[:, None, :, :, 0]
 
 
-def draw_trials(setup: Setup, network: NetworkRealization,
-                rngs: Sequence[np.random.Generator], draws: Optional[TrialDraws] = None,
+def draw_trials(setup: Setup, network: NetworkRealization, rngs: Sequence[np.random.Generator],
                 ) -> Tuple[np.ndarray, PhaseNoiseTrace, np.ndarray, np.ndarray]:
     """What a stack of trials draws, trial b from ``rngs[b]`` in this order:
     channels h (B, K, L, R), the phase trace, allocated up front (an ideal
     node kind holds each node's initial phase alone, (B, nodes, 1, 1)),
     transmit grids (B, K, |T_p|, N) and receiver noise (B, L, tau_p).
 
-    An ideal stack whose rows of ``draws`` are all recorded replays them:
-    each trial draws its channel, moves its generator to the recorded state
-    and draws its noise, and takes the recorded phases and the layout's
-    pilot samples, the only grid samples an ideal synthesis reads.  Every
-    other stack draws, and records into ``draws``, if given, each trial's
-    initial phases and, just before its noise, its generator's state.
-    Replaying gives the drawn stack's y, h_eff and generator end states bit
-    for bit, so drawing is never wrong, only slower.
+    An ideal stack whose trials are all in the replay record
+    ``setup.draws`` replays them: each trial draws its channel, moves its
+    generator to the recorded state and draws its noise, and takes the
+    recorded phases and the layout's pilot samples, the only grid samples an
+    ideal synthesis reads.  Every other stack draws, and records into
+    ``setup.draws``, if any, each trial's initial phases and, just before
+    its noise, its generator's state.  Replaying gives the drawn stack's y,
+    h_eff and generator end states bit for bit, so drawing is never wrong,
+    only slower.
     """
-    layout, pn = setup.layout, setup.pn
-    B = len(rngs)
+    layout, pn, record = setup.layout, setup.pn, setup.draws
+    B, L = len(rngs), layout.n_aps
     h = _as_stack(gen_channel(network.beta, layout, rngs[0]), B)
     for b in range(1, B):
         h[b] = gen_channel(network.beta, layout, rngs[b])
-    replay = pn.ideal and draws is not None and all(state is not None for state in draws.state)
+    keys = [] if record is None else [_trial_key(rng) for rng in rngs]
+    replay = pn.ideal and record is not None and all(key in record for key in keys)
     if replay:
-        trace = PhaseNoiseTrace(draws.ap_phase[..., None, None], draws.ue_phase[..., None, None])
+        phases = np.stack([record[key][0] for key in keys])[..., None, None]
+        trace = PhaseNoiseTrace(phases[:, :L], phases[:, L:])
         pilots = layout.pilot_grid[network.pilot_index]
         grids = np.broadcast_to(pilots, (B,) + pilots.shape)
     else:
@@ -288,24 +264,22 @@ def draw_trials(setup: Setup, network: NetworkRealization,
         grids = _as_stack(ofdm.build_transmit_grids(layout, network.pilot_index, rngs[0]), B)
         for b in range(1, B):
             grids[b] = ofdm.build_transmit_grids(layout, network.pilot_index, rngs[b])
-        if draws is not None:
-            draws.ap_phase[...] = trace.ap_phase[..., 0, 0]
-            draws.ue_phase[...] = trace.ue_phase[..., 0, 0]
     shape = (layout.n_aps, layout.tau_p)
     noise = np.empty((B,) + shape, dtype=complex)
     for b, rng in enumerate(rngs):
         if replay:
-            rng.bit_generator.state = draws.state[b]
-        elif draws is not None:
-            draws.state[b] = rng.bit_generator.state
+            rng.bit_generator.state = record[keys[b]][1]
+        elif record is not None:
+            record[keys[b]] = (np.concatenate((trace.ap_phase[b, :, 0, 0],
+                                               trace.ue_phase[b, :, 0, 0])),
+                               rng.bit_generator.state)
         noise[b] = np.sqrt(network.sigma2 / 2.0) * (
             rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     return h, trace, grids, noise
 
 
 def run_trial(cfg: ExperimentConfig, setup: Setup, geom: Geometry,
-              rngs: Sequence[np.random.Generator],
-              draws: Optional[TrialDraws] = None) -> se.SinrAccumulator:
+              rngs: Sequence[np.random.Generator]) -> se.SinrAccumulator:
     """A stack of Monte Carlo trials, one generator of ``rngs`` each: draw
     and synthesize (``observe``), estimate, combine, accumulate.
 
@@ -319,10 +293,10 @@ def run_trial(cfg: ExperimentConfig, setup: Setup, geom: Geometry,
     the stack, then each scheme one combiner call and one accumulate call
     over its entries [:, e, s].  With both MMSE variants, the second takes
     the rows the first solved for every group whose partial set is every
-    UE.  ``draws`` goes to ``observe``.
+    UE.
     """
     layout, network = setup.layout, geom.network
-    y, h_eff = observe(setup, network, rngs, draws=draws)
+    y, h_eff = observe(setup, network, rngs)
     T = geom.contexts[0].eps.shape[0]
     acc = se.SinrAccumulator((len(rngs), len(geom.contexts), len(cfg.schemes), T, layout.n_ues))
     both_mmse = {"p_mmse", "mmse"} <= set(cfg.schemes)
@@ -391,20 +365,19 @@ class _Workers:
     multiple of ``threads`` stacks unless it has fewer, so worker w runs
     stacks w, w + threads, ... of each geometry.  Worker 0 is the calling
     process, which runs its stacks in ``run_geometry``.  Each other one is a
-    child forked here with ``os.fork``, which inherits cfg, set-up and
-    draws, so no input is pickled.  A child builds a geometry when it
-    reaches its first stack there, holding one geometry at a time.  As soon
-    as a stack is done it pickles one message down its own pipe: the
-    stack's accumulator, its ``TrialDraws`` rows and the package's log
-    records it made, or the exception that stopped the child.  ``receive``
-    reads a child's messages one at a time, in item order.  ``close``, or
-    leaving a ``with`` block, reaps every child, killing first each one
-    whose stacks are not all read.
+    child forked here with ``os.fork``, which inherits cfg and set-up, so
+    no input is pickled.  A child builds a geometry when it reaches its
+    first stack there, holding one geometry at a time.  As soon as a stack
+    is done it pickles one message down its own pipe: the stack's
+    accumulator, the entries it added to the set-up's replay record and the
+    package's log records it made, or the exception that stopped the child.
+    ``receive`` reads a child's messages one at a time, in item order.
+    ``close``, or leaving a ``with`` block, reaps every child, killing first
+    each one whose stacks are not all read.
     """
 
-    def __init__(self, cfg: ExperimentConfig, setup: Setup, geometries: range,
-                 threads: int, draws: Optional[TrialDraws]):
-        self.cfg, self.setup, self.draws = cfg, setup, draws
+    def __init__(self, cfg: ExperimentConfig, setup: Setup, geometries: range, threads: int):
+        self.cfg, self.setup = cfg, setup
         self.stack = trial_stack_size(setup.layout, cfg.n_trials, threads)
         self.starts = range(0, cfg.n_trials, self.stack)
         self.first = geometries.start
@@ -439,18 +412,11 @@ class _Workers:
         item = (geometry_index - self.first) * len(self.starts) + t0 // self.stack
         return item % self.count
 
-    def rows(self, geometry_index: int, t0: int) -> Optional[TrialDraws]:
-        """The ``draws`` rows of the stack at trial t0 of a geometry, or None."""
-        if self.draws is None:
-            return None
-        return self.draws.rows((geometry_index, slice(t0, t0 + self.stack)))
-
     def run_stack(self, geom: Geometry, geometry_index: int, t0: int) -> se.SinrAccumulator:
         """``run_trial`` of the stack at trial t0 of the geometry ``geom``."""
         trials = range(t0, min(t0 + self.stack, self.cfg.n_trials))
         return run_trial(self.cfg, self.setup, geom,
-                         trial_rngs(self.cfg.master_seed, geometry_index, trials),
-                         self.rows(geometry_index, t0))
+                         trial_rngs(self.cfg.master_seed, geometry_index, trials))
 
     def _serve(self, items: Sequence[Tuple[int, int]], r: int, w_fd: int) -> None:
         """A child's work: run ``items``, writing each one's message down its
@@ -462,6 +428,7 @@ class _Workers:
             for child in self.children.values():  # the read ends of earlier children
                 child.pipe.close()
             records = _capture_records()
+            record = {} if self.setup.draws is None else self.setup.draws
             current = geom = None
             with os.fdopen(w_fd, "wb") as pipe:
                 for g, t0 in items:
@@ -469,7 +436,9 @@ class _Workers:
                         if g != current:
                             geom = None  # one geometry at a time
                             geom, current = build_geometry(self.cfg, self.setup, g), g
-                        message = self.run_stack(geom, g, t0), self.rows(g, t0), records[:]
+                        recorded = len(record)
+                        acc = self.run_stack(geom, g, t0)
+                        message = acc, list(islice(record.items(), recorded, None)), records[:]
                     except Exception as exc:
                         message = None, exc, traceback.format_exc()
                     del records[:]
@@ -485,10 +454,11 @@ class _Workers:
 
     def receive(self, w: int, geometry_index: int, t0: int) -> se.SinrAccumulator:
         """The accumulator of the stack at trial t0 of a geometry, worker w's
-        next message.  Its rows go into ``draws`` and its log records are
-        handled here by the loggers that made them.  A child's exception is
-        raised here with its type and message; a child that exits without
-        the message raises RuntimeError naming the geometry."""
+        next message.  The entries its stack added to the replay record go
+        into the set-up's, and its log records are handled here by the
+        loggers that made them.  A child's exception is raised here with its
+        type and message; a child that exits without the message raises
+        RuntimeError naming the geometry."""
         child = self.children[w]
         head = child.pipe.read(8)
         size = int.from_bytes(head, "little")
@@ -503,9 +473,9 @@ class _Workers:
             _, exc, trace = message
             raise exc from RuntimeError("in worker process %d of geometry %d:\n%s"
                                         % (child.pid, geometry_index, trace))
-        acc, rows, records = message
-        if rows is not None:  # the child's rows are copies
-            self.rows(geometry_index, t0).write(rows)
+        acc, added, records = message
+        if added:
+            self.setup.draws.update(added)
         for record in records:
             logging.getLogger(record.name).handle(record)
         return acc
@@ -533,10 +503,7 @@ def run_geometry(cfg: ExperimentConfig, setup: Setup, geometry_index: int,
     process builds the geometry and runs its own stacks here, and reads each
     other stack from its worker, in stack order; where it runs none it draws
     the network alone.  Trial t lands in batch t % n_batches, each stack
-    merged in trial order as it comes; the batches are merged in order.  The
-    run's ``TrialDraws``, if any, are those of ``workers``: row
-    ``geometry_index`` goes to ``observe``, and a forked worker's rows come
-    back with its stacks.
+    merged in trial order as it comes; the batches are merged in order.
     """
     layout = setup.layout
     shape = (len(cfg.estimators), len(cfg.schemes), layout.block_symbols, layout.n_ues)
@@ -579,7 +546,7 @@ def run_experiment(
     cfg: ExperimentConfig,
     threads: int = 1,
     progress: bool = False,
-    draws: Optional[TrialDraws] = None,
+    draws: Optional[dict] = None,
 ) -> List[ResultRecord]:
     """Run the full experiment and aggregate records across geometries.
 
@@ -592,22 +559,19 @@ def run_experiment(
     stays one (1 + tau_c) array, the block then every symbol, until the records
     are written: channel use c reads entry ceil(c / N_c), so the block row
     (c = 0) reads entry 0.  Raises RuntimeError if more than 1% of SINR records
-    are invalid.  ``draws`` goes to the workers; a record of other than
-    n_geometries x n_trials trials raises ValueError before any work.
+    are invalid.  ``draws``, a replay record (``Setup.draws``), goes on the
+    set-up.
     """
     cfg.validate()
     if not 1 <= threads <= MAX_THREADS:
         raise ValueError("threads must lie in [1, %d], got %r" % (MAX_THREADS, threads))
-    rows = (cfg.n_geometries, cfg.n_trials)
-    if draws is not None and draws.state.shape != rows:
-        raise ValueError("draws of %s trials for a run of %s" % (draws.state.shape, rows))
     layout = cfg.layout()
     t0 = time.perf_counter()
     if progress:
         print(effective_config_text(cfg), file=sys.stderr, end="")
-    setup = build_setup(cfg)
+    setup = replace(build_setup(cfg), draws=draws)
     geoms: List[GeometryResult] = []
-    with _Workers(cfg, setup, range(cfg.n_geometries), threads, draws) as workers:
+    with _Workers(cfg, setup, range(cfg.n_geometries), threads) as workers:
         for g in range(cfg.n_geometries):
             geoms.append(run_geometry(cfg, setup, g, workers=workers))
             if progress:
@@ -658,10 +622,10 @@ def run_fig2(cfg: ExperimentConfig, threads: int = 1,
              progress: bool = False) -> List[ResultRecord]:
     """SE per UE versus channel use: every estimator of ``cfg``, then the
     same scenario with ideal oscillators (where all estimators coincide),
-    labelled ``no_pn``.  Both runs take one ``TrialDraws``: the first
-    records every trial's draws and the ideal run replays them, so its rows
-    are those of a drawn run, byte for byte."""
-    draws = TrialDraws.of(cfg)
+    labelled ``no_pn``.  Both runs take one replay record: the first records
+    every trial's draws and the ideal run replays them, so its rows are
+    those of a drawn run, byte for byte."""
+    draws = {}
     records = run_experiment(cfg, threads=threads, progress=progress, draws=draws)
     no_pn = replace(cfg, gamma_ap=0.0, gamma_ue=0.0, estimators=("pna_ofdm",))
     ref = run_experiment(no_pn, threads=threads, progress=progress, draws=draws)

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 
 from cfofdm import estimation, validate
-from cfofdm.harness import build_kernel_table
+from cfofdm.phase_noise import KernelParams, build_correlation_table
 
 from kernel_scalar import correlation_b_fast
 
@@ -27,9 +27,11 @@ def data_across_symbols(cfg, setup):
 
 
 def stride_n(cfg, setup):
-    """The pna_ofdm model on the kernel at stride N, ``as_printed``'s, in
+    """The pna_ofdm model on the kernel at stride N, at the set-up's lags, in
     place of the traces' N + N_cp."""
-    table = build_kernel_table(replace(cfg, ici_mode="as_printed"))
+    n = setup.layout.n_subcarriers
+    table = build_correlation_table(KernelParams(n, setup.table.params.sigma2_tot, n),
+                                    setup.table.lags)
     (model,) = estimation.build_models(setup.layout, table, ("pna_ofdm",), "independent_data")
     return model
 

@@ -1243,20 +1243,19 @@ class TestReplay:
         """A recorded ideal stack replays, drawing no trace, and gives the
         drawn stack's y and h_eff, and leaves every trial generator where the
         drawn stack leaves it."""
-        from cfofdm.harness import TrialDraws, build_geometry, build_setup, observe, trial_rngs
+        from cfofdm.harness import build_geometry, build_setup, observe, trial_rngs
 
         cfg = replace(ci_config(), n_geometries=1, n_trials=2 + stack, **world)
         ideal = replace(cfg, gamma_ap=0.0, gamma_ue=0.0)
         setup, ideal_setup = build_setup(cfg), build_setup(ideal)
         network = build_geometry(cfg, setup, 0).network
-        trials = range(2, 2 + stack)
-        draws = TrialDraws.of(cfg).rows((0, slice(2, 2 + stack)))
-        observe(setup, network, trial_rngs(cfg.master_seed, 0, trials), draws=draws)
+        trials, record = range(2, 2 + stack), {}
+        observe(replace(setup, draws=record), network, trial_rngs(cfg.master_seed, 0, trials))
         drawn_rngs = trial_rngs(cfg.master_seed, 0, trials)
         y, h_eff = observe(ideal_setup, network, drawn_rngs)
         traces = counting_traces(monkeypatch)
         replayed_rngs = trial_rngs(cfg.master_seed, 0, trials)
-        y_r, h_eff_r = observe(ideal_setup, network, replayed_rngs, draws=draws)
+        y_r, h_eff_r = observe(replace(ideal_setup, draws=record), network, replayed_rngs)
         assert traces == []
         assert np.array_equal(y_r, y) and np.array_equal(h_eff_r, h_eff)
         for a, b in zip(replayed_rngs, drawn_rngs):
@@ -1267,9 +1266,10 @@ class TestReplay:
         """A drawn phase-noise piece records each generator's state after its
         channel, trace and grids, and its y is the noise-free synthesis of
         those draws plus, bit for bit, the noise drawn from the recorded
-        state: the synthesis draws and adds no noise of its own."""
-        from cfofdm.harness import (TrialDraws, _piece_size, build_geometry, build_setup,
-                                    observe, trial_rngs)
+        state: the synthesis draws and adds no noise of its own.  Each entry
+        is keyed by the trial's seed and spawn key and holds its initial
+        phases, AP then UE."""
+        from cfofdm.harness import _piece_size, build_geometry, build_setup, observe, trial_rngs
         from cfofdm.network import gen_channel
         from cfofdm.ofdm import build_transmit_grids, synth_pilot_observations
         from cfofdm.phase_noise import PhaseNoiseTrace, gen_pn_trace
@@ -1281,10 +1281,12 @@ class TestReplay:
         network = build_geometry(cfg, setup, 0).network
         layout, B = setup.layout, _piece_size(setup)
         assert B == cfg.n_trials  # one piece
-        draws = TrialDraws.of(cfg).rows(0)
+        record = {}
         rngs = trial_rngs(cfg.master_seed, 0, range(B))
         copies = copy.deepcopy(rngs)
-        y, _ = observe(setup, network, rngs, draws=draws)
+        y, _ = observe(replace(setup, draws=record), network, rngs)
+        keys = [(cfg.master_seed, (1, 0, b)) for b in range(B)]
+        assert list(record) == keys
         trials = [(gen_channel(network.beta, layout, r), gen_pn_trace(setup.pn, layout, r),
                    build_transmit_grids(layout, network.pilot_index, r)) for r in copies]
         trace = PhaseNoiseTrace(np.stack([t.ap_phase for _, t, _ in trials]),
@@ -1293,51 +1295,53 @@ class TestReplay:
                                             np.stack([g for _, _, g in trials]), trace,
                                             network, layout)
         for b, r in enumerate(copies):
-            assert r.bit_generator.state == draws.state[b]
-            r.bit_generator.state = draws.state[b]
+            phases, state = record[keys[b]]
+            assert np.array_equal(phases, np.concatenate((trace.ap_phase[b, :, 0, 0],
+                                                          trace.ue_phase[b, :, 0, 0])))
+            assert r.bit_generator.state == state
+            r.bit_generator.state = state
             assert np.array_equal(y[b], clean[b] + receiver_noise(network, y.shape[1:], r))
             assert r.bit_generator.state == rngs[b].bit_generator.state
 
-    def test_misshaped_record_raises(self, monkeypatch):
-        """A record of another geometry or trial count would pair trials
-        with other trials' rows: it raises ValueError before any set-up."""
-        from cfofdm import harness
-        from cfofdm.harness import TrialDraws
-
-        def no_setup(cfg):
-            raise AssertionError("set-up reached")
-
-        monkeypatch.setattr(harness, "build_setup", no_setup)
-        cfg = replace(ci_config(), n_geometries=1, n_trials=4, gamma_ap=0.0, gamma_ue=0.0)
-        draws = TrialDraws.of(cfg)
-        for other in ({"n_trials": 5}, {"n_trials": 3}, {"n_geometries": 2}):
-            with pytest.raises(ValueError, match=r"draws of \(1, 4\) trials"):
-                run_experiment(replace(cfg, **other), draws=draws)
+    def test_foreign_seed_record_draws(self, monkeypatch):
+        """A record made under another master seed holds none of the ideal
+        run's trials: the run draws every trace, its CSV is byte for byte that
+        of a drawn run, and it records its own trials beside the others."""
+        cfg = replace(ci_config(), n_geometries=1, n_trials=4, master_seed=1)
+        ideal = replace(cfg, master_seed=2, gamma_ap=0.0, gamma_ue=0.0,
+                        estimators=("pna_ofdm",))
+        record = {}
+        run_experiment(cfg, draws=record)
+        drawn = records_to_csv(run_experiment(ideal))
+        traces = counting_traces(monkeypatch)
+        assert records_to_csv(run_experiment(ideal, draws=record)) == drawn
+        assert traces == [True] * 4
+        assert sorted(record) == [(seed, (1, 0, t)) for seed in (1, 2) for t in range(4)]
 
     def test_unrecorded_ideal_stack_draws(self, monkeypatch):
         """An ideal stack whose rows are not all recorded draws, bit for bit
         as a stack without a record does, y, h_eff and end states, and
         records what it draws; the stack then replays to the same."""
-        from cfofdm.harness import TrialDraws, build_geometry, build_setup, observe, trial_rngs
+        from cfofdm.harness import build_geometry, build_setup, observe, trial_rngs
 
         cfg = replace(ci_config(), n_geometries=1, n_trials=4, gamma_ap=0.0, gamma_ue=0.0)
         setup = build_setup(cfg)
         network = build_geometry(cfg, setup, 0).network
-        draws = TrialDraws.of(cfg).rows(0)
+        record = {}
 
-        def run(record):
+        def run(draws):
             rngs = trial_rngs(cfg.master_seed, 0, range(4))
-            y, h_eff = observe(setup, network, rngs, draws=record)
+            y, h_eff = observe(replace(setup, draws=draws), network, rngs)
             return y, h_eff, [rng.bit_generator.state for rng in rngs]
 
-        observe(setup, network, trial_rngs(cfg.master_seed, 0, range(1)),
-                draws=draws.rows(slice(0, 1)))  # trial 0 alone is recorded
+        observe(replace(setup, draws=record), network,
+                trial_rngs(cfg.master_seed, 0, range(1)))  # trial 0 alone is recorded
         traces = counting_traces(monkeypatch)
         drawn = run(None)
-        partly = run(draws)
+        partly = run(record)
         assert traces == [True] * 8
-        assert all(state is not None for state in draws.state)
-        replayed = run(draws)
+        assert len(record) == 4
+        replayed = run(record)
         assert len(traces) == 8
         for y, h_eff, states in (partly, replayed):
             assert np.array_equal(y, drawn[0]) and np.array_equal(h_eff, drawn[1])
@@ -1349,18 +1353,18 @@ class TestReplay:
         """``run_fig2``'s ideal run replays every trial of its first run: it
         draws no trace, whether the first run has phase noise or is itself
         ideal and records as it draws.  The first run's forked workers send
-        their rows back, so the ideal run starts with every row recorded.  A
-        fallback to drawing would give the same CSV, only slower.  The traces
-        are counted in every worker process."""
+        their entries back, so the ideal run starts with every trial recorded.
+        A fallback to drawing would give the same CSV, only slower.  The
+        traces are counted in every worker process."""
         from cfofdm import harness
 
         traces = counting_traces(monkeypatch, ForkCalls(tmp_path / "traces"))
-        starts, unrecorded = [], []
+        starts, recorded = [], []
         real_run = harness.run_experiment
 
         def run(*args, draws=None, **kwargs):
             starts.append(len(traces.list()))
-            unrecorded.append(sum(state is None for state in draws.state.flat))
+            recorded.append(len(draws))
             return real_run(*args, draws=draws, **kwargs)
 
         monkeypatch.setattr(harness, "run_experiment", run)
@@ -1371,7 +1375,40 @@ class TestReplay:
         traces = traces.list()
         assert starts[0] == 0 and traces[:starts[1]] == [ideal] * 14
         assert traces[starts[1]:] == []
-        assert unrecorded == [14, 0]
+        assert recorded == [0, 14]
+
+    def test_worker_messages_carry_their_stacks_entries(self, monkeypatch):
+        """On two workers, each message of the forked child carries the
+        record entries of its own stack's trials alone, in trial order, not
+        those of its earlier stacks; the ideal run, which records nothing,
+        sends none."""
+        from types import SimpleNamespace
+
+        from cfofdm import harness
+
+        carried, stacks = [], []
+
+        def loads(data):
+            message = pickle.loads(data)
+            carried.append([key for key, _ in message[1]])
+            return message
+
+        real_receive = harness._Workers.receive
+
+        def receive(self, w, geometry_index, t0):
+            trials = range(t0, min(t0 + self.stack, self.cfg.n_trials))
+            stacks.append([(self.cfg.master_seed, (1, geometry_index, t)) for t in trials])
+            return real_receive(self, w, geometry_index, t0)
+
+        monkeypatch.setattr(harness, "pickle", SimpleNamespace(
+            dumps=pickle.dumps, HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL, loads=loads))
+        monkeypatch.setattr(harness._Workers, "receive", receive)
+        cfg = replace(ci_config(), n_geometries=2, n_trials=7)
+        run_fig2(cfg, threads=2)
+        # stacks of 4 and 3 trials; the child runs the second stack of each geometry
+        assert stacks[:2] == [[(cfg.master_seed, (1, g, t)) for t in range(4, 7)]
+                              for g in (0, 1)]
+        assert carried == stacks[:2] + [[], []]
 
 
 class TestSynthesisPieces:
@@ -1411,9 +1448,9 @@ class TestSynthesisPieces:
         stacks, pieces = ForkCalls(tmp_path / "stacks"), ForkCalls(tmp_path / "pieces")
         real_trial, real_synth = harness.run_trial, ofdm.synth_pilot_observations
 
-        def counted_trial(cfg, setup, geom, rngs, draws=None):
+        def counted_trial(cfg, setup, geom, rngs):
             stacks.append((geom.contexts[0].eps.shape[0], len(rngs)))
-            return real_trial(cfg, setup, geom, rngs, draws)
+            return real_trial(cfg, setup, geom, rngs)
 
         def counted_synth(h, *args, **kwargs):
             pieces.append(len(h))
@@ -1438,7 +1475,7 @@ class TestSynthesisPieces:
         draws; replaying the record, as a stack or in pieces of 6 and 1,
         draws no trace and gives the replayed pieces' y, h_eff and end
         states, and those of drawing the ideal stack."""
-        from cfofdm.harness import (TrialDraws, _piece_size, build_geometry, build_setup,
+        from cfofdm.harness import (_piece_size, _trial_key, build_geometry, build_setup,
                                     observe, trial_rngs)
 
         cfg = replace(ci_config(), n_geometries=1, n_trials=7, **world)
@@ -1447,10 +1484,8 @@ class TestSynthesisPieces:
         network = build_geometry(cfg, setup, 0).network
         layout, B = setup.layout, 7
 
-        def in_pieces(stp, rngs, record, piece):
-            parts = [observe(stp, network, rngs[lo:lo + piece],
-                             draws=record.rows(slice(lo, lo + piece)))
-                     for lo in range(0, B, piece)]
+        def in_pieces(stp, rngs, piece):
+            parts = [observe(stp, network, rngs[lo:lo + piece]) for lo in range(0, B, piece)]
             return tuple(np.concatenate(a) for a in zip(*parts))
 
         def assert_same(a, b, rngs_a, rngs_b):
@@ -1460,24 +1495,25 @@ class TestSynthesisPieces:
 
         piece = _piece_size(setup)
         assert piece < B and B % piece
-        stack_draws, piece_draws = (TrialDraws.of(cfg).rows(0) for _ in range(2))
+        stack_record, piece_record = {}, {}
         rngs, piece_rngs = (trial_rngs(cfg.master_seed, 0, range(B)) for _ in range(2))
-        stack = observe(setup, network, rngs, draws=stack_draws)
-        pieces = in_pieces(setup, piece_rngs, piece_draws, piece)
+        stack = observe(replace(setup, draws=stack_record), network, rngs)
+        pieces = in_pieces(replace(setup, draws=piece_record), piece_rngs, piece)
         T = 1 if setup.pn.ideal else layout.block_symbols
         assert stack[1].shape == (B, T, layout.n_ues, layout.n_aps)
         assert_same(stack, pieces, rngs, piece_rngs)
-        for name in ("ap_phase", "ue_phase", "state"):
-            assert np.array_equal(getattr(stack_draws, name), getattr(piece_draws, name))
-        assert all(state is not None for state in stack_draws.state)
+        assert list(stack_record) == list(piece_record) == [_trial_key(r) for r in rngs]
+        for key, (phases, state) in stack_record.items():
+            assert np.array_equal(phases, piece_record[key][0])
+            assert state == piece_record[key][1]
 
         replay_piece = _piece_size(ideal_setup)
         assert replay_piece < B and B % replay_piece
         rngs, piece_rngs, drawn_rngs = (trial_rngs(cfg.master_seed, 0, range(B))
                                         for _ in range(3))
         traces = counting_traces(monkeypatch)
-        replayed = observe(ideal_setup, network, rngs, draws=stack_draws)
-        pieces = in_pieces(ideal_setup, piece_rngs, piece_draws, replay_piece)
+        replayed = observe(replace(ideal_setup, draws=stack_record), network, rngs)
+        pieces = in_pieces(replace(ideal_setup, draws=piece_record), piece_rngs, replay_piece)
         assert traces == []
         assert_same(replayed, pieces, rngs, piece_rngs)
         assert_same(replayed, observe(ideal_setup, network, drawn_rngs), rngs, drawn_rngs)
