@@ -10,7 +10,7 @@ import numpy as np
 
 from .combining import SCHEMES
 from .estimation import ESTIMATOR_KINDS, ICI_MODES
-from .network import SimulationLayout, noise_power_w
+from .network import PILOT_POLICIES, SimulationLayout, noise_power_w
 from .phase_noise import PnParams
 
 
@@ -137,7 +137,7 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from None
         if self.n_geometries < 1 or self.n_trials < 1:
             raise ConfigError("n_geometries and n_trials must be >= 1")
-        if self.pilot_policy not in ("round_robin", "greedy"):
+        if self.pilot_policy not in PILOT_POLICIES:
             raise ConfigError("unknown pilot_policy %r" % self.pilot_policy)
         if self.ici_mode not in ICI_MODES:
             raise ConfigError("unknown ici_mode %r" % self.ici_mode)

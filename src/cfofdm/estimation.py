@@ -34,8 +34,8 @@ def build_ici_base(
     pilot symbol s on pilot subcarrier p, weights the comb of every pilot
     subcarrier q, seen from p, by s_t[q] of symbol s.  So the pilot term of
     slots (s, p) and (u, m) is sum_{q,r} s_t[q] s_t[r]^* G[p, q, m, r], where G
-    is the Gram of the distinct comb rows under the lag spectrum of s - u: one
-    matrix product per lag, in place of a pair sum per sequence and slot pair.
+    is the Gram of the comb rows under the lag spectrum of s - u: one matrix
+    product per lag, in place of a pair sum per sequence and slot pair.
     """
     if mode not in ICI_MODES:
         raise ValueError("unknown ICI mode: %r" % (mode,))
@@ -47,19 +47,14 @@ def build_ici_base(
 
     # comb[p, q, d]: whether the subcarrier (subs[p] - d) % N, offset d from
     # pilot subcarrier p, carries pilot subcarrier q; zeroed at d = 0, the
-    # slot's own subcarrier.  Rows repeat (with whole blocks a row depends only
-    # on subs[p] - subs[q] mod N_c), so each distinct row is transformed once
+    # slot's own subcarrier
     on_comb = np.arange(n) % layout.block_subcarriers == subs[:, None]  # (P, N)
     seen = (subs[:, None] - np.arange(n)) % n  # (P, N)
     comb = on_comb[:, seen].swapaxes(0, 1).reshape(n_p * n_p, n)
     comb[:: n_p + 1, 0] = False
-    distinct = {}
-    first_of = [distinct.setdefault(row.tobytes(), i) for i, row in enumerate(comb)]
-    first, row_of = np.unique(first_of, return_inverse=True)
-    row_of = row_of.reshape(n_p, n_p)
     w = lag_spectra(params, lags)
-    # the Grams of every pilot symbol pair (s, u) at its lag: [s, u, rows, rows]
-    g = pair_sums(comb[first].astype(float), w)[lag_of][:, :, row_of[:, :, None, None], row_of]
+    # the Grams of every pilot symbol pair (s, u) at its lag: [s, u, p, q, m, r]
+    g = pair_sums(comb.astype(float), w)[lag_of].reshape(lag_of.shape + (n_p,) * 4)
     book = layout.pilot_book.T.reshape(tau_p, syms.size, n_p)  # [t, s, q], slots symbol-major
     pilot_terms = np.einsum("tsq,supqmr,tur->tspum", book, g, np.conj(book))
 

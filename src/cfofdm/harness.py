@@ -93,12 +93,7 @@ def build_kernel_table(cfg: ExperimentConfig) -> KernelGrid:
 
 def _geometry(cfg: ExperimentConfig, geometry_index: int) -> NetworkRealization:
     """The network realization of one geometry, drawn from its own stream."""
-    return generate_network(
-        cfg.layout(), derived_rng(cfg.master_seed, _STREAM_GEOMETRY, geometry_index),
-        tx_power_w=cfg.tx_power_w, noise_figure_db=cfg.noise_figure_db,
-        shadow_sigma_db=cfg.shadow_sigma_db, wraparound=cfg.wraparound,
-        pilot_policy=cfg.pilot_policy, ap_height_m=cfg.ap_height_m,
-    )
+    return generate_network(cfg, derived_rng(cfg.master_seed, _STREAM_GEOMETRY, geometry_index))
 
 
 @dataclass

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -14,7 +14,7 @@ import numpy as np
 PATHLOSS_CONST_DB = -30.5
 PATHLOSS_EXP_DB = 36.7
 DISTANCE_FLOOR_M = 1.0
-AP_HEIGHT_M = 10.0  # vertical AP-UE separation entering the 3-D distance
+PILOT_POLICIES = ("round_robin", "greedy")
 
 
 @dataclass(frozen=True)
@@ -104,23 +104,13 @@ class SimulationLayout:
         return 1.0 / self.bandwidth
 
     @property
-    def pilot_slots(self) -> tuple:
-        """Ordered pilot positions as (local subcarrier, 1-based symbol) pairs.
-
-        Enumerated symbol-major, so the i-th pilot sample of every sequence is
-        transmitted at ``pilot_slots[i]`` of every coherence block.
-        """
-        return tuple(
-            (n, t) for t in self.pilot_symbols for n in self.pilot_subcarriers
-        )
-
-    @property
     def pilot_slot_positions(self) -> tuple:
         """Absolute subcarrier and 1-based symbol index of every pilot slot of
         the first coherence block, the one under evaluation: two integer
-        arrays in ``pilot_slots`` order."""
-        subs, syms = zip(*self.pilot_slots)
-        return np.array(subs), np.array(syms)
+        arrays, enumerated symbol-major, so the i-th pilot sample of every
+        sequence is sent at slot i of every coherence block."""
+        n_p, n_s = len(self.pilot_subcarriers), len(self.pilot_symbols)
+        return np.tile(self.pilot_subcarriers, n_s), np.repeat(self.pilot_symbols, n_p)
 
     @cached_property
     def pilot_book(self) -> np.ndarray:
@@ -128,7 +118,7 @@ class SimulationLayout:
 
         Columns are exponential-basis (DFT) sequences with unit-modulus entries, so
         ||s_t||^2 = tau_p exactly and distinct columns are exactly orthogonal.
-        Row i is the sample sent at ``pilot_slots[i]``.
+        Row i is the sample sent at slot i of ``pilot_slot_positions``.
         """
         m = np.arange(self.tau_p)
         book = np.exp(-2j * np.pi * np.outer(m, m) / self.tau_p)
@@ -207,10 +197,10 @@ def large_scale_fading(
     ue_positions: np.ndarray,
     ap_positions: np.ndarray,
     area_side: float,
-    rng: Optional[np.random.Generator] = None,
-    wraparound: bool = True,
-    shadow_sigma_db: float = 4.0,
-    ap_height_m: float = AP_HEIGHT_M,
+    rng: np.random.Generator,
+    wraparound: bool,
+    shadow_sigma_db: float,
+    ap_height_m: float,
 ) -> np.ndarray:
     """Large-scale fading matrix beta (K, L), linear scale.
 
@@ -222,13 +212,11 @@ def large_scale_fading(
     d = np.maximum(np.sqrt(d**2 + ap_height_m**2), DISTANCE_FLOOR_M)
     beta_db = PATHLOSS_CONST_DB - PATHLOSS_EXP_DB * np.log10(d)
     if shadow_sigma_db > 0:
-        if rng is None:
-            raise ValueError("rng required when shadow_sigma_db > 0")
         beta_db = beta_db + rng.normal(0.0, shadow_sigma_db, size=d.shape)
     return 10.0 ** (beta_db / 10.0)
 
 
-def assign_pilots(beta: np.ndarray, tau_p: int, policy: str = "round_robin") -> np.ndarray:
+def assign_pilots(beta: np.ndarray, tau_p: int, policy: str) -> np.ndarray:
     """Assign a 0-based pilot index to every UE.
 
     ``round_robin``: t_k = k mod tau_p.  ``greedy``: UEs in descending order of
@@ -289,30 +277,21 @@ def gen_channel(beta: np.ndarray, layout: SimulationLayout,
     return z * np.sqrt(beta[:, :, None] / 2.0)
 
 
-def noise_power_w(bandwidth_hz: float, noise_figure_db: float = 7.0) -> float:
+def noise_power_w(bandwidth_hz: float, noise_figure_db: float) -> float:
     """Thermal noise power in watts: -174 dBm/Hz + 10*log10(W) + noise figure."""
     dbm = -174.0 + 10.0 * np.log10(bandwidth_hz) + noise_figure_db
     return float(10.0 ** ((dbm - 30.0) / 10.0))
 
 
-def generate_network(
-    layout: SimulationLayout,
-    rng: np.random.Generator,
-    tx_power_w: float = 0.1,
-    noise_figure_db: float = 7.0,
-    shadow_sigma_db: float = 4.0,
-    wraparound: bool = True,
-    pilot_policy: str = "round_robin",
-    ap_height_m: float = AP_HEIGHT_M,
-) -> NetworkRealization:
-    """Draw one complete network realization (geometry, beta, pilots, clusters)."""
+def generate_network(cfg, rng: np.random.Generator) -> NetworkRealization:
+    """Draw one complete network realization (geometry, beta, pilots, clusters)
+    of the scenario of ``cfg``, an ``ExperimentConfig``: its layout, AP height,
+    shadowing, wraparound, pilot policy, transmit power and noise figure."""
+    layout = cfg.layout()
     ap_pos, ue_pos = place_nodes(layout, rng)
-    beta = large_scale_fading(
-        ue_pos, ap_pos, layout.area_side, rng,
-        wraparound=wraparound, shadow_sigma_db=shadow_sigma_db,
-        ap_height_m=ap_height_m,
-    )
-    t = assign_pilots(beta, layout.tau_p, policy=pilot_policy)
+    beta = large_scale_fading(ue_pos, ap_pos, layout.area_side, rng, cfg.wraparound,
+                              cfg.shadow_sigma_db, cfg.ap_height_m)
+    t = assign_pilots(beta, layout.tau_p, cfg.pilot_policy)
     D = form_dcc(beta, t, layout.tau_p)
     return NetworkRealization(
         ap_positions=ap_pos,
@@ -320,6 +299,6 @@ def generate_network(
         beta=beta,
         D=D,
         pilot_index=t,
-        p=np.full(layout.n_ues, tx_power_w),
-        sigma2=noise_power_w(layout.bandwidth, noise_figure_db),
+        p=np.full(layout.n_ues, cfg.tx_power_w),
+        sigma2=noise_power_w(layout.bandwidth, cfg.noise_figure_db),
     )

@@ -143,7 +143,7 @@ def mc_kernel(n: int, n_traces: int, seed: int) -> Check:
 
     Traces carry the cyclic-prefix jump, so the kernel uses stride N + N_cp.
     """
-    cp = round(0.07 * n)
+    cp = ExperimentConfig(n_subcarriers=n).cp_len_effective
     rng = np.random.default_rng(seed)
     theta = (wiener_walks(n_traces, 4, n, _SIGMA2 / 2, cp, rng)
              + wiener_walks(n_traces, 4, n, _SIGMA2 / 2, cp, rng))
@@ -181,7 +181,7 @@ def domain_equivalence(n: int, n_draws: int, seed: int) -> Check:
     worst = 0.0
     for draw in range(n_draws):
         rng = np.random.default_rng(seed + draw)
-        network = generate_network(layout, rng, shadow_sigma_db=0.0)
+        network = generate_network(cfg, rng)
         h = gen_channel(network.beta, layout, rng)
         grids = ofdm.build_transmit_grids(layout, network.pilot_index, rng)
         trace = gen_pn_trace(pn, layout, rng)

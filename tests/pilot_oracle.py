@@ -94,9 +94,7 @@ def decomposed_pilot_observations(h, grids, trace, network, layout, rng) -> Pilo
     """
     K, L, _ = h.shape
     tau_p = layout.tau_p
-    slots = layout.pilot_slots
-    slot_sub = np.array([nu for nu, _ in slots])
-    slot_sym = np.array([t for _, t in slots])  # 1-based
+    slot_sub, slot_sym = layout.pilot_slot_positions  # symbols 1-based
 
     effective = np.zeros((K, L, tau_p), dtype=complex)
     ici = np.zeros((K, L, tau_p), dtype=complex)

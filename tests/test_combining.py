@@ -152,10 +152,12 @@ class TestMmse:
 
 
 def ci_estimates(seed, stack=()):
-    """A ci geometry with random estimates of the channels' scale on every
-    symbol of the block: (*stack, tau_c, K, L), one draw per stacked entry."""
-    layout = ci_config().layout()
-    network = generate_network(layout, derived_rng(seed, 0, 0))
+    """A ci geometry drawn with 4 dB shadowing, and random estimates of the
+    channels' scale on every symbol of the block: (*stack, tau_c, K, L), one
+    draw per stacked entry."""
+    cfg = replace(ci_config(), shadow_sigma_db=4.0)
+    layout = cfg.layout()
+    network = generate_network(cfg, derived_rng(seed, 0, 0))
     rng = np.random.default_rng(seed)
     shape = stack + (layout.block_symbols, layout.n_ues, layout.n_aps)
     beta = network.beta

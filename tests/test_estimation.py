@@ -110,12 +110,11 @@ def ici_base_per_entry(layout, params, book, mode):
     oracle = functools.lru_cache(maxsize=None)(
         lambda i1, i2, dt: correlation_b_literal(i1, i2, dt, params))
     tau_p, nc = layout.tau_p, layout.block_subcarriers
-    subs = np.array([nu for nu, _ in layout.pilot_slots])
-    syms = np.array([t for _, t in layout.pilot_slots])
+    subs, syms = layout.pilot_slot_positions
     pilot_cols = np.flatnonzero(np.isin(np.arange(layout.n_subcarriers) % nc,
                                         layout.pilot_subcarriers))
     data_cols = np.setdiff1d(np.arange(layout.n_subcarriers), pilot_cols)
-    slot_of = {slot: i for i, slot in enumerate(layout.pilot_slots)}
+    slot_of = {slot: i for i, slot in enumerate(zip(*layout.pilot_slot_positions))}
     pilot_terms = np.zeros((tau_p, tau_p, tau_p), dtype=complex)
     data_term = np.zeros((tau_p, tau_p), dtype=complex)
     for i1 in range(tau_p):
@@ -152,7 +151,7 @@ ICI_ROUNDOFF = 1e-12
 def bruteforce_z_entry(layout, table, book, t, i1, i2, mode):
     """Literal double-loop over the ICI covariance entry for pilot sequence t."""
     n = layout.n_subcarriers
-    slots = layout.pilot_slots
+    slots = list(zip(*layout.pilot_slot_positions))
     n1, t1 = slots[i1]
     n2, t2 = slots[i2]
     pilot_cols = {j for j in range(n) if j % layout.block_subcarriers in layout.pilot_subcarriers}
@@ -199,7 +198,7 @@ class TestZIci:
         beta = np.array([[0.5, 0.3], [0.2, 0.8]])
         network = make_network(layout, beta, [0, 1], p=0.4, sigma2=1e-4)
         psi, _ = build_psi(network, make_model(layout, table, ici_mode=mode))
-        syms = [sym for _, sym in layout.pilot_slots]
+        _, syms = layout.pilot_slot_positions
         for l in range(2):
             for i1 in range(layout.tau_p):
                 for i2 in range(layout.tau_p):
@@ -363,7 +362,7 @@ class TestModels:
         table = make_table(layout, 4e-3)
         kernel = assumed_kernel(kind, table)
         book, tau_c = layout.pilot_book, layout.block_symbols
-        syms = np.array([sym for _, sym in layout.pilot_slots])
+        _, syms = layout.pilot_slot_positions
         model = make_model(layout, table, kind, ici_mode="as_printed")
         for t in range(layout.tau_p):
             for tau in range(1, tau_c + 1):

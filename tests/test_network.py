@@ -1,13 +1,17 @@
 """Geometry, path loss, pilot assignment, cooperation clusters, and channels."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from cfofdm.config import ci_config
 from cfofdm.network import (
     SimulationLayout,
     assign_pilots,
     form_dcc,
     gen_channel,
+    generate_network,
     large_scale_fading,
     noise_power_w,
     place_nodes,
@@ -34,8 +38,9 @@ class TestLayout:
         assert layout.n_blocks == 100
         assert layout.bandwidth == pytest.approx(18e6)
         assert layout.sample_time == pytest.approx(1 / 18e6)
-        assert layout.pilot_slots[0] == (0, 1)
-        assert layout.pilot_slots[-1] == (0, 12)
+        subs, syms = layout.pilot_slot_positions
+        assert (subs[0], syms[0]) == (0, 1)
+        assert (subs[-1], syms[-1]) == (0, 12)
 
     def test_pilot_budget_enforced(self):
         # an over-budget placement necessarily puts an index out of range
@@ -73,7 +78,7 @@ class TestLayout:
         layout = make_layout(**kw)
         expect = np.zeros((layout.tau_p, len(layout.pilot_symbols), layout.n_subcarriers),
                           dtype=complex)
-        for i, (nu, sym) in enumerate(layout.pilot_slots):
+        for i, (nu, sym) in enumerate(zip(*layout.pilot_slot_positions)):
             cols = np.arange(nu, layout.n_subcarriers, layout.block_subcarriers)
             expect[:, layout.pilot_symbols.index(sym), cols] = layout.pilot_book[i][:, None]
         assert np.array_equal(layout.pilot_grid, expect)
@@ -106,16 +111,16 @@ class TestLargeScaleFading:
     def test_hand_values(self):
         ue = np.array([[0.0, 0.0]])
         ap = np.array([[1.0, 0.0], [100.0, 0.0]])
-        beta = large_scale_fading(ue, ap, 1000.0, wraparound=False, shadow_sigma_db=0.0,
-                                  ap_height_m=0.0)
+        beta = large_scale_fading(ue, ap, 1000.0, np.random.default_rng(0), wraparound=False,
+                                  shadow_sigma_db=0.0, ap_height_m=0.0)
         assert beta[0, 0] == pytest.approx(10 ** (-3.05), rel=1e-12)
         assert beta[0, 1] == pytest.approx(10 ** (-(30.5 + 73.4) / 10), rel=1e-12)
 
     def test_distance_floor(self):
         ue = np.array([[5.0, 5.0]])
         ap = np.array([[5.0, 5.0], [5.5, 5.0]])
-        beta = large_scale_fading(ue, ap, 1000.0, wraparound=False, shadow_sigma_db=0.0,
-                                  ap_height_m=0.0)
+        beta = large_scale_fading(ue, ap, 1000.0, np.random.default_rng(0), wraparound=False,
+                                  shadow_sigma_db=0.0, ap_height_m=0.0)
         # both distances floor to 1 m
         assert beta[0, 0] == beta[0, 1] == pytest.approx(10 ** (-3.05))
 
@@ -123,7 +128,8 @@ class TestLargeScaleFading:
         rng = np.random.default_rng(5)
         ap = rng.uniform(0, 1000, (6, 2))
         ue = np.vstack([ap[0], ap[0]])
-        beta = large_scale_fading(ue, ap, 1000.0, wraparound=True, shadow_sigma_db=0.0)
+        beta = large_scale_fading(ue, ap, 1000.0, rng, wraparound=True, shadow_sigma_db=0.0,
+                                  ap_height_m=10.0)
         assert np.array_equal(beta[0], beta[1])
 
     def test_wraparound_translation_invariance(self):
@@ -131,9 +137,10 @@ class TestLargeScaleFading:
         ap = rng.uniform(0, 1000, (8, 2))
         ue = rng.uniform(0, 1000, (3, 2))
         shift = np.array([317.0, 741.0])
-        beta1 = large_scale_fading(ue, ap, 1000.0, wraparound=True, shadow_sigma_db=0.0)
-        beta2 = large_scale_fading((ue + shift) % 1000.0, (ap + shift) % 1000.0,
-                                   1000.0, wraparound=True, shadow_sigma_db=0.0)
+        beta1 = large_scale_fading(ue, ap, 1000.0, rng, wraparound=True, shadow_sigma_db=0.0,
+                                   ap_height_m=10.0)
+        beta2 = large_scale_fading((ue + shift) % 1000.0, (ap + shift) % 1000.0, 1000.0, rng,
+                                   wraparound=True, shadow_sigma_db=0.0, ap_height_m=10.0)
         assert np.allclose(beta1, beta2, rtol=1e-12)
 
     def test_noise_power(self):
@@ -144,13 +151,13 @@ class TestLargeScaleFading:
 class TestPilotAssignment:
     def test_round_robin_distinct_when_room(self):
         beta = np.ones((10, 4))
-        t = assign_pilots(beta, 12)
+        t = assign_pilots(beta, 12, policy="round_robin")
         assert len(set(t.tolist())) == 10
         assert (t == np.arange(10)).all()
 
     def test_round_robin_sharing_counts(self):
         beta = np.ones((100, 4))
-        t = assign_pilots(beta, 12)
+        t = assign_pilots(beta, 12, policy="round_robin")
         counts = np.bincount(t, minlength=12)
         assert set(counts.tolist()) <= {8, 9}
         assert counts.sum() == 100
@@ -170,7 +177,8 @@ class TestPilotAssignment:
         rng = np.random.default_rng(21)
         for _ in range(50):
             ap, ue = place_nodes(layout, rng)
-            beta = large_scale_fading(ue, ap, layout.area_side, rng, shadow_sigma_db=8.0)
+            beta = large_scale_fading(ue, ap, layout.area_side, rng, wraparound=True,
+                                      shadow_sigma_db=8.0, ap_height_m=10.0)
             t = assign_pilots(beta, tau_p, policy="greedy")
             assert np.bincount(t, minlength=tau_p).max() <= n_aps
             assert (form_dcc(beta, t, tau_p).sum(axis=1) >= 1).all()
@@ -211,7 +219,7 @@ class TestDcc:
         for _ in range(20):
             K, L, tau_p = 11, 7, 4
             beta = rng.uniform(1e-4, 1, (K, L))
-            t = assign_pilots(beta, tau_p)
+            t = assign_pilots(beta, tau_p, policy="round_robin")
             D = form_dcc(beta, t, tau_p)
             assert (D.sum(axis=1) >= 1).all()
             for l in range(L):
@@ -236,13 +244,37 @@ class TestDcc:
         rng = np.random.default_rng(22)
         for _ in range(4):
             ap, ue = place_nodes(layout, rng)
-            beta = large_scale_fading(ue, ap, layout.area_side, rng, shadow_sigma_db=shadow_db)
-            for t, t_ref in ((assign_pilots(beta, tau_p), np.arange(n_ues) % tau_p),
+            beta = large_scale_fading(ue, ap, layout.area_side, rng, wraparound=True,
+                                      shadow_sigma_db=shadow_db, ap_height_m=10.0)
+            for t, t_ref in ((assign_pilots(beta, tau_p, policy="round_robin"),
+                              np.arange(n_ues) % tau_p),
                              (assign_pilots(beta, tau_p, policy="greedy"),
                               assign_pilots_greedy_loop(beta, tau_p))):
                 assert np.array_equal(t, t_ref)
                 D, D_ref = form_dcc(beta, t, tau_p), form_dcc_dicts(beta, t, tau_p)
                 assert D.dtype == D_ref.dtype and np.array_equal(D, D_ref)
+
+
+class TestGenerateNetwork:
+    @pytest.mark.parametrize("field, value, quantity", [
+        ("ap_height_m", 5.0, "beta"),
+        ("shadow_sigma_db", 4.0, "beta"),
+        ("wraparound", False, "beta"),
+        ("tx_power_w", 0.2, "p"),
+        ("noise_figure_db", 9.0, "sigma2"),
+        # 5 UEs on 4 pilots: greedy hands them out in order of each UE's
+        # strongest link, round robin in UE order
+        ("pilot_policy", "greedy", "pilot_index"),
+    ])
+    def test_every_scenario_field_reaches_the_network(self, field, value, quantity):
+        """A network of the ci scenario, drawn again at the same seed with one
+        scenario field changed: the quantity that field sets moves."""
+        base = ci_config()
+        assert getattr(base, field) != value
+        before, after = (np.asarray(getattr(generate_network(cfg, np.random.default_rng(3)),
+                                            quantity))
+                         for cfg in (base, replace(base, **{field: value})))
+        assert not np.array_equal(before, after)
 
 
 class TestChannel:

@@ -73,7 +73,7 @@ class TestTransmitGrids:
         grids = build_transmit_grids(small_layout, t, np.random.default_rng(0))
         # pilot slots: subcarrier 0 of symbols 1 and 2, repeated per block (N_c=8)
         for k in range(2):
-            for i, (nu, sym) in enumerate(small_layout.pilot_slots):
+            for i, (nu, sym) in enumerate(zip(*small_layout.pilot_slot_positions)):
                 for blk in range(small_layout.n_blocks):
                     col = blk * small_layout.block_subcarriers + nu
                     si = small_layout.pilot_symbols.index(sym)
@@ -105,7 +105,7 @@ class TestSynthObservations:
         obs = decomposed_pilot_observations(h, grids, trace, network, layout, rng)
         assert np.abs(obs.ici).max() < 1e-12
         h_full = expand_blocks(h, layout)
-        for i, (nu, sym) in enumerate(layout.pilot_slots):
+        for i, (nu, sym) in enumerate(zip(*layout.pilot_slot_positions)):
             si = layout.pilot_symbols.index(sym)
             for l in range(2):
                 expect = np.sqrt(0.09) * grids[0, si, nu] * h_full[0, l, nu]
@@ -139,7 +139,7 @@ class TestSynthObservations:
         obs = decomposed_pilot_observations(h, grids, trace, network, layout, rng)
         h_full = expand_blocks(h, layout)
         n = layout.n_subcarriers
-        for i, (nu, sym) in enumerate(layout.pilot_slots):
+        for i, (nu, sym) in enumerate(zip(*layout.pilot_slot_positions)):
             si = layout.pilot_symbols.index(sym)
             for l in range(2):
                 j_vec = phase_drift(trace.ue_phase[0, sym - 1] + trace.ap_phase[l, sym - 1])
@@ -167,7 +167,7 @@ class TestSynthObservations:
         trace = gen_pn_trace(pn, layout, rng)
         obs = decomposed_pilot_observations(h, grids, trace, network, layout, rng)
         n = layout.n_subcarriers
-        for i, (nu, sym) in enumerate(layout.pilot_slots):
+        for i, (nu, sym) in enumerate(zip(*layout.pilot_slot_positions)):
             si = layout.pilot_symbols.index(sym)
             j_vec = phase_drift(trace.ue_phase[0, sym - 1] + trace.ap_phase[0, sym - 1])
             expect = sum(
