@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import logging
-from typing import Optional
 
 import numpy as np
 
@@ -40,13 +39,13 @@ def _masked_mmse_group(v, h_hat, err_var, network, group, members) -> None:
     """Regularized MMSE solves over ``members`` for every symbol, restricted to
     the cluster support S of ``group``, written into its UEs' rows of ``v``.
 
-    ``v``, ``h_hat`` and ``err_var`` are (..., tau_c, K, L).  With H the
+    ``v``, ``h_hat`` and ``err_var`` are (..., T, K, L).  With H the
     members' (|S|, |members|) estimates, P their powers and Z the diagonal load
     sum p * err_var + sigma2 over S, the combiners are the columns of
     (Z + H P H^H)^-1 H P for the group's UEs.  One stacked solve takes them in
-    the smaller dimension: over the (..., tau_c, |S|, |S|) systems
+    the smaller dimension: over the (..., T, |S|, |S|) systems
     Z + H P H^H, or, with fewer members than support APs, over the
-    (..., tau_c, |members|, |members|) systems P^-1 + H^H Z^-1 H of the
+    (..., T, |members|, |members|) systems P^-1 + H^H Z^-1 H of the
     push-through identity (Z + H P H^H)^-1 H P = Z^-1 H (P^-1 + H^H Z^-1 H)^-1.
     Either way H's rank-min(|S|, |members|) term fills the system.
     """
@@ -54,21 +53,21 @@ def _masked_mmse_group(v, h_hat, err_var, network, group, members) -> None:
     p = network.p[members]
     z = (p[:, None] * err_var[..., members[:, None], support]).sum(axis=-2) + network.sigma2
     if len(members) >= len(support):
-        h = h_hat[..., members[:, None], support]  # (..., tau_c, |members|, |S|)
+        h = h_hat[..., members[:, None], support]  # (..., T, |members|, |S|)
         # each product is taken before the transpose: a product with a transposed
         # operand would go through numpy's buffers, a copy as large as h
         a = np.swapaxes(h * p[:, None], -1, -2) @ np.conjugate(h, out=h)
         del h  # the systems are the largest arrays of a stacked trial: hold no more
         diag = np.arange(len(support))
         a[..., diag, diag] += z
-        rhs = np.swapaxes(h_hat[..., ks[:, None], support], -1, -2)  # (..., tau_c, |S|, len(ks))
+        rhs = np.swapaxes(h_hat[..., ks[:, None], support], -1, -2)  # (..., T, |S|, len(ks))
         sol = _solve(a, rhs, ks)
         del a
         v[..., ks[:, None], support] = np.swapaxes(sol * network.p[ks], -1, -2)
         return
     # a C-contiguous gather: a fancy index of stacked estimates puts the stack
     # axis innermost, and a product's last bits would then depend on the stack
-    h = np.ascontiguousarray(h_hat[..., members[:, None], support])  # (..., tau_c, |members|, |S|)
+    h = np.ascontiguousarray(h_hat[..., members[:, None], support])  # (..., T, |members|, |S|)
     hz = h / z[..., None, :]  # Z^-1 H, transposed
     a = np.conjugate(h, out=h) @ np.swapaxes(hz, -1, -2)
     diag = np.arange(len(members))
@@ -80,10 +79,10 @@ def _masked_mmse_group(v, h_hat, err_var, network, group, members) -> None:
 
 
 def combiner_matrix(scheme: str, h_hat: np.ndarray, err_var: np.ndarray,
-                    network: NetworkRealization,
-                    solved: Optional[np.ndarray] = None) -> np.ndarray:
-    """Length-L combining vectors for every symbol and UE: (..., tau_c, K, L),
-    from the estimates and their error variances in that same layout.
+                    network: NetworkRealization) -> np.ndarray:
+    """Length-L combining vectors for every symbol and UE: (..., T, K, L),
+    from the estimates and their error variances in that same layout, for
+    the estimator's T symbols (1 or tau_c).
 
     Leading axes stack estimates of one network, such as a stack of trials'
     estimates; ``err_var`` broadcasts against them, so it may omit the trial
@@ -91,10 +90,6 @@ def combiner_matrix(scheme: str, h_hat: np.ndarray, err_var: np.ndarray,
     for bit.  Entries off a UE's serving cluster are zero.  For
     the MMSE variants, each of ``network.groups`` (UEs with one cluster
     support) shares one stacked solve over all symbols and leading entries.
-
-    ``solved``, if given, holds the other MMSE variant's combiners of the same
-    estimates.  A group whose partial set is every UE solves the same system
-    in both variants, so it takes its rows from ``solved``, bit for bit.
     """
     D = network.D
     if scheme == "mr":
@@ -109,9 +104,6 @@ def combiner_matrix(scheme: str, h_hat: np.ndarray, err_var: np.ndarray,
         raise ValueError("unknown combining scheme: %r" % (scheme,))
     v = np.zeros(h_hat.shape, dtype=complex)
     for g in network.groups:
-        if solved is not None and len(g.partial) == len(D):
-            v[..., g.ues, :] = solved[..., g.ues, :]
-            continue
         members = np.arange(len(D)) if scheme == "mmse" else g.partial
         _masked_mmse_group(v, h_hat, err_var, network, g, members)
     return v

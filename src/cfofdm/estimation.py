@@ -111,24 +111,26 @@ def build_models(
     ici_mode: str,
 ) -> List[EstimatorModel]:
     """One estimator model per entry of ``kinds``, in that order, for the
-    first T symbols of the block: every symbol, T = tau_c, with phase noise,
-    and T = 1 without (the table's sigma^2 = 0), where every symbol of the
-    block is the same symbol.
+    first T symbols of the block, T read from the kind's own kernel: every
+    symbol, T = tau_c, where that kernel has phase noise, and T = 1 where its
+    sigma^2 is 0 (``unaware`` always, every kind in an ideal world), where
+    the kernel is 1 at every lag and every symbol of the block is the same
+    symbol.
 
     [pilot_cov[t]]_{i1,i2} = s_t[i1] s_t[i2]^* k(sym_{i1} - sym_{i2}) under the
     kind's CPE kernel k.  Only the phase-noise-aware OFDM estimator adds the
-    ICI covariance of ``build_ici_base``, and only with phase noise: its exact
-    value is zero at sigma^2 = 0.  The single-carrier and unaware baselines
-    assume none.
+    ICI covariance of ``build_ici_base``, and only where its kernel has phase
+    noise: its exact value is zero at sigma^2 = 0.  The single-carrier and
+    unaware baselines assume none.
     """
     _, syms = layout.pilot_slot_positions
     tau_p, book = layout.tau_p, layout.pilot_book
-    pn = table.params.sigma2_tot > 0.0
-    n_sym = layout.block_symbols if pn else 1
     outer = book.T[:, :, None] * np.conj(book.T)[:, None, :]  # s_t s_t^H per sequence t
     models = []
     for kind in kinds:
         kernel = assumed_kernel(kind, table)
+        pn = kernel.params.sigma2_tot > 0.0
+        n_sym = layout.block_symbols if pn else 1
         pilot_cov = outer * kernel.cpe(syms[:, None] - syms[None, :])
         data_cov = np.zeros((tau_p, tau_p), dtype=complex)
         if kind == "pna_ofdm" and pn:

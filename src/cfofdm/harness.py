@@ -279,32 +279,28 @@ def run_trial(cfg: ExperimentConfig, setup: Setup, geom: Geometry,
     and synthesize (``observe``), estimate, combine, accumulate.
 
     Returns an accumulator of shape (B, E, S, T, K), T the symbol count of
-    the contexts, whose entry b holds trial b alone (``count`` 1): entry
-    [b, e, s] holds estimator e with scheme s.  In an ideal world T is 1
-    (``estimation.build_models``): the one symbol stands for every symbol
-    of the block, and broadcasts into them when merged.  Every array of the
+    the world's effective channels, whose entry b holds trial b alone
+    (``count`` 1): entry [b, e, s] holds estimator e with scheme s.  In an
+    ideal world T is 1: the one symbol stands for every symbol of the block,
+    and broadcasts into them when merged.  A context of one symbol
+    (``estimation.build_models``: ``unaware``, or every kind in an ideal
+    world) gives one estimate and one combiner per UE, which broadcast
+    against the T symbols of h_eff when accumulated.  Every array of the
     trials carries the stack axis first, and each trial's sums are bit for
     bit those of its stack of one.  Each estimator makes one estimate of
-    the stack, then each scheme one combiner call and one accumulate call
-    over its entries [:, e, s].  With both MMSE variants, the second takes
-    the rows the first solved for every group whose partial set is every
-    UE.
+    the stack, then each scheme one combiner call, which depends on that
+    estimate alone, and one accumulate call over its entries [:, e, s].
     """
     layout, network = setup.layout, geom.network
     y, h_eff = observe(setup, network, rngs)
-    T = geom.contexts[0].eps.shape[0]
-    acc = se.SinrAccumulator((len(rngs), len(geom.contexts), len(cfg.schemes), T, layout.n_ues))
-    both_mmse = {"p_mmse", "mmse"} <= set(cfg.schemes)
+    shape = (len(rngs), len(geom.contexts), len(cfg.schemes), h_eff.shape[1], layout.n_ues)
+    acc = se.SinrAccumulator(shape)
     for e, ctx in enumerate(geom.contexts):
         h_hat = estimation.estimate_all(ctx, y)
-        solved = None  # the first MMSE variant's combiners, until the second is made
         for s, scheme in enumerate(cfg.schemes):
-            # one scheme's combiners at a time: the call's result is freed after
-            # it, or after the other MMSE variant
-            v = combining.combiner_matrix(scheme, h_hat, ctx.err_var, network, solved=solved)
+            # one scheme's combiners at a time, freed before the next is made
+            v = combining.combiner_matrix(scheme, h_hat, ctx.err_var, network)
             acc.add_symbol((slice(None), e, s), v, h_eff, geom.lam, network)
-            if both_mmse and scheme in ("p_mmse", "mmse"):
-                solved = v if solved is None else None
             del v
     acc.bump()
     return acc

@@ -41,9 +41,11 @@ class SinrAccumulator:
 
         ``index`` selects rows by their leading axes, such as ``(e, s)`` or
         ``(slice(None), e, s)``; v holds their combining vectors,
-        (..., tau_c, K, L) to match.  h_eff holds the effective channels,
-        (..., tau_c, K, L) broadcasting against v: (tau_c, K, L) for one trial,
-        (B, tau_c, K, L) for a stack of B trials.  lam is the (L,) ICI
+        (..., T, K, L) to match.  h_eff holds the effective channels,
+        (..., T, K, L) broadcasting against v: (T, K, L) for one trial,
+        (B, T, K, L) for a stack of B trials.  T is the rows' symbol count;
+        a one-symbol v, an estimator's that assumes no phase noise, stands
+        for every symbol and broadcasts against h_eff.  lam is the (L,) ICI
         power.
         """
         vm = np.conj(v) * network.D
@@ -62,7 +64,9 @@ class SinrAccumulator:
         """Add the sums of ``other``; with ``row``, only its entry ``row`` of the
         leading axis, such as one trial of the stack ``harness.run_trial``
         accumulates, whose ``count`` is then that of each entry.  A symbol
-        axis of length 1, an ideal world's, broadcasts into every symbol."""
+        axis of length 1, an ideal world's, broadcasts into every symbol;
+        a one-symbol estimator's rows under phase noise already hold every
+        symbol, from ``add_symbol``."""
         pick = slice(None) if row is None else row
         self.count += other.count
         self.gain += other.gain[pick]

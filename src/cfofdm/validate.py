@@ -269,7 +269,8 @@ def lmmse_moments(cfg: ExperimentConfig) -> List[Check]:
         y, h = observe(setup, network,
                        trial_rngs(cfg.master_seed, 0, range(rows.start, rows.stop)))
         y_l[rows], h_eff[rows] = y[:, l], h[:, :, k, l]
-        h_hat[:, rows] = [estimation.estimate_all(ctx, y)[:, :, k, l] for ctx in contexts]
+        for e, ctx in enumerate(contexts):  # a one-symbol estimate stands for every symbol
+            h_hat[e, rows] = estimation.estimate_all(ctx, y)[:, :, k, l]
 
     checks = []
     for hat, ctx in zip(h_hat, contexts):

@@ -301,7 +301,9 @@ class TestZIci:
 
 class TestModels:
     def test_ici_base_only_for_pna_ofdm(self, monkeypatch):
-        """The baselines assume no ICI, and the ICI base is built only for pna_ofdm."""
+        """The baselines assume no ICI, and the ICI base is built only for
+        pna_ofdm.  Under phase noise the unaware model covers one symbol, its
+        kernel having none, and the other two every symbol."""
         layout = toy_layout()
         table = make_table(layout, 5e-3)
         calls = []
@@ -318,7 +320,8 @@ class TestModels:
         (pna,) = build_models(layout, table, ["pna_ofdm"], "as_printed")
         assert len(calls) == 1 and pna.data_cov.any()
         tau_p = layout.tau_p
-        assert [m.rhs.shape for m in (*baselines, pna)] == [(tau_p, tau_p * 3)] * 3
+        assert [m.rhs.shape for m in (*baselines, pna)] == [
+            (tau_p, tau_p), (tau_p, tau_p * 3), (tau_p, tau_p * 3)]
 
     def test_ideal_world_builds_no_ici_base(self, monkeypatch):
         """At sigma^2 = 0 the ICI base, exactly zero there, is not built: an
@@ -340,23 +343,28 @@ class TestModels:
         pytest.param({"gamma_ap": 0.0}, False, id="ue_only_pn"),
         pytest.param({"gamma_ap": 0.0, "gamma_ue": 0.0}, True, id="ideal")])
     def test_symbol_count_from_phase_noise(self, gammas, ideal):
-        """The models, and the contexts of a geometry, cover T = tau_c symbols
-        where either node kind has phase noise, and T = 1 in an ideal world,
-        whose one symbol stands for every symbol of the block."""
+        """Each model, and its context in a geometry, covers the symbols its
+        own kernel tells apart: T = tau_c for pna_ofdm and pna_sc where either
+        node kind has phase noise, and T = 1 for unaware, whose kernel is 1
+        at every lag, and for every kind in an ideal world; the one symbol
+        stands for every symbol of the block."""
         cfg = replace(ci_config(), estimators=ESTIMATOR_KINDS, **gammas)
         setup = build_setup(cfg)
         assert setup.pn.ideal == ideal
-        T = 1 if ideal else cfg.block_symbols
+        counts = [1 if ideal or kind == "unaware" else cfg.block_symbols
+                  for kind in cfg.estimators]
         tau_p, K, L = cfg.layout().tau_p, cfg.n_ues, cfg.n_aps
-        assert [m.rhs.shape for m in setup.models] == [(tau_p, tau_p * T)] * 3
-        for ctx in build_geometry(cfg, setup, 0).contexts:
+        assert [m.rhs.shape for m in setup.models] == [(tau_p, tau_p * T) for T in counts]
+        for T, ctx in zip(counts, build_geometry(cfg, setup, 0).contexts):
             assert ctx.rhs.shape == (tau_p, K * T)
             assert ctx.eps.shape == ctx.err_var.shape == (T, K, L)
 
     @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
     def test_rhs_from_book_and_kernel(self, kind):
-        """Column t * tau_c + tau - 1 of rhs is B^(tau)H s_t: the kind's kernel at
-        the lags from each pilot slot's symbol to tau, times the sequence s_t."""
+        """Column t * T + tau - 1 of rhs is B^(tau)H s_t: the kind's kernel at
+        the lags from each pilot slot's symbol to tau, times the sequence s_t,
+        for the kind's T symbols: tau_c, or 1 for unaware, whose kernel is 1
+        at every lag, so that its one column stands for every symbol."""
         layout = toy_layout(n_subcarriers=24, block_subcarriers=12, block_symbols=5,
                             pilot_subcarriers=(0, 6), pilot_symbols=(1, 3))
         table = make_table(layout, 4e-3)
@@ -364,10 +372,12 @@ class TestModels:
         book, tau_c = layout.pilot_book, layout.block_symbols
         _, syms = layout.pilot_slot_positions
         model = make_model(layout, table, kind, ici_mode="as_printed")
+        T = 1 if kind == "unaware" else tau_c
+        assert model.rhs.shape == (layout.tau_p, layout.tau_p * T)
         for t in range(layout.tau_p):
             for tau in range(1, tau_c + 1):
                 expect = np.conj(kernel.cpe(tau - syms)) * book[:, t]
-                assert np.array_equal(model.rhs[:, t * tau_c + tau - 1], expect)
+                assert np.array_equal(model.rhs[:, t * T + min(tau, T) - 1], expect)
 
     @pytest.mark.parametrize("cfg", [
         ci_config(), fig2_config(), replace(fig2_config(), ici_mode="independent_data"),
@@ -671,6 +681,7 @@ class TestBaselines:
         ctx_pna = make_context(network, layout, table, kind="pna_ofdm",
                                ici_mode="independent_data")
         ctx_un = make_context(network, layout, table, kind="unaware", ici_mode="as_printed")
+        assert ctx_un.eps.shape[0] == 1
         rng = np.random.default_rng(42)
         err_pna, err_un = [], []
         for _ in range(2000):
@@ -683,7 +694,7 @@ class TestBaselines:
                               + trace.ap_phase[:, tau - 1][None, :, :])).mean(axis=2)
             h_eff = j0 * h[:, :, 0]
             e_pna = estimate_all(ctx_pna, y)[tau - 1]
-            e_un = estimate_all(ctx_un, y)[tau - 1]
+            e_un = estimate_all(ctx_un, y)[0]  # unaware's one symbol stands for every one
             err_pna.append(np.abs(h_eff - e_pna) ** 2)
             err_un.append(np.abs(h_eff - e_un) ** 2)
         assert np.mean(err_un) >= np.mean(err_pna)

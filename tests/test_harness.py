@@ -525,26 +525,18 @@ class TestRunExperiment:
             assert texts == {drawn}
             assert ",no_pn," in drawn
 
-    @pytest.mark.parametrize("pn", [True, False], ids=["pn", "no_pn"])
-    def test_p_mmse_rows_independent_of_mmse(self, pn):
-        """The p_mmse rows, and the mmse rows, are byte-identical whether the
-        other MMSE variant runs too, before or after, on a ci world with
-        groups whose partial set is every UE."""
-        from cfofdm.harness import build_geometry, build_setup
-
-        cfg = replace(ci_config(), n_geometries=2, n_trials=4,
-                      estimators=("pna_ofdm", "unaware"))
-        if not pn:
-            cfg = replace(cfg, gamma_ap=0.0, gamma_ue=0.0)
-        network = build_geometry(cfg, build_setup(cfg), 0).network
-        assert any(len(g.partial) == cfg.n_ues for g in network.groups)
-        texts = {schemes: records_to_csv(run_experiment(replace(cfg, schemes=schemes)))
-                 for schemes in (("p_mmse",), ("mmse",), ("p_mmse", "mmse"), ("mmse", "p_mmse"))}
-        for scheme in ("p_mmse", "mmse"):
-            rows = [[line for line in text.splitlines() if ",%s," % scheme in line]
-                    for schemes, text in texts.items() if scheme in schemes]
-            assert len(rows) == 3 and len(rows[0]) == 2 * (1 + 60)
-            assert all(r == rows[0] for r in rows)
+    def test_unaware_alone_under_phase_noise(self):
+        """A run of the unaware estimator alone, whose one-symbol context is
+        the only one of the set-up, runs under phase noise, and its records
+        are, byte for byte, the unaware rows of the same run with every
+        estimator."""
+        cfg = replace(ci_config(), n_geometries=1, n_trials=3,
+                      schemes=("mr", "lp_mmse", "p_mmse", "mmse"))
+        alone = records_to_csv(run_experiment(replace(cfg, estimators=("unaware",))))
+        every = records_to_csv(run_experiment(replace(cfg, estimators=estimation.ESTIMATOR_KINDS)))
+        rows = [line for line in every.splitlines() if ",unaware," in line]
+        assert len(rows) == 4 * (1 + 60)
+        assert alone.splitlines()[1:] == rows
 
     def test_scheme_rows_present(self):
         cfg = small_cfg(n_trials=4, n_geometries=1)
@@ -1022,6 +1014,22 @@ class TestValidateSuite:
         assert stride_n.detail != alone.detail
         assert len(calls) == 2 * stacks
 
+    def test_moments_of_one_symbol_and_every_symbol_models(self):
+        """A set-up that mixes the one-symbol unaware model with the tau_c-
+        symbol pna_ofdm one is scored, the unaware estimate standing for
+        every symbol: unaware fails and pna_ofdm passes, with the detail
+        lines both gave when every model covered tau_c symbols."""
+        from cfofdm import validate
+
+        cfg = replace(ci_config(), n_aps=3, n_ues=2, n_trials=300,
+                      estimators=("unaware", "pna_ofdm"))
+        checks = validate.lmmse_moments(cfg)
+        assert [c.ok for c in checks] == [False, True]
+        assert [c.detail for c in checks] == [
+            "orthogonality %s, variance decomposition %s, E|h_hat|^2 vs eps %s standard "
+            "errors over 300 trials and 5 symbols (tol 3)" % z
+            for z in (("7.90", "6.85", "5.99"), ("1.93", "0.69", "1.34"))]
+
     def test_clean_run_passes(self):
         from cfofdm.validate import domain_equivalence, kernel_oracle, trace_sum
 
@@ -1124,7 +1132,12 @@ class TestStackedTrial:
         accumulate loop on the same draws, and every per-symbol array of the
         trial path is (..., T, K, L), every result (E, S, ...).  T is tau_c,
         or 1 with ideal oscillators, where the oracle still runs every symbol,
-        every symbol's sums are equal, and the one symbol stands for them."""
+        every symbol's sums are equal, and the one symbol stands for them.
+        An estimator's context, estimates and combiners cover its own T_est
+        symbols: 1 for unaware, whose one symbol the oracle broadcasts into
+        every symbol as in an ideal world.  Where both MMSE variants run, a
+        group whose partial set is every UE has rows in both, each checked
+        against the oracle's own solve."""
         from cfofdm import combining, se
         from cfofdm.harness import build_geometry, build_setup, derived_rng, run_trial
         from cfofdm.network import gen_channel
@@ -1143,7 +1156,10 @@ class TestStackedTrial:
                          layout.n_ues, layout.n_aps)
         ideal = cfg.gamma_ap == cfg.gamma_ue == 0.0
         T_out = 1 if ideal else T
-        assert all(ctx.err_var.shape == (T_out, K, L) for ctx in geom.contexts)
+        T_est = [1 if ideal or kind == "unaware" else T for kind in cfg.estimators]
+        assert [ctx.err_var.shape for ctx in geom.contexts] == [(t, K, L) for t in T_est]
+        if {"p_mmse", "mmse"} <= set(cfg.schemes):
+            assert any(len(g.partial) == K for g in network.groups)
         rng = derived_rng(cfg.master_seed, 1, 0, 0)
         out = run_trial(cfg, setup, geom, [copy.deepcopy(rng)])
 
@@ -1155,11 +1171,11 @@ class TestStackedTrial:
         h_eff = cpe * h[:, :, 0]
         for e, ctx in enumerate(geom.contexts):
             h_hat = estimation.estimate_all(ctx, y)
-            assert h_hat.shape == ctx.eps.shape == (T_out, K, L)
+            assert h_hat.shape == ctx.eps.shape == (T_est[e], K, L)
             v_all = combining.combiner_matrix(cfg.schemes[0], h_hat, ctx.err_var, network)
-            assert v_all.shape == (T_out, K, L)
+            assert v_all.shape == (T_est[e], K, L)
             # the oracle runs every symbol of the block, where the one symbol of
-            # an ideal world's contexts stands for each
+            # a one-symbol context stands for each
             h_hat, err_var = (np.broadcast_to(a, (T, K, L)) for a in (h_hat, ctx.err_var))
             for s, scheme in enumerate(cfg.schemes):
                 # the oracles take (K, L, tau_c) estimates and (rows, K, tau_c) sums
