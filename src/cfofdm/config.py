@@ -9,7 +9,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .combining import SCHEMES
-from .estimation import ESTIMATOR_KINDS, ICI_MODES
+from .estimation import ESTIMATOR_KINDS
 from .network import PILOT_POLICIES, SimulationLayout, noise_power_w
 from .phase_noise import PnParams
 
@@ -81,9 +81,8 @@ class ExperimentConfig:
     gamma_ap: float = 4e-17
     gamma_ue: float = 4e-17
     # receiver configuration
-    estimators: Tuple[str, ...] = ("pna_ofdm",)    # pna_ofdm | pna_sc | unaware
+    estimators: Tuple[str, ...] = ("pna_ofdm",)    # pna_ofdm | pna_ofdm_cp | pna_sc | unaware
     schemes: Tuple[str, ...] = ("mmse", "mr")      # mr | lp_mmse | p_mmse | mmse
-    ici_mode: str = "as_printed"       # as_printed | independent_data (stride N + N_cp)
     # Monte Carlo
     n_geometries: int = 50
     n_trials: int = 200
@@ -139,8 +138,6 @@ class ExperimentConfig:
             raise ConfigError("n_geometries and n_trials must be >= 1")
         if self.pilot_policy not in PILOT_POLICIES:
             raise ConfigError("unknown pilot_policy %r" % self.pilot_policy)
-        if self.ici_mode not in ICI_MODES:
-            raise ConfigError("unknown ici_mode %r" % self.ici_mode)
         for e in self.estimators:
             if e not in ESTIMATOR_KINDS:
                 raise ConfigError("unknown estimator %r" % e)

@@ -11,23 +11,24 @@ import numpy as np
 from .network import NetworkRealization, SimulationLayout
 from .phase_noise import KernelGrid, KernelParams, build_correlation_table, lag_spectra, pair_sums
 
-ESTIMATOR_KINDS = ("pna_ofdm", "pna_sc", "unaware")
-ICI_MODES = ("as_printed", "independent_data")
+ESTIMATOR_KINDS = ("pna_ofdm", "pna_ofdm_cp", "pna_sc", "unaware")
 
 
 def build_ici_base(
     layout: SimulationLayout,
-    table: KernelGrid,
-    mode: str,
+    kernel: KernelGrid,
+    independent_data: bool,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The pilot-pair sums (tau_p, tau_p, tau_p), one (tau_p, tau_p) matrix per
-    pilot sequence, and the data-pair sum (tau_p, tau_p) of the ICI covariance.
+    pilot sequence, and the data-pair sum (tau_p, tau_p) of the ICI covariance
+    under ``kernel``.
 
     Each is a kernel pair sum over offset weights seen from a pilot slot at
     subcarrier n: the pilot term weights offset n - j by the pilot sample of
     sequence t sent on the other pilot subcarrier j; the data term weights
-    every data subcarrier's offset by 1 (``as_printed``), or only the pairs of
-    one data sample, equal index on one pilot symbol (``independent_data``).
+    every data subcarrier's offset by 1, as printed (``pna_ofdm``), or only the
+    pairs of one data sample, equal index on one pilot symbol, of
+    ``independent_data`` drawn afresh per subcarrier and symbol (``pna_ofdm_cp``).
 
     A slot's weights depend on its symbol only through the lag to the other
     slot's symbol and, for the pilot term, through the book: slot (s, p), in
@@ -37,9 +38,7 @@ def build_ici_base(
     is the Gram of the comb rows under the lag spectrum of s - u: one matrix
     product per lag, in place of a pair sum per sequence and slot pair.
     """
-    if mode not in ICI_MODES:
-        raise ValueError("unknown ICI mode: %r" % (mode,))
-    params, n, tau_p = table.params, layout.n_subcarriers, layout.tau_p
+    params, n, tau_p = kernel.params, layout.n_subcarriers, layout.tau_p
     subs, syms = np.array(layout.pilot_subcarriers), np.array(layout.pilot_symbols)
     n_p = subs.size
     lags, lag_of = np.unique(syms[:, None] - syms[None, :], return_inverse=True)
@@ -59,33 +58,33 @@ def build_ici_base(
     pilot_terms = np.einsum("tsq,supqmr,tur->tspum", book, g, np.conj(book))
 
     data_ind = layout.pilot_grid[0, 0] == 0  # no pilot sample on a data subcarrier
-    if mode == "as_printed":
-        y_data = data_ind[seen].astype(float)
-    else:
+    if independent_data:
         # sum_{j in D} B_{n1-j,n2-j} = unit weights on n1 and n2 at the lag weight
         # G(d) = sum_{j in D} exp(2j pi j d / N), at symbol lag 0 alone: data drawn
         # afresh per subcarrier and symbol has E{x(j, s) x(j', u)^*} = delta_jj' delta_su
         y_data = np.zeros((n_p, n))
         y_data[np.arange(n_p), subs] = 1.0
         w = lag_spectra(params, lags, n * np.fft.ifft(data_ind)) * (lags == 0)[:, None]
+    else:
+        y_data = data_ind[seen].astype(float)
     data_term = pair_sums(y_data, w)[lag_of].swapaxes(1, 2)  # [s, p, u, m]
     return pilot_terms.reshape((tau_p,) * 3), data_term.reshape(tau_p, tau_p)
 
 
 def assumed_kernel(kind: str, table: KernelGrid) -> KernelGrid:
-    """The CPE kernel an estimator kind assumes, on the lags of ``table``: the OFDM
-    drift kernel itself (``pna_ofdm``), one drift sample per symbol N samples apart
-    (``pna_sc``), or no phase noise, 1 at every lag (``unaware``).
-
-    ``pna_sc`` keeps the stride N whatever the table's: the single-carrier
-    baseline models one phase sample per symbol period of N samples and knows
-    no cyclic prefix, so ``ici_mode`` moves only the OFDM kernel."""
-    if kind == "pna_ofdm":
+    """The CPE kernel an estimator kind assumes, on the lags of the world's
+    kernel ``table`` (stride N + N_cp): ``table`` itself (``pna_ofdm_cp``), the
+    same drift kernel at stride N, as the paper prints it (``pna_ofdm``), one
+    drift sample per symbol N samples apart (``pna_sc``, which knows no cyclic
+    prefix), or no phase noise, 1 at every lag (``unaware``)."""
+    if kind == "pna_ofdm_cp":
         return table
-    if kind not in ("pna_sc", "unaware"):
+    if kind not in ESTIMATOR_KINDS:
         raise ValueError("unknown estimator kind: %r" % (kind,))
-    sigma2 = table.params.sigma2_tot if kind == "pna_sc" else 0.0
-    return build_correlation_table(KernelParams(1, sigma2, table.params.n), table.lags)
+    n, sigma2 = table.params.n, table.params.sigma2_tot
+    params = {"pna_ofdm": KernelParams(n, sigma2, n), "pna_sc": KernelParams(1, sigma2, n),
+              "unaware": KernelParams(1, 0.0, n)}[kind]
+    return build_correlation_table(params, table.lags)
 
 
 @dataclass
@@ -108,7 +107,6 @@ def build_models(
     layout: SimulationLayout,
     table: KernelGrid,
     kinds: Sequence[str],
-    ici_mode: str,
 ) -> List[EstimatorModel]:
     """One estimator model per entry of ``kinds``, in that order, for the
     first T symbols of the block, T read from the kind's own kernel: every
@@ -118,10 +116,11 @@ def build_models(
     symbol.
 
     [pilot_cov[t]]_{i1,i2} = s_t[i1] s_t[i2]^* k(sym_{i1} - sym_{i2}) under the
-    kind's CPE kernel k.  Only the phase-noise-aware OFDM estimator adds the
-    ICI covariance of ``build_ici_base``, and only where its kernel has phase
-    noise: its exact value is zero at sigma^2 = 0.  The single-carrier and
-    unaware baselines assume none.
+    kind's CPE kernel k, ``assumed_kernel(kind, table)``.  Only the two
+    phase-noise-aware OFDM kinds add the ICI covariance of ``build_ici_base``,
+    each with its own kernel and data term, and only where the kernel has
+    phase noise: its exact value is zero at sigma^2 = 0.  The baselines
+    assume none.
     """
     _, syms = layout.pilot_slot_positions
     tau_p, book = layout.tau_p, layout.pilot_book
@@ -133,8 +132,8 @@ def build_models(
         n_sym = layout.block_symbols if pn else 1
         pilot_cov = outer * kernel.cpe(syms[:, None] - syms[None, :])
         data_cov = np.zeros((tau_p, tau_p), dtype=complex)
-        if kind == "pna_ofdm" and pn:
-            pilot_ici, data_cov = build_ici_base(layout, table, mode=ici_mode)
+        if kind in ("pna_ofdm", "pna_ofdm_cp") and pn:
+            pilot_ici, data_cov = build_ici_base(layout, kernel, kind == "pna_ofdm_cp")
             pilot_cov = pilot_cov + pilot_ici
         b = kernel.cpe(np.arange(1, n_sym + 1)[:, None] - syms[None, :])  # (T, tau_p)
         rhs = (np.conj(b).T[:, None, :] * book[:, :, None]).reshape(tau_p, -1)

@@ -82,12 +82,12 @@ class ResultRecord:
 
 
 def build_kernel_table(cfg: ExperimentConfig) -> KernelGrid:
-    """CPE kernel at every symbol lag within the coherence block, at the stride
-    of ``ici_mode``: the traces' N + N_cp, or N for ``as_printed``."""
+    """The simulated world's CPE kernel, at the traces' stride N + N_cp, at every
+    symbol lag within the coherence block: ``estimation.assumed_kernel``
+    derives each estimator kind's kernel from it."""
     layout = cfg.layout()
     n = layout.n_subcarriers
-    stride = n + (layout.cp_len if cfg.ici_mode == "independent_data" else 0)
-    return build_correlation_table(KernelParams(n, cfg.pn_params().sigma2_tot, stride),
+    return build_correlation_table(KernelParams(n, cfg.pn_params().sigma2_tot, n + layout.cp_len),
                                    range(-(layout.block_symbols - 1), layout.block_symbols))
 
 
@@ -124,7 +124,7 @@ def build_setup(cfg: ExperimentConfig) -> Setup:
     one configuration."""
     layout, pn = cfg.layout(), cfg.pn_params()
     table = build_kernel_table(cfg)
-    models = estimation.build_models(layout, table, cfg.estimators, cfg.ici_mode)
+    models = estimation.build_models(layout, table, cfg.estimators)
     return Setup(layout, pn, table, models)
 
 

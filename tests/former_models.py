@@ -1,5 +1,5 @@
 """The two former models of the PN-aware estimator, each with one part of the
-``independent_data`` model put back as it was, and a way to add them to the
+``pna_ofdm_cp`` model put back as it was, and a way to add them to the
 set-up of ``validate.lmmse_moments``, which must reject both in the world
 ``sim run`` draws."""
 
@@ -14,10 +14,10 @@ from kernel_scalar import correlation_b_fast
 
 
 def data_across_symbols(cfg, setup):
-    """The pna_ofdm model with its data ICI correlated across pilot symbols:
+    """The pna_ofdm_cp model with its data ICI correlated across pilot symbols:
     sum_{j in D} B_{n1-j,n2-j}^(s-u) for every pair of slots (n1, s), (n2, u)."""
     layout, params = setup.layout, setup.table.params
-    (model,) = estimation.build_models(layout, setup.table, ("pna_ofdm",), "independent_data")
+    (model,) = estimation.build_models(layout, setup.table, ("pna_ofdm_cp",))
     subs, syms = layout.pilot_slot_positions
     data = np.flatnonzero(layout.pilot_grid[0, 0] == 0)
     data_cov = np.array([
@@ -27,12 +27,12 @@ def data_across_symbols(cfg, setup):
 
 
 def stride_n(cfg, setup):
-    """The pna_ofdm model on the kernel at stride N, at the set-up's lags, in
+    """The pna_ofdm_cp model on the kernel at stride N, at the set-up's lags, in
     place of the traces' N + N_cp."""
     n = setup.layout.n_subcarriers
     table = build_correlation_table(KernelParams(n, setup.table.params.sigma2_tot, n),
                                     setup.table.lags)
-    (model,) = estimation.build_models(setup.layout, table, ("pna_ofdm",), "independent_data")
+    (model,) = estimation.build_models(setup.layout, table, ("pna_ofdm_cp",))
     return model
 
 

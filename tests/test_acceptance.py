@@ -78,22 +78,25 @@ def test_criterion_5_estimator_correctness(monkeypatch):
     The no-PN reduction checks the ideal world's contexts as
     ``harness.build_geometry`` builds them, one symbol standing for the
     block.  The moment checks run at CI scale over 1e4 trials of the world
-    ``sim run`` draws, on geometry 0's streams, with the ``independent_data``
-    model, whose data term and kernel stride are that world's (see
+    ``sim run`` draws, on geometry 0's streams (see
     ``validate.lmmse_moments``); each trial is drawn and synthesized by
     ``harness.observe`` and estimated on geometry 0's contexts, as a run's
-    trials are: 2.67, 1.34 and 1.30 standard errors.  The same pass scores
-    the two former models, each with one part of that model put back, and
-    each must fail: data ICI correlated across pilot symbols (orthogonality
-    3.68 standard errors), and the kernel stride N in place of the traces'
-    N + N_cp (4.34).
+    trials are.  ``pna_ofdm_cp``, whose data term and kernel stride are that
+    world's, gates: 2.67, 1.34 and 1.30 standard errors.  The same pass
+    scores the printed ``pna_ofdm`` and the two former models, each with one
+    part of ``pna_ofdm_cp`` put back, and each must fail: the printed form
+    (orthogonality 20.12 standard errors), data ICI correlated across pilot
+    symbols (3.68), and the kernel stride N in place of the traces' N + N_cp
+    (4.34).
     """
     no_pn = validate.no_pn_reduction(replace(ci_config(), n_ues=1, n_aps=3, master_seed=7))
     former_models.add_to_setup(monkeypatch, former_models.data_across_symbols,
                                former_models.stride_n)
-    moments, across_symbols, stride_n = validate.lmmse_moments(
-        replace(ci_config(), n_trials=10000, master_seed=55))
+    moments, printed, across_symbols, stride_n = validate.lmmse_moments(
+        replace(ci_config(), n_trials=10000, master_seed=55,
+                estimators=("pna_ofdm_cp", "pna_ofdm")))
     assert _report(5, "estimator correctness", *_joined([no_pn, moments]))
+    assert not printed.ok, printed.detail
     assert not across_symbols.ok, across_symbols.detail
     assert not stride_n.ok, stride_n.detail
 

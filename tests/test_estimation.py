@@ -11,7 +11,6 @@ from cfofdm import estimation
 from cfofdm.config import ci_config, fig2_config
 from cfofdm.estimation import (
     ESTIMATOR_KINDS,
-    ICI_MODES,
     assumed_kernel,
     build_context,
     build_ici_base,
@@ -52,14 +51,26 @@ def make_table(layout, sigma2_tot, stride=None):
     return build_correlation_table(params, lags)
 
 
-def make_model(layout, table, kind="pna_ofdm", *, ici_mode):
+def world_table(layout, sigma2_tot):
+    """The kernel of the simulated world, at the traces' stride N + N_cp."""
+    return make_table(layout, sigma2_tot, layout.n_subcarriers + layout.cp_len)
+
+
+# The two PN-aware OFDM kinds, each with the data term of its ICI covariance,
+# which names its test cases: as the paper prints it, or data drawn
+# independently per subcarrier and symbol
+DATA_TERM_OF = {"pna_ofdm": "as_printed", "pna_ofdm_cp": "independent_data"}
+OFDM_KINDS = [pytest.param(kind, id=term) for kind, term in DATA_TERM_OF.items()]
+
+
+def make_model(layout, table, kind="pna_ofdm"):
     """Estimator model of one kind with the pilot book of ``layout``."""
-    (model,) = build_models(layout, table, [kind], ici_mode)
+    (model,) = build_models(layout, table, [kind])
     return model
 
 
-def make_context(network, layout, table, kind="pna_ofdm", *, ici_mode):
-    return build_context(network, make_model(layout, table, kind, ici_mode=ici_mode))
+def make_context(network, layout, table, kind="pna_ofdm"):
+    return build_context(network, make_model(layout, table, kind))
 
 
 def ue_rhs(model, pilot_index):
@@ -105,7 +116,7 @@ def assert_close_to_lu(ctx, network, model, eps):
     assert np.all(np.abs(ctx.err_var - (network.beta - eps)) <= ERR_COND_ULPS * ulp * network.beta)
 
 
-def ici_base_per_entry(layout, params, book, mode):
+def ici_base_per_entry(layout, params, book, independent_data):
     """Pilot-pair and data-pair ICI sums with one oracle kernel call per entry."""
     oracle = functools.lru_cache(maxsize=None)(
         lambda i1, i2, dt: correlation_b_literal(i1, i2, dt, params))
@@ -129,7 +140,7 @@ def ici_base_per_entry(layout, params, book, mode):
                                   for j2 in j2s] for j1 in j1s])
                 w1, w2 = book[rows1, :], book[rows2, :]
                 pilot_terms[:, i1, i2] = np.einsum("at,ab,bt->t", w1, bsub, np.conj(w2))
-            if mode == "as_printed":
+            if not independent_data:
                 data_term[i1, i2] = sum(oracle(int(subs[i1] - j1), int(subs[i2] - j2), dt)
                                         for j1 in data_cols for j2 in data_cols)
             elif dt == 0:
@@ -143,12 +154,12 @@ def ici_base_per_entry(layout, params, book, mode):
 # Largest deviation of ``build_ici_base`` from the einsum oracle, relative to
 # each term's largest entry: both sum the same 2N-frequency products, in another
 # order, and 1e-12 (4.5e3 machine epsilons) bounds that for 2N = 2400 terms.
-# Measured on the ci and fig2 presets in both ICI modes, each at its stride:
+# Measured on the ci and fig2 presets for both OFDM kinds, each at its stride:
 # at most 1.9e-14 on the pilot terms and 3.1e-15 on the data term.
 ICI_ROUNDOFF = 1e-12
 
 
-def bruteforce_z_entry(layout, table, book, t, i1, i2, mode):
+def bruteforce_z_entry(layout, kernel, book, t, i1, i2, independent_data):
     """Literal double-loop over the ICI covariance entry for pilot sequence t."""
     n = layout.n_subcarriers
     slots = list(zip(*layout.pilot_slot_positions))
@@ -156,7 +167,7 @@ def bruteforce_z_entry(layout, table, book, t, i1, i2, mode):
     n2, t2 = slots[i2]
     pilot_cols = {j for j in range(n) if j % layout.block_subcarriers in layout.pilot_subcarriers}
     slot_of = {s: i for i, s in enumerate(slots)}
-    params = table.params
+    params = kernel.params
 
     def b(a, c):
         return correlation_b_literal(a, c, t1 - t2, params)
@@ -173,7 +184,7 @@ def bruteforce_z_entry(layout, table, book, t, i1, i2, mode):
             s2 = book[slot_of[(j2 % layout.block_subcarriers, t2)], t]
             total += s1 * np.conj(s2) * b(n1 - j1, n2 - j2)
     # data-pair part, weighted by the data correlation E{x(j1, t1) x(j2, t2)^*}: 1 for
-    # every pair (as_printed), or for the same sample alone, j1 = j2 and t1 = t2, of
+    # every pair (as printed), or for the same sample alone, j1 = j2 and t1 = t2, of
     # data drawn afresh per subcarrier and symbol (independent_data)
     data = [j for j in range(n) if j not in pilot_cols]
     for j1 in data:
@@ -182,65 +193,71 @@ def bruteforce_z_entry(layout, table, book, t, i1, i2, mode):
         for j2 in data:
             if j2 == n2:
                 continue
-            if mode == "independent_data" and (j1 != j2 or t1 != t2):
+            if independent_data and (j1 != j2 or t1 != t2):
                 continue
             total += b(n1 - j1, n2 - j2)
     return total
 
 
 class TestZIci:
-    @pytest.mark.parametrize("mode", ["as_printed", "independent_data"])
-    def test_matches_bruteforce_toy(self, mode):
-        """Psi of the pna_ofdm model: CPE-weighted pilots, brute-force ICI, noise."""
+    @pytest.mark.parametrize("kind", OFDM_KINDS)
+    def test_matches_bruteforce_toy(self, kind):
+        """Psi of each PN-aware OFDM model: CPE-weighted pilots, brute-force
+        ICI, noise, under the kind's own kernel and data term."""
         layout = toy_layout()
-        table = make_table(layout, 5e-3)
+        table = world_table(layout, 5e-3)
+        kernel = assumed_kernel(kind, table)
         book = layout.pilot_book
         beta = np.array([[0.5, 0.3], [0.2, 0.8]])
         network = make_network(layout, beta, [0, 1], p=0.4, sigma2=1e-4)
-        psi, _ = build_psi(network, make_model(layout, table, ici_mode=mode))
+        psi, _ = build_psi(network, make_model(layout, table, kind))
         _, syms = layout.pilot_slot_positions
         for l in range(2):
             for i1 in range(layout.tau_p):
                 for i2 in range(layout.tau_p):
                     expect = network.sigma2 * (i1 == i2) + sum(
                         network.p[k] * beta[k, l]
-                        * (book[i1, t] * np.conj(book[i2, t]) * table.cpe(syms[i1] - syms[i2])
-                           + bruteforce_z_entry(layout, table, book, t, i1, i2, mode))
+                        * (book[i1, t] * np.conj(book[i2, t]) * kernel.cpe(syms[i1] - syms[i2])
+                           + bruteforce_z_entry(layout, kernel, book, t, i1, i2,
+                                                kind == "pna_ofdm_cp"))
                         for k, t in enumerate(network.pilot_index)
                     )
                     assert psi[l, i1, i2] == pytest.approx(expect, rel=1e-10, abs=1e-16)
 
-    @pytest.mark.parametrize("mode, shape", [
-        pytest.param(mode, dict(n_subcarriers=48, pilot_subcarriers=(0, 5),
-                                pilot_symbols=(1, 2, 3)), id=mode)
-        for mode in ICI_MODES] + [
+    @pytest.mark.parametrize("kind, shape", [
+        pytest.param(kind, dict(n_subcarriers=48, pilot_subcarriers=(0, 5),
+                                pilot_symbols=(1, 2, 3)), id=term)
+        for kind, term in DATA_TERM_OF.items()] + [
         # 44 = 3 * 12 + 8: the last block is partial and lacks pilot subcarrier 9
-        pytest.param(mode, dict(n_subcarriers=44, pilot_subcarriers=(0, 9),
-                                pilot_symbols=(1, 2, 3)), id="partial_last_block-" + mode)
-        for mode in ICI_MODES] + [
+        pytest.param(kind, dict(n_subcarriers=44, pilot_subcarriers=(0, 9),
+                                pilot_symbols=(1, 2, 3)), id="partial_last_block-" + term)
+        for kind, term in DATA_TERM_OF.items()] + [
         # P = 3 pilot subcarriers per symbol against |T_p| = 2 pilot symbols
-        pytest.param(mode, dict(n_subcarriers=48, pilot_subcarriers=(0, 4, 7),
-                                pilot_symbols=(1, 3)), id="more_subcarriers_than_symbols-" + mode)
-        for mode in ICI_MODES])
-    def test_ici_base_matches_per_entry_loop(self, mode, shape):
+        pytest.param(kind, dict(n_subcarriers=48, pilot_subcarriers=(0, 4, 7),
+                                pilot_symbols=(1, 3)), id="more_subcarriers_than_symbols-" + term)
+        for kind, term in DATA_TERM_OF.items()])
+    def test_ici_base_matches_per_entry_loop(self, kind, shape):
         layout = toy_layout(block_subcarriers=12, block_symbols=4, **shape)
-        table = make_table(layout, 5e-3)
-        pilot_terms, data_term = build_ici_base(layout, table, mode=mode)
-        pilot_ref, data_ref = ici_base_per_entry(layout, table.params, layout.pilot_book, mode)
+        kernel = assumed_kernel(kind, world_table(layout, 5e-3))
+        independent = kind == "pna_ofdm_cp"
+        pilot_terms, data_term = build_ici_base(layout, kernel, independent)
+        pilot_ref, data_ref = ici_base_per_entry(layout, kernel.params, layout.pilot_book,
+                                                 independent)
         assert pilot_terms == pytest.approx(pilot_ref, rel=1e-10)
         assert data_term == pytest.approx(data_ref, rel=1e-10)
 
-    @pytest.mark.parametrize("mode", ICI_MODES)
+    @pytest.mark.parametrize("kind", OFDM_KINDS)
     @pytest.mark.parametrize("cfg", [ci_config(), fig2_config()], ids=["ci", "fig2"])
-    def test_ici_base_matches_einsum_oracle(self, cfg, mode):
+    def test_ici_base_matches_einsum_oracle(self, cfg, kind):
         """At preset size the ICI base equals the einsum oracle, one pair sum per
         sequence and slot pair, up to round-off: every entry of each term within
-        ICI_ROUNDOFF of the term's largest entry.  Each mode's kernel has its
-        own stride, N + N_cp for ``independent_data``."""
-        cfg = replace(cfg, ici_mode=mode)
-        layout, table = cfg.layout(), build_setup(cfg).table
-        for got, ref in zip(build_ici_base(layout, table, mode),
-                            ici_base_einsum(layout, table, mode)):
+        ICI_ROUNDOFF of the term's largest entry.  Each kind's kernel has its
+        own stride, N + N_cp for ``pna_ofdm_cp``."""
+        layout = cfg.layout()
+        kernel = assumed_kernel(kind, build_setup(cfg).table)
+        independent = kind == "pna_ofdm_cp"
+        for got, ref in zip(build_ici_base(layout, kernel, independent),
+                            ici_base_einsum(layout, kernel, independent)):
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= ICI_ROUNDOFF * np.abs(ref).max()
 
@@ -265,26 +282,25 @@ class TestZIci:
                   if not line.startswith("PASS ")]
         assert failed == ["FAIL kernel_oracle_equivalence", "FAIL kernel_trace_sum",
                           "FAIL lmmse_moments"]
-        for mode in ICI_MODES:
+        for kind in DATA_TERM_OF:
             with pytest.raises(AssertionError):
-                self.test_ici_base_matches_einsum_oracle(ci_config(), mode)
+                self.test_ici_base_matches_einsum_oracle(ci_config(), kind)
 
     def test_zero_phase_noise_gives_zero(self):
-        """Without phase noise the pna_ofdm model's ICI vanishes: its Psi is the
-        unaware model's."""
+        """Without phase noise the PN-aware OFDM models' ICI vanishes: their Psi
+        is the unaware model's."""
         layout = toy_layout()
         table = make_table(layout, 0.0)
         network = make_network(layout, np.ones((2, 2)), [0, 1])
-        unaware, _ = build_psi(network,
-                               make_model(layout, table, "unaware", ici_mode="as_printed"))
-        for mode in ("as_printed", "independent_data"):
-            psi, _ = build_psi(network, make_model(layout, table, ici_mode=mode))
+        unaware, _ = build_psi(network, make_model(layout, table, "unaware"))
+        for kind in DATA_TERM_OF:
+            psi, _ = build_psi(network, make_model(layout, table, kind))
             assert np.abs(psi - unaware).max() < 1e-12
 
     def test_independent_data_diagonal_bounded_by_trace_rule(self):
         layout = toy_layout()
-        table = make_table(layout, 5e-3)
-        data_cov = make_model(layout, table, ici_mode="independent_data").data_cov
+        table = world_table(layout, 5e-3)
+        data_cov = make_model(layout, table, "pna_ofdm_cp").data_cov
         b00 = table.cpe(0)
         for i in range(layout.tau_p):
             assert data_cov[i, i].real <= (1 - b00) + 1e-12
@@ -292,20 +308,23 @@ class TestZIci:
 
     def test_hermitian(self):
         layout = toy_layout()
-        table = make_table(layout, 5e-3)
-        for mode in ("as_printed", "independent_data"):
-            model = make_model(layout, table, ici_mode=mode)
+        table = world_table(layout, 5e-3)
+        for kind in DATA_TERM_OF:
+            model = make_model(layout, table, kind)
             for m in (*model.pilot_cov, model.data_cov):
                 assert np.abs(m - np.conj(m.T)).max() < 1e-12
 
 
 class TestModels:
     def test_ici_base_only_for_pna_ofdm(self, monkeypatch):
-        """The baselines assume no ICI, and the ICI base is built only for
-        pna_ofdm.  Under phase noise the unaware model covers one symbol, its
-        kernel having none, and the other two every symbol."""
+        """The baselines assume no ICI, and the ICI base is built only for the
+        two PN-aware OFDM kinds, each under its own kernel and data term:
+        pna_ofdm at stride N with the printed term, pna_ofdm_cp at the
+        world's N + N_cp with independent data.  Under phase noise the unaware
+        model covers one symbol, its kernel having none, and the others every
+        symbol."""
         layout = toy_layout()
-        table = make_table(layout, 5e-3)
+        table = world_table(layout, 5e-3)
         calls = []
         real = estimation.build_ici_base
 
@@ -314,28 +333,32 @@ class TestModels:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(estimation, "build_ici_base", counting)
-        baselines = build_models(layout, table, ["unaware", "pna_sc"], "as_printed")
+        baselines = build_models(layout, table, ["unaware", "pna_sc"])
         assert calls == []
         assert all(not m.data_cov.any() for m in baselines)
-        (pna,) = build_models(layout, table, ["pna_ofdm"], "as_printed")
-        assert len(calls) == 1 and pna.data_cov.any()
+        ofdm = build_models(layout, table, ["pna_ofdm", "pna_ofdm_cp"])
+        n = layout.n_subcarriers
+        assert [(kernel.params.stride, independent) for _, kernel, independent in calls] == [
+            (n, False), (n + layout.cp_len, True)]
+        assert calls[1][1] is table and all(m.data_cov.any() for m in ofdm)
         tau_p = layout.tau_p
-        assert [m.rhs.shape for m in (*baselines, pna)] == [
-            (tau_p, tau_p), (tau_p, tau_p * 3), (tau_p, tau_p * 3)]
+        assert [m.rhs.shape for m in (*baselines, *ofdm)] == [
+            (tau_p, tau_p), (tau_p, tau_p * 3), (tau_p, tau_p * 3), (tau_p, tau_p * 3)]
 
     def test_ideal_world_builds_no_ici_base(self, monkeypatch):
         """At sigma^2 = 0 the ICI base, exactly zero there, is not built: an
-        ideal ``build_setup`` calls no ``build_ici_base``, and its pna_ofdm
-        model is the unaware one."""
+        ideal ``build_setup`` calls no ``build_ici_base``, and its two PN-aware
+        OFDM models are the unaware one."""
         def refuse(*args, **kwargs):
             raise AssertionError("ICI base built in an ideal world")
 
         monkeypatch.setattr(estimation, "build_ici_base", refuse)
         cfg = replace(ci_config(), gamma_ap=0.0, gamma_ue=0.0, estimators=ESTIMATOR_KINDS)
-        pna, _, unaware = build_setup(cfg).models
-        assert not pna.data_cov.any()
-        assert np.array_equal(pna.pilot_cov, unaware.pilot_cov)
-        assert np.array_equal(pna.rhs, unaware.rhs)
+        *ofdm, _, unaware = build_setup(cfg).models
+        for pna in ofdm:
+            assert not pna.data_cov.any()
+            assert np.array_equal(pna.pilot_cov, unaware.pilot_cov)
+            assert np.array_equal(pna.rhs, unaware.rhs)
 
     @pytest.mark.parametrize("gammas, ideal", [
         pytest.param({}, False, id="pn"),
@@ -367,11 +390,11 @@ class TestModels:
         at every lag, so that its one column stands for every symbol."""
         layout = toy_layout(n_subcarriers=24, block_subcarriers=12, block_symbols=5,
                             pilot_subcarriers=(0, 6), pilot_symbols=(1, 3))
-        table = make_table(layout, 4e-3)
+        table = world_table(layout, 4e-3)
         kernel = assumed_kernel(kind, table)
         book, tau_c = layout.pilot_book, layout.block_symbols
         _, syms = layout.pilot_slot_positions
-        model = make_model(layout, table, kind, ici_mode="as_printed")
+        model = make_model(layout, table, kind)
         T = 1 if kind == "unaware" else tau_c
         assert model.rhs.shape == (layout.tau_p, layout.tau_p * T)
         for t in range(layout.tau_p):
@@ -379,12 +402,11 @@ class TestModels:
                 expect = np.conj(kernel.cpe(tau - syms)) * book[:, t]
                 assert np.array_equal(model.rhs[:, t * T + min(tau, T) - 1], expect)
 
-    @pytest.mark.parametrize("cfg", [
-        ci_config(), fig2_config(), replace(fig2_config(), ici_mode="independent_data"),
-    ], ids=["ci", "fig2", "fig2_independent_data"])
+    @pytest.mark.parametrize("cfg", [ci_config(), fig2_config()], ids=["ci", "fig2"])
     def test_assumed_kernels_closed_form(self, cfg):
         """pna_sc is the single-carrier Wiener damping exp(-sigma2 N |dtau| / 2),
-        whatever stride the OFDM kernel uses; unaware is exactly 1."""
+        though the world's kernel has the stride N + N_cp; unaware is exactly 1;
+        pna_ofdm_cp is the world's kernel itself."""
         table = build_setup(cfg).table
         sigma2, n = cfg.pn_params().sigma2_tot, cfg.n_subcarriers
         expect = np.exp(-sigma2 * n * np.abs(table.lags) / 2.0)
@@ -392,31 +414,34 @@ class TestModels:
         assert np.array_equal(sc.lags, table.lags)
         assert np.abs(sc.cpe(table.lags) / expect - 1.0).max() <= 4e-15
         assert np.all(assumed_kernel("unaware", table).cpe(table.lags) == 1.0)
-        assert assumed_kernel("pna_ofdm", table) is table
+        assert assumed_kernel("pna_ofdm_cp", table) is table
 
-    def test_ici_mode_moves_only_the_ofdm_kernel(self):
-        """``independent_data`` stretches pna_ofdm's kernel to the stride
-        N + N_cp of the simulated traces, damping every nonzero lag more than
-        ``as_printed``'s stride N; pna_sc keeps one drift sample per symbol N
-        samples apart, so its kernel and model do not move."""
+    def test_kernel_stride_per_kind(self):
+        """pna_ofdm_cp assumes the set-up's table, the kernel at the traces'
+        stride N + N_cp; pna_ofdm the same drift kernel at the printed stride
+        N, on the same lags, which damps every nonzero lag less.  pna_sc keeps
+        one drift sample per symbol N samples apart, so its kernel and model
+        are those a stride-N table gives."""
         cfg = ci_config()
-        modes = ("as_printed", "independent_data")
-        off, on = (build_setup(replace(cfg, ici_mode=mode)) for mode in modes)
-        assert off.table.params.stride == cfg.n_subcarriers
-        assert on.table.params.stride == cfg.n_subcarriers + cfg.cp_len_effective
-        lags = off.table.lags[off.table.lags != 0]
-        assert np.all(on.table.cpe(lags) < off.table.cpe(lags))
-        assert np.array_equal(assumed_kernel("pna_sc", on.table).values,
-                              assumed_kernel("pna_sc", off.table).values)
-        (sc_off,), (sc_on,) = (build_models(s.layout, s.table, ["pna_sc"], mode)
-                               for s, mode in zip((off, on), modes))
-        assert np.array_equal(sc_on.pilot_cov, sc_off.pilot_cov)
-        assert np.array_equal(sc_on.rhs, sc_off.rhs)
+        setup = build_setup(cfg)
+        n, table = cfg.n_subcarriers, setup.table
+        printed, cp = (assumed_kernel(kind, table) for kind in ("pna_ofdm", "pna_ofdm_cp"))
+        assert cp is table and table.params.stride == n + cfg.cp_len_effective
+        assert printed.params == KernelParams(n, table.params.sigma2_tot, n)
+        assert np.array_equal(printed.lags, table.lags)
+        lags = table.lags[table.lags != 0]
+        assert np.all(cp.cpe(lags) < printed.cpe(lags))
+        assert np.array_equal(assumed_kernel("pna_sc", table).values,
+                              assumed_kernel("pna_sc", printed).values)
+        (sc_world,), (sc_printed,) = (build_models(setup.layout, t, ["pna_sc"])
+                                      for t in (table, printed))
+        assert np.array_equal(sc_world.pilot_cov, sc_printed.pilot_cov)
+        assert np.array_equal(sc_world.rhs, sc_printed.rhs)
 
     def test_unknown_kind_rejected(self):
         layout = toy_layout()
         with pytest.raises(ValueError, match="unknown estimator kind"):
-            make_model(layout, make_table(layout, 5e-3), "magic", ici_mode="as_printed")
+            make_model(layout, make_table(layout, 5e-3), "magic")
 
 
 class TestPsi:
@@ -426,7 +451,7 @@ class TestPsi:
         book = layout.pilot_book
         beta = np.array([[0.5, 0.3], [0.2, 0.8]])
         network = make_network(layout, beta, [0, 1], p=0.4, sigma2=1e-3)
-        psi, _ = build_psi(network, make_model(layout, table, ici_mode="as_printed"))
+        psi, _ = build_psi(network, make_model(layout, table))
         for l in range(2):
             expect = sum(
                 0.4 * beta[k, l] * np.outer(book[:, k], np.conj(book[:, k]))
@@ -440,7 +465,7 @@ class TestPsi:
         book = layout.pilot_book
         beta = np.array([[0.6, 0.1]])
         network = make_network(layout, beta, [0], p=0.2, sigma2=1e-3)
-        psi, _ = build_psi(network, make_model(layout, table, ici_mode="as_printed"))
+        psi, _ = build_psi(network, make_model(layout, table))
         s = book[:, 0]
         for l in range(2):
             val = np.real(s.conj() @ np.linalg.solve(psi[l], s))
@@ -453,7 +478,7 @@ class TestPsi:
         layout = toy_layout()
         table = make_table(layout, 3e-3)
         network = make_network(layout, np.array([[0.5, 0.3], [0.2, 0.8]]), [0, 1], sigma2=-1.0)
-        model = make_model(layout, table, ici_mode="as_printed")
+        model = make_model(layout, table)
         for build in (build_psi, build_context):
             with pytest.raises(RuntimeError, match="factorization failed"):
                 build(network, model)
@@ -464,7 +489,7 @@ class TestPsi:
         for _ in range(5):
             beta = rng.uniform(0.05, 1.0, (2, 2))
             network = make_network(layout, beta, [0, 1], p=0.3, sigma2=1e-4)
-            psi, _ = build_psi(network, make_model(layout, table, ici_mode="as_printed"))
+            psi, _ = build_psi(network, make_model(layout, table))
             assert np.abs(psi - np.conj(np.swapaxes(psi, 1, 2))).max() <= 1e-12
 
 
@@ -473,14 +498,14 @@ class TestLmmseEstimate:
         layout = toy_layout()
         table = make_table(layout, 3e-3)
         network = make_network(layout, np.ones((2, 2)), [0, 1])
-        ctx = make_context(network, layout, table, ici_mode="as_printed")
+        ctx = make_context(network, layout, table)
         assert estimate_all(ctx, np.zeros((2, layout.tau_p), dtype=complex))[0, 0, 0] == 0
 
     def test_linearity(self, rng):
         layout = toy_layout()
         table = make_table(layout, 3e-3)
         network = make_network(layout, np.ones((2, 2)), [0, 1])
-        ctx = make_context(network, layout, table, ici_mode="as_printed")
+        ctx = make_context(network, layout, table)
         y = np.zeros((2, layout.tau_p), dtype=complex)
         y[1] = rng.standard_normal(layout.tau_p) + 1j * rng.standard_normal(layout.tau_p)
         a = estimate_all(ctx, 2.5j * y)[1, 1, 1]
@@ -493,7 +518,7 @@ class TestLmmseEstimate:
         layout = toy_layout()
         table = make_table(layout, 3e-3)
         network = make_network(layout, rng.uniform(0.05, 1.0, (2, 2)), [0, 1])
-        ctx = make_context(network, layout, table, ici_mode="as_printed")
+        ctx = make_context(network, layout, table)
         y = rng.standard_normal((3, 2, layout.tau_p)) + 1j * rng.standard_normal(
             (3, 2, layout.tau_p))
         h_hat = estimate_all(ctx, y)
@@ -507,7 +532,7 @@ class TestLmmseEstimate:
         book = layout.pilot_book
         beta = np.array([[0.7, 0.2]])
         network = make_network(layout, beta, [0], p=0.3, sigma2=2e-3)
-        ctx = make_context(network, layout, table, ici_mode="as_printed")
+        ctx = make_context(network, layout, table)
         y = rng.standard_normal(layout.tau_p) + 1j * rng.standard_normal(layout.tau_p)
         h_hat = estimate_all(ctx, np.tile(y, (2, 1)))
         for l in range(2):
@@ -525,16 +550,15 @@ class TestLmmseEstimate:
         table = make_table(layout, 3e-3)
         beta = np.array([[0.5, 0.0], [0.3, 0.4]])
         network = make_network(layout, beta, [0, 1])
-        ctx = make_context(network, layout, table, ici_mode="as_printed")
+        ctx = make_context(network, layout, table)
         assert ctx.eps[1, 0, 1] == 0.0 and ctx.err_var[1, 0, 1] == 0.0
 
     def test_eps_within_bounds(self):
         layout = toy_layout()
         table = make_table(layout, 3e-3)
         network = make_network(layout, np.array([[0.5, 0.3], [0.2, 0.8]]), [0, 1])
-        for kind in ("pna_ofdm", "pna_sc", "unaware"):
-            ctx = make_context(network, layout, table, kind=kind,
-                               ici_mode="independent_data")
+        for kind in ESTIMATOR_KINDS:
+            ctx = make_context(network, layout, table, kind=kind)
             assert (ctx.eps >= 0).all()
             assert (ctx.err_var >= -1e-10).all()
 
@@ -576,7 +600,7 @@ class TestContext:
         network = make_network(layout, rng.uniform(0.05, 1.0, (K, 3)), pilot_index, sigma2=1e-2)
         table = make_table(layout, 3e-3)
         for kind in ESTIMATOR_KINDS:
-            model = make_model(layout, table, kind, ici_mode="as_printed")
+            model = make_model(layout, table, kind)
             ctx = build_context(network, model)
             _, eps = coef_oracle(network, model)  # (K, L, tau_c)
             psi, _ = build_psi(network, model)
@@ -619,7 +643,7 @@ class TestContext:
         network = make_network(layout, rng.uniform(0.05, 1.0, (K, L)), np.arange(K) % tau_p)
         table = make_table(layout, 3e-4)
         for kind in ESTIMATOR_KINDS:
-            ctx = make_context(network, layout, table, kind=kind, ici_mode="as_printed")
+            ctx = make_context(network, layout, table, kind=kind)
             held = sum(a.nbytes for a in vars(ctx).values())
             assert held < L * K * tau_c * tau_p * np.dtype(complex).itemsize
 
@@ -631,17 +655,16 @@ class TestBaselines:
         network = make_network(layout, np.array([[0.5, 0.3], [0.2, 0.8]]), [0, 1])
         y = rng.standard_normal((2, layout.tau_p)) + 1j * rng.standard_normal((2, layout.tau_p))
         outs = []
-        for kind in ("pna_ofdm", "pna_sc", "unaware"):
-            ctx = make_context(network, layout, table, kind=kind, ici_mode="as_printed")
+        for kind in ESTIMATOR_KINDS:
+            ctx = make_context(network, layout, table, kind=kind)
             outs.append(estimate_all(ctx, y))
-        assert np.abs(outs[0] - outs[1]).max() < 1e-10
-        assert np.abs(outs[0] - outs[2]).max() < 1e-10
+        assert all(np.abs(outs[0] - out).max() < 1e-10 for out in outs[1:])
 
     def test_unaware_constant_across_symbols(self, rng):
         layout = toy_layout()
         table = make_table(layout, 3e-3)
         network = make_network(layout, np.ones((2, 2)), [0, 1])
-        ctx = make_context(network, layout, table, kind="unaware", ici_mode="as_printed")
+        ctx = make_context(network, layout, table, kind="unaware")
         y = rng.standard_normal((2, layout.tau_p)) + 1j * rng.standard_normal((2, layout.tau_p))
         est = estimate_all(ctx, y)
         assert np.abs(est - est[:1]).max() < 1e-14
@@ -675,12 +698,11 @@ class TestBaselines:
     def test_pn_aware_beats_unaware_mse(self):
         layout = toy_layout()
         pn = PnParams(2e9, 1e-15, 1e-15, layout.sample_time)
-        table = make_table(layout, pn.sigma2_tot)
+        table = world_table(layout, pn.sigma2_tot)
         beta = np.array([[0.5, 0.3], [0.2, 0.8]])
         network = make_network(layout, beta, [0, 1], p=0.4, sigma2=1e-4)
-        ctx_pna = make_context(network, layout, table, kind="pna_ofdm",
-                               ici_mode="independent_data")
-        ctx_un = make_context(network, layout, table, kind="unaware", ici_mode="as_printed")
+        ctx_pna = make_context(network, layout, table, kind="pna_ofdm_cp")
+        ctx_un = make_context(network, layout, table, kind="unaware")
         assert ctx_un.eps.shape[0] == 1
         rng = np.random.default_rng(42)
         err_pna, err_un = [], []

@@ -147,16 +147,20 @@ class TestConfigParsing:
                 parse_config("n_aps = 4\nn_ues = 2\n%s\n" % entry)
 
     def test_removed_stride_key_rejected(self, tmp_path, capsys):
-        """``cp_consistent_correlation``, the former kernel-stride switch, is an
-        unknown key: ``ici_mode`` alone selects the estimator's model, and
-        ``sim run`` on a file that names the old key exits 1."""
-        cfg_path = tmp_path / "stride.cfg"
-        cfg_path.write_text("n_subcarriers = 120\nblock_symbols = 5\npilot_symbols = 1:4\n"
-                            "n_aps = 5\nn_ues = 2\nn_geometries = 1\nn_trials = 1\n"
-                            "cp_consistent_correlation = true\n")
-        assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 1
-        assert "line 8: unknown key 'cp_consistent_correlation'" in capsys.readouterr().err
-        assert not (tmp_path / "o.csv").exists()
+        """``cp_consistent_correlation`` and ``ici_mode``, the former switches
+        of the kernel stride and of the estimator's model, are unknown keys:
+        the estimator kind alone selects its model (``pna_ofdm`` or
+        ``pna_ofdm_cp``), and ``sim run`` on a file that names an old key
+        exits 1 and writes no CSV."""
+        for key, value in (("cp_consistent_correlation", "true"),
+                           ("ici_mode", "independent_data")):
+            cfg_path = tmp_path / "stride.cfg"
+            cfg_path.write_text("n_subcarriers = 120\nblock_symbols = 5\npilot_symbols = 1:4\n"
+                                "n_aps = 5\nn_ues = 2\nn_geometries = 1\nn_trials = 1\n"
+                                "%s = %s\n" % (key, value))
+            assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 1
+            assert "line 8: unknown key '%s'" % key in capsys.readouterr().err
+            assert not (tmp_path / "o.csv").exists()
 
     def test_invalid_value_rejected_with_line(self):
         with pytest.raises(ConfigError, match="line 1"):
@@ -526,17 +530,19 @@ class TestRunExperiment:
             assert ",no_pn," in drawn
 
     def test_unaware_alone_under_phase_noise(self):
-        """A run of the unaware estimator alone, whose one-symbol context is
-        the only one of the set-up, runs under phase noise, and its records
-        are, byte for byte, the unaware rows of the same run with every
-        estimator."""
+        """A run of one estimator alone under phase noise gives, byte for
+        byte, that estimator's rows of the same run with every estimator, for
+        every kind: unaware, whose one-symbol context is then the only one of
+        the set-up, and the two PN-aware OFDM kinds, so that a pna_ofdm
+        against pna_ofdm_cp comparison in one run is exact."""
         cfg = replace(ci_config(), n_geometries=1, n_trials=3,
                       schemes=("mr", "lp_mmse", "p_mmse", "mmse"))
-        alone = records_to_csv(run_experiment(replace(cfg, estimators=("unaware",))))
         every = records_to_csv(run_experiment(replace(cfg, estimators=estimation.ESTIMATOR_KINDS)))
-        rows = [line for line in every.splitlines() if ",unaware," in line]
-        assert len(rows) == 4 * (1 + 60)
-        assert alone.splitlines()[1:] == rows
+        for kind in estimation.ESTIMATOR_KINDS:
+            alone = records_to_csv(run_experiment(replace(cfg, estimators=(kind,))))
+            rows = [line for line in every.splitlines() if ",%s," % kind in line]
+            assert len(rows) == 4 * (1 + 60)
+            assert alone.splitlines()[1:] == rows
 
     def test_scheme_rows_present(self):
         cfg = small_cfg(n_trials=4, n_geometries=1)
@@ -978,7 +984,8 @@ class TestValidateSuite:
         h_eff scaled by 1.1 at the name the check calls it fails."""
         from cfofdm import harness, validate
 
-        cfg = replace(ci_config(), n_aps=3, n_ues=2, n_trials=3000)
+        cfg = replace(ci_config(), n_aps=3, n_ues=2, n_trials=3000,
+                      estimators=("pna_ofdm_cp",))
         (check,) = validate.lmmse_moments(cfg)
         assert check.ok, check.detail
 
@@ -992,12 +999,13 @@ class TestValidateSuite:
 
     def test_moments_score_every_model_on_one_synthesis(self, monkeypatch):
         """At ``sim validate``'s size, a former model added to the set-up gets
-        its own verdict from the same trial stacks: the pna_ofdm verdict reads
-        as without it, and ``observe`` runs once per trial stack either way,
-        not once per model."""
+        its own verdict from the same trial stacks: the pna_ofdm_cp verdict
+        reads as without it, and ``observe`` runs once per trial stack either
+        way, not once per model."""
         from cfofdm import harness, validate
 
-        cfg = replace(ci_config(), n_aps=3, n_ues=2, n_trials=3000)
+        cfg = replace(ci_config(), n_aps=3, n_ues=2, n_trials=3000,
+                      estimators=("pna_ofdm_cp",))
         calls = []
 
         def counting(*args, **kwargs):
@@ -1016,13 +1024,13 @@ class TestValidateSuite:
 
     def test_moments_of_one_symbol_and_every_symbol_models(self):
         """A set-up that mixes the one-symbol unaware model with the tau_c-
-        symbol pna_ofdm one is scored, the unaware estimate standing for
-        every symbol: unaware fails and pna_ofdm passes, with the detail
+        symbol pna_ofdm_cp one is scored, the unaware estimate standing for
+        every symbol: unaware fails and pna_ofdm_cp passes, with the detail
         lines both gave when every model covered tau_c symbols."""
         from cfofdm import validate
 
         cfg = replace(ci_config(), n_aps=3, n_ues=2, n_trials=300,
-                      estimators=("unaware", "pna_ofdm"))
+                      estimators=("unaware", "pna_ofdm_cp"))
         checks = validate.lmmse_moments(cfg)
         assert [c.ok for c in checks] == [False, True]
         assert [c.detail for c in checks] == [
