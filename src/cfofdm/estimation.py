@@ -57,7 +57,7 @@ def build_ici_base(
     book = layout.pilot_book.T.reshape(tau_p, syms.size, n_p)  # [t, s, q], slots symbol-major
     pilot_terms = np.einsum("tsq,supqmr,tur->tspum", book, g, np.conj(book))
 
-    data_ind = layout.pilot_grid[0, 0] == 0  # no pilot sample on a data subcarrier
+    data_ind = ~on_comb.any(axis=0)  # the data subcarriers
     if independent_data:
         # sum_{j in D} B_{n1-j,n2-j} = unit weights on n1 and n2 at the lag weight
         # G(d) = sum_{j in D} exp(2j pi j d / N), at symbol lag 0 alone: data drawn

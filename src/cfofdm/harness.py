@@ -246,7 +246,9 @@ def draw_trials(setup: Setup, network: NetworkRealization, rngs: Sequence[np.ran
     if replay:
         phases = np.stack([record[key][0] for key in keys])[..., None, None]
         trace = PhaseNoiseTrace(phases[:, :L], phases[:, L:])
-        pilots = layout.pilot_grid[network.pilot_index]
+        pilots = np.zeros((layout.n_ues, len(layout.pilot_symbols), layout.n_subcarriers),
+                          dtype=complex)
+        ofdm.place_pilots(pilots, layout, network.pilot_index)
         grids = np.broadcast_to(pilots, (B,) + pilots.shape)
     else:
         walk = (layout.block_symbols, layout.n_subcarriers)

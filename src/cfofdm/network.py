@@ -125,19 +125,6 @@ class SimulationLayout:
         book.setflags(write=False)  # one array, shared by every caller
         return book
 
-    @cached_property
-    def pilot_grid(self) -> np.ndarray:
-        """The pilot pattern over the band, (tau_p, |T_p|, N): entry [t, si, j] is
-        the sample sequence t sends on absolute subcarrier j in pilot symbol
-        ``pilot_symbols[si]``, ``pilot_book[i, t]`` with i the slot of j's
-        block-local subcarrier in that symbol; zero on the data subcarriers."""
-        by_slot = self.pilot_book.T.reshape(self.tau_p, len(self.pilot_symbols), -1)  # [t, si, ni]
-        grid = np.zeros(by_slot.shape[:2] + (self.n_subcarriers,), dtype=complex)
-        for ni, nu in enumerate(self.pilot_subcarriers):
-            grid[:, :, nu::self.block_subcarriers] = by_slot[:, :, ni, None]
-        grid.setflags(write=False)  # one array, shared by every caller
-        return grid
-
 
 @dataclass(frozen=True)
 class ClusterGroup:

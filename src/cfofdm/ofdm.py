@@ -13,6 +13,17 @@ from .network import NetworkRealization, SimulationLayout
 from .phase_noise import PhaseNoiseTrace, phasor
 
 
+def place_pilots(grids: np.ndarray, layout: SimulationLayout,
+                 pilot_index: np.ndarray) -> np.ndarray:
+    """Write the pilot samples into (..., K, |T_p|, N) ``grids`` in place and
+    return them: UE k sends ``pilot_book[i, pilot_index[k]]`` on every absolute
+    column of slot i's subcarrier in slot i's symbol (``pilot_slot_positions``)."""
+    book = layout.pilot_book.T.reshape(layout.tau_p, len(layout.pilot_symbols), -1)[pilot_index]
+    for ni, nu in enumerate(layout.pilot_subcarriers):
+        grids[..., nu::layout.block_subcarriers] = book[..., ni, None]
+    return grids
+
+
 def build_transmit_grids(
     layout: SimulationLayout,
     pilot_index: np.ndarray,
@@ -21,14 +32,12 @@ def build_transmit_grids(
     """Per-UE frequency grids for the pilot-bearing OFDM symbols.
 
     Returns (K, |T_p|, N): for every pilot symbol, each UE transmits its
-    sequence's samples of ``layout.pilot_grid`` on the pilot subcarriers and
+    sequence's pilot samples (``place_pilots``) on the pilot subcarriers and
     fresh unit-power circularly-symmetric Gaussian data symbols elsewhere.
     """
     shape = (len(pilot_index), len(layout.pilot_symbols), layout.n_subcarriers)
     grids = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-    cols = np.flatnonzero(layout.pilot_grid[0, 0])  # pilot samples have unit modulus
-    grids[:, :, cols] = layout.pilot_grid[:, :, cols][pilot_index]
-    return grids
+    return place_pilots(grids, layout, pilot_index)
 
 
 def _symbol_phasors(phase: np.ndarray, t: int, out: np.ndarray) -> np.ndarray:

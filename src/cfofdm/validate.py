@@ -6,8 +6,8 @@ Each check is one function of its input size (and seed, or the configuration
 of its world) returning a ``Check``, or for the LMMSE moments one per model;
 each calls what a run calls.  ``run_validation`` runs them at desk size for
 ``sim validate``, the acceptance suite at larger sizes.  Literal references
-only these checks run live here too: the double-sum kernel, the drift
-spectrum of one symbol and the time-domain received symbol.
+only these checks run live here too: the double-sum kernel and the
+time-domain received symbol.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .phase_noise import (
     gen_pn_trace,
     lag_spectra,
     pair_sums,
+    phasor,
     wiener_walks,
 )
 
@@ -40,22 +41,6 @@ class Check(NamedTuple):
     name: str
     ok: bool
     detail: str
-
-
-def phase_drift(theta_symbol: np.ndarray) -> np.ndarray:
-    """Frequency-domain phase-drift vector of one OFDM symbol.
-
-    J_i = (1/N) * sum_n exp(j*theta_n) * exp(-2j*pi*n*i/N).  The result is in
-    natural DFT layout: entry ``J[i % N]`` is the coefficient for offset i, for
-    any i in {-N/2, ..., N/2 - 1} (the definition is N-periodic in i).  J[0] is
-    the common phase error.  The drift of a unit-modulus sequence satisfies
-    sum_i |J_i|^2 = 1.
-    """
-    theta_symbol = np.asarray(theta_symbol)
-    n = theta_symbol.shape[-1]
-    if theta_symbol.ndim < 1 or n < 1:
-        raise ValueError("theta_symbol must hold at least one sample")
-    return np.fft.fft(np.exp(1j * theta_symbol), axis=-1) / n
 
 
 def correlation_b_oracle(offsets, lags, params: KernelParams) -> np.ndarray:
@@ -113,12 +98,12 @@ def kernel_oracle(n: int) -> Check:
 
 
 def parseval(n: int, n_draws: int, seed: int) -> Check:
-    """sum |J_i|^2 = 1 for the drift spectra of random Wiener phases."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_draws):
-        j = phase_drift(np.cumsum(rng.normal(0, 0.05, n)))
-        worst = max(worst, abs(np.sum(np.abs(j) ** 2) - 1.0))
+    """sum |J_i|^2 = 1 for the drift spectra of random Wiener phases, each
+    formed as the synthesis forms it: the inverse FFT of the ``phasor`` of a
+    ``wiener_walks`` symbol."""
+    theta = wiener_walks(n_draws, 1, n, 0.05**2, 0, np.random.default_rng(seed))[:, 0]
+    j = np.fft.ifft(phasor(theta), axis=-1)
+    worst = np.abs(np.sum(np.abs(j) ** 2, axis=-1) - 1.0).max()
     return Check("parseval", worst <= 1e-12,
                  "max |sum|J|^2 - 1| = %.3e over %d draws at N=%d (tol 1e-12)"
                  % (worst, n_draws, n))

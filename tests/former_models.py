@@ -11,6 +11,7 @@ from cfofdm import estimation, validate
 from cfofdm.phase_noise import KernelParams, build_correlation_table
 
 from kernel_scalar import correlation_b_fast
+from pilot_oracle import pilot_grid
 
 
 def data_across_symbols(cfg, setup):
@@ -19,7 +20,7 @@ def data_across_symbols(cfg, setup):
     layout, params = setup.layout, setup.table.params
     (model,) = estimation.build_models(layout, setup.table, ("pna_ofdm_cp",))
     subs, syms = layout.pilot_slot_positions
-    data = np.flatnonzero(layout.pilot_grid[0, 0] == 0)
+    data = np.flatnonzero(pilot_grid(layout)[0, 0] == 0)
     data_cov = np.array([
         [sum(correlation_b_fast(n1 - j, n2 - j, s - u, params) for j in data)
          for n2, u in zip(subs, syms)] for n1, s in zip(subs, syms)])

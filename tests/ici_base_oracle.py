@@ -17,6 +17,8 @@ import numpy as np
 from cfofdm.network import SimulationLayout
 from cfofdm.phase_noise import KernelGrid, lag_spectra, offset_spectra
 
+from pilot_oracle import pilot_grid
+
 
 def ici_base_einsum(
     layout: SimulationLayout,
@@ -40,8 +42,9 @@ def ici_base_einsum(
     # y[t, i, d]: sample of pilot t on the subcarrier seen[i, d] = (n_i - d) % N of
     # slot i's symbol, zeroed at d = 0, the slot's own subcarrier
     seen = (subs[:, None] - np.arange(n)) % n
+    grid = pilot_grid(layout)
     slot_si = np.arange(tau_p) // len(layout.pilot_subcarriers)  # slots are symbol-major
-    y = np.take(layout.pilot_grid.reshape(tau_p, -1), slot_si[:, None] * n + seen, axis=1)
+    y = np.take(grid.reshape(tau_p, -1), slot_si[:, None] * n + seen, axis=1)
     y[:, :, 0] = 0.0
     lags, lag_of = np.unique(syms[:, None] - syms[None, :], return_inverse=True)
     lag_of = lag_of.reshape(tau_p, tau_p)
@@ -49,7 +52,7 @@ def ici_base_einsum(
     a = offset_spectra(y)
     pilot_terms = np.einsum("tif,ijf,tjf->tij", a, w, np.conj(a))
 
-    data_ind = (layout.pilot_grid[0, 0] == 0).astype(float)
+    data_ind = (grid[0, 0] == 0).astype(float)
     if not independent_data:
         y_data = data_ind[seen]
     else:

@@ -9,7 +9,9 @@ from the generator exactly as ``cfofdm.harness.observe`` draws a trial's
 noise after its grids, so both give the same noise from equal generator
 states.  ``synth_one`` runs the noise-free synthesis,
 ``cfofdm.ofdm.synth_pilot_observations``, on one trial, as a stack of one,
-and adds that noise.
+and adds that noise.  ``pilot_grid`` is the dense pilot pattern over the band
+and ``phase_drift`` the drift spectrum of one symbol as printed, each built
+literally, for tests that read them whole.
 """
 
 from dataclasses import dataclass
@@ -36,6 +38,35 @@ def synth_one(h, grids, trace, network, layout, rng=None):
     if rng is not None:
         y[0] += receiver_noise(network, y.shape[1:], rng)
     return y[0], cpe[0]
+
+
+def pilot_grid(layout) -> np.ndarray:
+    """The pilot pattern over the band, (tau_p, |T_p|, N): entry [t, si, j] is
+    the sample sequence t sends on absolute subcarrier j in pilot symbol
+    ``pilot_symbols[si]``, ``pilot_book[i, t]`` with i the slot of j's
+    block-local subcarrier in that symbol; zero on the data subcarriers."""
+    grid = np.zeros((layout.tau_p, len(layout.pilot_symbols), layout.n_subcarriers),
+                    dtype=complex)
+    for i, (nu, sym) in enumerate(zip(*layout.pilot_slot_positions)):
+        cols = np.arange(nu, layout.n_subcarriers, layout.block_subcarriers)
+        grid[:, layout.pilot_symbols.index(sym), cols] = layout.pilot_book[i][:, None]
+    return grid
+
+
+def phase_drift(theta_symbol: np.ndarray) -> np.ndarray:
+    """Frequency-domain phase-drift vector of one OFDM symbol.
+
+    J_i = (1/N) * sum_n exp(j*theta_n) * exp(-2j*pi*n*i/N).  The result is in
+    natural DFT layout: entry ``J[i % N]`` is the coefficient for offset i, for
+    any i in {-N/2, ..., N/2 - 1} (the definition is N-periodic in i).  J[0] is
+    the common phase error.  The drift of a unit-modulus sequence satisfies
+    sum_i |J_i|^2 = 1.
+    """
+    theta_symbol = np.asarray(theta_symbol)
+    n = theta_symbol.shape[-1]
+    if theta_symbol.ndim < 1 or n < 1:
+        raise ValueError("theta_symbol must hold at least one sample")
+    return np.fft.fft(np.exp(1j * theta_symbol), axis=-1) / n
 
 
 def expand_blocks(h: np.ndarray, layout) -> np.ndarray:

@@ -1613,3 +1613,20 @@ class TestTrialMemory:
             assert h_eff.shape == (B, T, cfg.n_ues, cfg.n_aps)
         assert peaks["ideal"] < walk_bytes < peaks["pn"] < (piece + 1) * walk_bytes
         assert peaks["ue_pn"] < peaks["pn"] - 0.9 * piece * ap_walk_bytes
+
+    def test_fig2_setup_holds_no_band_wide_array(self):
+        """The fig2 set-up (kernel table, ICI base, estimator models) leaves
+        less than 1 MiB traced while it lives: no array over the band, such as
+        a (tau_p, |T_p|, N) pilot grid (2.64 MiB at fig2), stays on it."""
+        import tracemalloc
+
+        from cfofdm.harness import build_setup
+
+        tracemalloc.start()
+        try:
+            setup = build_setup(fig2_config())
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert setup.layout.n_subcarriers == 1200
+        assert held < 1 << 20

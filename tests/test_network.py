@@ -16,8 +16,10 @@ from cfofdm.network import (
     noise_power_w,
     place_nodes,
 )
+from cfofdm.ofdm import place_pilots
 
 from network_oracle import assign_pilots_greedy_loop, form_dcc_dicts
+from pilot_oracle import pilot_grid
 
 
 def make_layout(**kw):
@@ -74,14 +76,19 @@ class TestLayout:
                      id="partial_block_two_columns"),
     ])
     def test_pilot_grid_places_the_book(self, kw):
-        """pilot_book[i, t] sits at every absolute column of slot i; all else is zero."""
+        """``place_pilots`` puts pilot_book[i, t] at every absolute column of
+        slot i of sequence t's grid, and leaves all else zero
+        (``pilot_oracle.pilot_grid``); UE k takes row pilot_index[k] of it,
+        over any leading axes."""
         layout = make_layout(**kw)
-        expect = np.zeros((layout.tau_p, len(layout.pilot_symbols), layout.n_subcarriers),
-                          dtype=complex)
-        for i, (nu, sym) in enumerate(zip(*layout.pilot_slot_positions)):
-            cols = np.arange(nu, layout.n_subcarriers, layout.block_subcarriers)
-            expect[:, layout.pilot_symbols.index(sym), cols] = layout.pilot_book[i][:, None]
-        assert np.array_equal(layout.pilot_grid, expect)
+        expect = pilot_grid(layout)
+        grids = np.zeros(expect.shape, dtype=complex)
+        assert place_pilots(grids, layout, np.arange(layout.tau_p)) is grids
+        assert np.array_equal(grids, expect)
+        index = np.array([3, 0, 3, 1]) % layout.tau_p
+        stack = place_pilots(np.zeros((2, index.size) + expect.shape[1:], dtype=complex),
+                             layout, index)
+        assert np.array_equal(stack, np.broadcast_to(expect[index], stack.shape))
 
 
 class TestPlacement:

@@ -13,10 +13,17 @@ from cfofdm.network import NetworkRealization, SimulationLayout, gen_channel
 from cfofdm.ofdm import build_transmit_grids, synth_pilot_observations
 from cfofdm.phase_noise import KernelParams, PhaseNoiseTrace, PnParams, cpe_per_symbol, gen_pn_trace
 from cfofdm.se import lambda_ici
-from cfofdm.validate import phase_drift, time_domain_oracle
+from cfofdm.validate import time_domain_oracle
 
 from kernel_scalar import correlation_b_fast
-from pilot_oracle import decomposed_pilot_observations, expand_blocks, received_terms, synth_one
+from pilot_oracle import (
+    decomposed_pilot_observations,
+    expand_blocks,
+    phase_drift,
+    pilot_grid,
+    received_terms,
+    synth_one,
+)
 
 
 def make_network(layout, beta, pilot_index, p=0.1, sigma2=1e-13):
@@ -78,6 +85,27 @@ class TestTransmitGrids:
                     col = blk * small_layout.block_subcarriers + nu
                     si = small_layout.pilot_symbols.index(sym)
                     assert grids[k, si, col] == pytest.approx(book[i, t[k]])
+
+    @pytest.mark.parametrize("cfg", [
+        pytest.param(fig2_config(), id="fig2"),
+        # N = 120 is 10 whole blocks of 11 subcarriers and a partial one of 10
+        pytest.param(replace(ci_config(), block_subcarriers=11, pilot_subcarriers=(0, 5)),
+                     id="partial_block_two_columns"),
+    ])
+    def test_grids_pinned(self, cfg):
+        """At a pinned seed the grids are bit for bit those the dense pilot
+        grid gave: the data draws, then every pilot column of
+        ``pilot_oracle.pilot_grid`` gathered per UE."""
+        layout = cfg.layout()
+        index = np.arange(layout.n_ues) * 7 % layout.tau_p
+        grids = build_transmit_grids(layout, index, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        expect = (rng.standard_normal(grids.shape)
+                  + 1j * rng.standard_normal(grids.shape)) / np.sqrt(2.0)
+        dense = pilot_grid(layout)
+        cols = np.flatnonzero(dense[0, 0])
+        expect[:, :, cols] = dense[:, :, cols][index]
+        assert np.array_equal(grids.view(np.uint64), expect.view(np.uint64))
 
     def test_data_statistics(self, small_layout):
         rng = np.random.default_rng(1)
@@ -263,7 +291,7 @@ class TestSynthObservations:
         if case == "shared_data":
             # the data of pilot symbol 1 repeated over the pilot symbols: data
             # correlated across symbols, which no run draws
-            grids = np.where(layout.pilot_grid[0, 0] != 0, grids, grids[:, :1])
+            grids = np.where(pilot_grid(layout)[0, 0] != 0, grids, grids[:, :1])
         trace = gen_pn_trace(pn_params(case, layout), layout, rng)
         oracle_rng = copy.deepcopy(rng)
         y, cpe = synth_one(h, grids, trace, network, layout, rng)

@@ -15,9 +15,10 @@ from cfofdm.phase_noise import (
     pn_increment_variance,
     wiener_walks,
 )
-from cfofdm.validate import correlation_b_oracle, phase_drift
+from cfofdm.validate import correlation_b_oracle
 
 from kernel_scalar import correlation_b_fast, correlation_b_literal
+from pilot_oracle import phase_drift
 
 
 class TestIncrementVariance:
