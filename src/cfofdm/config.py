@@ -118,8 +118,8 @@ class ExperimentConfig:
         for f in fields(self):
             if f.type == "float" and not np.isfinite(getattr(self, f.name)):
                 raise ConfigError("%s must be finite" % f.name)
-        if not self.name or any(c in self.name for c in ',"'):
-            raise ConfigError("name must be non-empty, without ',' or '\"'")
+        if not self.name or not self.name.isprintable() or any(c in self.name for c in ',"'):
+            raise ConfigError("name must be non-empty and printable, without ',' or '\"'")
         if self.cp_len < -1:
             raise ConfigError("cp_len must be >= 0, or -1 for round(0.07 N)")
         if self.master_seed < 0:
@@ -128,8 +128,8 @@ class ExperimentConfig:
             raise ConfigError("gamma_ap, gamma_ue and carrier_hz must be >= 0")
         if self.subcarrier_spacing_hz <= 0 or self.tx_power_w <= 0:
             raise ConfigError("subcarrier_spacing_hz and tx_power_w must be > 0")
-        if self.shadow_sigma_db < 0:
-            raise ConfigError("shadow_sigma_db must be >= 0")
+        if min(self.shadow_sigma_db, self.ap_height_m) < 0:
+            raise ConfigError("shadow_sigma_db and ap_height_m must be >= 0")
         try:
             layout = self.layout()
         except ValueError as exc:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from cfofdm import estimation
+from cfofdm.combining import SCHEMES
 from cfofdm.cli import main as cli_main
 from cfofdm.config import (
     ConfigError,
@@ -44,6 +45,48 @@ FLOAT_KEYS = [f.name for f in fields(ExperimentConfig) if f.type == "float"]
 # the ci layout as `sim fig2` / `sim fig3` overrides, less n_ues (fig3 sets it)
 CI_FIG = ["n_subcarriers=120", "block_symbols=5", "pilot_symbols=1:4", "n_aps=30",
           "shadow_sigma_db=0"]
+ALL_SCHEMES = "schemes=mr,lp_mmse,p_mmse,mmse"
+ALL_KINDS = "estimators=unaware,pna_sc,pna_ofdm,pna_ofdm_cp"
+CI = ["name=ci", *CI_FIG, "n_ues=5", ALL_SCHEMES]
+TWO_OF_7 = ["n_geometries=2", "n_trials=7"]
+IDEAL = ["estimators=pna_ofdm", "gamma_ap=0", "gamma_ue=0"]
+SMALL = ["n_subcarriers=120", "block_symbols=5", "pilot_symbols=1:4", "n_geometries=1"]
+
+# `sim` command, its overrides (for `run`, its config file's lines) and the
+# worker counts whose --out files must be byte-identical
+THREAD_CASES = [
+    # every estimator kind, pna_ofdm_cp among them, which no benchmark workload runs
+    pytest.param("fig2", [*CI, ALL_KINDS, "n_geometries=2", "n_trials=6"], (1, 2, 3),
+                 id="all_kinds_6"),
+    # trial stacks of 7, 4 and 3, each synthesized in pieces of 3, the last one partial
+    pytest.param("fig2", [*CI, ALL_KINDS, *TWO_OF_7], (1, 2, 3), id="all_kinds_7_4_3"),
+    # three one-trial stacks on two workers: the caller finalizes geometry 1, which it never ran
+    pytest.param("fig2", [*CI, "n_geometries=3", "n_trials=1"], (1, 2),
+                 id="uneven_three_geometries"),
+    # the one phase-noise set-up without a tau_c-symbol estimator context
+    pytest.param("fig2", [*CI, *TWO_OF_7, "estimators=unaware"], (1, 2), id="unaware_alone"),
+    # the both-ideal world draws its trials in ideal pieces of 6
+    pytest.param("fig2", [*CI, *TWO_OF_7, "gamma_ap=0", "gamma_ue=0"], (1, 2),
+                 id="both_ideal"),
+    # two slots per pilot symbol share the tile buffers; the ICI base's Gram has P^2 = 4 rows
+    pytest.param("fig2", [*CI, *TWO_OF_7, "pilot_subcarriers=0,5"], (1, 2),
+                 id="two_pilot_columns"),
+    pytest.param("fig2", [*CI, *TWO_OF_7, "block_subcarriers=11"], (1, 2),
+                 id="partial_block_product_synthesis"),
+    pytest.param("fig2", [*CI, *TWO_OF_7, "block_subcarriers=2"], (1, 2),
+                 id="drift_spectrum_synthesis"),
+    # one record per UE count; at K = 100 > L = 30 the MMSE-family solves are K-dimensional
+    pytest.param("fig3", ["name=ci", *CI_FIG, ALL_SCHEMES, *TWO_OF_7], (1, 2),
+                 id="fig3_support_dimension_mmse"),
+    pytest.param("run", [*CI, *TWO_OF_7, *IDEAL], (1, 2), id="run_both_ideal"),
+    pytest.param("run", [*CI, "estimators=pna_ofdm,pna_sc,unaware", "n_geometries=2",
+                         "n_trials=10"], (1, 2), id="run_phase_noise"),
+    pytest.param("run", ["name=ci", *SMALL, "shadow_sigma_db=0", "n_aps=6", "n_ues=3",
+                         "estimators=pna_ofdm", "schemes=mr,mmse", "n_trials=8"], (1, 3),
+                 id="run_one_geometry_three_workers"),
+    pytest.param("run", [*SMALL, "n_aps=5", "n_ues=2", "n_trials=4"], (1, 2),
+                 id="run_shadowed"),
+]
 
 
 def small_cfg(**kw):
@@ -246,19 +289,47 @@ class TestRunExperiment:
         b = records_to_csv(run_experiment(cfg))
         assert a == b
 
-    def test_threaded_matches_sequential(self):
-        cfg = small_cfg(n_trials=8, n_geometries=1)
-        a = records_to_csv(run_experiment(cfg, threads=1))
-        b = records_to_csv(run_experiment(cfg, threads=3))
-        assert a == b
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, entries, workers", THREAD_CASES)
+    def test_thread_count_invariance(self, tmp_path, command, entries, workers):
+        """``sim`` writes the same bytes on every worker count (every warning
+        is an error, so a fork from a process with a second thread fails on
+        Python 3.12 and later), and the no_pn rows of ``sim fig2``, which
+        replay its phase-noise draws, are those of a both-ideal ``sim run``
+        that draws them."""
 
-    def test_thread_count_invariance_all_estimators_and_schemes(self):
-        cfg = replace(ci_config(), n_geometries=2, n_trials=10,
-                      estimators=("pna_ofdm", "pna_sc", "unaware"),
-                      schemes=("mr", "lp_mmse", "p_mmse", "mmse"))
-        a = records_to_csv(run_experiment(cfg, threads=1))
-        b = records_to_csv(run_experiment(cfg, threads=2))
-        assert a == b
+        def sim(command, entries, threads):
+            if command == "run":
+                cfg = tmp_path / "case.cfg"
+                cfg.write_text("\n".join(entries) + "\n")
+                entries = [str(cfg)]
+            out = tmp_path / "out.csv"
+            argv = [command, *entries, "--threads", str(threads), "--out", str(out)]
+            assert cli_main(argv) == 0
+            return out.read_text()
+
+        texts = [sim(command, entries, threads) for threads in workers]
+        assert texts == [texts[0]] * len(workers)
+        if command == "fig2":
+            ideal = [o for o in entries if o.split("=")[0] not in ("estimators", "gamma_ap",
+                                                                   "gamma_ue")]
+            no_pn = [line.replace(",no_pn,", ",pna_ofdm,")
+                     for line in texts[0].splitlines() if ",no_pn," in line]
+            assert no_pn == sim("run", [*ideal, *IDEAL], 1).splitlines()[1:]
+
+    def test_thread_cases_run_every_kind_and_scheme(self):
+        """Every row of the thread-count table compares worker counts, and
+        every estimator kind and combining scheme is named by a row, so none
+        drops out of the table when one is added or renamed."""
+        named = {"estimators": set(), "schemes": set()}
+        for case in THREAD_CASES:
+            _, entries, workers = case.values
+            assert len(workers) > 1
+            for entry in entries:
+                key, value = entry.split("=")
+                named.get(key, set()).update(value.split(","))
+        assert named == {"estimators": set(estimation.ESTIMATOR_KINDS),
+                         "schemes": set(SCHEMES)}
 
     def test_forks_once_per_run(self, monkeypatch):
         """A run of S trial stacks in all on T workers forks min(T, S) - 1
@@ -661,20 +732,6 @@ class TestCli:
         assert text.startswith(CSV_HEADER)
         assert "clitest" in text
 
-    def test_cli_output_byte_identical(self, tmp_path):
-        cfg_path = tmp_path / "t.cfg"
-        cfg_path.write_text(
-            "n_subcarriers = 120\nblock_symbols = 5\npilot_symbols = 1:4\n"
-            "n_aps = 5\nn_ues = 2\nn_geometries = 1\nn_trials = 4\n"
-        )
-        outs = []
-        for name, threads in (("a.csv", "1"), ("b.csv", "2")):
-            out = tmp_path / name
-            assert cli_main(["run", str(cfg_path), "--out", str(out),
-                             "--threads", threads]) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-
     def test_config_error_exit_code(self, tmp_path, capsys):
         # the last three keys were switches of earlier versions
         for entry in ("definitely_not_a_key = 1", "eval_block = 1", "gaussian_ici = false",
@@ -721,6 +778,7 @@ class TestCli:
         "subcarrier_spacing_hz = 0", "tx_power_w = -0.1", "shadow_sigma_db = -1",
         "n_subcarriers = 8\npilot_subcarriers = 10", "cp_len = -2",
         "n_subcarriers = 8\nblock_subcarriers = 12", "pilot_symbols = 1, 5:3",
+        "ap_height_m = -10",
     ])
     def test_out_of_range_value_exit_code(self, tmp_path, capsys, entry):
         cfg_path = tmp_path / "t.cfg"
@@ -742,10 +800,10 @@ class TestCli:
         assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 1
         assert "config error: %s must be finite" % key in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["a,b", 'a"b', ""])
+    @pytest.mark.parametrize("name", ["a,b", 'a"b', "", "a\nb", "a\rb"])
     def test_name_that_breaks_csv_rows_rejected(self, tmp_path, capsys, name):
-        """The name is the first CSV field: a comma or quote, or no name, would
-        corrupt every row. Nothing runs and no file is written."""
+        """The name is the first CSV field: a comma, quote or line break, or no
+        name, would corrupt every row. Nothing runs and no file is written."""
         out = tmp_path / "o.csv"
         argv = ["fig2", "name=" + name, *CI_FIG, "n_ues=5", "n_geometries=1", "n_trials=2",
                 "--seed", "0", "--out", str(out)]
